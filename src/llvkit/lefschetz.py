@@ -240,8 +240,9 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
     if not hl_test_weights(l_mat, weights):
         raise NotHLError("not an HL class")
     top = max((abs(w) for w in spaces), default=0)
+    # primitive kernels read L^(m+1) and strings read L^j, j <= m <= top
     powers = {0: Matrix.identity(n), 1: l_mat}
-    for j in range(2, 2 * top + 2):
+    for j in range(2, top + 2):
         powers[j] = powers[j - 1] * l_mat
 
     def lift(pw_weight, b_i):
@@ -466,7 +467,8 @@ def symplectic_hl_check(ring: BigradedAlgebra) -> CheckResult:
         return res
     powers = {0: Matrix.identity(ring.total_dim), 1: ls}
     powers_b = {0: Matrix.identity(ring.total_dim), 1: lsb}
-    for j in range(2, 2 * n + 1):
+    # the blocks below read L^j for j = n - p and j = n - q, so j <= n
+    for j in range(2, n + 1):
         powers[j] = powers[j - 1] * ls
         powers_b[j] = powers_b[j - 1] * lsb
     checked = 0

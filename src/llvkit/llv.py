@@ -13,34 +13,33 @@ from math import comb, gcd
 
 from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
                         sigma_sl2, weight_operator_matrix)
-from .linalg import (IntSpan, Matrix, Span, SparseEchelon,
-                     integer_eigenspaces, symmetric_signature)
+from .linalg import (Matrix, Span, SparseEchelon, integer_eigenspaces,
+                     symmetric_signature)
 from .models import spanning_hl_classes
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import Gauss, rat_sqrt
 
-# -- sparse fraction-free span over the vectorized matrix space ------------
+# -- sparse integer matrices ------------------------------------------------
 
 
-def _to_sparse(mat: Matrix):
-    out = {}
+def _mat_to_sparse_int(mat: Matrix):
+    """(sp, den) with mat = sp / den, sp a sparse integer matrix given as
+    row dicts; None when mat has Q(i) entries."""
     den = 1
-    for r in range(mat.nrows):
-        for c in range(mat.ncols):
-            v = mat[r, c]
+    for row in mat.rows:
+        for v in row:
             if v:
-                f = Fraction(v)
-                den = den * f.denominator // gcd(den, f.denominator)
-    for r in range(mat.nrows):
-        row = {}
-        for c in range(mat.ncols):
-            v = mat[r, c]
-            if v:
-                row[c] = int(Fraction(v) * den)
+                if isinstance(v, Gauss):
+                    return None
+                den = den * v.denominator // gcd(den, v.denominator)
+    sp = {}
+    for r, mrow in enumerate(mat.rows):
+        row = {c: v.numerator * (den // v.denominator)
+               for c, v in enumerate(mrow) if v}
         if row:
-            out[r] = row
-    return out
+            sp[r] = row
+    return sp, den
 
 
 def _sparse_bracket(a, b):
@@ -79,52 +78,115 @@ def _vectorize(sp, n):
 class MatrixLieAlgebra:
     """Bracket-closed span of matrices with a canonical basis.
 
-    Internally the canonical rows are mirrored as primitive-integer sparse
-    matrices (``_int_rows`` with per-row scale) so brackets and membership
-    tests run on integer dictionaries instead of dense matrices.
+    ``_rows`` are the canonical rows: vectorized sparse matrices b_k, each
+    equal to 1 at its own pivot column and 0 at every other pivot.  So x
+    lies in the span iff x = sum_k x[p_k] b_k, and its coordinates are its
+    entries at the pivots.
+
+    A rational algebra also has an integer form, cached on first use: D,
+    the common denominator of the canonical rows, and the sparse integer
+    matrices M_k = D b_k.  An integer matrix X lies in the span iff
+    D X == sum_k X[p_k] M_k, an exact integer equality with no fraction
+    formed.  The closure certificate, ``_ad_matrix`` and the structure
+    constants all test membership this way.
+
+    ``structure_constants`` builds, on first use, the sparse integer table
+    of the brackets and caches it on the instance: e_ijk = [M_i, M_j] at
+    pivot p_k, so that [b_i, b_j] = sum_k (e_ijk / D^2) b_k.  Algebras with
+    Q(i) entries have no integer form; their brackets go through
+    ``coords_vec``.
     """
 
     ambient: int
     basis: list               # list of Matrix, canonical order
     pivots: list              # vectorized pivot index per basis element
     _rows: list               # canonical sparse rows (exact field values)
-    _pivot_pos: dict = None
-    _int_rows: list = None    # sparse int matrix form per basis element
-    _int_scale: list = None   # basis[i] = _int_rows[i] / _int_scale[i]
+    _pivot_pos: dict = None   # pivot column -> basis index
+    _int_form: tuple = None   # (D, [M_k as row dicts]); () over Q(i)
+    _table: tuple = None      # (D, [{j: {k: e_ijk}} for i]), j > i
+
+    def __post_init__(self):
+        self._pivot_pos = {p: i for i, p in enumerate(self.pivots)}
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def _ensure_int_rows(self):
-        if self._int_rows is not None:
-            return
-        self._int_rows, self._int_scale = [], []
-        n = self.ambient
-        for row in self._rows:
+    def _integer_form(self):
+        """(D, [M_k as row dicts]); None over Q(i)."""
+        if self._int_form is None:
             den = 1
-            rational = True
-            for v in row.values():
-                if isinstance(v, Gauss):
-                    rational = False
-                    break
-                den = den * v.denominator // gcd(den, v.denominator)
-            if not rational:
-                self._int_rows.append(None)
-                self._int_scale.append(None)
-                continue
-            sp = {}
-            for k, v in row.items():
-                sp.setdefault(k // n, {})[k % n] = int(v * den)
-            self._int_rows.append(sp)
-            self._int_scale.append(Fraction(den))
+            for row in self._rows:
+                for v in row.values():
+                    if isinstance(v, Gauss):
+                        self._int_form = ()
+                        return None
+                    den = den * v.denominator // gcd(den, v.denominator)
+            n = self.ambient
+            mats = []
+            for row in self._rows:
+                mat = {}
+                for k, v in row.items():
+                    mat.setdefault(k // n, {})[k % n] = (
+                        v.numerator * (den // v.denominator))
+                mats.append(mat)
+            self._int_form = (den, mats)
+        return self._int_form or None
+
+    def _int_coords(self, sp):
+        """{k: X[p_k]} for a sparse integer matrix X inside the span, so
+        that X = sum_k X[p_k] b_k; None outside.  Decided by the exact
+        integer test D X == sum_k X[p_k] M_k."""
+        den, mats = self._integer_form()
+        n = self.ambient
+        coeffs = {}
+        rest = {}
+        for r, row in sp.items():
+            base = r * n
+            for c, v in row.items():
+                idx = base + c
+                rest[idx] = den * v
+                k = self._pivot_pos.get(idx)
+                if k is not None:
+                    coeffs[k] = v
+        for k, e in coeffs.items():
+            for r, row in mats[k].items():
+                base = r * n
+                for c, v in row.items():
+                    idx = base + c
+                    nv = rest.get(idx, 0) - e * v
+                    if nv:
+                        rest[idx] = nv
+                    elif idx in rest:
+                        del rest[idx]
+        return None if rest else coeffs
+
+    def structure_constants(self):
+        """(D, table) with table[i][j] = {k: e_ijk} for i < j, where
+        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is an integer;
+        None over Q(i).  Built on first use, one exact integer membership
+        test per bracket, and cached on the instance.  Raises ValueError
+        when some bracket leaves the span."""
+        if self._table is None:
+            form = self._integer_form()
+            if form is None:
+                return None
+            den, mats = form
+            table = []
+            for i, mi in enumerate(mats):
+                row = {}
+                for j in range(i + 1, len(mats)):
+                    coeffs = self._int_coords(_sparse_bracket(mi, mats[j]))
+                    if coeffs is None:
+                        raise ValueError("algebra is not bracket-closed")
+                    row[j] = coeffs
+                table.append(row)
+            self._table = (den, table)
+        return self._table
 
     def coords_vec(self, vec):
         """Coefficients on the canonical basis from a sparse vectorized
-        dict; None when outside the span.  Canonical rows vanish at every
-        pivot column but their own, so coefficients read off directly."""
-        if self._pivot_pos is None:
-            self._pivot_pos = {p: i for i, p in enumerate(self.pivots)}
+        dict; None when outside the span."""
         vec = {k: v for k, v in vec.items() if v}
         coeffs = [Fraction(0)] * len(self.pivots)
         for k, v in vec.items():
@@ -157,40 +219,17 @@ class MatrixLieAlgebra:
     def contains(self, mat: Matrix) -> bool:
         return self.coords(mat) is not None
 
-    def bracket_coords(self, i: int, j: int):
-        """Coordinates of [basis_i, basis_j]; None when outside the span."""
-        self._ensure_int_rows()
-        if self._int_rows[i] is None or self._int_rows[j] is None:
-            return self.coords(self.basis[i].commutator(self.basis[j]))
-        br = _sparse_bracket(self._int_rows[i], self._int_rows[j])
-        coords = self.coords_vec(_vectorize(br, self.ambient))
-        if coords is None:
-            return None
-        scale = self._int_scale[i] * self._int_scale[j]
-        return tuple(c / scale for c in coords)
-
-    def ad_coords(self, sp, scale=Fraction(1)):
-        """Coordinates of [x, basis_j] for sparse-int x, for every j."""
-        self._ensure_int_rows()
-        cols = []
-        for j in range(self.dim):
-            if self._int_rows[j] is None:
-                return None
-            br = _sparse_bracket(sp, self._int_rows[j])
-            coords = self.coords_vec(_vectorize(br, self.ambient))
-            if coords is None:
-                return None
-            s = scale * self._int_scale[j]
-            cols.append(tuple(c / s for c in coords))
-        return cols
-
     def verify_closure(self) -> bool:
         """Exhaustive [b_i, b_j] membership check (quadratic in dim)."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.bracket_coords(i, j) is None:
-                    return False
-        return True
+        if self._integer_form() is not None:
+            try:
+                self.structure_constants()
+            except ValueError:
+                return False
+            return True
+        return all(self.coords(self.basis[i].commutator(self.basis[j]))
+                   is not None
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
 
 
 def lie_closure(generators) -> MatrixLieAlgebra:
@@ -199,7 +238,9 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     Iterates span <- span + [span, span] to stabilization; realized by
     bracketing every newly accepted element against the generators, which
     spans the same algebra (right-nested brackets span the closure).
-    Rational generators run on a fraction-free sparse fast path.
+    Rational generators run on a fraction-free sparse fast path: a modular
+    filter picks the spanning brackets and an exact integer certificate
+    accepts the result, else the filter is rerun modulo the next prime.
     """
     gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
     if not gens:
@@ -215,11 +256,12 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     return _lie_closure_generic(gens, n)
 
 
-_FILTER_PRIME = 2147483647      # Mersenne prime 2^31 - 1
+# Primes below 2^31, so that products of two residues fit in int64.
+_FILTER_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 class _ModSpan:
-    """Row span modulo a fixed prime, on dense numpy rows.
+    """Row span modulo a prime, on dense numpy rows.
 
     Used only as a fast membership filter inside the integer closure: a
     candidate that stays nonzero after modular elimination is certainly
@@ -228,16 +270,17 @@ class _ModSpan:
     treatment is certified exactly afterwards.
     """
 
-    def __init__(self, length):
+    def __init__(self, length, prime):
         import numpy
         self.np = numpy
         self.length = length
+        self.prime = prime
         self.rows = []
         self.pivots = []
 
     def reduce(self, dense_ints):
         np = self.np
-        p = _FILTER_PRIME
+        p = self.prime
         v = np.array([x % p for x in dense_ints], dtype=np.int64)
         for row, piv in zip(self.rows, self.pivots):
             c = int(v[piv])
@@ -247,7 +290,7 @@ class _ModSpan:
 
     def add(self, dense_ints) -> bool:
         np = self.np
-        p = _FILTER_PRIME
+        p = self.prime
         v = self.reduce(dense_ints)
         nz = np.nonzero(v)[0]
         if not len(nz):
@@ -264,8 +307,19 @@ class _ModSpan:
 
 
 def _lie_closure_int(gens, n):
-    sparse_gens = [_gcd_normalize_rows(_to_sparse(g)) for g in gens]
-    mod_span = _ModSpan(n * n)
+    sparse_gens = [_gcd_normalize_rows(_mat_to_sparse_int(g)[0]) for g in gens]
+    for prime in _FILTER_PRIMES:
+        algebra = _filtered_closure(sparse_gens, n, prime)
+        if _generates(algebra, sparse_gens):
+            return algebra
+    raise RuntimeError("closure certificate failed: the modular filter "
+                       f"dropped an element modulo each of {_FILTER_PRIMES}")
+
+
+def _filtered_closure(sparse_gens, n, prime):
+    """Span of the generators and their right-nested brackets, with the
+    brackets that vanish modulo prime treated as dependent."""
+    mod_span = _ModSpan(n * n, prime)
     accepted = []
     queue = []
 
@@ -307,15 +361,22 @@ def _lie_closure_int(gens, n):
         for k, v in row.items():
             grid[k // n][k % n] = v
         basis.append(Matrix(grid, ncols=n))
-    algebra = MatrixLieAlgebra(n, basis, pivots, rows)
-    # exact certificate: the span is ad(g)-invariant for every generator,
-    # hence bracket-closed and equal to the generated algebra
+    return MatrixLieAlgebra(n, basis, pivots, rows)
+
+
+def _generates(algebra, sparse_gens) -> bool:
+    """Exact certificate that the span is the algebra the generators
+    generate: it holds every generator and is ad(g)-invariant for every
+    generator g, so it contains the generated algebra, and it is spanned
+    by brackets of generators, so it lies inside it."""
+    _, mats = algebra._integer_form()
     for g in sparse_gens:
-        if algebra.ad_coords(g) is None:
-            raise RuntimeError(
-                "closure is not ad-invariant: the modular filter dropped "
-                "an element; rerun with a different filter prime")
-    return algebra
+        if algebra._int_coords(g) is None:
+            return False
+        for m in mats:
+            if algebra._int_coords(_sparse_bracket(g, m)) is None:
+                return False
+    return True
 
 
 def _gcd_normalize_rows(sp):
@@ -383,32 +444,23 @@ def ad_grading(algebra: MatrixLieAlgebra, h: Matrix):
     return out[2], out[0], out[-2]
 
 
-def _mat_to_sparse_int(mat: Matrix):
-    den = 1
-    for row in mat.rows:
-        for v in row:
-            if v:
-                if isinstance(v, Gauss):
-                    return None, None
-                den = den * v.denominator // gcd(den, v.denominator)
-    sp = {}
-    for r in range(mat.nrows):
-        row = {}
-        for c, v in enumerate(mat.row(r)):
-            if v:
-                row[c] = int(v * den)
-        if row:
-            sp[r] = row
-    return sp, Fraction(den)
-
-
 def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
-    algebra._ensure_int_rows()
-    sp, scale = _mat_to_sparse_int(x)
-    if sp is not None and all(r is not None for r in algebra._int_rows):
-        cols = algebra.ad_coords(sp, scale)
-        if cols is None:
-            raise ValueError("element does not normalize the algebra")
+    sparse_x = _mat_to_sparse_int(x)
+    form = algebra._integer_form()
+    if sparse_x is not None and form is not None:
+        sp, scale = sparse_x
+        den, mats = form
+        # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
+        scale *= den
+        cols = []
+        for m in mats:
+            coeffs = algebra._int_coords(_sparse_bracket(sp, m))
+            if coeffs is None:
+                raise ValueError("element does not normalize the algebra")
+            col = [Fraction(0)] * algebra.dim
+            for k, e in coeffs.items():
+                col[k] = Fraction(e, scale)
+            cols.append(col)
     else:
         cols = []
         for b in algebra.basis:
@@ -526,49 +578,58 @@ class NotSemisimpleError(ValueError):
     pass
 
 
+def _killing_gram(table, dim):
+    """Integer Gram matrix G_ij = tr(E_i E_j) of the structure constants,
+    with E_i[k][l] = e_ilk: ad(M_i) = E_i / D in the basis M_k = D b_k, so
+    G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing form K."""
+    # u[k, l] collects the column {i: E_i[k][l]} over all i
+    u = {}
+    for i, row in enumerate(table):
+        for j, coeffs in row.items():
+            for k, e in coeffs.items():
+                u.setdefault((k, j), {})[i] = e
+                u.setdefault((k, i), {})[j] = -e
+    # G_ij = sum over (k, l) of E_i[k][l] E_j[l][k]
+    gram = [[0] * dim for _ in range(dim)]
+    for (k, l), col in u.items():
+        other = u.get((l, k))
+        if other:
+            for i, a in col.items():
+                grow = gram[i]
+                for j, b in other.items():
+                    grow[j] += a * b
+    return gram
+
+
 def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     """Dimension and Killing-signature test against so(b2-2, 4).
 
     The expected algebra is so of a signature-(3, b2-3) space enlarged by
     a hyperbolic plane: real form so(b2-2, 4), with 4(b2-2) noncompact
     and C(b2-2, 2) + 6 compact directions.
+
+    Both tests run on the integer structure constants e_ijk of the algebra
+    (see MatrixLieAlgebra).  The derived algebra is the span of the rows
+    {k: e_ijk}; its rank is taken by sparse elimination that stops once
+    full.  The Killing signature is read from the integer Gram matrix
+    G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i (``_killing_gram``).
+    That basis change is a positive-diagonal congruence and D^2 > 0, so by
+    Sylvester's law G has the signature of the Killing form.
     """
     expected_dim = (b2 + 2) * (b2 + 1) // 2
     dim = algebra.dim
-    algebra._ensure_int_rows()
-    if any(r is None for r in algebra._int_rows):
+    constants = algebra.structure_constants()
+    if constants is None:
         raise ValueError("so_identify needs a rational algebra: the Killing "
                          "signature is only defined over the reals")
-    derived = IntSpan(dim)
-    # sparse adjoint matrices: ads[i] = {k: {j: coeff of b_k in [b_i, b_j]}}
-    ads = [dict() for _ in range(dim)]
-    zero = (Fraction(0),) * dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coords = algebra.bracket_coords(i, j)
-            if coords is None:
-                raise ValueError("algebra is not bracket-closed")
-            if coords != zero:
-                derived.add(list(coords))
-            for k, c in enumerate(coords):
-                if c:
-                    ads[i].setdefault(k, {})[j] = c
-                    ads[j].setdefault(k, {})[i] = -c
-    killing = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            # trace of ad_i ad_j = sum over (k, l) of ad_i[k][l] ad_j[l][k]
-            s = Fraction(0)
-            for k, row in ads[i].items():
-                for l, c in row.items():
-                    other = ads[j].get(l)
-                    if other:
-                        c2 = other.get(k)
-                        if c2:
-                            s += c * c2
-            killing[i][j] = killing[j][i] = s
-    kmat = Matrix(killing, ncols=dim)
-    sig = symmetric_signature(kmat)
+    _, table = constants
+    derived = SparseEchelon()
+    for coeffs in (c for row in table for c in row.values() if c):
+        if derived.dim == dim:
+            break
+        derived.add(coeffs)
+    gram = _killing_gram(table, dim)
+    sig = symmetric_signature(Matrix(gram, ncols=dim))
     if derived.dim == dim and sig[2]:
         raise NotSemisimpleError("not semisimple: Killing form degenerate on "
                                  "the derived algebra")

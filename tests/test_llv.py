@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from llvkit import llv
 from llvkit.lefschetz import (classical_weights, complete_sl2, cup_operator,
                               weight_operator_matrix)
 from llvkit.linalg import Matrix
-from llvkit.llv import (DecompositionError, ad_grading, derivation_check,
+from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
+                        NotSemisimpleError, ad_grading, derivation_check,
                         dual_lefschetz_commute, lie_closure, llv_closure,
-                        so4_symplectic, so41_subalgebra, so_identify,
-                        verbitsky_component, weil_operator)
+                        llv_generators, so4_symplectic, so41_subalgebra,
+                        so_identify, verbitsky_component, weil_operator)
 from llvkit.models import nonisotropic_stream
 from llvkit.scalars import Gauss
 
@@ -17,6 +19,11 @@ from llvkit.scalars import Gauss
 def sl2_triple_generators(ring, a):
     tri = complete_sl2(ring, a)
     return [tri.L.matrix(), tri.Lam.matrix()]
+
+
+def _unit(n, r, c):
+    return Matrix([[Fraction(int((i, j) == (r, c))) for j in range(n)]
+                   for i in range(n)])
 
 
 def test_single_sl2_closure(k3):
@@ -30,6 +37,74 @@ def test_closure_small_model(rat52):
     alg = llv_closure(rat52)
     assert alg.dim == 21
     assert alg.verify_closure()
+
+
+def test_closure_retries_filter_primes(rat52, monkeypatch):
+    gens, _ = llv_generators(rat52)
+    add = llv._ModSpan.add
+    first = llv._FILTER_PRIMES[0]
+    primes = []
+
+    def drop_last_on_first_prime(self, dense):
+        if not primes or primes[-1] != self.prime:
+            primes.append(self.prime)
+        if self.prime == first and len(self.rows) == 20:
+            return False          # the candidate that completes dim 21
+        return add(self, dense)
+
+    monkeypatch.setattr(llv._ModSpan, "add", drop_last_on_first_prime)
+    alg = lie_closure(gens)
+    assert alg.dim == 21
+    assert primes == list(llv._FILTER_PRIMES[:2])
+    # a dropped generator leaves an ad-invariant span without it
+    monkeypatch.setattr(llv._ModSpan, "add", lambda self, dense: (
+        self.prime != first and add(self, dense)))
+    assert lie_closure([_unit(2, 0, 1)]).dim == 1
+    monkeypatch.setattr(llv._ModSpan, "add", lambda self, dense: (
+        len(self.rows) < 20 and add(self, dense)))
+    with pytest.raises(RuntimeError, match="modulo each of"):
+        lie_closure(gens)
+
+
+def test_structure_constants_match_dense_brackets(rat52):
+    alg = llv_closure(rat52)
+    den, table = alg.structure_constants()
+    assert alg.dim == 21 and den > 1          # the scaling by D is exercised
+    n = alg.ambient
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            combo = Matrix.zeros(n, n)
+            for k, e in table[i][j].items():
+                combo = combo + alg.basis[k].scale(Fraction(e, den ** 2))
+            assert combo == alg.basis[i].commutator(alg.basis[j])
+
+
+def test_killing_gram_matches_dense_traces(rat52):
+    alg = llv_closure(rat52)
+    den, table = alg.structure_constants()
+    gram = llv._killing_gram(table, alg.dim)
+    ads = [llv._ad_matrix(alg, b) for b in alg.basis]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert gram[i][j] == den ** 4 * (ads[i] * ads[j]).trace()
+
+
+def test_so_identify_rejects_unclosed_span():
+    e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
+    alg = MatrixLieAlgebra(2, [e12, e21], [1, 2],
+                           [{1: Fraction(1)}, {2: Fraction(1)}])
+    assert not alg.verify_closure()
+    with pytest.raises(ValueError, match="not bracket-closed"):
+        so_identify(alg, 3)
+
+
+def test_so_identify_perfect_not_semisimple():
+    # sl2 acting on Q^2 as the 3x3 matrices [[A, v], [0, 0]]: the
+    # algebra is perfect and Q^2 is a radical of its Killing form
+    alg = lie_closure([_unit(3, 0, 1), _unit(3, 1, 0), _unit(3, 0, 2)])
+    assert alg.dim == 5
+    with pytest.raises(NotSemisimpleError):
+        so_identify(alg, 3)
 
 
 def test_closure_idempotent(rat52):
