@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, kernel, solve_sparse
+from .linalg import Matrix, Subspace, inverse, kernel, solve_sparse
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import to_field
@@ -86,15 +86,6 @@ class DegreeOperator:
                             grid[tlo + r][lo + c] = val
             self._matrix = Matrix(grid, ncols=n)
         return self._matrix
-
-    def apply(self, x):
-        return self.matrix().matvec(x)
-
-    def compose(self, other: "DegreeOperator") -> "DegreeOperator":
-        if other.ring is not self.ring:
-            raise ValueError("operators live on different rings")
-        return DegreeOperator.from_matrix(self.ring, self.shift + other.shift,
-                                          self.matrix() * other.matrix())
 
     def commutator(self, other: "DegreeOperator") -> Matrix:
         return self.matrix().commutator(other.matrix())
@@ -285,7 +276,7 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
                 f"primitive decomposition does not fill weight {w}: "
                 f"{len(cols)} of {len(idx)}")
         tmat = Matrix.from_cols(cols, nrows=len(idx)) if idx else Matrix([], ncols=0)
-        tinv = _invert(tmat)
+        tinv = inverse(tmat)
         adapted[w] = (tags, tmat, tinv)
         # Lam sends the adapted column L^j p to j*(m - j + 1) * L^{j-1} p,
         # so Lam restricted to V_w is Lo * T^{-1} with Lo those columns.
@@ -325,11 +316,6 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
     lam_op = DegreeOperator.from_matrix(ring, -l_shift, lam_mat)
     h_op = DegreeOperator.from_matrix(ring, 0, h_mat)
     return Sl2Triple(l_op, lam_op, h_op, tuple(weights), prim, adapted)
-
-
-def _invert(mat: Matrix) -> Matrix:
-    from .linalg import inverse
-    return inverse(mat)
 
 
 def _solve_dual(ring, l_mat, weights, spaces, h_mat):

@@ -107,14 +107,17 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionError(
                     f"mul shape mismatch {self.shape()} vs {other.shape()}")
-            bt = other.rows
+            # each row of the right factor as its nonzero (col, value) pairs
+            nonzero = [[(c, y) for c, y in enumerate(brow) if y]
+                       for brow in other.rows]
+            zero = Fraction(0)
             out = []
             for r in self.rows:
-                acc = [Fraction(0)] * other.ncols
-                for k, a in enumerate(r):
-                    if a:
-                        brow = bt[k]
-                        acc = [x + a * y for x, y in zip(acc, brow)]
+                acc = [zero] * other.ncols
+                for a, pairs in zip(r, nonzero):
+                    if pairs and a:
+                        for c, y in pairs:
+                            acc[c] = acc[c] + a * y
                 out.append(acc)
             return Matrix(out, ncols=other.ncols)
         return self.scale(other)
@@ -270,9 +273,6 @@ class Subspace:
 
     def is_zero(self):
         return not self.basis
-
-    def is_full(self):
-        return self.dim == self.ambient
 
     def reduce(self, vec):
         """Residue of vec after elimination against the basis."""

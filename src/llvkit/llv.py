@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
                         sigma_sl2, weight_operator_matrix)
@@ -18,27 +18,37 @@ from .linalg import (Matrix, Span, SparseEchelon, integer_eigenspaces,
 from .models import spanning_hl_classes
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import Gauss, rat_sqrt
+from .scalars import Gauss, GaussInt, as_fraction, rat_sqrt
 
 # -- sparse integer matrices ------------------------------------------------
+#
+# A closure over Q works on sparse matrices with int entries, one over Q(i)
+# on sparse matrices with GaussInt entries; the kernels below use only the
+# ring operations, so they serve both.
 
 
-def _mat_to_sparse_int(mat: Matrix):
-    """(sp, den) with mat = sp / den, sp a sparse integer matrix given as
-    row dicts; None when mat has Q(i) entries."""
-    den = 1
-    for row in mat.rows:
-        for v in row:
-            if v:
-                if isinstance(v, Gauss):
-                    return None
-                den = den * v.denominator // gcd(den, v.denominator)
+def _clear_denominators(values, gaussian):
+    """(den, ints): den the least common denominator of the field values,
+    ints the values times den, as ints, or as GaussInt when gaussian."""
+    if gaussian:
+        parts = [(v.real, v.imag) for v in values]
+    else:
+        parts = [(as_fraction(v),) for v in values]
+    den = lcm(1, *(x.denominator for xs in parts for x in xs))
+    ints = [[x.numerator * (den // x.denominator) for x in xs] for xs in parts]
+    return den, [GaussInt(*xs) if gaussian else xs[0] for xs in ints]
+
+
+def _to_sparse(mat: Matrix, gaussian):
+    """(sp, den) with mat = sp / den, sp a sparse matrix over Z (Z[i] when
+    gaussian) given as row dicts."""
+    cells = [(r, c) for r, row in enumerate(mat.rows)
+             for c, v in enumerate(row) if v]
+    den, ints = _clear_denominators([mat.rows[r][c] for r, c in cells],
+                                    gaussian)
     sp = {}
-    for r, mrow in enumerate(mat.rows):
-        row = {c: v.numerator * (den // v.denominator)
-               for c, v in enumerate(mrow) if v}
-        if row:
-            sp[r] = row
+    for (r, c), v in zip(cells, ints):
+        sp.setdefault(r, {})[c] = v
     return sp, den
 
 
@@ -70,6 +80,19 @@ def _sparse_bracket(a, b):
     return {r: row for r, row in out.items() if row}
 
 
+def _gcd_normalize_rows(sp):
+    """sp divided by the gcd of all real and imaginary parts of its entries."""
+    g = 0
+    for row in sp.values():
+        for v in row.values():
+            g = gcd(g, v.real, v.imag)
+            if g == 1:
+                return sp
+    if g > 1:
+        return {r: {c: v // g for c, v in row.items()} for r, row in sp.items()}
+    return sp
+
+
 def _vectorize(sp, n):
     return {r * n + c: v for r, row in sp.items() for c, v in row.items()}
 
@@ -81,28 +104,28 @@ class MatrixLieAlgebra:
     ``_rows`` are the canonical rows: vectorized sparse matrices b_k, each
     equal to 1 at its own pivot column and 0 at every other pivot.  So x
     lies in the span iff x = sum_k x[p_k] b_k, and its coordinates are its
-    entries at the pivots.
+    entries at the pivots.  ``gaussian`` marks an algebra over Q(i).
 
-    A rational algebra also has an integer form, cached on first use: D,
-    the common denominator of the canonical rows, and the sparse integer
-    matrices M_k = D b_k.  An integer matrix X lies in the span iff
-    D X == sum_k X[p_k] M_k, an exact integer equality with no fraction
-    formed.  The closure certificate, ``_ad_matrix`` and the structure
-    constants all test membership this way.
+    The integer form is cached on first use: D, the common denominator of
+    the real and imaginary parts of the canonical rows, and the sparse
+    matrices M_k = D b_k, over Z for a rational algebra and over Z[i]
+    (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
+    the span iff D X == sum_k X[p_k] M_k, an exact equality with no
+    fraction formed.  Membership, the closure certificate, ``_ad_matrix``
+    and the structure constants all test it this way.
 
-    ``structure_constants`` builds, on first use, the sparse integer table
-    of the brackets and caches it on the instance: e_ijk = [M_i, M_j] at
-    pivot p_k, so that [b_i, b_j] = sum_k (e_ijk / D^2) b_k.  Algebras with
-    Q(i) entries have no integer form; their brackets go through
-    ``coords_vec``.
+    ``structure_constants`` builds, on first use, the sparse table of the
+    brackets and caches it on the instance: e_ijk = [M_i, M_j] at pivot
+    p_k, so that [b_i, b_j] = sum_k (e_ijk / D^2) b_k.
     """
 
     ambient: int
     basis: list               # list of Matrix, canonical order
     pivots: list              # vectorized pivot index per basis element
     _rows: list               # canonical sparse rows (exact field values)
+    gaussian: bool = False    # defined over Q(i) rather than Q
     _pivot_pos: dict = None   # pivot column -> basis index
-    _int_form: tuple = None   # (D, [M_k as row dicts]); () over Q(i)
+    _int_form: tuple = None   # (D, [M_k as row dicts])
     _table: tuple = None      # (D, [{j: {k: e_ijk}} for i]), j > i
 
     def __post_init__(self):
@@ -113,30 +136,22 @@ class MatrixLieAlgebra:
         return len(self.basis)
 
     def _integer_form(self):
-        """(D, [M_k as row dicts]); None over Q(i)."""
+        """(D, [M_k as row dicts])."""
         if self._int_form is None:
-            den = 1
-            for row in self._rows:
-                for v in row.values():
-                    if isinstance(v, Gauss):
-                        self._int_form = ()
-                        return None
-                    den = den * v.denominator // gcd(den, v.denominator)
             n = self.ambient
-            mats = []
-            for row in self._rows:
-                mat = {}
-                for k, v in row.items():
-                    mat.setdefault(k // n, {})[k % n] = (
-                        v.numerator * (den // v.denominator))
-                mats.append(mat)
+            keys = [(k, idx) for k, row in enumerate(self._rows) for idx in row]
+            den, ints = _clear_denominators(
+                [self._rows[k][idx] for k, idx in keys], self.gaussian)
+            mats = [{} for _ in self._rows]
+            for (k, idx), v in zip(keys, ints):
+                mats[k].setdefault(idx // n, {})[idx % n] = v
             self._int_form = (den, mats)
-        return self._int_form or None
+        return self._int_form
 
     def _int_coords(self, sp):
-        """{k: X[p_k]} for a sparse integer matrix X inside the span, so
+        """{k: X[p_k]} for a sparse integral matrix X inside the span, so
         that X = sum_k X[p_k] b_k; None outside.  Decided by the exact
-        integer test D X == sum_k X[p_k] M_k."""
+        test D X == sum_k X[p_k] M_k."""
         den, mats = self._integer_form()
         n = self.ambient
         coeffs = {}
@@ -163,15 +178,12 @@ class MatrixLieAlgebra:
 
     def structure_constants(self):
         """(D, table) with table[i][j] = {k: e_ijk} for i < j, where
-        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is an integer;
-        None over Q(i).  Built on first use, one exact integer membership
-        test per bracket, and cached on the instance.  Raises ValueError
-        when some bracket leaves the span."""
+        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral.
+        Built on first use, one exact membership test per bracket, and
+        cached on the instance.  Raises ValueError when some bracket
+        leaves the span."""
         if self._table is None:
-            form = self._integer_form()
-            if form is None:
-                return None
-            den, mats = form
+            den, mats = self._integer_form()
             table = []
             for i, mi in enumerate(mats):
                 row = {}
@@ -184,52 +196,16 @@ class MatrixLieAlgebra:
             self._table = (den, table)
         return self._table
 
-    def coords_vec(self, vec):
-        """Coefficients on the canonical basis from a sparse vectorized
-        dict; None when outside the span."""
-        vec = {k: v for k, v in vec.items() if v}
-        coeffs = [Fraction(0)] * len(self.pivots)
-        for k, v in vec.items():
-            i = self._pivot_pos.get(k)
-            if i is not None:
-                coeffs[i] = v
-        for i, c in enumerate(coeffs):
-            if c:
-                for k, val in self._rows[i].items():
-                    nv = vec.get(k, 0) - c * val
-                    if nv:
-                        vec[k] = nv
-                    elif k in vec:
-                        del vec[k]
-        if vec:
-            return None
-        return tuple(coeffs)
-
-    def coords(self, mat: Matrix):
-        """Coefficients on the canonical basis; None when outside the span."""
-        n = self.ambient
-        vec = {}
-        for r in range(n):
-            row = mat.row(r)
-            for c, v in enumerate(row):
-                if v:
-                    vec[r * n + c] = v
-        return self.coords_vec(vec)
-
     def contains(self, mat: Matrix) -> bool:
-        return self.coords(mat) is not None
+        return self._int_coords(_to_sparse(mat, self.gaussian)[0]) is not None
 
     def verify_closure(self) -> bool:
         """Exhaustive [b_i, b_j] membership check (quadratic in dim)."""
-        if self._integer_form() is not None:
-            try:
-                self.structure_constants()
-            except ValueError:
-                return False
-            return True
-        return all(self.coords(self.basis[i].commutator(self.basis[j]))
-                   is not None
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+        try:
+            self.structure_constants()
+        except ValueError:
+            return False
+        return True
 
 
 def lie_closure(generators) -> MatrixLieAlgebra:
@@ -238,9 +214,14 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     Iterates span <- span + [span, span] to stabilization; realized by
     bracketing every newly accepted element against the generators, which
     spans the same algebra (right-nested brackets span the closure).
-    Rational generators run on a fraction-free sparse fast path: a modular
-    filter picks the spanning brackets and an exact integer certificate
-    accepts the result, else the filter is rerun modulo the next prime.
+
+    One path serves Q and Q(i).  The field is decided once, from the
+    generators: Q(i) when any entry is a Gauss value.  The generators are
+    cleared of denominators into sparse matrices over Z, or over Z[i].  A
+    modular filter (``_ModSpan``) picks the spanning brackets, the exact
+    canonical basis is built from them, and an exact certificate
+    (``_generates``) accepts the result, else the filter is rerun modulo
+    the next prime of ``_FILTER_PRIMES``.
     """
     gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
     if not gens:
@@ -249,49 +230,70 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     for g in gens:
         if g.shape() != (n, n):
             raise ValueError("generators must be square matrices of equal size")
-    rational = all(not isinstance(v, Gauss) for g in gens
+    gaussian = any(isinstance(v, Gauss) for g in gens
                    for row in g.rows for v in row)
-    if rational:
-        return _lie_closure_int(gens, n)
-    return _lie_closure_generic(gens, n)
+    sparse_gens = [_gcd_normalize_rows(_to_sparse(g, gaussian)[0])
+                   for g in gens]
+    for prime in _FILTER_PRIMES:
+        algebra = _filtered_closure(sparse_gens, n, prime, gaussian)
+        if _generates(algebra, sparse_gens):
+            return algebra
+    raise RuntimeError("closure certificate failed: the modular filter "
+                       f"dropped an element modulo each of {_FILTER_PRIMES}")
 
 
-# Primes below 2^31, so that products of two residues fit in int64.
-_FILTER_PRIMES = (2147483647, 2147483629, 2147483587)
+# Primes p = 5 (mod 8) below 2^31: products of two residues fit in int64,
+# and 2 is not a square modulo p, so r = 2^((p-1)/4) squares to -1 and
+# gives i an image in F_p.
+_FILTER_PRIMES = (2147483629, 2147483549, 2147483477)
 
 
 class _ModSpan:
-    """Row span modulo a prime, on dense numpy rows.
+    """Row span modulo a prime p of ``_FILTER_PRIMES``, on dense numpy rows.
 
-    Used only as a fast membership filter inside the integer closure: a
-    candidate that stays nonzero after modular elimination is certainly
-    independent over Q (the modular basis has full rank by construction),
-    while a candidate that dies modulo p is treated as dependent and that
-    treatment is certified exactly afterwards.
+    Used only as a fast membership filter inside the closure.  Vectors are
+    sparse dicts over Z or Z[i]; Z[i] is mapped to F_p by the ring map
+    a + bi -> a + b r, with r a square root of -1 modulo p.  A candidate
+    that stays nonzero after modular elimination is certainly independent
+    over the field of fractions: the modular basis has full rank by
+    construction, and a relation sum c_j v_j = 0 over Q(i) can be scaled
+    to have coefficients in Z[i], not all in the kernel of the map.  That
+    kernel is a prime ideal, principal because Z[i] is a PID, so dividing
+    the c_j by the highest power of its generator that divides them all
+    leaves a relation that survives modulo p and contradicts the rank.
+    Over Z the same argument runs with the ideal (p).  A candidate that
+    dies modulo p is treated as dependent, and that treatment is
+    certified exactly afterwards.
     """
 
-    def __init__(self, length, prime):
+    def __init__(self, length, prime, gaussian):
         import numpy
         self.np = numpy
         self.length = length
         self.prime = prime
+        self.root = pow(2, (prime - 1) // 4, prime) if gaussian else None
         self.rows = []
         self.pivots = []
 
-    def reduce(self, dense_ints):
+    def reduce(self, vec):
         np = self.np
         p = self.prime
-        v = np.array([x % p for x in dense_ints], dtype=np.int64)
+        values = vec.values()
+        if self.root is not None:
+            r = self.root
+            values = [x.real + r * x.imag for x in values]
+        v = np.zeros(self.length, dtype=np.int64)
+        v[list(vec)] = [x % p for x in values]
         for row, piv in zip(self.rows, self.pivots):
             c = int(v[piv])
             if c:
                 v = (v - c * row) % p
         return v
 
-    def add(self, dense_ints) -> bool:
+    def add(self, vec) -> bool:
         np = self.np
         p = self.prime
-        v = self.reduce(dense_ints)
+        v = self.reduce(vec)
         nz = np.nonzero(v)[0]
         if not len(nz):
             return False
@@ -306,34 +308,16 @@ class _ModSpan:
         return True
 
 
-def _lie_closure_int(gens, n):
-    sparse_gens = [_gcd_normalize_rows(_mat_to_sparse_int(g)[0]) for g in gens]
-    for prime in _FILTER_PRIMES:
-        algebra = _filtered_closure(sparse_gens, n, prime)
-        if _generates(algebra, sparse_gens):
-            return algebra
-    raise RuntimeError("closure certificate failed: the modular filter "
-                       f"dropped an element modulo each of {_FILTER_PRIMES}")
-
-
-def _filtered_closure(sparse_gens, n, prime):
+def _filtered_closure(sparse_gens, n, prime, gaussian):
     """Span of the generators and their right-nested brackets, with the
     brackets that vanish modulo prime treated as dependent."""
-    mod_span = _ModSpan(n * n, prime)
+    mod_span = _ModSpan(n * n, prime, gaussian)
     accepted = []
     queue = []
-
-    def densify(sp):
-        dense = [0] * (n * n)
-        for r, row in sp.items():
-            base = r * n
-            for c, v in row.items():
-                dense[base + c] = v
-        return dense
-
     for sp in sparse_gens:
-        if sp and mod_span.add(densify(sp)):
-            accepted.append(sp)
+        vec = _vectorize(sp, n)
+        if vec and mod_span.add(vec):
+            accepted.append(vec)
             queue.append(sp)
     head = 0
     while head < len(queue):
@@ -344,15 +328,22 @@ def _filtered_closure(sparse_gens, n, prime):
             if not b:
                 continue
             b = _gcd_normalize_rows(b)
-            if mod_span.add(densify(b)):
-                accepted.append(b)
+            vec = _vectorize(b, n)
+            if mod_span.add(vec):
+                accepted.append(vec)
                 queue.append(b)
 
-    # exact canonical basis from the accepted vectors (each certified
-    # independent over Q by the modular full-rank argument)
-    span = SparseEchelon()
-    for sp in accepted:
-        if not span.add(_vectorize(sp, n)):
+    # exact canonical basis from the accepted vectors, each independent
+    # over the field by the modular full-rank argument: fraction-free over
+    # Z, by division over Q(i)
+    if gaussian:
+        span = SparseEchelon(exact_division=True)
+        accepted = [{k: Gauss(x.real, x.imag) for k, x in vec.items()}
+                    for vec in accepted]
+    else:
+        span = SparseEchelon()
+    for vec in accepted:
+        if not span.add(vec):
             raise RuntimeError("modular filter accepted a dependent vector")
     rows, pivots = span.canonical()
     basis = []
@@ -361,7 +352,7 @@ def _filtered_closure(sparse_gens, n, prime):
         for k, v in row.items():
             grid[k // n][k % n] = v
         basis.append(Matrix(grid, ncols=n))
-    return MatrixLieAlgebra(n, basis, pivots, rows)
+    return MatrixLieAlgebra(n, basis, pivots, rows, gaussian)
 
 
 def _generates(algebra, sparse_gens) -> bool:
@@ -377,46 +368,6 @@ def _generates(algebra, sparse_gens) -> bool:
             if algebra._int_coords(_sparse_bracket(g, m)) is None:
                 return False
     return True
-
-
-def _gcd_normalize_rows(sp):
-    g = 0
-    for row in sp.values():
-        for v in row.values():
-            g = gcd(g, abs(v))
-            if g == 1:
-                return sp
-    if g > 1:
-        return {r: {c: v // g for c, v in row.items()} for r, row in sp.items()}
-    return sp
-
-
-def _lie_closure_generic(gens, n):
-    span = Span(n * n)
-    queue = []
-
-    def flat(mat):
-        return [mat[r, c] for r in range(n) for c in range(n)]
-
-    for g in gens:
-        if span.add(flat(g)):
-            queue.append(g)
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in gens:
-            b = g.commutator(x)
-            if span.add(flat(b)):
-                queue.append(b)
-    sub = span.to_subspace()
-    basis = []
-    rows = []
-    for vec, p in zip(sub.basis, sub.pivots):
-        grid = [[vec[r * n + c] for c in range(n)] for r in range(n)]
-        basis.append(Matrix(grid, ncols=n))
-        rows.append({k: v for k, v in enumerate(vec) if v})
-    return MatrixLieAlgebra(n, basis, list(sub.pivots), rows)
 
 
 # -- structure checks -------------------------------------------------------
@@ -445,29 +396,20 @@ def ad_grading(algebra: MatrixLieAlgebra, h: Matrix):
 
 
 def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
-    sparse_x = _mat_to_sparse_int(x)
-    form = algebra._integer_form()
-    if sparse_x is not None and form is not None:
-        sp, scale = sparse_x
-        den, mats = form
-        # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
-        scale *= den
-        cols = []
-        for m in mats:
-            coeffs = algebra._int_coords(_sparse_bracket(sp, m))
-            if coeffs is None:
-                raise ValueError("element does not normalize the algebra")
-            col = [Fraction(0)] * algebra.dim
-            for k, e in coeffs.items():
-                col[k] = Fraction(e, scale)
-            cols.append(col)
-    else:
-        cols = []
-        for b in algebra.basis:
-            coords = algebra.coords(x.commutator(b))
-            if coords is None:
-                raise ValueError("element does not normalize the algebra")
-            cols.append(coords)
+    sp, scale = _to_sparse(x, algebra.gaussian)
+    den, mats = algebra._integer_form()
+    # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
+    scale *= den
+    cols = []
+    for m in mats:
+        coeffs = algebra._int_coords(_sparse_bracket(sp, m))
+        if coeffs is None:
+            raise ValueError("element does not normalize the algebra")
+        col = [Fraction(0)] * algebra.dim
+        for k, e in coeffs.items():
+            col[k] = (Gauss(Fraction(e.real, scale), Fraction(e.imag, scale))
+                      if algebra.gaussian else Fraction(e, scale))
+        cols.append(col)
     return Matrix.from_cols(cols, nrows=algebra.dim) if cols else Matrix([], ncols=0)
 
 
@@ -618,11 +560,10 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     """
     expected_dim = (b2 + 2) * (b2 + 1) // 2
     dim = algebra.dim
-    constants = algebra.structure_constants()
-    if constants is None:
+    if algebra.gaussian:
         raise ValueError("so_identify needs a rational algebra: the Killing "
                          "signature is only defined over the reals")
-    _, table = constants
+    _, table = algebra.structure_constants()
     derived = SparseEchelon()
     for coeffs in (c for row in table for c in row.values() if c):
         if derived.dim == dim:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .linalg import (IntSpan, Matrix, Span, congruence_diagonalize,
-                     inverse, kernel)
+                     inverse, kernel, symmetric_signature)
 from .rings import (BigradedAlgebra, GradedAlgebra, QuadraticForm,
                     RingValidationError)
 from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, rat_sqrt
@@ -74,7 +74,14 @@ def isotropic_stream(form: QuadraticForm):
     turns every enumerated v with q(v,e) != 0 into the isotropic
     combination 2q(v,e)v - q(v)e (an integer multiple of
     v - (q(v)/2q(v,e))e).
+
+    A definite form has no isotropic vector, so it is rejected from its
+    signature before anything is enumerated.
     """
+    pos, neg, _ = symmetric_signature(form.gram)
+    if form.dim in (pos, neg):
+        raise ModelConstructionError(
+            "no rational isotropic vectors: the form is definite")
     base = None
     for v in itertools.islice(vector_stream(form.dim), 200000):
         if form.evaluate(v) == 0:

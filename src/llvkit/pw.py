@@ -270,7 +270,6 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
 
     # chains: tops of length j span ker N^j modulo ker N^(j-1) + N ker N^(j+1)
     chain_vectors = {}      # weight (centered at 0) -> list of vectors
-    span = Span(n)
     tops = []               # (length, vector)
     for j in range(nil, 0, -1):
         blocked = Span(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, conj,
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss,
                       format_scalar, parse_scalar, to_field)
 
 
@@ -55,9 +55,6 @@ class QuadraticForm:
 
     def evaluate(self, v):
         return self.pair(v, v)
-
-    def is_isotropic(self, v):
-        return self.evaluate(v) == 0
 
     def is_nondegenerate(self):
         return self.gram.rank() == self.dim
@@ -222,9 +219,6 @@ class GradedAlgebra:
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
-    def conj_element(self, x):
-        return tuple(conj(a) for a in x)
-
     # -- validation ---------------------------------------------------
 
     def validate(self, max_issues=None) -> ValidationReport:
@@ -372,9 +366,6 @@ class BigradedAlgebra(GradedAlgebra):
         if self.top % 4:
             raise ValueError("bigraded model must have top degree 4n")
         return self.top // 4
-
-    def bidegree_indices(self, p, q):
-        return [gi for gi, pq in enumerate(self.bidegrees) if pq == (p, q)]
 
     def hodge_dims(self):
         out = {}

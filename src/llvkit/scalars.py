@@ -33,62 +33,61 @@ class Gauss:
         raise AttributeError("Gauss values are immutable")
 
     # -- arithmetic -------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Gauss):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Gauss(x)
-        return None
+    #
+    # Results are built by _gauss from parts that are already Fractions,
+    # skipping the coercion of the public constructor.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gauss(self.re + o.re, self.im + o.im)
+        if isinstance(other, Gauss):
+            return _gauss(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gauss(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gauss(self.re - o.re, self.im - o.im)
+        if isinstance(other, Gauss):
+            return _gauss(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gauss(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gauss(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _gauss(other - self.re, -self.im)
+        return NotImplemented
 
     def __neg__(self):
-        return Gauss(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gauss(self.re * o.re - self.im * o.im,
-                     self.re * o.im + self.im * o.re)
+        if isinstance(other, Gauss):
+            return _gauss(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            return _gauss(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gauss(self.re / other, self.im / other)
+        if not isinstance(other, Gauss):
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return Gauss((self.re * o.re + self.im * o.im) / n,
-                     (self.im * o.re - self.re * o.im) / n)
+        return _gauss((self.re * other.re + self.im * other.im) / n,
+                      (self.im * other.re - self.re * other.im) / n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return Gauss(other) / self
+        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -105,7 +104,7 @@ class Gauss:
     # -- structure --------------------------------------------------
 
     def conjugate(self) -> "Gauss":
-        return Gauss(self.re, -self.im)
+        return _gauss(self.re, -self.im)
 
     @property
     def real(self):
@@ -114,9 +113,6 @@ class Gauss:
     @property
     def imag(self):
         return self.im
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -138,6 +134,62 @@ class Gauss:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_re = Gauss.re.__set__
+_set_im = Gauss.im.__set__
+
+
+def _gauss(re: Fraction, im: Fraction) -> Gauss:
+    """Gauss from two Fraction parts, without coercion."""
+    g = object.__new__(Gauss)
+    _set_re(g, re)
+    _set_im(g, im)
+    return g
+
+
+class GaussInt:
+    """A Gaussian integer a + b*i with int parts.
+
+    The entry type of the sparse integer matrices of a closure over Q(i),
+    where ints are the entries over Q.  Both expose ``real`` and ``imag``.
+    It supports +, - and * with a GaussInt, the same with a plain int on
+    the left, and exact division of both parts by an int (``//``).
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other):
+        return GaussInt(self.real + other.real, self.imag + other.imag)
+
+    def __radd__(self, other):
+        return GaussInt(other + self.real, self.imag)
+
+    def __sub__(self, other):
+        return GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return GaussInt(other - self.real, -self.imag)
+
+    def __mul__(self, other):
+        return GaussInt(self.real * other.real - self.imag * other.imag,
+                        self.real * other.imag + self.imag * other.real)
+
+    def __rmul__(self, other):
+        return GaussInt(other * self.real, other * self.imag)
+
+    def __floordiv__(self, other):
+        return GaussInt(self.real // other, self.imag // other)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __repr__(self):
+        return f"GaussInt({self.real}, {self.imag})"
 
 
 I = Gauss(0, 1)

@@ -169,3 +169,46 @@ def test_rref_canonical():
     rows1, piv1 = rref([[2, 4], [1, 3]])
     rows2, piv2 = rref([[1, 2], [0, 1]])
     assert rows1 == rows2 and piv1 == piv2
+
+
+@st.composite
+def _sparse_factors(draw):
+    """Two conformable sparse matrices over Q, or over Q(i) with rational
+    and Gaussian entries mixed."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    rat = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    value = (st.one_of(rat, st.builds(Gauss, rat, rat))
+             if draw(st.booleans()) else rat)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.just(Fraction(0)), value)
+    a = Matrix(draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                             min_size=m, max_size=m)))
+    b = Matrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=k, max_size=k)))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_factors())
+def test_sparse_product_matches_triple_loop(factors):
+    # the reference multiplies (real, imaginary) Fraction pairs, so it
+    # checks the Gauss arithmetic too
+    a, b = factors
+    naive = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            re = im = Fraction(0)
+            for t in range(a.ncols):
+                x, y = a[i, t], b[t, j]
+                re += x.real * y.real - x.imag * y.imag
+                im += x.real * y.imag + x.imag * y.real
+            row.append((re, im))
+        naive.append(row)
+    prod = a * b
+    assert [[(x.real, x.imag) for x in row] for row in prod.rows] == naive
+    for row in prod.rows:
+        for x in row:
+            assert type(x) in (Fraction, Gauss)
+            if type(x) is Gauss:
+                assert type(x.re) is Fraction and type(x.im) is Fraction

@@ -5,15 +5,16 @@ import pytest
 
 from llvkit import llv
 from llvkit.lefschetz import (classical_weights, complete_sl2, cup_operator,
-                              weight_operator_matrix)
-from llvkit.linalg import Matrix
+                              sigma_bar_sl2, sigma_sl2, weight_operator_matrix)
+from llvkit.linalg import Matrix, Span
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
                         dual_lefschetz_commute, lie_closure, llv_closure,
                         llv_generators, so4_symplectic, so41_subalgebra,
                         so_identify, verbitsky_component, weil_operator)
 from llvkit.models import nonisotropic_stream
-from llvkit.scalars import Gauss
+from llvkit.rings import load_ring, save_ring
+from llvkit.scalars import Gauss, GaussInt, I
 
 
 def sl2_triple_generators(ring, a):
@@ -24,6 +25,36 @@ def sl2_triple_generators(ring, a):
 def _unit(n, r, c):
     return Matrix([[Fraction(int((i, j) == (r, c))) for j in range(n)]
                    for i in range(n)])
+
+
+@pytest.fixture(scope="module")
+def file52_gens(model52, tmp_path_factory):
+    """LLV generators of the (5,2) ring saved to a file and loaded back:
+    a ring over Q(i) with no rational model, so its closure is over Q(i)."""
+    path = tmp_path_factory.mktemp("ring") / "ring52.json"
+    save_ring(model52, path)
+    return llv_generators(load_ring(path))[0]
+
+
+def _reference_closure(gens):
+    """The dense closure over the field: pivot-normalized rows in a Span,
+    every accepted element bracketed against the generators by
+    Matrix.commutator.  Returns (pivots, canonical sparse rows)."""
+    n = gens[0].nrows
+
+    def flat(mat):
+        return [mat[r, c] for r in range(n) for c in range(n)]
+
+    span = Span(n * n)
+    queue = [g for g in gens if span.add(flat(g))]
+    for x in queue:
+        for g in gens:
+            b = g.commutator(x)
+            if span.add(flat(b)):
+                queue.append(b)
+    sub = span.to_subspace()
+    return (list(sub.pivots),
+            [{k: v for k, v in enumerate(vec) if v} for vec in sub.basis])
 
 
 def test_single_sl2_closure(k3):
@@ -64,6 +95,85 @@ def test_closure_retries_filter_primes(rat52, monkeypatch):
         len(self.rows) < 20 and add(self, dense)))
     with pytest.raises(RuntimeError, match="modulo each of"):
         lie_closure(gens)
+
+
+def test_gaussian_closure_retries_filter_primes(file52_gens, monkeypatch):
+    add = llv._ModSpan.add
+    first = llv._FILTER_PRIMES[0]
+    primes = []
+
+    def drop_last_on_first_prime(self, vec):
+        if not primes or primes[-1] != self.prime:
+            primes.append(self.prime)
+        if self.prime == first and len(self.rows) == 20:
+            return False          # the candidate that completes dim 21
+        return add(self, vec)
+
+    monkeypatch.setattr(llv._ModSpan, "add", drop_last_on_first_prime)
+    alg = lie_closure(file52_gens)
+    assert alg.gaussian and alg.dim == 21
+    assert primes == list(llv._FILTER_PRIMES[:2])
+    # a dropped generator leaves an ad-invariant span without it
+    monkeypatch.setattr(llv._ModSpan, "add", lambda self, vec: (
+        self.prime != first and add(self, vec)))
+    assert lie_closure([_unit(2, 0, 1).scale(I)]).dim == 1
+    monkeypatch.setattr(llv._ModSpan, "add", lambda self, vec: (
+        len(self.rows) < 20 and add(self, vec)))
+    with pytest.raises(RuntimeError, match="modulo each of"):
+        lie_closure(file52_gens)
+
+
+def test_filter_primes_carry_a_square_root_of_minus_one():
+    for p in llv._FILTER_PRIMES:
+        assert p % 4 == 1 and p < 2 ** 31
+        assert all(p % d for d in range(2, 50000))
+        r = llv._ModSpan(1, p, gaussian=True).root
+        assert r * r % p == p - 1
+
+
+def test_gaussian_closure_matches_dense_reference(file52_gens, model52):
+    alg = lie_closure(file52_gens)
+    assert alg.gaussian and alg.dim == 21
+    assert (alg.pivots, alg._rows) == _reference_closure(file52_gens)
+    tri_s, tri_b = sigma_sl2(model52), sigma_bar_sl2(model52)
+    six = [t.L.matrix() for t in (tri_s, tri_b)] + [
+        t.Lam.matrix() for t in (tri_s, tri_b)] + [
+        t.H.matrix() for t in (tri_s, tri_b)]
+    alg = lie_closure(six)
+    assert alg.gaussian and alg.dim == 6
+    assert (alg.pivots, alg._rows) == _reference_closure(six)
+
+
+def test_gaussian_closure_of_non_real_generators():
+    # i E12 and i E21 bracket to -(E11 - E22): sl2 over Q(i)
+    alg = lie_closure([_unit(2, 0, 1).scale(I), _unit(2, 1, 0).scale(I)])
+    assert alg.gaussian and alg.dim == 3
+    assert alg.contains(_unit(2, 0, 0) - _unit(2, 1, 1))
+    # E12 + i E13 spans an abelian line whose conjugate E12 - i E13 is
+    # not in it: the closure is taken over Q(i), not by Galois descent
+    x = _unit(3, 0, 1) + _unit(3, 0, 2).scale(I)
+    alg = lie_closure([x])
+    assert alg.dim == 1
+    assert not alg.contains(x.conjugate())
+    assert alg.contains(x.scale(Gauss(2, -3)))
+
+
+def test_mixed_generators_close_without_floats(model52):
+    tri_s = sigma_sl2(model52)
+    gens = [tri_s.L.matrix(), tri_s.Lam.matrix(), tri_s.H.matrix()]
+    assert all(isinstance(v, Fraction) for row in gens[2].rows for v in row)
+    alg = lie_closure(gens)
+    assert alg.gaussian and alg.dim == 3 and alg.verify_closure()
+    den, mats = alg._integer_form()
+    values = [v for row in alg._rows for v in row.values()]
+    values += [x for b in alg.basis for row in b.rows for x in row]
+    assert all(type(v) in (Fraction, Gauss) for v in values)
+    assert all(type(v.re) is Fraction and type(v.im) is Fraction
+               for v in values if isinstance(v, Gauss))
+    ints = [v for m in mats for row in m.values() for v in row.values()]
+    assert type(den) is int
+    assert all(type(v) is GaussInt and type(v.real) is int
+               and type(v.imag) is int for v in ints)
 
 
 def test_structure_constants_match_dense_brackets(rat52):

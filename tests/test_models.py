@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from llvkit import cli, models
 from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
@@ -78,6 +79,22 @@ def test_bogomolov_rejects_definite_form():
     form = QuadraticForm.diagonal([1, 1, 1, 1, 1])
     with pytest.raises(ModelConstructionError):
         bogomolov_model(form, 2, budget=50)
+
+
+def test_definite_form_rejected_without_enumeration(monkeypatch, capsys):
+    def no_enumeration(dim):
+        raise AssertionError("a definite form was enumerated")
+
+    monkeypatch.setattr(models, "vector_stream", no_enumeration)
+    for entries in ([1, 1, 1, 1, 1], [-1, -2, -1, -3, -1]):
+        with pytest.raises(ModelConstructionError, match="definite"):
+            bogomolov_model(QuadraticForm.diagonal(entries), 2)
+    rc = cli.main(["validate", "--fixture", "bogomolov", "--b2", "5",
+                   "--q", "diag:1,1,1,1,1"])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert rc == 2
+    assert errors == ["error: no rational isotropic vectors: the form is definite"]
 
 
 def test_bogomolov_rejects_small_dim():
