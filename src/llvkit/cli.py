@@ -110,20 +110,20 @@ def parse_class(text):
         raise UsageError(f"class coordinates must be exact rationals: {exc}") from exc
 
 
-def resolve_ring(args, need_bigraded=False, budget=None):
+def resolve_ring(args, need_bigraded=False):
     """Returns (plain_ring, bigraded_or_None, description).
 
     With --field gaussian the bigraded companion is extended to Q(i), so
     the Weil-operator checks run on fixtures that are rational by default
     (the torus)."""
-    plain, big, desc = _resolve_ring_inner(args, need_bigraded, budget)
+    plain, big, desc = _resolve_ring_inner(args, need_bigraded)
     if (getattr(args, "field", None) == "gaussian" and big is not None
             and big.field != "gaussian"):
         big = gaussian_extension(big)
     return plain, big, desc
 
 
-def _resolve_ring_inner(args, need_bigraded, budget):
+def _resolve_ring_inner(args, need_bigraded):
     if getattr(args, "input", None):
         ring = load_ring(args.input)
         big = ring if isinstance(ring, BigradedAlgebra) else None
@@ -136,8 +136,7 @@ def _resolve_ring_inner(args, need_bigraded, budget):
         ring = models.k3_ring(models.k3_gram())
         big = None
         if need_bigraded:
-            big = models.bogomolov_model(QuadraticForm(models.k3_gram()), 1,
-                                         budget=budget)
+            big = models.bogomolov_model(QuadraticForm(models.k3_gram()), 1)
         return ring, big, "k3"
     if fixture == "bogomolov":
         b2 = getattr(args, "b2", None) or 5
@@ -152,7 +151,7 @@ def _resolve_ring_inner(args, need_bigraded, budget):
         else:
             neg = b2 - 3
             form = QuadraticForm.diagonal([1, 1, 1] + [-1] * neg)
-        big = models.bogomolov_model(form, n, budget=budget)
+        big = models.bogomolov_model(form, n)
         return big.rational_model, big, f"bogomolov(b2={b2},n={n})"
     if fixture == "torus":
         g = getattr(args, "g", None) or 2
@@ -169,7 +168,7 @@ def _resolve_ring_inner(args, need_bigraded, budget):
 
 def cmd_validate(args) -> Report:
     report = Report("validate", _config(args))
-    plain, big, desc = resolve_ring(args, budget=args.budget)
+    plain, big, desc = resolve_ring(args)
     report.config["ring"] = desc
     targets = [("ring axioms", plain)]
     if big is not None and big is not plain:
@@ -184,7 +183,7 @@ def cmd_validate(args) -> Report:
 
 
 def _config(args):
-    keys = ("fixture", "input", "b2", "n", "g", "q", "field", "budget")
+    keys = ("fixture", "input", "b2", "n", "g", "q", "field")
     return {k: getattr(args, k) for k in keys
             if getattr(args, k, None) is not None}
 
@@ -204,8 +203,7 @@ def _enumerate_noniso_pairs(form, count):
 
 def cmd_llv(args) -> Report:
     report = Report("llv", _config(args))
-    plain, big, desc = resolve_ring(args, need_bigraded=True,
-                                    budget=args.budget)
+    plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
     form = plain.quadratic_form
     if form is None:
@@ -301,8 +299,7 @@ def cmd_llv(args) -> Report:
 
 def cmd_hl(args) -> Report:
     report = Report("hl", _config(args))
-    plain, big, desc = resolve_ring(args, need_bigraded=True,
-                                    budget=args.budget)
+    plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
     form = plain.quadratic_form
     if form is not None:
@@ -341,8 +338,7 @@ def cmd_hl(args) -> Report:
 
 def cmd_pw(args) -> Report:
     report = Report("pw", _config(args))
-    plain, big, desc = resolve_ring(args, need_bigraded=True,
-                                    budget=args.budget)
+    plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
     form = plain.quadratic_form
     if form is None or plain.top % 4:
@@ -446,7 +442,7 @@ def cmd_kuga(args) -> Report:
 
 def cmd_verbitsky(args) -> Report:
     report = Report("verbitsky", _config(args))
-    plain, big, desc = resolve_ring(args, budget=args.budget)
+    plain, big, desc = resolve_ring(args)
     report.config["ring"] = desc
     res = llv.verbitsky_component(plain)
     report.add("degree-2 generated subalgebra",
@@ -490,8 +486,6 @@ def build_parser():
         p.add_argument("--q", help="quadratic form, e.g. diag:1,1,1,-1,-1")
         p.add_argument("--field", choices=["rational", "gaussian"],
                        default="rational")
-        p.add_argument("--budget", type=int,
-                       help="sampling budget for ideal saturation")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=["text", "structured"],
                        default="text")

@@ -8,7 +8,7 @@ are pure and work over Q (Fraction) or Q(i) (Gauss).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Gauss, as_fraction, conj
 
@@ -44,6 +44,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return (Matrix, (self.rows, self.ncols))
 
     @staticmethod
     def zeros(nrows, ncols):
@@ -249,6 +252,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __reduce__(self):
+        return (Subspace, (self.ambient, self.basis, self.pivots))
+
     @staticmethod
     def from_rows(ambient, rows):
         rows = list(rows)
@@ -332,18 +338,55 @@ class Subspace:
 
 def kernel(mat: Matrix) -> Subspace:
     """Null space {v : mat*v = 0} as a canonical subspace."""
-    n = mat.ncols
-    red, pivots = rref(mat.rows)
+    return _null_space(_sparse_rows(mat), mat.ncols)
+
+
+def _sparse_rows(mat: Matrix):
+    return [{j: x for j, x in enumerate(r) if x} for r in mat.rows]
+
+
+def _null_space(rows, n, shift=0) -> Subspace:
+    """Null space of the sparse rows (over n columns) minus shift on the
+    diagonal, from one elimination.
+
+    The columns are eliminated in reverse (column j is index n-1-j):
+    fraction-free over Z once a row is cleared of its denominators, in
+    field mode as soon as an entry is Gauss.  A fully reduced row then
+    has its pivot at the largest original column it touches.  So the
+    free-variable vector of a free column f is 1 at f, 0 at the other
+    free columns and nonzero only at pivots right of f: these vectors
+    are already the reduced echelon basis, in the original order.
+    """
+    last = n - 1
+    field = any(isinstance(x, Gauss) for r in rows for x in r.values())
+    ech = SparseEchelon(exact_division=field)
+    for i, r in enumerate(rows):
+        vec = {last - j: x for j, x in r.items()}
+        if shift:
+            vec[last - i] = r.get(i, Fraction(0)) - shift
+        if not field:
+            den = 1
+            for x in vec.values():
+                den = lcm(den, x.denominator)
+            vec = {k: x.numerator * (den // x.denominator)
+                   for k, x in vec.items()}
+        ech.add(vec)
+    reduced, pivots = ech.canonical()
+    zero, one = Fraction(0), Fraction(1)
     pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return Subspace.from_rows(n, basis)
+    basis = {}
+    for f in range(n):
+        if last - f not in pivset:
+            v = [zero] * n
+            v[f] = one
+            basis[f] = v
+    for row, q in zip(reduced, pivots):
+        p = last - q
+        for k, x in row.items():
+            if k != q:
+                basis[last - k][p] = -x
+    free = sorted(basis)
+    return Subspace(n, [basis[f] for f in free], free)
 
 
 def image(mat: Matrix) -> Subspace:
@@ -433,11 +476,11 @@ def integer_eigenspaces(mat: Matrix, candidates):
     if mat.nrows != mat.ncols:
         raise DimensionError("eigenspaces of a non-square matrix")
     n = mat.nrows
+    rows = _sparse_rows(mat)
     spaces = {}
     total = 0
     for lam in candidates:
-        shifted = mat - Matrix.identity(n).scale(lam)
-        ker = kernel(shifted)
+        ker = _null_space(rows, n, lam)
         if ker.dim:
             spaces[lam] = ker
             total += ker.dim

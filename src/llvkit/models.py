@@ -2,10 +2,10 @@
 Bogomolov quotient Sym*(H)/<a^(n+1) : q(a) = 0> with its induced bigrading.
 
 The quotient is realized degree by degree: the ideal piece in degree n+1
-is saturated from powers of deterministically enumerated rational
-isotropic vectors, higher pieces are variable multiples, and the span
-must stabilize at the dimension forced by the graded structure of the
-degree-2-generated subalgebra -- anything else is an error.
+is the kernel of the Laplacian of the form, higher pieces are variable
+multiples, and each piece must have the dimension forced by the graded
+structure of the degree-2-generated subalgebra -- anything else is an
+error.
 """
 
 from __future__ import annotations
@@ -67,6 +67,13 @@ def _primitive(vec):
     return tuple(ints)
 
 
+def _reject_definite(form: QuadraticForm):
+    pos, neg, _ = symmetric_signature(form.gram)
+    if form.dim in (pos, neg):
+        raise ModelConstructionError(
+            "no rational isotropic vectors: the form is definite")
+
+
 def isotropic_stream(form: QuadraticForm):
     """Deterministic stream of distinct rational isotropic directions.
 
@@ -78,10 +85,7 @@ def isotropic_stream(form: QuadraticForm):
     A definite form has no isotropic vector, so it is rejected from its
     signature before anything is enumerated.
     """
-    pos, neg, _ = symmetric_signature(form.gram)
-    if form.dim in (pos, neg):
-        raise ModelConstructionError(
-            "no rational isotropic vectors: the form is definite")
+    _reject_definite(form)
     base = None
     for v in itertools.islice(vector_stream(form.dim), 200000):
         if form.evaluate(v) == 0:
@@ -201,6 +205,36 @@ def _power_coeffs(vec, k, monos, index):
                 break
         row[pos] = c
     return row
+
+
+def _isotropic_power_span(form: QuadraticForm, k):
+    """Span of the k-th powers of rational isotropic vectors in Sym^k, in
+    the coordinates of ``monomials(form.dim, k)``, for a nondegenerate
+    indefinite form of rank >= 5: the kernel of the Laplacian of its Gram
+    matrix (see ``bogomolov_model``)."""
+    upper = monomials(form.dim, k)
+    lower = {e: i for i, e in enumerate(monomials(form.dim, k - 2))}
+    return kernel(_laplacian(form.gram, upper, lower))
+
+
+def _laplacian(gram: Matrix, upper, lower_index) -> Matrix:
+    """Delta_G = sum_ij G_ij d_i d_j from the monomials ``upper`` of one
+    degree to those of two degrees lower, in monomial coordinates."""
+    m = gram.nrows
+    entries = [(i, j, gram[i, j]) for i in range(m) for j in range(i, m)
+               if gram[i, j]]
+    rows = [[Fraction(0)] * len(upper) for _ in lower_index]
+    for col, exps in enumerate(upper):
+        for i, j, g in entries:
+            # d_i d_j, counted twice off the diagonal as G is symmetric
+            c = (exps[i] * (exps[i] - 1) if i == j
+                 else 2 * exps[i] * exps[j])
+            if c:
+                e = list(exps)
+                e[i] -= 1
+                e[j] -= 1
+                rows[lower_index[tuple(e)]][col] += c * g
+    return Matrix(rows, ncols=len(upper))
 
 
 def _mono_label(exps, var_labels):
@@ -388,7 +422,7 @@ def _primitive_gcd(u1, u2):
     return g or 1
 
 
-def bogomolov_model(form: QuadraticForm, n: int, budget=None) -> BigradedAlgebra:
+def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     """Sym*(H) modulo (n+1)-st powers of rational isotropic vectors.
 
     Returns the induced bigraded ring (field Q(i), basis adapted to the
@@ -396,6 +430,25 @@ def bogomolov_model(form: QuadraticForm, n: int, budget=None) -> BigradedAlgebra
     holds the same quotient over Q in monomial coordinates.  Integration
     is normalized so that the n-th power of sigma*sigma-bar integrates
     to 1.
+
+    The ideal piece in degree n+1 is the kernel of the Laplacian
+    Delta_G = sum_ij G_ij d_i d_j : Sym^(n+1) -> Sym^(n-1) of the Gram
+    matrix G, for the following reasons.
+
+    - Delta_G(w^k) = k(k-1) q(w) w^(k-2), so every isotropic power w^(n+1)
+      lies in the kernel.
+    - For nondegenerate G the map is onto, so the kernel has dimension
+      C(m+n, n+1) - C(m+n-2, n-1), the ideal dimension the quotient's
+      Poincare duality forces; this is checked.
+    - The kernel (the harmonic polynomials) is spanned by powers of
+      isotropic linear forms.  A definite form has no rational isotropic
+      vector and is rejected.  An indefinite form of rank >= 5 has one
+      (Meyer), a quadric with a smooth rational point is rational, so the
+      rational isotropic vectors are Zariski-dense in the cone and their
+      powers span the whole kernel over Q.
+
+    Higher ideal pieces are variable multiples of the piece one degree
+    down.
     """
     m = form.dim
     if m < 5:
@@ -404,6 +457,7 @@ def bogomolov_model(form: QuadraticForm, n: int, budget=None) -> BigradedAlgebra
         raise ModelConstructionError("bogomolov_model needs n >= 1")
     if not form.is_nondegenerate():
         raise ModelConstructionError("bogomolov_model needs a nondegenerate form")
+    _reject_definite(form)
 
     monos = [monomials(m, d) for d in range(2 * n + 1)]
     mono_index = [{e: i for i, e in enumerate(ms)} for ms in monos]
@@ -411,30 +465,19 @@ def bogomolov_model(form: QuadraticForm, n: int, budget=None) -> BigradedAlgebra
     quotient_dims = [sym_dims[d] if d <= n else sym_dims[2 * n - d]
                      for d in range(2 * n + 1)]
 
-    # ideal pieces; degree n+1 is saturated from isotropic powers, higher
-    # degrees are variable multiples of the piece one degree down
-    spans = {}
+    # ideal pieces as canonical subspaces; degree n+1 is the kernel of the
+    # Laplacian, higher degrees are variable multiples of the piece one
+    # degree down
     target = sym_dims[n + 1] - quotient_dims[n + 1]
-    span = IntSpan(sym_dims[n + 1])
-    max_samples = budget if budget is not None else 8 * max(target, 1) + 200
-    used = 0
-    for w in isotropic_stream(form):
-        if span.dim >= target:
-            break
-        used += 1
-        if used > max_samples:
-            raise ModelConstructionError(
-                f"ideal saturation failed in degree {n + 1}: reached dim "
-                f"{span.dim} of {target} after {max_samples} samples")
-        span.add(_power_coeffs(w, n + 1, monos[n + 1], mono_index[n + 1]))
-    if span.dim != target:
+    ideal = {n + 1: _isotropic_power_span(form, n + 1)}
+    if ideal[n + 1].dim != target:
         raise ModelConstructionError(
-            f"ideal saturation failed in degree {n + 1}: dim {span.dim} != {target}")
-    spans[n + 1] = span
+            f"ideal in degree {n + 1}: dim {ideal[n + 1].dim} != {target}")
+    # integer rows of the piece one degree down
+    prev_rows = [_primitive(r) for r in ideal[n + 1].basis] if n > 1 else []
     for d in range(n + 2, 2 * n + 1):
         tgt = sym_dims[d] - quotient_dims[d]
         sp = IntSpan(sym_dims[d])
-        prev_rows = spans[d - 1].rows
         prev_monos = monos[d - 1]
         for var in range(m):
             if sp.dim >= tgt:
@@ -452,7 +495,8 @@ def bogomolov_model(form: QuadraticForm, n: int, budget=None) -> BigradedAlgebra
         if sp.dim != tgt:
             raise ModelConstructionError(
                 f"ideal saturation failed in degree {d}: dim {sp.dim} != {tgt}")
-        spans[d] = sp
+        ideal[d] = sp.to_subspace()
+        prev_rows = sp.rows
 
     # quotient coordinates: representatives are the non-pivot monomials of
     # the fully reduced ideal basis, so reduction is a row lookup
@@ -463,7 +507,7 @@ def bogomolov_model(form: QuadraticForm, n: int, budget=None) -> BigradedAlgebra
             reps.append(list(range(sym_dims[d])))
             red.append([((i, Fraction(1)),) for i in range(sym_dims[d])])
             continue
-        sub = spans[d].to_subspace()
+        sub = ideal[d]
         pivset = set(sub.pivots)
         rep_cols = [i for i in range(sym_dims[d]) if i not in pivset]
         if len(rep_cols) != quotient_dims[d]:

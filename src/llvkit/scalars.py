@@ -32,6 +32,9 @@ class Gauss:
     def __setattr__(self, name, value):
         raise AttributeError("Gauss values are immutable")
 
+    def __reduce__(self):
+        return (Gauss, (self.re, self.im))
+
     # -- arithmetic -------------------------------------------------
     #
     # Results are built by _gauss from parts that are already Fractions,

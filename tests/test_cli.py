@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from llvkit.cli import main
 from llvkit.rings import ring_to_dict
@@ -160,3 +163,30 @@ def test_reports_deterministic(tmp_path):
     assert main(["pw", "--fixture", "bogomolov", "--b2", "5", "--n", "2",
                  "--format", "structured", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+B52 = ["--fixture", "bogomolov", "--b2", "5", "--n", "2"]
+
+# sha256 of the --format structured reports.  A change that alters a
+# report on purpose updates its digest here and says why.
+GOLDEN_REPORTS = {
+    ("llv", "--fixture", "k3"):
+        "1274a30017449972250c1b97cb9f359c74e9517d0b0295058f62b9b888b9755a",
+    ("validate", *B52):
+        "1d060b75154e27666c736c25d27870b3a30deedbfbe603edc419eab4c996f23a",
+    ("llv", *B52):
+        "0fe73093dfe18fe6eee1154e1a1afdf5534d77ccfd914bfdc420348267e72fd3",
+    ("hl", *B52):
+        "6b649c498b91759cb1b467c34506ab624070e9e26abafb32c7415cc634dfe5ba",
+    ("pw", *B52):
+        "cd2964655316ae01cf682cf4a1ca9752af4739006fd3f1d90c3ff15e0f2daf1a",
+    ("verbitsky", *B52):
+        "a07c143e45ee3d890cb37a86a06690d2cf6d4e2773dc846f8f891f77cf9ad565",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_report_matches_golden_digest(argv, capsys):
+    rc, out = run([*argv, "--format", "structured"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]

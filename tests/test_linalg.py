@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -212,3 +214,139 @@ def test_sparse_product_matches_triple_loop(factors):
             assert type(x) in (Fraction, Gauss)
             if type(x) is Gauss:
                 assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+@pytest.mark.parametrize("value", [
+    Gauss(Fraction(1, 2), -3),
+    Matrix([[Gauss(1, 2), 0], [Fraction(1, 3), I]]),
+    Matrix([], ncols=3),
+    Subspace.from_rows(3, [[1, 2, Gauss(0, 1)], [0, 1, 1]]),
+    Subspace.zero(2),
+], ids=["gauss", "matrix", "empty-matrix", "subspace", "zero-subspace"])
+def test_exact_types_pickle_and_deepcopy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+        if isinstance(value, Matrix):
+            assert twin.shape() == value.shape()
+        if isinstance(value, Subspace):
+            assert twin.pivots == value.pivots
+
+
+def _reference_kernel(mat):
+    """Free-variable basis of a dense rref, canonicalized by a second rref."""
+    n = mat.ncols
+    red, pivots = rref(mat.rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return Subspace.from_rows(n, basis)
+
+
+def _reference_eigenspaces(mat, candidates):
+    n = mat.nrows
+    spaces = {}
+    for lam in candidates:
+        ker = _reference_kernel(mat - Matrix.identity(n).scale(lam))
+        if ker.dim:
+            spaces[lam] = ker
+    if sum(s.dim for s in spaces.values()) != n:
+        return None
+    return spaces
+
+
+def _eigenspaces_or_none(mat, candidates):
+    try:
+        return integer_eigenspaces(mat, candidates)
+    except ValueError:
+        return None
+
+
+_RAT = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _sparse_matrices(draw, square=False):
+    """Sparse matrices over Q, or over Q(i) with rational and Gaussian
+    entries mixed; some rows zero, some shapes m x 0 or 0 x n, and some
+    full rank (unit lower times upper triangular)."""
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 6))
+    value = (st.one_of(_RAT, st.builds(Gauss, _RAT, _RAT))
+             if draw(st.booleans()) else _RAT)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.just(Fraction(0)), value)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [Fraction(0)] * n
+    mat = Matrix(rows, ncols=n)
+    if m == n and m and draw(st.booleans()):
+        low = Matrix([[1 if i == j else (r[j] if j < i else 0)
+                       for j, _ in enumerate(r)] for i, r in enumerate(rows)])
+        up = Matrix([[r[j] if j > i else (
+            draw(st.sampled_from([1, -2, 3])) if i == j else 0)
+            for j, _ in enumerate(r)] for i, r in enumerate(rows)])
+        mat = low * up
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_kernel_matches_dense_reference(mat):
+    ker = kernel(mat)
+    assert ker == _reference_kernel(mat)
+    assert ker.pivots == _reference_kernel(mat).pivots
+    for v in ker.basis:
+        assert not any(mat.matvec(v))
+        assert all(type(x) in (Fraction, Gauss) for x in v)
+
+
+@st.composite
+def _diagonalizable(draw):
+    """P D P^-1 with D in {-2, 0, 2} and P full rank, over Q or Q(i)."""
+    p = draw(_sparse_matrices(square=True).filter(
+        lambda a: a.nrows and a.rank() == a.nrows))
+    d = [draw(st.sampled_from([-2, 0, 2])) for _ in range(p.nrows)]
+    diag = Matrix([[d[i] if i == j else 0 for j in range(p.nrows)]
+                   for i in range(p.nrows)])
+    return p * diag * inverse(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_sparse_matrices(square=True).filter(lambda a: a.nrows),
+                 _diagonalizable()),
+       st.sampled_from([[2, 0, -2], [0], [1, -1, 0]]))
+def test_integer_eigenspaces_match_dense_reference(mat, candidates):
+    assert (_eigenspaces_or_none(mat, candidates)
+            == _reference_eigenspaces(mat, candidates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_matrices().filter(
+    lambda a: not any(isinstance(x, Gauss) for r in a.rows for x in r)))
+def test_rational_kernel_matches_sympy(mat):
+    sympy = pytest.importorskip("sympy")
+    ker = kernel(mat)
+    if not mat.nrows or not mat.ncols:
+        assert ker.dim == mat.ncols
+        return
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                         for x in r] for r in mat.rows]).nullspace()
+    rows = [[Fraction(int(x.p), int(x.q)) for x in v] for v in ref]
+    assert ker == Subspace.from_rows(mat.ncols, rows)
+
+
+def test_k3_ad_weight_kernels_match_dense_reference(k3, k3_closure):
+    from llvkit.lefschetz import classical_weights, weight_operator_matrix
+    from llvkit.llv import _ad_matrix
+    h = weight_operator_matrix(k3, classical_weights(k3))
+    admat = _ad_matrix(k3_closure, h)
+    assert kernel(admat) == _reference_kernel(admat)
+    spaces = integer_eigenspaces(admat, [2, 0, -2])
+    assert spaces == _reference_eigenspaces(admat, [2, 0, -2])
+    assert {lam: s.dim for lam, s in spaces.items()} == {2: 22, 0: 232, -2: 22}

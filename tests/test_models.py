@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from llvkit import cli, models
+from llvkit.linalg import IntSpan, Matrix
 from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
@@ -78,7 +79,7 @@ def test_bogomolov_hodge_symmetry(model52, model62):
 def test_bogomolov_rejects_definite_form():
     form = QuadraticForm.diagonal([1, 1, 1, 1, 1])
     with pytest.raises(ModelConstructionError):
-        bogomolov_model(form, 2, budget=50)
+        bogomolov_model(form, 2)
 
 
 def test_definite_form_rejected_without_enumeration(monkeypatch, capsys):
@@ -102,6 +103,42 @@ def test_bogomolov_rejects_small_dim():
         bogomolov_model(QuadraticForm.diagonal([1, 1, -1]), 2)
 
 
+_POWER_SPAN_CASES = {
+    "diag(1,1,1,-1,-1) n=1": (QuadraticForm.diagonal([1, 1, 1, -1, -1]), 1),
+    "diag(1,1,1,-1,-1) n=2": (QuadraticForm.diagonal([1, 1, 1, -1, -1]), 2),
+    "diag(1,1,1,-1,-1) n=3": (QuadraticForm.diagonal([1, 1, 1, -1, -1]), 3),
+    "(6,2)": (QuadraticForm.diagonal([1, 1, 1, -1, -1, -1]), 2),
+    "k3 n=1": (QuadraticForm(k3_gram()), 1),
+    # non-diagonal, and not unimodular: G^-1 is not a multiple of G
+    "tridiagonal": (QuadraticForm(Matrix(
+        [[1, 1, 0, 0, 0], [1, -1, 2, 0, 0], [0, 2, 1, 1, 0],
+         [0, 0, 1, -2, 1], [0, 0, 0, 1, 3]])), 2),
+    "half-integral": (QuadraticForm.diagonal(
+        [Fraction(1, 2), 1, 1, -1, -3]), 2),
+    "U + <2,-3,5>": (QuadraticForm(Matrix(
+        [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 2, 0, 0],
+         [0, 0, 0, -3, 0], [0, 0, 0, 0, 5]])), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_POWER_SPAN_CASES))
+def test_laplacian_kernel_is_span_of_isotropic_powers(case):
+    # oracle: the span of (n+1)-st powers of the enumerated isotropic
+    # vectors, sampled until it stops growing at the expected dimension
+    form, n = _POWER_SPAN_CASES[case]
+    m = form.dim
+    target = comb(m + n, n + 1) - comb(m + n - 2, n - 1)
+    monos = models.monomials(m, n + 1)
+    index = {e: i for i, e in enumerate(monos)}
+    span = IntSpan(len(monos))
+    for used, w in enumerate(isotropic_stream(form)):
+        if span.dim == target or used > 8 * target + 200:
+            break
+        span.add(models._power_coeffs(w, n + 1, monos, index))
+    assert span.dim == target
+    assert models._isotropic_power_span(form, n + 1) == span.to_subspace()
+
+
 def test_k3_ring_validates(k3):
     assert k3.validate().ok
     assert k3.total_dim == 24
@@ -111,7 +148,6 @@ def test_k3_ring_rejects_degenerate():
     gram = k3_gram()
     rows = [list(r) for r in gram.rows]
     rows[0] = [0] * 22
-    from llvkit.linalg import Matrix
     with pytest.raises(ModelConstructionError, match="nondegenerate"):
         k3_ring(Matrix(rows))
 
