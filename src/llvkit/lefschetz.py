@@ -4,8 +4,11 @@ One engine serves three gradings: the classical weight k - (top/2) on
 total degree, and on bigraded rings the holomorphic weight p - n and the
 antiholomorphic weight q - n.  The dual operator is produced from the
 primitive decomposition with coefficient j(m - j + 1) on the j-th rung of
-a length-(m+1) string, and for small rings is cross-checked against the
-unique degree-(-2) solution of [L, X] = H, which is authoritative.
+a length-(m+1) string and certified by the relations on each weight
+space.  Those relations fix the dual uniquely; on small rings it is
+also re-derived as the degree-(-2) solution of [L, X] = H, and a
+disagreement raises.  Powers of a weight-raising operator are products
+of its blocks V_w -> V_(w+2) (``BlockChain``), never of full matrices.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class DegreeOperator:
 
     @staticmethod
     def from_matrix(ring, shift, mat: Matrix):
-        """Wrap a full matrix, verifying it is supported on the shift."""
+        """Wrap a full matrix, verifying it is supported on the shift; the
+        matrix itself is kept as the operator's ``matrix()``."""
         n = ring.total_dim
         if mat.shape() != (n, n):
             raise ValueError("operator matrix must act on the total ring")
@@ -62,12 +66,15 @@ class DegreeOperator:
                 blocks[k] = Matrix([[mat[r, c] for c in range(lo, hi)]
                                     for r in range(tlo, thi)],
                                    ncols=ring.dims[k])
-        for r in range(n):
-            for c in range(n):
-                if mat[r, c] and ring.degree_of(r) != ring.degree_of(c) + shift:
+        degree = [ring.degree_of(gi) for gi in range(n)]
+        for r, row in enumerate(mat.rows):
+            for c, x in enumerate(row):
+                if x and degree[r] != degree[c] + shift:
                     raise ValueError(
                         f"matrix entry ({r},{c}) violates degree shift {shift}")
-        return DegreeOperator(ring, shift, blocks)
+        op = DegreeOperator(ring, shift, blocks)
+        op._matrix = mat
+        return op
 
     def matrix(self) -> Matrix:
         if self._matrix is None:
@@ -153,6 +160,52 @@ def _as_degree2(ring, a):
 # -- weight-space machinery -------------------------------------------------
 
 
+class BlockChain:
+    """Powers of an operator that raises a grading by 2, kept as blocks.
+
+    ``blocks[w]`` maps V_w to V_(w+2) in column convention, ``dims[w]``
+    is dim V_w, and a missing block is zero.  ``power(w, j)`` is the
+    block of the j-th power from V_w to V_(w+2j): the product of the j
+    blocks along the chain.  Each source keeps its chain of powers, so
+    a longer power costs one more block product.
+    """
+
+    def __init__(self, blocks, dims):
+        self.blocks = blocks
+        self.dims = dims
+        self._chains = {}
+
+    def dim(self, w):
+        return self.dims.get(w, 0)
+
+    def block(self, w) -> Matrix:
+        blk = self.blocks.get(w)
+        if blk is None:
+            return Matrix.zeros(self.dim(w + 2), self.dim(w))
+        return blk
+
+    def power(self, w, j) -> Matrix:
+        chain = self._chains.get(w)
+        if chain is None:
+            chain = self._chains[w] = [Matrix.identity(self.dim(w))]
+        while len(chain) <= j:
+            chain.append(self.block(w + 2 * (len(chain) - 1)) * chain[-1])
+        return chain[j]
+
+    def nilpotency_index(self) -> int:
+        """Smallest d >= 1 with every power(w, d) zero.
+
+        The d-th power of the whole operator is zero exactly when each of
+        its blocks power(w, d) is, so this is the index of the full matrix.
+        """
+        index = 1
+        for w, d in sorted(self.dims.items()):
+            if d:
+                while not self.power(w, index).is_zero():
+                    index += 1
+        return index
+
+
 def _weight_spaces(weights):
     spaces = {}
     for gi, w in enumerate(weights):
@@ -161,9 +214,9 @@ def _weight_spaces(weights):
 
 
 def _check_shift_two(mat, weights):
-    for r in range(mat.nrows):
-        for c in range(mat.ncols):
-            if mat[r, c] and weights[r] != weights[c] + 2:
+    for r, row in enumerate(mat.rows):
+        for c, x in enumerate(row):
+            if x and weights[r] != weights[c] + 2:
                 raise ValueError("operator does not raise the weight by 2")
 
 
@@ -172,23 +225,24 @@ def _block(mat, rows_idx, cols_idx):
                   ncols=len(cols_idx))
 
 
+def _weight_chain(mat, spaces) -> BlockChain:
+    """The weight blocks V_w -> V_(w+2) of a full matrix."""
+    blocks = {w: _block(mat, spaces[w + 2], idx)
+              for w, idx in spaces.items() if w + 2 in spaces}
+    return BlockChain(blocks, {w: len(idx) for w, idx in spaces.items()})
+
+
 def hl_test_weights(mat: Matrix, weights) -> bool:
     """L^j : V_{-j} -> V_j bijective for every j >= 1 with a nonzero side."""
     spaces = _weight_spaces(weights)
     _check_shift_two(mat, weights)
-    powers = {1: mat}
+    chain = _weight_chain(mat, spaces)
     top = max((abs(w) for w in spaces), default=0)
-    for j in range(2, top + 1):
-        powers[j] = powers[j - 1] * mat
     for j in range(1, top + 1):
-        lo = spaces.get(-j, [])
-        hi = spaces.get(j, [])
+        lo, hi = chain.dim(-j), chain.dim(j)
         if not lo and not hi:
             continue
-        if len(lo) != len(hi):
-            return False
-        blk = _block(powers[j], hi, lo)
-        if blk.rank() != len(lo):
+        if lo != hi or chain.power(-j, j).rank() != lo:
             return False
     return True
 
@@ -221,96 +275,98 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
                          l_shift=2, crosscheck=True) -> Sl2Triple:
     """Complete a weight-raising operator to an exact sl2-triple.
 
-    Raises NotHLError when the bijectivity conditions fail.  The dual is
-    assembled from the primitive decomposition; on rings of total
-    dimension <= SOLVE_CROSSCHECK_LIMIT the unique linear-system solution
-    of [L, X] = H replaces it on mismatch.
+    Raises NotHLError when the bijectivity conditions fail.  The work
+    runs on weight blocks: L_w : V_w -> V_(w+2) read from ``l_mat``, and
+    the dual's blocks Lam_w : V_w -> V_(w-2), assembled from the
+    primitive decomposition and put into one full matrix at the end.
+
+    The certificate is  L_(w-2) Lam_w - Lam_(w+2) L_w = w I  on every
+    V_w, which is [L, Lam] = H.  The other two relations need no check:
+    [H, L] = 2L because L raises the weight by exactly 2 (checked entry
+    by entry in ``hl_test_weights``), and [H, Lam] = -2 Lam because Lam
+    is built from blocks that lower it by exactly 2.  On rings of total
+    dimension <= SOLVE_CROSSCHECK_LIMIT the dual is also solved for as
+    the unique weight-lowering solution of [L, X] = H; any other answer
+    raises RuntimeError.
     """
     n = ring.total_dim
-    spaces = _weight_spaces(weights)
     if not hl_test_weights(l_mat, weights):
         raise NotHLError("not an HL class")
+    spaces = _weight_spaces(weights)
+    chain = _weight_chain(l_mat, spaces)
     top = max((abs(w) for w in spaces), default=0)
-    # primitive kernels read L^(m+1) and strings read L^j, j <= m <= top
-    powers = {0: Matrix.identity(n), 1: l_mat}
-    for j in range(2, top + 2):
-        powers[j] = powers[j - 1] * l_mat
 
-    def lift(pw_weight, b_i):
-        """Primitive basis vector as a full-ring coordinate vector."""
-        vec = prim[pw_weight].basis[b_i]
-        full = [Fraction(0)] * n
-        for pos, gi in enumerate(spaces[pw_weight]):
-            full[gi] = vec[pos]
-        return full
-
-    # primitive subspace at each weight w <= 0: ker(L^{-w+1}) inside V_w
+    # primitive subspace at each weight w <= 0: ker(L^(m+1)) inside V_w,
+    # m = -w, and the string p, Lp, ..., L^m p of each basis vector p
     prim = {}
+    strings = {}
     for w, idx in spaces.items():
         if w > 0:
             continue
         m = -w
-        target = spaces.get(w + 2 * (m + 1), [])   # = weight m + 2
-        if target:
-            prim[w] = kernel(_block(powers[m + 1], target, idx))
+        if chain.dim(m + 2):
+            prim[w] = kernel(chain.power(w, m + 1))
         else:
             prim[w] = Subspace.full(len(idx))
+        strings[w] = []
+        for vec in prim[w].basis:
+            string = [vec]
+            for j in range(m):
+                string.append(chain.block(w + 2 * j).matvec(string[-1]))
+            strings[w].append(string)
 
-    lam_grid = [[Fraction(0)] * n for _ in range(n)]
+    lam_blocks = {}
     adapted = {}
     for w, idx in sorted(spaces.items()):
+        below = chain.dim(w - 2)
         cols = []
+        lo_cols = []       # Lam of each column, in V_(w-2)
         tags = []          # (j, weight of primitive, column within prim basis)
         for j in range(max(w, 0), top + 1):
             pw_weight = w - 2 * j
-            if pw_weight not in prim or prim[pw_weight].is_zero():
-                continue
-            if j > -pw_weight:       # the string p, Lp, ..., L^m p stops at m
-                continue
-            for b_i in range(prim[pw_weight].dim):
-                lifted = powers[j].matvec(lift(pw_weight, b_i))
-                cols.append([lifted[gi] for gi in idx])
+            m = -pw_weight
+            if pw_weight not in strings or j > m:
+                continue     # the string p, Lp, ..., L^m p stops at m
+            for b_i, string in enumerate(strings[pw_weight]):
+                cols.append(string[j])
                 tags.append((j, pw_weight, b_i))
+                # Lam sends the adapted column L^j p to j*(m - j + 1) L^(j-1) p
+                if j == 0:
+                    lo_cols.append([Fraction(0)] * below)
+                else:
+                    coef = Fraction(j * (m - j + 1))
+                    lo_cols.append([coef * x for x in string[j - 1]])
         if len(cols) != len(idx):
             raise NotHLError(
                 f"primitive decomposition does not fill weight {w}: "
                 f"{len(cols)} of {len(idx)}")
-        tmat = Matrix.from_cols(cols, nrows=len(idx)) if idx else Matrix([], ncols=0)
+        tmat = Matrix.from_cols(cols, nrows=len(idx))
         tinv = inverse(tmat)
         adapted[w] = (tags, tmat, tinv)
-        # Lam sends the adapted column L^j p to j*(m - j + 1) * L^{j-1} p,
-        # so Lam restricted to V_w is Lo * T^{-1} with Lo those columns.
-        tgt_idx = spaces.get(w - 2, [])
-        if not tgt_idx:
-            continue
-        lo_cols = []
-        for (j, pw_weight, b_i) in tags:
-            if j == 0:
-                lo_cols.append([Fraction(0)] * len(tgt_idx))
-                continue
-            m = -pw_weight
-            coef = Fraction(j * (m - j + 1))
-            lowered = powers[j - 1].matvec(lift(pw_weight, b_i))
-            lo_cols.append([coef * lowered[gi] for gi in tgt_idx])
-        lo_mat = Matrix.from_cols(lo_cols, nrows=len(tgt_idx))
-        lam_w = lo_mat * tinv
-        for r_pos, gi_out in enumerate(tgt_idx):
-            for c_pos, gi_in in enumerate(idx):
-                lam_grid[gi_out][gi_in] = lam_w[r_pos, c_pos]
+        # so Lam restricted to V_w is Lo * T^(-1), Lo the lowered columns
+        if below:
+            lam_blocks[w] = Matrix.from_cols(lo_cols, nrows=below) * tinv
 
+    for w, idx in spaces.items():
+        bracket = Matrix.zeros(len(idx), len(idx))
+        if w in lam_blocks:
+            bracket = bracket + chain.block(w - 2) * lam_blocks[w]
+        if w + 2 in lam_blocks:
+            bracket = bracket - lam_blocks[w + 2] * chain.block(w)
+        if bracket != Matrix.identity(len(idx)).scale(w):
+            raise RuntimeError("sl2 completion failed: [L, Lam] != H")
+
+    lam_grid = [[Fraction(0)] * n for _ in range(n)]
+    for w, blk in lam_blocks.items():
+        for r_pos, gi_out in enumerate(spaces[w - 2]):
+            for c_pos, gi_in in enumerate(spaces[w]):
+                lam_grid[gi_out][gi_in] = blk[r_pos, c_pos]
     lam_mat = Matrix(lam_grid, ncols=n)
     h_mat = weight_operator_matrix(ring, weights)
-
-    if crosscheck and n <= SOLVE_CROSSCHECK_LIMIT:
-        solved = _solve_dual(ring, l_mat, weights, spaces, h_mat)
-        if solved is not None and solved != lam_mat:
-            lam_mat = solved
-    if l_mat.commutator(lam_mat) != h_mat:
-        raise RuntimeError("sl2 completion failed: [L, Lam] != H")
-    if h_mat.commutator(l_mat) != l_mat.scale(2):
-        raise RuntimeError("sl2 completion failed: [H, L] != 2L")
-    if h_mat.commutator(lam_mat) != lam_mat.scale(-2):
-        raise RuntimeError("sl2 completion failed: [H, Lam] != -2 Lam")
+    if (crosscheck and n <= SOLVE_CROSSCHECK_LIMIT
+            and _solve_dual(ring, l_mat, weights, spaces, h_mat) != lam_mat):
+        raise RuntimeError("sl2 completion failed: the dual differs from "
+                           "the unique solution of [L, X] = H")
 
     l_op = DegreeOperator.from_matrix(ring, l_shift, l_mat)
     lam_op = DegreeOperator.from_matrix(ring, -l_shift, lam_mat)

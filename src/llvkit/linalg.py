@@ -270,8 +270,13 @@ class Subspace:
 
     @staticmethod
     def full(ambient):
-        return Subspace.from_rows(
-            ambient, Matrix.identity(ambient).rows) if ambient else Subspace(0, [], [])
+        """The whole space: its canonical basis is the identity, no
+        elimination needed."""
+        zero, one = Fraction(0), Fraction(1)
+        basis = [[zero] * ambient for _ in range(ambient)]
+        for i, row in enumerate(basis):
+            row[i] = one
+        return Subspace(ambient, basis, range(ambient))
 
     @property
     def dim(self):

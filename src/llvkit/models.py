@@ -697,14 +697,13 @@ def _bigraded_companion(rational, form, n, monos, mono_index, reps, red, u1, u2)
         integ.append(rational.integrate(x))
 
     deg2_vectors = [uvars[v] for v in range(m)]
+    gram_images = [form.gram.matvec(vb) for vb in deg2_vectors]
     gram_big = []
     for a in range(m):
         row = []
         for b in range(m):
             acc = Gauss(0)
-            va, vb = deg2_vectors[a], deg2_vectors[b]
-            gv = form.gram.matvec(vb)
-            for x, y in zip(va, gv):
+            for x, y in zip(deg2_vectors[a], gram_images[b]):
                 acc = acc + x * y
             if acc.im != 0:
                 raise ModelConstructionError("symplectic-adapted Gram matrix "

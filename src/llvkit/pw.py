@@ -1,14 +1,24 @@
 """Perverse filtrations from isotropic classes, monodromy weight
 filtrations of nilpotent operators, and their comparison.
 
+Both filtrations are sums of kernel-image intersections, and each
+intersection is computed as the image of a kernel, with no intersection
+of subspaces:  ker A n im B = B ker(AB), since Bu lies in ker A exactly
+when u lies in ker(AB).
+
 The perverse filtration of an isotropic degree-2 class b inside degree k
-is  P_m = sum over i >= 1 of  ker(L_b^(2n+m+i-k)) n im(L_b^(i-1)),
-computed blockwise inside the degree-k piece with L_b^0 = identity and
-kernels of nonpositive powers empty.  The weight filtration of a
-nilpotent operator is built from an exact Jordan-chain sl2 decomposition
-and re-verified against both defining axioms and the independent
-kernel/image-sum formula.  The weak P = W comparison matches the perverse
-index m against the weight index 2m + shift at one uniform shift.
+is  P_m = sum over i >= 1 of  ker(L^e) n im(L^(i-1)),  e = 2n + m + i - k,
+that is  P_m = sum over i >= 1 of  L^(i-1) ker(L^(e+i-1)),  the kernel
+taken on degree k - 2(i-1), with L = L_b, L^0 = identity and the terms
+with e <= 0 empty.  Powers of L are products of its degree blocks.
+
+The weight filtration of a nilpotent N centered at c is built from an
+exact Jordan-chain sl2 decomposition and re-verified against both
+defining axioms and the kernel/image-sum formula, which in this form is
+W_m = sum over j >= 0 of  N^j ker(N^(m-c+2j+1))  (Deligne, La conjecture
+de Weil II, 1.6), the kernels read from one table ker N^t, t <= nil.
+The weak P = W comparison matches the perverse index m against the
+weight index 2m + shift at one uniform shift.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lefschetz import complete_sl2, cup_operator, hl_test
+from .lefschetz import BlockChain, complete_sl2, cup_operator, hl_test
 from .linalg import Matrix, Span, Subspace, kernel
 from .models import isotropic_stream, vector_stream
 from .reporting import CheckResult
@@ -96,7 +106,13 @@ class Filtration:
 
 def perverse_filtration(ring: GradedAlgebra, beta, k: int,
                         use_gaussian=False) -> Filtration:
-    """The isotropic-class filtration inside the degree-k piece."""
+    """The isotropic-class filtration inside the degree-k piece.
+
+    Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
+    the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree k - 2(i-1),
+    so each step is one span.  L^j is a product of the degree blocks of
+    the cup operator.
+    """
     form = ring.quadratic_form
     if form is None:
         raise ValueError("ring carries no degree-2 quadratic form")
@@ -108,68 +124,31 @@ def perverse_filtration(ring: GradedAlgebra, beta, k: int,
     if ring.top % 4:
         raise ValueError("perverse filtration needs top degree 4n")
     two_n = ring.top // 2
-    lmat = cup_operator(ring, beta).matrix()
+    chain = BlockChain(cup_operator(ring, beta).blocks,
+                       dict(enumerate(ring.dims)))
+    nil = chain.nilpotency_index()
     dim_k = ring.dims[k]
-    lo_k, hi_k = ring.slice_of(k)
-    nil = _nilpotency_index(lmat)
 
-    powers = {0: Matrix.identity(ring.total_dim), 1: lmat}
-    for j in range(2, nil + 1):
-        powers[j] = powers[j - 1] * lmat
+    def term(i, e):
+        """ker(L^e) n im(L^(i-1)) in degree k, as spanning rows."""
+        src = k - 2 * (i - 1)
+        if not chain.dim(src):
+            return []
+        img = chain.power(src, i - 1)
+        j = e + i - 1
+        if j >= nil or src + 2 * j > ring.top:
+            return img.transpose().rows        # the kernel is all of it
+        return [img.matvec(v) for v in kernel(chain.power(src, j)).basis]
 
-    def power(j):
-        if j > nil:
-            return Matrix.zeros(ring.total_dim, ring.total_dim)
-        return powers[j]
-
-    def kernel_in_degree(e):
-        """ker(L^e) inside degree k, in degree-k coordinates."""
-        if e <= 0:
-            return Subspace.zero(dim_k)
-        if e >= nil or k + 2 * e > ring.top:
-            return Subspace.full(dim_k)
-        pw = power(e)
-        tgt_lo, tgt_hi = ring.slice_of(k + 2 * e)
-        blk = Matrix([[pw[r, c] for c in range(lo_k, hi_k)]
-                      for r in range(tgt_lo, tgt_hi)], ncols=dim_k)
-        return kernel(blk)
-
-    def image_in_degree(i_minus_1):
-        """im(L^(i-1)) inside degree k, in degree-k coordinates."""
-        if i_minus_1 == 0:
-            return Subspace.full(dim_k)
-        src = k - 2 * i_minus_1
-        if src < 0 or not ring.dims[src]:
-            return Subspace.zero(dim_k)
-        pw = power(i_minus_1)
-        src_lo, src_hi = ring.slice_of(src)
-        cols = []
-        for c in range(src_lo, src_hi):
-            col = [pw[r, c] for r in range(lo_k, hi_k)]
-            cols.append(col)
-        return Subspace.from_rows(dim_k, cols)
-
-    kernels = {}
-    images = {}
     steps = {}
     m = k - two_n - nil - 1
     while True:
-        total = Subspace.zero(dim_k)
+        rows = []
         for i in range(1, two_n + 2):
             e = two_n + m + i - k
-            if e <= 0:
-                continue
-            if i - 1 not in images:
-                images[i - 1] = image_in_degree(i - 1)
-            img = images[i - 1]
-            if img.is_zero():
-                continue
-            if e not in kernels:
-                kernels[e] = kernel_in_degree(e)
-            ker = kernels[e]
-            if ker.is_zero():
-                continue
-            total = total.sum(ker.intersect(img))
+            if e > 0:
+                rows.extend(term(i, e))
+        total = Subspace.from_rows(dim_k, rows)
         steps[m] = total
         if total.dim == dim_k:
             break
@@ -179,21 +158,21 @@ def perverse_filtration(ring: GradedAlgebra, beta, k: int,
     return Filtration(dim_k, steps, degree=k)
 
 
-def _nilpotency_index(mat: Matrix) -> int:
-    n = mat.nrows
-    power = mat
-    d = 1
-    while d <= n:
-        if power.is_zero():
-            return d
-        power = power * mat
-        d += 1
-    raise ValueError("operator is not nilpotent")
+def _nilpotent_powers(mat: Matrix):
+    """[I, N, ..., N^d] with N^d = 0 and d minimal; raises when N is not
+    nilpotent."""
+    powers = [Matrix.identity(mat.nrows), mat]
+    while True:
+        if len(powers) - 1 > mat.nrows:
+            raise ValueError("operator is not nilpotent")
+        if powers[-1].is_zero():
+            return powers
+        powers.append(powers[-1] * mat)
 
 
 def nilpotent_index(mat: Matrix) -> int:
     """Smallest d with mat^d = 0; raises on non-nilpotent input."""
-    return _nilpotency_index(mat)
+    return len(_nilpotent_powers(mat)) - 1
 
 
 def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
@@ -260,13 +239,9 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
     n = nmat.nrows
     if nmat.ncols != n:
         raise ValueError("weight filtration needs a square matrix")
-    nil = _nilpotency_index(nmat)
-    powers = {0: Matrix.identity(n), 1: nmat}
-    for j in range(2, nil + 1):
-        powers[j] = powers[j - 1] * nmat
-    kernels = [Subspace.zero(n)]
-    for j in range(1, nil + 1):
-        kernels.append(kernel(powers[j]))
+    powers = _nilpotent_powers(nmat)
+    nil = len(powers) - 1
+    kernels = [Subspace.zero(n)] + [kernel(p) for p in powers[1:]]
 
     # chains: tops of length j span ker N^j modulo ker N^(j-1) + N ker N^(j+1)
     chain_vectors = {}      # weight (centered at 0) -> list of vectors
@@ -276,10 +251,7 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
         for v in kernels[j - 1].basis:
             blocked.add(v)
         for length, top in tops:
-            image = top
-            for _ in range(length - j):
-                image = nmat.matvec(image)
-            blocked.add(image)
+            blocked.add(powers[length - j].matvec(top))
         fresh = []
         for v in kernels[j].basis:
             if not blocked.contains(v):
@@ -303,25 +275,24 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
         acc.extend(chain_vectors.get(w - center, []))
         steps[w] = Subspace.from_rows(n, acc)
     filt = Filtration(n, steps)
-    _verify_weight_axioms(filt, nmat, center, powers, nil)
-    _verify_kernel_image_formula(filt, nmat, center, powers, nil, n)
+    _verify_weight_axioms(filt, nmat, center, powers)
+    _verify_kernel_image_formula(filt, center, powers, kernels)
     return filt
 
 
-def _verify_weight_axioms(filt: Filtration, nmat, center, powers, nil):
+def _verify_weight_axioms(filt: Filtration, nmat, center, powers):
     for m in range(filt.lo, filt.hi + 1):
-        sub = filt.at(m)
-        img = Subspace.from_rows(sub.ambient,
-                                 [nmat.matvec(v) for v in sub.basis])
-        if not (img <= filt.at(m - 2)):
+        below = filt.at(m - 2)
+        if not all(below.contains(nmat.matvec(v)) for v in filt.at(m).basis):
             raise RuntimeError(f"weight filtration axiom N W_{m} <= W_{m-2} fails")
-    for j in range(1, nil + 1):
+    for j in range(1, len(powers)):
         top = filt.at(center + j)
         below_top = filt.at(center + j - 1)
         bot = filt.at(center - j)
         below_bot = filt.at(center - j - 1)
         image_rows = [powers[j].matvec(v) for v in top.basis]
-        mapped = below_bot.sum(Subspace.from_rows(top.ambient, image_rows))
+        mapped = Subspace.from_rows(top.ambient,
+                                    list(below_bot.basis) + image_rows)
         rank = mapped.dim - below_bot.dim
         if rank != top.dim - below_top.dim or rank != bot.dim - below_bot.dim:
             raise RuntimeError(
@@ -329,21 +300,27 @@ def _verify_weight_axioms(filt: Filtration, nmat, center, powers, nil):
                 f"gr_{center - j} fails")
 
 
-def _verify_kernel_image_formula(filt, nmat, center, powers, nil, n):
-    def power(j):
-        return powers[j] if j <= nil else Matrix.zeros(n, n)
+def _verify_kernel_image_formula(filt, center, powers, kernels):
+    """W_m = sum over j of N^j ker(N^(m - center + 2j + 1)).
 
+    The j-th term is ker(N^e) n im(N^j), e = m - center + j + 1, taken as
+    the image of a kernel from the table ``kernels`` (ker N^t for t < nil,
+    the whole space at t = nil, which stands for every t >= nil).
+    """
+    nil = len(kernels) - 1
+    images = {}
     for m in range(filt.lo - 1, filt.hi + 2):
-        total = Subspace.zero(n)
-        for j in range(0, nil + 1):
-            e = (m - center) + j + 1
+        rows = []
+        for j in range(nil):
+            e = m - center + j + 1
             if e <= 0:
                 continue
-            ker = kernel(power(e)) if e <= nil else Subspace.full(n)
-            img_mat = power(j)
-            img = Subspace.from_rows(n, img_mat.transpose().rows)
-            total = total.sum(ker.intersect(img))
-        if total != filt.at(m):
+            t = min(e + j, nil)
+            if (j, t) not in images:
+                images[j, t] = (kernels[t].basis if j == 0 else
+                                [powers[j].matvec(v) for v in kernels[t].basis])
+            rows.extend(images[j, t])
+        if Subspace.from_rows(filt.ambient, rows) != filt.at(m):
             raise RuntimeError(
                 f"weight filtration disagrees with the kernel/image formula "
                 f"at index {m}")
@@ -399,7 +376,7 @@ def lagrangian_monodromy(ring: GradedAlgebra, triple: LagrangianTriple) -> Matri
     l_beta = cup_operator(ring, beta).matrix()
     tri_rho = complete_sl2(ring, rho)
     nmat = l_beta.commutator(tri_rho.Lam.matrix())
-    _nilpotency_index(nmat)       # raises when not nilpotent
+    nilpotent_index(nmat)         # raises when not nilpotent
     return nmat
 
 

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from llvkit.lefschetz import (NotHLError, classical_weights, complete_sl2,
-                              cup_operator, hl_test, primitive_decomposition,
+from llvkit import lefschetz
+from llvkit.lefschetz import (BlockChain, NotHLError, antiholomorphic_weights,
+                              classical_weights, complete_sl2,
+                              complete_sl2_weights, cup_operator, hl_test,
+                              holomorphic_weights, primitive_decomposition,
                               sigma_bar_sl2, sigma_sl2,
                               simultaneous_primitivity_check,
                               symplectic_hl_check, weight_operator_matrix,
                               _solve_dual, _weight_spaces)
+from llvkit.linalg import Matrix, inverse
 from llvkit.models import vector_stream
+from llvkit.pw import nilpotent_index
 
 
 def test_cup_zero_class_is_zero(k3):
@@ -105,17 +110,88 @@ def test_complete_sl2_h_acts_by_weight(k3, rat52, torus2):
                                      ring.degree_of(gi) - mid)
 
 
-def test_complete_sl2_matches_unique_solve(k3, rat52):
-    # the dual operator is the unique degree(-2) solution of [L, X] = H
-    for ring, a in ((k3, [Fraction(1), Fraction(1)] + [Fraction(0)] * 20),
-                    (rat52, [Fraction(1), 0, Fraction(1), 0, 0])):
-        tri = complete_sl2(ring, a)
-        weights = classical_weights(ring)
+def test_complete_sl2_matches_unique_solve(k3, rat52, model52, torus2):
+    # the dual operator is the unique degree(-2) solution of [L, X] = H;
+    # sigma and sigma-bar are graded by holomorphic weights, over Q(i)
+    cases = [
+        (k3, complete_sl2(k3, [Fraction(1), Fraction(1)] + [Fraction(0)] * 20)),
+        (rat52, complete_sl2(rat52, [Fraction(1), 0, Fraction(1), 0, 0])),
+        (model52, sigma_sl2(model52)),
+        (model52, sigma_bar_sl2(model52)),
+        (torus2, complete_sl2(torus2, [0, Fraction(1), 0, 0, Fraction(1), 0])),
+    ]
+    assert cases[2][1].weights == holomorphic_weights(model52)
+    assert cases[3][1].weights == antiholomorphic_weights(model52)
+    for ring, tri in cases:
+        weights = tri.weights
         solved = _solve_dual(ring, tri.L.matrix(), weights,
                              _weight_spaces(weights),
                              weight_operator_matrix(ring, weights))
         assert solved is not None
         assert solved == tri.Lam.matrix()
+        assert tri.check()
+
+
+def test_complete_sl2_raises_when_the_crosscheck_disagrees(rat52,
+                                                           monkeypatch):
+    solve = lefschetz._solve_dual
+
+    def perturbed(ring, l_mat, weights, spaces, h_mat):
+        lam = solve(ring, l_mat, weights, spaces, h_mat)
+        rows = [list(r) for r in lam.rows]
+        rows[0][1] += 1          # still lowers the weight: V_-2 -> V_-4
+        return Matrix(rows)
+
+    monkeypatch.setattr(lefschetz, "_solve_dual", perturbed)
+    a = [Fraction(1), 0, 0, 0, 0]
+    with pytest.raises(RuntimeError, match="unique solution"):
+        complete_sl2(rat52, a)
+    l_mat = cup_operator(rat52, a).matrix()
+    tri = complete_sl2_weights(rat52, l_mat, classical_weights(rat52),
+                               crosscheck=False)
+    assert tri.check()
+
+
+def test_complete_sl2_certificate_rejects_a_wrong_dual(rat52, model52,
+                                                       monkeypatch):
+    # a doubled T^-1 doubles Lam, and [L, 2 Lam] = 2H != H
+    monkeypatch.setattr(lefschetz, "inverse", lambda m: inverse(m).scale(2))
+    for ring, l_mat, weights in (
+            (rat52, cup_operator(rat52, [Fraction(1), 0, 0, 0, 0]).matrix(),
+             classical_weights(rat52)),
+            (model52, cup_operator(model52, model52.sigma()).matrix(),
+             holomorphic_weights(model52))):
+        with pytest.raises(RuntimeError, match=r"\[L, Lam\] != H"):
+            complete_sl2_weights(ring, l_mat, weights, crosscheck=False)
+
+
+def _dense_block(mat, ring, src, tgt):
+    lo, hi = ring.slice_of(src)
+    tlo, thi = ring.slice_of(tgt)
+    return Matrix([[mat[r, c] for c in range(lo, hi)]
+                   for r in range(tlo, thi)], ncols=hi - lo)
+
+
+def test_block_chain_powers_match_dense_powers(k3, rat52, model52, torus2):
+    cases = [(k3, [Fraction(1), 0, 0, Fraction(1)] + [Fraction(0)] * 18),
+             (k3, [Fraction(1)] + [Fraction(0)] * 21),
+             (k3, [Fraction(0)] * 22),
+             (rat52, [Fraction(1), 0, 0, Fraction(1), 0]),
+             (rat52, [Fraction(1), Fraction(2), 0, 0, Fraction(-1)]),
+             (model52, model52.sigma()),
+             (torus2, [0, Fraction(1), 0, 0, Fraction(1), 0])]
+    for ring, a in cases:
+        op = cup_operator(ring, a)
+        dense = op.matrix()
+        chain = BlockChain(op.blocks, dict(enumerate(ring.dims)))
+        # the index fixes the perverse step keys, so it must be the dense one
+        assert chain.nilpotency_index() == nilpotent_index(dense)
+        for j in range(ring.top // 2 + 2):
+            power = dense.power(j)
+            for k in range(ring.top + 1 - 2 * j):
+                if ring.dims[k]:
+                    assert chain.power(k, j) == _dense_block(
+                        power, ring, k, k + 2 * j), (a, k, j)
 
 
 def test_primitive_decomposition_primitive_input(k3):

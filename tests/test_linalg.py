@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llvkit.linalg import (DimensionError, IntSpan, Matrix, Span, Subspace,
-                           congruence_diagonalize, integer_eigenspaces,
+                           congruence_diagonalize, image, integer_eigenspaces,
                            inverse, kernel, rref, solve, symmetric_signature)
 from llvkit.scalars import Gauss, I
 
@@ -56,6 +56,15 @@ def test_subspace_modular_law_random():
         inter, total = a.intersect(b), a.sum(b)
         assert inter.dim + total.dim == a.dim + b.dim
         assert inter <= a and inter <= b and a <= total and b <= total
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_full_subspace_is_the_canonical_identity(n):
+    full = Subspace.full(n)
+    ref = Subspace.from_rows(n, Matrix.identity(n).rows)
+    assert full == ref
+    assert full.basis == ref.basis and full.pivots == ref.pivots
+    assert all(type(x) is Fraction for v in full.basis for x in v)
 
 
 def test_subspace_equality_representation_independent():
@@ -350,3 +359,39 @@ def test_k3_ad_weight_kernels_match_dense_reference(k3, k3_closure):
     spaces = integer_eigenspaces(admat, [2, 0, -2])
     assert spaces == _reference_eigenspaces(admat, [2, 0, -2])
     assert {lam: s.dim for lam, s in spaces.items()} == {2: 22, 0: 232, -2: 22}
+
+
+@st.composite
+def _kernel_image_pair(draw):
+    """A : V -> W and B : U -> V over Q, or over Q(i) with rational and
+    Gaussian entries mixed; each zero, sparse, of rank at most 1, or of
+    full rank, and any of U, V, W may be 0-dimensional."""
+    p, q, r = (draw(st.integers(0, 5)) for _ in range(3))
+    value = (st.one_of(_RAT, st.builds(Gauss, _RAT, _RAT))
+             if draw(st.booleans()) else _RAT)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), value)
+
+    def matrix(nrows, ncols):
+        kind = draw(st.sampled_from(["zero", "sparse", "rank1", "full"]))
+        if kind == "zero":
+            return Matrix.zeros(nrows, ncols)
+        if kind == "rank1":
+            col = [draw(entry) for _ in range(nrows)]
+            row = [draw(entry) for _ in range(ncols)]
+            return Matrix([[x * y for y in row] for x in col], ncols=ncols)
+        # "full": unit upper trapezoidal, of rank min(nrows, ncols)
+        rows = [[draw(entry) if kind == "sparse" or j > i else
+                 Fraction(1 if i == j else 0) for j in range(ncols)]
+                for i in range(nrows)]
+        return Matrix(rows, ncols=ncols)
+
+    return matrix(p, q), matrix(q, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_image_pair())
+def test_image_of_kernel_is_kernel_image_intersection(pair):
+    # ker A n im B = B ker(AB), the identity the filtrations are built on
+    a, b = pair
+    rows = [b.matvec(u) for u in kernel(a * b).basis]
+    assert Subspace.from_rows(a.ncols, rows) == kernel(a).intersect(image(b))
