@@ -123,6 +123,13 @@ def resolve_ring(args, need_bigraded=False):
     return plain, big, desc
 
 
+def _flag(args, name, default):
+    """An integer fixture flag; an explicit 0 is kept for the builders to
+    reject."""
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def _resolve_ring_inner(args, need_bigraded):
     if getattr(args, "input", None):
         ring = load_ring(args.input)
@@ -139,8 +146,8 @@ def _resolve_ring_inner(args, need_bigraded):
             big = models.bogomolov_model(QuadraticForm(models.k3_gram()), 1)
         return ring, big, "k3"
     if fixture == "bogomolov":
-        b2 = getattr(args, "b2", None) or 5
-        n = getattr(args, "n", None) or 2
+        b2 = _flag(args, "b2", 5)
+        n = _flag(args, "n", 2)
         if b2 > FIXTURE_BOUNDS["b2"]:
             raise UsageError(f"--b2 exceeds the documented bound "
                              f"{FIXTURE_BOUNDS['b2']}")
@@ -154,7 +161,7 @@ def _resolve_ring_inner(args, need_bigraded):
         big = models.bogomolov_model(form, n)
         return big.rational_model, big, f"bogomolov(b2={b2},n={n})"
     if fixture == "torus":
-        g = getattr(args, "g", None) or 2
+        g = _flag(args, "g", 2)
         if 2 * g > 2 * FIXTURE_BOUNDS["g"]:
             raise UsageError(f"--g exceeds the documented bound {FIXTURE_BOUNDS['g']}")
         ring = models.torus_ring(g)

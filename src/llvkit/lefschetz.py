@@ -455,9 +455,14 @@ class PrimitiveDecomposition:
 
 
 def primitive_decomposition(ring, triple: Sl2Triple, x) -> PrimitiveDecomposition:
-    """Decompose a weight-homogeneous element along the adapted basis."""
-    if not triple.check():
-        raise ValueError("invalid sl2-triple")
+    """Decompose a weight-homogeneous element along the adapted basis.
+
+    The triple is not re-checked.  An ``Sl2Triple`` is built only by
+    ``complete_sl2_weights``, which has already certified it block by
+    block; and the output certifies itself, since it must reconstruct x
+    and each component x_j must be primitive at its level, both read off
+    L alone.
+    """
     weights = triple.weights
     present = {weights[gi] for gi, c in enumerate(x) if c}
     if len(present) > 1:

@@ -1,8 +1,13 @@
-"""Exact dense linear algebra: matrices, canonical subspaces, signatures.
+"""Exact linear algebra: matrices, canonical subspaces, signatures.
 
-Subspaces are always stored with a reduced-row-echelon basis, so equality
-of subspaces is literal equality of their representations.  All routines
-are pure and work over Q (Fraction) or Q(i) (Gauss).
+Two elimination engines serve everything here.  ``rref`` is the dense
+canonical form behind ``Subspace``, ``rank``, ``inverse`` and ``solve``.
+``SparseEchelon`` is the incremental, sparse engine, fraction-free over Z
+or dividing over Q and Q(i); kernels, unique sparse solutions and every
+span grown one vector at a time run on it.  Subspaces are always stored
+with a reduced-row-echelon basis, so equality of subspaces is literal
+equality of their representations.  All routines are pure and work over
+Q (Fraction) or Q(i) (Gauss).
 """
 
 from __future__ import annotations
@@ -293,7 +298,7 @@ class Subspace:
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                v = [a - c * b if b else a for a, b in zip(v, row)]
         return tuple(v)
 
     def contains(self, vec):
@@ -369,12 +374,6 @@ def _null_space(rows, n, shift=0) -> Subspace:
         vec = {last - j: x for j, x in r.items()}
         if shift:
             vec[last - i] = r.get(i, Fraction(0)) - shift
-        if not field:
-            den = 1
-            for x in vec.values():
-                den = lcm(den, x.denominator)
-            vec = {k: x.numerator * (den // x.denominator)
-                   for k, x in vec.items()}
         ech.add(vec)
     reduced, pivots = ech.canonical()
     zero, one = Fraction(0), Fraction(1)
@@ -495,108 +494,14 @@ def integer_eigenspaces(mat: Matrix, candidates):
     return spaces
 
 
-def gcd_reduce(ints):
-    """Divide a list of ints by its gcd in place; returns the list."""
-    g = 0
-    for x in ints:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                return ints
-    if g > 1:
-        for i, x in enumerate(ints):
-            ints[i] = x // g
-    return ints
-
-
-def _scale_to_ints(vec):
-    den = 1
-    for x in vec:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(Fraction(x) * den) for x in vec]
-
-
-class IntSpan:
-    """Incremental row span over Q via fraction-free integer elimination.
-
-    Rows are dense integer lists normalized by gcd; pivots stay unscaled
-    (not 1) until ``to_subspace`` converts the result to canonical form.
-    Suited to the saturation and closure workloads where candidate rows
-    arrive one at a time and most are rejected.
-    """
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.rows = []            # parallel to pivots, sorted by pivot
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                lead = row[p]
-                v = [lead * a - c * b for a, b in zip(v, row)]
-                gcd_reduce(v)
-        return v
-
-    def residue(self, vec):
-        if len(vec) != self.ambient:
-            raise DimensionError("vector length does not match ambient dimension")
-        if any(not isinstance(x, int) for x in vec):
-            vec = _scale_to_ints(vec)
-        return self._reduce(vec)
-
-    def contains(self, vec):
-        return not any(self.residue(vec))
-
-    def add(self, vec):
-        """Insert a vector; returns True when the dimension grew."""
-        v = self.residue(vec)
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return False
-        if v[piv] < 0:
-            v = [-a for a in v]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
-
-    def to_subspace(self) -> Subspace:
-        """Canonicalize: back-substitute upward, pivots normalized to 1."""
-        rows = [list(r) for r in self.rows]
-        for i in range(len(rows) - 1, -1, -1):
-            p = self.pivots[i]
-            for j in range(i):
-                c = rows[j][p]
-                if c:
-                    lead = rows[i][p]
-                    rows[j] = [lead * a - c * b for a, b in zip(rows[j], rows[i])]
-                    gcd_reduce(rows[j])
-        basis = []
-        for row, p in zip(rows, self.pivots):
-            lead = Fraction(row[p])
-            basis.append(tuple(Fraction(a) / lead for a in row))
-        return Subspace(self.ambient, basis, list(self.pivots))
-
-
 class SparseEchelon:
-    """Echelon-form span over sparse vectors (dict index -> value).
+    """Incremental echelon span over sparse vectors (dict index -> value).
 
     Integer mode (default) uses fraction-free elimination with gcd
-    normalization; field mode divides by pivots and accepts Fraction or
-    Gauss values.  Rows keep all indices >= their pivot, so elimination
-    is a single ascending sweep.
+    normalization and clears the denominators of Fraction input; field
+    mode divides by pivots and accepts Fraction or Gauss values.  Vectors
+    may be dicts or dense sequences.  Rows keep all indices >= their
+    pivot, so elimination is a single ascending sweep.
     """
 
     def __init__(self, exact_division=False):
@@ -607,8 +512,20 @@ class SparseEchelon:
     def dim(self):
         return len(self.rows)
 
+    def _sparse(self, vec):
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        if self.exact_division:
+            return {k: Fraction(x) if type(x) is int else x
+                    for k, x in items if x}
+        v = {k: x for k, x in items if x}
+        if not all(type(x) is int for x in v.values()):
+            den = lcm(*(x.denominator for x in v.values()))
+            v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+        return v
+
     def reduce(self, vec):
-        v = {k: x for k, x in vec.items() if x}
+        """Residue of vec against the rows, as a sparse dict."""
+        v = self._sparse(vec)
         while True:
             hit = None
             for p in sorted(v):
@@ -646,7 +563,11 @@ class SparseEchelon:
                     out = {k: x // g for k, x in out.items()}
                 v = out
 
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
     def add(self, vec) -> bool:
+        """Insert a vector; returns True when the dimension grew."""
         v = self.reduce(vec)
         if not v:
             return False
@@ -685,6 +606,18 @@ class SparseEchelon:
                 reduced[p] = {k: Fraction(v) / lead for k, v in row.items()}
         return [reduced[p] for p in pivots], pivots
 
+    def to_subspace(self, ambient) -> Subspace:
+        """The span as a canonical subspace of dense rows of length ambient."""
+        rows, pivots = self.canonical()
+        zero = Fraction(0)
+        basis = []
+        for row in rows:
+            vec = [zero] * ambient
+            for k, x in row.items():
+                vec[k] = x
+            basis.append(vec)
+        return Subspace(ambient, basis, pivots)
+
 
 def solve_sparse(rows, rhs, n_unknowns, exact_division=False):
     """Solve a sparse linear system demanding a unique solution.
@@ -698,12 +631,6 @@ def solve_sparse(rows, rhs, n_unknowns, exact_division=False):
         vec = dict(row)
         if b:
             vec[n_unknowns] = -b
-        if not exact_division:
-            den = 1
-            for x in vec.values():
-                d = Fraction(x).denominator
-                den = den * d // gcd(den, d)
-            vec = {k: int(Fraction(x) * den) for k, x in vec.items()}
         ech.add(vec)
     reduced, pivots = ech.canonical()
     if n_unknowns in pivots:
@@ -715,55 +642,3 @@ def solve_sparse(rows, rhs, n_unknowns, exact_division=False):
         val = row.get(n_unknowns, 0)
         sol[p] = -val if val else Fraction(0)
     return tuple(sol)
-
-
-class Span:
-    """Incremental row span over any exact field, pivot-normalized rows."""
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def residue(self, vec):
-        if len(vec) != self.ambient:
-            raise DimensionError("vector length does not match ambient dimension")
-        v = [_norm_entry(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec):
-        return not any(self.residue(vec))
-
-    def add(self, vec):
-        v = self.residue(vec)
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return False
-        lead = v[piv]
-        v = [a / lead for a in v]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
-
-    def to_subspace(self) -> Subspace:
-        rows = [list(r) for r in self.rows]
-        for i in range(len(rows) - 1, -1, -1):
-            p = self.pivots[i]
-            for j in range(i):
-                c = rows[j][p]
-                if c:
-                    rows[j] = [a - c * b for a, b in zip(rows[j], rows[i])]
-        return Subspace(self.ambient, [tuple(r) for r in rows], list(self.pivots))

@@ -13,7 +13,7 @@ from math import comb, gcd, lcm
 
 from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
                         sigma_sl2, weight_operator_matrix)
-from .linalg import (Matrix, Span, SparseEchelon, integer_eigenspaces,
+from .linalg import (Matrix, SparseEchelon, integer_eigenspaces,
                      symmetric_signature)
 from .models import spanning_hl_classes
 from .reporting import CheckResult
@@ -683,11 +683,11 @@ def so4_symplectic(ring: BigradedAlgebra):
     six = [tri_s.L.matrix(), tri_b.L.matrix(), tri_s.Lam.matrix(),
            tri_b.Lam.matrix(), tri_s.H.matrix(), tri_b.H.matrix()]
     res = CheckResult("so(4) symplectic action")
-    n2 = ring.total_dim ** 2
-    span = Span(n2)
+    n = ring.total_dim
+    span = SparseEchelon(exact_division=True)
     for op in six:
-        if not span.add([op[r, c] for r in range(ring.total_dim)
-                         for c in range(ring.total_dim)]):
+        if not span.add({r * n + c: x for r, row in enumerate(op.rows)
+                         for c, x in enumerate(row) if x}):
             res.fail("the six symplectic operators are linearly dependent")
     algebra = lie_closure(six)
     res.data["dim"] = algebra.dim
@@ -718,7 +718,7 @@ def verbitsky_component(ring: GradedAlgebra):
     dims[0] = 1
     bases = {0: [ring.unit()]}
     for k in range(2, ring.top + 1, 2):
-        span = Span(ring.dims[k])
+        span = SparseEchelon(exact_division=True)
         vecs = []
         for x in bases.get(k - 2, []):
             for a in deg2:
@@ -741,20 +741,19 @@ def verbitsky_component(ring: GradedAlgebra):
     if ring.quadratic_form is not None:
         target_spans = {}
         for k in range(0, ring.top + 1, 2):
-            span = Span(ring.dims[k]) if ring.dims[k] else None
-            if span is not None:
-                for x in bases.get(k, []):
-                    span.add(ring.component(x, k))
+            span = SparseEchelon(exact_division=True)
+            for x in bases.get(k, []):
+                span.add(ring.component(x, k))
             target_spans[k] = span
         classes = spanning_hl_classes(ring.quadratic_form)
         for a in classes:
             tri = complete_sl2(ring, [Fraction(c) for c in a])
             lam = tri.Lam.matrix()
             for k in range(2, ring.top + 1, 2):
-                tgt = target_spans.get(k - 2)
+                tgt = target_spans[k - 2]
                 for x in bases.get(k, []):
                     img = ring.component(lam.matvec(x), k - 2)
-                    if any(img) and (tgt is None or not tgt.contains(img)):
+                    if not tgt.contains(img):
                         res.fail(f"Lam of class {a} leaves the component "
                                  f"in degree {k}")
                         break

@@ -14,8 +14,8 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from .linalg import (IntSpan, Matrix, Span, congruence_diagonalize,
-                     inverse, kernel, symmetric_signature)
+from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
+                     kernel, symmetric_signature)
 from .rings import (BigradedAlgebra, GradedAlgebra, QuadraticForm,
                     RingValidationError)
 from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, rat_sqrt
@@ -153,16 +153,16 @@ def spanning_hl_classes(form: QuadraticForm):
         out.append(adjusted)
     seen = set(out)
     out = [v for v in dict.fromkeys(out)]
-    span = IntSpan(m)
+    span = SparseEchelon()
     for v in out:
-        span.add(list(v))
+        span.add(v)
     if span.dim < m:
         # collapsing adjustments (all-isotropic bases): extend the set from
         # the deterministic non-isotropic stream until it spans
         for v in nonisotropic_stream(form):
             if span.dim == m:
                 break
-            if v not in seen and span.add(list(v)):
+            if v not in seen and span.add(v):
                 seen.add(v)
                 out.append(v)
     if span.dim != m:
@@ -473,11 +473,12 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     if ideal[n + 1].dim != target:
         raise ModelConstructionError(
             f"ideal in degree {n + 1}: dim {ideal[n + 1].dim} != {target}")
-    # integer rows of the piece one degree down
-    prev_rows = [_primitive(r) for r in ideal[n + 1].basis] if n > 1 else []
+    # sparse integer rows of the piece one degree down
+    prev_rows = ([{pos: c for pos, c in enumerate(_primitive(r)) if c}
+                  for r in ideal[n + 1].basis] if n > 1 else [])
     for d in range(n + 2, 2 * n + 1):
         tgt = sym_dims[d] - quotient_dims[d]
-        sp = IntSpan(sym_dims[d])
+        sp = SparseEchelon()
         prev_monos = monos[d - 1]
         for var in range(m):
             if sp.dim >= tgt:
@@ -485,18 +486,17 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
             for row in prev_rows:
                 if sp.dim >= tgt:
                     break
-                shifted = [0] * sym_dims[d]
-                for pos, c in enumerate(row):
-                    if c:
-                        e = list(prev_monos[pos])
-                        e[var] += 1
-                        shifted[mono_index[d][tuple(e)]] = c
+                shifted = {}
+                for pos, c in row.items():
+                    e = list(prev_monos[pos])
+                    e[var] += 1
+                    shifted[mono_index[d][tuple(e)]] = c
                 sp.add(shifted)
         if sp.dim != tgt:
             raise ModelConstructionError(
                 f"ideal saturation failed in degree {d}: dim {sp.dim} != {tgt}")
-        ideal[d] = sp.to_subspace()
-        prev_rows = sp.rows
+        ideal[d] = sp.to_subspace(sym_dims[d])
+        prev_rows = [sp.rows[p] for p in sorted(sp.rows)]
 
     # quotient coordinates: representatives are the non-pivot monomials of
     # the fully reduced ideal basis, so reduction is a row lookup
@@ -617,7 +617,7 @@ def _bigraded_companion(rational, form, n, monos, mono_index, reps, red, u1, u2)
     from_rat = [None] * (4 * n + 1)
     for d in range(2 * n + 1):
         dim_q = rational.dims[2 * d]
-        span = Span(dim_q)
+        span = SparseEchelon(exact_division=True)
         picked = []
         cols = []
         for exps in monos[d]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lefschetz import BlockChain, complete_sl2, cup_operator, hl_test
-from .linalg import Matrix, Span, Subspace, kernel
+from .linalg import Matrix, SparseEchelon, Subspace, kernel
 from .models import isotropic_stream, vector_stream
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
@@ -104,8 +104,7 @@ class Filtration:
 # -- perverse filtration ----------------------------------------------------
 
 
-def perverse_filtration(ring: GradedAlgebra, beta, k: int,
-                        use_gaussian=False) -> Filtration:
+def perverse_filtration(ring: GradedAlgebra, beta, k: int) -> Filtration:
     """The isotropic-class filtration inside the degree-k piece.
 
     Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
@@ -247,7 +246,7 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
     chain_vectors = {}      # weight (centered at 0) -> list of vectors
     tops = []               # (length, vector)
     for j in range(nil, 0, -1):
-        blocked = Span(n)
+        blocked = SparseEchelon(exact_division=True)
         for v in kernels[j - 1].basis:
             blocked.add(v)
         for length, top in tops:

@@ -594,8 +594,14 @@ def ring_from_dict(data: dict, validate=True):
 
 
 def load_ring(path, validate=True):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise RingFormatError(exc.strerror or str(exc), str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise RingFormatError(f"not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})", str(path)) from exc
     try:
         data = json.loads(text, parse_float=_reject_float,
                           parse_constant=_reject_float)

@@ -43,6 +43,44 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def _unreadable_input(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.ring"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.ring"
+    path.write_bytes(b'{"field": "rational\xff"}')
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "llv"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_ring_file_exits_two(tmp_path, capsys, command, kind):
+    path = _unreadable_input(tmp_path, kind)
+    rc = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error: ")
+    assert str(path) in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["llv", "--fixture", "bogomolov", "--b2", "5", "--n", "0"], "needs n >= 1"),
+    (["validate", "--fixture", "bogomolov", "--b2", "0"], "needs dim >= 5"),
+    (["validate", "--fixture", "torus", "--g", "0"], "needs g >= 1"),
+])
+def test_explicit_zero_fixture_flag_is_rejected(capsys, argv, message):
+    # 0 must reach the model builder, not be replaced by the default
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
 def test_usage_error_exits_two(capsys):
     rc, _ = run(["validate"], capsys)
     assert rc == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llvkit.linalg import (DimensionError, IntSpan, Matrix, Span, Subspace,
+from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
                            congruence_diagonalize, image, integer_eigenspaces,
                            inverse, kernel, rref, solve, symmetric_signature)
 from llvkit.scalars import Gauss, I
@@ -155,17 +155,56 @@ def test_solve_and_inverse():
     assert solve(Matrix([[1, 1], [1, 1]]), (0, 1)) is None
 
 
-def test_spans_agree_with_subspace():
-    rng = random.Random(3)
-    for _ in range(10):
-        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                 for _ in range(5)] for _ in range(4)]
-        si, sp = IntSpan(5), Span(5)
-        for r in rows:
-            assert si.add(list(r)) == sp.add(list(r))
-        expected = Subspace.from_rows(5, rows)
-        assert si.to_subspace() == expected
-        assert sp.to_subspace() == expected
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _echelon_cases(draw):
+    """(field mode, ambient, rows, dict-input flags).  Zeros are frequent,
+    and some rows are combinations of earlier ones, so dependent and zero
+    rows and 0-dimensional spans all occur; with Gaussian entries the
+    rows mix Q and Q(i) values."""
+    field = draw(st.booleans())
+    gaussian = field and draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), _small_fractions)
+    if gaussian:
+        entry = st.one_of(entry, st.builds(Gauss, _small_fractions,
+                                           _small_fractions))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        index = st.integers(0, len(rows) - 1)
+        x_row, y_row = rows[draw(index)], rows[draw(index)]
+        a, b = draw(entry), draw(entry)
+        rows.append([a * x + b * y for x, y in zip(x_row, y_row)])
+    as_dict = draw(st.lists(st.booleans(), min_size=len(rows),
+                            max_size=len(rows)))
+    return field, n, rows, as_dict
+
+
+@settings(max_examples=200, deadline=None)
+@given(_echelon_cases())
+def test_spans_agree_with_subspace(case):
+    # differential test against the dense rref behind Subspace
+    field, n, rows, as_dict = case
+    ech = SparseEchelon(exact_division=field)
+    seen = []
+    before = Subspace.zero(n)
+    for row, sparse in zip(rows, as_dict):
+        vec = {k: x for k, x in enumerate(row) if x} if sparse else row
+        assert ech.contains(vec) == before.contains(row)
+        seen.append(row)
+        after = Subspace.from_rows(n, seen)
+        assert ech.add(vec) == (after.dim > before.dim)
+        assert ech.dim == after.dim
+        assert ech.contains(vec)
+        before = after
+    if not field:
+        # integer mode cleared every denominator
+        assert all(type(x) is int for r in ech.rows.values() for x in r.values())
+    got = ech.to_subspace(n)
+    assert got == before
+    assert got.pivots == before.pivots
 
 
 def test_gaussian_matrix_kernel():

@@ -6,7 +6,7 @@ import pytest
 from llvkit import llv
 from llvkit.lefschetz import (classical_weights, complete_sl2, cup_operator,
                               sigma_bar_sl2, sigma_sl2, weight_operator_matrix)
-from llvkit.linalg import Matrix, Span
+from llvkit.linalg import Matrix, SparseEchelon, Subspace
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
                         dual_lefschetz_commute, lie_closure, llv_closure,
@@ -37,22 +37,27 @@ def file52_gens(model52, tmp_path_factory):
 
 
 def _reference_closure(gens):
-    """The dense closure over the field: pivot-normalized rows in a Span,
-    every accepted element bracketed against the generators by
-    Matrix.commutator.  Returns (pivots, canonical sparse rows)."""
+    """The dense closure over the field: membership by the dense rref
+    behind Subspace, every accepted element bracketed against the
+    generators by Matrix.commutator.  Returns (pivots, canonical sparse
+    rows)."""
     n = gens[0].nrows
+    sub = Subspace.zero(n * n)
 
-    def flat(mat):
-        return [mat[r, c] for r in range(n) for c in range(n)]
+    def accept(mat):
+        nonlocal sub
+        res = sub.reduce([mat[r, c] for r in range(n) for c in range(n)])
+        if not any(res):
+            return False
+        sub = Subspace.from_rows(n * n, sub.basis + (res,))
+        return True
 
-    span = Span(n * n)
-    queue = [g for g in gens if span.add(flat(g))]
+    queue = [g for g in gens if accept(g)]
     for x in queue:
         for g in gens:
             b = g.commutator(x)
-            if span.add(flat(b)):
+            if accept(b):
                 queue.append(b)
-    sub = span.to_subspace()
     return (list(sub.pivots),
             [{k: v for k, v in enumerate(vec) if v} for vec in sub.basis])
 
@@ -308,12 +313,11 @@ def test_weil_operator_other_bigraded_fixtures(model62, torus_big):
 
 
 def test_derived_g0_acts_by_derivations(rat52):
-    from llvkit.linalg import IntSpan
     alg = llv_closure(rat52)
     h = weight_operator_matrix(rat52, classical_weights(rat52))
     _, g0, _ = ad_grading(alg, h)
     n = rat52.total_dim
-    span = IntSpan(n * n)
+    span = SparseEchelon()
     derived = []
     for i in range(len(g0)):
         for j in range(i + 1, len(g0)):

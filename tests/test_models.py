@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from llvkit import cli, models
-from llvkit.linalg import IntSpan, Matrix
+from llvkit.linalg import Matrix, Subspace
 from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
@@ -130,13 +130,17 @@ def test_laplacian_kernel_is_span_of_isotropic_powers(case):
     target = comb(m + n, n + 1) - comb(m + n - 2, n - 1)
     monos = models.monomials(m, n + 1)
     index = {e: i for i, e in enumerate(monos)}
-    span = IntSpan(len(monos))
+    # grown by the dense rref behind Subspace: the basis plus the residue
+    # of a new row spans every row so far
+    sub = Subspace.zero(len(monos))
     for used, w in enumerate(isotropic_stream(form)):
-        if span.dim == target or used > 8 * target + 200:
+        if sub.dim == target or used > 8 * target + 200:
             break
-        span.add(models._power_coeffs(w, n + 1, monos, index))
-    assert span.dim == target
-    assert models._isotropic_power_span(form, n + 1) == span.to_subspace()
+        res = sub.reduce(models._power_coeffs(w, n + 1, monos, index))
+        if any(res):
+            sub = Subspace.from_rows(len(monos), sub.basis + (res,))
+    assert sub.dim == target
+    assert models._isotropic_power_span(form, n + 1) == sub
 
 
 def test_k3_ring_validates(k3):

@@ -50,20 +50,19 @@ def weight_filtration_oracle(nmat, center):
     nil = len(powers) - 1
     kers = [kernel(powers[j]) for j in range(nil + 1)]
     placed = []                  # (length, top vector)
-    from llvkit.linalg import Span
-    blocked_rows = []
     for length in range(nil, 0, -1):
-        span = Span(n)
-        for v in kers[length - 1].basis:
-            span.add(v)
+        blocked = list(kers[length - 1].basis)
         for l2, top in placed:
             vec = list(top)
             for _ in range(l2 - length):
                 vec = list(nmat.matvec(vec))
-            span.add(vec)
+            blocked.append(vec)
+        sub = Subspace.from_rows(n, blocked)
         for v in kers[length].basis:
-            if span.add(v):
+            res = sub.reduce(v)
+            if any(res):
                 placed.append((length, v))
+                sub = Subspace.from_rows(n, sub.basis + (res,))
     by_weight = {}
     for length, top in placed:
         vec = list(top)
