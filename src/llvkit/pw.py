@@ -251,12 +251,7 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
             blocked.add(v)
         for length, top in tops:
             blocked.add(powers[length - j].matvec(top))
-        fresh = []
-        for v in kernels[j].basis:
-            if not blocked.contains(v):
-                # strip the part already accounted for, keep determinism
-                blocked.add(v)
-                fresh.append(v)
+        fresh = [v for v in kernels[j].basis if blocked.add(v)]
         for v in fresh:
             tops.append((j, v))
             vec = v
