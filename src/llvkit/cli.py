@@ -91,23 +91,27 @@ class UsageError(ValueError):
 FIXTURE_BOUNDS = {"b2": 24, "n": 3, "g": 4}
 
 
+def _rationals(text, what):
+    try:
+        return tuple(Fraction(t) for t in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"{what} must be exact rationals: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise UsageError(f"{what} must be exact rationals: zero denominator "
+                         f"in {text!r}") from exc
+
+
 def parse_q(text, expect_dim=None):
     if not text.startswith("diag:"):
         raise UsageError("--q expects the form diag:1,1,1,-1,-1")
-    try:
-        entries = [Fraction(t) for t in text[len("diag:"):].split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--q entries must be exact rationals: {exc}") from exc
+    entries = _rationals(text[len("diag:"):], "--q entries")
     if expect_dim is not None and len(entries) != expect_dim:
         raise UsageError(f"--q lists {len(entries)} entries, expected {expect_dim}")
     return QuadraticForm.diagonal(entries)
 
 
 def parse_class(text):
-    try:
-        return tuple(Fraction(t) for t in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"class coordinates must be exact rationals: {exc}") from exc
+    return _rationals(text, "class coordinates")
 
 
 def resolve_ring(args, need_bigraded=False):
@@ -262,11 +266,11 @@ def cmd_llv(args) -> Report:
     def lam_of(cls):
         if cls not in lam_cache:
             lam_cache[cls] = lefschetz.complete_sl2(
-                plain, [Fraction(c) for c in cls]).Lam.matrix()
+                plain, [Fraction(c) for c in cls]).Lam
         return lam_cache[cls]
 
     for a, b in pairs:
-        if not lam_of(a).commutator(lam_of(b)).is_zero():
+        if not lam_of(a).commutes_with(lam_of(b)):
             bad.append((a, b))
     report.add("dual operators commute",
                "[Lam_a, Lam_b] = 0 for non-isotropic pairs", not bad,
@@ -275,7 +279,7 @@ def cmd_llv(args) -> Report:
     classes = list(itertools.islice(models.nonisotropic_stream(form), 4))
     for a, b in itertools.combinations(classes, 2):
         la = lefschetz.cup_operator(plain, [Fraction(c) for c in a]).matrix()
-        d = la.commutator(lam_of(b))
+        d = la.commutator(lam_of(b).matrix())
         if not llv.derivation_check(d, plain):
             deriv_bad.append((a, b))
     report.add("commutators act as derivations",
@@ -538,8 +542,13 @@ def main(argv=None) -> int:
                    {"issues": [str(i) for i in exc.report.issues]})
     text = report.to_json() if args.format == "structured" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return 0 if report.ok else 1

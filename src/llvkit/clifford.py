@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import Matrix, congruence_diagonalize, inverse, symmetric_signature
 from .reporting import CheckResult
@@ -13,6 +14,7 @@ from .rings import QuadraticForm
 from .scalars import rat_sqrt
 
 MAX_CLIFFORD_DIM = 10
+_ZERO = Fraction(0)
 
 
 class CliffordAlgebra:
@@ -36,6 +38,7 @@ class CliffordAlgebra:
         self.change = p                  # rows: orthogonal basis, original coords
         self.change_inv = inverse(p)
         self.diag = [Fraction(d) for d in diag]
+        self._table = None
 
     # -- elements -----------------------------------------------------
 
@@ -68,19 +71,36 @@ class CliffordAlgebra:
             return "1"
         return "".join(f"g{i + 1}" for i in range(self.m) if mask >> i & 1)
 
-    def mul_masks(self, s, t):
-        """(coefficient, mask) of e_S * e_T."""
-        sign = 1
-        # count transpositions: generators of t passing generators of s above them
-        for i in range(self.m):
-            if t >> i & 1:
-                higher = s >> (i + 1)
-                sign *= -1 if bin(higher).count("1") % 2 else 1
-        coeff = Fraction(sign)
-        for i in range(self.m):
-            if s >> i & 1 and t >> i & 1:
-                coeff *= self.diag[i]
-        return coeff, s ^ t
+    def structure_table(self):
+        """(C, D) with e_S * e_T = (C[S][T] / D) e_(S xor T), C integer.
+
+        The coefficient is a sign times the product of the d_i for the
+        generators in both S and T.  The sign counts the transpositions
+        that carry each generator of T past the generators of S above it:
+        it is odd exactly when popcount(above[S] & T) is, where bit i of
+        above[S] records the parity of the generators of S above i.  D is
+        the lcm of the denominators of the d_i products.  Built once, on
+        the first product, so constructing an algebra stays cheap.
+        """
+        if self._table is None:
+            dim = self.dim
+            dprod = [Fraction(1)] * dim
+            for mask in range(1, dim):
+                low = mask & -mask
+                dprod[mask] = dprod[mask ^ low] * self.diag[low.bit_length() - 1]
+            denom = lcm(*(d.denominator for d in dprod))
+            pos = [d.numerator * (denom // d.denominator) for d in dprod]
+            neg = [-c for c in pos]
+            above = [0] * dim
+            for s in range(1, dim):
+                # bit i: parity of the generators of s strictly above i
+                top = s.bit_length() - 1
+                rest = s ^ (1 << top)
+                above[s] = above[rest] ^ ((1 << top) - 1)
+            table = [[neg[s & t] if (above[s] & t).bit_count() & 1 else pos[s & t]
+                      for t in range(dim)] for s in range(dim)]
+            self._table = (table, denom)
+        return self._table
 
     def __repr__(self):
         return f"CliffordAlgebra(m={self.m}, dim={self.dim})"
@@ -93,7 +113,8 @@ class CliffordElement:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
+                           tuple(c if type(c) is Fraction else Fraction(c)
+                                 for c in self.coeffs))
         if len(self.coeffs) != self.algebra.dim:
             raise ValueError("coefficient vector length mismatch")
 
@@ -136,19 +157,29 @@ def clifford(form: QuadraticForm) -> CliffordAlgebra:
     return CliffordAlgebra(form)
 
 
+def _cleared(coeffs):
+    """(d, [(s, n_s)]) with coeffs[s] = n_s / d on the nonzero entries."""
+    nonzero = [(s, c) for s, c in enumerate(coeffs) if c]
+    d = lcm(*(c.denominator for _, c in nonzero))
+    return d, [(s, c.numerator * (d // c.denominator)) for s, c in nonzero]
+
+
 def cl_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """The product x*y, summed in integers on the algebra's structure
+    table: one Fraction per nonzero output coefficient."""
     x._check(y)
     alg = x.algebra
-    acc = [Fraction(0)] * alg.dim
-    for s, cs in enumerate(x.coeffs):
-        if not cs:
-            continue
-        for t, ct in enumerate(y.coeffs):
-            if not ct:
-                continue
-            coeff, mask = alg.mul_masks(s, t)
-            acc[mask] += cs * ct * coeff
-    return CliffordElement(alg, acc)
+    table, denom = alg.structure_table()
+    dx, xs = _cleared(x.coeffs)
+    dy, ys = _cleared(y.coeffs)
+    acc = [0] * alg.dim
+    for s, a in xs:
+        row = table[s]
+        for t, b in ys:
+            acc[s ^ t] += a * b * row[t]
+    d = dx * dy * denom
+    return CliffordElement(alg, tuple(Fraction(v, d) if v else _ZERO
+                                      for v in acc))
 
 
 def conjugate(y: CliffordElement) -> CliffordElement:
@@ -171,13 +202,12 @@ def cl_trace(x: CliffordElement) -> Fraction:
 def cl_trace_regular(x: CliffordElement) -> Fraction:
     """The same trace computed honestly from the regular representation."""
     alg = x.algebra
+    table, denom = alg.structure_table()
     total = Fraction(0)
     for t in range(alg.dim):
         for s, cs in enumerate(x.coeffs):
-            if cs:
-                coeff, mask = alg.mul_masks(s, t)
-                if mask == t:
-                    total += cs * coeff
+            if cs and s ^ t == t:
+                total += cs * Fraction(table[s][t], denom)
     return total / alg.dim
 
 

@@ -97,8 +97,29 @@ class DegreeOperator:
     def commutator(self, other: "DegreeOperator") -> Matrix:
         return self.matrix().commutator(other.matrix())
 
+    def commutes_with(self, other: "DegreeOperator") -> bool:
+        """[self, other] = 0, decided on the blocks: on each source degree k
+        both orders of composition map degree k to k + s + t."""
+        for k in range(self.ring.top + 1):
+            ab = _compose_at(self, other, k)
+            ba = _compose_at(other, self, k)
+            diff = ba if ab is None else ab if ba is None else ab - ba
+            if diff is not None and not diff.is_zero():
+                return False
+        return True
+
     def __repr__(self):
         return f"DegreeOperator(shift={self.shift:+d} on {self.ring!r})"
+
+
+def _compose_at(outer, inner, k):
+    """The block of outer * inner on degree k; None where a missing block
+    makes the composite zero."""
+    blk = inner.blocks.get(k)
+    if blk is None:
+        return None
+    top = outer.blocks.get(k + inner.shift)
+    return None if top is None else top * blk
 
 
 def weight_operator_matrix(ring, weights) -> Matrix:

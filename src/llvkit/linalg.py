@@ -398,61 +398,116 @@ def image(mat: Matrix) -> Subspace:
     return Subspace.from_rows(mat.nrows, mat.transpose().rows)
 
 
-def congruence_diagonalize(q: Matrix):
-    """Rational congruence P*q*P^T = diag; returns (P, diagonal entries).
-
-    Uses the (e_i + e_j) move when the remaining diagonal vanishes but an
-    off-diagonal entry survives; zero diagonal entries in the output mark
-    the radical of the form.
-    """
-    if q.nrows != q.ncols:
+def _sparse_symmetric(q):
+    """Rows {j: Fraction} of the nonzero entries of a square symmetric
+    matrix given as a Matrix or as rows of scalars (plain ints allowed)."""
+    if isinstance(q, Matrix) and q.nrows != q.ncols:
         raise DimensionError("diagonalization of a non-square matrix")
-    a = [[as_fraction(x) for x in row] for row in q.rows]
-    n = q.nrows
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError(
-                    f"matrix is not symmetric at ({i},{j}): {a[i][j]} vs {a[j][i]}")
-    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-                p[k], p[swap] = p[swap], p[k]
+    rows = q.rows if isinstance(q, Matrix) else q
+    n = len(rows)
+    a = []
+    for row in rows:
+        if len(row) != n:
+            raise DimensionError("diagonalization of a non-square matrix")
+        a.append({j: as_fraction(x) for j, x in enumerate(row) if x})
+    bad = [(min(i, j), max(i, j)) for i, row in enumerate(a)
+           for j, x in row.items() if a[j].get(i, 0) != x]
+    if bad:
+        i, j = min(bad)
+        raise ValueError(f"matrix is not symmetric at ({i},{j}): "
+                         f"{a[i].get(j, Fraction(0))} vs {a[j].get(i, Fraction(0))}")
+    return a
+
+
+def _add_scaled(row, f, other, skip=None):
+    """row += f * other on {j: x} rows, dropping entries that cancel."""
+    for j, x in other.items():
+        if j != skip:
+            y = row.get(j, 0) + f * x
+            if y:
+                row[j] = y
             else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                row.pop(j, None)
+
+
+def _congruence(q, track):
+    """Diagonal of a symmetric congruence, and with ``track`` the rows
+    {j: x} of the transform P.  Sparse: each row holds only the nonzero
+    entries of the not yet eliminated block, which stays symmetric, so
+    column k is read off row k."""
+    a = _sparse_symmetric(q)
+    n = len(a)
+    p = [{i: Fraction(1)} for i in range(n)] if track else None
+    for k in range(n):
+        if not a[k].get(k):
+            swap = next((j for j in range(k + 1, n) if a[j].get(j)), None)
+            if swap is not None:
+                touched = set(a[k]) | set(a[swap]) | {k, swap}
+                a[k], a[swap] = a[swap], a[k]
+                for i in touched:
+                    row = a[i]
+                    x, y = row.pop(k, None), row.pop(swap, None)
+                    if y is not None:
+                        row[k] = y
+                    if x is not None:
+                        row[swap] = x
+                if track:
+                    p[k], p[swap] = p[swap], p[k]
+            else:
+                off = min(a[k], default=None)
                 if off is None:
                     continue
-                # a[k][k] becomes +-2*a[k][off] + a[off][off]; one sign works
-                sign = 1 if 2 * a[k][off] + a[off][off] != 0 else -1
-                for j in range(n):
-                    a[k][j] = a[k][j] + sign * a[off][j]
-                for i in range(n):
-                    a[i][k] = a[i][k] + sign * a[i][off]
-                p[k] = [x + sign * y for x, y in zip(p[k], p[off])]
-        d = a[k][k]
-        if d == 0:
+                # row and column k gain row and column off; as the whole
+                # remaining diagonal vanishes, a[k][k] becomes 2*a[k][off]
+                old = a[k]
+                new = dict(old)
+                _add_scaled(new, 1, a[off], skip=k)
+                new[k] = 2 * old[off]
+                for i in set(old) | set(new):
+                    if i != k:
+                        if i in new:
+                            a[i][k] = new[i]
+                        else:
+                            a[i].pop(k, None)
+                a[k] = new
+                if track:
+                    _add_scaled(p[k], 1, p[off])
+        rk = a[k]
+        d = rk.get(k)
+        if not d:
             continue
-        # Congruence step: once column k is cleared by row operations, the
-        # matching column operations act trivially on the remaining block,
-        # so row updates on the (k+1..) block suffice and keep it symmetric.
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-                a[i][k] = Fraction(0)
-                p[i] = [x - f * y for x, y in zip(p[i], p[k])]
-    return Matrix(p, ncols=n), [a[k][k] for k in range(n)]
+        # Congruence step: clearing column k by row operations leaves the
+        # remaining block symmetric, so column k is never touched again.
+        for i, aik in rk.items():
+            if i != k:
+                f = aik / d
+                _add_scaled(a[i], -f, rk, skip=k)
+                del a[i][k]
+                if track:
+                    _add_scaled(p[i], -f, p[k])
+    return p, [a[k].get(k, Fraction(0)) for k in range(n)]
 
 
-def symmetric_signature(q: Matrix):
-    """Signature (pos, neg, null) of a rational symmetric matrix."""
-    _, diag = congruence_diagonalize(q)
+def congruence_diagonalize(q):
+    """Rational congruence P*q*P^T = diag; returns (P, diagonal entries).
+
+    ``q`` is a symmetric Matrix or a list of rows (plain ints allowed).
+    The pivot at step k is the first nonzero diagonal entry from k on;
+    when the remaining diagonal vanishes, the (e_k + e_off) move with the
+    first nonzero a[k][off] makes one.  Zero diagonal entries in the
+    output mark the radical of the form.
+    """
+    p, diag = _congruence(q, track=True)
+    zero = Fraction(0)
+    n = len(diag)
+    return Matrix([[row.get(j, zero) for j in range(n)] for row in p],
+                  ncols=n), diag
+
+
+def symmetric_signature(q):
+    """Signature (pos, neg, null) of a rational symmetric matrix, given as
+    a Matrix or a list of rows."""
+    _, diag = _congruence(q, track=False)
     pos = sum(1 for d in diag if d > 0)
     neg = sum(1 for d in diag if d < 0)
     return (pos, neg, len(diag) - pos - neg)

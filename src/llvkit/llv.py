@@ -570,7 +570,7 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
             break
         derived.add(coeffs)
     gram = _killing_gram(table, dim)
-    sig = symmetric_signature(Matrix(gram, ncols=dim))
+    sig = symmetric_signature(gram)
     if derived.dim == dim and sig[2]:
         raise NotSemisimpleError("not semisimple: Killing form degenerate on "
                                  "the derived algebra")

@@ -89,6 +89,32 @@ def test_usage_error_exits_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kuga", "--dim", "2", "--q", "diag:1/0,1"],
+    ["pw", "--fixture", "bogomolov", "--beta", "1/0,1,0,0,0"],
+])
+def test_zero_denominator_exits_two(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "zero denominator" in lines[0]
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    rc = main(["kuga", "--dim", "2", "--q", "diag:1,1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(target) in lines[0]
+    assert not target.exists()
+
+
 def test_llv_small_model(capsys):
     rc, out = run(["llv", "--fixture", "bogomolov", "--b2", "5", "--n", "2",
                    "--format", "structured"], capsys)
@@ -220,6 +246,12 @@ GOLDEN_REPORTS = {
         "cd2964655316ae01cf682cf4a1ca9752af4739006fd3f1d90c3ff15e0f2daf1a",
     ("verbitsky", *B52):
         "a07c143e45ee3d890cb37a86a06690d2cf6d4e2773dc846f8f891f77cf9ad565",
+    ("kuga", "--dim", "5", "--q", "diag:1,1,-1,-1,-1"):
+        "42c0f9b01ee6a365893c6ea896a034d3a6a6f1f56a027c35a9ff73bc51530468",
+    ("kuga", "--dim", "3", "--q", "diag:1/4,1/9,-1"):
+        "52f2d4afa9eba887507d30299e94754787f00aa32792099ad1022dcdaee9028e",
+    ("kuga", "--dim", "5", "--q", "diag:2,3,-1,-1,-1"):
+        "6f7651b2b8bb09cb28a230413712b39a63be26c65ee498854f2f938b494cc6ed",
 }
 
 

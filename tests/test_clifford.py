@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llvkit.clifford import (CliffordElement, cl_multiply, cl_trace,
                              cl_trace_regular, clifford, complex_structure,
@@ -168,3 +170,58 @@ def test_clifford_rejects_degenerate_and_oversized():
         clifford(QuadraticForm(Matrix.zeros(2, 2)))
     with pytest.raises(ValueError, match="bound"):
         clifford(QuadraticForm.diagonal([1] * 11))
+
+
+def reference_product(x, y):
+    """x*y term by term from the bit-count sign rule: e_S e_T picks up one
+    sign per generator of T passing each generator of S above it, and
+    d_i for each generator in both."""
+    alg = x.algebra
+    acc = [Fraction(0)] * alg.dim
+    for s, cs in enumerate(x.coeffs):
+        for t, ct in enumerate(y.coeffs):
+            if not (cs and ct):
+                continue
+            coeff = Fraction(1)
+            for i in range(alg.m):
+                if t >> i & 1 and bin(s >> (i + 1)).count("1") % 2:
+                    coeff = -coeff
+                if s >> i & 1 and t >> i & 1:
+                    coeff *= alg.diag[i]
+            acc[s ^ t] += cs * ct * coeff
+    return tuple(acc)
+
+
+_nonzero_d = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
+    lambda d: d != 0)
+
+
+@st.composite
+def _clifford_pairs(draw):
+    """Two elements of C(Q) for a random diagonal Q on m <= 6 generators;
+    sparse, dense or zero, with rational coefficients."""
+    diag = draw(st.lists(_nonzero_d, min_size=1, max_size=6))
+    alg = clifford(QuadraticForm.diagonal(diag))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+    def element():
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        if kind == "zero":
+            return alg.zero()
+        coeffs = [Fraction(0)] * alg.dim
+        picks = (range(alg.dim) if kind == "dense" else
+                 draw(st.lists(st.integers(0, alg.dim - 1), max_size=4)))
+        for s in picks:
+            coeffs[s] = draw(coeff)
+        return CliffordElement(alg, coeffs)
+
+    return element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clifford_pairs())
+def test_multiply_matches_bitcount_reference(pair):
+    x, y = pair
+    product = cl_multiply(x, y)
+    assert product.coeffs == reference_product(x, y)
+    assert all(type(c) is Fraction for c in product.coeffs)

@@ -52,6 +52,27 @@ def test_cup_operators_commute(rat52):
         assert la.commutator(lb).is_zero()
 
 
+def test_commutes_with_matches_dense_commutator(rat52, torus2):
+    # L and Lam of two classes on an even and an odd-degree ring: every
+    # pairing of raising and lowering operators, commuting or not
+    for ring in (rat52, torus2):
+        ops = []
+        for cls in itertools.islice(vector_stream(ring.dims[2]), 200):
+            a = [Fraction(c) for c in cls]
+            if hl_test(ring, a):
+                tri = complete_sl2(ring, a)
+                ops += [tri.L, tri.Lam]
+            if len(ops) == 4:
+                break
+        assert len(ops) == 4
+        verdicts = set()
+        for x, y in itertools.product(ops, repeat=2):
+            dense = x.commutator(y).is_zero()
+            assert x.commutes_with(y) is dense
+            verdicts.add(dense)
+        assert verdicts == {True, False}
+
+
 def test_cup_rejects_wrong_degree(k3):
     with pytest.raises(ValueError):
         cup_operator(k3, [Fraction(1)] * 5)

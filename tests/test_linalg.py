@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
                            congruence_diagonalize, image, integer_eigenspaces,
                            inverse, kernel, rref, solve, symmetric_signature)
-from llvkit.scalars import Gauss, I
+from llvkit.scalars import Gauss, I, as_fraction
 
 
 def test_kernel_zero_map():
@@ -114,6 +114,91 @@ def test_signature_congruence_invariant(n, seed):
         if p.rank() == n:
             break
     assert symmetric_signature(p * q * p.transpose()) == sig
+
+
+def dense_congruence_diagonalize(q: Matrix):
+    """The dense Fraction elimination that congruence_diagonalize replaced,
+    kept as its oracle: the same pivot and (e_k + e_off) rules on a full
+    matrix, so P and the diagonal must agree entry for entry."""
+    a = [[as_fraction(x) for x in row] for row in q.rows]
+    n = q.nrows
+    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+                p[k], p[swap] = p[swap], p[k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    continue
+                sign = 1 if 2 * a[k][off] + a[off][off] != 0 else -1
+                for j in range(n):
+                    a[k][j] = a[k][j] + sign * a[off][j]
+                for i in range(n):
+                    a[i][k] = a[i][k] + sign * a[i][off]
+                p[k] = [x + sign * y for x, y in zip(p[k], p[off])]
+        d = a[k][k]
+        if d == 0:
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+                a[i][k] = Fraction(0)
+                p[i] = [x - f * y for x, y in zip(p[i], p[k])]
+    return Matrix(p, ncols=n), [a[k][k] for k in range(n)]
+
+
+@st.composite
+def _symmetric_grids(draw):
+    """Symmetric rational grids, often sparse, with zero diagonals common
+    enough to reach both the swap and the (e_k + e_off) moves."""
+    n = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.floats(0, 1)) < density:
+                x = draw(entry)
+                if i == j and draw(st.booleans()):
+                    x = Fraction(0)
+                grid[i][j] = grid[j][i] = x
+    return grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_grids())
+def test_congruence_diagonalize_matches_dense_oracle(grid):
+    n = len(grid)
+    want_p, want_diag = dense_congruence_diagonalize(Matrix(grid, ncols=n))
+    int_rows = [[int(x) if x.denominator == 1 else x for x in row]
+                for row in grid]
+    for q in (Matrix(grid, ncols=n), int_rows):
+        p, diag = congruence_diagonalize(q)
+        assert p == want_p
+        assert diag == want_diag
+        assert all(type(d) is Fraction for d in diag)
+        assert symmetric_signature(q) == (sum(1 for d in diag if d > 0),
+                                          sum(1 for d in diag if d < 0),
+                                          sum(1 for d in diag if d == 0))
+
+
+def test_congruence_diagonalize_int_rows_and_errors():
+    p, diag = congruence_diagonalize([[0, 2], [2, 0]])
+    assert diag == [Fraction(4), Fraction(-1)]
+    assert p == Matrix([[1, 1], [Fraction(-1, 2), Fraction(1, 2)]])
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+        congruence_diagonalize([[1, 0, 0], [0, 1, 3], [5, 3, 1]])
+    with pytest.raises(DimensionError):
+        congruence_diagonalize([[1, 0], [0]])
+    with pytest.raises(DimensionError):
+        congruence_diagonalize(Matrix([], ncols=2))
 
 
 def test_congruence_diagonalize_transform():
