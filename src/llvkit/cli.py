@@ -221,7 +221,9 @@ def cmd_llv(args) -> Report:
         report.skip("bracket closure", "total Lie algebra of Lefschetz "
                     "operators", "ring carries no degree-2 form")
         return report
-    algebra = llv.llv_closure(plain)
+    gens, classes = llv.llv_generators(plain)
+    algebra = llv.lie_closure(gens)
+    duals = lefschetz.DualFamily(plain, classes, gens[1::2])
     b2 = plain.dims[2]
     is_torus = desc.startswith("torus")
     report.add("bracket closure", "Lie algebra generated by all Hard "
@@ -265,8 +267,7 @@ def cmd_llv(args) -> Report:
 
     def lam_of(cls):
         if cls not in lam_cache:
-            lam_cache[cls] = lefschetz.complete_sl2(
-                plain, [Fraction(c) for c in cls]).Lam
+            lam_cache[cls] = duals.lam([Fraction(c) for c in cls])
         return lam_cache[cls]
 
     for a, b in pairs:

@@ -260,8 +260,9 @@ def polarization_form(alg: CliffordAlgebra, a: CliffordElement):
         res.fail("sigma_a is not antisymmetric")
     a_basis = [cl_multiply(a, b) for b in basis]
     conj_a_basis = [conjugate(ab) for ab in a_basis]
-    sym = Matrix([[cl_trace(cl_multiply(cl_multiply(x, a), cay))
-                   for cay in conj_a_basis] for x in basis], ncols=alg.dim)
+    x_a = [cl_multiply(x, a) for x in basis]
+    sym = Matrix([[cl_trace(cl_multiply(xa, cay)) for cay in conj_a_basis]
+                  for xa in x_a], ncols=alg.dim)
     positive_sign = None
     if sym.is_symmetric():
         pos, neg, null = symmetric_signature(sym)

@@ -9,6 +9,14 @@ space.  Those relations fix the dual uniquely; on small rings it is
 also re-derived as the degree-(-2) solution of [L, X] = H, and a
 disagreement raises.  Powers of a weight-raising operator are products
 of its blocks V_w -> V_(w+2) (``BlockChain``), never of full matrices.
+
+Duals of further classes come by linearity (``DualFamily``):
+psi(a) = q(a) Lam_a is linear in a, so the completions of one basis of
+degree 2 give a candidate Lam_a on degree blocks for every
+non-isotropic a.  The candidate passes the same block certificate
+(``_dual_certified``) as a full completion, so it is the unique dual;
+an isotropic class or a failed certificate falls back to
+``complete_sl2``, and the fallbacks are counted.
 """
 
 from __future__ import annotations
@@ -195,6 +203,7 @@ class BlockChain:
         self.blocks = blocks
         self.dims = dims
         self._chains = {}
+        self._index = None
 
     def dim(self, w):
         return self.dims.get(w, 0)
@@ -219,12 +228,14 @@ class BlockChain:
         The d-th power of the whole operator is zero exactly when each of
         its blocks power(w, d) is, so this is the index of the full matrix.
         """
-        index = 1
-        for w, d in sorted(self.dims.items()):
-            if d:
-                while not self.power(w, index).is_zero():
-                    index += 1
-        return index
+        if self._index is None:
+            index = 1
+            for w, d in sorted(self.dims.items()):
+                if d:
+                    while not self.power(w, index).is_zero():
+                        index += 1
+            self._index = index
+        return self._index
 
 
 def _weight_spaces(weights):
@@ -368,14 +379,8 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
         if below:
             lam_blocks[w] = Matrix.from_cols(lo_cols, nrows=below) * tinv
 
-    for w, idx in spaces.items():
-        bracket = Matrix.zeros(len(idx), len(idx))
-        if w in lam_blocks:
-            bracket = bracket + chain.block(w - 2) * lam_blocks[w]
-        if w + 2 in lam_blocks:
-            bracket = bracket - lam_blocks[w + 2] * chain.block(w)
-        if bracket != Matrix.identity(len(idx)).scale(w):
-            raise RuntimeError("sl2 completion failed: [L, Lam] != H")
+    if not _dual_certified(chain, lam_blocks):
+        raise RuntimeError("sl2 completion failed: [L, Lam] != H")
 
     lam_grid = [[Fraction(0)] * n for _ in range(n)]
     for w, blk in lam_blocks.items():
@@ -393,6 +398,26 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
     lam_op = DegreeOperator.from_matrix(ring, -l_shift, lam_mat)
     h_op = DegreeOperator.from_matrix(ring, 0, h_mat)
     return Sl2Triple(l_op, lam_op, h_op, tuple(weights), prim, adapted)
+
+
+def _dual_certified(chain: BlockChain, lam_blocks) -> bool:
+    """L_(w-2) Lam_w - Lam_(w+2) L_w = w I on every weight space of
+    ``chain``, with ``lam_blocks[w]`` : V_w -> V_(w-2) (missing is zero).
+
+    This is [L, Lam] = H.  [H, L] = 2L and [H, Lam] = -2 Lam hold by the
+    block shapes.  It also fixes Lam: the difference of two solutions
+    commutes with L and lowers the weight by 2, so it is a highest-weight
+    vector of weight -2 for ad in End(V), hence zero.
+    """
+    for w, d in chain.dims.items():
+        bracket = Matrix.zeros(d, d)
+        if w in lam_blocks:
+            bracket = bracket + chain.block(w - 2) * lam_blocks[w]
+        if w + 2 in lam_blocks:
+            bracket = bracket - lam_blocks[w + 2] * chain.block(w)
+        if bracket != Matrix.identity(d).scale(w):
+            return False
+    return True
 
 
 def _solve_dual(ring, l_mat, weights, spaces, h_mat):
@@ -444,6 +469,64 @@ def complete_sl2(ring: GradedAlgebra, a) -> Sl2Triple:
     """Classical sl2-triple of a Hard Lefschetz degree-2 class."""
     l_mat = cup_operator(ring, a).matrix()
     return complete_sl2_weights(ring, l_mat, classical_weights(ring))
+
+
+class DualFamily:
+    """Lam_a for every non-isotropic degree-2 class a, by linearity.
+
+    psi(a) = q(a) Lam_a is linear in a (Looijenga-Lunts; Verbitsky), so
+    the completions of one basis s_1, ..., s_m of degree 2 give the rest:
+    for a = sum c_j s_j the candidate is Lam_a = q(a)^(-1) sum c_j psi(s_j),
+    built on degree blocks.  Each candidate is certified against L_a by
+    the certificate of ``complete_sl2_weights``, which makes it the
+    unique dual.  An isotropic class, or a candidate that fails the
+    certificate, falls back to ``complete_sl2``, which raises on a class
+    without Hard Lefschetz; ``fallbacks`` counts those calls.
+    """
+
+    def __init__(self, ring: GradedAlgebra, classes, duals):
+        """``classes`` is a basis of degree 2 and ``duals`` their Lam
+        matrices, in the same order."""
+        form = ring.quadratic_form
+        if form is None:
+            raise ValueError("ring carries no degree-2 quadratic form")
+        classes = [tuple(Fraction(c) for c in s) for s in classes]
+        if len(classes) != ring.dims[2] or len(duals) != len(classes):
+            raise ValueError("need one dual for each of a basis of degree 2")
+        self.ring = ring
+        self.form = form
+        self.fallbacks = 0
+        # a = sum c_j s_j reads c = a S^(-1), S the matrix of rows s_j
+        self._coords = inverse(Matrix(classes)).transpose()
+        self._psi = [
+            {k: blk.scale(form.evaluate(s)) for k, blk in
+             DegreeOperator.from_matrix(ring, -2, lam).blocks.items()}
+            for s, lam in zip(classes, duals)]
+        mid = ring.top // 2
+        self._mid = mid
+        self._dims = {k - mid: d for k, d in enumerate(ring.dims) if d}
+
+    def lam(self, a) -> DegreeOperator:
+        """The dual of the degree-2 class with coordinates ``a``."""
+        a = tuple(a)
+        qa = self.form.evaluate(a)
+        if qa:
+            coeffs = [c / qa for c in self._coords.matvec(a)]
+            blocks = {}
+            for k in self._psi[0]:
+                terms = [psi[k].scale(c)
+                         for c, psi in zip(coeffs, self._psi) if c]
+                blocks[k] = sum(terms[1:], terms[0])
+            cand = DegreeOperator(self.ring, -2, blocks)
+            mid = self._mid
+            chain = BlockChain(
+                {k - mid: blk for k, blk in
+                 cup_operator(self.ring, a).blocks.items()}, self._dims)
+            if _dual_certified(chain, {k - mid: blk
+                                       for k, blk in blocks.items()}):
+                return cand
+        self.fallbacks += 1
+        return complete_sl2(self.ring, a).Lam
 
 
 def sigma_sl2(ring: BigradedAlgebra) -> Sl2Triple:

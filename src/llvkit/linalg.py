@@ -194,14 +194,15 @@ def rref(rows):
 
     Generic over Fraction and Gauss entries; pivots are normalized to 1
     and cleared above and below, so the output is canonical for the row
-    space.  Zero rows are dropped.
+    space.  Zero rows are dropped.  Only the nonzero entries of a pivot
+    row are divided and subtracted; they all sit at or right of the
+    pivot, so a zero entry keeps the type it came in with.
     """
     work = [[_norm_entry(x) for x in r] for r in rows if any(r)]
     if not work:
         return [], []
     ncols = len(work[0])
     pivots = []
-    out = []
     r = 0
     for c in range(ncols):
         piv = None
@@ -212,13 +213,17 @@ def rref(rows):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
+        prow = work[r]
+        support = [j for j in range(c, ncols) if prow[j]]
+        inv = prow[c]
         if inv != 1:
-            work[r] = [a / inv for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            for j in support:
+                prow[j] = prow[j] / inv
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(work):

@@ -18,7 +18,8 @@ from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
 from .rings import (BigradedAlgebra, GradedAlgebra, QuadraticForm,
                     RingValidationError)
-from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, rat_sqrt
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction,
+                      rat_sqrt)
 
 
 class ModelConstructionError(RuntimeError):
@@ -74,6 +75,26 @@ def _reject_definite(form: QuadraticForm):
             "no rational isotropic vectors: the form is definite")
 
 
+def _binary_isotropic_lines(form: QuadraticForm):
+    """The number of rational isotropic lines of a binary form, or None
+    when the form is zero and every line is isotropic.
+
+    ax^2 + 2bxy + cy^2 factors over Q exactly when its discriminant
+    b^2 - ac = -det is a rational square; it then has two isotropic lines
+    when det != 0 and one, its kernel, when det = 0.  Otherwise it is
+    anisotropic and raises.
+    """
+    g = form.gram
+    det = as_fraction(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    if rat_sqrt(-det) is None:
+        raise ModelConstructionError(
+            f"no rational isotropic vectors: the binary form has -det = "
+            f"{-det}, not a rational square")
+    if det:
+        return 2
+    return None if g.is_zero() else 1
+
+
 def isotropic_stream(form: QuadraticForm):
     """Deterministic stream of distinct rational isotropic directions.
 
@@ -83,9 +104,12 @@ def isotropic_stream(form: QuadraticForm):
     v - (q(v)/2q(v,e))e).
 
     A definite form has no isotropic vector, so it is rejected from its
-    signature before anything is enumerated.
+    signature before anything is enumerated; so is an anisotropic binary
+    form, by its determinant.  A binary form has at most two isotropic
+    lines, and the stream ends once it has given them all.
     """
     _reject_definite(form)
+    lines = _binary_isotropic_lines(form) if form.dim == 2 else None
     base = None
     for v in itertools.islice(vector_stream(form.dim), 200000):
         if form.evaluate(v) == 0:
@@ -97,6 +121,8 @@ def isotropic_stream(form: QuadraticForm):
     yield _primitive(base)
     misses = 0
     for v in vector_stream(form.dim):
+        if len(seen) == lines:
+            return
         cross = form.pair(v, base)
         if cross == 0:
             continue

@@ -104,13 +104,22 @@ class Filtration:
 # -- perverse filtration ----------------------------------------------------
 
 
-def perverse_filtration(ring: GradedAlgebra, beta, k: int) -> Filtration:
+def perverse_chain(ring: GradedAlgebra, beta) -> BlockChain:
+    """The degree blocks of L_beta and their powers, shared by the
+    perverse filtrations of one class in every degree."""
+    return BlockChain(cup_operator(ring, beta).blocks,
+                      dict(enumerate(ring.dims)))
+
+
+def perverse_filtration(ring: GradedAlgebra, beta, k: int,
+                        chain: BlockChain = None) -> Filtration:
     """The isotropic-class filtration inside the degree-k piece.
 
     Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
     the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree k - 2(i-1),
     so each step is one span.  L^j is a product of the degree blocks of
-    the cup operator.
+    the cup operator, read from ``chain`` = ``perverse_chain(ring, beta)``
+    when the caller has built it for another degree.
     """
     form = ring.quadratic_form
     if form is None:
@@ -123,8 +132,8 @@ def perverse_filtration(ring: GradedAlgebra, beta, k: int) -> Filtration:
     if ring.top % 4:
         raise ValueError("perverse filtration needs top degree 4n")
     two_n = ring.top // 2
-    chain = BlockChain(cup_operator(ring, beta).blocks,
-                       dict(enumerate(ring.dims)))
+    if chain is None:
+        chain = perverse_chain(ring, beta)
     nil = chain.nilpotency_index()
     dim_k = ring.dims[k]
 
@@ -182,10 +191,11 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
     n = ring.symplectic_n()
     lo2, _ = ring.slice_of(2)
     sigma_bar = tuple(ring.sigma_bar()[lo2 + t] for t in range(ring.dims[2]))
+    chain = perverse_chain(ring, sigma_bar)
     filts = {}
     for k in range(0, ring.top + 1, 2):
         if ring.dims[k]:
-            filts[k] = perverse_filtration(ring, sigma_bar, k)
+            filts[k] = perverse_filtration(ring, sigma_bar, k, chain)
 
     def hodge_flag(k, cutoff):
         lo, _ = ring.slice_of(k)
@@ -414,12 +424,13 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple,
     idx = nilpotent_index(deg2)
     res.data["degree2_nilpotent_index"] = idx
     res.data["type_iii"] = (idx == 3)
+    chain = perverse_chain(ring, beta)
     p_filts = {}
     w_filts = {}
     for k in range(0, ring.top + 1, 2):
         if not ring.dims[k]:
             continue
-        p_filts[k] = perverse_filtration(ring, beta, k)
+        p_filts[k] = perverse_filtration(ring, beta, k, chain)
         w_filts[k] = weight_filtration(degree_block(ring, nmat, k),
                                        center=k - two_n)
     if window is None:
@@ -479,10 +490,11 @@ def isotropic_independence_check(ring: GradedAlgebra, count=10) -> CheckResult:
     reference = None
     for mu in classes:
         mu_f = tuple(Fraction(c) for c in mu)
+        chain = perverse_chain(ring, mu_f)
         dims = {}
         for k in range(0, ring.top + 1, 2):
             if ring.dims[k]:
-                filt = perverse_filtration(ring, mu_f, k)
+                filt = perverse_filtration(ring, mu_f, k, chain)
                 dims[k] = sorted(filt.jumps())
         if reference is None:
             reference = dims

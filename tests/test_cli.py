@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -113,6 +114,51 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(target) in lines[0]
     assert not target.exists()
+
+
+def _binary_form_ring(tmp_path, a, c):
+    """A valid ring 1, x, y, v (x, y in degree 2, v on top) with x^2 = a v,
+    y^2 = c v, xy = 0: its degree-2 form is ax^2 + cy^2."""
+    products = [{"i": 0, "j": g, "k": g, "coeff": "1"} for g in range(4)]
+    products += [{"i": g, "j": 0, "k": g, "coeff": "1"} for g in range(1, 4)]
+    products += [{"i": 1, "j": 1, "k": 3, "coeff": str(a)},
+                 {"i": 2, "j": 2, "k": 3, "coeff": str(c)}]
+    path = tmp_path / "binary.ring"
+    path.write_text(json.dumps({
+        "top_degree": 4, "field": "rational", "dims": [1, 0, 2, 0, 1],
+        "basis": [["1"], [], ["x", "y"], [], ["v"]], "products": products,
+        "integration": ["1"],
+        "quadratic_form": [[str(a), "0"], ["0", str(c)]]}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["verbitsky", "pw"])
+def test_anisotropic_binary_form_exits_two_at_once(tmp_path, capsys,
+                                                    command):
+    # x^2 - 3y^2 is indefinite but has no rational zero: -det = 3
+    path = _binary_form_ring(tmp_path, 1, -3)
+    start = time.perf_counter()
+    rc = main([command, "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not a rational square" in lines[0]
+    assert elapsed < 2
+
+
+def test_isotropic_binary_form_runs(tmp_path, capsys):
+    # x^2 - 4y^2 = (x - 2y)(x + 2y): -det = 4 is a square
+    path = _binary_form_ring(tmp_path, 1, -4)
+    rc, out = run(["verbitsky", "--input", str(path), "--format",
+                   "structured"], capsys)
+    assert rc == 0
+    data = json.loads(out)
+    rec = next(r for r in data["records"]
+               if r["name"] == "isotropic power relations")
+    assert rec["verdict"] == "pass" and rec["data"]["classes_checked"] == 2
 
 
 def test_llv_small_model(capsys):
@@ -240,6 +286,8 @@ GOLDEN_REPORTS = {
         "1d060b75154e27666c736c25d27870b3a30deedbfbe603edc419eab4c996f23a",
     ("llv", *B52):
         "0fe73093dfe18fe6eee1154e1a1afdf5534d77ccfd914bfdc420348267e72fd3",
+    ("llv", "--fixture", "bogomolov", "--b2", "6", "--n", "2"):
+        "a646acc4321bc924238bc35784f1b3d42064f17b4203b11b9838210321512835",
     ("hl", *B52):
         "6b649c498b91759cb1b467c34506ab624070e9e26abafb32c7415cc634dfe5ba",
     ("pw", *B52):

@@ -143,6 +143,24 @@ def test_polarization_bilinear_and_two_routes():
         assert direct == via_gram
 
 
+def test_polarization_forms_every_reported_product_once(monkeypatch):
+    # 2d products a conj(y) and a y, d products x a, and the d^2 full
+    # products of each Gram matrix; x a is not re-formed per column
+    from llvkit import clifford as clifford_module
+    alg = clifford(QuadraticForm.diagonal([1, 1, -1]))
+    a = complex_structure(alg, [1, 0, 0], [0, 1, 0])
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return cl_multiply(x, y)
+
+    monkeypatch.setattr(clifford_module, "cl_multiply", counted)
+    polarization_form(alg, a)
+    d = alg.dim
+    assert calls[0] == 2 * d * d + 3 * d
+
+
 def test_polarization_sign_verdicts():
     # the (2, k) fixtures carry a definite probe form for exactly one sign
     for diag in ([1, 1], [1, 1, -1], [1, 1, -1, -1], [1, 1, -1, -1, -1]):

@@ -2,9 +2,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from llvkit import lefschetz
-from llvkit.lefschetz import (BlockChain, NotHLError, antiholomorphic_weights,
+from llvkit.lefschetz import (BlockChain, DualFamily, NotHLError,
+                              antiholomorphic_weights,
                               classical_weights, complete_sl2,
                               complete_sl2_weights, cup_operator, hl_test,
                               holomorphic_weights, primitive_decomposition,
@@ -13,6 +16,7 @@ from llvkit.lefschetz import (BlockChain, NotHLError, antiholomorphic_weights,
                               symplectic_hl_check, weight_operator_matrix,
                               _solve_dual, _weight_spaces)
 from llvkit.linalg import Matrix, inverse
+from llvkit.llv import llv_generators
 from llvkit.models import vector_stream
 from llvkit.pw import nilpotent_index
 
@@ -313,3 +317,60 @@ def test_odd_degree_torus_triple(torus2):
     assert tri.check()
     ws = sorted(set(classical_weights(torus2)))
     assert ws == [-2, -1, 0, 1, 2]
+
+
+# -- duals by linearity -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def basis_duals(rat52, k3, torus2, model62):
+    """(ring, spanning classes, their Lam matrices) per ring."""
+    out = {}
+    for name, ring in (("rat52", rat52), ("k3", k3), ("torus2", torus2),
+                       ("rat62", model62.rational_model)):
+        gens, classes = llv_generators(ring)
+        out[name] = (ring, classes, gens[1::2])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["rat52", "k3", "torus2", "rat62"]), st.data())
+def test_dual_family_matches_complete_sl2(basis_duals, name, data):
+    ring, classes, lams = basis_duals[name]
+    a = [Fraction(c) for c in data.draw(st.lists(
+        st.integers(-3, 3), min_size=ring.dims[2], max_size=ring.dims[2]))]
+    assume(ring.quadratic_form.evaluate(a) != 0)
+    family = DualFamily(ring, classes, lams)
+    lam = family.lam(a)
+    assert lam.shift == -2
+    assert lam.matrix() == complete_sl2(ring, a).Lam.matrix()
+    assert family.fallbacks == 0
+
+
+def test_dual_family_certificate_rejects_a_corrupted_psi(basis_duals):
+    ring, classes, lams = basis_duals["rat52"]
+    family = DualFamily(ring, classes, lams)
+    a = [Fraction(1), Fraction(2), 0, 0, 0]      # a = s_1 + 2 s_2, q(a) = 5
+    rows = [list(r) for r in family._psi[0][4].rows]
+    rows[0][0] += 1
+    family._psi[0][4] = Matrix(rows)
+    lam = family.lam(a)
+    assert family.fallbacks == 1
+    assert lam.matrix() == complete_sl2(ring, a).Lam.matrix()
+
+
+def test_dual_family_isotropic_class_raises_like_complete_sl2(basis_duals):
+    ring, classes, lams = basis_duals["rat52"]
+    family = DualFamily(ring, classes, lams)
+    iso = [Fraction(1), 0, 0, Fraction(1), 0]
+    with pytest.raises(NotHLError, match="not an HL class"):
+        complete_sl2(ring, iso)
+    with pytest.raises(NotHLError, match="not an HL class"):
+        family.lam(iso)
+    assert family.fallbacks == 1
+
+
+def test_dual_family_needs_a_basis(basis_duals):
+    ring, classes, lams = basis_duals["rat52"]
+    with pytest.raises(ValueError, match="basis"):
+        DualFamily(ring, classes[:-1], lams[:-1])

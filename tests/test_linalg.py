@@ -306,6 +306,47 @@ def test_rref_canonical():
     assert rows1 == rows2 and piv1 == piv2
 
 
+def _full_row_rref(rows):
+    """``rref`` before it skipped zeros: every entry of the pivot row is
+    divided, and every other row is updated across its whole length."""
+    work = [[x if isinstance(x, (Gauss, Fraction)) else Fraction(x)
+             for x in r] for r in rows if any(r)]
+    if not work:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        if inv != 1:
+            work[r] = [a / inv for a in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(_echelon_cases())
+def test_rref_matches_the_full_row_elimination(case):
+    # Q and mixed Q/Q(i) rows, with zero and dependent rows; a skipped
+    # zero may keep its input type, so entries are compared by value
+    _, _, rows, _ = case
+    got, pivots = rref(rows)
+    want, want_pivots = _full_row_rref(rows)
+    assert pivots == want_pivots
+    assert got == want
+    assert all(type(x) in (Fraction, Gauss) for row in got for x in row)
+
+
 @st.composite
 def _sparse_factors(draw):
     """Two conformable sparse matrices over Q, or over Q(i) with rational

@@ -205,3 +205,27 @@ def test_spanning_hl_classes_spans_and_nonisotropic():
                   [0, 0, 0, 1, 0], [0, 0, 0, 0, -1]])
     classes2 = spanning_hl_classes(QuadraticForm(hyp))
     assert all(QuadraticForm(hyp).evaluate(c) != 0 for c in classes2)
+
+
+@pytest.mark.parametrize("gram", [
+    [[1, 0], [0, -3]], [[2, 1], [1, -1]], [[-1, 0], [0, 7]]])
+def test_anisotropic_binary_form_is_rejected_before_enumeration(
+        gram, monkeypatch):
+    # -det = 3, 3 and 7 are not rational squares
+    def no_enumeration(dim):
+        raise AssertionError("enumerated vectors")
+    monkeypatch.setattr(models, "vector_stream", no_enumeration)
+    with pytest.raises(ModelConstructionError, match="not a rational square"):
+        next(isotropic_stream(QuadraticForm(Matrix(gram))))
+
+
+@pytest.mark.parametrize("gram, lines", [
+    ([[1, 0], [0, -4]], {(2, 1), (2, -1)}),
+    ([[0, 1], [1, 5]], {(1, 0), (5, -2)}),
+    ([[1, 0], [0, 0]], {(0, 1)}),
+])
+def test_isotropic_binary_form_stream_ends_after_its_lines(gram, lines):
+    form = QuadraticForm(Matrix(gram))
+    got = list(isotropic_stream(form))
+    assert len(got) == len(lines) and set(got) == lines
+    assert all(form.evaluate(w) == 0 for w in got)

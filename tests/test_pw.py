@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from llvkit.linalg import Matrix, Subspace, inverse, kernel
+from llvkit import pw
 from llvkit.models import isotropic_stream
 from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        degree_block, isotropic_independence_check,
                        lagrangian_monodromy, nilpotent_index,
-                       nilpotent_orbit_check, perverse_filtration,
-                       perverse_hodge_check, pw_compare, weak_pw_check,
-                       weight_filtration)
+                       nilpotent_orbit_check, perverse_chain,
+                       perverse_filtration, perverse_hodge_check, pw_compare,
+                       weak_pw_check, weight_filtration)
 from llvkit.scalars import Gauss
 
 
@@ -305,3 +306,39 @@ def test_perverse_dims_match_across_classes_detail(rat52):
             for k in (0, 2, 4, 6, 8)}
         reference = reference or dims
         assert dims == reference
+
+
+def test_perverse_filtration_on_a_shared_chain(rat52):
+    form = rat52.quadratic_form
+    for mu in itertools.islice(isotropic_stream(form), 3):
+        beta = tuple(Fraction(c) for c in mu)
+        chain = perverse_chain(rat52, beta)
+        for k in range(0, rat52.top + 1, 2):
+            shared = perverse_filtration(rat52, beta, k, chain)
+            own = perverse_filtration(rat52, beta, k)
+            assert shared == own and shared.steps.keys() == own.steps.keys()
+
+
+def test_checks_build_one_perverse_chain_per_class(rat52, model52,
+                                                   monkeypatch):
+    calls = {"chain": 0, "filtration": 0}
+    chain, filtration = pw.perverse_chain, pw.perverse_filtration
+
+    def counted_chain(*args):
+        calls["chain"] += 1
+        return chain(*args)
+
+    def counted_filtration(*args):
+        calls["filtration"] += 1
+        return filtration(*args)
+
+    monkeypatch.setattr(pw, "perverse_chain", counted_chain)
+    monkeypatch.setattr(pw, "perverse_filtration", counted_filtration)
+    degrees = sum(1 for k in range(0, rat52.top + 1, 2) if rat52.dims[k])
+    for run, classes in (
+            (lambda: isotropic_independence_check(rat52, count=3), 3),
+            (lambda: weak_pw_check(rat52, default_lagrangian_triple(rat52)), 1),
+            (lambda: perverse_hodge_check(model52), 1)):
+        calls.update(chain=0, filtration=0)
+        assert run().ok
+        assert calls == {"chain": classes, "filtration": classes * degrees}
