@@ -199,6 +199,15 @@ def _config(args):
             if getattr(args, k, None) is not None}
 
 
+def _nondegenerate_form(ring):
+    """The ring's degree-2 form, or None; a degenerate form is refused by
+    its rank, before anything is enumerated from it."""
+    form = ring.quadratic_form
+    if form is not None:
+        models.require_nondegenerate(form)
+    return form
+
+
 def _enumerate_noniso_pairs(form, count):
     take = 3
     while take * (take - 1) // 2 < count:
@@ -216,7 +225,7 @@ def cmd_llv(args) -> Report:
     report = Report("llv", _config(args))
     plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
-    form = plain.quadratic_form
+    form = _nondegenerate_form(plain)
     if form is None:
         report.skip("bracket closure", "total Lie algebra of Lefschetz "
                     "operators", "ring carries no degree-2 form")
@@ -352,7 +361,7 @@ def cmd_pw(args) -> Report:
     report = Report("pw", _config(args))
     plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
-    form = plain.quadratic_form
+    form = _nondegenerate_form(plain)
     if form is None or plain.top % 4:
         report.skip("weak P = W", "perverse filtration equals the monodromy "
                     "weight filtration", "fixture lacks a degree-2 form or "
@@ -456,12 +465,12 @@ def cmd_verbitsky(args) -> Report:
     report = Report("verbitsky", _config(args))
     plain, big, desc = resolve_ring(args)
     report.config["ring"] = desc
+    form = _nondegenerate_form(plain)
     res = llv.verbitsky_component(plain)
     report.add("degree-2 generated subalgebra",
                "graded dims follow the symmetric-power pattern and the "
                "component is Lam-stable", res.ok,
                dict(res.data, failures=res.failures))
-    form = plain.quadratic_form
     if form is not None and plain.top % 4 == 0:
         n = plain.top // 4
         bad = []

@@ -316,7 +316,11 @@ class Subspace:
         return tuple(vec[p] for p in self.pivots)
 
     def __le__(self, other):
-        self._check(other)
+        if not isinstance(other, Subspace):
+            raise TypeError("expected a Subspace")
+        if self.ambient != other.ambient:
+            raise DimensionError(
+                f"ambient mismatch {self.ambient} vs {other.ambient}")
         return all(other.contains(v) for v in self.basis)
 
     def __eq__(self, other):
@@ -325,27 +329,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient, self.basis))
-
-    def _check(self, other):
-        if not isinstance(other, Subspace):
-            raise TypeError("expected a Subspace")
-        if self.ambient != other.ambient:
-            raise DimensionError(
-                f"ambient mismatch {self.ambient} vs {other.ambient}")
-
-    def sum(self, other):
-        self._check(other)
-        return Subspace.from_rows(self.ambient, list(self.basis) + list(other.basis))
-
-    def intersect(self, other):
-        """Zassenhaus intersection: rref of [A|A; B|0], rows with zero left."""
-        self._check(other)
-        n = self.ambient
-        block = [list(v) + list(v) for v in self.basis]
-        block += [list(v) + [0] * n for v in other.basis]
-        red, _ = rref(block)
-        rows = [r[n:] for r in red if not any(r[:n])]
-        return Subspace.from_rows(n, rows)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

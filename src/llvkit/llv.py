@@ -7,6 +7,7 @@ subalgebra generated by degree 2.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -242,76 +243,75 @@ def lie_closure(generators) -> MatrixLieAlgebra:
                        f"dropped an element modulo each of {_FILTER_PRIMES}")
 
 
-# Primes p = 5 (mod 8) below 2^31: products of two residues fit in int64,
-# and 2 is not a square modulo p, so r = 2^((p-1)/4) squares to -1 and
-# gives i an image in F_p.
+# Primes p = 5 (mod 8): 2 is not a square modulo p, so r = 2^((p-1)/4)
+# squares to -1 and gives i an image in F_p.
 _FILTER_PRIMES = (2147483629, 2147483549, 2147483477)
 
 
 class _ModSpan:
-    """Row span modulo a prime p of ``_FILTER_PRIMES``, on dense numpy rows.
+    """Row span modulo a prime p of ``_FILTER_PRIMES``, on sparse rows.
 
     Used only as a fast membership filter inside the closure.  Vectors are
     sparse dicts over Z or Z[i]; Z[i] is mapped to F_p by the ring map
-    a + bi -> a + b r, with r a square root of -1 modulo p.  A candidate
-    that stays nonzero after modular elimination is certainly independent
-    over the field of fractions: the modular basis has full rank by
-    construction, and a relation sum c_j v_j = 0 over Q(i) can be scaled
-    to have coefficients in Z[i], not all in the kernel of the map.  That
-    kernel is a prime ideal, principal because Z[i] is a PID, so dividing
-    the c_j by the highest power of its generator that divides them all
-    leaves a relation that survives modulo p and contradicts the rank.
-    Over Z the same argument runs with the ideal (p).  A candidate that
-    dies modulo p is treated as dependent, and that treatment is
+    a + bi -> a + b r, with r a square root of -1 modulo p.  ``rows`` maps
+    each pivot to its row ``{col: residue}``, equal to 1 at the pivot and
+    supported at or right of it; ``pivots`` lists them in ascending order.
+
+    A candidate that stays nonzero after modular elimination is certainly
+    independent over the field of fractions: the modular basis has full
+    rank by construction, and a relation sum c_j v_j = 0 over Q(i) can be
+    scaled to have coefficients in Z[i], not all in the kernel of the map.
+    That kernel is a prime ideal, principal because Z[i] is a PID, so
+    dividing the c_j by the highest power of its generator that divides
+    them all leaves a relation that survives modulo p and contradicts the
+    rank.  Over Z the same argument runs with the ideal (p).  A candidate
+    that dies modulo p is treated as dependent, and that treatment is
     certified exactly afterwards.
     """
 
-    def __init__(self, length, prime, gaussian):
-        import numpy
-        self.np = numpy
-        self.length = length
+    def __init__(self, prime, gaussian):
         self.prime = prime
         self.root = pow(2, (prime - 1) // 4, prime) if gaussian else None
-        self.rows = []
+        self.rows = {}
         self.pivots = []
 
     def reduce(self, vec):
-        np = self.np
+        """vec modulo p, reduced by the rows in ascending pivot order."""
         p = self.prime
-        values = vec.values()
-        if self.root is not None:
-            r = self.root
-            values = [x.real + r * x.imag for x in values]
-        v = np.zeros(self.length, dtype=np.int64)
-        v[list(vec)] = [x % p for x in values]
-        for row, piv in zip(self.rows, self.pivots):
-            c = int(v[piv])
+        r = self.root
+        v = {}
+        for k, x in vec.items():
+            x = (x if r is None else x.real + r * x.imag) % p
+            if x:
+                v[k] = x
+        rows = self.rows
+        for piv in self.pivots:
+            c = v.get(piv)
             if c:
-                v = (v - c * row) % p
+                for k, x in rows[piv].items():
+                    y = (v.get(k, 0) - c * x) % p
+                    if y:
+                        v[k] = y
+                    else:
+                        del v[k]
         return v
 
     def add(self, vec) -> bool:
-        np = self.np
         p = self.prime
         v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if not len(nz):
+        if not v:
             return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), p - 2, p)
-        v = (v * inv) % p
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
+        piv = min(v)
+        inv = pow(v[piv], p - 2, p)
+        self.rows[piv] = {k: x * inv % p for k, x in v.items()}
+        insort(self.pivots, piv)
         return True
 
 
 def _filtered_closure(sparse_gens, n, prime, gaussian):
     """Span of the generators and their right-nested brackets, with the
     brackets that vanish modulo prime treated as dependent."""
-    mod_span = _ModSpan(n * n, prime, gaussian)
+    mod_span = _ModSpan(prime, gaussian)
     accepted = []
     queue = []
     for sp in sparse_gens:

@@ -75,6 +75,16 @@ def _reject_definite(form: QuadraticForm):
             "no rational isotropic vectors: the form is definite")
 
 
+def require_nondegenerate(form: QuadraticForm):
+    """Refuse a degenerate form by its rank, before anything is enumerated
+    from it: no class is Hard Lefschetz for it, and searches for classes
+    it pairs nontrivially with need not end."""
+    if not form.is_nondegenerate():
+        raise ModelConstructionError(
+            f"the degree-2 form is degenerate: rank {form.gram.rank()} "
+            f"< {form.dim}")
+
+
 def _binary_isotropic_lines(form: QuadraticForm):
     """The number of rational isotropic lines of a binary form, or None
     when the form is zero and every line is isotropic.

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lefschetz import BlockChain, complete_sl2, cup_operator, hl_test
-from .linalg import Matrix, SparseEchelon, Subspace, kernel
-from .models import isotropic_stream, vector_stream
+from .linalg import (Matrix, SparseEchelon, Subspace, kernel,
+                     symmetric_signature)
+from .models import (ModelConstructionError, isotropic_stream,
+                     require_nondegenerate, vector_stream)
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import Gauss, as_fraction, conj
@@ -460,9 +462,22 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple,
 
 
 def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
-    """Deterministic (beta, eta, rho) from the enumeration streams."""
+    """Deterministic (beta, eta, rho) from the enumeration streams.
+
+    A degenerate form is refused by its rank.  For a nondegenerate form of
+    positive index p, the classes orthogonal to an isotropic beta carry a
+    form of positive index p - 1 (beta^perp / beta is nondegenerate), so a
+    positive rho exists exactly when p >= 2; this is decided by the
+    signature before rho is searched for.
+    """
     form = ring.quadratic_form
+    require_nondegenerate(form)
     beta = next(iter(isotropic_stream(form)))
+    pos, _, _ = symmetric_signature(form.gram)
+    if pos < 2:
+        raise ModelConstructionError(
+            f"no positive class orthogonal to an isotropic class: the form "
+            f"has positive index {pos} < 2")
     rho = None
     for v in itertools.islice(vector_stream(form.dim), 200000):
         vv = tuple(Fraction(c) for c in v)
@@ -470,7 +485,8 @@ def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
             rho = vv
             break
     if rho is None:
-        raise ValueError("no positive class orthogonal to beta found")
+        raise ModelConstructionError(
+            "no positive class orthogonal to beta found")
     eta = None
     for w in itertools.islice(isotropic_stream(form), 200000):
         ww = tuple(Fraction(c) for c in w)
@@ -478,7 +494,8 @@ def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
             eta = ww
             break
     if eta is None:
-        raise ValueError("no second isotropic class orthogonal to rho found")
+        raise ModelConstructionError(
+            "no second isotropic class orthogonal to rho found")
     return LagrangianTriple(tuple(Fraction(c) for c in beta), eta, rho)
 
 

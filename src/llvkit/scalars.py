@@ -248,28 +248,36 @@ _PURE_IMAG = re.compile(rf"^({_RAT_RE})\s*\*?\s*i$|^([+-]?)i$")
 _FULL = re.compile(rf"^({_RAT_RE})\s*([+-])\s*(\d+(?:/\d+)?)?\s*\*?\s*i$")
 
 
+def _fraction(part: str, text: str) -> Fraction:
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {text!r}") from None
+
+
 def parse_scalar(text: str, field: str = FIELD_RATIONAL):
-    """Parse an exact coefficient string; rejects anything float-like."""
+    """Parse an exact coefficient string; rejects anything float-like and
+    any zero denominator."""
     s = text.strip()
     if not s:
         raise ValueError("empty coefficient string")
     m = _PURE_RAT.match(s)
     if m:
-        val = Fraction(m.group(1))
+        val = _fraction(m.group(1), text)
         return to_field(val, field)
     m = _PURE_IMAG.match(s)
     if m:
         if field != FIELD_GAUSSIAN:
             raise ValueError(f"imaginary coefficient {text!r} in a rational ring")
         if m.group(1) is not None:
-            return Gauss(0, Fraction(m.group(1)))
+            return Gauss(0, _fraction(m.group(1), text))
         return Gauss(0, -1 if m.group(2) == "-" else 1)
     m = _FULL.match(s)
     if m:
         if field != FIELD_GAUSSIAN:
             raise ValueError(f"imaginary coefficient {text!r} in a rational ring")
-        re_part = Fraction(m.group(1))
-        im_part = Fraction(m.group(3)) if m.group(3) else Fraction(1)
+        re_part = _fraction(m.group(1), text)
+        im_part = _fraction(m.group(3), text) if m.group(3) else Fraction(1)
         if m.group(2) == "-":
             im_part = -im_part
         return Gauss(re_part, im_part)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import llvkit
 from llvkit.cli import main
 from llvkit.rings import ring_to_dict
 
@@ -102,6 +107,90 @@ def test_zero_denominator_exits_two(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "zero denominator" in lines[0]
+
+
+def _edited_ring_file(tmp_path, ring, edit):
+    data = ring_to_dict(ring)
+    edit(data)
+    path = tmp_path / "edited.ring"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _set_cell(field, value):
+    def edit(data):
+        if field == "products":
+            data["products"][0]["coeff"] = value
+        elif field == "integration":
+            data["integration"][0] = value
+        else:
+            data["quadratic_form"][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("command",
+                         ["validate", "llv", "hl", "pw", "verbitsky"])
+@pytest.mark.parametrize("field, value", [
+    ("products", "1/0"), ("products", "1/0i"), ("products", "2+1/0i"),
+    ("integration", "1/0"), ("quadratic_form", "1/0"),
+])
+def test_zero_denominator_in_ring_file_exits_two(tmp_path, capsys, model52,
+                                                 command, field, value):
+    path = _edited_ring_file(tmp_path, model52, _set_cell(field, value))
+    rc = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error: ")
+    assert "zero denominator" in lines[0] and f"$.{field}" in lines[0]
+
+
+def _set_form(diag):
+    def edit(data):
+        data["quadratic_form"] = [[str(d) if i == j else "0"
+                                   for j in range(len(diag))]
+                                  for i, d in enumerate(diag)]
+    return edit
+
+
+@pytest.mark.parametrize("diag, command", [
+    ((1, 0, 0, 0, 0), "llv"), ((1, 0, 0, 0, 0), "verbitsky"),
+    ((1, 0, 0, 0, 0), "pw"), ((-1, -1, 0, 0, 0), "llv"),
+    ((-1, -1, 0, 0, 0), "verbitsky"), ((0, 0, 0, 0, 0), "pw"),
+])
+def test_degenerate_form_exits_two_at_once(tmp_path, capsys, model52, diag,
+                                           command):
+    path = _edited_ring_file(tmp_path, model52, _set_form(diag))
+    start = time.perf_counter()
+    rc = main([command, "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    rank = sum(1 for d in diag if d)
+    assert f"degenerate: rank {rank} < 5" in lines[0]
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("diag", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
+def test_degenerate_form_keeps_validate_and_hl_reports(tmp_path, capsys,
+                                                      model52, diag):
+    # the ring axioms hold whatever the form; hl reports the form's
+    # isotropy prediction failing on the ring's own products
+    path = _edited_ring_file(tmp_path, model52, _set_form(diag))
+    rc, out = run(["validate", "--input", str(path), "--format",
+                   "structured"], capsys)
+    assert rc == 0 and json.loads(out)["ok"] is True
+    rc, out = run(["hl", "--input", str(path), "--format", "structured"],
+                  capsys)
+    assert rc == 1
+    verdicts = {r["name"]: r["verdict"] for r in json.loads(out)["records"]}
+    assert verdicts == {"hard lefschetz detects non-isotropy": "fail",
+                        "symplectic hard lefschetz": "pass",
+                        "simultaneous primitivity": "pass"}
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
@@ -308,3 +397,18 @@ def test_report_matches_golden_digest(argv, capsys):
     rc, out = run([*argv, "--format", "structured"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
+
+
+def test_llv_runs_with_numpy_blocked():
+    # the closure's modular filter needs the standard library alone
+    argv = ["llv", *B52, "--format", "structured"]
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from llvkit.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    src = str(Path(llvkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[("llv", *B52)]

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llvkit import llv
 from llvkit.lefschetz import (classical_weights, complete_sl2, cup_operator,
@@ -132,8 +134,84 @@ def test_filter_primes_carry_a_square_root_of_minus_one():
     for p in llv._FILTER_PRIMES:
         assert p % 4 == 1 and p < 2 ** 31
         assert all(p % d for d in range(2, 50000))
-        r = llv._ModSpan(1, p, gaussian=True).root
+        r = llv._ModSpan(p, gaussian=True).root
         assert r * r % p == p - 1
+
+
+def _dense_rank_mod(rows, p):
+    """Rank modulo p of dense rows of residues, by elimination column by
+    column from scratch: the oracle of the modular filter."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != rank and c:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _mod_span_case(draw):
+    """A prime of the filter, a field, and random sparse vectors over Z or
+    Z[i] on a few columns.  Entries include multiples of p and, over Z[i],
+    multiples of r - i, the kernel of a + bi -> a + br; some vectors are
+    sums of earlier ones, so rejections occur at every rank."""
+    p = draw(st.sampled_from(llv._FILTER_PRIMES))
+    gaussian = draw(st.booleans())
+    root = pow(2, (p - 1) // 4, p)
+    small = st.integers(-3, 3)
+    ints = st.one_of(small, small.map(lambda k: k * p),
+                     st.tuples(small, small).map(lambda t: t[0] * p + t[1]))
+    if gaussian:
+        entry = st.one_of(
+            st.tuples(ints, ints).map(lambda t: GaussInt(*t)),
+            small.map(lambda k: GaussInt(k * root, -k)))
+    else:
+        entry = ints
+    length = draw(st.integers(1, 6))
+    vecs = []
+    for _ in range(draw(st.integers(1, 10))):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            vec = dict(a)
+            for k, x in b.items():
+                vec[k] = vec[k] + x if k in vec else x
+        else:
+            vec = draw(st.dictionaries(st.integers(0, length - 1), entry,
+                                       min_size=1))
+        vecs.append(vec)
+    return p, gaussian, length, vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mod_span_case())
+def test_mod_span_matches_dense_oracle(case):
+    p, gaussian, length, vecs = case
+    span = llv._ModSpan(p, gaussian)
+    r = span.root
+
+    def dense(vec):
+        row = [0] * length
+        for k, x in vec.items():
+            row[k] = (x.real + r * x.imag if gaussian else x) % p
+        return row
+
+    accepted = []
+    for vec in vecs:
+        independent = (_dense_rank_mod(accepted + [dense(vec)], p)
+                       > len(accepted))
+        assert span.add(vec) == independent
+        if independent:
+            accepted.append(dense(vec))
+        assert len(span.rows) == _dense_rank_mod(accepted, p)
 
 
 def test_gaussian_closure_matches_dense_reference(file52_gens, model52):

@@ -1,19 +1,22 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from llvkit.linalg import Matrix, Subspace, inverse, kernel
 from llvkit import pw
-from llvkit.models import isotropic_stream
+from llvkit.models import ModelConstructionError, isotropic_stream
 from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        degree_block, isotropic_independence_check,
                        lagrangian_monodromy, nilpotent_index,
                        nilpotent_orbit_check, perverse_chain,
                        perverse_filtration, perverse_hodge_check, pw_compare,
                        weak_pw_check, weight_filtration)
+from llvkit.rings import ring_from_dict, ring_to_dict
 from llvkit.scalars import Gauss
+from subspace_ops import subspace_intersect, subspace_sum
 
 
 def jordan_block(n):
@@ -179,8 +182,8 @@ def test_perverse_matches_whole_ring_oracle(rat52):
                     continue
                 ker = kernel(power(e))
                 img = Subspace.from_rows(n, power(i - 1).transpose().rows)
-                total = total.sum(ker.intersect(img))
-            sliced = total.intersect(amb_k)
+                total = subspace_sum(total, subspace_intersect(ker, img))
+            sliced = subspace_intersect(total, amb_k)
             expected = Subspace.from_rows(
                 n, [rat52.embed(k, v) for v in filt.at(m).basis])
             assert sliced == expected, (k, m)
@@ -232,6 +235,23 @@ def test_lagrangian_triple_validation(rat52):
     with pytest.raises(ValueError, match="orthogonal"):
         LagrangianTriple(good.beta, good.eta,
                          (Fraction(1), 0, 0, 0, 0)).validate(form)
+
+
+@pytest.mark.parametrize("diag, message", [
+    ([1, 0, 0, 0, 0], "degenerate: rank 1"),
+    ([0, 0, 0, 0, 0], "degenerate: rank 0"),
+    ([1, -1, -1, -1, -1], "positive index 1"),
+])
+def test_default_triple_refuses_unusable_forms(rat52, diag, message):
+    # decided from the form's rank and signature, before any search
+    data = ring_to_dict(rat52)
+    data["quadratic_form"] = [[str(d) if i == j else "0"
+                               for j in range(5)] for i, d in enumerate(diag)]
+    ring = ring_from_dict(data)
+    start = time.perf_counter()
+    with pytest.raises(ModelConstructionError, match=message):
+        default_lagrangian_triple(ring)
+    assert time.perf_counter() - start < 1
 
 
 def test_lagrangian_monodromy_properties(rat52):

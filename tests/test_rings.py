@@ -24,6 +24,12 @@ def test_scalar_rejects_floats_and_imag_in_rational():
         parse_scalar("2i", FIELD_RATIONAL)
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/0i", "2+1/0i", "-3/00", "0/0"])
+def test_scalar_rejects_zero_denominators(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text, "gaussian")
+
+
 def test_gauss_arithmetic():
     x = Gauss(Fraction(1, 2), Fraction(3, 4))
     assert x * x.conjugate() == Fraction(1, 4) + Fraction(9, 16)
