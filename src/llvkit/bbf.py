@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, symmetric_signature
-from .models import vector_stream
+from .models import monomials, vector_stream
 from .rings import BigradedAlgebra, QuadraticForm
 from .scalars import as_fraction
 
@@ -84,44 +84,58 @@ def fujiki_check(ring, form: QuadraticForm, extra_classes=100) -> FujikiData:
     top power and then verified exactly on a spanning set plus
     ``extra_classes`` further enumerated classes; any violation raises.
     """
+    return _fujiki_fit(ring, form, lambda m, n: itertools.islice(
+        vector_stream(m), m + extra_classes))
+
+
+def fujiki_certificate(ring, form: QuadraticForm) -> FujikiData:
+    """Prove form(a)^n = c * integral(a^(2n)) for every degree-2 class a,
+    with c != 0, or raise FujikiError.
+
+    Both sides are forms of degree 2n in the coordinates of a.  The
+    C(m + 2n - 1, 2n) points with nonnegative integer coordinates summing
+    to 2n are unisolvent for such forms: one that vanishes on all of them
+    vanishes on their hyperplane, so everywhere.  Hence the relation,
+    with c fitted on the first point with a nonzero top power and then
+    checked exactly on every point, holds for all a.  c = 0 would make
+    the n-th power of the form vanish, so it fails as well.
+    """
+    data = _fujiki_fit(ring, form, lambda m, n: monomials(m, 2 * n))
+    if not data.constant:
+        raise FujikiError(f"the Fujiki constant is zero: q^{data.n} vanishes "
+                          "on a class with a nonzero top power")
+    return data
+
+
+def _fujiki_fit(ring, form, classes) -> FujikiData:
+    """Fit c on the first class of ``classes(m, n)`` with a nonzero top
+    power and check form(a)^n = c * integral(a^(2n)) on every class, in
+    order; the first violation raises."""
     if ring.top % 4:
         raise FujikiError(f"ring top degree {ring.top} is not 4n")
     n = ring.top // 4
     m = ring.dims[2]
     if form.dim != m:
         raise FujikiError("form does not live on the degree-2 piece")
-
-    def top_power(coords):
-        x = ring.embed(2, coords)
-        return as_fraction(ring.integrate(ring.power(x, 2 * n)))
-
     constant = None
-    witness = None
     checked = 0
     pending = []
-    for v in itertools.islice(vector_stream(m), m + extra_classes):
+    for v in classes(m, n):
         coords = tuple(Fraction(c) for c in v)
-        qv = as_fraction(form.evaluate(coords))
-        tv = top_power(coords)
+        qn = as_fraction(form.evaluate(coords)) ** n
+        top = ring.integrate(ring.power(ring.embed(2, coords), 2 * n))
+        if constant is None and top:
+            constant = qn / top
+        pending.append((coords, qn, top))
         if constant is None:
-            if tv == 0:
-                pending.append((coords, qv, tv))
-                continue
-            constant = qv ** n / tv
-            witness = coords
-            for coords2, q2, t2 in pending:
-                if q2 ** n != constant * t2:
-                    raise FujikiError(
-                        f"Fujiki relation fails on class {tuple(map(str, coords2))}: "
-                        f"q^{n} = {q2 ** n} but c*integral = {constant * t2}")
-            checked += len(pending)
-            pending = []
-        else:
-            if qv ** n != constant * tv:
+            continue
+        for a, qa, ta in pending:
+            if qa != constant * ta:
                 raise FujikiError(
-                    f"Fujiki relation fails on class {tuple(map(str, coords))}: "
-                    f"q^{n} = {qv ** n} but c*integral = {constant * tv}")
-        checked += 1
+                    f"Fujiki relation fails on class {tuple(map(str, a))}: "
+                    f"q^{n} = {qa} but c*integral = {constant * ta}")
+        checked += len(pending)
+        pending = []
     if constant is None:
         raise FujikiError("Fujiki relation fails: every enumerated class has "
                           "vanishing top power")

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import clifford, lefschetz, llv, models, pw
+from . import bbf, clifford, lefschetz, llv, models, pw
 from .rings import (BigradedAlgebra, QuadraticForm, RingFormatError,
                     RingValidationError, gaussian_extension, load_ring)
 from .scalars import Gauss, format_scalar
@@ -185,11 +185,17 @@ def cmd_validate(args) -> Report:
     if big is not None and big is not plain:
         targets.append(("bigraded ring axioms", big))
     for label, ring in targets:
-        result = ring.validate()
+        issues = [str(i) for i in ring.validate().issues]
+        form = ring.quadratic_form
+        if ring is plain and form is not None and ring.top % 4 == 0:
+            # the declared form against the ring's own top powers
+            try:
+                bbf.fujiki_certificate(ring, form)
+            except bbf.FujikiError as exc:
+                issues.append(f"quadratic form: {exc}")
         report.add(label, "graded commutativity, associativity, unit, "
-                   "Poincare duality", result.ok,
-                   {"issues": [str(i) for i in result.issues],
-                    "dims": list(ring.dims)})
+                   "Poincare duality", not issues,
+                   {"issues": issues, "dims": list(ring.dims)})
     return report
 
 

@@ -408,16 +408,34 @@ def _dual_certified(chain: BlockChain, lam_blocks) -> bool:
     block shapes.  It also fixes Lam: the difference of two solutions
     commutes with L and lowers the weight by 2, so it is a highest-weight
     vector of weight -2 for ad in End(V), hence zero.
+
+    The two products are accumulated row by row over the nonzero entries
+    only and compared with w I entry by entry.
     """
     for w, d in chain.dims.items():
-        bracket = Matrix.zeros(d, d)
-        if w in lam_blocks:
-            bracket = bracket + chain.block(w - 2) * lam_blocks[w]
-        if w + 2 in lam_blocks:
-            bracket = bracket - lam_blocks[w + 2] * chain.block(w)
-        if bracket != Matrix.identity(d).scale(w):
-            return False
+        bracket = [{} for _ in range(d)]
+        if w in lam_blocks and w - 2 in chain.blocks:
+            _add_product(bracket, chain.blocks[w - 2], lam_blocks[w], 1)
+        if w + 2 in lam_blocks and w in chain.blocks:
+            _add_product(bracket, lam_blocks[w + 2], chain.blocks[w], -1)
+        for r, row in enumerate(bracket):
+            if row.get(r, 0) != w:
+                return False
+            if any(v for c, v in row.items() if c != r):
+                return False
     return True
+
+
+def _add_product(acc, a: Matrix, b: Matrix, sign):
+    """acc[r] += sign * (a b)[r] for sparse row dicts acc, skipping the
+    zero entries of both factors."""
+    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b.rows]
+    for dest, row in zip(acc, a.rows):
+        for k, x in enumerate(row):
+            if x:
+                x = sign * x
+                for c, y in b_rows[k]:
+                    dest[c] = dest.get(c, 0) + x * y
 
 
 def _solve_dual(ring, l_mat, weights, spaces, h_mat):

@@ -106,6 +106,7 @@ class MatrixLieAlgebra:
     equal to 1 at its own pivot column and 0 at every other pivot.  So x
     lies in the span iff x = sum_k x[p_k] b_k, and its coordinates are its
     entries at the pivots.  ``gaussian`` marks an algebra over Q(i).
+    ``basis`` gives the b_k as dense matrices, built on first access.
 
     The integer form is cached on first use: D, the common denominator of
     the real and imaginary parts of the canonical rows, and the sparse
@@ -121,20 +122,33 @@ class MatrixLieAlgebra:
     """
 
     ambient: int
-    basis: list               # list of Matrix, canonical order
     pivots: list              # vectorized pivot index per basis element
     _rows: list               # canonical sparse rows (exact field values)
     gaussian: bool = False    # defined over Q(i) rather than Q
     _pivot_pos: dict = None   # pivot column -> basis index
     _int_form: tuple = None   # (D, [M_k as row dicts])
     _table: tuple = None      # (D, [{j: {k: e_ijk}} for i]), j > i
+    _basis: list = None       # dense Matrix per canonical row
 
     def __post_init__(self):
         self._pivot_pos = {p: i for i, p in enumerate(self.pivots)}
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
+
+    @property
+    def basis(self):
+        """The canonical basis as dense matrices, in canonical order."""
+        if self._basis is None:
+            n = self.ambient
+            self._basis = []
+            for row in self._rows:
+                grid = [[Fraction(0)] * n for _ in range(n)]
+                for k, v in row.items():
+                    grid[k // n][k % n] = v
+                self._basis.append(Matrix(grid, ncols=n))
+        return self._basis
 
     def _integer_form(self):
         """(D, [M_k as row dicts])."""
@@ -346,13 +360,7 @@ def _filtered_closure(sparse_gens, n, prime, gaussian):
         if not span.add(vec):
             raise RuntimeError("modular filter accepted a dependent vector")
     rows, pivots = span.canonical()
-    basis = []
-    for row in rows:
-        grid = [[Fraction(0)] * n for _ in range(n)]
-        for k, v in row.items():
-            grid[k // n][k % n] = v
-        basis.append(Matrix(grid, ncols=n))
-    return MatrixLieAlgebra(n, basis, pivots, rows, gaussian)
+    return MatrixLieAlgebra(n, pivots, rows, gaussian)
 
 
 def _generates(algebra, sparse_gens) -> bool:
@@ -378,21 +386,18 @@ class DecompositionError(ValueError):
 
 
 def ad_grading(algebra: MatrixLieAlgebra, h: Matrix):
-    """Split the algebra into ad(h)-eigenspaces with eigenvalues 2, 0, -2."""
+    """Split the algebra into ad(h)-eigenspaces with eigenvalues 2, 0, -2.
+
+    Returns the three eigenspaces as lists of coordinate vectors on the
+    algebra's canonical basis; a vector c stands for sum_k c_k b_k.
+    """
     admat = _ad_matrix(algebra, h)
     try:
         spaces = integer_eigenspaces(admat, [2, 0, -2])
     except ValueError as exc:
         raise DecompositionError(f"decomposition violated: {exc}") from exc
-    out = {}
-    for lam in (2, 0, -2):
-        vecs = []
-        sub = spaces.get(lam)
-        if sub is not None:
-            for coeffs in sub.basis:
-                vecs.append(_combine(algebra, coeffs))
-        out[lam] = vecs
-    return out[2], out[0], out[-2]
+    return tuple(list(spaces[lam].basis) if lam in spaces else []
+                 for lam in (2, 0, -2))
 
 
 def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
@@ -411,19 +416,6 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
                       if algebra.gaussian else Fraction(e, scale))
         cols.append(col)
     return Matrix.from_cols(cols, nrows=algebra.dim) if cols else Matrix([], ncols=0)
-
-
-def _combine(algebra: MatrixLieAlgebra, coeffs) -> Matrix:
-    n = algebra.ambient
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    for c, b in zip(coeffs, algebra.basis):
-        if c:
-            for r in range(n):
-                row = b.row(r)
-                for col, v in enumerate(row):
-                    if v:
-                        grid[r][col] = grid[r][col] + c * v
-    return Matrix(grid, ncols=n)
 
 
 def dual_lefschetz_commute(ring: GradedAlgebra, a, b) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
@@ -220,35 +220,14 @@ def monomials(nvars, degree):
     return out
 
 
-def _multinomial(exps):
-    total = sum(exps)
-    out = 1
-    for e in exps:
-        out *= comb(total, e)
-        total -= e
-    return out
-
-
-def _power_coeffs(vec, k, monos, index):
-    """Coefficient row of (sum vec_i x_i)^k over the degree-k monomials."""
-    row = [0] * len(monos)
-    for pos, exps in enumerate(monos):
-        c = _multinomial(exps)
-        for base, e in zip(vec, exps):
-            if e:
-                c *= base ** e
-            if c == 0:
-                break
-        row[pos] = c
-    return row
-
-
-def _isotropic_power_span(form: QuadraticForm, k):
+def _isotropic_power_span(form: QuadraticForm, k, reverse=False):
     """Span of the k-th powers of rational isotropic vectors in Sym^k, in
-    the coordinates of ``monomials(form.dim, k)``, for a nondegenerate
-    indefinite form of rank >= 5: the kernel of the Laplacian of its Gram
-    matrix (see ``bogomolov_model``)."""
+    the coordinates of ``monomials(form.dim, k)`` (reversed with
+    ``reverse``), for a nondegenerate indefinite form of rank >= 5: the
+    kernel of the Laplacian of its Gram matrix (see ``bogomolov_model``)."""
     upper = monomials(form.dim, k)
+    if reverse:
+        upper.reverse()
     lower = {e: i for i, e in enumerate(monomials(form.dim, k - 2))}
     return kernel(_laplacian(form.gram, upper, lower))
 
@@ -484,7 +463,10 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
       powers span the whole kernel over Q.
 
     Higher ideal pieces are variable multiples of the piece one degree
-    down.
+    down.  The same construction, run on the Gram matrix of the
+    coordinates (sigma, sigma-bar, t_i), which is rational, and with the
+    ideal's columns reversed, builds the bigraded companion by Galois
+    descent (see ``_bigraded_companion``).
     """
     m = form.dim
     if m < 5:
@@ -495,8 +477,46 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
         raise ModelConstructionError("bogomolov_model needs a nondegenerate form")
     _reject_definite(form)
 
+    _, red, dims, labels, products = _monomial_quotient(
+        form, n, [f"e{i + 1}" for i in range(m)])
+    u1, u2 = admissible_positive_pair(form)
+    big = _bigraded_companion(form, n, red, u1, u2)
+    # the companion's top basis element is (sigma*sigma-bar)^n, so its
+    # coordinate in the rational model fixes the normalization
+    lam = as_fraction(big.to_rational_mats[4 * n][0, 0])
+    rational = GradedAlgebra(FIELD_RATIONAL, dims, labels, products,
+                             [Fraction(1) / lam], quadratic_form=form,
+                             name=f"bogomolov(b2={m},n={n})")
+    for ring in (rational, big):
+        report = ring.validate()
+        if not report.ok:
+            raise RingValidationError(report)
+    big.rational_model = rational
+    return big
+
+
+def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
+    """Sym*(Q^m) modulo the ideal of ``bogomolov_model`` for the Gram
+    matrix of ``form``, as a graded ring on a monomial basis.
+
+    Returns (basis, red, dims, labels, products).  ``basis[d]`` lists the
+    exponent tuples of the basis monomials in Sym degree d, in monomial
+    order; ``red[d]`` maps every degree-d monomial to its coordinates
+    ((t, c), ...) on ``basis[d]``, sorted by t; Sym degree d is ring
+    degree 2d in ``dims``, ``labels`` and ``products``.
+
+    The basis is the set of non-pivot monomials of the fully reduced
+    ideal, so reduction is a row lookup.  The ideal is echelonized with
+    its columns in monomial order, or with ``reverse`` in reversed order.
+    Then a monomial is a pivot exactly when it is the largest monomial of
+    some ideal element, so the basis is the greedy one: every monomial
+    that is independent, modulo the ideal, of the monomials before it.
+    """
+    m = form.dim
     monos = [monomials(m, d) for d in range(2 * n + 1)]
-    mono_index = [{e: i for i, e in enumerate(ms)} for ms in monos]
+    # the column order of the elimination in each degree
+    order = [ms[::-1] for ms in monos] if reverse else monos
+    col = [{e: i for i, e in enumerate(ms)} for ms in order]
     sym_dims = [len(ms) for ms in monos]
     quotient_dims = [sym_dims[d] if d <= n else sym_dims[2 * n - d]
                      for d in range(2 * n + 1)]
@@ -505,7 +525,7 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     # Laplacian, higher degrees are variable multiples of the piece one
     # degree down
     target = sym_dims[n + 1] - quotient_dims[n + 1]
-    ideal = {n + 1: _isotropic_power_span(form, n + 1)}
+    ideal = {n + 1: _isotropic_power_span(form, n + 1, reverse)}
     if ideal[n + 1].dim != target:
         raise ModelConstructionError(
             f"ideal in degree {n + 1}: dim {ideal[n + 1].dim} != {target}")
@@ -515,7 +535,6 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     for d in range(n + 2, 2 * n + 1):
         tgt = sym_dims[d] - quotient_dims[d]
         sp = SparseEchelon()
-        prev_monos = monos[d - 1]
         for var in range(m):
             if sp.dim >= tgt:
                 break
@@ -524,9 +543,9 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
                     break
                 shifted = {}
                 for pos, c in row.items():
-                    e = list(prev_monos[pos])
+                    e = list(order[d - 1][pos])
                     e[var] += 1
-                    shifted[mono_index[d][tuple(e)]] = c
+                    shifted[col[d][tuple(e)]] = c
                 sp.add(shifted)
         if sp.dim != tgt:
             raise ModelConstructionError(
@@ -534,227 +553,142 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
         ideal[d] = sp.to_subspace(sym_dims[d])
         prev_rows = [sp.rows[p] for p in sorted(sp.rows)]
 
-    # quotient coordinates: representatives are the non-pivot monomials of
-    # the fully reduced ideal basis, so reduction is a row lookup
-    reps = []
+    basis = []
     red = []
     for d in range(2 * n + 1):
         if d <= n:
-            reps.append(list(range(sym_dims[d])))
-            red.append([((i, Fraction(1)),) for i in range(sym_dims[d])])
+            basis.append(monos[d])
+            red.append({e: ((t, Fraction(1)),) for t, e in enumerate(monos[d])})
             continue
         sub = ideal[d]
         pivset = set(sub.pivots)
-        rep_cols = [i for i in range(sym_dims[d]) if i not in pivset]
-        if len(rep_cols) != quotient_dims[d]:
+        reps = [order[d][c] for c in range(sym_dims[d]) if c not in pivset]
+        if len(reps) != quotient_dims[d]:
             raise ModelConstructionError(
-                f"degree {d}: representative count {len(rep_cols)} != predicted "
+                f"degree {d}: representative count {len(reps)} != predicted "
                 f"{quotient_dims[d]}")
-        rep_pos = {c: t for t, c in enumerate(rep_cols)}
-        table = [None] * sym_dims[d]
-        for c in rep_cols:
-            table[c] = ((rep_pos[c], Fraction(1)),)
+        if reverse:
+            reps.reverse()
+        rep_pos = {e: t for t, e in enumerate(reps)}
+        table = {e: ((t, Fraction(1)),) for t, e in enumerate(reps)}
         for row, piv in zip(sub.basis, sub.pivots):
-            entry = tuple((rep_pos[c], -x) for c, x in enumerate(row)
-                          if x and c != piv)
-            table[piv] = entry
-        reps.append(rep_cols)
+            table[order[d][piv]] = tuple(sorted(
+                ((rep_pos[order[d][c]], -x) for c, x in enumerate(row)
+                 if x and c != piv), key=lambda entry: entry[0]))
+        basis.append(reps)
         red.append(table)
 
-    var_labels = [f"e{i + 1}" for i in range(m)]
     dims = [0] * (4 * n + 1)
     labels = [()] * (4 * n + 1)
-    for d in range(2 * n + 1):
-        dims[2 * d] = quotient_dims[d]
-        labels[2 * d] = tuple(_mono_label(monos[d][c], var_labels) for c in reps[d])
     offsets = []
     run = 0
-    for d in dims:
+    for d, reps in enumerate(basis):
+        dims[2 * d] = len(reps)
+        labels[2 * d] = tuple(_mono_label(e, var_labels) for e in reps)
         offsets.append(run)
-        run += d
-
-    def glob(d, t):
-        return offsets[2 * d] + t
+        run += len(reps)
 
     products = {}
     for da in range(2 * n + 1):
-        if not quotient_dims[da]:
-            continue
-        for db in range(da, 2 * n + 1):
-            if da + db > 2 * n:
-                continue
-            for ta, ca in enumerate(reps[da]):
-                ea = monos[da][ca]
-                for tb, cb in enumerate(reps[db]):
-                    eb = monos[db][cb]
+        for db in range(da, 2 * n + 1 - da):
+            for ta, ea in enumerate(basis[da]):
+                for tb, eb in enumerate(basis[db]):
                     prod = tuple(x + y for x, y in zip(ea, eb))
-                    entries = tuple(
-                        (glob(da + db, t), c)
-                        for t, c in red[da + db][mono_index[da + db][prod]])
+                    entries = tuple((offsets[da + db] + t, c)
+                                    for t, c in red[da + db][prod])
                     if entries:
-                        products[(glob(da, ta), glob(db, tb))] = entries
-                        if (da, ta) != (db, tb):
-                            products[(glob(db, tb), glob(da, ta))] = entries
-
-    u1, u2 = admissible_positive_pair(form)
-    ss_bar = {}
-    for vec in (u1, u2):
-        sq = _power_coeffs(vec, 2, monos[2], mono_index[2])
-        for pos, c in enumerate(sq):
-            if c:
-                key = monos[2][pos]
-                ss_bar[key] = ss_bar.get(key, 0) + Fraction(c)
-    top_poly = dict(ss_bar)
-    for _ in range(n - 1):
-        nxt = {}
-        for e1, c1 in top_poly.items():
-            for e2, c2 in ss_bar.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                val = nxt.get(key, 0) + c1 * c2
-                if val:
-                    nxt[key] = val
-                elif key in nxt:
-                    del nxt[key]
-        top_poly = nxt
-    lam = Fraction(0)
-    for exps, c in top_poly.items():
-        for t, cc in red[2 * n][mono_index[2 * n][exps]]:
-            lam += c * cc
-    if lam == 0:
-        raise ModelConstructionError("degenerate symplectic top power: "
-                                     "(sigma*sigma-bar)^n vanishes in the quotient")
-
-    rational = GradedAlgebra(FIELD_RATIONAL, dims, labels, products,
-                             [Fraction(1) / lam], quadratic_form=form,
-                             name=f"bogomolov(b2={m},n={n})")
-    report = rational.validate()
-    if not report.ok:
-        raise RingValidationError(report)
-
-    big = _bigraded_companion(rational, form, n, monos, mono_index, reps, red,
-                              u1, u2)
-    return big
+                        gi, gj = offsets[da] + ta, offsets[db] + tb
+                        products[(gi, gj)] = entries
+                        products[(gj, gi)] = entries
+    return basis, red, dims, labels, products
 
 
-def _bigraded_companion(rational, form, n, monos, mono_index, reps, red, u1, u2):
-    """Bigraded basis adapted to sigma = u1 + i*u2, over Q(i)."""
+def _adapted_gram(form: QuadraticForm, u1, u2, t_basis):
+    """The Gram matrix in the coordinates (sigma, sigma-bar, t_1, ...) with
+    sigma = u1 + i*u2, sigma-bar = u1 - i*u2 and the t_i spanning the
+    orthogonal complement of u1, u2.  It is rational.
+
+    q(sigma) = q(u1) - q(u2) + 2i q(u1, u2), so sigma is isotropic exactly
+    when q(u1) = q(u2) and q(u1, u2) = 0; then q(sigma, sigma-bar) =
+    q(u1) + q(u2).  The t_i are orthogonal to u1 and u2, hence to sigma
+    and sigma-bar, and their block is the rational Gram of the t_i.
+    """
+    vecs = [u1, u2, *t_basis]
+    images = [form.gram.matvec(v) for v in vecs]
+    real = [[sum((x * y for x, y in zip(u, img) if x and y), Fraction(0))
+             for img in images] for u in vecs]
+    if real[0][0] != real[1][1] or real[0][1] != 0:
+        raise ModelConstructionError("the positive pair does not give an "
+                                     "isotropic sigma")
+    m = len(vecs)
+    gram = [[Fraction(0)] * m for _ in range(m)]
+    gram[0][1] = gram[1][0] = real[0][0] + real[1][1]
+    for a in range(2, m):
+        gram[a][2:] = real[a][2:]
+    return Matrix(gram, ncols=m)
+
+
+def _bigraded_companion(form, n, red, u1, u2):
+    """Bigraded basis adapted to sigma = u1 + i*u2, over Q(i); ``red`` is
+    the reduction table of the rational model (``_monomial_quotient``).
+
+    Built by Galois descent: in the coordinates (sigma, sigma-bar, t_i)
+    the Gram matrix is rational (``_adapted_gram``), and the change of
+    variables carries the ideal of isotropic powers to the ideal of the
+    same construction on that Gram matrix.  So the companion is the
+    monomial quotient of ``_monomial_quotient`` on it, with rational
+    structure constants.  Its ideal is echelonized with the columns
+    reversed, so the basis is, in each degree, the greedy one: each
+    u-monomial independent modulo the ideal of the monomials before it.
+    In the top degree that is (sigma*sigma-bar)^n, which integrates to 1;
+    any monomial before it has more sigma than sigma-bar factors, so the
+    wrong bidegree.  Only the maps to and from the rational model
+    (``to_rational_mats``, ``from_rational_mats``) need Q(i): each
+    column of the first is the expansion of one basis monomial in the
+    rational model.  The ring is returned unvalidated.
+    """
     m = form.dim
     t_space = kernel(Matrix([form.gram.matvec(u1), form.gram.matvec(u2)], ncols=m))
     if t_space.dim != m - 2:
         raise ModelConstructionError("orthogonal complement of the symplectic "
                                      "pair has the wrong dimension")
+    u_form = QuadraticForm(_adapted_gram(form, u1, u2, t_space.basis))
+    u_labels = ["s", "sb"] + [f"t{i + 1}" for i in range(m - 2)]
+    basis, _, dims, labels, products = _monomial_quotient(
+        u_form, n, u_labels, reverse=True)
+    if basis[2 * n] != [tuple([n, n] + [0] * (m - 2))]:
+        raise ModelConstructionError("degenerate symplectic top power: "
+                                     "(sigma*sigma-bar)^n vanishes in the quotient")
+
+    u_bidegree = [(2, 0), (0, 2)] + [(1, 1)] * (m - 2)
+    bidegrees = [(sum(b[0] * k for b, k in zip(u_bidegree, e)),
+                  sum(b[1] * k for b, k in zip(u_bidegree, e)))
+                 for reps in basis for e in reps]
+
     uvars = [tuple(Gauss(a, b) for a, b in zip(u1, u2)),
              tuple(Gauss(a, -b) for a, b in zip(u1, u2))]
     uvars += [tuple(Gauss(x) for x in row) for row in t_space.basis]
-    u_bidegree = [(2, 0), (0, 2)] + [(1, 1)] * (m - 2)
-
-    chosen_monos = []       # per Sym degree: exponent tuples over u-variables
     to_rat = [None] * (4 * n + 1)
     from_rat = [None] * (4 * n + 1)
-    for d in range(2 * n + 1):
-        dim_q = rational.dims[2 * d]
-        span = SparseEchelon(exact_division=True)
-        picked = []
+    for d, reps in enumerate(basis):
         cols = []
-        for exps in monos[d]:
-            if span.dim >= dim_q:
-                break
+        for exps in reps:
             # expand the u-monomial into e-coordinates of the quotient
             poly = {tuple([0] * m): Gauss(1)}
             for var, e in enumerate(exps):
                 for _ in range(e):
                     poly = _poly_mul(poly, uvars[var])
-            coords = [Gauss(0)] * dim_q
+            coords = [Gauss(0)] * len(reps)
             for mono, c in poly.items():
-                for t, cc in red[d][mono_index[d][mono]]:
+                for t, cc in red[d][mono]:
                     coords[t] = coords[t] + c * cc
-            if span.add(coords):
-                picked.append(exps)
-                cols.append(coords)
-        if span.dim != dim_q:
-            raise ModelConstructionError(
-                f"degree {2 * d}: adapted monomials span {span.dim} of {dim_q}")
-        chosen_monos.append(picked)
-        mat = Matrix.from_cols(cols, nrows=dim_q) if cols else Matrix([], ncols=0)
-        to_rat[2 * d] = mat
-        from_rat[2 * d] = inverse(mat) if dim_q else mat
+            cols.append(coords)
+        to_rat[2 * d] = Matrix.from_cols(cols, nrows=len(reps))
+        from_rat[2 * d] = inverse(to_rat[2 * d])
 
-    u_labels = ["s", "sb"] + [f"t{i + 1}" for i in range(m - 2)]
-    dims = rational.dims
-    labels = [()] * (4 * n + 1)
-    bidegrees = []
-    for d in range(2 * n + 1):
-        labels[2 * d] = tuple(_mono_label(e, u_labels) for e in chosen_monos[d])
-        for e in chosen_monos[d]:
-            p = sum(b[0] * k for b, k in zip(u_bidegree, e))
-            q = sum(b[1] * k for b, k in zip(u_bidegree, e))
-            bidegrees.append((p, q))
-
-    offsets = []
-    run = 0
-    for d in dims:
-        offsets.append(run)
-        run += d
-
-    def gembed(k, coords):
-        v = [Gauss(0)] * rational.total_dim
-        lo, _ = rational.slice_of(k)
-        for t, c in enumerate(coords):
-            v[lo + t] = c if isinstance(c, Gauss) else Gauss(c)
-        return tuple(v)
-
-    products = {}
-    for da in range(2 * n + 1):
-        for db in range(da, 2 * n + 1):
-            if da + db > 2 * n or not dims[2 * da] or not dims[2 * db]:
-                continue
-            for ta in range(dims[2 * da]):
-                xa = gembed(2 * da, to_rat[2 * da].col(ta))
-                for tb in range(dims[2 * db]):
-                    xb = gembed(2 * db, to_rat[2 * db].col(tb))
-                    prod = rational.multiply(xa, xb)
-                    comp = rational.component(prod, 2 * (da + db))
-                    if not any(comp):
-                        continue
-                    big_coords = from_rat[2 * (da + db)].matvec(comp)
-                    entries = tuple(
-                        (offsets[2 * (da + db)] + t, c)
-                        for t, c in enumerate(big_coords) if c)
-                    gi = offsets[2 * da] + ta
-                    gj = offsets[2 * db] + tb
-                    products[(gi, gj)] = entries
-                    if gi != gj:
-                        products[(gj, gi)] = entries
-
-    top_dim = dims[4 * n]
-    integ = []
-    for t in range(top_dim):
-        x = gembed(4 * n, to_rat[4 * n].col(t))
-        integ.append(rational.integrate(x))
-
-    deg2_vectors = [uvars[v] for v in range(m)]
-    gram_images = [form.gram.matvec(vb) for vb in deg2_vectors]
-    gram_big = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            acc = Gauss(0)
-            for x, y in zip(deg2_vectors[a], gram_images[b]):
-                acc = acc + x * y
-            if acc.im != 0:
-                raise ModelConstructionError("symplectic-adapted Gram matrix "
-                                             "has a non-real entry")
-            row.append(acc.re)
-        gram_big.append(row)
-
-    big = BigradedAlgebra(FIELD_GAUSSIAN, dims, labels, products, integ,
-                          bidegrees, quadratic_form=QuadraticForm(
-                              Matrix(gram_big, ncols=m)),
-                          name=rational.name + " bigraded")
-    report = big.validate()
-    if not report.ok:
-        raise RingValidationError(report)
-    big.rational_model = rational
+    big = BigradedAlgebra(FIELD_GAUSSIAN, dims, labels, products, [1],
+                          bidegrees, quadratic_form=u_form,
+                          name=f"bogomolov(b2={m},n={n}) bigraded")
     big.to_rational_mats = to_rat
     big.from_rational_mats = from_rat
     big.positive_pair = (u1, u2)

@@ -175,15 +175,22 @@ def test_degenerate_form_exits_two_at_once(tmp_path, capsys, model52, diag,
     assert elapsed < 1
 
 
-@pytest.mark.parametrize("diag", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)])
-def test_degenerate_form_keeps_validate_and_hl_reports(tmp_path, capsys,
-                                                      model52, diag):
-    # the ring axioms hold whatever the form; hl reports the form's
-    # isotropy prediction failing on the ring's own products
+@pytest.mark.parametrize("diag, issue", [
+    ((1, 0, 0, 0, 0), "quadratic form: Fujiki relation fails on class"),
+    ((0, 0, 0, 0, 0), "quadratic form: the Fujiki constant is zero")],
+    ids=["diag0", "diag1"])
+def test_degenerate_form_fails_validate_keeps_hl_report(tmp_path, capsys,
+                                                        model52, diag, issue):
+    # the ring axioms hold, but the declared form contradicts the ring's
+    # own top powers; hl reports the form's isotropy prediction failing
     path = _edited_ring_file(tmp_path, model52, _set_form(diag))
     rc, out = run(["validate", "--input", str(path), "--format",
                    "structured"], capsys)
-    assert rc == 0 and json.loads(out)["ok"] is True
+    assert rc == 1
+    (record,) = json.loads(out)["records"]
+    assert record["name"] == "ring axioms" and record["verdict"] == "fail"
+    assert len(record["data"]["issues"]) == 1
+    assert record["data"]["issues"][0].startswith(issue)
     rc, out = run(["hl", "--input", str(path), "--format", "structured"],
                   capsys)
     assert rc == 1
@@ -191,6 +198,14 @@ def test_degenerate_form_keeps_validate_and_hl_reports(tmp_path, capsys,
     assert verdicts == {"hard lefschetz detects non-isotropy": "fail",
                         "symplectic hard lefschetz": "pass",
                         "simultaneous primitivity": "pass"}
+
+
+def test_validate_accepts_the_declared_form_of_a_saved_ring(tmp_path, capsys,
+                                                           model52):
+    path = _edited_ring_file(tmp_path, model52, lambda data: None)
+    rc, out = run(["validate", "--input", str(path), "--format",
+                   "structured"], capsys)
+    assert rc == 0 and json.loads(out)["ok"] is True
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):

@@ -19,6 +19,7 @@ from llvkit.linalg import Matrix, inverse
 from llvkit.llv import llv_generators
 from llvkit.models import vector_stream
 from llvkit.pw import nilpotent_index
+from llvkit.scalars import Gauss
 
 
 def test_cup_zero_class_is_zero(k3):
@@ -374,3 +375,78 @@ def test_dual_family_needs_a_basis(basis_duals):
     ring, classes, lams = basis_duals["rat52"]
     with pytest.raises(ValueError, match="basis"):
         DualFamily(ring, classes[:-1], lams[:-1])
+
+
+# -- the block certificate --------------------------------------------------
+
+
+def _dense_dual_certified(chain, lam_blocks):
+    """The certificate on dense blocks: the oracle of the sparse one."""
+    for w, d in chain.dims.items():
+        bracket = Matrix.zeros(d, d)
+        if w in lam_blocks:
+            bracket = bracket + chain.block(w - 2) * lam_blocks[w]
+        if w + 2 in lam_blocks:
+            bracket = bracket - lam_blocks[w + 2] * chain.block(w)
+        if bracket != Matrix.identity(d).scale(w):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def certificate_cases(k3, rat52, model52, torus2):
+    """(L weight chain, Lam weight blocks) of one sl2-triple per ring; the
+    sigma triple of model52 lives over Q(i), torus2 has odd degrees."""
+    out = {}
+    for name, tri in (
+            ("k3", complete_sl2(k3, [Fraction(1), Fraction(1), 0, Fraction(1)]
+                                + [Fraction(0)] * 18)),
+            ("rat52", complete_sl2(rat52, [Fraction(1), Fraction(2), 0, 0,
+                                           Fraction(-1)])),
+            ("model52-sigma", sigma_sl2(model52)),
+            ("torus2", complete_sl2(torus2, [0, Fraction(1), 0, 0,
+                                             Fraction(1), 0]))):
+        spaces = _weight_spaces(tri.weights)
+        chain = lefschetz._weight_chain(tri.L.matrix(), spaces)
+        lam = tri.Lam.matrix()
+        blocks = {w: lefschetz._block(lam, spaces[w - 2], idx)
+                  for w, idx in spaces.items() if w - 2 in spaces}
+        out[name] = (chain, blocks)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["k3", "rat52", "model52-sigma", "torus2"]),
+       st.sampled_from(["exact", "perturb", "drop"]), st.data())
+def test_sparse_dual_certificate_matches_dense(certificate_cases, name, mode,
+                                               data):
+    chain, blocks = certificate_cases[name]
+    assert 0 in blocks
+    blocks = dict(blocks)
+    if mode != "exact":
+        w = data.draw(st.sampled_from(sorted(blocks)))
+        if mode == "drop":
+            del blocks[w]
+        else:
+            rows = [list(r) for r in blocks[w].rows]
+            r = data.draw(st.integers(0, len(rows) - 1))
+            c = data.draw(st.integers(0, len(rows[0]) - 1))
+            delta = data.draw(st.sampled_from(
+                [Fraction(1), Fraction(-1, 2), Gauss(0, 1)]))
+            rows[r][c] += delta
+            blocks[w] = Matrix(rows)
+    got = lefschetz._dual_certified(chain, blocks)
+    assert got == _dense_dual_certified(chain, blocks)
+    # the certificate fixes the dual: any change of a nonzero block fails
+    assert got == (mode == "exact")
+
+
+def test_sparse_dual_certificate_on_missing_chain_blocks(certificate_cases):
+    # weight blocks of L with a zero side are absent from the chain; a
+    # missing L block makes its product zero in both versions
+    chain, blocks = certificate_cases["rat52"]
+    for w in sorted(chain.blocks):
+        cut = BlockChain({v: b for v, b in chain.blocks.items() if v != w},
+                         chain.dims)
+        got = lefschetz._dual_certified(cut, blocks)
+        assert got == _dense_dual_certified(cut, blocks) is False

@@ -284,8 +284,8 @@ def test_killing_gram_matches_dense_traces(rat52):
 
 def test_so_identify_rejects_unclosed_span():
     e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
-    alg = MatrixLieAlgebra(2, [e12, e21], [1, 2],
-                           [{1: Fraction(1)}, {2: Fraction(1)}])
+    alg = MatrixLieAlgebra(2, [1, 2], [{1: Fraction(1)}, {2: Fraction(1)}])
+    assert alg.basis == [e12, e21]
     assert not alg.verify_closure()
     with pytest.raises(ValueError, match="not bracket-closed"):
         so_identify(alg, 3)
@@ -310,12 +310,31 @@ def test_closure_k3(k3_closure):
     assert k3_closure.dim == 276
 
 
+def _element(alg, coeffs):
+    """sum_k c_k b_k for coordinates on the canonical basis."""
+    n = alg.ambient
+    out = Matrix.zeros(n, n)
+    for c, b in zip(coeffs, alg.basis):
+        if c:
+            out = out + b.scale(c)
+    return out
+
+
+def _assert_eigenvectors(alg, h, spaces):
+    for lam, vecs in zip((2, 0, -2), spaces):
+        for coeffs in vecs:
+            assert len(coeffs) == alg.dim and any(coeffs)
+            x = _element(alg, coeffs)
+            assert h.commutator(x) == x.scale(lam)
+
+
 def test_ad_grading_single_sl2(k3):
     a = [Fraction(1)] + [Fraction(0)] * 21
     alg = lie_closure(sl2_triple_generators(k3, a))
     h = weight_operator_matrix(k3, classical_weights(k3))
     g2, g0, gm2 = ad_grading(alg, h)
     assert (len(g2), len(g0), len(gm2)) == (1, 1, 1)
+    _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
 
 def test_ad_grading_model(rat52):
@@ -323,12 +342,49 @@ def test_ad_grading_model(rat52):
     h = weight_operator_matrix(rat52, classical_weights(rat52))
     g2, g0, gm2 = ad_grading(alg, h)
     assert (len(g2), len(g0), len(gm2)) == (5, 11, 5)
+    _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
 
 def test_ad_grading_k3(k3, k3_closure):
     h = weight_operator_matrix(k3, classical_weights(k3))
     g2, g0, gm2 = ad_grading(k3_closure, h)
     assert (len(g2), len(g0), len(gm2)) == (22, 232, 22)
+    _assert_eigenvectors(k3_closure, h, (g2, g0, gm2))
+
+
+def test_ad_grading_torus(torus2):
+    gens, _ = llv_generators(torus2)
+    alg = lie_closure(gens)
+    h = weight_operator_matrix(torus2, classical_weights(torus2))
+    g2, g0, gm2 = ad_grading(alg, h)
+    assert (len(g2), len(g0), len(gm2)) == (6, 16, 6)
+    _assert_eigenvectors(alg, h, (g2, g0, gm2))
+
+
+def _eager_basis(alg):
+    """The dense basis as the closure used to build it up front."""
+    n = alg.ambient
+    out = []
+    for row in alg._rows:
+        grid = [[Fraction(0)] * n for _ in range(n)]
+        for k, v in row.items():
+            grid[k // n][k % n] = v
+        out.append(Matrix(grid, ncols=n))
+    return out
+
+
+def test_lazy_basis_equals_eager_basis(k3_closure, rat52, torus2):
+    gens, _ = llv_generators(torus2)
+    for alg in (k3_closure, llv_closure(rat52), lie_closure(gens)):
+        assert alg._basis is None or alg is k3_closure
+        basis = alg.basis
+        assert basis == _eager_basis(alg) and alg.basis is basis
+        assert len(basis) == alg.dim
+        # canonical: b_k is 1 at its own pivot and 0 at the others
+        n = alg.ambient
+        for k, b in enumerate(basis):
+            assert [b[p // n, p % n] for p in alg.pivots] == [
+                int(j == k) for j in range(alg.dim)]
 
 
 def test_ad_grading_rejects_bad_weights(k3):
@@ -394,6 +450,7 @@ def test_derived_g0_acts_by_derivations(rat52):
     alg = llv_closure(rat52)
     h = weight_operator_matrix(rat52, classical_weights(rat52))
     _, g0, _ = ad_grading(alg, h)
+    g0 = [_element(alg, coeffs) for coeffs in g0]
     n = rat52.total_dim
     span = SparseEchelon()
     derived = []

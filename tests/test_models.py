@@ -5,12 +5,14 @@ from math import comb
 import pytest
 
 from llvkit import cli, models
-from llvkit.linalg import Matrix, Subspace
+from llvkit.linalg import Matrix, SparseEchelon, Subspace
 from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
                            torus_ring, vector_stream)
 from llvkit.rings import QuadraticForm
+
+from companion_oracle import companion_oracle
 
 
 def test_bogomolov_dims_b2_5_n2(rat52):
@@ -76,6 +78,58 @@ def test_bogomolov_hodge_symmetry(model52, model62):
         assert all(dims[(q, p)] == d for (p, q), d in dims.items())
 
 
+# U + <2, -3, 5>: a non-diagonal form whose positive pair mixes two
+# coordinates, u2 = (1, 1, 0, 0, 0)
+_HYPERBOLIC_FORM = QuadraticForm(Matrix(
+    [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -3, 0],
+     [0, 0, 0, 0, 5]]))
+
+
+@pytest.mark.parametrize("case", ["model52", "model62", "model53", "k3big",
+                                  "hyperbolic"])
+def test_companion_by_descent_matches_change_of_basis(case, request):
+    big = (bogomolov_model(_HYPERBOLIC_FORM, 2) if case == "hyperbolic"
+           else request.getfixturevalue(case))
+    rat = big.rational_model
+    want = companion_oracle(rat, rat.quadratic_form, big.symplectic_n(),
+                            *big.positive_pair)
+    assert {p: dict(e) for p, e in big.products.items()} == want["products"]
+    assert big.integration == want["integration"]
+    assert big.labels == want["labels"]
+    assert big.bidegrees == want["bidegrees"]
+    assert big.quadratic_form.gram == want["gram"]
+    assert big.to_rational_mats == want["to_rat"]
+    assert big.from_rational_mats == want["from_rat"]
+    # every structure constant is real: the companion descends to Q
+    assert all(c.im == 0 for e in big.products.values() for _, c in e)
+
+
+def test_adapted_gram_rejects_a_non_isotropic_sigma():
+    form = QuadraticForm.diagonal([1, 1, 1, -1, -1])
+    with pytest.raises(ModelConstructionError, match="isotropic sigma"):
+        models._adapted_gram(form, (1, 0, 0, 0, 0), (0, 2, 0, 0, 0), [])
+    with pytest.raises(ModelConstructionError, match="isotropic sigma"):
+        models._adapted_gram(form, (1, 0, 0, 0, 0), (1, 0, 0, 0, 0), [])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reversed_elimination_basis_is_the_greedy_one(n):
+    # the non-pivot monomials of the ideal echelonized with its columns
+    # reversed are the first monomials independent modulo the ideal,
+    # picked greedily on the coordinates of the monomial-order quotient
+    form = QuadraticForm.diagonal([1, 1, 1, -1, -1])
+    basis, red, _, _, _ = models._monomial_quotient(form, n, "abcde",
+                                                    reverse=True)
+    standard = models._monomial_quotient(form, n, "abcde")[1]
+    for d in range(2 * n + 1):
+        span = SparseEchelon(exact_division=True)
+        greedy = [e for e in models.monomials(5, d)
+                  if span.add(dict(standard[d][e]))]
+        assert greedy == basis[d]
+        for entries in red[d].values():
+            assert [t for t, _ in entries] == sorted(t for t, _ in entries)
+
+
 def test_bogomolov_rejects_definite_form():
     form = QuadraticForm.diagonal([1, 1, 1, 1, 1])
     with pytest.raises(ModelConstructionError):
@@ -121,6 +175,19 @@ _POWER_SPAN_CASES = {
 }
 
 
+def _power_coeffs(vec, k, monos):
+    """Coefficient row of (sum vec_i x_i)^k over the degree-k monomials:
+    multinomial(e) * prod vec_i^(e_i) at the exponent tuple e."""
+    row = []
+    for exps in monos:
+        c, total = 1, k
+        for base, e in zip(vec, exps):
+            c *= comb(total, e) * base ** e
+            total -= e
+        row.append(c)
+    return row
+
+
 @pytest.mark.parametrize("case", list(_POWER_SPAN_CASES))
 def test_laplacian_kernel_is_span_of_isotropic_powers(case):
     # oracle: the span of (n+1)-st powers of the enumerated isotropic
@@ -129,14 +196,13 @@ def test_laplacian_kernel_is_span_of_isotropic_powers(case):
     m = form.dim
     target = comb(m + n, n + 1) - comb(m + n - 2, n - 1)
     monos = models.monomials(m, n + 1)
-    index = {e: i for i, e in enumerate(monos)}
     # grown by the dense rref behind Subspace: the basis plus the residue
     # of a new row spans every row so far
     sub = Subspace.zero(len(monos))
     for used, w in enumerate(isotropic_stream(form)):
         if sub.dim == target or used > 8 * target + 200:
             break
-        res = sub.reduce(models._power_coeffs(w, n + 1, monos, index))
+        res = sub.reduce(_power_coeffs(w, n + 1, monos))
         if any(res):
             sub = Subspace.from_rows(len(monos), sub.basis + (res,))
     assert sub.dim == target
