@@ -380,6 +380,7 @@ def test_reports_deterministic(tmp_path):
 
 
 B52 = ["--fixture", "bogomolov", "--b2", "5", "--n", "2"]
+B53 = ["--fixture", "bogomolov", "--b2", "5", "--n", "3"]
 
 # sha256 of the --format structured reports.  A change that alters a
 # report on purpose updates its digest here and says why.
@@ -404,6 +405,16 @@ GOLDEN_REPORTS = {
         "52f2d4afa9eba887507d30299e94754787f00aa32792099ad1022dcdaee9028e",
     ("kuga", "--dim", "5", "--q", "diag:2,3,-1,-1,-1"):
         "6f7651b2b8bb09cb28a230413712b39a63be26c65ee498854f2f938b494cc6ed",
+    ("hl", *B53):
+        "c1813373613f8b9385c5f48b116cd617cd388f12c7e438f1dc6a390b2c1f5899",
+    ("pw", *B53):
+        "60c7ed96c9698a04a1e51e674491cdeb13c1fa57dc85737f48fe382a5409bfe1",
+    ("llv", *B53):
+        "df41df1d380fe5054bd515ea950e962db2a8975afb0c4eb02bf023bd53bfc6ff",
+    ("llv", "--fixture", "torus", "--g", "2", "--field", "gaussian"):
+        "d23b43be3e51c701b9d9da06fe3b7e69b8731a20590c17c2fd517b8332342ac1",
+    ("pw", *B52, "--beta", "1/2,0,0,1/2,0", "--rho", "0,2/3,0,0,0"):
+        "8eb2351c9afd790ebcc828b9c3a84fa28a08073ca1ee56f6879acc12fb744a37",
 }
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +12,8 @@ from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
                            torus_ring, vector_stream)
-from llvkit.rings import QuadraticForm
+from llvkit.rings import QuadraticForm, ring_to_dict
+from llvkit.scalars import format_scalar
 
 from companion_oracle import companion_oracle
 
@@ -295,3 +298,39 @@ def test_isotropic_binary_form_stream_ends_after_its_lines(gram, lines):
     got = list(isotropic_stream(form))
     assert len(got) == len(lines) and set(got) == lines
     assert all(form.evaluate(w) == 0 for w in got)
+
+
+def _sha256_json(payload):
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _model_digests(big):
+    """sha256 of the dumps of a model and its rational companion, and of
+    the exact entries of its maps to rational coordinates."""
+    dumps = [ring_to_dict(big), ring_to_dict(big.rational_model)]
+    to_rat = [None if m is None else
+              [[format_scalar(x) for x in row] for row in m.rows]
+              for m in big.to_rational_mats]
+    return _sha256_json(dumps), _sha256_json(to_rat)
+
+
+# sha256 of (ring dumps, maps to rational coordinates) per model.  A
+# change to how scalars are represented must leave every structure
+# constant and every change of basis as it was.
+MODEL_DIGESTS = {
+    "model52": ("112e8995e09f31fbc49c35535074d1b129e2c16d6eb2b015ce2774fde9e20bbc",
+               "83b9409888ebeb853317ffc29dbe54a616f148e5860d9f4b4bf17bd5cd76f870"),
+    "model62": ("e210f4f65cbfa52c4035d6edd255dc0a210eefda3f9b8619c5b1c5ca0da26065",
+               "1d9324db2907cb884e8ca76ddf2125a65f19eda1450e30cff34554adcfd895f1"),
+    "model53": ("d70d00154ba2b803beee4b8dc08c4374bb5587f1cafd66811363340a7711d38f",
+               "18b04c625bddd4855dfbf3faba85147708e1ad76f1b9191fc2ce410aa06e8848"),
+    "k3big": ("a05906bf37dd3def0c8fa24e96462249a717f778de6b33c699c5de7f564e4d4c",
+             "6e7f3b03473667a8eec9240c0966470d2861dbcc0472dae0a038bf46f53bbb14"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_DIGESTS))
+def test_model_dumps_match_pinned_digests(case, request):
+    big = request.getfixturevalue(case)
+    assert _model_digests(big) == MODEL_DIGESTS[case]
