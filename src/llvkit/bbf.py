@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, symmetric_signature
 from .models import monomials, vector_stream
 from .rings import BigradedAlgebra, QuadraticForm
-from .scalars import as_fraction
+from .scalars import FIELD_RATIONAL, div, rat, to_field
 
 
 class DegenerateSymplecticPower(ValueError):
@@ -24,7 +23,7 @@ class FujikiError(ValueError):
 @dataclass(frozen=True)
 class FujikiData:
     form: QuadraticForm
-    constant: Fraction        # q(a)^n = constant * integral(a^(2n))
+    constant: object          # q(a)^n = constant * integral(a^(2n)), rational
     n: int
     classes_checked: int
 
@@ -47,12 +46,12 @@ def bbf_form(ring: BigradedAlgebra) -> QuadraticForm:
             "degenerate symplectic top power: integral((sigma sigma-bar)^n) = 0")
 
     def integ(x):
-        return ring.integrate(x) / norm
+        return div(ring.integrate(x), norm)
 
     if ring.rational_model is not None:
         m = ring.rational_model.dims[2]
         basis = [ring.from_rational(ring.rational_model.embed(
-            2, [Fraction(1 if t == a else 0) for t in range(m)]))
+            2, [int(t == a) for t in range(m)]))
             for a in range(m)]
     else:
         m = ring.dims[2]
@@ -62,17 +61,16 @@ def bbf_form(ring: BigradedAlgebra) -> QuadraticForm:
     ssb_nm1 = ring.power(ssb, n - 1)
     s_nm1_sb_n = ring.multiply(ring.power(sig, n - 1), ring.power(sigb, n))
     s_n_sb_nm1 = ring.multiply(ring.power(sig, n), ring.power(sigb, n - 1))
-    half = Fraction(1, 2)
     lin_a = [integ(ring.multiply(s_nm1_sb_n, v)) for v in basis]
     lin_b = [integ(ring.multiply(s_n_sb_nm1, v)) for v in basis]
     grid = []
     for a in range(m):
         row = []
         for b in range(m):
-            first = Fraction(n, 2) * integ(
+            first = n * integ(
                 ring.multiply(ssb_nm1, ring.multiply(basis[a], basis[b])))
-            second = (1 - n) * half * (lin_a[a] * lin_b[b] + lin_a[b] * lin_b[a])
-            row.append(as_fraction(first + second))
+            second = (1 - n) * (lin_a[a] * lin_b[b] + lin_a[b] * lin_b[a])
+            row.append(to_field(div(first + second, 2), FIELD_RATIONAL))
         grid.append(row)
     return QuadraticForm(Matrix(grid, ncols=m))
 
@@ -121,11 +119,11 @@ def _fujiki_fit(ring, form, classes) -> FujikiData:
     checked = 0
     pending = []
     for v in classes(m, n):
-        coords = tuple(Fraction(c) for c in v)
-        qn = as_fraction(form.evaluate(coords)) ** n
+        coords = tuple(map(rat, v))
+        qn = to_field(form.evaluate(coords), FIELD_RATIONAL) ** n
         top = ring.integrate(ring.power(ring.embed(2, coords), 2 * n))
         if constant is None and top:
-            constant = qn / top
+            constant = div(qn, top)
         pending.append((coords, qn, top))
         if constant is None:
             continue

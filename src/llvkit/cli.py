@@ -185,7 +185,8 @@ def cmd_validate(args) -> Report:
     if big is not None and big is not plain:
         targets.append(("bigraded ring axioms", big))
     for label, ring in targets:
-        issues = [str(i) for i in ring.validate().issues]
+        validation = ring.validation or ring.validate()
+        issues = [str(i) for i in validation.issues]
         form = ring.quadratic_form
         if ring is plain and form is not None and ring.top % 4 == 0:
             # the declared form against the ring's own top powers
@@ -282,7 +283,7 @@ def cmd_llv(args) -> Report:
 
     def lam_of(cls):
         if cls not in lam_cache:
-            lam_cache[cls] = duals.lam([Fraction(c) for c in cls])
+            lam_cache[cls] = duals.lam(cls)
         return lam_cache[cls]
 
     for a, b in pairs:
@@ -294,7 +295,7 @@ def cmd_llv(args) -> Report:
     deriv_bad = []
     classes = list(itertools.islice(models.nonisotropic_stream(form), 4))
     for a, b in itertools.combinations(classes, 2):
-        la = lefschetz.cup_operator(plain, [Fraction(c) for c in a]).matrix()
+        la = lefschetz.cup_operator(plain, a).matrix()
         d = la.commutator(lam_of(b).matrix())
         if not llv.derivation_check(d, plain):
             deriv_bad.append((a, b))
@@ -333,9 +334,8 @@ def cmd_hl(args) -> Report:
         mismatches = []
         checked = 0
         for v in itertools.islice(models.vector_stream(form.dim), 60):
-            a = [Fraction(c) for c in v]
-            expected = form.evaluate(a) != 0
-            if lefschetz.hl_test(plain, a) != expected:
+            expected = form.evaluate(v) != 0
+            if lefschetz.hl_test(plain, v) != expected:
                 mismatches.append(v)
             checked += 1
         report.add("hard lefschetz detects non-isotropy",
@@ -390,7 +390,8 @@ def cmd_pw(args) -> Report:
                "perverse filtration equals the monodromy weight filtration "
                "at one uniform shift", res.ok,
                dict(res.data, failures=res.failures,
-                    beta=list(triple.beta), rho=list(triple.rho)))
+                    beta=list(map(Fraction, triple.beta)),
+                    rho=list(map(Fraction, triple.rho))))
     report.add("type III monodromy",
                "[L_beta, Lam_rho] has nilpotency index 3 on degree 2",
                res.data.get("degree2_nilpotent_index") == 3,
@@ -427,8 +428,7 @@ def cmd_kuga(args) -> Report:
     for v in itertools.islice(models.vector_stream(args.dim), 100):
         x = alg.vector(v)
         sq = clifford.cl_multiply(x, x)
-        if sq.coeffs != alg.one().scale(form.evaluate(
-                [Fraction(c) for c in v])).coeffs:
+        if sq.coeffs != alg.one().scale(form.evaluate(v)).coeffs:
             bad.append(v)
         count += 1
     report.add("defining relation", "v*v = Q(v,v) on enumerated vectors",
@@ -482,7 +482,7 @@ def cmd_verbitsky(args) -> Report:
         bad = []
         cnt = 0
         for w in itertools.islice(models.isotropic_stream(form), 100):
-            x = plain.embed(2, [Fraction(c) for c in w])
+            x = plain.embed(2, w)
             if any(plain.power(x, n + 1)):
                 bad.append(w)
             cnt += 1

@@ -11,7 +11,7 @@ from math import lcm
 from .linalg import Matrix, congruence_diagonalize, inverse, symmetric_signature
 from .reporting import CheckResult
 from .rings import QuadraticForm
-from .scalars import rat_sqrt
+from .scalars import div, rat_sqrt
 
 MAX_CLIFFORD_DIM = 10
 _ZERO = Fraction(0)
@@ -208,7 +208,7 @@ def cl_trace_regular(x: CliffordElement) -> Fraction:
         for s, cs in enumerate(x.coeffs):
             if cs and s ^ t == t:
                 total += cs * Fraction(table[s][t], denom)
-    return total / alg.dim
+    return div(total, alg.dim)
 
 
 def complex_structure(alg: CliffordAlgebra, gamma, gamma_prime) -> CliffordElement:
@@ -229,8 +229,8 @@ def complex_structure(alg: CliffordAlgebra, gamma, gamma_prime) -> CliffordEleme
     if r is None or rp is None:
         raise ValueError("requires an admissible pair: norms must be perfect "
                          "squares of rationals")
-    mu = cl_multiply(alg.vector(tuple(c / r for c in g)),
-                     alg.vector(tuple(c / rp for c in gp)))
+    mu = cl_multiply(alg.vector(tuple(div(c, r) for c in g)),
+                     alg.vector(tuple(div(c, rp) for c in gp)))
     square = cl_multiply(mu, mu)
     if square.coeffs != (-alg.one()).coeffs:
         raise RuntimeError("mu^2 != -1: complex structure construction failed")

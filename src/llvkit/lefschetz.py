@@ -22,12 +22,11 @@ an isotropic class or a failed certificate falls back to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, Subspace, inverse, kernel, solve_sparse
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import to_field
+from .scalars import div, rat, to_field
 
 SOLVE_CROSSCHECK_LIMIT = 30
 
@@ -87,7 +86,7 @@ class DegreeOperator:
     def matrix(self) -> Matrix:
         if self._matrix is None:
             n = self.ring.total_dim
-            grid = [[Fraction(0)] * n for _ in range(n)]
+            grid = [[0] * n for _ in range(n)]
             for k, blk in self.blocks.items():
                 tgt = k + self.shift
                 if not (0 <= tgt <= self.ring.top):
@@ -132,8 +131,8 @@ def _compose_at(outer, inner, k):
 
 def weight_operator_matrix(ring, weights) -> Matrix:
     n = ring.total_dim
-    return Matrix([[Fraction(weights[i]) if i == j else Fraction(0)
-                    for j in range(n)] for i in range(n)], ncols=n)
+    return Matrix([[weights[i] if i == j else 0 for j in range(n)]
+                   for i in range(n)], ncols=n)
 
 
 def classical_weights(ring: GradedAlgebra):
@@ -364,9 +363,9 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
                 tags.append((j, pw_weight, b_i))
                 # Lam sends the adapted column L^j p to j*(m - j + 1) L^(j-1) p
                 if j == 0:
-                    lo_cols.append([Fraction(0)] * below)
+                    lo_cols.append([0] * below)
                 else:
-                    coef = Fraction(j * (m - j + 1))
+                    coef = j * (m - j + 1)
                     lo_cols.append([coef * x for x in string[j - 1]])
         if len(cols) != len(idx):
             raise NotHLError(
@@ -382,7 +381,7 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
     if not _dual_certified(chain, lam_blocks):
         raise RuntimeError("sl2 completion failed: [L, Lam] != H")
 
-    lam_grid = [[Fraction(0)] * n for _ in range(n)]
+    lam_grid = [[0] * n for _ in range(n)]
     for w, blk in lam_blocks.items():
         for r_pos, gi_out in enumerate(spaces[w - 2]):
             for c_pos, gi_in in enumerate(spaces[w]):
@@ -508,7 +507,7 @@ class DualFamily:
         form = ring.quadratic_form
         if form is None:
             raise ValueError("ring carries no degree-2 quadratic form")
-        classes = [tuple(Fraction(c) for c in s) for s in classes]
+        classes = [tuple(map(rat, s)) for s in classes]
         if len(classes) != ring.dims[2] or len(duals) != len(classes):
             raise ValueError("need one dual for each of a basis of degree 2")
         self.ring = ring
@@ -529,7 +528,7 @@ class DualFamily:
         a = tuple(a)
         qa = self.form.evaluate(a)
         if qa:
-            coeffs = [c / qa for c in self._coords.matvec(a)]
+            coeffs = [div(c, qa) for c in self._coords.matvec(a)]
             blocks = {}
             for k in self._psi[0]:
                 terms = [psi[k].scale(c)

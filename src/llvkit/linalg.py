@@ -7,7 +7,13 @@ or dividing over Q and Q(i); kernels, unique sparse solutions and every
 span grown one vector at a time run on it.  Subspaces are always stored
 with a reduced-row-echelon basis, so equality of subspaces is literal
 equality of their representations.  All routines are pure and work over
-Q (Fraction) or Q(i) (Gauss).
+Q or Q(i) (Gauss).  A rational entry is an int when it is integral and a
+Fraction only when it has a denominator; zeros, identities and the
+outputs of ``rref``, ``inverse``, ``solve``, ``solve_sparse`` and
+``SparseEchelon.canonical`` start out as ints, and every division goes
+through ``scalars.div``.  Entries that are already int, Fraction or Gauss
+are stored as given, never copied or demoted.  The symmetric congruence
+alone works on Fractions and returns its diagonal as Fractions.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import Gauss, as_fraction, conj
+from .scalars import Gauss, as_fraction, conj, div, rat
 
 
 class DimensionError(ValueError):
@@ -23,9 +29,8 @@ class DimensionError(ValueError):
 
 
 def _norm_entry(x):
-    if isinstance(x, (Gauss, Fraction)):
-        return x
-    return Fraction(x)
+    t = type(x)
+    return x if t is int or t is Fraction or t is Gauss else rat(x)
 
 
 class Matrix:
@@ -55,12 +60,12 @@ class Matrix:
 
     @staticmethod
     def zeros(nrows, ncols):
-        return Matrix([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
+        return Matrix([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     @staticmethod
     def identity(n):
-        return Matrix([[Fraction(1 if i == j else 0) for j in range(n)]
-                       for i in range(n)], ncols=n)
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)],
+                      ncols=n)
 
     @staticmethod
     def from_cols(cols, nrows=None):
@@ -118,10 +123,9 @@ class Matrix:
             # each row of the right factor as its nonzero (col, value) pairs
             nonzero = [[(c, y) for c, y in enumerate(brow) if y]
                        for brow in other.rows]
-            zero = Fraction(0)
             out = []
             for r in self.rows:
-                acc = [zero] * other.ncols
+                acc = [0] * other.ncols
                 for a, pairs in zip(r, nonzero):
                     if pairs and a:
                         for c, y in pairs:
@@ -138,7 +142,7 @@ class Matrix:
             raise DimensionError("matvec length mismatch")
         out = []
         for r in self.rows:
-            s = Fraction(0)
+            s = 0
             for a, x in zip(r, v):
                 if a and x:
                     s = s + a * x
@@ -154,7 +158,7 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionError("trace of a non-square matrix")
-        s = Fraction(0)
+        s = 0
         for i in range(self.nrows):
             s = s + self.rows[i][i]
         return s
@@ -192,7 +196,7 @@ class Matrix:
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns).
 
-    Generic over Fraction and Gauss entries; pivots are normalized to 1
+    Generic over int, Fraction and Gauss entries; pivots are normalized to 1
     and cleared above and below, so the output is canonical for the row
     space.  Zero rows are dropped.  Only the nonzero entries of a pivot
     row are divided and subtracted; they all sit at or right of the
@@ -218,7 +222,7 @@ def rref(rows):
         inv = prow[c]
         if inv != 1:
             for j in support:
-                prow[j] = prow[j] / inv
+                prow[j] = div(prow[j], inv)
         for i, row in enumerate(work):
             f = row[c]
             if f and i != r:
@@ -238,12 +242,12 @@ def solve(mat: Matrix, target):
         raise DimensionError("solve target length mismatch")
     aug = [list(r) + [t] for r, t in zip(mat.rows, target)]
     if not aug:
-        return tuple([Fraction(0)] * mat.ncols)
+        return (0,) * mat.ncols
     red, pivots = rref(aug)
     n = mat.ncols
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for row, p in zip(red, pivots):
         x[p] = row[n]
     return tuple(x)
@@ -282,10 +286,9 @@ class Subspace:
     def full(ambient):
         """The whole space: its canonical basis is the identity, no
         elimination needed."""
-        zero, one = Fraction(0), Fraction(1)
-        basis = [[zero] * ambient for _ in range(ambient)]
+        basis = [[0] * ambient for _ in range(ambient)]
         for i, row in enumerate(basis):
-            row[i] = one
+            row[i] = 1
         return Subspace(ambient, basis, range(ambient))
 
     @property
@@ -361,16 +364,15 @@ def _null_space(rows, n, shift=0) -> Subspace:
     for i, r in enumerate(rows):
         vec = {last - j: x for j, x in r.items()}
         if shift:
-            vec[last - i] = r.get(i, Fraction(0)) - shift
+            vec[last - i] = r.get(i, 0) - shift
         ech.add(vec)
     reduced, pivots = ech.canonical()
-    zero, one = Fraction(0), Fraction(1)
     pivset = set(pivots)
     basis = {}
     for f in range(n):
         if last - f not in pivset:
-            v = [zero] * n
-            v[f] = one
+            v = [0] * n
+            v[f] = 1
             basis[f] = v
     for row, q in zip(reduced, pivots):
         p = last - q
@@ -468,7 +470,7 @@ def _congruence(q, track):
         # remaining block symmetric, so column k is never touched again.
         for i, aik in rk.items():
             if i != k:
-                f = aik / d
+                f = div(aik, d)
                 _add_scaled(a[i], -f, rk, skip=k)
                 del a[i][k]
                 if track:
@@ -506,7 +508,7 @@ def inverse(mat: Matrix) -> Matrix:
     if mat.nrows != mat.ncols:
         raise DimensionError("inverse of a non-square matrix")
     n = mat.nrows
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
+    aug = [list(r) + [int(i == j) for j in range(n)]
            for i, r in enumerate(mat.rows)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -542,7 +544,8 @@ class SparseEchelon:
 
     Integer mode (default) uses fraction-free elimination with gcd
     normalization and clears the denominators of Fraction input; field
-    mode divides by pivots and accepts Fraction or Gauss values.  Vectors
+    mode divides by pivots (``div``) and accepts int, Fraction or Gauss
+    values.  Vectors
     may be dicts or dense sequences.  Rows keep all indices >= their
     pivot, so elimination is a single ascending sweep.
     """
@@ -557,11 +560,9 @@ class SparseEchelon:
 
     def _sparse(self, vec):
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        if self.exact_division:
-            return {k: Fraction(x) if type(x) is int else x
-                    for k, x in items if x}
         v = {k: x for k, x in items if x}
-        if not all(type(x) is int for x in v.values()):
+        if not self.exact_division and not all(
+                type(x) is int for x in v.values()):
             den = lcm(*(x.denominator for x in v.values()))
             v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
         return v
@@ -618,7 +619,7 @@ class SparseEchelon:
         if self.exact_division:
             lead = v[p]
             if lead != 1:
-                v = {k: x / lead for k, x in v.items()}
+                v = {k: div(x, lead) for k, x in v.items()}
         elif v[p] < 0:
             v = {k: -x for k, x in v.items()}
         self.rows[p] = v
@@ -641,21 +642,16 @@ class SparseEchelon:
                         elif k in row:
                             del row[k]
             lead = row[p]
-            if self.exact_division:
-                reduced[p] = ({k: v / lead for k, v in row.items()}
-                              if lead != 1 else row)
-            else:
-                lead = Fraction(lead)
-                reduced[p] = {k: Fraction(v) / lead for k, v in row.items()}
+            reduced[p] = ({k: div(v, lead) for k, v in row.items()}
+                          if lead != 1 else row)
         return [reduced[p] for p in pivots], pivots
 
     def to_subspace(self, ambient) -> Subspace:
         """The span as a canonical subspace of dense rows of length ambient."""
         rows, pivots = self.canonical()
-        zero = Fraction(0)
         basis = []
         for row in rows:
-            vec = [zero] * ambient
+            vec = [0] * ambient
             for k, x in row.items():
                 vec[k] = x
             basis.append(vec)
@@ -680,8 +676,7 @@ def solve_sparse(rows, rhs, n_unknowns, exact_division=False):
         return None
     if len(pivots) != n_unknowns:
         return None
-    sol = [Fraction(0)] * n_unknowns
+    sol = [0] * n_unknowns
     for row, p in zip(reduced, pivots):
-        val = row.get(n_unknowns, 0)
-        sol[p] = -val if val else Fraction(0)
+        sol[p] = -row.get(n_unknowns, 0)
     return tuple(sol)

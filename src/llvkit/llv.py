@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
@@ -19,7 +18,8 @@ from .linalg import (Matrix, SparseEchelon, integer_eigenspaces,
 from .models import spanning_hl_classes
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import Gauss, GaussInt, as_fraction, rat_sqrt
+from .scalars import (FIELD_RATIONAL, Gauss, GaussInt, div, rat, rat_sqrt,
+                      to_field)
 
 # -- sparse integer matrices ------------------------------------------------
 #
@@ -34,7 +34,7 @@ def _clear_denominators(values, gaussian):
     if gaussian:
         parts = [(v.real, v.imag) for v in values]
     else:
-        parts = [(as_fraction(v),) for v in values]
+        parts = [(to_field(v, FIELD_RATIONAL),) for v in values]
     den = lcm(1, *(x.denominator for xs in parts for x in xs))
     ints = [[x.numerator * (den // x.denominator) for x in xs] for xs in parts]
     return den, [GaussInt(*xs) if gaussian else xs[0] for xs in ints]
@@ -144,7 +144,7 @@ class MatrixLieAlgebra:
             n = self.ambient
             self._basis = []
             for row in self._rows:
-                grid = [[Fraction(0)] * n for _ in range(n)]
+                grid = [[0] * n for _ in range(n)]
                 for k, v in row.items():
                     grid[k // n][k % n] = v
                 self._basis.append(Matrix(grid, ncols=n))
@@ -410,10 +410,10 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
         coeffs = algebra._int_coords(_sparse_bracket(sp, m))
         if coeffs is None:
             raise ValueError("element does not normalize the algebra")
-        col = [Fraction(0)] * algebra.dim
+        col = [0] * algebra.dim
         for k, e in coeffs.items():
-            col[k] = (Gauss(Fraction(e.real, scale), Fraction(e.imag, scale))
-                      if algebra.gaussian else Fraction(e, scale))
+            col[k] = (Gauss(div(e.real, scale), div(e.imag, scale))
+                      if algebra.gaussian else div(e, scale))
         cols.append(col)
     return Matrix.from_cols(cols, nrows=algebra.dim) if cols else Matrix([], ncols=0)
 
@@ -585,7 +585,7 @@ def llv_generators(ring: GradedAlgebra, classes=None):
         classes = spanning_hl_classes(form)
     gens = []
     for a in classes:
-        tri = complete_sl2(ring, [Fraction(c) for c in a])
+        tri = complete_sl2(ring, a)
         gens.append(tri.L.matrix())
         gens.append(tri.Lam.matrix())
     return gens, list(classes)
@@ -609,7 +609,7 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
         raise ValueError("ring carries no degree-2 quadratic form")
     if len(triple_classes) != 3:
         raise ValueError("need exactly three classes")
-    ws = [tuple(Fraction(c) for c in w) for w in triple_classes]
+    ws = [tuple(map(rat, w)) for w in triple_classes]
     for i in range(3):
         if form.evaluate(ws[i]) <= 0:
             raise ValueError(f"class {i} is not positive for the form")
@@ -619,7 +619,7 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
     base = form.evaluate(ws[0])
     scaled = [ws[0]]
     for i in (1, 2):
-        ratio = rat_sqrt(base / form.evaluate(ws[i]))
+        ratio = rat_sqrt(div(base, form.evaluate(ws[i])))
         if ratio is None:
             raise ValueError("requires an admissible triple: norm ratios must "
                              "be rational squares")
@@ -739,7 +739,7 @@ def verbitsky_component(ring: GradedAlgebra):
             target_spans[k] = span
         classes = spanning_hl_classes(ring.quadratic_form)
         for a in classes:
-            tri = complete_sl2(ring, [Fraction(c) for c in a])
+            tri = complete_sl2(ring, a)
             lam = tri.Lam.matrix()
             for k in range(2, ring.top + 1, 2):
                 tgt = target_spans[k - 2]

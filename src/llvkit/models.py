@@ -11,14 +11,12 @@ error.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
-from .rings import (BigradedAlgebra, GradedAlgebra, QuadraticForm,
-                    RingValidationError)
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction,
+from .rings import BigradedAlgebra, GradedAlgebra, QuadraticForm
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction, div,
                       rat_sqrt)
 
 
@@ -52,11 +50,8 @@ def vector_stream(dim):
 
 
 def _primitive(vec):
-    den = 1
-    for x in vec:
-        d = Fraction(x).denominator
-        den = den * d // gcd(den, d)
-    ints = [int(Fraction(x) * den) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
     g = 0
     for x in ints:
         g = gcd(g, abs(x))
@@ -238,7 +233,7 @@ def _laplacian(gram: Matrix, upper, lower_index) -> Matrix:
     m = gram.nrows
     entries = [(i, j, gram[i, j]) for i in range(m) for j in range(i, m)
                if gram[i, j]]
-    rows = [[Fraction(0)] * len(upper) for _ in lower_index]
+    rows = [[0] * len(upper) for _ in lower_index]
     for col, exps in enumerate(upper):
         for i, j, g in entries:
             # d_i d_j, counted twice off the diagonal as G is symmetric
@@ -287,7 +282,7 @@ def _poly_mul(poly, linear):
 
 def k3_gram(b2=22):
     """Rational model of a signature-(3, b2-3) pairing: diag(1,1,1,-1,...)."""
-    return Matrix([[Fraction(1 if i < 3 else -1) if i == j else Fraction(0)
+    return Matrix([[(1 if i < 3 else -1) if i == j else 0
                     for j in range(b2)] for i in range(b2)], ncols=b2)
 
 
@@ -303,20 +298,16 @@ def k3_ring(gram: Matrix) -> GradedAlgebra:
     products = {}
     top_idx = 23
     for gi in range(24):
-        products[(0, gi)] = [(gi, Fraction(1))]
+        products[(0, gi)] = [(gi, 1)]
         if gi:
-            products[(gi, 0)] = [(gi, Fraction(1))]
+            products[(gi, 0)] = [(gi, 1)]
     for a in range(22):
         for b in range(22):
             c = gram[a, b]
             if c:
                 products[(1 + a, 1 + b)] = [(top_idx, c)]
-    ring = GradedAlgebra(FIELD_RATIONAL, dims, labels, products, [Fraction(1)],
-                         quadratic_form=form, name="k3")
-    report = ring.validate()
-    if not report.ok:
-        raise RingValidationError(report)
-    return ring
+    return GradedAlgebra(FIELD_RATIONAL, dims, labels, products, [1],
+                         quadratic_form=form, name="k3").require_valid()
 
 
 def _subset_sign(s, t):
@@ -365,7 +356,7 @@ def _exterior_ring(var_labels, bidegrees, name):
             if set(s) & set(t):
                 continue
             merged = tuple(sorted(s + t))
-            products[(gi, gj)] = [(index[merged], Fraction(_subset_sign(s, t)))]
+            products[(gi, gj)] = [(index[merged], _subset_sign(s, t))]
     qform = None
     if n == 4:
         # middle pairing on the 6-dim degree-2 piece: q(a,b) = integral(a*b)
@@ -374,14 +365,11 @@ def _exterior_ring(var_labels, bidegrees, name):
         for s in deg2:
             row = []
             for t in deg2:
-                if set(s) & set(t):
-                    row.append(Fraction(0))
-                else:
-                    row.append(Fraction(_subset_sign(s, t)))
+                row.append(0 if set(s) & set(t) else _subset_sign(s, t))
             grid.append(row)
         qform = QuadraticForm(Matrix(grid, ncols=6))
     if bidegrees is None:
-        ring = GradedAlgebra(FIELD_RATIONAL, dims, labels, products, [Fraction(1)],
+        ring = GradedAlgebra(FIELD_RATIONAL, dims, labels, products, [1],
                              quadratic_form=qform, name=name)
     else:
         bg = []
@@ -390,11 +378,8 @@ def _exterior_ring(var_labels, bidegrees, name):
             q = sum(bidegrees[i][1] for i in s)
             bg.append((p, q))
         ring = BigradedAlgebra(FIELD_RATIONAL, dims, labels, products,
-                               [Fraction(1)], bg, quadratic_form=qform, name=name)
-    report = ring.validate()
-    if not report.ok:
-        raise RingValidationError(report)
-    return ring
+                               [1], bg, quadratic_form=qform, name=name)
+    return ring.require_valid()
 
 
 # -- the Bogomolov model ----------------------------------------------------
@@ -412,7 +397,7 @@ def admissible_positive_pair(form: QuadraticForm):
         raise ModelConstructionError(
             "form needs at least two positive directions for a symplectic pair")
     for a, b in itertools.combinations(pos, 2):
-        ratio = rat_sqrt(Fraction(diag[a]) / Fraction(diag[b]))
+        ratio = rat_sqrt(div(diag[a], diag[b]))
         if ratio is None:
             continue
         u1 = list(p.row(a))
@@ -484,15 +469,10 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     # the companion's top basis element is (sigma*sigma-bar)^n, so its
     # coordinate in the rational model fixes the normalization
     lam = as_fraction(big.to_rational_mats[4 * n][0, 0])
-    rational = GradedAlgebra(FIELD_RATIONAL, dims, labels, products,
-                             [Fraction(1) / lam], quadratic_form=form,
-                             name=f"bogomolov(b2={m},n={n})")
-    for ring in (rational, big):
-        report = ring.validate()
-        if not report.ok:
-            raise RingValidationError(report)
-    big.rational_model = rational
-    return big
+    big.rational_model = GradedAlgebra(
+        FIELD_RATIONAL, dims, labels, products, [div(1, lam)],
+        quadratic_form=form, name=f"bogomolov(b2={m},n={n})").require_valid()
+    return big.require_valid()
 
 
 def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
@@ -558,7 +538,7 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
     for d in range(2 * n + 1):
         if d <= n:
             basis.append(monos[d])
-            red.append({e: ((t, Fraction(1)),) for t, e in enumerate(monos[d])})
+            red.append({e: ((t, 1),) for t, e in enumerate(monos[d])})
             continue
         sub = ideal[d]
         pivset = set(sub.pivots)
@@ -570,7 +550,7 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
         if reverse:
             reps.reverse()
         rep_pos = {e: t for t, e in enumerate(reps)}
-        table = {e: ((t, Fraction(1)),) for t, e in enumerate(reps)}
+        table = {e: ((t, 1),) for t, e in enumerate(reps)}
         for row, piv in zip(sub.basis, sub.pivots):
             table[order[d][piv]] = tuple(sorted(
                 ((rep_pos[order[d][c]], -x) for c, x in enumerate(row)
@@ -615,13 +595,13 @@ def _adapted_gram(form: QuadraticForm, u1, u2, t_basis):
     """
     vecs = [u1, u2, *t_basis]
     images = [form.gram.matvec(v) for v in vecs]
-    real = [[sum((x * y for x, y in zip(u, img) if x and y), Fraction(0))
-             for img in images] for u in vecs]
+    real = [[sum(x * y for x, y in zip(u, img) if x and y) for img in images]
+            for u in vecs]
     if real[0][0] != real[1][1] or real[0][1] != 0:
         raise ModelConstructionError("the positive pair does not give an "
                                      "isotropic sigma")
     m = len(vecs)
-    gram = [[Fraction(0)] * m for _ in range(m)]
+    gram = [[0] * m for _ in range(m)]
     gram[0][1] = gram[1][0] = real[0][0] + real[1][1]
     for a in range(2, m):
         gram[a][2:] = real[a][2:]
@@ -692,6 +672,6 @@ def _bigraded_companion(form, n, red, u1, u2):
     big.to_rational_mats = to_rat
     big.from_rational_mats = from_rat
     big.positive_pair = (u1, u2)
-    big.gamma_rational = tuple(Fraction(2 * x) for x in u1)
-    big.gamma_prime_rational = tuple(Fraction(2 * x) for x in u2)
+    big.gamma_rational = tuple(2 * x for x in u1)
+    big.gamma_prime_rational = tuple(2 * x for x in u2)
     return big

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lefschetz import BlockChain, complete_sl2, cup_operator, hl_test
 from .linalg import (Matrix, SparseEchelon, Subspace, kernel,
@@ -34,7 +33,7 @@ from .models import (ModelConstructionError, isotropic_stream,
                      require_nondegenerate, vector_stream)
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import Gauss, as_fraction, conj
+from .scalars import Gauss, as_fraction, conj, rat
 
 
 class Filtration:
@@ -337,8 +336,7 @@ def _verify_kernel_image_formula(filt, center, powers, kernels):
 
 def nilpotent_orbit_check(nmat: Matrix, x, form) -> bool:
     """Positivity of q(Nx, conj(Nx)); exact, and exactly real."""
-    v = nmat.matvec([xi if isinstance(xi, (Gauss, Fraction)) else Fraction(xi)
-                     for xi in x])
+    v = nmat.matvec(tuple(x))
     vbar = tuple(conj(c) for c in v)
     val = form.pair(v, vbar)
     if isinstance(val, Gauss) and val.im != 0:
@@ -356,7 +354,7 @@ class LagrangianTriple:
     rho: tuple
 
     def validate(self, form):
-        beta, eta, rho = (tuple(Fraction(c) for c in v)
+        beta, eta, rho = (tuple(map(rat, v))
                           for v in (self.beta, self.eta, self.rho))
         if not any(beta):
             raise ValueError("beta must be nonzero")
@@ -480,23 +478,21 @@ def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
             f"has positive index {pos} < 2")
     rho = None
     for v in itertools.islice(vector_stream(form.dim), 200000):
-        vv = tuple(Fraction(c) for c in v)
-        if form.evaluate(vv) > 0 and form.pair(vv, beta) == 0:
-            rho = vv
+        if form.evaluate(v) > 0 and form.pair(v, beta) == 0:
+            rho = v
             break
     if rho is None:
         raise ModelConstructionError(
             "no positive class orthogonal to beta found")
     eta = None
     for w in itertools.islice(isotropic_stream(form), 200000):
-        ww = tuple(Fraction(c) for c in w)
-        if form.pair(ww, rho) == 0 and ww != tuple(map(Fraction, beta)):
-            eta = ww
+        if form.pair(w, rho) == 0 and w != beta:
+            eta = w
             break
     if eta is None:
         raise ModelConstructionError(
             "no second isotropic class orthogonal to rho found")
-    return LagrangianTriple(tuple(Fraction(c) for c in beta), eta, rho)
+    return LagrangianTriple(beta, eta, rho)
 
 
 def isotropic_independence_check(ring: GradedAlgebra, count=10) -> CheckResult:
@@ -506,12 +502,11 @@ def isotropic_independence_check(ring: GradedAlgebra, count=10) -> CheckResult:
     classes = list(itertools.islice(isotropic_stream(form), count))
     reference = None
     for mu in classes:
-        mu_f = tuple(Fraction(c) for c in mu)
-        chain = perverse_chain(ring, mu_f)
+        chain = perverse_chain(ring, mu)
         dims = {}
         for k in range(0, ring.top + 1, 2):
             if ring.dims[k]:
-                filt = perverse_filtration(ring, mu_f, k, chain)
+                filt = perverse_filtration(ring, mu, k, chain)
                 dims[k] = sorted(filt.jumps())
         if reference is None:
             reference = dims

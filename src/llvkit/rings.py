@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import Matrix
 from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss,
-                      format_scalar, parse_scalar, to_field)
+                      format_scalar, parse_scalar, rat, to_field)
 
 
 class RingFormatError(ValueError):
@@ -51,7 +50,7 @@ class QuadraticForm:
         return self.gram.nrows
 
     def pair(self, u, v):
-        return sum((x * y for x, y in zip(self.gram.matvec(v), u)), Fraction(0))
+        return sum(x * y for x, y in zip(self.gram.matvec(v), u))
 
     def evaluate(self, v):
         return self.pair(v, v)
@@ -68,7 +67,7 @@ class QuadraticForm:
     def diagonal(entries):
         n = len(entries)
         return QuadraticForm(Matrix(
-            [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)]
+            [[rat(entries[i]) if i == j else 0 for j in range(n)]
              for i in range(n)], ncols=n))
 
 
@@ -140,11 +139,11 @@ class GradedAlgebra:
         return self.offsets[k], self.offsets[k] + self.dims[k]
 
     def zero(self):
-        return (Fraction(0),) * self.total_dim
+        return (0,) * self.total_dim
 
     def basis_vector(self, gi):
-        v = [Fraction(0)] * self.total_dim
-        v[gi] = Fraction(1)
+        v = [0] * self.total_dim
+        v[gi] = 1
         return tuple(v)
 
     def unit(self):
@@ -156,7 +155,7 @@ class GradedAlgebra:
         """Full coordinate vector from degree-k coordinates."""
         if len(coeffs) != self.dims[k]:
             raise ValueError(f"degree {k} expects {self.dims[k]} coordinates")
-        v = [Fraction(0)] * self.total_dim
+        v = [0] * self.total_dim
         lo, _ = self.slice_of(k)
         for t, c in enumerate(coeffs):
             v[lo + t] = to_field(c, self.field)
@@ -187,7 +186,7 @@ class GradedAlgebra:
         """Bilinear product of full coordinate vectors."""
         if len(x) != self.total_dim or len(y) != self.total_dim:
             raise ValueError("multiply expects full coordinate vectors")
-        acc = [Fraction(0)] * self.total_dim
+        acc = [0] * self.total_dim
         xs = [(gi, c) for gi, c in enumerate(x) if c]
         ys = [(gj, c) for gj, c in enumerate(y) if c]
         for gi, ci in xs:
@@ -206,7 +205,7 @@ class GradedAlgebra:
     def integrate(self, x):
         """Pairing of the top-degree component against the fundamental class."""
         lo, hi = self.slice_of(self.top)
-        s = Fraction(0)
+        s = 0
         for c, w in zip(x[lo:hi], self.integration):
             if c and w:
                 s = s + c * w
@@ -220,6 +219,15 @@ class GradedAlgebra:
         return tuple(a + b for a, b in zip(x, y))
 
     # -- validation ---------------------------------------------------
+
+    validation = None    # the report of require_valid, kept for reporting
+
+    def require_valid(self):
+        """Validate, keep the report on the ring, raise unless it holds."""
+        self.validation = self.validate()
+        if not self.validation.ok:
+            raise RingValidationError(self.validation)
+        return self
 
     def validate(self, max_issues=None) -> ValidationReport:
         issues = []
@@ -393,7 +401,7 @@ class BigradedAlgebra(GradedAlgebra):
     def to_rational(self, x):
         """Rational-model coordinates of a (bi)homogeneous element."""
         self._need_companion()
-        out = [Fraction(0)] * self.rational_model.total_dim
+        out = [0] * self.rational_model.total_dim
         for k in range(self.top + 1):
             comp = self.component(x, k)
             if not any(comp):
@@ -586,11 +594,7 @@ def ring_from_dict(data: dict, validate=True):
                                  quadratic_form=qform)
         except ValueError as exc:
             raise RingFormatError(str(exc), "$") from exc
-    if validate:
-        report = ring.validate()
-        if not report.ok:
-            raise RingValidationError(report)
-    return ring
+    return ring.require_valid() if validate else ring
 
 
 def load_ring(path, validate=True):

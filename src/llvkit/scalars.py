@@ -1,8 +1,14 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
 Every computation in this package runs over Q or Q(i) -- no floats.
-Rationals are plain ``fractions.Fraction``; Gaussian rationals are a
-small immutable pair type with componentwise Fraction arithmetic.
+A rational is an ``int`` when it is integral and a ``fractions.Fraction``
+only when it has a denominator: integral values are created as ints, and
+``rat`` and ``div`` return ints whenever they can.  Arithmetic that
+involves a Fraction may still leave an integral Fraction, which equals
+and hashes like the int.  Gaussian rationals are a small immutable pair
+type whose two parts follow the same rule.  Every true division goes
+through ``div`` (or ``Gauss``'s own methods), so ``int / int`` never
+makes a float.
 """
 
 from __future__ import annotations
@@ -14,20 +20,38 @@ from fractions import Fraction
 FIELD_RATIONAL = "rational"
 FIELD_GAUSSIAN = "gaussian"
 
-Rat = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def rat(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b):
+    """The exact quotient a / b over Q or Q(i); an int when b divides a."""
+    ta, tb = type(a), type(b)
+    if ta is int and tb is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    if ta is Gauss or tb is Gauss:
+        return (a if ta is Gauss else Gauss(a)) / b
+    if ta is not Fraction:
+        a = Fraction(a)
+    q = a / (b if tb is int or tb is Fraction else Fraction(b))
+    return q.numerator if q.denominator == 1 else q
 
 
 class Gauss:
-    """A Gaussian rational a + b*i with exact Fraction components."""
+    """A Gaussian rational a + b*i; each part an int or a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", rat(re))
+        object.__setattr__(self, "im", rat(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Gauss values are immutable")
@@ -37,7 +61,7 @@ class Gauss:
 
     # -- arithmetic -------------------------------------------------
     #
-    # Results are built by _gauss from parts that are already Fractions,
+    # Results are built by _gauss from parts that are already exact,
     # skipping the coercion of the public constructor.
 
     def __add__(self, other):
@@ -78,14 +102,14 @@ class Gauss:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return _gauss(self.re / other, self.im / other)
+            return _gauss(div(self.re, other), div(self.im, other))
         if not isinstance(other, Gauss):
             return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _gauss((self.re * other.re + self.im * other.im) / n,
-                      (self.im * other.re - self.re * other.im) / n)
+        return _gauss(div(self.re * other.re + self.im * other.im, n),
+                      div(self.im * other.re - self.re * other.im, n))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -143,8 +167,8 @@ _set_re = Gauss.re.__set__
 _set_im = Gauss.im.__set__
 
 
-def _gauss(re: Fraction, im: Fraction) -> Gauss:
-    """Gauss from two Fraction parts, without coercion."""
+def _gauss(re, im) -> Gauss:
+    """Gauss from two exact parts, without coercion."""
     g = object.__new__(Gauss)
     _set_re(g, re)
     _set_im(g, im)
@@ -210,17 +234,15 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Gauss):
         if x.im != 0:
             raise ValueError(f"expected a real scalar, got {x}")
-        return x.re
+        x = x.re
     return Fraction(x)
 
 
 def to_field(x, field: str):
-    """Coerce a scalar into the given field."""
+    """Coerce a scalar into the given field (a rational as int or Fraction)."""
     if field == FIELD_GAUSSIAN:
         return x if isinstance(x, Gauss) else Gauss(x)
-    if isinstance(x, Gauss):
-        return as_fraction(x)
-    return Fraction(x)
+    return rat(as_fraction(x) if isinstance(x, Gauss) else x)
 
 
 def rat_sqrt(x: Fraction):
@@ -229,11 +251,11 @@ def rat_sqrt(x: Fraction):
     if x < 0:
         return None
     if x == 0:
-        return Fraction(0)
+        return 0
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
+        return div(rn, rd)
     return None
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import llvkit
 from llvkit.cli import main
-from llvkit.rings import ring_to_dict
+from llvkit.rings import GradedAlgebra, ring_to_dict
 
 
 def run(args, capsys):
@@ -206,6 +206,30 @@ def test_validate_accepts_the_declared_form_of_a_saved_ring(tmp_path, capsys,
     rc, out = run(["validate", "--input", str(path), "--format",
                    "structured"], capsys)
     assert rc == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--fixture", "bogomolov", "--b2", "5", "--n", "2"], 2),
+    (["--fixture", "torus", "--g", "2", "--field", "gaussian"], 3),
+    (["--input"], 1)], ids=["bogomolov", "torus-gaussian", "input"])
+def test_validate_runs_once_per_ring(argv, calls, tmp_path, capsys,
+                                     monkeypatch, model52):
+    # the builder's or loader's report is reused; a ring no builder
+    # validated (the Q(i) extension of the torus) is validated here
+    if argv == ["--input"]:
+        argv = ["--input", str(_edited_ring_file(tmp_path, model52,
+                                                 lambda data: None))]
+    seen = []
+    validate = GradedAlgebra.validate
+
+    def counting(ring, *args, **kwargs):
+        seen.append(ring)
+        return validate(ring, *args, **kwargs)
+
+    monkeypatch.setattr(GradedAlgebra, "validate", counting)
+    rc, out = run(["validate", *argv, "--format", "structured"], capsys)
+    assert rc == 0 and json.loads(out)["ok"] is True
+    assert len(seen) == calls
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):

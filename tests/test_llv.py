@@ -244,14 +244,14 @@ def test_gaussian_closure_of_non_real_generators():
 def test_mixed_generators_close_without_floats(model52):
     tri_s = sigma_sl2(model52)
     gens = [tri_s.L.matrix(), tri_s.Lam.matrix(), tri_s.H.matrix()]
-    assert all(isinstance(v, Fraction) for row in gens[2].rows for v in row)
+    assert all(type(v) in (int, Fraction) for row in gens[2].rows for v in row)
     alg = lie_closure(gens)
     assert alg.gaussian and alg.dim == 3 and alg.verify_closure()
     den, mats = alg._integer_form()
     values = [v for row in alg._rows for v in row.values()]
     values += [x for b in alg.basis for row in b.rows for x in row]
-    assert all(type(v) in (Fraction, Gauss) for v in values)
-    assert all(type(v.re) is Fraction and type(v.im) is Fraction
+    assert all(type(v) in (int, Fraction, Gauss) for v in values)
+    assert all(type(v.re) in (int, Fraction) and type(v.im) in (int, Fraction)
                for v in values if isinstance(v, Gauss))
     ints = [v for m in mats for row in m.values() for v in row.values()]
     assert type(den) is int
