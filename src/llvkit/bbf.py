@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import Matrix, symmetric_signature
 from .models import monomials, vector_stream
@@ -23,7 +24,7 @@ class FujikiError(ValueError):
 @dataclass(frozen=True)
 class FujikiData:
     form: QuadraticForm
-    constant: object          # q(a)^n = constant * integral(a^(2n)), rational
+    constant: int | Fraction  # q(a)^n = constant * integral(a^(2n))
     n: int
     classes_checked: int
 

@@ -545,9 +545,8 @@ class SparseEchelon:
     Integer mode (default) uses fraction-free elimination with gcd
     normalization and clears the denominators of Fraction input; field
     mode divides by pivots (``div``) and accepts int, Fraction or Gauss
-    values.  Vectors
-    may be dicts or dense sequences.  Rows keep all indices >= their
-    pivot, so elimination is a single ascending sweep.
+    values.  Vectors may be dicts or dense sequences.  Rows keep all
+    indices >= their pivot, so elimination is a single ascending sweep.
     """
 
     def __init__(self, exact_division=False):
