@@ -327,10 +327,31 @@ MODEL_DIGESTS = {
                "18b04c625bddd4855dfbf3faba85147708e1ad76f1b9191fc2ce410aa06e8848"),
     "k3big": ("a05906bf37dd3def0c8fa24e96462249a717f778de6b33c699c5de7f564e4d4c",
              "6e7f3b03473667a8eec9240c0966470d2861dbcc0472dae0a038bf46f53bbb14"),
+    "(6,3)": ("a36f95445478971263c15757a187c2c209ec5410284238c28c489adbfffcc6c3",
+              "ecd6dd9d65fc16179e9c91e7c5c9ce7018f25d76a5a896aaceb1527116044578"),
+    "U + <2,-3,5> n=2":
+        ("068a5a2e0394e0c3c374cf88eca7ced6fea8390776e1f5ec286046de0c5b7582",
+         "79604da53f372207782a0120481bf17a5c8a96b0d129ac85790a47dd0a6a1267"),
+    "U + <2,-3,5> n=3":
+        ("9d44ef421ca5eb57623a742b4aa963e9cb4951ad060045cb8cda79a80db57d69",
+         "2cad6ea7c47aaaf9e15efaf47316179bd68a2e83207f2a4849ed5ea9e17df298"),
+    "diag(1/2,1,1,-1,-3) n=2":
+        ("e6b28ca48f809156a6e8a41df5b71a70618f8fcdb6a6eeeebf6ee67240a154a1",
+         "a602caf4ac78437a7266cc639d2f8a4f1adab40f2bd8cec19fb5285a915958b5"),
+}
+
+# the pinned models that are not session fixtures: (form, n)
+_PINNED_MODELS = {
+    "(6,3)": (QuadraticForm.diagonal([1, 1, 1, -1, -1, -1]), 3),
+    "U + <2,-3,5> n=2": (_HYPERBOLIC_FORM, 2),
+    "U + <2,-3,5> n=3": (_HYPERBOLIC_FORM, 3),
+    "diag(1/2,1,1,-1,-3) n=2": (QuadraticForm.diagonal(
+        [Fraction(1, 2), 1, 1, -1, -3]), 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MODEL_DIGESTS))
 def test_model_dumps_match_pinned_digests(case, request):
-    big = request.getfixturevalue(case)
+    big = (bogomolov_model(*_PINNED_MODELS[case]) if case in _PINNED_MODELS
+           else request.getfixturevalue(case))
     assert _model_digests(big) == MODEL_DIGESTS[case]
