@@ -645,17 +645,6 @@ class SparseEchelon:
                           if lead != 1 else row)
         return [reduced[p] for p in pivots], pivots
 
-    def to_subspace(self, ambient) -> Subspace:
-        """The span as a canonical subspace of dense rows of length ambient."""
-        rows, pivots = self.canonical()
-        basis = []
-        for row in rows:
-            vec = [0] * ambient
-            for k, x in row.items():
-                vec[k] = x
-            basis.append(vec)
-        return Subspace(ambient, basis, pivots)
-
 
 def solve_sparse(rows, rhs, n_unknowns, exact_division=False):
     """Solve a sparse linear system demanding a unique solution.

@@ -1,23 +1,24 @@
 """Model cohomology rings: K3 pairing ring, exterior torus rings, and the
 Bogomolov quotient Sym*(H)/<a^(n+1) : q(a) = 0> with its induced bigrading.
 
-The quotient is realized degree by degree: the ideal piece in degree n+1
-is the kernel of the Laplacian of the form, higher pieces are variable
-multiples, and each piece must have the dimension forced by the graded
-structure of the degree-2-generated subalgebra -- anything else is an
-error.
+The quotient is Gorenstein with socle functional q^n (the Fujiki
+relation), so it is built from Macaulay's inverse system: its ideal in
+each degree d is the kernel of one catalecticant pairing
+Sym^d x Sym^(2n-d) -> Q, whose rank must be the dimension the quotient's
+Poincare duality forces -- anything else is an error.  ``bogomolov_model``
+proves that this ideal is the ideal of isotropic powers.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
 from .rings import BigradedAlgebra, GradedAlgebra, QuadraticForm
 from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction, div,
-                      rat_sqrt)
+                      rat, rat_sqrt)
 
 
 class ModelConstructionError(RuntimeError):
@@ -215,38 +216,6 @@ def monomials(nvars, degree):
     return out
 
 
-def _isotropic_power_span(form: QuadraticForm, k, reverse=False):
-    """Span of the k-th powers of rational isotropic vectors in Sym^k, in
-    the coordinates of ``monomials(form.dim, k)`` (reversed with
-    ``reverse``), for a nondegenerate indefinite form of rank >= 5: the
-    kernel of the Laplacian of its Gram matrix (see ``bogomolov_model``)."""
-    upper = monomials(form.dim, k)
-    if reverse:
-        upper.reverse()
-    lower = {e: i for i, e in enumerate(monomials(form.dim, k - 2))}
-    return kernel(_laplacian(form.gram, upper, lower))
-
-
-def _laplacian(gram: Matrix, upper, lower_index) -> Matrix:
-    """Delta_G = sum_ij G_ij d_i d_j from the monomials ``upper`` of one
-    degree to those of two degrees lower, in monomial coordinates."""
-    m = gram.nrows
-    entries = [(i, j, gram[i, j]) for i in range(m) for j in range(i, m)
-               if gram[i, j]]
-    rows = [[0] * len(upper) for _ in lower_index]
-    for col, exps in enumerate(upper):
-        for i, j, g in entries:
-            # d_i d_j, counted twice off the diagonal as G is symmetric
-            c = (exps[i] * (exps[i] - 1) if i == j
-                 else 2 * exps[i] * exps[j])
-            if c:
-                e = list(exps)
-                e[i] -= 1
-                e[j] -= 1
-                rows[lower_index[tuple(e)]][col] += c * g
-    return Matrix(rows, ncols=len(upper))
-
-
 def _mono_label(exps, var_labels):
     if not any(exps):
         return "1"
@@ -259,21 +228,17 @@ def _mono_label(exps, var_labels):
     return "*".join(parts)
 
 
-def _poly_mul(poly, linear):
-    """Multiply a dict-poly by a linear form given as a coefficient list."""
-    out = {}
-    for exps, c in poly.items():
-        for var, coef in enumerate(linear):
-            if not coef:
-                continue
-            e = list(exps)
-            e[var] += 1
-            key = tuple(e)
-            val = out.get(key, 0) + c * coef
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+def _poly_product(factors, nvars):
+    """The product of dict-polys (exponent tuple -> coefficient) in
+    ``nvars`` variables; 1 for no factors."""
+    out = {(0,) * nvars: 1}
+    for poly in factors:
+        step = {}
+        for ea, a in out.items():
+            for eb, b in poly.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                step[key] = step.get(key, 0) + a * b
+        out = {e: c for e, c in step.items() if c}
     return out
 
 
@@ -431,26 +396,32 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     is normalized so that the n-th power of sigma*sigma-bar integrates
     to 1.
 
-    The ideal piece in degree n+1 is the kernel of the Laplacian
-    Delta_G = sum_ij G_ij d_i d_j : Sym^(n+1) -> Sym^(n-1) of the Gram
-    matrix G, for the following reasons.
+    The quotient is Sym*(H)/Ann(q^n), Macaulay's inverse system of q^n
+    (see ``_monomial_quotient``): by the Fujiki relation
+    int a^(2n) = c*q(a)^n the ring is Gorenstein with socle functional
+    q^n, so its ideal in degree d is the kernel of the catalecticant
+    pairing Sym^d x Sym^(2n-d) -> Q, (x, y) -> int x*y.  This is the ideal
+    of isotropic powers:
 
-    - Delta_G(w^k) = k(k-1) q(w) w^(k-2), so every isotropic power w^(n+1)
-      lies in the kernel.
-    - For nondegenerate G the map is onto, so the kernel has dimension
-      C(m+n, n+1) - C(m+n-2, n-1), the ideal dimension the quotient's
-      Poincare duality forces; this is checked.
-    - The kernel (the harmonic polynomials) is spanned by powers of
-      isotropic linear forms.  A definite form has no rational isotropic
-      vector and is rejected.  An indefinite form of rank >= 5 has one
-      (Meyer), a quadric with a smooth rational point is rational, so the
-      rational isotropic vectors are Zariski-dense in the cone and their
-      powers span the whole kernel over Q.
+    - For isotropic w, q(w + t*beta)^n = (2t q(w, beta) + t^2 q(beta))^n
+      has no t^(n-1) term, so int w^(n+1) beta^(n-1) = 0 for every beta.
+      The beta^(n-1) span Sym^(n-1), so w^(n+1) lies in Ann(q^n).
+    - In degree n+1 the isotropic powers span the harmonic polynomials,
+      the kernel of the Laplacian sum G_ij d_i d_j : Sym^(n+1) ->
+      Sym^(n-1), of dimension C(m+n, n+1) - C(m+n-2, n-1).  (A definite
+      form has no rational isotropic vector and is rejected; an
+      indefinite one of rank >= 5 has one (Meyer), and a quadric with a
+      smooth rational point is rational, so the rational isotropic
+      vectors are Zariski-dense in the cone.)  The catalecticant's rank
+      in degree n+1 is checked to be C(m+n-2, n-1), so Ann(q^n) has the
+      same dimension there and equals the isotropic-power span.
+    - Above degree n+1, Verbitsky's dimension theorem (Verbitsky, GAFA
+      1996; Bogomolov, GAFA 1996) gives the isotropic ideal codimension
+      dim Sym^(2n-d) in degree d, which the rank check gives Ann(q^n).
 
-    Higher ideal pieces are variable multiples of the piece one degree
-    down.  The same construction, run on the Gram matrix of the
-    coordinates (sigma, sigma-bar, t_i), which is rational, and with the
-    ideal's columns reversed, builds the bigraded companion by Galois
+    The same construction, run on the Gram matrix of the coordinates
+    (sigma, sigma-bar, t_i), which is rational, and with the basis chosen
+    in the opposite order, builds the bigraded companion by Galois
     descent (see ``_bigraded_companion``).
     """
     m = form.dim
@@ -485,53 +456,36 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
     ((t, c), ...) on ``basis[d]``, sorted by t; Sym degree d is ring
     degree 2d in ``dims``, ``labels`` and ``products``.
 
-    The basis is the set of non-pivot monomials of the fully reduced
-    ideal, so reduction is a row lookup.  The ideal is echelonized with
-    its columns in monomial order, or with ``reverse`` in reversed order.
-    Then a monomial is a pivot exactly when it is the largest monomial of
-    some ideal element, so the basis is the greedy one: every monomial
-    that is independent, modulo the ideal, of the monomials before it.
+    For d > n the ideal is the kernel of the catalecticant
+    Cat_d[delta, gamma] = int x^(gamma + delta), delta running over the
+    monomials of degree 2n - d.  Expanding int a^(2n) = c*q(a)^n by the
+    multinomial theorem gives int x^gamma = c * f_gamma * gamma! / (2n)!
+    for the coefficients f_gamma of q^n; the common factor is dropped.
+    So column gamma of Cat_d is the image of x^gamma in the quotient.
+
+    - The basis is the greedy set of independent columns, scanned from
+      the last monomial back to the first, or with ``reverse`` from the
+      first to the last: every monomial independent, modulo the ideal, of
+      the monomials after it (before it with ``reverse``).
+    - Its size, the rank of Cat_d, must be dim Sym^(2n-d), the dimension
+      Poincare duality forces; anything else raises.
+    - Degrees d <= n keep every monomial, as the ideal of isotropic
+      powers starts in degree n+1.  (For d < n, Cat_d is the transpose of
+      Cat_(2n-d), so Ann(q^n) is zero there too; Cat_n is the ring's
+      Poincare pairing in degree n, which ``validate`` checks.)
+    - A monomial's coordinates are inv(Cat_d[:, basis]) * Cat_d[:, gamma].
     """
     m = form.dim
     monos = [monomials(m, d) for d in range(2 * n + 1)]
-    # the column order of the elimination in each degree
-    order = [ms[::-1] for ms in monos] if reverse else monos
-    col = [{e: i for i, e in enumerate(ms)} for ms in order]
-    sym_dims = [len(ms) for ms in monos]
-    quotient_dims = [sym_dims[d] if d <= n else sym_dims[2 * n - d]
-                     for d in range(2 * n + 1)]
-
-    # ideal pieces as canonical subspaces; degree n+1 is the kernel of the
-    # Laplacian, higher degrees are variable multiples of the piece one
-    # degree down
-    target = sym_dims[n + 1] - quotient_dims[n + 1]
-    ideal = {n + 1: _isotropic_power_span(form, n + 1, reverse)}
-    if ideal[n + 1].dim != target:
-        raise ModelConstructionError(
-            f"ideal in degree {n + 1}: dim {ideal[n + 1].dim} != {target}")
-    # sparse integer rows of the piece one degree down
-    prev_rows = ([{pos: c for pos, c in enumerate(_primitive(r)) if c}
-                  for r in ideal[n + 1].basis] if n > 1 else [])
-    for d in range(n + 2, 2 * n + 1):
-        tgt = sym_dims[d] - quotient_dims[d]
-        sp = SparseEchelon()
-        for var in range(m):
-            if sp.dim >= tgt:
-                break
-            for row in prev_rows:
-                if sp.dim >= tgt:
-                    break
-                shifted = {}
-                for pos, c in row.items():
-                    e = list(order[d - 1][pos])
-                    e[var] += 1
-                    shifted[col[d][tuple(e)]] = c
-                sp.add(shifted)
-        if sp.dim != tgt:
-            raise ModelConstructionError(
-                f"ideal saturation failed in degree {d}: dim {sp.dim} != {tgt}")
-        ideal[d] = sp.to_subspace(sym_dims[d])
-        prev_rows = [sp.rows[p] for p in sorted(sp.rows)]
+    q = {}
+    for i, row in enumerate(form.gram.rows):
+        for j, g in enumerate(row):
+            if g:
+                key = tuple((k == i) + (k == j) for k in range(m))
+                q[key] = q.get(key, 0) + g
+    # int x^gamma up to the common factor c/(2n)!
+    weight = {e: c * prod(map(factorial, e))
+              for e, c in _poly_product([q] * n, m).items()}
 
     basis = []
     red = []
@@ -540,21 +494,31 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
             basis.append(monos[d])
             red.append({e: ((t, 1),) for t, e in enumerate(monos[d])})
             continue
-        sub = ideal[d]
-        pivset = set(sub.pivots)
-        reps = [order[d][c] for c in range(sym_dims[d]) if c not in pivset]
-        if len(reps) != quotient_dims[d]:
+        duals = monos[2 * n - d]
+        cat = {}
+        for gamma in monos[d]:
+            sums = (tuple(x + y for x, y in zip(gamma, delta)) for delta in duals)
+            cat[gamma] = {i: weight[e] for i, e in enumerate(sums) if e in weight}
+        span = SparseEchelon()
+        picked = set()
+        for gamma in (monos[d] if reverse else reversed(monos[d])):
+            if span.dim == len(duals):
+                break
+            if span.add(cat[gamma]):
+                picked.add(gamma)
+        if len(picked) != len(duals):
             raise ModelConstructionError(
-                f"degree {d}: representative count {len(reps)} != predicted "
-                f"{quotient_dims[d]}")
-        if reverse:
-            reps.reverse()
-        rep_pos = {e: t for t, e in enumerate(reps)}
-        table = {e: ((t, 1),) for t, e in enumerate(reps)}
-        for row, piv in zip(sub.basis, sub.pivots):
-            table[order[d][piv]] = tuple(sorted(
-                ((rep_pos[order[d][c]], -x) for c, x in enumerate(row)
-                 if x and c != piv), key=lambda entry: entry[0]))
+                f"degree {d}: catalecticant rank {len(picked)} != "
+                f"dim Sym^{2 * n - d} = {len(duals)}")
+        reps = [e for e in monos[d] if e in picked]
+        inv = inverse(Matrix.from_cols(
+            [[cat[e].get(i, 0) for i in range(len(duals))] for e in reps],
+            nrows=len(duals))).rows
+        table = {}
+        for gamma, col in cat.items():
+            coords = (rat(sum(row[i] * x for i, x in col.items()))
+                      for row in inv)
+            table[gamma] = tuple((t, c) for t, c in enumerate(coords) if c)
         basis.append(reps)
         red.append(table)
 
@@ -573,9 +537,9 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
         for db in range(da, 2 * n + 1 - da):
             for ta, ea in enumerate(basis[da]):
                 for tb, eb in enumerate(basis[db]):
-                    prod = tuple(x + y for x, y in zip(ea, eb))
+                    mono = tuple(x + y for x, y in zip(ea, eb))
                     entries = tuple((offsets[da + db] + t, c)
-                                    for t, c in red[da + db][prod])
+                                    for t, c in red[da + db][mono])
                     if entries:
                         gi, gj = offsets[da] + ta, offsets[db] + tb
                         products[(gi, gj)] = entries
@@ -617,9 +581,9 @@ def _bigraded_companion(form, n, red, u1, u2):
     variables carries the ideal of isotropic powers to the ideal of the
     same construction on that Gram matrix.  So the companion is the
     monomial quotient of ``_monomial_quotient`` on it, with rational
-    structure constants.  Its ideal is echelonized with the columns
-    reversed, so the basis is, in each degree, the greedy one: each
-    u-monomial independent modulo the ideal of the monomials before it.
+    structure constants.  Its basis is chosen with ``reverse``, so it is,
+    in each degree, the greedy one: each u-monomial independent modulo
+    the ideal of the monomials before it.
     In the top degree that is (sigma*sigma-bar)^n, which integrates to 1;
     any monomial before it has more sigma than sigma-bar factors, so the
     wrong bidegree.  Only the maps to and from the rational model
@@ -645,19 +609,20 @@ def _bigraded_companion(form, n, red, u1, u2):
                   sum(b[1] * k for b, k in zip(u_bidegree, e)))
                  for reps in basis for e in reps]
 
-    uvars = [tuple(Gauss(a, b) for a, b in zip(u1, u2)),
-             tuple(Gauss(a, -b) for a, b in zip(u1, u2))]
-    uvars += [tuple(Gauss(x) for x in row) for row in t_space.basis]
+    # sigma, sigma-bar and the t_i as linear dict-polys in the e_i
+    uvars = [[Gauss(a, b) for a, b in zip(u1, u2)],
+             [Gauss(a, -b) for a, b in zip(u1, u2)]]
+    uvars += [[Gauss(x) for x in row] for row in t_space.basis]
+    uvars = [{tuple(int(k == i) for k in range(m)): c
+              for i, c in enumerate(vec) if c} for vec in uvars]
     to_rat = [None] * (4 * n + 1)
     from_rat = [None] * (4 * n + 1)
     for d, reps in enumerate(basis):
         cols = []
         for exps in reps:
             # expand the u-monomial into e-coordinates of the quotient
-            poly = {tuple([0] * m): Gauss(1)}
-            for var, e in enumerate(exps):
-                for _ in range(e):
-                    poly = _poly_mul(poly, uvars[var])
+            poly = _poly_product([uvars[var] for var, e in enumerate(exps)
+                                  for _ in range(e)], m)
             coords = [Gauss(0)] * len(reps)
             for mono, c in poly.items():
                 for t, cc in red[d][mono]:

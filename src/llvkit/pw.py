@@ -194,7 +194,7 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
     sigma_bar = tuple(ring.sigma_bar()[lo2 + t] for t in range(ring.dims[2]))
     chain = perverse_chain(ring, sigma_bar)
     filts = {}
-    for k in range(0, ring.top + 1, 2):
+    for k in range(ring.top + 1):
         if ring.dims[k]:
             filts[k] = perverse_filtration(ring, sigma_bar, k, chain)
 
@@ -354,6 +354,11 @@ class LagrangianTriple:
     rho: tuple
 
     def validate(self, form):
+        for name in ("beta", "eta", "rho"):
+            size = len(getattr(self, name))
+            if size != form.dim:
+                raise ValueError(f"{name} lists {size} coordinates, "
+                                 f"expected {form.dim}")
         beta, eta, rho = (tuple(map(rat, v))
                           for v in (self.beta, self.eta, self.rho))
         if not any(beta):
@@ -427,7 +432,7 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple,
     chain = perverse_chain(ring, beta)
     p_filts = {}
     w_filts = {}
-    for k in range(0, ring.top + 1, 2):
+    for k in range(ring.top + 1):
         if not ring.dims[k]:
             continue
         p_filts[k] = perverse_filtration(ring, beta, k, chain)
@@ -504,7 +509,7 @@ def isotropic_independence_check(ring: GradedAlgebra, count=10) -> CheckResult:
     for mu in classes:
         chain = perverse_chain(ring, mu)
         dims = {}
-        for k in range(0, ring.top + 1, 2):
+        for k in range(ring.top + 1):
             if ring.dims[k]:
                 filt = perverse_filtration(ring, mu, k, chain)
                 dims[k] = sorted(filt.jumps())

@@ -95,6 +95,20 @@ def test_usage_error_exits_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--beta", "1,0,0,1", "beta lists 4 coordinates, expected 5"),
+    ("--eta", "1,0", "eta lists 2 coordinates, expected 5"),
+    ("--rho", "0,1,0,0,0,0", "rho lists 6 coordinates, expected 5"),
+])
+def test_lagrangian_class_of_wrong_length_exits_two(capsys, flag, value,
+                                                    message):
+    rc = main(["pw", "--fixture", "bogomolov", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["kuga", "--dim", "2", "--q", "diag:1/0,1"],
     ["pw", "--fixture", "bogomolov", "--beta", "1/0,1,0,0,0"],
@@ -439,6 +453,8 @@ GOLDEN_REPORTS = {
         "d23b43be3e51c701b9d9da06fe3b7e69b8731a20590c17c2fd517b8332342ac1",
     ("pw", *B52, "--beta", "1/2,0,0,1/2,0", "--rho", "0,2/3,0,0,0"):
         "8eb2351c9afd790ebcc828b9c3a84fa28a08073ca1ee56f6879acc12fb744a37",
+    ("pw", "--fixture", "torus", "--g", "2"):
+        "ae7a878097c14da8c16392ebbcd304c372b7407890fe6a53797951a92ecf951f",
 }
 
 

@@ -191,14 +191,11 @@ def _power_coeffs(vec, k, monos):
     return row
 
 
-@pytest.mark.parametrize("case", list(_POWER_SPAN_CASES))
-def test_laplacian_kernel_is_span_of_isotropic_powers(case):
-    # oracle: the span of (n+1)-st powers of the enumerated isotropic
-    # vectors, sampled until it stops growing at the expected dimension
-    form, n = _POWER_SPAN_CASES[case]
+def _sampled_power_span(form, n, monos):
+    """The span of (n+1)-st powers of the enumerated isotropic vectors,
+    sampled until it stops growing at the expected dimension."""
     m = form.dim
     target = comb(m + n, n + 1) - comb(m + n - 2, n - 1)
-    monos = models.monomials(m, n + 1)
     # grown by the dense rref behind Subspace: the basis plus the residue
     # of a new row spans every row so far
     sub = Subspace.zero(len(monos))
@@ -209,7 +206,60 @@ def test_laplacian_kernel_is_span_of_isotropic_powers(case):
         if any(res):
             sub = Subspace.from_rows(len(monos), sub.basis + (res,))
     assert sub.dim == target
-    assert models._isotropic_power_span(form, n + 1) == sub
+    return sub
+
+
+def _ideal_rows(basis_d, red_d, monos):
+    """The ideal in one degree read from a reduction table: each monomial
+    minus its reduction, as sparse rows over ``monos``."""
+    index = {e: i for i, e in enumerate(monos)}
+    rows = []
+    for e, entries in red_d.items():
+        row = {index[e]: 1}
+        for t, c in entries:
+            k = index[basis_d[t]]
+            row[k] = row.get(k, 0) - c
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("case", list(_POWER_SPAN_CASES))
+def test_quotient_ideal_is_span_of_isotropic_powers(case):
+    # oracle: the sampled span of isotropic (n+1)-st powers
+    form, n = _POWER_SPAN_CASES[case]
+    monos = models.monomials(form.dim, n + 1)
+    sub = _sampled_power_span(form, n, monos)
+    basis, red, _, _, _ = models._monomial_quotient(form, n, "x" * form.dim)
+    rows = _ideal_rows(basis[n + 1], red[n + 1], monos)
+    dense = [[row.get(k, 0) for k in range(len(monos))] for row in rows]
+    assert Subspace.from_rows(len(monos), dense) == sub
+
+
+@pytest.mark.parametrize("case", [c for c, (_, n) in _POWER_SPAN_CASES.items()
+                                  if n >= 2])
+def test_quotient_ideal_is_generated_in_degree_n_plus_1(case):
+    # oracle: the saturation of the sampled isotropic (n+1)-st powers, the
+    # span of their products with every monomial of the degree missing
+    form, n = _POWER_SPAN_CASES[case]
+    m = form.dim
+    low = models.monomials(m, n + 1)
+    powers = _sampled_power_span(form, n, low).basis
+    basis, red, _, _, _ = models._monomial_quotient(form, n, "x" * m)
+    for d in range(n + 2, 2 * n + 1):
+        monos = models.monomials(m, d)
+        index = {e: i for i, e in enumerate(monos)}
+        saturation = SparseEchelon(exact_division=True)
+        for shift in models.monomials(m, d - n - 1):
+            for row in powers:
+                saturation.add({index[tuple(a + b for a, b in zip(e, shift))]: c
+                                for e, c in zip(low, row) if c})
+        ideal = SparseEchelon(exact_division=True)
+        for row in _ideal_rows(basis[d], red[d], monos):
+            ideal.add(row)
+        assert ideal.dim == len(monos) - comb(m + 2 * n - d - 1, m - 1)
+        assert saturation.canonical() == ideal.canonical()
 
 
 def test_k3_ring_validates(k3):
