@@ -34,7 +34,13 @@ def _norm_entry(x):
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries.
+
+    ``Matrix(rows)`` and ``Matrix.from_cols`` take outside data and pass
+    every entry through ``_norm_entry``.  The matrices that linalg's own
+    operations build from entries that are already int, Fraction or Gauss
+    go through ``_of`` instead, which stores the rows as given.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -59,13 +65,24 @@ class Matrix:
         return (Matrix, (self.rows, self.ncols))
 
     @staticmethod
+    def _of(rows, ncols):
+        """A rows-by-ncols Matrix on rows whose entries are already int,
+        Fraction or Gauss; nothing is converted or checked."""
+        mat = object.__new__(Matrix)
+        data = tuple(map(tuple, rows))
+        object.__setattr__(mat, "rows", data)
+        object.__setattr__(mat, "nrows", len(data))
+        object.__setattr__(mat, "ncols", ncols)
+        return mat
+
+    @staticmethod
     def zeros(nrows, ncols):
-        return Matrix([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return Matrix._of([[0] * ncols for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(n):
-        return Matrix([[int(i == j) for j in range(n)] for i in range(n)],
-                      ncols=n)
+        return Matrix._of([[int(i == j) for j in range(n)] for i in range(n)],
+                          n)
 
     @staticmethod
     def from_cols(cols, nrows=None):
@@ -99,21 +116,21 @@ class Matrix:
     def __add__(self, other):
         if self.shape() != other.shape():
             raise DimensionError(f"add shape mismatch {self.shape()} vs {other.shape()}")
-        return Matrix([[a + b for a, b in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)], ncols=self.ncols)
+        return Matrix._of([[a + b for a, b in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other):
         if self.shape() != other.shape():
             raise DimensionError(f"sub shape mismatch {self.shape()} vs {other.shape()}")
-        return Matrix([[a - b for a, b in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)], ncols=self.ncols)
+        return Matrix._of([[a - b for a, b in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = _norm_entry(c)
-        return Matrix([[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._of([[c * a for a in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -131,7 +148,7 @@ class Matrix:
                         for c, y in pairs:
                             acc[c] = acc[c] + a * y
                 out.append(acc)
-            return Matrix(out, ncols=other.ncols)
+            return Matrix._of(out, other.ncols)
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -150,10 +167,10 @@ class Matrix:
         return tuple(out)
 
     def transpose(self):
-        return Matrix([self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix._of([self.col(j) for j in range(self.ncols)], self.nrows)
 
     def conjugate(self):
-        return Matrix([[conj(a) for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._of([[conj(a) for a in r] for r in self.rows], self.ncols)
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -513,7 +530,7 @@ def inverse(mat: Matrix) -> Matrix:
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([r[n:] for r in red], ncols=n)
+    return Matrix._of([r[n:] for r in red], n)
 
 
 def integer_eigenspaces(mat: Matrix, candidates):

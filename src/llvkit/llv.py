@@ -7,8 +7,8 @@ subalgebra generated by degree 2.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 
 from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
@@ -25,7 +25,11 @@ from .scalars import (FIELD_RATIONAL, Gauss, GaussInt, div, rat, rat_sqrt,
 #
 # A closure over Q works on sparse matrices with int entries, one over Q(i)
 # on sparse matrices with GaussInt entries; the kernels below use only the
-# ring operations, so they serve both.
+# ring operations, so they serve both.  Every bracket is formed by one
+# kernel: ``_index`` lists the entries of a family of matrices by row and
+# by column, and ``_brackets`` brackets one matrix with the whole family,
+# forming only the products whose entries meet and returning only the
+# nonzero brackets.
 
 
 def _clear_denominators(values, gaussian):
@@ -53,32 +57,54 @@ def _to_sparse(mat: Matrix, gaussian):
     return sp, den
 
 
-def _sparse_bracket(a, b):
-    """Commutator of sparse integer matrices given as row dicts."""
+def _index(mats):
+    """Bracket index of sparse integer matrices given as row dicts: for
+    each row k the entries (j, c, v) with mats[j][k][c] = v, and for each
+    column k the entries (j, r, v) with mats[j][r][k] = v."""
+    index = ({}, {})
+    for j, m in enumerate(mats):
+        _index_add(index, j, m)
+    return index
+
+
+def _index_add(index, j, m):
+    """Add the sparse matrix m to the index under the key j."""
+    by_row, by_col = index
+    for r, row in m.items():
+        for c, v in row.items():
+            by_row.setdefault(r, []).append((j, c, v))
+            by_col.setdefault(c, []).append((j, r, v))
+
+
+def _brackets(x, index):
+    """{j: [x, y_j]} over the matrices y_j of the index, for the nonzero
+    brackets only, as row dicts without zero entries or empty rows.  Only
+    products whose entries meet are formed: x[r][k] y_j[k][c] from the
+    row index at k, y_j[s][r] x[r][k] from the column index at r."""
+    by_row, by_col = index
+    acc = {}                  # (j, row) -> {col: value}
+    for r, xrow in x.items():
+        down = by_col.get(r, ())
+        for k, a in xrow.items():
+            for j, c, v in by_row.get(k, ()):
+                dest = acc.setdefault((j, r), {})
+                val = dest.get(c, 0) + a * v
+                if val:
+                    dest[c] = val
+                elif c in dest:
+                    del dest[c]
+            for j, s, v in down:
+                dest = acc.setdefault((j, s), {})
+                val = dest.get(k, 0) - v * a
+                if val:
+                    dest[k] = val
+                elif k in dest:
+                    del dest[k]
     out = {}
-    for r, arow in a.items():
-        for k, av in arow.items():
-            brow = b.get(k)
-            if brow:
-                dest = out.setdefault(r, {})
-                for c, bv in brow.items():
-                    val = dest.get(c, 0) + av * bv
-                    if val:
-                        dest[c] = val
-                    elif c in dest:
-                        del dest[c]
-    for r, brow in b.items():
-        for k, bv in brow.items():
-            arow = a.get(k)
-            if arow:
-                dest = out.setdefault(r, {})
-                for c, av in arow.items():
-                    val = dest.get(c, 0) - bv * av
-                    if val:
-                        dest[c] = val
-                    elif c in dest:
-                        del dest[c]
-    return {r: row for r, row in out.items() if row}
+    for (j, r), row in acc.items():
+        if row:
+            out.setdefault(j, {})[r] = row
+    return out
 
 
 def _gcd_normalize_rows(sp):
@@ -114,7 +140,10 @@ class MatrixLieAlgebra:
     (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
     the span iff D X == sum_k X[p_k] M_k, an exact equality with no
     fraction formed.  Membership, the closure certificate, ``_ad_matrix``
-    and the structure constants all test it this way.
+    and the structure constants all test it this way.  The brackets they
+    test come from ``_brackets``, which forms only the nonzero ones; a
+    zero bracket lies in every span, and each nonzero one is still tested
+    for exact membership.
 
     ``structure_constants`` builds, on first use, the sparse table of the
     brackets and caches it on the instance: e_ijk = [M_i, M_j] at pivot
@@ -193,21 +222,26 @@ class MatrixLieAlgebra:
 
     def structure_constants(self):
         """(D, table) with table[i][j] = {k: e_ijk} for i < j, where
-        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral.
-        Built on first use, one exact membership test per bracket, and
-        cached on the instance.  Raises ValueError when some bracket
-        leaves the span."""
+        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral;
+        table[i][j] is {} when the bracket vanishes.  Built on first use
+        and cached on the instance.  Row i brackets M_i with an index of
+        the M_j, j > i, that grows as i walks down, so only the nonzero
+        brackets are formed, and each of them gets one exact membership
+        test.  Raises ValueError when some bracket leaves the span."""
         if self._table is None:
             den, mats = self._integer_form()
-            table = []
-            for i, mi in enumerate(mats):
-                row = {}
-                for j in range(i + 1, len(mats)):
-                    coeffs = self._int_coords(_sparse_bracket(mi, mats[j]))
+            dim = len(mats)
+            table = [None] * dim
+            index = ({}, {})          # holds M_j for every j > i
+            for i in reversed(range(dim)):
+                row = {j: {} for j in range(i + 1, dim)}
+                for j, b in _brackets(mats[i], index).items():
+                    coeffs = self._int_coords(b)
                     if coeffs is None:
                         raise ValueError("algebra is not bracket-closed")
                     row[j] = coeffs
-                table.append(row)
+                table[i] = row
+                _index_add(index, i, mats[i])
             self._table = (den, table)
         return self._table
 
@@ -269,7 +303,10 @@ class _ModSpan:
     sparse dicts over Z or Z[i]; Z[i] is mapped to F_p by the ring map
     a + bi -> a + b r, with r a square root of -1 modulo p.  ``rows`` maps
     each pivot to its row ``{col: residue}``, equal to 1 at the pivot and
-    supported at or right of it; ``pivots`` lists them in ascending order.
+    supported at or right of it.  ``reduce`` visits only the pivots that
+    the candidate touches, in ascending order: a heap holds the pivot
+    columns where the candidate is nonzero, and each elimination pushes
+    the pivot columns it fills in.
 
     A candidate that stays nonzero after modular elimination is certainly
     independent over the field of fractions: the modular basis has full
@@ -287,7 +324,6 @@ class _ModSpan:
         self.prime = prime
         self.root = pow(2, (prime - 1) // 4, prime) if gaussian else None
         self.rows = {}
-        self.pivots = []
 
     def reduce(self, vec):
         """vec modulo p, reduced by the rows in ascending pivot order."""
@@ -299,15 +335,21 @@ class _ModSpan:
             if x:
                 v[k] = x
         rows = self.rows
-        for piv in self.pivots:
+        heap = [k for k in v if k in rows]
+        heapify(heap)
+        while heap:
+            piv = heappop(heap)
             c = v.get(piv)
-            if c:
-                for k, x in rows[piv].items():
-                    y = (v.get(k, 0) - c * x) % p
-                    if y:
-                        v[k] = y
-                    else:
-                        del v[k]
+            if not c:
+                continue          # stale: cleared since it was pushed
+            for k, x in rows[piv].items():
+                y = (v.get(k, 0) - c * x) % p
+                if y:
+                    if k not in v and k in rows:
+                        heappush(heap, k)
+                    v[k] = y
+                else:
+                    del v[k]
         return v
 
     def add(self, vec) -> bool:
@@ -318,13 +360,15 @@ class _ModSpan:
         piv = min(v)
         inv = pow(v[piv], p - 2, p)
         self.rows[piv] = {k: x * inv % p for k, x in v.items()}
-        insort(self.pivots, piv)
         return True
 
 
 def _filtered_closure(sparse_gens, n, prime, gaussian):
     """Span of the generators and their right-nested brackets, with the
-    brackets that vanish modulo prime treated as dependent."""
+    brackets that vanish modulo prime treated as dependent.  Each queue
+    element x is bracketed with every generator in one ``_brackets``
+    pass; [x, g] = -[g, x] spans the same line, and the canonical basis
+    does not depend on the sign."""
     mod_span = _ModSpan(prime, gaussian)
     accepted = []
     queue = []
@@ -333,15 +377,14 @@ def _filtered_closure(sparse_gens, n, prime, gaussian):
         if vec and mod_span.add(vec):
             accepted.append(vec)
             queue.append(sp)
+    index = _index(sparse_gens)
     head = 0
     while head < len(queue):
         x = queue[head]
         head += 1
-        for g in sparse_gens:
-            b = _sparse_bracket(g, x)
-            if not b:
-                continue
-            b = _gcd_normalize_rows(b)
+        brackets = _brackets(x, index)
+        for j in sorted(brackets):         # in generator order
+            b = _gcd_normalize_rows(brackets[j])
             vec = _vectorize(b, n)
             if mod_span.add(vec):
                 accepted.append(vec)
@@ -367,13 +410,15 @@ def _generates(algebra, sparse_gens) -> bool:
     """Exact certificate that the span is the algebra the generators
     generate: it holds every generator and is ad(g)-invariant for every
     generator g, so it contains the generated algebra, and it is spanned
-    by brackets of generators, so it lies inside it."""
-    _, mats = algebra._integer_form()
+    by brackets of generators, so it lies inside it.  The brackets [g, M_k]
+    come from one index of the M_k; only the nonzero ones are formed, and
+    each of them is tested for exact membership."""
+    index = _index(algebra._integer_form()[1])
     for g in sparse_gens:
         if algebra._int_coords(g) is None:
             return False
-        for m in mats:
-            if algebra._int_coords(_sparse_bracket(g, m)) is None:
+        for b in _brackets(g, index).values():
+            if algebra._int_coords(b) is None:
                 return False
     return True
 
@@ -405,9 +450,11 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
     den, mats = algebra._integer_form()
     # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
     scale *= den
+    brackets = _brackets(sp, _index(mats))
     cols = []
-    for m in mats:
-        coeffs = algebra._int_coords(_sparse_bracket(sp, m))
+    for j in range(len(mats)):
+        b = brackets.get(j)
+        coeffs = algebra._int_coords(b) if b else {}
         if coeffs is None:
             raise ValueError("element does not normalize the algebra")
         col = [0] * algebra.dim

@@ -414,6 +414,35 @@ def test_exact_types_pickle_and_deepcopy(value):
             assert twin.pivots == value.pivots
 
 
+def test_matrix_normalizes_outside_entries():
+    # bools, strings and floats from the caller become int or Fraction
+    want = ((1, Fraction(1, 2)), (2, Fraction(-3, 4)))
+    for mat in (Matrix([[True, "1/2"], ["4/2", -0.75]]),
+                Matrix.from_cols([[True, "4/2"], ["1/2", -0.75]])):
+        assert mat.rows == want
+        assert [type(x) for row in mat.rows for x in row] == [
+            int, Fraction, int, Fraction]
+
+
+def test_matrix_operations_return_normalized_entries():
+    # linalg's own results are built without a second normalization pass;
+    # renormalizing them through Matrix(...) changes nothing
+    a = Matrix([[1, Fraction(1, 2), 0], [Gauss(0, 1), 2, Fraction(-1, 3)]])
+    b = Matrix([[3, 0, Gauss(1, -1)], [Fraction(2, 5), 1, 0]])
+    sq = Matrix([[2, 1], [Gauss(1, 1), Fraction(1, 2)]])
+    results = [a + b, a - b, a.scale(Fraction(2, 3)), a * 3, -a,
+               a * b.transpose(), a.transpose(), a.conjugate(),
+               Matrix.identity(3), Matrix.zeros(2, 4), inverse(sq),
+               Matrix([], ncols=2).transpose(), Matrix.identity(0)]
+    for mat in results:
+        assert all(_exact(x) for row in mat.rows for x in row)
+        assert all(type(row) is tuple for row in mat.rows)
+        twin = Matrix(mat.rows, ncols=mat.ncols)
+        assert twin == mat and twin.shape() == mat.shape()
+    assert results[-2].shape() == (2, 0)
+    assert inverse(sq) * sq == Matrix.identity(2)
+
+
 def _reference_kernel(mat):
     """Free-variable basis of a dense rref, canonicalized by a second rref."""
     n = mat.ncols

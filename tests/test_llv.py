@@ -38,6 +38,35 @@ def file52_gens(model52, tmp_path_factory):
     return llv_generators(load_ring(path))[0]
 
 
+def _sparse_bracket(a, b):
+    """Commutator of sparse integer matrices given as row dicts, every
+    product x[r][k] y[k][c] formed by hand: the oracle of ``_brackets``."""
+    out = {}
+    for r, arow in a.items():
+        for k, av in arow.items():
+            brow = b.get(k)
+            if brow:
+                dest = out.setdefault(r, {})
+                for c, bv in brow.items():
+                    val = dest.get(c, 0) + av * bv
+                    if val:
+                        dest[c] = val
+                    elif c in dest:
+                        del dest[c]
+    for r, brow in b.items():
+        for k, bv in brow.items():
+            arow = a.get(k)
+            if arow:
+                dest = out.setdefault(r, {})
+                for c, av in arow.items():
+                    val = dest.get(c, 0) - bv * av
+                    if val:
+                        dest[c] = val
+                    elif c in dest:
+                        del dest[c]
+    return {r: row for r, row in out.items() if row}
+
+
 def _reference_closure(gens):
     """The dense closure over the field: membership by the dense rref
     behind Subspace, every accepted element bracketed against the
@@ -214,6 +243,73 @@ def test_mod_span_matches_dense_oracle(case):
         assert len(span.rows) == _dense_rank_mod(accepted, p)
 
 
+@st.composite
+def _bracket_case(draw):
+    """A sparse matrix x over Z or Z[i] and a list of sparse matrices y_j
+    of the same size.  Some y_j are zero, and some are c x + d 1 + z for a
+    sparse z (or z = 0), so that every product x y_j meets a product
+    y_j x that cancels it except those of [x, z]."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry = st.tuples(small, small).filter(any).map(
+            lambda t: GaussInt(*t))
+    else:
+        entry = small.filter(bool)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+    def matrix():
+        sp = {}
+        for (r, c), v in draw(st.dictionaries(cell, entry)).items():
+            sp.setdefault(r, {})[c] = v
+        return sp
+
+    def plus(a, b):
+        out = {r: dict(row) for r, row in a.items()}
+        for r, row in b.items():
+            for c, v in row.items():
+                dest = out.setdefault(r, {})
+                dest[c] = dest[c] + v if c in dest else v
+        return {r: {c: v for c, v in row.items() if v}
+                for r, row in out.items()}
+
+    x = matrix()
+    ys = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "cancel"]))
+        if kind == "random":
+            ys.append(matrix())
+        elif kind == "zero":
+            ys.append({})
+        else:
+            c, d = draw(entry), draw(entry)
+            y = {r: {k: c * v for k, v in row.items()} for r, row in x.items()}
+            y = plus(y, {r: {r: d} for r in range(n)})
+            if draw(st.booleans()):
+                y = plus(y, matrix())
+            ys.append({r: row for r, row in y.items() if row})
+    return x, ys
+
+
+def _plain(sp):
+    """A sparse matrix with its entries as (real, imaginary) int pairs:
+    GaussInt compares by identity, not by value."""
+    return {r: {c: (v.real, v.imag) for c, v in row.items()}
+            for r, row in sp.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_case())
+def test_brackets_match_sparse_oracle(case):
+    x, ys = case
+    got = llv._brackets(x, llv._index(ys))
+    want = {j: _sparse_bracket(x, y) for j, y in enumerate(ys)}
+    assert {j: _plain(b) for j, b in got.items()} == {
+        j: _plain(b) for j, b in want.items() if b}
+    for b in got.values():
+        assert b and all(row and all(row.values()) for row in b.values())
+
+
 def test_gaussian_closure_matches_dense_reference(file52_gens, model52):
     alg = lie_closure(file52_gens)
     assert alg.gaussian and alg.dim == 21
@@ -259,17 +355,31 @@ def test_mixed_generators_close_without_floats(model52):
                and type(v.imag) is int for v in ints)
 
 
-def test_structure_constants_match_dense_brackets(rat52):
-    alg = llv_closure(rat52)
+def _assert_structure_constants_match_dense_brackets(alg):
     den, table = alg.structure_constants()
     assert alg.dim == 21 and den > 1          # the scaling by D is exercised
+    assert [list(row) for row in table] == [
+        list(range(i + 1, alg.dim)) for i in range(alg.dim)]
     n = alg.ambient
+    d2 = den ** 2
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             combo = Matrix.zeros(n, n)
             for k, e in table[i][j].items():
-                combo = combo + alg.basis[k].scale(Fraction(e, den ** 2))
+                coef = (Gauss(Fraction(e.real, d2), Fraction(e.imag, d2))
+                        if alg.gaussian else Fraction(e, d2))
+                combo = combo + alg.basis[k].scale(coef)
             assert combo == alg.basis[i].commutator(alg.basis[j])
+
+
+def test_structure_constants_match_dense_brackets(rat52):
+    _assert_structure_constants_match_dense_brackets(llv_closure(rat52))
+
+
+def test_gaussian_structure_constants_match_dense_brackets(file52_gens):
+    alg = lie_closure(file52_gens)
+    assert alg.gaussian
+    _assert_structure_constants_match_dense_brackets(alg)
 
 
 def test_killing_gram_matches_dense_traces(rat52):
