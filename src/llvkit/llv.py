@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
+from types import MappingProxyType
 
 from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
                         sigma_sl2, weight_operator_matrix)
@@ -55,6 +56,9 @@ def _to_sparse(mat: Matrix, gaussian):
     for (r, c), v in zip(cells, ints):
         sp.setdefault(r, {})[c] = v
     return sp, den
+
+
+_NO_BRACKET = MappingProxyType({})
 
 
 def _index(mats):
@@ -222,19 +226,21 @@ class MatrixLieAlgebra:
 
     def structure_constants(self):
         """(D, table) with table[i][j] = {k: e_ijk} for i < j, where
-        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral;
-        table[i][j] is {} when the bracket vanishes.  Built on first use
-        and cached on the instance.  Row i brackets M_i with an index of
-        the M_j, j > i, that grows as i walks down, so only the nonzero
-        brackets are formed, and each of them gets one exact membership
-        test.  Raises ValueError when some bracket leaves the span."""
+        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral.
+        A vanishing bracket holds the shared, read-only empty mapping
+        ``_NO_BRACKET``: most brackets of a large algebra vanish.  Built on
+        first use and cached on the instance.  Row i brackets M_i with an
+        index of the M_j, j > i, that grows as i walks down, so only the
+        nonzero brackets are formed, and each of them gets one exact
+        membership test.  Raises ValueError when some bracket leaves the
+        span."""
         if self._table is None:
             den, mats = self._integer_form()
             dim = len(mats)
             table = [None] * dim
             index = ({}, {})          # holds M_j for every j > i
             for i in reversed(range(dim)):
-                row = {j: {} for j in range(i + 1, dim)}
+                row = dict.fromkeys(range(i + 1, dim), _NO_BRACKET)
                 for j, b in _brackets(mats[i], index).items():
                     coeffs = self._int_coords(b)
                     if coeffs is None:
