@@ -58,6 +58,7 @@ def _to_sparse(mat: Matrix, gaussian):
     return sp, den
 
 
+# the value of every vanishing bracket in a structure-constant table
 _NO_BRACKET = MappingProxyType({})
 
 
