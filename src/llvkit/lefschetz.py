@@ -70,9 +70,8 @@ class DegreeOperator:
             tgt = k + shift
             if 0 <= tgt <= ring.top and ring.dims[tgt]:
                 tlo, thi = ring.slice_of(tgt)
-                blocks[k] = Matrix([[mat[r, c] for c in range(lo, hi)]
-                                    for r in range(tlo, thi)],
-                                   ncols=ring.dims[k])
+                blocks[k] = Matrix._of(
+                    [row[lo:hi] for row in mat.rows[tlo:thi]], ring.dims[k])
         degree = [ring.degree_of(gi) for gi in range(n)]
         for r, row in enumerate(mat.rows):
             for c, x in enumerate(row):
@@ -98,7 +97,7 @@ class DegreeOperator:
                     for c, val in enumerate(row):
                         if val:
                             grid[tlo + r][lo + c] = val
-            self._matrix = Matrix(grid, ncols=n)
+            self._matrix = Matrix._of(grid, n)
         return self._matrix
 
     def commutator(self, other: "DegreeOperator") -> Matrix:
@@ -131,8 +130,10 @@ def _compose_at(outer, inner, k):
 
 def weight_operator_matrix(ring, weights) -> Matrix:
     n = ring.total_dim
-    return Matrix([[weights[i] if i == j else 0 for j in range(n)]
-                   for i in range(n)], ncols=n)
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        grid[i][i] = rat(weights[i])
+    return Matrix._of(grid, n)
 
 
 def classical_weights(ring: GradedAlgebra):
@@ -252,8 +253,9 @@ def _check_shift_two(mat, weights):
 
 
 def _block(mat, rows_idx, cols_idx):
-    return Matrix([[mat[r, c] for c in cols_idx] for r in rows_idx],
-                  ncols=len(cols_idx))
+    rows = mat.rows
+    return Matrix._of([[rows[r][c] for c in cols_idx] for r in rows_idx],
+                      len(cols_idx))
 
 
 def _weight_chain(mat, spaces) -> BlockChain:
@@ -386,7 +388,7 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
         for r_pos, gi_out in enumerate(spaces[w - 2]):
             for c_pos, gi_in in enumerate(spaces[w]):
                 lam_grid[gi_out][gi_in] = blk[r_pos, c_pos]
-    lam_mat = Matrix(lam_grid, ncols=n)
+    lam_mat = Matrix._of(lam_grid, n)
     h_mat = weight_operator_matrix(ring, weights)
     if (crosscheck and n <= SOLVE_CROSSCHECK_LIMIT
             and _solve_dual(ring, l_mat, weights, spaces, h_mat) != lam_mat):

@@ -7,13 +7,15 @@ or dividing over Q and Q(i); kernels, unique sparse solutions and every
 span grown one vector at a time run on it.  Subspaces are always stored
 with a reduced-row-echelon basis, so equality of subspaces is literal
 equality of their representations.  All routines are pure and work over
-Q or Q(i) (Gauss).  A rational entry is an int when it is integral and a
-Fraction only when it has a denominator; zeros, identities and the
-outputs of ``rref``, ``inverse``, ``solve``, ``solve_sparse`` and
-``SparseEchelon.canonical`` start out as ints, and every division goes
-through ``scalars.div``.  Entries that are already int, Fraction or Gauss
-are stored as given, never copied or demoted.  The symmetric congruence
-alone works on Fractions and returns its diagonal as Fractions.
+Q or Q(i) (Gauss).  Every Matrix entry is in normal form: a rational is
+an int when it is integral and a Fraction only when it has a denominator,
+and a Gauss has parts of the same kind.  ``Matrix(...)`` brings outside
+data to it; the products, sums, eliminations and field-mode echelon rows
+built here send each integral Fraction they make back to an int, testing
+only values whose type is Fraction, so integer data pays no extra
+arithmetic.  Every division goes through ``scalars.div``.  The symmetric
+congruence alone works on Fractions and returns its diagonal as
+Fractions.
 """
 
 from __future__ import annotations
@@ -30,16 +32,23 @@ class DimensionError(ValueError):
 
 def _norm_entry(x):
     t = type(x)
-    return x if t is int or t is Fraction or t is Gauss else rat(x)
+    return x if t is int or t is Gauss else rat(x)
+
+
+def _ints(row):
+    """row as a list whose integral Fractions are ints."""
+    return [x.numerator if type(x) is Fraction and x.denominator == 1 else x
+            for x in row]
 
 
 class Matrix:
     """Immutable dense matrix with exact entries.
 
-    ``Matrix(rows)`` and ``Matrix.from_cols`` take outside data and pass
-    every entry through ``_norm_entry``.  The matrices that linalg's own
-    operations build from entries that are already int, Fraction or Gauss
-    go through ``_of`` instead, which stores the rows as given.
+    ``Matrix(rows)`` and ``Matrix.from_cols`` take outside data and bring
+    every entry to normal form with ``_norm_entry``: an int when integral,
+    a Fraction only with a denominator, or a Gauss.  The matrices that
+    linalg's own operations build from entries already in normal form go
+    through ``_of`` instead, which stores the rows as given.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -66,8 +75,8 @@ class Matrix:
 
     @staticmethod
     def _of(rows, ncols):
-        """A rows-by-ncols Matrix on rows whose entries are already int,
-        Fraction or Gauss; nothing is converted or checked."""
+        """A rows-by-ncols Matrix on rows whose entries are already in
+        normal form; nothing is converted or checked."""
         mat = object.__new__(Matrix)
         data = tuple(map(tuple, rows))
         object.__setattr__(mat, "rows", data)
@@ -116,13 +125,13 @@ class Matrix:
     def __add__(self, other):
         if self.shape() != other.shape():
             raise DimensionError(f"add shape mismatch {self.shape()} vs {other.shape()}")
-        return Matrix._of([[a + b for a, b in zip(r, s)]
+        return Matrix._of([_ints([a + b for a, b in zip(r, s)])
                            for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other):
         if self.shape() != other.shape():
             raise DimensionError(f"sub shape mismatch {self.shape()} vs {other.shape()}")
-        return Matrix._of([[a - b for a, b in zip(r, s)]
+        return Matrix._of([_ints([a - b for a, b in zip(r, s)])
                            for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self):
@@ -130,7 +139,8 @@ class Matrix:
 
     def scale(self, c):
         c = _norm_entry(c)
-        return Matrix._of([[c * a for a in r] for r in self.rows], self.ncols)
+        return Matrix._of([_ints([c * a if a else a for a in r])
+                           for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -147,7 +157,7 @@ class Matrix:
                     if pairs and a:
                         for c, y in pairs:
                             acc[c] = acc[c] + a * y
-                out.append(acc)
+                out.append(_ints(acc))
             return Matrix._of(out, other.ncols)
         return self.scale(other)
 
@@ -164,7 +174,7 @@ class Matrix:
                 if a and x:
                     s = s + a * x
             out.append(s)
-        return tuple(out)
+        return tuple(_ints(out))
 
     def transpose(self):
         return Matrix._of([self.col(j) for j in range(self.ncols)], self.nrows)
@@ -217,7 +227,8 @@ def rref(rows):
     and cleared above and below, so the output is canonical for the row
     space.  Zero rows are dropped.  Only the nonzero entries of a pivot
     row are divided and subtracted; they all sit at or right of the
-    pivot, so a zero entry keeps the type it came in with.
+    pivot, so a zero entry keeps the type it came in with, and each
+    difference that lands on an integer is stored as an int.
     """
     work = [[_norm_entry(x) for x in r] for r in rows if any(r)]
     if not work:
@@ -244,7 +255,9 @@ def rref(rows):
             f = row[c]
             if f and i != r:
                 for j in support:
-                    row[j] = row[j] - f * prow[j]
+                    y = row[j] - f * prow[j]
+                    row[j] = (y.numerator if type(y) is Fraction
+                              and y.denominator == 1 else y)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -561,9 +574,10 @@ class SparseEchelon:
 
     Integer mode (default) uses fraction-free elimination with gcd
     normalization and clears the denominators of Fraction input; field
-    mode divides by pivots (``div``) and accepts int, Fraction or Gauss
-    values.  Vectors may be dicts or dense sequences.  Rows keep all
-    indices >= their pivot, so elimination is a single ascending sweep.
+    mode divides by pivots (``div``), accepts int, Fraction or Gauss
+    values and keeps them in normal form, an int whenever integral.
+    Vectors may be dicts or dense sequences.  Rows keep all indices >=
+    their pivot, so elimination is a single ascending sweep.
     """
 
     def __init__(self, exact_division=False):
@@ -576,9 +590,11 @@ class SparseEchelon:
 
     def _sparse(self, vec):
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        if self.exact_division:
+            return {k: x.numerator if type(x) is Fraction
+                    and x.denominator == 1 else x for k, x in items if x}
         v = {k: x for k, x in items if x}
-        if not self.exact_division and not all(
-                type(x) is int for x in v.values()):
+        if not all(type(x) is int for x in v.values()):
             den = lcm(*(x.denominator for x in v.values()))
             v = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
         return v
@@ -600,10 +616,12 @@ class SparseEchelon:
                 out = dict(v)
                 for k, val in row.items():
                     nv = out.get(k, 0) - c * val
-                    if nv:
+                    if not nv:
+                        out.pop(k, None)
+                    elif type(nv) is Fraction and nv.denominator == 1:
+                        out[k] = nv.numerator
+                    else:
                         out[k] = nv
-                    elif k in out:
-                        del out[k]
                 v = out
             else:
                 lead = row[hit]
@@ -653,10 +671,12 @@ class SparseEchelon:
                     c = row[q]
                     for k, val in other.items():
                         nv = row.get(k, 0) - c * val
-                        if nv:
+                        if not nv:
+                            row.pop(k, None)
+                        elif type(nv) is Fraction and nv.denominator == 1:
+                            row[k] = nv.numerator
+                        else:
                             row[k] = nv
-                        elif k in row:
-                            del row[k]
             lead = row[p]
             reduced[p] = ({k: div(v, lead) for k, v in row.items()}
                           if lead != 1 else row)

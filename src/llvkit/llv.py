@@ -570,17 +570,21 @@ def _killing_gram(table, dim):
     """Integer Gram matrix G_ij = tr(E_i E_j) of the structure constants,
     with E_i[k][l] = e_ilk: ad(M_i) = E_i / D in the basis M_k = D b_k, so
     G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing form K."""
-    # u[k, l] collects the column {i: E_i[k][l]} over all i
+    # u[k*dim + l] collects the column {i: E_i[k][l]} over all i; the
+    # vanishing brackets, most of a large table, are skipped
     u = {}
     for i, row in enumerate(table):
         for j, coeffs in row.items():
+            if not coeffs:
+                continue
             for k, e in coeffs.items():
-                u.setdefault((k, j), {})[i] = e
-                u.setdefault((k, i), {})[j] = -e
+                u.setdefault(k * dim + j, {})[i] = e
+                u.setdefault(k * dim + i, {})[j] = -e
     # G_ij = sum over (k, l) of E_i[k][l] E_j[l][k]
     gram = [[0] * dim for _ in range(dim)]
-    for (k, l), col in u.items():
-        other = u.get((l, k))
+    for kl, col in u.items():
+        k, l = divmod(kl, dim)
+        other = u.get(l * dim + k)
         if other:
             for i, a in col.items():
                 grow = gram[i]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .linalg import Matrix
 from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss,
-                      format_scalar, parse_scalar, rat, to_field)
+                      format_scalar, parse_scalar, to_field)
 
 
 class RingFormatError(ValueError):
@@ -67,7 +67,7 @@ class QuadraticForm:
     def diagonal(entries):
         n = len(entries)
         return QuadraticForm(Matrix(
-            [[rat(entries[i]) if i == j else 0 for j in range(n)]
+            [[entries[i] if i == j else 0 for j in range(n)]
              for i in range(n)], ncols=n))
 
 

@@ -3,12 +3,13 @@
 Every computation in this package runs over Q or Q(i) -- no floats.
 A rational is an ``int`` when it is integral and a ``fractions.Fraction``
 only when it has a denominator: integral values are created as ints, and
-``rat`` and ``div`` return ints whenever they can.  Arithmetic that
-involves a Fraction may still leave an integral Fraction, which equals
-and hashes like the int.  Gaussian rationals are a small immutable pair
-type whose two parts follow the same rule.  Every true division goes
-through ``div`` (or ``Gauss``'s own methods), so ``int / int`` never
-makes a float.
+``rat`` and ``div`` return ints whenever they can.  Python's own Fraction
+arithmetic can leave an integral Fraction (``Fraction(1, 2) * 2``), which
+equals and hashes like the int; ``rat`` sends it back, and every
+``linalg.Matrix`` entry and every Gauss part is kept in this normal form.
+Gaussian rationals are a small immutable pair type whose two parts follow
+the same rule.  Every true division goes through ``div`` (or ``Gauss``'s
+own methods), so ``int / int`` never makes a float.
 """
 
 from __future__ import annotations
@@ -168,7 +169,12 @@ _set_im = Gauss.im.__set__
 
 
 def _gauss(re, im) -> Gauss:
-    """Gauss from two exact parts, without coercion."""
+    """Gauss from two exact parts (int or Fraction); an integral Fraction
+    part becomes an int, nothing else is coerced."""
+    if type(re) is Fraction and re.denominator == 1:
+        re = re.numerator
+    if type(im) is Fraction and im.denominator == 1:
+        im = im.numerator
     g = object.__new__(Gauss)
     _set_re(g, re)
     _set_im(g, im)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
@@ -441,6 +441,91 @@ def test_matrix_operations_return_normalized_entries():
         assert twin == mat and twin.shape() == mat.shape()
     assert results[-2].shape() == (2, 0)
     assert inverse(sq) * sq == Matrix.identity(2)
+
+
+def _normal(x):
+    """The normal form of a Matrix entry: an int when integral, a Fraction
+    only with a denominator, a Gauss whose parts are both of that kind."""
+    if type(x) is Gauss:
+        return _normal(x.re) and _normal(x.im)
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+# rationals that often cancel to integers: integral Fractions such as
+# Fraction(3, 1) and halves, thirds and quarters of small numerators
+_CANCELLING = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_RATIONAL_ENTRIES = st.one_of(st.integers(-3, 3), _CANCELLING,
+                              st.integers(-3, 3).map(Fraction))
+
+
+@st.composite
+def _normal_form_operands(draw):
+    """Two n x m grids, an m x p grid, a square grid, a vector of length m
+    and a scalar, all over Q or all over Q(i), as raw Python values."""
+    gaussian = draw(st.booleans())
+    entry = (st.one_of(_RATIONAL_ENTRIES,
+                       st.builds(Gauss, _RATIONAL_ENTRIES, _RATIONAL_ENTRIES))
+             if gaussian else _RATIONAL_ENTRIES)
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def grid(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return (grid(n, m), grid(n, m), grid(m, p), grid(m, m),
+            [draw(entry) for _ in range(m)], draw(entry))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_normal_form_operands())
+@example(([[1, Fraction(1, 2), Fraction(1, 2)]], [[0, 1, -1]],
+          [[Fraction(2)], [2], [Fraction(-2, 3)]],
+          [[2, 1, 0], [Fraction(1, 2), Fraction(3), 1], [0, 0, Fraction(1, 4)]],
+          [Fraction(4, 1), Fraction(1, 2), Fraction(3, 2)], Fraction(2)))
+def test_matrix_entries_stay_in_normal_form(operands):
+    a_rows, b_rows, c_rows, sq_rows, vec, scalar = operands
+    a, b, c, sq = (Matrix(g) for g in (a_rows, b_rows, c_rows, sq_rows))
+    results = [a, b, Matrix.from_cols([list(col) for col in zip(*a_rows)]),
+               a * c, a + b, a - b, a.scale(scalar), a * scalar, -a]
+    try:
+        results.append(inverse(sq))
+    except ValueError:
+        pass
+    for mat in results:
+        assert all(_normal(x) for row in mat.rows for x in row)
+    # the values are those of plain Python arithmetic on the raw grids
+    assert (a * c).rows == tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), 0)
+              for col in zip(*c_rows)) for row in a_rows)
+    assert a.scale(scalar).rows == tuple(
+        tuple(scalar * x for x in row) for row in a_rows)
+    prod = a.matvec(vec)
+    assert all(_normal(x) for x in prod)
+    assert prod == tuple(sum((x * y for x, y in zip(row, vec)), 0)
+                         for row in a_rows)
+    for sub in (Subspace.from_rows(len(vec), a_rows + b_rows),
+                Subspace.from_rows(len(vec), sq_rows)):
+        assert all(_normal(x) for v in sub.basis for x in v)
+    ech = SparseEchelon(exact_division=True)
+    for row in a_rows + b_rows:
+        ech.add(row)
+    assert all(_normal(x) for x in ech.reduce(vec).values())
+    reduced, _ = ech.canonical()
+    assert all(_normal(x) for r in reduced for x in r.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[_RATIONAL_ENTRIES] * 5)
+def test_gauss_arithmetic_stays_in_normal_form(a, b, c, d, y):
+    gx, gy = Gauss(a, b), Gauss(c, d)
+    values = [gx, gx + gy, gx - gy, gx * gy, gx + y, y + gx, gx - y, y - gx,
+              gx * y, y * gx, -gx, gx.conjugate(), gx * gx.conjugate(),
+              gx ** 2]
+    if gy:
+        values.append(gx / gy)
+    if y:
+        values.append(gx / y)
+    assert all(_normal(g) for g in values)
+    assert gx * gy == Gauss(a * c - b * d, a * d + b * c)
 
 
 def _reference_kernel(mat):

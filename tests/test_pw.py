@@ -104,6 +104,26 @@ def test_weight_filtration_matches_oracle_on_200_random():
         assert ours == oracle
 
 
+def test_weight_filtration_same_on_fraction_typed_rows():
+    # integral Fractions from the caller take the int path: the matrix,
+    # and so every step of the filtration, is the one built from ints
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        nmat = rand_nilpotent(rng, n)
+        frac = Matrix([[Fraction(x) for x in row] for row in nmat.rows])
+        assert frac.rows == nmat.rows
+        assert all(type(x) is int for row in frac.rows for x in row)
+        center = rng.randint(-3, 3)
+        want = weight_filtration(nmat, center=center)
+        got = weight_filtration(frac, center=center)
+        assert got.steps == want.steps
+        assert ([[type(x) for v in sub.basis for x in v]
+                 for sub in got.steps.values()]
+                == [[type(x) for v in sub.basis for x in v]
+                    for sub in want.steps.values()])
+
+
 def test_weight_filtration_rejects_non_nilpotent():
     with pytest.raises(ValueError, match="not nilpotent"):
         weight_filtration(Matrix.identity(2))
