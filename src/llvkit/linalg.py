@@ -420,16 +420,23 @@ def image(mat: Matrix) -> Subspace:
 
 def _sparse_symmetric(q):
     """Rows {j: Fraction} of the nonzero entries of a square symmetric
-    matrix given as a Matrix or as rows of scalars (plain ints allowed)."""
+    matrix given as a Matrix, as rows of scalars (plain ints allowed), or
+    as sparse rows {j: scalar}."""
     if isinstance(q, Matrix) and q.nrows != q.ncols:
         raise DimensionError("diagonalization of a non-square matrix")
     rows = q.rows if isinstance(q, Matrix) else q
     n = len(rows)
     a = []
     for row in rows:
-        if len(row) != n:
+        if isinstance(row, dict):
+            if not all(0 <= j < n for j in row):
+                raise DimensionError("sparse row entry outside the matrix")
+            entries = row.items()
+        elif len(row) != n:
             raise DimensionError("diagonalization of a non-square matrix")
-        a.append({j: as_fraction(x) for j, x in enumerate(row) if x})
+        else:
+            entries = enumerate(row)
+        a.append({j: as_fraction(x) for j, x in entries if x})
     bad = [(min(i, j), max(i, j)) for i, row in enumerate(a)
            for j, x in row.items() if a[j].get(i, 0) != x]
     if bad:
@@ -526,7 +533,7 @@ def congruence_diagonalize(q):
 
 def symmetric_signature(q):
     """Signature (pos, neg, null) of a rational symmetric matrix, given as
-    a Matrix or a list of rows."""
+    a Matrix, a list of rows, or a list of sparse rows {j: x}."""
     _, diag = _congruence(q, track=False)
     pos = sum(1 for d in diag if d > 0)
     neg = sum(1 for d in diag if d < 0)

@@ -16,7 +16,7 @@ from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
                         sigma_sl2, weight_operator_matrix)
 from .linalg import (Matrix, SparseEchelon, integer_eigenspaces,
                      symmetric_signature)
-from .models import spanning_hl_classes
+from .models import spanning_hl_classes, verbitsky_dims
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import (FIELD_RATIONAL, Gauss, GaussInt, div, rat, rat_sqrt,
@@ -145,14 +145,16 @@ class MatrixLieAlgebra:
     (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
     the span iff D X == sum_k X[p_k] M_k, an exact equality with no
     fraction formed.  Membership, the closure certificate, ``_ad_matrix``
-    and the structure constants all test it this way.  The brackets they
+    and the bracket walk all test it this way.  The brackets they
     test come from ``_brackets``, which forms only the nonzero ones; a
     zero bracket lies in every span, and each nonzero one is still tested
     for exact membership.
 
-    ``structure_constants`` builds, on first use, the sparse table of the
-    brackets and caches it on the instance: e_ijk = [M_i, M_j] at pivot
-    p_k, so that [b_i, b_j] = sum_k (e_ijk / D^2) b_k.
+    ``bracket_rows`` walks the brackets once and stores nothing: row i
+    holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
+    j < i with a nonzero bracket, so that [b_i, b_j] = sum_k (e_ijk / D^2)
+    b_k.  ``structure_constants``, ``verify_closure`` and ``so_identify``
+    all read this one walk; no table of the constants is cached.
     """
 
     ambient: int
@@ -161,7 +163,6 @@ class MatrixLieAlgebra:
     gaussian: bool = False    # defined over Q(i) rather than Q
     _pivot_pos: dict = None   # pivot column -> basis index
     _int_form: tuple = None   # (D, [M_k as row dicts])
-    _table: tuple = None      # (D, [{j: {k: e_ijk}} for i]), j > i
     _basis: list = None       # dense Matrix per canonical row
 
     def __post_init__(self):
@@ -225,40 +226,53 @@ class MatrixLieAlgebra:
                         del rest[idx]
         return None if rest else coeffs
 
+    def bracket_rows(self):
+        """Yield, for i = 0, 1, ..., the row {j: {k: e_ijk}} of the
+        nonzero brackets [M_i, M_j] = sum_k e_ijk M_k with j < i; every
+        e_ijk is integral.  Row i brackets M_i with an index of the M_j,
+        j < i, that grows as i walks up, so only the nonzero brackets are
+        formed, each gets one exact membership test, and nothing is kept
+        once the walk has passed.  Raises ValueError when some bracket
+        leaves the span."""
+        mats = self._integer_form()[1]
+        index = ({}, {})              # holds M_j for every j < i
+        for i, m in enumerate(mats):
+            row = {}
+            for j, b in _brackets(m, index).items():
+                coeffs = self._int_coords(b)
+                if coeffs is None:
+                    raise ValueError("algebra is not bracket-closed")
+                row[j] = coeffs
+            yield row
+            _index_add(index, i, m)
+
     def structure_constants(self):
         """(D, table) with table[i][j] = {k: e_ijk} for i < j, where
         [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral.
         A vanishing bracket holds the shared, read-only empty mapping
-        ``_NO_BRACKET``: most brackets of a large algebra vanish.  Built on
-        first use and cached on the instance.  Row i brackets M_i with an
-        index of the M_j, j > i, that grows as i walks down, so only the
-        nonzero brackets are formed, and each of them gets one exact
-        membership test.  Raises ValueError when some bracket leaves the
-        span."""
-        if self._table is None:
-            den, mats = self._integer_form()
-            dim = len(mats)
-            table = [None] * dim
-            index = ({}, {})          # holds M_j for every j > i
-            for i in reversed(range(dim)):
-                row = dict.fromkeys(range(i + 1, dim), _NO_BRACKET)
-                for j, b in _brackets(mats[i], index).items():
-                    coeffs = self._int_coords(b)
-                    if coeffs is None:
-                        raise ValueError("algebra is not bracket-closed")
-                    row[j] = coeffs
-                table[i] = row
-                _index_add(index, i, mats[i])
-            self._table = (den, table)
-        return self._table
+        ``_NO_BRACKET``: most brackets of a large algebra vanish.  Built
+        from one ``bracket_rows`` walk on every call and not cached; the
+        checks of this module read the walk itself.  Raises ValueError
+        when some bracket leaves the span."""
+        den, mats = self._integer_form()
+        dim = len(mats)
+        table = [dict.fromkeys(range(i + 1, dim), _NO_BRACKET)
+                 for i in range(dim)]
+        for j, row in enumerate(self.bracket_rows()):
+            for i, coeffs in row.items():
+                # [M_i, M_j] = -[M_j, M_i]; 0 - e also negates a GaussInt
+                table[i][j] = {k: 0 - e for k, e in coeffs.items()}
+        return den, table
 
     def contains(self, mat: Matrix) -> bool:
         return self._int_coords(_to_sparse(mat, self.gaussian)[0]) is not None
 
     def verify_closure(self) -> bool:
-        """Exhaustive [b_i, b_j] membership check (quadratic in dim)."""
+        """Exhaustive [b_i, b_j] membership check (quadratic in dim): one
+        ``bracket_rows`` walk to its end."""
         try:
-            self.structure_constants()
+            for _ in self.bracket_rows():
+                pass
         except ValueError:
             return False
         return True
@@ -457,19 +471,16 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
     den, mats = algebra._integer_form()
     # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
     scale *= den
-    brackets = _brackets(sp, _index(mats))
-    cols = []
-    for j in range(len(mats)):
-        b = brackets.get(j)
-        coeffs = algebra._int_coords(b) if b else {}
+    dim = len(mats)
+    rows = [[0] * dim for _ in range(dim)]
+    for j, b in _brackets(sp, _index(mats)).items():
+        coeffs = algebra._int_coords(b)
         if coeffs is None:
             raise ValueError("element does not normalize the algebra")
-        col = [0] * algebra.dim
         for k, e in coeffs.items():
-            col[k] = (Gauss(div(e.real, scale), div(e.imag, scale))
-                      if algebra.gaussian else div(e, scale))
-        cols.append(col)
-    return Matrix.from_cols(cols, nrows=algebra.dim) if cols else Matrix([], ncols=0)
+            rows[k][j] = (Gauss(div(e.real, scale), div(e.imag, scale))
+                          if algebra.gaussian else div(e, scale))
+    return Matrix._of(rows, dim)          # div gives normal form
 
 
 def dual_lefschetz_commute(ring: GradedAlgebra, a, b) -> bool:
@@ -566,31 +577,33 @@ class NotSemisimpleError(ValueError):
     pass
 
 
-def _killing_gram(table, dim):
-    """Integer Gram matrix G_ij = tr(E_i E_j) of the structure constants,
-    with E_i[k][l] = e_ilk: ad(M_i) = E_i / D in the basis M_k = D b_k, so
-    G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing form K."""
-    # u[k*dim + l] collects the column {i: E_i[k][l]} over all i; the
-    # vanishing brackets, most of a large table, are skipped
-    u = {}
-    for i, row in enumerate(table):
+def _killing_gram(rows, dim):
+    """Integer Gram matrix G_ij = tr(E_i E_j), with E_i[k][l] = e_ilk, as
+    sparse rows {j: G_ij} without zero entries, read from one walk of
+    ``MatrixLieAlgebra.bracket_rows``: ad(M_i) = E_i / D in the basis
+    M_k = D b_k, so G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing
+    form K."""
+    # flat[k*dim + l] = [i, E_i[k][l], i', E_i'[k][l], ...] over the nonzero
+    # entries; the bracket e_ijk of row i gives E_i[k][j] and E_j[k][i]
+    flat = {}
+    for i, row in enumerate(rows):
         for j, coeffs in row.items():
-            if not coeffs:
-                continue
             for k, e in coeffs.items():
-                u.setdefault(k * dim + j, {})[i] = e
-                u.setdefault(k * dim + i, {})[j] = -e
+                flat.setdefault(k * dim + j, []).extend((i, e))
+                flat.setdefault(k * dim + i, []).extend((j, -e))
     # G_ij = sum over (k, l) of E_i[k][l] E_j[l][k]
-    gram = [[0] * dim for _ in range(dim)]
-    for kl, col in u.items():
+    gram = [{} for _ in range(dim)]
+    for kl, col in flat.items():
         k, l = divmod(kl, dim)
-        other = u.get(l * dim + k)
+        other = flat.get(l * dim + k)
         if other:
-            for i, a in col.items():
+            it = iter(col)
+            for i, a in zip(it, it):
                 grow = gram[i]
-                for j, b in other.items():
-                    grow[j] += a * b
-    return gram
+                jt = iter(other)
+                for j, b in zip(jt, jt):
+                    grow[j] = grow.get(j, 0) + a * b
+    return [{j: g for j, g in grow.items() if g} for grow in gram]
 
 
 def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
@@ -600,26 +613,32 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     a hyperbolic plane: real form so(b2-2, 4), with 4(b2-2) noncompact
     and C(b2-2, 2) + 6 compact directions.
 
-    Both tests run on the integer structure constants e_ijk of the algebra
-    (see MatrixLieAlgebra).  The derived algebra is the span of the rows
+    Both tests read the integer structure constants e_ijk of the algebra
+    in one ``bracket_rows`` walk (see MatrixLieAlgebra), and no table of
+    them is stored.  The derived algebra is the span of the rows
     {k: e_ijk}; its rank is taken by sparse elimination that stops once
-    full.  The Killing signature is read from the integer Gram matrix
-    G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i (``_killing_gram``).
-    That basis change is a positive-diagonal congruence and D^2 > 0, so by
-    Sylvester's law G has the signature of the Killing form.
+    full.  The same walk fills the index of ``_killing_gram``, and the
+    Killing signature is read from the sparse integer Gram matrix
+    G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i.  That basis change is
+    a positive-diagonal congruence and D^2 > 0, so by Sylvester's law G
+    has the signature of the Killing form.
     """
     expected_dim = (b2 + 2) * (b2 + 1) // 2
     dim = algebra.dim
     if algebra.gaussian:
         raise ValueError("so_identify needs a rational algebra: the Killing "
                          "signature is only defined over the reals")
-    _, table = algebra.structure_constants()
     derived = SparseEchelon()
-    for coeffs in (c for row in table for c in row.values() if c):
-        if derived.dim == dim:
-            break
-        derived.add(coeffs)
-    gram = _killing_gram(table, dim)
+
+    def feed_derived(rows):
+        for row in rows:
+            for coeffs in row.values():
+                if derived.dim == dim:
+                    break
+                derived.add(coeffs)
+            yield row
+
+    gram = _killing_gram(feed_derived(algebra.bracket_rows()), dim)
     sig = symmetric_signature(gram)
     if derived.dim == dim and sig[2]:
         raise NotSemisimpleError("not semisimple: Killing form degenerate on "
@@ -782,9 +801,7 @@ def verbitsky_component(ring: GradedAlgebra):
     prediction = None
     if ring.top % 4 == 0:
         n = ring.top // 4
-        prediction = [comb(b2 + k - 1, k) if k <= n
-                      else comb(b2 + 2 * n - k - 1, 2 * n - k)
-                      for k in range(2 * n + 1)]
+        prediction = verbitsky_dims(b2, n)
         res.data["predicted"] = prediction
         if res.data["dims"] != prediction:
             res.fail(f"graded dims {res.data['dims']} != predicted {prediction}")

@@ -12,7 +12,7 @@ proves that this ideal is the ideal of isotropic powers.
 from __future__ import annotations
 
 import itertools
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
@@ -385,6 +385,14 @@ def _primitive_gcd(u1, u2):
     for x in itertools.chain(u1, u2):
         g = gcd(g, abs(x))
     return g or 1
+
+
+def verbitsky_dims(b2: int, n: int):
+    """Dimensions in degrees 0, 2, ..., 4n of Sym*(H) modulo the (n+1)-st
+    powers of isotropic classes, H of dimension b2 >= 1, n >= 1: dim Sym^k
+    up to k = n and dim Sym^(2n-k) above (Verbitsky, GAFA 1996)."""
+    return [comb(b2 + k - 1, k) if k <= n else comb(b2 + 2 * n - k - 1, 2 * n - k)
+            for k in range(2 * n + 1)]
 
 
 def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:

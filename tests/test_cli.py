@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import llvkit
-from llvkit.cli import main
+from llvkit import models
+from llvkit.cli import FIXTURE_BOUNDS, main
 from llvkit.rings import GradedAlgebra, ring_to_dict
 
 
@@ -93,6 +95,60 @@ def test_usage_error_exits_two(capsys):
     rc, _ = run(["kuga", "--dim", "11", "--q", "diag:" + ",".join(["1"] * 11)],
                 capsys)
     assert rc == 2
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("b2, n, total, admitted", [
+    (5, 3, 77, True), (8, 3, 210, True), (23, 2, 324, True),
+    (24, 2, 350, True), (23, 3, 2900, False), (24, 3, 3250, False),
+])
+def test_fixture_total_dimension_bound(capsys, monkeypatch, b2, n, total,
+                                       admitted):
+    # the bound is decided from the Verbitsky dimensions, before building
+    assert sum(models.verbitsky_dims(b2, n)) == total
+    built = []
+
+    def builder(form, n):
+        built.append((form.dim, n))
+        raise _Built
+
+    monkeypatch.setattr(models, "bogomolov_model", builder)
+    argv = ["validate", "--fixture", "bogomolov", "--b2", str(b2),
+            "--n", str(n)]
+    if admitted:
+        with pytest.raises(_Built):
+            main(argv)
+        assert built == [(b2, n)]
+        return
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and built == [] and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --b2 {b2} --n {n} gives a ring of total dimension {total}, "
+        f"over the documented bound {FIXTURE_BOUNDS['dim']}"]
+
+
+def test_verbitsky_dims_match_the_model(model52):
+    assert models.verbitsky_dims(5, 2) == [d for d in model52.dims if d]
+
+
+def test_second_main_leaves_no_parser_garbage(capsys):
+    argv = ["validate", "--fixture", "torus", "--g", "1"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []
 
 
 @pytest.mark.parametrize("flag, value, message", [

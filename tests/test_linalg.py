@@ -187,7 +187,8 @@ def test_congruence_diagonalize_matches_dense_oracle(grid):
     want_p, want_diag = dense_congruence_diagonalize(Matrix(grid, ncols=n))
     int_rows = [[int(x) if x.denominator == 1 else x for x in row]
                 for row in grid]
-    for q in (Matrix(grid, ncols=n), int_rows):
+    sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in int_rows]
+    for q in (Matrix(grid, ncols=n), int_rows, sparse_rows):
         p, diag = congruence_diagonalize(q)
         assert p == want_p
         assert diag == want_diag
@@ -207,6 +208,10 @@ def test_congruence_diagonalize_int_rows_and_errors():
         congruence_diagonalize([[1, 0], [0]])
     with pytest.raises(DimensionError):
         congruence_diagonalize(Matrix([], ncols=2))
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        symmetric_signature([{0: 1, 1: 2}, {1: 1}])
+    with pytest.raises(DimensionError):
+        symmetric_signature([{0: 1}, {2: 1}])
 
 
 def test_congruence_diagonalize_transform():

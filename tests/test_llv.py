@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from llvkit import llv
 from llvkit.lefschetz import (classical_weights, complete_sl2, cup_operator,
                               sigma_bar_sl2, sigma_sl2, weight_operator_matrix)
-from llvkit.linalg import Matrix, SparseEchelon, Subspace
+from llvkit.linalg import (Matrix, SparseEchelon, Subspace,
+                           symmetric_signature)
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
                         dual_lefschetz_commute, lie_closure, llv_closure,
@@ -384,12 +385,52 @@ def test_gaussian_structure_constants_match_dense_brackets(file52_gens):
 
 def test_killing_gram_matches_dense_traces(rat52):
     alg = llv_closure(rat52)
-    den, table = alg.structure_constants()
-    gram = llv._killing_gram(table, alg.dim)
+    den = alg._integer_form()[0]
+    gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
     ads = [llv._ad_matrix(alg, b) for b in alg.basis]
     for i in range(alg.dim):
         for j in range(alg.dim):
-            assert gram[i][j] == den ** 4 * (ads[i] * ads[j]).trace()
+            assert gram[i].get(j, 0) == den ** 4 * (ads[i] * ads[j]).trace()
+
+
+@st.composite
+def _sparse_integer_generators(draw):
+    """Two or three nonzero sparse integer 3x3 or 4x4 matrices."""
+    n = draw(st.sampled_from([3, 4]))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        cells = draw(st.dictionaries(cell, st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=4))
+        gens.append(Matrix([[cells.get((r, c), 0) for c in range(n)]
+                            for r in range(n)]))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_integer_generators())
+def test_streamed_killing_data_match_dense_oracle(gens):
+    # the Gram and derived rank that so_identify reads from one bracket
+    # walk, against dense traces of ad and the rank of every bracket
+    alg = lie_closure(gens)
+    den = alg._integer_form()[0]
+    gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
+    ads = [llv._ad_matrix(alg, b) for b in alg.basis]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert gram[i].get(j, 0) == den ** 4 * (ads[i] * ads[j]).trace()
+    n = alg.ambient
+    brackets = [[x for row in a.commutator(b).rows for x in row]
+                for a, b in itertools.combinations(alg.basis, 2)]
+    derived_rank = Subspace.from_rows(n * n, brackets).dim
+    try:
+        rep = so_identify(alg, 3)
+    except NotSemisimpleError:
+        # perfect, with a degenerate Killing form
+        assert derived_rank == alg.dim
+        assert symmetric_signature(gram)[2] > 0
+    else:
+        assert rep.semisimple_part_dim == derived_rank
 
 
 def test_so_identify_rejects_unclosed_span():
