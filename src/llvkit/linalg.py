@@ -342,12 +342,6 @@ class Subspace:
     def contains(self, vec):
         return not any(self.reduce(vec))
 
-    def coords(self, vec):
-        """Coefficients of vec on the canonical basis; None if outside."""
-        if not self.contains(vec):
-            return None
-        return tuple(vec[p] for p in self.pivots)
-
     def __le__(self, other):
         if not isinstance(other, Subspace):
             raise TypeError("expected a Subspace")
@@ -410,7 +404,8 @@ def _null_space(rows, n, shift=0) -> Subspace:
             if k != q:
                 basis[last - k][p] = -x
     free = sorted(basis)
-    return Subspace(n, [basis[f] for f in free], free)
+    # each list is dropped once Subspace has copied it to a tuple
+    return Subspace(n, (basis.pop(f) for f in free), free)
 
 
 def image(mat: Matrix) -> Subspace:
@@ -553,19 +548,22 @@ def inverse(mat: Matrix) -> Matrix:
     return Matrix._of([r[n:] for r in red], n)
 
 
-def integer_eigenspaces(mat: Matrix, candidates):
+def integer_eigenspaces(mat, candidates):
     """Eigenspace per candidate integer eigenvalue; demands a full split.
 
-    Raises unless the eigenspaces sum (directly) to the whole space,
-    i.e. the operator is diagonalizable with spectrum inside candidates.
+    ``mat`` is a square Matrix, read as its sparse rows, or a list of
+    sparse rows {j: x}.  Raises unless the eigenspaces sum (directly) to
+    the whole space, i.e. the operator is diagonalizable with spectrum
+    inside candidates.
     """
-    if mat.nrows != mat.ncols:
+    rows = _sparse_rows(mat) if isinstance(mat, Matrix) else mat
+    n = len(rows)
+    if (isinstance(mat, Matrix) and mat.ncols != n
+            or not all(0 <= j < n for r in rows for j in r)):
         raise DimensionError("eigenspaces of a non-square matrix")
-    n = mat.nrows
-    rows = _sparse_rows(mat)
     spaces = {}
     total = 0
-    for lam in candidates:
+    for lam in dict.fromkeys(candidates):      # a repeat would count twice
         ker = _null_space(rows, n, lam)
         if ker.dim:
             spaces[lam] = ker

@@ -145,10 +145,8 @@ class MatrixLieAlgebra:
     (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
     the span iff D X == sum_k X[p_k] M_k, an exact equality with no
     fraction formed.  Membership, the closure certificate, ``_ad_matrix``
-    and the bracket walk all test it this way.  The brackets they
-    test come from ``_brackets``, which forms only the nonzero ones; a
-    zero bracket lies in every span, and each nonzero one is still tested
-    for exact membership.
+    and the bracket walk all test it this way, on the nonzero brackets
+    that ``_brackets`` forms; a zero bracket lies in every span.
 
     ``bracket_rows`` walks the brackets once and stores nothing: row i
     holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
@@ -251,9 +249,8 @@ class MatrixLieAlgebra:
         [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral.
         A vanishing bracket holds the shared, read-only empty mapping
         ``_NO_BRACKET``: most brackets of a large algebra vanish.  Built
-        from one ``bracket_rows`` walk on every call and not cached; the
-        checks of this module read the walk itself.  Raises ValueError
-        when some bracket leaves the span."""
+        from one ``bracket_rows`` walk per call, not cached.  Raises
+        ValueError when some bracket leaves the span."""
         den, mats = self._integer_form()
         dim = len(mats)
         table = [dict.fromkeys(range(i + 1, dim), _NO_BRACKET)
@@ -456,23 +453,24 @@ def ad_grading(algebra: MatrixLieAlgebra, h: Matrix):
 
     Returns the three eigenspaces as lists of coordinate vectors on the
     algebra's canonical basis; a vector c stands for sum_k c_k b_k.
+    ``integer_eigenspaces`` decides the split on the sparse rows of ad(h).
     """
-    admat = _ad_matrix(algebra, h)
     try:
-        spaces = integer_eigenspaces(admat, [2, 0, -2])
+        spaces = integer_eigenspaces(_ad_matrix(algebra, h), [2, 0, -2])
     except ValueError as exc:
         raise DecompositionError(f"decomposition violated: {exc}") from exc
     return tuple(list(spaces[lam].basis) if lam in spaces else []
                  for lam in (2, 0, -2))
 
 
-def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
+def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix):
+    """ad(x) as sparse rows {j: A_kj}, [x, b_j] = sum_k A_kj b_k; raises
+    ValueError when an exact membership test puts [x, b_j] outside."""
     sp, scale = _to_sparse(x, algebra.gaussian)
     den, mats = algebra._integer_form()
     # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
     scale *= den
-    dim = len(mats)
-    rows = [[0] * dim for _ in range(dim)]
+    rows = [{} for _ in mats]
     for j, b in _brackets(sp, _index(mats)).items():
         coeffs = algebra._int_coords(b)
         if coeffs is None:
@@ -480,7 +478,7 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix) -> Matrix:
         for k, e in coeffs.items():
             rows[k][j] = (Gauss(div(e.real, scale), div(e.imag, scale))
                           if algebra.gaussian else div(e, scale))
-    return Matrix._of(rows, dim)          # div gives normal form
+    return rows
 
 
 def dual_lefschetz_commute(ring: GradedAlgebra, a, b) -> bool:
@@ -582,27 +580,34 @@ def _killing_gram(rows, dim):
     sparse rows {j: G_ij} without zero entries, read from one walk of
     ``MatrixLieAlgebra.bracket_rows``: ad(M_i) = E_i / D in the basis
     M_k = D b_k, so G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing
-    form K."""
-    # flat[k*dim + l] = [i, E_i[k][l], i', E_i'[k][l], ...] over the nonzero
-    # entries; the bracket e_ijk of row i gives E_i[k][j] and E_j[k][i]
-    flat = {}
+    form K.  Each entry E_a[k][l] = x is a, l, x in the flat list byrow[k]
+    and a, k, x in bycol[l]; index l is contracted by grouping byrow[l] by
+    k against bycol[l], and both are then freed."""
+    byrow = [[] for _ in range(dim)]
+    bycol = [[] for _ in range(dim)]
+    # the bracket e_ijk of row i gives E_i[k][j] = e_ijk, E_j[k][i] = -e_ijk
     for i, row in enumerate(rows):
         for j, coeffs in row.items():
             for k, e in coeffs.items():
-                flat.setdefault(k * dim + j, []).extend((i, e))
-                flat.setdefault(k * dim + i, []).extend((j, -e))
-    # G_ij = sum over (k, l) of E_i[k][l] E_j[l][k]
+                m = -e
+                byrow[k] += (i, j, e, j, i, m)
+                bycol[j] += (i, k, e)
+                bycol[i] += (j, k, m)
     gram = [{} for _ in range(dim)]
-    for kl, col in flat.items():
-        k, l = divmod(kl, dim)
-        other = flat.get(l * dim + k)
-        if other:
-            it = iter(col)
-            for i, a in zip(it, it):
+    for l in range(dim):
+        right = {}                    # k -> [j, E_j[l][k], ...]
+        it = iter(byrow[l])
+        for j, k, y in zip(it, it, it):
+            right.setdefault(k, []).extend((j, y))
+        it = iter(bycol[l])
+        for i, k, x in zip(it, it, it):
+            other = right.get(k)
+            if other:
                 grow = gram[i]
                 jt = iter(other)
-                for j, b in zip(jt, jt):
-                    grow[j] = grow.get(j, 0) + a * b
+                for j, y in zip(jt, jt):
+                    grow[j] = grow.get(j, 0) + x * y
+        byrow[l] = bycol[l] = None
     return [{j: g for j, g in grow.items() if g} for grow in gram]
 
 
@@ -617,8 +622,8 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     in one ``bracket_rows`` walk (see MatrixLieAlgebra), and no table of
     them is stored.  The derived algebra is the span of the rows
     {k: e_ijk}; its rank is taken by sparse elimination that stops once
-    full.  The same walk fills the index of ``_killing_gram``, and the
-    Killing signature is read from the sparse integer Gram matrix
+    full.  The same walk feeds ``_killing_gram``, and the Killing
+    signature is read from the sparse integer Gram matrix
     G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i.  That basis change is
     a positive-diagonal congruence and D^2 > 0, so by Sylvester's law G
     has the signature of the Killing form.

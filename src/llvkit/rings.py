@@ -11,7 +11,7 @@ basis element and distinguished classes sigma, sigma-bar of bidegree
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Matrix
 from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss,
@@ -294,7 +294,9 @@ class GradedAlgebra:
                                 f"({self.label_of(gi)}, {self.label_of(gj)}, "
                                 f"{self.label_of(gk)})"):
                             return ValidationReport(False, issues)
-        # Poincare duality
+        # Poincare duality: <a, b> = sum c w over the terms c e_l of a*b
+        lo_top, _ = self.slice_of(self.top)
+        weight = {lo_top + t: w for t, w in enumerate(self.integration) if w}
         for k in range(self.top + 1):
             kd = self.top - k
             if self.dims[k] != self.dims[kd]:
@@ -305,8 +307,9 @@ class GradedAlgebra:
             lo_k, _ = self.slice_of(k)
             lo_d, _ = self.slice_of(kd)
             pairing = Matrix(
-                [[self.integrate(self.multiply(self.basis_vector(lo_k + a),
-                                               self.basis_vector(lo_d + b)))
+                [[sum(c * weight[gl]
+                      for gl, c in self.mul_basis(lo_k + a, lo_d + b)
+                      if gl in weight)
                   for b in range(self.dims[kd])] for a in range(self.dims[k])],
                 ncols=self.dims[kd])
             if pairing.rank() != self.dims[k]:
@@ -397,20 +400,6 @@ class BigradedAlgebra(GradedAlgebra):
                             f"{self.label_of(gi)}*{self.label_of(gj)} hits "
                             f"{self.label_of(gk)} outside ({pi + pj},{qi + qj})"))
         return issues
-
-    def to_rational(self, x):
-        """Rational-model coordinates of a (bi)homogeneous element."""
-        self._need_companion()
-        out = [0] * self.rational_model.total_dim
-        for k in range(self.top + 1):
-            comp = self.component(x, k)
-            if not any(comp):
-                continue
-            rat = self.to_rational_mats[k].matvec(comp)
-            lo, _ = self.rational_model.slice_of(k)
-            for t, c in enumerate(rat):
-                out[lo + t] = c
-        return tuple(out)
 
     def from_rational(self, x):
         self._need_companion()

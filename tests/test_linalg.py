@@ -11,6 +11,7 @@ from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
                            congruence_diagonalize, image, integer_eigenspaces,
                            inverse, kernel, rref, solve, symmetric_signature)
 from llvkit.scalars import Gauss, I, as_fraction
+from dense_ad import dense_ad
 from subspace_ops import subspace_intersect, subspace_sum
 
 
@@ -641,14 +642,39 @@ def test_rational_kernel_matches_sympy(mat):
     assert ker == Subspace.from_rows(mat.ncols, rows)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_sparse_matrices(square=True), _diagonalizable()),
+       st.sampled_from([[2, 0, -2], [0], [1, -1, 0]]))
+def test_integer_eigenspaces_dict_rows_match_matrix(mat, candidates):
+    rows = [{j: x for j, x in enumerate(r) if x} for r in mat.rows]
+    assert (_eigenspaces_or_none(rows, candidates)
+            == _eigenspaces_or_none(mat, candidates))
+
+
+def test_integer_eigenspaces_ignore_repeated_candidates():
+    # a Jordan block: the kernel must not count twice toward a full split
+    with pytest.raises(ValueError, match="fill 1 of 2"):
+        integer_eigenspaces(Matrix([[0, 1], [0, 0]]), [0, 0])
+    spaces = integer_eigenspaces(Matrix([[2, 0], [0, 0]]), [2, 0, 2])
+    assert {lam: s.dim for lam, s in spaces.items()} == {2: 1, 0: 1}
+
+
+def test_integer_eigenspaces_dict_rows_out_of_range():
+    with pytest.raises(DimensionError):
+        integer_eigenspaces([{0: 1}, {2: 1}], [0, 1])
+    with pytest.raises(DimensionError):
+        integer_eigenspaces([{-1: 1}], [0])
+
+
 def test_k3_ad_weight_kernels_match_dense_reference(k3, k3_closure):
     from llvkit.lefschetz import classical_weights, weight_operator_matrix
     from llvkit.llv import _ad_matrix
     h = weight_operator_matrix(k3, classical_weights(k3))
-    admat = _ad_matrix(k3_closure, h)
+    admat = dense_ad(k3_closure, h)
     assert kernel(admat) == _reference_kernel(admat)
     spaces = integer_eigenspaces(admat, [2, 0, -2])
     assert spaces == _reference_eigenspaces(admat, [2, 0, -2])
+    assert integer_eigenspaces(_ad_matrix(k3_closure, h), [2, 0, -2]) == spaces
     assert {lam: s.dim for lam, s in spaces.items()} == {2: 22, 0: 232, -2: 22}
 
 

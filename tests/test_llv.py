@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llvkit import llv
@@ -18,6 +18,7 @@ from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
 from llvkit.models import nonisotropic_stream
 from llvkit.rings import load_ring, save_ring
 from llvkit.scalars import Gauss, GaussInt, I
+from dense_ad import dense_ad
 
 
 def sl2_triple_generators(ring, a):
@@ -387,10 +388,14 @@ def test_killing_gram_matches_dense_traces(rat52):
     alg = llv_closure(rat52)
     den = alg._integer_form()[0]
     gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
-    ads = [llv._ad_matrix(alg, b) for b in alg.basis]
+    ads = [dense_ad(alg, b) for b in alg.basis]
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert gram[i].get(j, 0) == den ** 4 * (ads[i] * ads[j]).trace()
+
+
+def _cells(n, cells):
+    return Matrix([[cells.get((r, c), 0) for c in range(n)] for r in range(n)])
 
 
 @st.composite
@@ -402,20 +407,37 @@ def _sparse_integer_generators(draw):
     for _ in range(draw(st.integers(2, 3))):
         cells = draw(st.dictionaries(cell, st.integers(-3, 3).filter(bool),
                                      min_size=1, max_size=4))
-        gens.append(Matrix([[cells.get((r, c), 0) for c in range(n)]
-                            for r in range(n)]))
+        gens.append(_cells(n, cells))
     return gens
+
+
+# generators of sl3: two Cartan elements act on the same root vectors, so
+# several E_a share an entry position (k, l); on K3 no position is shared
+_SL3_GENERATORS = [_cells(3, {(0, 1): 1, (1, 2): 1}),
+                   _cells(3, {(1, 0): 1, (2, 1): 1}), _cells(3, {(1, 0): 1})]
+
+
+def test_killing_oracle_example_shares_entry_positions():
+    alg = lie_closure(_SL3_GENERATORS)
+    ads = [dense_ad(alg, b) for b in alg.basis]
+    shared = [(k, l) for k in range(alg.dim) for l in range(alg.dim)
+              if sum(1 for a in ads if a[k, l]) > 1]
+    assert alg.dim == 8 and shared
+    # sl(3, R): the Killing form is positive on the 5 symmetric directions
+    gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
+    assert symmetric_signature(gram) == (5, 3, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_sparse_integer_generators())
+@example(_SL3_GENERATORS)
 def test_streamed_killing_data_match_dense_oracle(gens):
     # the Gram and derived rank that so_identify reads from one bracket
     # walk, against dense traces of ad and the rank of every bracket
     alg = lie_closure(gens)
     den = alg._integer_form()[0]
     gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
-    ads = [llv._ad_matrix(alg, b) for b in alg.basis]
+    ads = [dense_ad(alg, b) for b in alg.basis]
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert gram[i].get(j, 0) == den ** 4 * (ads[i] * ads[j]).trace()
