@@ -1,12 +1,12 @@
 """Exact linear algebra: matrices, canonical subspaces, signatures.
 
-Two elimination engines serve everything here.  ``rref`` is the dense
-canonical form behind ``Subspace``, ``rank``, ``inverse`` and ``solve``.
-``SparseEchelon`` is the incremental, sparse engine, fraction-free over Z
-or dividing over Q and Q(i); kernels, unique sparse solutions and every
-span grown one vector at a time run on it.  Subspaces are always stored
-with a reduced-row-echelon basis, so equality of subspaces is literal
-equality of their representations.  All routines are pure and work over
+One elimination engine serves everything here: ``SparseEchelon``,
+incremental and sparse, fraction-free over Z or dividing over Q and Q(i).
+``rref`` densifies its canonical rows for ``Subspace``, ``rank`` and
+``inverse``; kernels, unique sparse solutions and every span grown one
+vector at a time use it directly.  Subspaces are always stored with a
+reduced-row-echelon basis, so equality of subspaces is literal equality
+of their representations.  All routines are pure and work over
 Q or Q(i) (Gauss).  Every Matrix entry is in normal form: a rational is
 an int when it is integral and a Fraction only when it has a denominator,
 and a Gauss has parts of the same kind.  ``Matrix(...)`` brings outside
@@ -223,64 +223,27 @@ class Matrix:
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns).
 
-    Generic over int, Fraction and Gauss entries; pivots are normalized to 1
-    and cleared above and below, so the output is canonical for the row
-    space.  Zero rows are dropped.  Only the nonzero entries of a pivot
-    row are divided and subtracted; they all sit at or right of the
-    pivot, so a zero entry keeps the type it came in with, and each
-    difference that lands on an integer is stored as an int.
+    The canonical basis of the row space: pivots normalized to 1 and
+    cleared above and below, zero rows dropped.  ``SparseEchelon`` does
+    the elimination, fraction-free over Z, or in field mode as soon as an
+    entry is Gauss, and its canonical rows are densified.
     """
-    work = [[_norm_entry(x) for x in r] for r in rows if any(r)]
-    if not work:
+    rows = [r for r in rows if any(r)]
+    if not rows:
         return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        support = [j for j in range(c, ncols) if prow[j]]
-        inv = prow[c]
-        if inv != 1:
-            for j in support:
-                prow[j] = div(prow[j], inv)
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                for j in support:
-                    y = row[j] - f * prow[j]
-                    row[j] = (y.numerator if type(y) is Fraction
-                              and y.denominator == 1 else y)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = [tuple(row) for row in work[:r]]
+    field = any(Gauss in map(type, r) for r in rows)
+    ech = SparseEchelon(exact_division=field)
+    for r in rows:
+        ech.add(r)
+    reduced, pivots = ech.canonical()
+    ncols = len(rows[0])
+    out = []
+    for row in reduced:
+        dense = [0] * ncols
+        for k, x in row.items():
+            dense[k] = x
+        out.append(tuple(dense))
     return out, pivots
-
-
-def solve(mat: Matrix, target):
-    """One exact solution x of mat*x = target, or None when inconsistent."""
-    if len(target) != mat.nrows:
-        raise DimensionError("solve target length mismatch")
-    aug = [list(r) + [t] for r, t in zip(mat.rows, target)]
-    if not aug:
-        return (0,) * mat.ncols
-    red, pivots = rref(aug)
-    n = mat.ncols
-    if n in pivots:
-        return None
-    x = [0] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[n]
-    return tuple(x)
 
 
 class Subspace:
@@ -406,11 +369,6 @@ def _null_space(rows, n, shift=0) -> Subspace:
     free = sorted(basis)
     # each list is dropped once Subspace has copied it to a tuple
     return Subspace(n, (basis.pop(f) for f in free), free)
-
-
-def image(mat: Matrix) -> Subspace:
-    """Column space of mat, canonically (as row vectors of length nrows)."""
-    return Subspace.from_rows(mat.nrows, mat.transpose().rows)
 
 
 def _sparse_symmetric(q):

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
-                           congruence_diagonalize, image, integer_eigenspaces,
-                           inverse, kernel, rref, solve, symmetric_signature)
+                           congruence_diagonalize, integer_eigenspaces,
+                           inverse, kernel, rref, symmetric_signature)
 from llvkit.scalars import Gauss, I, as_fraction
 from dense_ad import dense_ad
-from subspace_ops import subspace_intersect, subspace_sum
+from subspace_ops import (full_row_rref, image, reference_subspace,
+                          subspace_intersect, subspace_sum)
 
 
 def _exact(x):
@@ -247,11 +248,13 @@ def test_integer_eigenspaces_rejects_wrong_spectrum():
         integer_eigenspaces(Matrix([[0, 1], [0, 0]]), [0, 1])
 
 
-def test_solve_and_inverse():
+def test_inverse():
     m = Matrix([[2, 1], [1, 1]])
-    assert solve(m, (3, 2)) == (Fraction(1), Fraction(1))
     assert inverse(m) * m == Matrix.identity(2)
-    assert solve(Matrix([[1, 1], [1, 1]]), (0, 1)) is None
+    for m in (Matrix([[1, 1], [1, 1]]), Matrix.zeros(2, 2),
+              Matrix([[1, I], [I, -1]])):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(m)
 
 
 _small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -284,7 +287,7 @@ def _echelon_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_echelon_cases())
 def test_spans_agree_with_subspace(case):
-    # differential test against the dense rref behind Subspace
+    # differential test against the dense full-row elimination
     field, n, rows, as_dict = case
     ech = SparseEchelon(exact_division=field)
     seen = []
@@ -293,7 +296,7 @@ def test_spans_agree_with_subspace(case):
         vec = {k: x for k, x in enumerate(row) if x} if sparse else row
         assert ech.contains(vec) == before.contains(row)
         seen.append(row)
-        after = Subspace.from_rows(n, seen)
+        after = reference_subspace(n, seen)
         assert ech.add(vec) == (after.dim > before.dim)
         assert ech.dim == after.dim
         assert ech.contains(vec)
@@ -321,45 +324,18 @@ def test_rref_canonical():
     assert rows1 == rows2 and piv1 == piv2
 
 
-def _full_row_rref(rows):
-    """``rref`` before it skipped zeros: every entry of the pivot row is
-    divided, and every other row is updated across its whole length."""
-    work = [[x if isinstance(x, (Gauss, Fraction)) else Fraction(x)
-             for x in r] for r in rows if any(r)]
-    if not work:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(work[0])):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        if inv != 1:
-            work[r] = [a / inv for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
-
-
 @settings(max_examples=300, deadline=None)
 @given(_echelon_cases())
 def test_rref_matches_the_full_row_elimination(case):
-    # Q and mixed Q/Q(i) rows, with zero and dependent rows; a skipped
-    # zero may keep its input type, so entries are compared by value
+    # rref on SparseEchelon against the independent dense elimination, on
+    # Q and mixed Q/Q(i) rows with zero and dependent rows; the oracle
+    # keeps Fractions, so entries are compared by value
     _, _, rows, _ = case
     got, pivots = rref(rows)
-    want, want_pivots = _full_row_rref(rows)
+    want, want_pivots = full_row_rref(rows)
     assert pivots == want_pivots
     assert got == want
-    assert all(_exact(x) for row in got for x in row)
+    assert all(_normal(x) for row in got for x in row)
 
 
 @st.composite
@@ -535,9 +511,10 @@ def test_gauss_arithmetic_stays_in_normal_form(a, b, c, d, y):
 
 
 def _reference_kernel(mat):
-    """Free-variable basis of a dense rref, canonicalized by a second rref."""
+    """Free-variable basis of the full-row elimination, canonicalized by
+    a second one."""
     n = mat.ncols
-    red, pivots = rref(mat.rows)
+    red, pivots = full_row_rref(mat.rows)
     basis = []
     for f in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
@@ -545,7 +522,7 @@ def _reference_kernel(mat):
         for row, p in zip(red, pivots):
             v[p] = -row[f]
         basis.append(v)
-    return Subspace.from_rows(n, basis)
+    return reference_subspace(n, basis)
 
 
 def _reference_eigenspaces(mat, candidates):
@@ -594,6 +571,19 @@ def _sparse_matrices(draw, square=False):
             for j, _ in enumerate(r)] for i, r in enumerate(rows)])
         mat = low * up
     return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices(square=True))
+def test_inverse_is_a_two_sided_inverse(mat):
+    # over Q the engine runs in integer mode, over Q(i) in field mode
+    n = mat.nrows
+    if len(full_row_rref(mat.rows)[1]) < n:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(mat)
+        return
+    inv = inverse(mat)
+    assert inv * mat == mat * inv == Matrix.identity(n)
 
 
 @settings(max_examples=150, deadline=None)

@@ -70,10 +70,10 @@ def _sparse_bracket(a, b):
 
 
 def _reference_closure(gens):
-    """The dense closure over the field: membership by the dense rref
-    behind Subspace, every accepted element bracketed against the
-    generators by Matrix.commutator.  Returns (pivots, canonical sparse
-    rows)."""
+    """The dense closure over the field: membership by reduction against
+    a canonical Subspace basis, every accepted element bracketed against
+    the generators by Matrix.commutator.  Returns (pivots, canonical
+    sparse rows)."""
     n = gens[0].nrows
     sub = Subspace.zero(n * n)
 

@@ -196,8 +196,8 @@ def _sampled_power_span(form, n, monos):
     sampled until it stops growing at the expected dimension."""
     m = form.dim
     target = comb(m + n, n + 1) - comb(m + n - 2, n - 1)
-    # grown by the dense rref behind Subspace: the basis plus the residue
-    # of a new row spans every row so far
+    # grown as a Subspace: the basis plus the residue of a new row spans
+    # every row so far
     sub = Subspace.zero(len(monos))
     for used, w in enumerate(isotropic_stream(form)):
         if sub.dim == target or used > 8 * target + 200:

@@ -16,7 +16,7 @@ from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        weak_pw_check, weight_filtration)
 from llvkit.rings import ring_from_dict, ring_to_dict
 from llvkit.scalars import Gauss
-from subspace_ops import subspace_intersect, subspace_sum
+from subspace_ops import reference_subspace, subspace_intersect, subspace_sum
 
 
 def jordan_block(n):
@@ -83,6 +83,27 @@ def weight_filtration_oracle(nmat, center):
     return Filtration(n, steps)
 
 
+def assert_kernel_image_formula(filt, nmat, center):
+    """filt agrees with Deligne's formula for the weight filtration,
+    W_m = sum over j >= 0 of N^j ker(N^(m - center + 2j + 1)).  The j-th
+    term ker(N^e) n im(N^j), e = m - center + j + 1, is taken as the image
+    of a kernel; ker N^t is the whole space for t >= nil."""
+    n = nmat.nrows
+    powers = [Matrix.identity(n)]
+    while not powers[-1].is_zero():
+        powers.append(powers[-1] * nmat)
+    nil = len(powers) - 1
+    kers = [kernel(p) for p in powers]
+    for m in range(filt.lo - 1, filt.hi + 2):
+        rows = []
+        for j in range(nil):
+            e = m - center + j + 1
+            if e > 0:
+                rows.extend(powers[j].matvec(v)
+                            for v in kers[min(e + j, nil)].basis)
+        assert filt.at(m) == reference_subspace(n, rows), m
+
+
 def test_weight_filtration_zero_matrix():
     f = weight_filtration(Matrix.zeros(3, 3), center=5)
     assert f.dims() == {4: 0, 5: 3}
@@ -102,6 +123,42 @@ def test_weight_filtration_matches_oracle_on_200_random():
         ours = weight_filtration(nmat, center=center)
         oracle = weight_filtration_oracle(nmat, center)
         assert ours == oracle
+        assert_kernel_image_formula(ours, nmat, center)
+
+
+def test_weight_filtrations_of_model_rings_match_the_formula(rat52, k3big):
+    # the weight filtrations of the weak P = W check, degree by degree
+    for ring in (rat52, k3big.rational_model):
+        nmat = lagrangian_monodromy(ring, default_lagrangian_triple(ring))
+        two_n = ring.top // 2
+        for k, dim in enumerate(ring.dims):
+            if dim:
+                block = degree_block(ring, nmat, k)
+                filt = weight_filtration(block, center=k - two_n)
+                assert_kernel_image_formula(filt, block, k - two_n)
+
+
+def test_weight_axioms_reject_a_jump_outside_the_window():
+    # N = J_2 + 0 on Q^3 (N e1 = e2), centered at 0, so nil = 2.  The
+    # weight filtration is 0 < <e2> < <e2, e3> < V at -2, -1, 0, 1.  Moving
+    # the e3 jump to c + nil + 1 = 3 or to c - nil - 1 = -3 keeps
+    # N W_m <= W_(m-2) and N^j : gr_j ~ gr_(-j) for j <= nil; only
+    # W_(c-nil) = 0 and W_(c+nil-1) = V reject it.
+    nmat = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    powers = pw._nilpotent_powers(nmat)
+
+    def span(*vecs):
+        return Subspace.from_rows(3, vecs)
+
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    zero, full = Subspace.zero(3), Subspace.full(3)
+    good = Filtration(3, {-2: zero, -1: span(e2), 0: span(e2, e3), 1: full})
+    assert weight_filtration(nmat) == good
+    pw._verify_weight_axioms(good, nmat, 0, powers)
+    for steps in ({-2: zero, -1: span(e2), 1: span(e1, e2), 3: full},
+                  {-4: zero, -3: span(e3), -1: span(e2, e3), 1: full}):
+        with pytest.raises(RuntimeError, match=r"jumps outside \[-1, 1\]"):
+            pw._verify_weight_axioms(Filtration(3, steps), nmat, 0, powers)
 
 
 def test_weight_filtration_same_on_fraction_typed_rows():
