@@ -199,16 +199,17 @@ def cl_trace(x: CliffordElement) -> Fraction:
     return x.coeffs[0]
 
 
-def cl_trace_regular(x: CliffordElement) -> Fraction:
-    """The same trace computed honestly from the regular representation."""
-    alg = x.algebra
-    table, denom = alg.structure_table()
-    total = Fraction(0)
-    for t in range(alg.dim):
-        for s, cs in enumerate(x.coeffs):
-            if cs and s ^ t == t:
-                total += cs * Fraction(table[s][t], denom)
-    return div(total, alg.dim)
+def cl_trace_gram(xs, ys) -> Matrix:
+    """The matrix of Tr(x*y), x in xs, y in ys, without the products:
+    e_S e_T has an e_0 term only when S = T, namely C[S][S]/D
+    (``structure_table``), so Tr(x*y) = sum_S x_S y_S C[S][S]/D."""
+    table, denom = xs[0].algebra.structure_table()
+    rows = [_cleared(x.coeffs) for x in xs]
+    cols = [(d, {s: b * table[s][s] for s, b in terms})
+            for d, terms in (_cleared(y.coeffs) for y in ys)]
+    return Matrix([[Fraction(sum(a * col[s] for s, a in row if s in col),
+                             dx * dy * denom) for dy, col in cols]
+                   for dx, row in rows], ncols=len(ys))
 
 
 def complex_structure(alg: CliffordAlgebra, gamma, gamma_prime) -> CliffordElement:
@@ -249,20 +250,16 @@ def polarization_form(alg: CliffordAlgebra, a: CliffordElement):
     basis = [CliffordElement(alg, tuple(Fraction(1 if t == s else 0)
                                         for t in range(alg.dim)))
              for s in range(alg.dim)]
-    conj_basis = [conjugate(b) for b in basis]
-    a_conj_basis = [cl_multiply(a, cb) for cb in conj_basis]
-    gram = Matrix([[cl_trace(cl_multiply(x, acy)) for acy in a_conj_basis]
-                   for x in basis], ncols=alg.dim)
+    a_conj_basis = [cl_multiply(a, conjugate(b)) for b in basis]
+    gram = cl_trace_gram(basis, a_conj_basis)
     antisym = all(gram[i, j] == -gram[j, i]
                   for i in range(alg.dim) for j in range(alg.dim))
     res.data["antisymmetric"] = antisym
     if not antisym:
         res.fail("sigma_a is not antisymmetric")
-    a_basis = [cl_multiply(a, b) for b in basis]
-    conj_a_basis = [conjugate(ab) for ab in a_basis]
+    conj_a_basis = [conjugate(cl_multiply(a, b)) for b in basis]
     x_a = [cl_multiply(x, a) for x in basis]
-    sym = Matrix([[cl_trace(cl_multiply(xa, cay)) for cay in conj_a_basis]
-                  for xa in x_a], ncols=alg.dim)
+    sym = cl_trace_gram(x_a, conj_a_basis)
     positive_sign = None
     if sym.is_symmetric():
         pos, neg, null = symmetric_signature(sym)

@@ -21,6 +21,7 @@ Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .scalars import Gauss, as_fraction, conj, div, rat
@@ -563,46 +564,42 @@ class SparseEchelon:
         return v
 
     def reduce(self, vec):
-        """Residue of vec against the rows, as a sparse dict."""
-        v = self._sparse(vec)
-        while True:
-            hit = None
-            for p in sorted(v):
-                if p in self.rows:
-                    hit = p
-                    break
-            if hit is None:
-                return v
-            row = self.rows[hit]
-            c = v[hit]
-            if self.exact_division:
-                out = dict(v)
-                for k, val in row.items():
-                    nv = out.get(k, 0) - c * val
-                    if not nv:
-                        out.pop(k, None)
-                    elif type(nv) is Fraction and nv.denominator == 1:
-                        out[k] = nv.numerator
-                    else:
-                        out[k] = nv
-                v = out
-            else:
+        """Residue of vec against the rows, as a sparse dict.  A heap holds
+        the pivots where it is nonzero: they are cleared in ascending
+        order, as a step only fills indices right of its pivot."""
+        return self._eliminate(self._sparse(vec))
+
+    def _eliminate(self, v):
+        rows = self.rows
+        heap = [k for k in v if k in rows]
+        heapify(heap)
+        while heap:
+            hit = heappop(heap)
+            c = v.get(hit)
+            if c is None:
+                continue          # cleared since it was pushed
+            row = rows[hit]
+            if not self.exact_division:
                 lead = row[hit]
-                out = {k: lead * val for k, val in v.items()}
-                for k, val in row.items():
-                    nv = out.get(k, 0) - c * val
-                    if nv:
-                        out[k] = nv
-                    elif k in out:
-                        del out[k]
-                g = 0
-                for x in out.values():
-                    g = gcd(g, abs(x))
-                    if g == 1:
-                        break
-                if g > 1:
-                    out = {k: x // g for k, x in out.items()}
-                v = out
+                g = gcd(lead, c)
+                lead, c = lead // g, c // g
+                if lead != 1:
+                    for k in v:
+                        v[k] *= lead
+            for k, val in row.items():
+                nv = v.get(k, 0) - c * val
+                if not nv:
+                    v.pop(k, None)
+                    continue
+                if k not in v and k in rows:
+                    heappush(heap, k)
+                v[k] = (nv.numerator if type(nv) is Fraction
+                        and nv.denominator == 1 else nv)
+            g = 1 if self.exact_division else gcd(*v.values())
+            if g > 1:
+                for k in v:
+                    v[k] //= g
+        return v
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
@@ -623,27 +620,16 @@ class SparseEchelon:
         return True
 
     def canonical(self):
-        """Fully reduced rows with pivots normalized to 1, sorted."""
+        """Fully reduced rows with pivots normalized to 1, sorted; each row
+        is reduced by the later ones, which start right of its pivot."""
         pivots = sorted(self.rows)
-        reduced = {}
+        back = SparseEchelon(exact_division=True)
         for p in reversed(pivots):
-            row = dict(self.rows[p])
-            for q in sorted(row):
-                if q != p and q in reduced:
-                    other = reduced[q]
-                    c = row[q]
-                    for k, val in other.items():
-                        nv = row.get(k, 0) - c * val
-                        if not nv:
-                            row.pop(k, None)
-                        elif type(nv) is Fraction and nv.denominator == 1:
-                            row[k] = nv.numerator
-                        else:
-                            row[k] = nv
+            row = back._eliminate(dict(self.rows[p]))
             lead = row[p]
-            reduced[p] = ({k: div(v, lead) for k, v in row.items()}
-                          if lead != 1 else row)
-        return [reduced[p] for p in pivots], pivots
+            back.rows[p] = ({k: div(v, lead) for k, v in row.items()}
+                            if lead != 1 else row)
+        return [back.rows[p] for p in pivots], pivots
 
 
 def solve_sparse(rows, rhs, n_unknowns, exact_division=False):

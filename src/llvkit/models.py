@@ -53,9 +53,7 @@ def vector_stream(dim):
 def _primitive(vec):
     den = lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x), None)
@@ -367,24 +365,15 @@ def admissible_positive_pair(form: QuadraticForm):
             continue
         u1 = list(p.row(a))
         u2 = [ratio * x for x in p.row(b)]
-        den = 1
-        for x in itertools.chain(u1, u2):
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in itertools.chain(u1, u2)))
         u1 = tuple(int(x * den) for x in u1)
         u2 = tuple(int(x * den) for x in u2)
-        g1 = _primitive_gcd(u1, u2)
+        g1 = gcd(*u1, *u2) or 1
         u1 = tuple(x // g1 for x in u1)
         u2 = tuple(x // g1 for x in u2)
         return u1, u2
     raise ModelConstructionError(
         "no admissible positive pair: norm ratios are not rational squares")
-
-
-def _primitive_gcd(u1, u2):
-    g = 0
-    for x in itertools.chain(u1, u2):
-        g = gcd(g, abs(x))
-    return g or 1
 
 
 def verbitsky_dims(b2: int, n: int):
@@ -431,6 +420,9 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     (sigma, sigma-bar, t_i), which is rational, and with the basis chosen
     in the opposite order, builds the bigraded companion by Galois
     descent (see ``_bigraded_companion``).
+    The rational model runs the full ``validate``; the companion, the same
+    ring after a change of basis, is certified through it instead
+    (``companion_certificate``).
     """
     m = form.dim
     if m < 5:
@@ -451,7 +443,7 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     big.rational_model = GradedAlgebra(
         FIELD_RATIONAL, dims, labels, products, [div(1, lam)],
         quadratic_form=form, name=f"bogomolov(b2={m},n={n})").require_valid()
-    return big.require_valid()
+    return big.require_valid(big.companion_certificate())
 
 
 def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
@@ -597,7 +589,7 @@ def _bigraded_companion(form, n, red, u1, u2):
     wrong bidegree.  Only the maps to and from the rational model
     (``to_rational_mats``, ``from_rational_mats``) need Q(i): each
     column of the first is the expansion of one basis monomial in the
-    rational model.  The ring is returned unvalidated.
+    rational model.  ``bogomolov_model`` certifies the returned ring.
     """
     m = form.dim
     t_space = kernel(Matrix([form.gram.matvec(u1), form.gram.matvec(u2)], ncols=m))

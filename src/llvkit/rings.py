@@ -222,85 +222,83 @@ class GradedAlgebra:
 
     validation = None    # the report of require_valid, kept for reporting
 
-    def require_valid(self):
-        """Validate, keep the report on the ring, raise unless it holds."""
-        self.validation = self.validate()
+    def require_valid(self, report=None):
+        """Keep ``report`` (by default a full ``validate``) on the ring and
+        raise unless it holds."""
+        self.validation = self.validate() if report is None else report
         if not self.validation.ok:
             raise RingValidationError(self.validation)
         return self
 
-    def validate(self, max_issues=None) -> ValidationReport:
+    def validate(self) -> ValidationReport:
+        issues = [*self._unit_issues(), *self._commutativity_issues(),
+                  *self._associativity_issues(), *self._duality_issues(),
+                  *self._validate_extra()]
+        return ValidationReport(not issues, issues)
+
+    def _unit_issues(self):
+        if self.dims[0] != 1 or self.dims[self.top] != 1:
+            return [ValidationIssue(check, f"{where} has dimension {d}, "
+                                    "expected 1")
+                    for check, where, d in (("unit", "degree 0", self.dims[0]),
+                                            ("top", "top degree",
+                                             self.dims[self.top])) if d != 1]
+        one = to_field(1, self.field)
+        return [ValidationIssue("unit", f"1*{self.label_of(gi)} != "
+                                f"{self.label_of(gi)}")
+                for gi in range(self.total_dim)
+                if dict(self.mul_basis(0, gi)) != {gi: one}]
+
+    def _commutativity_issues(self):
+        odd, get = [k % 2 for k in self._degree_of], self.products.get
+        return [ValidationIssue("graded-commutativity", f"({self.label_of(gi)}"
+                                f", {self.label_of(gj)})")
+                for gi in range(self.total_dim)
+                for gj in range(gi, self.total_dim)
+                if dict(get((gi, gj), ()))
+                != {gk: -c if odd[gi] and odd[gj] else c
+                    for gk, c in get((gj, gi), ())}]
+
+    def _associativity_issues(self):
+        """Every triple of positive degree that survives the top degree
+        (a unit factor is covered by the unit check)."""
         issues = []
-
-        def note(check, detail):
-            issues.append(ValidationIssue(check, detail))
-            return max_issues is not None and len(issues) >= max_issues
-
-        if self.dims[0] != 1:
-            note("unit", f"degree 0 has dimension {self.dims[0]}, expected 1")
-        if self.dims[self.top] != 1:
-            note("top", f"top degree has dimension {self.dims[self.top]}, expected 1")
-        if not issues:
-            unit = 0
-            for gi in range(self.total_dim):
-                got = dict(self.mul_basis(unit, gi))
-                if got != {gi: to_field(1, self.field)}:
-                    if note("unit", f"1*{self.label_of(gi)} != {self.label_of(gi)}"):
-                        return ValidationReport(False, issues)
-        # graded commutativity
-        for gi in range(self.total_dim):
-            di = self._degree_of[gi]
-            for gj in range(gi, self.total_dim):
-                dj = self._degree_of[gj]
-                sign = -1 if (di % 2) and (dj % 2) else 1
-                left = dict(self.mul_basis(gi, gj))
-                right = {gk: sign * c for gk, c in self.mul_basis(gj, gi)}
-                if left != right:
-                    if note("graded-commutativity",
-                            f"({self.label_of(gi)}, {self.label_of(gj)})"):
-                        return ValidationReport(False, issues)
-        # associativity, skipping triples that die for degree reasons and
-        # triples with a unit factor (already covered by the unit check)
-        first_pos = self.offsets[1] if self.top >= 1 else self.total_dim
+        deg, top, get = self._degree_of, self.top, self.products.get
+        first_pos = self.offsets[1] if top >= 1 else self.total_dim
         for gi in range(first_pos, self.total_dim):
-            di = self._degree_of[gi]
             for gj in range(first_pos, self.total_dim):
-                dj = self._degree_of[gj]
-                if di + dj > self.top:
-                    continue
-                pij = self.mul_basis(gi, gj)
+                dij = deg[gi] + deg[gj]
+                if dij > top:       # the basis runs by degree
+                    break
+                pij = get((gi, gj), ())
                 for gk in range(first_pos, self.total_dim):
-                    dk = self._degree_of[gk]
-                    if di + dj + dk > self.top:
-                        continue
+                    if dij + deg[gk] > top:
+                        break
                     left = {}
                     for gl, c in pij:
-                        for gm, c2 in self.mul_basis(gl, gk):
-                            v = left.get(gm, 0) + c * c2
-                            if v:
-                                left[gm] = v
-                            elif gm in left:
-                                del left[gm]
+                        for gm, c2 in get((gl, gk), ()):
+                            left[gm] = left.get(gm, 0) + c * c2
                     right = {}
-                    for gl, c in self.mul_basis(gj, gk):
-                        for gm, c2 in self.mul_basis(gi, gl):
-                            v = right.get(gm, 0) + c * c2
-                            if v:
-                                right[gm] = v
-                            elif gm in right:
-                                del right[gm]
-                    if left != right:
-                        if note("associativity",
-                                f"({self.label_of(gi)}, {self.label_of(gj)}, "
-                                f"{self.label_of(gk)})"):
-                            return ValidationReport(False, issues)
-        # Poincare duality: <a, b> = sum c w over the terms c e_l of a*b
+                    for gl, c in get((gj, gk), ()):
+                        for gm, c2 in get((gi, gl), ()):
+                            right[gm] = right.get(gm, 0) + c * c2
+                    if left != right and _nonzero(left) != _nonzero(right):
+                        issues.append(ValidationIssue(
+                            "associativity",
+                            f"({self.label_of(gi)}, {self.label_of(gj)}, "
+                            f"{self.label_of(gk)})"))
+        return issues
+
+    def _duality_issues(self):
+        """Poincare duality: <a, b> = sum c w over the terms c e_l of a*b."""
+        issues = []
         lo_top, _ = self.slice_of(self.top)
         weight = {lo_top + t: w for t, w in enumerate(self.integration) if w}
         for k in range(self.top + 1):
             kd = self.top - k
             if self.dims[k] != self.dims[kd]:
-                note("duality", f"dim A^{k} = {self.dims[k]} != {self.dims[kd]} = dim A^{kd}")
+                issues.append(ValidationIssue("duality", f"dim A^{k} = "
+                              f"{self.dims[k]} != {self.dims[kd]} = dim A^{kd}"))
                 continue
             if self.dims[k] == 0:
                 continue
@@ -313,9 +311,9 @@ class GradedAlgebra:
                   for b in range(self.dims[kd])] for a in range(self.dims[k])],
                 ncols=self.dims[kd])
             if pairing.rank() != self.dims[k]:
-                note("duality", f"degenerate top pairing A^{k} x A^{kd}")
-        issues.extend(self._validate_extra())
-        return ValidationReport(not issues, issues)
+                issues.append(ValidationIssue(
+                    "duality", f"degenerate top pairing A^{k} x A^{kd}"))
+        return issues
 
     def _validate_extra(self):
         return []
@@ -388,18 +386,86 @@ class BigradedAlgebra(GradedAlgebra):
         return self.bidegrees
 
     def _validate_extra(self):
-        issues = []
+        bideg = self.bidegrees
+        return [ValidationIssue("bigrading", f"{self.label_of(gi)}*"
+                                f"{self.label_of(gj)} hits {self.label_of(gk)}"
+                                f" outside ({pi + pj},{qi + qj})")
+                for gi, (pi, qi) in enumerate(bideg)
+                for gj, (pj, qj) in enumerate(bideg[gi:], gi)
+                for gk, c in self.mul_basis(gi, gj)
+                if c and bideg[gk] != (pi + pj, qi + qj)]
+
+    def companion_certificate(self) -> ValidationReport:
+        """This ring's axioms, read off its validated rational companion R
+        through T = ``to_rational_mats`` (column j of degree k holds the
+        R-coordinates of basis element j).
+
+        Besides the unit, graded-commutativity and bigrading checks it
+        certifies (1) T * ``from_rational_mats`` = I in every degree,
+        (2) T(e_i e_j) = T(e_i) T(e_j) for all i <= j with deg i + deg j
+        <= top (commutativity gives i > j, the bigrading the pairs above
+        the top) and (3) int_R T(e) = int e on the top basis.  So T is an
+        injective ring map: T((xy)z) = Tx Ty Tz = T(x(yz)) gives
+        associativity, and int(xy) = int_R(Tx Ty) makes the pairing R's
+        nondegenerate one read through the invertible T.
+        """
+        issues = [*self._unit_issues(), *self._commutativity_issues(),
+                  *self._validate_extra()]
+        rat, image = self.rational_model, [{} for _ in range(self.total_dim)]
+
+        def fail(detail):
+            return ValidationReport(False, issues + [
+                ValidationIssue("companion", detail)])
+
+        if (rat is None or rat.dims != self.dims
+                or not (rat.validation and rat.validation.ok)):
+            return fail("no validated rational model of the same dims")
+        for k, d in enumerate(self.dims):     # image[i] = T(e_i), R-indexed
+            t, s = self.to_rational_mats[k], self.from_rational_mats[k]
+            if not d:
+                continue
+            if t is None or s is None or not t.shape() == s.shape() == (d, d):
+                return fail(f"degree {k}: T is not square")
+            lo = self.offsets[k]
+            for r, row in enumerate(t.rows):
+                for j, x in enumerate(row):
+                    if x:      # a real entry as a rational: cheaper products
+                        image[lo + j][lo + r] = x.real if not x.imag else x
+            for j in range(d):          # column j of T * S
+                col = {}
+                for i, row in enumerate(s.rows):
+                    if row[j]:
+                        for r, x in image[lo + i].items():
+                            col[r] = col.get(r, 0) + row[j] * x
+                if _nonzero(col) != {lo + j: 1}:
+                    return fail(f"degree {k}: T is not invertible")
+        deg, top, get, rat_get = (self._degree_of, self.top,
+                                  self.products.get, rat.products.get)
         for gi in range(self.total_dim):
-            pi, qi = self.bidegrees[gi]
             for gj in range(gi, self.total_dim):
-                pj, qj = self.bidegrees[gj]
-                for gk, c in self.mul_basis(gi, gj):
-                    if c and self.bidegrees[gk] != (pi + pj, qi + qj):
-                        issues.append(ValidationIssue(
-                            "bigrading",
-                            f"{self.label_of(gi)}*{self.label_of(gj)} hits "
-                            f"{self.label_of(gk)} outside ({pi + pj},{qi + qj})"))
-        return issues
+                if deg[gi] + deg[gj] > top:
+                    break
+                left, right = {}, {}
+                for gk, c in get((gi, gj), ()):
+                    c = c.real if not c.imag else c
+                    for r, x in image[gk].items():
+                        left[r] = left.get(r, 0) + c * x
+                for a, x in image[gi].items():
+                    for b, y in image[gj].items():
+                        xy = x * y
+                        for r, c in rat_get((a, b), ()):
+                            right[r] = right.get(r, 0) + xy * c
+                if left != right and _nonzero(left) != _nonzero(right):
+                    li, lj = self.label_of(gi), self.label_of(gj)
+                    issues.append(ValidationIssue(
+                        "companion", f"T({li}*{lj}) != T({li})*T({lj})"))
+        lo = self.offsets[self.top]
+        for t, w in enumerate(self.integration):
+            if w != sum(x * rat.integration[r - lo]
+                        for r, x in image[lo + t].items()):
+                issues.append(ValidationIssue(
+                    "companion", f"int T({self.label_of(lo + t)}) != {w}"))
+        return ValidationReport(not issues, issues)
 
     def from_rational(self, x):
         self._need_companion()
@@ -420,21 +486,23 @@ class BigradedAlgebra(GradedAlgebra):
             raise ValueError("this bigraded ring carries no rational companion")
 
 
+def _nonzero(vec):
+    return {k: x for k, x in vec.items() if x}
+
+
 def gaussian_extension(ring: GradedAlgebra):
     """The same ring with scalars extended from Q to Q(i)."""
     if ring.field == FIELD_GAUSSIAN:
         return ring
     products = {p: [(gk, Gauss(c)) for gk, c in e] for p, e in ring.products.items()}
     integ = [Gauss(c) for c in ring.integration]
-    if isinstance(ring, BigradedAlgebra):
-        out = BigradedAlgebra(FIELD_GAUSSIAN, ring.dims, ring.labels, products,
-                              integ, ring.bidegrees,
-                              quadratic_form=ring.quadratic_form,
-                              name=ring.name)
-    else:
-        out = GradedAlgebra(FIELD_GAUSSIAN, ring.dims, ring.labels, products,
-                            integ, quadratic_form=ring.quadratic_form,
-                            name=ring.name)
+    extra = (ring.bidegrees,) if isinstance(ring, BigradedAlgebra) else ()
+    out = type(ring)(FIELD_GAUSSIAN, ring.dims, ring.labels, products, integ,
+                     *extra, quadratic_form=ring.quadratic_form,
+                     name=ring.name)
+    # the axioms are identities among the same rational constants, and the
+    # pairing's rank is the same over Q(i)
+    out.validation = ring.validation
     return out
 
 
@@ -557,6 +625,7 @@ def ring_from_dict(data: dict, validate=True):
             qform = QuadraticForm(Matrix(grid, ncols=dims[2]))
         except ValueError as exc:
             raise RingFormatError(str(exc), "$.quadratic_form") from exc
+    cls, extra = GradedAlgebra, ()
     if data.get("bigrading") is not None:
         bg = data["bigrading"]
         _expect(isinstance(bg, list) and len(bg) == total,
@@ -572,17 +641,12 @@ def ring_from_dict(data: dict, validate=True):
             _expect(pq[0] + pq[1] == degree_of[gi],
                     f"bidegree ({pq[0]},{pq[1]}) does not sum to degree "
                     f"{degree_of[gi]}", f"$.bigrading[{gi}]")
-        try:
-            ring = BigradedAlgebra(field_name, dims, basis, products, integration,
-                                   [tuple(pq) for pq in bg], quadratic_form=qform)
-        except ValueError as exc:
-            raise RingFormatError(str(exc), "$") from exc
-    else:
-        try:
-            ring = GradedAlgebra(field_name, dims, basis, products, integration,
-                                 quadratic_form=qform)
-        except ValueError as exc:
-            raise RingFormatError(str(exc), "$") from exc
+        cls, extra = BigradedAlgebra, ([tuple(pq) for pq in bg],)
+    try:
+        ring = cls(field_name, dims, basis, products, integration, *extra,
+                   quadratic_form=qform)
+    except ValueError as exc:
+        raise RingFormatError(str(exc), "$") from exc
     return ring.require_valid() if validate else ring
 
 

@@ -12,7 +12,7 @@ import pytest
 import llvkit
 from llvkit import models
 from llvkit.cli import FIXTURE_BOUNDS, main
-from llvkit.rings import GradedAlgebra, ring_to_dict
+from llvkit.rings import BigradedAlgebra, GradedAlgebra, ring_to_dict
 
 
 def run(args, capsys):
@@ -278,28 +278,31 @@ def test_validate_accepts_the_declared_form_of_a_saved_ring(tmp_path, capsys,
     assert rc == 0 and json.loads(out)["ok"] is True
 
 
-@pytest.mark.parametrize("argv, calls", [
-    (["--fixture", "bogomolov", "--b2", "5", "--n", "2"], 2),
-    (["--fixture", "torus", "--g", "2", "--field", "gaussian"], 3),
-    (["--input"], 1)], ids=["bogomolov", "torus-gaussian", "input"])
-def test_validate_runs_once_per_ring(argv, calls, tmp_path, capsys,
-                                     monkeypatch, model52):
-    # the builder's or loader's report is reused; a ring no builder
-    # validated (the Q(i) extension of the torus) is validated here
+@pytest.mark.parametrize("argv, validates, certificates", [
+    (["--fixture", "bogomolov", "--b2", "5", "--n", "2"], 1, 1),
+    (["--fixture", "torus", "--g", "2", "--field", "gaussian"], 2, 0),
+    (["--input"], 1, 0)], ids=["bogomolov", "torus-gaussian", "input"])
+def test_validate_runs_once_per_ring(argv, validates, certificates, tmp_path,
+                                     capsys, monkeypatch, model52):
+    # the builder's or loader's report is reused: the bogomolov companion
+    # is certified against its validated rational model, and the Q(i)
+    # extension of the torus keeps the report of the rational ring
     if argv == ["--input"]:
         argv = ["--input", str(_edited_ring_file(tmp_path, model52,
                                                  lambda data: None))]
-    seen = []
-    validate = GradedAlgebra.validate
+    seen = {"validate": [], "companion_certificate": []}
+    for cls, name in ((GradedAlgebra, "validate"),
+                      (BigradedAlgebra, "companion_certificate")):
+        def counting(ring, *args, _check=getattr(cls, name), _name=name,
+                     **kwargs):
+            seen[_name].append(ring)
+            return _check(ring, *args, **kwargs)
 
-    def counting(ring, *args, **kwargs):
-        seen.append(ring)
-        return validate(ring, *args, **kwargs)
-
-    monkeypatch.setattr(GradedAlgebra, "validate", counting)
+        monkeypatch.setattr(cls, name, counting)
     rc, out = run(["validate", *argv, "--format", "structured"], capsys)
     assert rc == 0 and json.loads(out)["ok"] is True
-    assert len(seen) == calls
+    assert len(seen["validate"]) == validates
+    assert len(seen["companion_certificate"]) == certificates
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llvkit.clifford import (CliffordElement, cl_multiply, cl_trace,
-                             cl_trace_regular, clifford, complex_structure,
-                             conjugate, polarization_form)
+                             cl_trace_gram, clifford,
+                             complex_structure, conjugate, polarization_form)
 from llvkit.models import vector_stream
 from llvkit.rings import QuadraticForm
 
@@ -101,7 +101,16 @@ def test_trace_symmetry_and_regular_rep(alg5):
         assert cl_trace(cl_multiply(x, y)) == cl_trace(cl_multiply(y, x))
     for _ in range(10):
         x = rand_element(alg5, rng)
-        assert cl_trace_regular(x) == cl_trace(x)
+        assert regular_trace(x) == cl_trace(x)
+
+
+def regular_trace(x):
+    """Trace of left multiplication by x on the regular representation,
+    over 2^m, read off the bit-count reference product."""
+    alg = x.algebra
+    return sum(reference_product(x, CliffordElement(
+        alg, [int(s == t) for s in range(alg.dim)]))[t]
+        for t in range(alg.dim)) / alg.dim
 
 
 def test_complex_structure(alg5):
@@ -144,8 +153,8 @@ def test_polarization_bilinear_and_two_routes():
 
 
 def test_polarization_forms_every_reported_product_once(monkeypatch):
-    # 2d products a conj(y) and a y, d products x a, and the d^2 full
-    # products of each Gram matrix; x a is not re-formed per column
+    # 2d products a conj(y) and a y and d products x a; the Gram entries
+    # are trace pairings, which form no product
     from llvkit import clifford as clifford_module
     alg = clifford(QuadraticForm.diagonal([1, 1, -1]))
     a = complex_structure(alg, [1, 0, 0], [0, 1, 0])
@@ -158,7 +167,7 @@ def test_polarization_forms_every_reported_product_once(monkeypatch):
     monkeypatch.setattr(clifford_module, "cl_multiply", counted)
     polarization_form(alg, a)
     d = alg.dim
-    assert calls[0] == 2 * d * d + 3 * d
+    assert calls[0] == 3 * d
 
 
 def test_polarization_sign_verdicts():
@@ -243,3 +252,14 @@ def test_multiply_matches_bitcount_reference(pair):
     product = cl_multiply(x, y)
     assert product.coeffs == reference_product(x, y)
     assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clifford_pairs())
+def test_trace_gram_is_the_trace_of_the_products(pair):
+    x, y = pair
+    gram = cl_trace_gram([x, y], [y, x])
+    assert gram.rows == ((cl_trace(cl_multiply(x, y)),
+                          cl_trace(cl_multiply(x, x))),
+                         (cl_trace(cl_multiply(y, y)),
+                          cl_trace(cl_multiply(y, x))))

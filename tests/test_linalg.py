@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -308,6 +309,52 @@ def test_spans_agree_with_subspace(case):
     assert [tuple(row.get(k, 0) for k in range(n)) for row in rows] == list(
         before.basis)
     assert tuple(pivots) == before.pivots
+
+
+class _SortedWalkEchelon(SparseEchelon):
+    """The engine with its earlier residue walk: sort the whole residue
+    after every pivot step, clear the smallest pivot, copy the residue."""
+
+    def reduce(self, vec):
+        v = self._sparse(vec)
+        while True:
+            hit = next((p for p in sorted(v) if p in self.rows), None)
+            if hit is None:
+                return v
+            row, c = self.rows[hit], v[hit]
+            lead = 1 if self.exact_division else row[hit]
+            out = {k: lead * val for k, val in v.items()}
+            for k, val in row.items():
+                out[k] = out.get(k, 0) - c * val
+            out = {k: _int_if_integral(x) for k, x in out.items() if x}
+            if not self.exact_division:
+                g = 0
+                for x in out.values():
+                    g = gcd(g, abs(x))
+                out = {k: x // g for k, x in out.items()} if g > 1 else out
+            v = out
+
+
+def _int_if_integral(x):
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_echelon_cases(), st.booleans())
+def test_heap_reduce_matches_the_sorted_walk(case, ints):
+    # same residues, rows and canonical rows as the sorted walk, on int,
+    # Fraction and (in field mode) Gauss rows
+    field, n, rows, as_dict = case
+    if ints:
+        rows = [[_int_if_integral(x) for x in row] for row in rows]
+    ech = SparseEchelon(exact_division=field)
+    ref = _SortedWalkEchelon(exact_division=field)
+    for row, sparse in zip(rows, as_dict):
+        vec = {k: x for k, x in enumerate(row) if x} if sparse else row
+        assert ech.reduce(vec) == ref.reduce(vec)
+        assert ech.add(vec) == ref.add(vec)
+        assert ech.rows == ref.rows
+    assert ech.canonical() == ref.canonical()
 
 
 def test_gaussian_matrix_kernel():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -5,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llvkit import cli, models
 from llvkit.linalg import Matrix, SparseEchelon, Subspace
@@ -12,7 +15,8 @@ from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
                            torus_ring, vector_stream)
-from llvkit.rings import QuadraticForm, ring_to_dict
+from llvkit.rings import (QuadraticForm, RingValidationError,
+                          ValidationReport, ring_to_dict)
 from llvkit.scalars import format_scalar
 
 from companion_oracle import companion_oracle
@@ -105,6 +109,91 @@ def test_companion_by_descent_matches_change_of_basis(case, request):
     assert big.from_rational_mats == want["from_rat"]
     # every structure constant is real: the companion descends to Q
     assert all(c.im == 0 for e in big.products.values() for _, c in e)
+
+
+@pytest.mark.parametrize("case", ["model52", "model62", "model53", "k3big",
+                                  "hyperbolic"])
+def test_companion_certificate_and_full_validate_agree(case, request):
+    # the full validate stays the oracle of the certificate that replaced
+    # it in bogomolov_model
+    big = (bogomolov_model(_HYPERBOLIC_FORM, 2) if case == "hyperbolic"
+           else request.getfixturevalue(case))
+    assert big.validation == big.companion_certificate() == ValidationReport(
+        True, [])
+    assert big.validate() == ValidationReport(True, [])
+
+
+def _perturbed(big, **changes):
+    """A shallow copy of the companion with some attributes replaced."""
+    out = copy.copy(big)
+    out.__dict__.update(changes)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.fractions(-3, 3).filter(bool))
+def test_certificate_fails_on_one_perturbed_structure_constant(
+        model52, data, delta):
+    # both orders of the pair change, so the commutativity and bigrading
+    # checks pass and only the change of basis can catch it
+    bideg = model52.bidegrees
+    gi, gj, gk = data.draw(st.sampled_from([
+        (gi, gj, gk) for gi in range(1, len(bideg))
+        for gj in range(gi, len(bideg)) for gk in range(len(bideg))
+        if bideg[gk] == (bideg[gi][0] + bideg[gj][0],
+                         bideg[gi][1] + bideg[gj][1])]))
+    entry = dict(model52.mul_basis(gi, gj))
+    entry[gk] = entry.get(gk, 0) + delta
+    products = dict(model52.products)
+    products[(gi, gj)] = products[(gj, gi)] = tuple(
+        (k, c) for k, c in entry.items() if c)
+    bad = _perturbed(model52, products=products)
+    report = bad.companion_certificate()
+    li, lj = bad.label_of(gi), bad.label_of(gj)
+    assert not report.ok
+    assert [str(i) for i in report.issues] == [
+        f"companion: T({li}*{lj}) != T({li})*T({lj})"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.fractions(-3, 3).filter(bool))
+def test_certificate_fails_on_one_perturbed_change_of_basis_entry(
+        model52, data, delta):
+    k = data.draw(st.sampled_from([k for k, d in enumerate(model52.dims) if d]))
+    d = model52.dims[k]
+    r, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    rows = [list(row) for row in model52.to_rational_mats[k].rows]
+    rows[r][j] += delta
+    to_rat = list(model52.to_rational_mats)
+    to_rat[k] = Matrix(rows, ncols=d)
+    report = _perturbed(model52, to_rational_mats=to_rat).companion_certificate()
+    assert not report.ok
+    assert [str(i) for i in report.issues] == [
+        f"companion: degree {k}: T is not invertible"]
+
+
+def test_certificate_needs_a_validated_rational_model(model52):
+    rat = _perturbed(model52.rational_model, validation=None)
+    report = _perturbed(model52, rational_model=rat).companion_certificate()
+    assert not report.ok and report.issues[-1].check == "companion"
+
+
+def test_bogomolov_model_raises_on_a_failing_certificate(monkeypatch):
+    build = models._bigraded_companion
+
+    def corrupt(*args):
+        big = build(*args)
+        products = dict(big.products)
+        (gk, c), = products[(1, 1)]
+        products[(1, 1)] = ((gk, 2 * c),)
+        big.products = products
+        return big
+
+    monkeypatch.setattr(models, "_bigraded_companion", corrupt)
+    with pytest.raises(RingValidationError) as err:
+        bogomolov_model(QuadraticForm.diagonal([1, 1, 1, -1, -1]), 2)
+    issues = [str(i) for i in err.value.report.issues]
+    assert issues == ["companion: T(s*s) != T(s)*T(s)"]
 
 
 def test_adapted_gram_rejects_a_non_isotropic_sigma():
