@@ -249,9 +249,9 @@ def cmd_llv(args) -> Report:
         report.skip("bracket closure", "total Lie algebra of Lefschetz "
                     "operators", "ring carries no degree-2 form")
         return report
-    gens, classes = llv.llv_generators(plain)
-    algebra = llv.lie_closure(gens)
-    duals = lefschetz.DualFamily(plain, classes, gens[1::2])
+    duals = lefschetz.DualFamily(plain, models.spanning_hl_classes(form)[0])
+    # the dense generators live only inside lie_closure
+    algebra = llv.lie_closure(llv.llv_generators(plain, duals)[0])
     b2 = plain.dims[2]
     is_torus = desc.startswith("torus")
     report.add("bracket closure", "Lie algebra generated by all Hard "

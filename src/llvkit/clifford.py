@@ -250,14 +250,16 @@ def polarization_form(alg: CliffordAlgebra, a: CliffordElement):
     basis = [CliffordElement(alg, tuple(Fraction(1 if t == s else 0)
                                         for t in range(alg.dim)))
              for s in range(alg.dim)]
-    a_conj_basis = [cl_multiply(a, conjugate(b)) for b in basis]
-    gram = cl_trace_gram(basis, a_conj_basis)
+    # conj(e_S) = +-e_S: the products a e_S serve both Gram matrices
+    a_basis = [cl_multiply(a, b) for b in basis]
+    gram = cl_trace_gram(basis, [ab.scale(conjugate(b).coeffs[s]) for s, (b, ab)
+                                 in enumerate(zip(basis, a_basis))])
     antisym = all(gram[i, j] == -gram[j, i]
                   for i in range(alg.dim) for j in range(alg.dim))
     res.data["antisymmetric"] = antisym
     if not antisym:
         res.fail("sigma_a is not antisymmetric")
-    conj_a_basis = [conjugate(cl_multiply(a, b)) for b in basis]
+    conj_a_basis = [conjugate(ab) for ab in a_basis]
     x_a = [cl_multiply(x, a) for x in basis]
     sym = cl_trace_gram(x_a, conj_a_basis)
     positive_sign = None

@@ -10,13 +10,10 @@ also re-derived as the degree-(-2) solution of [L, X] = H, and a
 disagreement raises.  Powers of a weight-raising operator are products
 of its blocks V_w -> V_(w+2) (``BlockChain``), never of full matrices.
 
-Duals of further classes come by linearity (``DualFamily``):
-psi(a) = q(a) Lam_a is linear in a, so the completions of one basis of
-degree 2 give a candidate Lam_a on degree blocks for every
-non-isotropic a.  The candidate passes the same block certificate
-(``_dual_certified``) as a full completion, so it is the unique dual;
-an isotropic class or a failed certificate falls back to
-``complete_sl2``, and the fallbacks are counted.
+Duals of further classes come from one completion (``DualFamily``): the
+completion at a base class b and two block brackets with psi(b) =
+q(b) Lam_b give a candidate Lam_a for each non-isotropic a, certified
+like a full completion; fallbacks to ``complete_sl2`` are counted.
 """
 
 from __future__ import annotations
@@ -491,61 +488,73 @@ def complete_sl2(ring: GradedAlgebra, a) -> Sl2Triple:
 
 
 class DualFamily:
-    """Lam_a for every non-isotropic degree-2 class a, by linearity.
+    """Lam_a for every non-isotropic degree-2 class a, from the one
+    completion at a base class b.
 
-    psi(a) = q(a) Lam_a is linear in a (Looijenga-Lunts; Verbitsky), so
-    the completions of one basis s_1, ..., s_m of degree 2 give the rest:
-    for a = sum c_j s_j the candidate is Lam_a = q(a)^(-1) sum c_j psi(s_j),
-    built on degree blocks.  Each candidate is certified against L_a by
-    the certificate of ``complete_sl2_weights``, which makes it the
-    unique dual.  An isotropic class, or a candidate that fails the
-    certificate, falls back to ``complete_sl2``, which raises on a class
-    without Hard Lefschetz; ``fallbacks`` counts those calls.
+    In so(V + U), U = <e, f> with (e, f) = 1 and x ^ y acting as
+    v -> (y, v) x - (x, v) y, L_a = a ^ e, psi(a) = q(a) Lam_a = -2 a ^ f
+    and H = 2 e ^ f (Looijenga-Lunts; Verbitsky).  By [x ^ y, z ^ w] =
+    (y, z) x ^ w - (y, w) x ^ z - (x, z) y ^ w + (x, w) y ^ z,
+    [L_a, psi(b)] = 2 a ^ b + (a, b) H and [a ^ b, psi(b)] = q(b) psi(a)
+    - (a, b) psi(b), so [[L_a, psi(b)], psi(b)] = 2 q(b) psi(a) -
+    4 (a, b) psi(b) and the candidate is
+        Lam_a = ([[L_a, psi_b], psi_b] + 4 (a, b) psi_b) / (2 q(a) q(b)),
+    formed on degree blocks as L psi psi - 2 psi L psi + psi psi L with
+    the squares psi_b psi_b kept.  It is accepted only by the certificate
+    of ``complete_sl2_weights`` against L_a, which makes it the unique
+    dual; an isotropic class or a refused candidate falls back to
+    ``complete_sl2`` (which raises without Hard Lefschetz), and
+    ``fallbacks`` counts those calls.
     """
 
-    def __init__(self, ring: GradedAlgebra, classes, duals):
-        """``classes`` is a basis of degree 2 and ``duals`` their Lam
-        matrices, in the same order."""
+    def __init__(self, ring: GradedAlgebra, base):
         form = ring.quadratic_form
         if form is None:
             raise ValueError("ring carries no degree-2 quadratic form")
-        classes = [tuple(map(rat, s)) for s in classes]
-        if len(classes) != ring.dims[2] or len(duals) != len(classes):
-            raise ValueError("need one dual for each of a basis of degree 2")
-        self.ring = ring
-        self.form = form
-        self.fallbacks = 0
-        # a = sum c_j s_j reads c = a S^(-1), S the matrix of rows s_j
-        self._coords = inverse(Matrix(classes)).transpose()
-        self._psi = [
-            {k: blk.scale(form.evaluate(s)) for k, blk in
-             DegreeOperator.from_matrix(ring, -2, lam).blocks.items()}
-            for s, lam in zip(classes, duals)]
-        mid = ring.top // 2
-        self._mid = mid
-        self._dims = {k - mid: d for k, d in enumerate(ring.dims) if d}
+        self.base = tuple(base)
+        self.base_lam = complete_sl2(ring, self.base).Lam
+        self._qb = form.evaluate(self.base)
+        if not self._qb:
+            raise ValueError("the base class is isotropic for the ring's form")
+        self.ring, self.form, self.fallbacks = ring, form, 0
+        self._psi = {k: blk.scale(self._qb)
+                     for k, blk in self.base_lam.blocks.items()}
+        self._sq = {k: self._psi[k - 2] * blk
+                    for k, blk in self._psi.items() if k - 2 in self._psi}
+        self._dims = {k - ring.top // 2: d for k, d in enumerate(ring.dims) if d}
 
-    def lam(self, a) -> DegreeOperator:
-        """The dual of the degree-2 class with coordinates ``a``."""
+    def lam(self, a, l_op=None) -> DegreeOperator:
+        """The dual of the degree-2 class ``a``; ``l_op``, when given, is
+        ``cup_operator(ring, a)``."""
         a = tuple(a)
+        if a == self.base:
+            return self.base_lam
         qa = self.form.evaluate(a)
         if qa:
-            coeffs = [div(c, qa) for c in self._coords.matvec(a)]
-            blocks = {}
-            for k in self._psi[0]:
-                terms = [psi[k].scale(c)
-                         for c, psi in zip(coeffs, self._psi) if c]
-                blocks[k] = sum(terms[1:], terms[0])
-            cand = DegreeOperator(self.ring, -2, blocks)
-            mid = self._mid
-            chain = BlockChain(
-                {k - mid: blk for k, blk in
-                 cup_operator(self.ring, a).blocks.items()}, self._dims)
-            if _dual_certified(chain, {k - mid: blk
-                                       for k, blk in blocks.items()}):
-                return cand
+            l_a = (l_op or cup_operator(self.ring, a)).blocks
+            blocks = self._candidate(l_a, div(1, 2 * qa * self._qb),
+                                     4 * self.form.pair(a, self.base))
+            mid = self.ring.top // 2
+            chain = BlockChain({k - mid: blk for k, blk in l_a.items()},
+                               self._dims)
+            if _dual_certified(chain, {k - mid: x for k, x in blocks.items()}):
+                return DegreeOperator(self.ring, -2, blocks)
         self.fallbacks += 1
         return complete_sl2(self.ring, a).Lam
+
+    def _candidate(self, l_a, scale, ab4):
+        """Blocks of scale * ([[L_a, psi_b], psi_b] + ab4 psi_b)."""
+        sq, blocks = self._sq, {}
+        for k, p in self._psi.items():
+            lp = l_a[k - 2]
+            acc = p.scale(ab4) - ((p * lp) * p if p.nrows <= p.ncols
+                                  else p * (lp * p)).scale(2)
+            if k in sq:
+                acc = acc + l_a[k - 4] * sq[k]
+            if k + 2 in sq:
+                acc = acc + sq[k + 2] * l_a[k]
+            blocks[k] = acc.scale(scale)
+        return blocks
 
 
 def sigma_sl2(ring: BigradedAlgebra) -> Sl2Triple:

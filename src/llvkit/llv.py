@@ -12,8 +12,8 @@ from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
-from .lefschetz import (complete_sl2, cup_operator, sigma_bar_sl2,
-                        sigma_sl2, weight_operator_matrix)
+from .lefschetz import (DualFamily, complete_sl2, cup_operator,
+                        sigma_bar_sl2, sigma_sl2, weight_operator_matrix)
 from .linalg import (Matrix, SparseEchelon, integer_eigenspaces,
                      symmetric_signature)
 from .models import spanning_hl_classes, verbitsky_dims
@@ -482,10 +482,10 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix):
 
 
 def dual_lefschetz_commute(ring: GradedAlgebra, a, b) -> bool:
-    """[Lam_a, Lam_b] = 0 for two Hard Lefschetz degree-2 classes."""
-    ta = complete_sl2(ring, a)
-    tb = complete_sl2(ring, b)
-    return ta.Lam.matrix().commutator(tb.Lam.matrix()).is_zero()
+    """[Lam_a, Lam_b] = 0 for two Hard Lefschetz degree-2 classes; both
+    duals come from the ``DualFamily`` based at a."""
+    family = DualFamily(ring, a)
+    return family.lam(a).commutes_with(family.lam(b))
 
 
 def weil_operator(ring: BigradedAlgebra) -> Matrix:
@@ -658,24 +658,24 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
                     semisimple_part_dim=derived.dim, verdict=verdict)
 
 
-def llv_generators(ring: GradedAlgebra, classes=None):
-    """L_a, Lam_a for a fixed spanning set of non-isotropic classes."""
+def llv_generators(ring: GradedAlgebra, family=None):
+    """L_a, Lam_a for a fixed spanning set of non-isotropic classes; the
+    duals come from ``family``, by default the ``DualFamily`` based at
+    the first class."""
     form = ring.quadratic_form
     if form is None:
         raise ValueError("ring carries no degree-2 quadratic form")
-    if classes is None:
-        classes = spanning_hl_classes(form)
+    classes = spanning_hl_classes(form)
+    family = family or DualFamily(ring, classes[0])
     gens = []
     for a in classes:
-        tri = complete_sl2(ring, a)
-        gens.append(tri.L.matrix())
-        gens.append(tri.Lam.matrix())
-    return gens, list(classes)
+        l_op = cup_operator(ring, a)
+        gens += [l_op.matrix(), family.lam(a, l_op).matrix()]
+    return gens, classes
 
 
-def llv_closure(ring: GradedAlgebra, classes=None) -> MatrixLieAlgebra:
-    gens, _ = llv_generators(ring, classes)
-    return lie_closure(gens)
+def llv_closure(ring: GradedAlgebra) -> MatrixLieAlgebra:
+    return lie_closure(llv_generators(ring)[0])
 
 
 def so41_subalgebra(ring: GradedAlgebra, triple_classes):
@@ -818,14 +818,12 @@ def verbitsky_component(ring: GradedAlgebra):
                 span.add(ring.component(x, k))
             target_spans[k] = span
         classes = spanning_hl_classes(ring.quadratic_form)
+        family = DualFamily(ring, classes[0])
         for a in classes:
-            tri = complete_sl2(ring, a)
-            lam = tri.Lam.matrix()
-            for k in range(2, ring.top + 1, 2):
-                tgt = target_spans[k - 2]
+            for k, blk in family.lam(a).blocks.items():
                 for x in bases.get(k, []):
-                    img = ring.component(lam.matvec(x), k - 2)
-                    if not tgt.contains(img):
+                    img = blk.matvec(ring.component(x, k))
+                    if not target_spans[k - 2].contains(img):
                         res.fail(f"Lam of class {a} leaves the component "
                                  f"in degree {k}")
                         break

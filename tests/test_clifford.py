@@ -153,8 +153,8 @@ def test_polarization_bilinear_and_two_routes():
 
 
 def test_polarization_forms_every_reported_product_once(monkeypatch):
-    # 2d products a conj(y) and a y and d products x a; the Gram entries
-    # are trace pairings, which form no product
+    # d products a y, which give a conj(y) up to sign, and d products x a;
+    # the Gram entries are trace pairings, which form no product
     from llvkit import clifford as clifford_module
     alg = clifford(QuadraticForm.diagonal([1, 1, -1]))
     a = complex_structure(alg, [1, 0, 0], [0, 1, 0])
@@ -167,7 +167,7 @@ def test_polarization_forms_every_reported_product_once(monkeypatch):
     monkeypatch.setattr(clifford_module, "cl_multiply", counted)
     polarization_form(alg, a)
     d = alg.dim
-    assert calls[0] == 3 * d
+    assert calls[0] == 2 * d
 
 
 def test_polarization_sign_verdicts():

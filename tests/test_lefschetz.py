@@ -1,4 +1,6 @@
+import copy
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from llvkit import lefschetz
-from llvkit.lefschetz import (BlockChain, DualFamily, NotHLError,
-                              antiholomorphic_weights,
+from llvkit.lefschetz import (BlockChain, DegreeOperator, DualFamily,
+                              NotHLError, antiholomorphic_weights,
                               classical_weights, complete_sl2,
                               complete_sl2_weights, cup_operator, hl_test,
                               holomorphic_weights, primitive_decomposition,
@@ -17,8 +19,9 @@ from llvkit.lefschetz import (BlockChain, DualFamily, NotHLError,
                               _solve_dual, _weight_spaces)
 from llvkit.linalg import Matrix, inverse
 from llvkit.llv import llv_generators
-from llvkit.models import vector_stream
+from llvkit.models import spanning_hl_classes, vector_stream
 from llvkit.pw import nilpotent_index
+from llvkit.rings import QuadraticForm
 from llvkit.scalars import Gauss
 
 
@@ -320,61 +323,123 @@ def test_odd_degree_torus_triple(torus2):
     assert ws == [-2, -1, 0, 1, 2]
 
 
-# -- duals by linearity -----------------------------------------------------
+# -- duals from one completion ----------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def basis_duals(rat52, k3, torus2, model62):
-    """(ring, spanning classes, their Lam matrices) per ring."""
-    out = {}
-    for name, ring in (("rat52", rat52), ("k3", k3), ("torus2", torus2),
-                       ("rat62", model62.rational_model)):
-        gens, classes = llv_generators(ring)
-        out[name] = (ring, classes, gens[1::2])
-    return out
+def family_rings(rat52, k3, torus2, model62, model52):
+    """The family's rings: four over Q, and the (5,2) companion over Q(i)."""
+    return {"rat52": rat52, "k3": k3, "torus2": torus2,
+            "rat62": model62.rational_model, "big52": model52}
+
+
+FAMILY_RINGS = ["rat52", "k3", "torus2", "rat62", "big52"]
+
+
+def _nonisotropic(ring, data):
+    m = ring.dims[2]
+    a = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+    assume(ring.quadratic_form.evaluate(a) != 0)
+    return a
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["rat52", "k3", "torus2", "rat62"]), st.data())
-def test_dual_family_matches_complete_sl2(basis_duals, name, data):
-    ring, classes, lams = basis_duals[name]
-    a = [Fraction(c) for c in data.draw(st.lists(
-        st.integers(-3, 3), min_size=ring.dims[2], max_size=ring.dims[2]))]
-    assume(ring.quadratic_form.evaluate(a) != 0)
-    family = DualFamily(ring, classes, lams)
+@given(st.sampled_from(FAMILY_RINGS), st.data())
+def test_dual_family_matches_complete_sl2(family_rings, name, data):
+    ring = family_rings[name]
+    family = DualFamily(ring, _nonisotropic(ring, data))
+    a = _nonisotropic(ring, data)
     lam = family.lam(a)
     assert lam.shift == -2
     assert lam.matrix() == complete_sl2(ring, a).Lam.matrix()
     assert family.fallbacks == 0
 
 
-def test_dual_family_certificate_rejects_a_corrupted_psi(basis_duals):
-    ring, classes, lams = basis_duals["rat52"]
-    family = DualFamily(ring, classes, lams)
-    a = [Fraction(1), Fraction(2), 0, 0, 0]      # a = s_1 + 2 s_2, q(a) = 5
-    rows = [list(r) for r in family._psi[0][4].rows]
-    rows[0][0] += 1
-    family._psi[0][4] = Matrix(rows)
-    lam = family.lam(a)
-    assert family.fallbacks == 1
-    assert lam.matrix() == complete_sl2(ring, a).Lam.matrix()
+def _full_completion_generators(ring):
+    """L_a, Lam_a from one full completion per spanning class: the oracle
+    of the generators the family derives."""
+    gens = []
+    for a in spanning_hl_classes(ring.quadratic_form):
+        tri = complete_sl2(ring, a)
+        gens += [tri.L.matrix(), tri.Lam.matrix()]
+    return gens
 
 
-def test_dual_family_isotropic_class_raises_like_complete_sl2(basis_duals):
-    ring, classes, lams = basis_duals["rat52"]
-    family = DualFamily(ring, classes, lams)
+@pytest.mark.parametrize("name", FAMILY_RINGS)
+def test_llv_generators_match_full_completions(family_rings, name):
+    ring = family_rings[name]
+    classes = spanning_hl_classes(ring.quadratic_form)
+    family = DualFamily(ring, classes[0])
+    gens, used = llv_generators(ring, family)
+    assert used == classes
+    assert gens == _full_completion_generators(ring)
+    assert family.fallbacks == 0
+
+
+def test_dual_family_certificate_rejects_a_corrupted_psi(rat52, monkeypatch):
+    # the base completion comes back with one entry of one Lam_b block off
+    # by one; the candidate built from it must fail the certificate
+    real = lefschetz.complete_sl2
+    a = (1, 2, 0, -1, 1)
+    for degree in (2, 4, 6, 8):
+        corrupted = []
+
+        def corrupted_once(ring, cls):
+            tri = real(ring, cls)
+            if corrupted:
+                return tri
+            blocks = dict(tri.Lam.blocks)
+            rows = [list(r) for r in blocks[degree].rows]
+            rows[0][0] += 1
+            blocks[degree] = Matrix(rows)
+            corrupted.append(degree)
+            return replace(tri, Lam=DegreeOperator(ring, -2, blocks))
+
+        monkeypatch.setattr(lefschetz, "complete_sl2", corrupted_once)
+        family = DualFamily(rat52, (1, 0, 0, 0, 0))
+        lam = family.lam(a)
+        assert corrupted == [degree]
+        assert family.fallbacks == 1
+        assert lam.matrix() == real(rat52, a).Lam.matrix()
+
+
+def test_dual_family_certificate_rejects_a_foreign_form(rat52):
+    # the identity holds for the ring's own form diag(1, 1, 1, -1, -1);
+    # under diag(1, 1, 1, 1, 1) the candidates of classes with a negative
+    # direction are wrong, and every one is refused
+    ring = copy.copy(rat52)
+    ring.quadratic_form = QuadraticForm.diagonal([1, 1, 1, 1, 1])
+    family = DualFamily(ring, (1, 0, 0, 0, 0))
+    for n, a in enumerate([(2, 0, 0, 1, 0), (0, 2, 0, 0, 1), (1, 1, 1, 1, 0)]):
+        assert family.lam(a).matrix() == complete_sl2(ring, a).Lam.matrix()
+        assert family.fallbacks == n + 1
+
+
+def test_dual_family_isotropic_class_raises_like_complete_sl2(rat52):
+    family = DualFamily(rat52, (1, 0, 0, 0, 0))
     iso = [Fraction(1), 0, 0, Fraction(1), 0]
     with pytest.raises(NotHLError, match="not an HL class"):
-        complete_sl2(ring, iso)
+        complete_sl2(rat52, iso)
     with pytest.raises(NotHLError, match="not an HL class"):
         family.lam(iso)
     assert family.fallbacks == 1
 
 
-def test_dual_family_needs_a_basis(basis_duals):
-    ring, classes, lams = basis_duals["rat52"]
-    with pytest.raises(ValueError, match="basis"):
-        DualFamily(ring, classes[:-1], lams[:-1])
+def test_dual_family_needs_a_form(rat52):
+    bare = copy.copy(rat52)
+    bare.quadratic_form = None
+    with pytest.raises(ValueError, match="no degree-2 quadratic form"):
+        DualFamily(bare, (1, 0, 0, 0, 0))
+
+
+def test_dual_family_needs_a_nonisotropic_base(rat52):
+    # e_1 has Hard Lefschetz but is isotropic for this form
+    skew = copy.copy(rat52)
+    skew.quadratic_form = QuadraticForm(Matrix(
+        [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+         [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]))
+    with pytest.raises(ValueError, match="isotropic"):
+        DualFamily(skew, (1, 0, 0, 0, 0))
 
 
 # -- the block certificate --------------------------------------------------
