@@ -256,8 +256,8 @@ def cmd_llv(args) -> Report:
     is_torus = desc.startswith("torus")
     report.add("bracket closure", "Lie algebra generated by all Hard "
                "Lefschetz sl2-pairs", True, {"dim": algebra.dim})
-    h = lefschetz.weight_operator_matrix(
-        plain, lefschetz.classical_weights(plain))
+    h = lefschetz.weight_operator(
+        plain, lefschetz.classical_weights(plain)).matrix()
     try:
         dims = [len(space) for space in llv.ad_grading(algebra, h)]
         report.add("adjoint weight decomposition",
@@ -307,8 +307,7 @@ def cmd_llv(args) -> Report:
     deriv_bad = []
     classes = list(itertools.islice(models.nonisotropic_stream(form), 4))
     for a, b in itertools.combinations(classes, 2):
-        la = lefschetz.cup_operator(plain, a).matrix()
-        d = la.commutator(lam_of(b).matrix())
+        d = lefschetz.cup_operator(plain, a).commutator(lam_of(b)).matrix()
         if not llv.derivation_check(d, plain):
             deriv_bad.append((a, b))
     report.add("commutators act as derivations",

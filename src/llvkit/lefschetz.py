@@ -1,5 +1,9 @@
 """Lefschetz operators, Hard Lefschetz tests, and exact sl2-completion.
 
+Every operator is a ``DegreeOperator``, one block per source degree; its
+``matrix()`` is the one densifier, called only where a dense matrix is
+the interface (Lie-closure generators, ``ad_grading`` and
+``derivation_check``, the small-ring cross-check, ``Sl2Triple.check``).
 One engine serves three gradings: the classical weight k - (top/2) on
 total degree, and on bigraded rings the holomorphic weight p - n and the
 antiholomorphic weight q - n.  The dual operator is produced from the
@@ -8,7 +12,8 @@ a length-(m+1) string and certified by the relations on each weight
 space.  Those relations fix the dual uniquely; on small rings it is
 also re-derived as the degree-(-2) solution of [L, X] = H, and a
 disagreement raises.  Powers of a weight-raising operator are products
-of its blocks V_w -> V_(w+2) (``BlockChain``), never of full matrices.
+of its weight blocks V_w -> V_(w+2) (``BlockChain``), never of full
+matrices.
 
 Duals of further classes come from one completion (``DualFamily``): the
 completion at a base class b and two block brackets with psi(b) =
@@ -52,61 +57,52 @@ class DegreeOperator:
                     f"({want_rows}, {ring.dims[k]})")
         self._matrix = None
 
-    @staticmethod
-    def from_matrix(ring, shift, mat: Matrix):
-        """Wrap a full matrix, verifying it is supported on the shift; the
-        matrix itself is kept as the operator's ``matrix()``."""
-        n = ring.total_dim
-        if mat.shape() != (n, n):
-            raise ValueError("operator matrix must act on the total ring")
-        blocks = {}
-        for k in range(ring.top + 1):
-            if not ring.dims[k]:
-                continue
-            lo, hi = ring.slice_of(k)
-            tgt = k + shift
-            if 0 <= tgt <= ring.top and ring.dims[tgt]:
-                tlo, thi = ring.slice_of(tgt)
-                blocks[k] = Matrix._of(
-                    [row[lo:hi] for row in mat.rows[tlo:thi]], ring.dims[k])
-        degree = [ring.degree_of(gi) for gi in range(n)]
-        for r, row in enumerate(mat.rows):
-            for c, x in enumerate(row):
-                if x and degree[r] != degree[c] + shift:
-                    raise ValueError(
-                        f"matrix entry ({r},{c}) violates degree shift {shift}")
-        op = DegreeOperator(ring, shift, blocks)
-        op._matrix = mat
-        return op
+    def entries(self):
+        """The nonzero entries (row, column, value), in full-ring indices."""
+        off = self.ring.offsets
+        for k, blk in self.blocks.items():
+            for r, row in enumerate(blk.rows):
+                for c, x in enumerate(row):
+                    if x:
+                        yield off[k + self.shift] + r, off[k] + c, x
 
     def matrix(self) -> Matrix:
         if self._matrix is None:
             n = self.ring.total_dim
             grid = [[0] * n for _ in range(n)]
-            for k, blk in self.blocks.items():
-                tgt = k + self.shift
-                if not (0 <= tgt <= self.ring.top):
-                    continue
-                lo, _ = self.ring.slice_of(k)
-                tlo, _ = self.ring.slice_of(tgt)
-                for r in range(blk.nrows):
-                    row = blk.row(r)
-                    for c, val in enumerate(row):
-                        if val:
-                            grid[tlo + r][lo + c] = val
+            for r, c, x in self.entries():
+                grid[r][c] = x
             self._matrix = Matrix._of(grid, n)
         return self._matrix
 
-    def commutator(self, other: "DegreeOperator") -> Matrix:
-        return self.matrix().commutator(other.matrix())
+    def apply(self, vec) -> tuple:
+        """``matrix().matvec(vec)``, formed block by block."""
+        out, off = [0] * self.ring.total_dim, self.ring.offsets
+        for k, blk in self.blocks.items():
+            src = vec[off[k]:off[k] + blk.ncols]
+            if blk.nrows and any(src):
+                tlo = off[k + self.shift]
+                out[tlo:tlo + blk.nrows] = blk.matvec(src)
+        return tuple(out)
+
+    def commutator(self, other: "DegreeOperator") -> "DegreeOperator":
+        """[self, other] on the blocks; a block on every nonzero degree."""
+        shift, ring = self.shift + other.shift, self.ring
+        blocks = {}
+        for k, d in enumerate(ring.dims):
+            if d:
+                blk = _bracket_at(self, other, k)
+                if blk is None:
+                    tgt = k + shift
+                    blk = Matrix.zeros(
+                        ring.dims[tgt] if 0 <= tgt <= ring.top else 0, d)
+                blocks[k] = blk
+        return DegreeOperator(ring, shift, blocks)
 
     def commutes_with(self, other: "DegreeOperator") -> bool:
-        """[self, other] = 0, decided on the blocks: on each source degree k
-        both orders of composition map degree k to k + s + t."""
+        """[self, other] = 0, decided block by block with an early exit."""
         for k in range(self.ring.top + 1):
-            ab = _compose_at(self, other, k)
-            ba = _compose_at(other, self, k)
-            diff = ba if ab is None else ab if ba is None else ab - ba
+            diff = _bracket_at(self, other, k)
             if diff is not None and not diff.is_zero():
                 return False
         return True
@@ -125,12 +121,23 @@ def _compose_at(outer, inner, k):
     return None if top is None else top * blk
 
 
-def weight_operator_matrix(ring, weights) -> Matrix:
-    n = ring.total_dim
-    grid = [[0] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = rat(weights[i])
-    return Matrix._of(grid, n)
+def _bracket_at(a, b, k):
+    """The block of [a, b] on degree k; None where both composites are."""
+    ab, ba = _compose_at(a, b, k), _compose_at(b, a, k)
+    if ba is None:
+        return ab
+    return -ba if ab is None else ab - ba
+
+
+def weight_operator(ring, weights) -> DegreeOperator:
+    """H: acts by ``weights[gi]`` on basis element gi, in diagonal blocks."""
+    return DegreeOperator(ring, 0, _regroup(
+        ((gi, gi, rat(w)) for gi, w in enumerate(weights) if w),
+        _degrees(ring), 0, "weight operator off the diagonal")[0])
+
+
+def _degrees(ring):
+    return [ring.degree_of(gi) for gi in range(ring.total_dim)]
 
 
 def classical_weights(ring: GradedAlgebra):
@@ -152,21 +159,24 @@ def antiholomorphic_weights(ring: BigradedAlgebra):
 
 
 def cup_operator(ring: GradedAlgebra, a) -> DegreeOperator:
-    """Multiplication by a degree-2 class, as a shift +2 operator."""
+    """Multiplication by a degree-2 class, as a shift +2 operator: column
+    gj of block k is sum a_i e_i e_gj over the nonzero a_i, in degree k+2."""
     a_full = _as_degree2(ring, a)
+    lo2, hi2 = ring.slice_of(2)
+    terms = [(gi, a_full[gi]) for gi in range(lo2, hi2) if a_full[gi]]
     blocks = {}
-    for k in range(ring.top + 1):
-        if not ring.dims[k]:
+    for k, d in enumerate(ring.dims):
+        if not d:
             continue
-        tgt = k + 2
-        rows = ring.dims[tgt] if tgt <= ring.top else 0
-        lo, hi = ring.slice_of(k)
-        cols = []
-        for gi in range(lo, hi):
-            prod = ring.multiply(a_full, ring.basis_vector(gi))
-            cols.append(ring.component(prod, tgt) if rows else ())
-        blocks[k] = (Matrix.from_cols(cols, nrows=rows) if rows
-                     else Matrix([], ncols=ring.dims[k]))
+        lo, _ = ring.slice_of(k)
+        tlo, thi = ring.slice_of(k + 2) if k + 2 <= ring.top else (0, 0)
+        grid = [[0] * d for _ in range(thi - tlo)]
+        for c in range(d):
+            for gi, x in terms:
+                for gk, y in ring.mul_basis(gi, lo + c):
+                    if tlo <= gk < thi:
+                        grid[gk - tlo][c] += x * y
+        blocks[k] = Matrix(grid, ncols=d)
     return DegreeOperator(ring, 2, blocks)
 
 
@@ -242,32 +252,41 @@ def _weight_spaces(weights):
     return spaces
 
 
-def _check_shift_two(mat, weights):
-    for r, row in enumerate(mat.rows):
-        for c, x in enumerate(row):
-            if x and weights[r] != weights[c] + 2:
-                raise ValueError("operator does not raise the weight by 2")
-
-
 def _block(mat, rows_idx, cols_idx):
     rows = mat.rows
     return Matrix._of([[rows[r][c] for c in cols_idx] for r in rows_idx],
                       len(cols_idx))
 
 
-def _weight_chain(mat, spaces) -> BlockChain:
-    """The weight blocks V_w -> V_(w+2) of a full matrix."""
-    blocks = {w: _block(mat, spaces[w + 2], idx)
-              for w, idx in spaces.items() if w + 2 in spaces}
+def _regroup(entries, labels, shift, message):
+    """(blocks V_l -> V_(l+shift) for the grading ``labels``, spaces V_l)
+    from nonzero (row, column, value) entries; every block with two
+    nonzero sides is present.  An entry off the shift raises ValueError."""
+    spaces = _weight_spaces(labels)
+    pos = [0] * len(labels)
+    for idx in spaces.values():
+        for p, gi in enumerate(idx):
+            pos[gi] = p
+    grids = {w: [[0] * len(idx) for _ in spaces[w + shift]]
+             for w, idx in spaces.items() if w + shift in spaces}
+    for r, c, x in entries:
+        if labels[r] != labels[c] + shift:
+            raise ValueError(message)
+        grids[labels[c]][pos[r]][pos[c]] = x
+    return {w: Matrix._of(g, len(spaces[w])) for w, g in grids.items()}, spaces
+
+
+def _weight_chain(l_op: DegreeOperator, weights) -> BlockChain:
+    """The weight blocks V_w -> V_(w+2) of ``l_op``, read from its degree
+    blocks, with the +2 weight shift checked on every nonzero entry."""
+    blocks, spaces = _regroup(l_op.entries(), weights, 2,
+                              "operator does not raise the weight by 2")
     return BlockChain(blocks, {w: len(idx) for w, idx in spaces.items()})
 
 
-def hl_test_weights(mat: Matrix, weights) -> bool:
+def hl_test_weights(chain: BlockChain) -> bool:
     """L^j : V_{-j} -> V_j bijective for every j >= 1 with a nonzero side."""
-    spaces = _weight_spaces(weights)
-    _check_shift_two(mat, weights)
-    chain = _weight_chain(mat, spaces)
-    top = max((abs(w) for w in spaces), default=0)
+    top = max((abs(w) for w in chain.dims), default=0)
     for j in range(1, top + 1):
         lo, hi = chain.dim(-j), chain.dim(j)
         if not lo and not hi:
@@ -279,8 +298,8 @@ def hl_test_weights(mat: Matrix, weights) -> bool:
 
 def hl_test(ring: GradedAlgebra, a) -> bool:
     """Classical Hard Lefschetz for a degree-2 class."""
-    return hl_test_weights(cup_operator(ring, a).matrix(),
-                           classical_weights(ring))
+    return hl_test_weights(_weight_chain(cup_operator(ring, a),
+                                         classical_weights(ring)))
 
 
 @dataclass
@@ -301,29 +320,28 @@ class Sl2Triple:
                 and hm.commutator(mm) == mm.scale(-2))
 
 
-def complete_sl2_weights(ring, l_mat: Matrix, weights,
-                         l_shift=2, crosscheck=True) -> Sl2Triple:
-    """Complete a weight-raising operator to an exact sl2-triple.
+def complete_sl2_weights(ring, l_op: DegreeOperator, weights,
+                         crosscheck=True) -> Sl2Triple:
+    """Complete a weight-raising cup operator to an exact sl2-triple.
 
     Raises NotHLError when the bijectivity conditions fail.  The work
-    runs on weight blocks: L_w : V_w -> V_(w+2) read from ``l_mat``, and
+    runs on weight blocks: L_w : V_w -> V_(w+2) read from ``l_op``, and
     the dual's blocks Lam_w : V_w -> V_(w-2), assembled from the
-    primitive decomposition and put into one full matrix at the end.
+    primitive decomposition and put back into degree blocks at the end.
 
     The certificate is  L_(w-2) Lam_w - Lam_(w+2) L_w = w I  on every
     V_w, which is [L, Lam] = H.  The other two relations need no check:
     [H, L] = 2L because L raises the weight by exactly 2 (checked entry
-    by entry in ``hl_test_weights``), and [H, Lam] = -2 Lam because Lam
+    by entry in ``_weight_chain``), and [H, Lam] = -2 Lam because Lam
     is built from blocks that lower it by exactly 2.  On rings of total
     dimension <= SOLVE_CROSSCHECK_LIMIT the dual is also solved for as
     the unique weight-lowering solution of [L, X] = H; any other answer
     raises RuntimeError.
     """
-    n = ring.total_dim
-    if not hl_test_weights(l_mat, weights):
+    chain = _weight_chain(l_op, weights)
+    if not hl_test_weights(chain):
         raise NotHLError("not an HL class")
     spaces = _weight_spaces(weights)
-    chain = _weight_chain(l_mat, spaces)
     top = max((abs(w) for w in spaces), default=0)
 
     # primitive subspace at each weight w <= 0: ker(L^(m+1)) inside V_w,
@@ -380,22 +398,18 @@ def complete_sl2_weights(ring, l_mat: Matrix, weights,
     if not _dual_certified(chain, lam_blocks):
         raise RuntimeError("sl2 completion failed: [L, Lam] != H")
 
-    lam_grid = [[0] * n for _ in range(n)]
-    for w, blk in lam_blocks.items():
-        for r_pos, gi_out in enumerate(spaces[w - 2]):
-            for c_pos, gi_in in enumerate(spaces[w]):
-                lam_grid[gi_out][gi_in] = blk[r_pos, c_pos]
-    lam_mat = Matrix._of(lam_grid, n)
-    h_mat = weight_operator_matrix(ring, weights)
-    if (crosscheck and n <= SOLVE_CROSSCHECK_LIMIT
-            and _solve_dual(ring, l_mat, weights, spaces, h_mat) != lam_mat):
+    # back to degree blocks, checking that Lam lowers the degree by 2
+    lam_op = DegreeOperator(ring, -2, _regroup(
+        ((r, c, x) for w, blk in lam_blocks.items()
+         for r, row in zip(spaces[w - 2], blk.rows)
+         for c, x in zip(spaces[w], row) if x),
+        _degrees(ring), -2, "the dual does not lower the degree by 2")[0])
+    if (crosscheck and ring.total_dim <= SOLVE_CROSSCHECK_LIMIT
+            and _solve_dual(ring, l_op, weights, spaces) != lam_op.matrix()):
         raise RuntimeError("sl2 completion failed: the dual differs from "
                            "the unique solution of [L, X] = H")
-
-    l_op = DegreeOperator.from_matrix(ring, l_shift, l_mat)
-    lam_op = DegreeOperator.from_matrix(ring, -l_shift, lam_mat)
-    h_op = DegreeOperator.from_matrix(ring, 0, h_mat)
-    return Sl2Triple(l_op, lam_op, h_op, tuple(weights), prim, adapted)
+    return Sl2Triple(l_op, lam_op, weight_operator(ring, weights),
+                     tuple(weights), prim, adapted)
 
 
 def _dual_certified(chain: BlockChain, lam_blocks) -> bool:
@@ -436,12 +450,12 @@ def _add_product(acc, a: Matrix, b: Matrix, sign):
                     dest[c] = dest.get(c, 0) + x * y
 
 
-def _solve_dual(ring, l_mat, weights, spaces, h_mat):
-    """Unique weight-lowering solution of [L, X] = H, by exact sparse
-    elimination; None when the system is inconsistent or underdetermined."""
+def _solve_dual(ring, l_op, weights, spaces):
+    """Unique weight-lowering solution of [L, X] = H (H diagonal, the
+    weights), by exact sparse elimination; None when the system is
+    inconsistent or underdetermined."""
     n = ring.total_dim
-    unknowns = []
-    pos = {}
+    unknowns, pos = [], {}
     for w, idx in sorted(spaces.items()):
         tgt = spaces.get(w - 2, [])
         for gi_out in tgt:
@@ -449,12 +463,12 @@ def _solve_dual(ring, l_mat, weights, spaces, h_mat):
                 pos[(gi_out, gi_in)] = len(unknowns)
                 unknowns.append((gi_out, gi_in))
     if not unknowns:
-        return Matrix.zeros(n, n) if h_mat.is_zero() else None
+        return None if any(weights) else Matrix.zeros(n, n)
     gaussian = ring.field == "gaussian"
-    l_rows = [{k: v for k, v in enumerate(l_mat.row(r)) if v} for r in range(n)]
-    l_cols = [{k: l_mat[k, c] for k in range(n) if l_mat[k, c]} for c in range(n)]
-    rows = []
-    rhs = []
+    l_rows, l_cols = [{} for _ in range(n)], [{} for _ in range(n)]
+    for r, c, x in l_op.entries():
+        l_rows[r][c] = l_cols[c][r] = x
+    rows, rhs = [], []
     for r in range(n):
         for c in range(n):
             if weights[r] != weights[c]:
@@ -469,9 +483,10 @@ def _solve_dual(ring, l_mat, weights, spaces, h_mat):
                 if key is not None:
                     row[key] = row.get(key, 0) - v
             row = {k: v for k, v in row.items() if v}
-            if row or h_mat[r, c]:
+            h = weights[r] if r == c else 0
+            if row or h:
                 rows.append(row)
-                rhs.append(h_mat[r, c])
+                rhs.append(h)
     sol = solve_sparse(rows, rhs, len(unknowns), exact_division=gaussian)
     if sol is None:
         return None
@@ -483,8 +498,8 @@ def _solve_dual(ring, l_mat, weights, spaces, h_mat):
 
 def complete_sl2(ring: GradedAlgebra, a) -> Sl2Triple:
     """Classical sl2-triple of a Hard Lefschetz degree-2 class."""
-    l_mat = cup_operator(ring, a).matrix()
-    return complete_sl2_weights(ring, l_mat, classical_weights(ring))
+    return complete_sl2_weights(ring, cup_operator(ring, a),
+                                classical_weights(ring))
 
 
 class DualFamily:
@@ -559,13 +574,13 @@ class DualFamily:
 
 def sigma_sl2(ring: BigradedAlgebra) -> Sl2Triple:
     """sl2-triple of the symplectic class, graded by holomorphic weight."""
-    l_mat = cup_operator(ring, ring.sigma()).matrix()
-    return complete_sl2_weights(ring, l_mat, holomorphic_weights(ring))
+    return complete_sl2_weights(ring, cup_operator(ring, ring.sigma()),
+                                holomorphic_weights(ring))
 
 
 def sigma_bar_sl2(ring: BigradedAlgebra) -> Sl2Triple:
-    l_mat = cup_operator(ring, ring.sigma_bar()).matrix()
-    return complete_sl2_weights(ring, l_mat, antiholomorphic_weights(ring))
+    return complete_sl2_weights(ring, cup_operator(ring, ring.sigma_bar()),
+                                antiholomorphic_weights(ring))
 
 
 @dataclass
@@ -577,11 +592,10 @@ class PrimitiveDecomposition:
 
     def reconstruct(self, triple: Sl2Triple, ring) -> tuple:
         total = [to_field(0, ring.field)] * ring.total_dim
-        lmat = triple.L.matrix()
         for j, comp in self.components:
-            vec = list(comp)
+            vec = comp
             for _ in range(j):
-                vec = list(lmat.matvec(vec))
+                vec = triple.L.apply(vec)
             total = [a + b for a, b in zip(total, vec)]
         return tuple(total)
 
@@ -620,12 +634,11 @@ def primitive_decomposition(ring, triple: Sl2Triple, x) -> PrimitiveDecompositio
     out = PrimitiveDecomposition(tuple(x), comps)
     if out.reconstruct(triple, ring) != tuple(x):
         raise RuntimeError("primitive decomposition failed to reconstruct")
-    lmat = triple.L.matrix()
     for j, comp in comps:
         m = -(w - 2 * j)
-        vec = list(comp)
+        vec = comp
         for _ in range(m + 1):
-            vec = list(lmat.matvec(vec))
+            vec = triple.L.apply(vec)
         if any(vec):
             raise RuntimeError("component is not primitive at its level")
     return out
@@ -635,8 +648,10 @@ def symplectic_hl_check(ring: BigradedAlgebra) -> CheckResult:
     """Blockwise symplectic Hard Lefschetz for sigma and sigma-bar."""
     res = CheckResult("symplectic hard lefschetz")
     n = ring.symplectic_n()
-    ls = cup_operator(ring, ring.sigma()).matrix()
-    lsb = cup_operator(ring, ring.sigma_bar()).matrix()
+    dims = dict(enumerate(ring.dims))
+    # L^j on (p, q) is a sub-block of the degree power chain.power(p+q, j)
+    chain = BlockChain(cup_operator(ring, ring.sigma()).blocks, dims)
+    chain_b = BlockChain(cup_operator(ring, ring.sigma_bar()).blocks, dims)
     piece = {}
     for gi, pq in enumerate(ring.bidegrees):
         piece.setdefault(pq, []).append(gi)
@@ -644,31 +659,26 @@ def symplectic_hl_check(ring: BigradedAlgebra) -> CheckResult:
     if sig_pq != (2, 0):
         res.fail(f"sigma has bidegree {sig_pq}, expected (2,0)")
         return res
-    powers = {0: Matrix.identity(ring.total_dim), 1: ls}
-    powers_b = {0: Matrix.identity(ring.total_dim), 1: lsb}
-    # the blocks below read L^j for j = n - p and j = n - q, so j <= n
-    for j in range(2, n + 1):
-        powers[j] = powers[j - 1] * ls
-        powers_b[j] = powers_b[j - 1] * lsb
+
+    def rank(ch, j, tgt, idx):
+        k = ring.degree_of(idx[0])
+        lo, tlo = ring.offsets[k], ring.offsets[k + 2 * j]
+        return _block(ch.power(k, j), [gi - tlo for gi in tgt],
+                      [gi - lo for gi in idx]).rank()
+
     checked = 0
     for (p, q), idx in sorted(piece.items()):
-        if p < n:
-            j = n - p
-            tgt = piece.get((n + j, q), [])
+        for name, ch, j, pq in (("sigma", chain, n - p, (2 * n - p, q)),
+                                ("sigmabar", chain_b, n - q, (p, 2 * n - q))):
+            if j <= 0:
+                continue
+            tgt = piece.get(pq, [])
             if len(tgt) != len(idx):
                 res.fail(f"dim IH^({p},{q}) = {len(idx)} != {len(tgt)} = "
-                         f"dim IH^({n + j},{q})")
-            elif _block(powers[j], tgt, idx).rank() != len(idx):
-                res.fail(f"L_sigma^{j}: ({p},{q}) -> ({n + j},{q}) not bijective")
-            checked += 1
-        if q < n:
-            j = n - q
-            tgt = piece.get((p, n + j), [])
-            if len(tgt) != len(idx):
-                res.fail(f"dim IH^({p},{q}) = {len(idx)} != {len(tgt)} = "
-                         f"dim IH^({p},{n + j})")
-            elif _block(powers_b[j], tgt, idx).rank() != len(idx):
-                res.fail(f"L_sigmabar^{j}: ({p},{q}) -> ({p},{n + j}) not bijective")
+                         f"dim IH^({pq[0]},{pq[1]})")
+            elif rank(ch, j, tgt, idx) != len(idx):
+                res.fail(f"L_{name}^{j}: ({p},{q}) -> ({pq[0]},{pq[1]}) "
+                         "not bijective")
             checked += 1
     res.data["blocks_checked"] = checked
     return res
@@ -680,22 +690,22 @@ def simultaneous_primitivity_check(ring: BigradedAlgebra) -> CheckResult:
     res = CheckResult("simultaneous primitivity")
     tri_s = sigma_sl2(ring)
     tri_b = sigma_bar_sl2(ring)
-    lam_s, lam_b = tri_s.Lam.matrix(), tri_b.Lam.matrix()
-    if not lam_s.commutator(lam_b).is_zero():
+    lam_s, lam_b = tri_s.Lam, tri_b.Lam
+    if not lam_s.commutes_with(lam_b):
         res.fail("[Lam_sigma, Lam_sigmabar] != 0")
-    if not tri_s.L.matrix().commutator(lam_b).is_zero():
+    if not tri_s.L.commutes_with(lam_b):
         res.fail("[L_sigma, Lam_sigmabar] != 0")
-    if not tri_b.L.matrix().commutator(lam_s).is_zero():
+    if not tri_b.L.commutes_with(lam_s):
         res.fail("[L_sigmabar, Lam_sigma] != 0")
     checked = 0
     for gi in range(ring.total_dim):
         x = ring.basis_vector(gi)
-        if any(lam_b.matvec(x)):
+        if any(lam_b.apply(x)):
             continue
         # x is sigma-bar-primitive; its sigma-components must stay so
         dec = primitive_decomposition(ring, tri_s, x)
         for _, comp in dec.components:
-            if any(lam_b.matvec(comp)):
+            if any(lam_b.apply(comp)):
                 res.fail(f"sigma-component of {ring.label_of(gi)} is not "
                          "sigma-bar-primitive")
         checked += 1

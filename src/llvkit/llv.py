@@ -12,8 +12,8 @@ from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
-from .lefschetz import (DualFamily, complete_sl2, cup_operator,
-                        sigma_bar_sl2, sigma_sl2, weight_operator_matrix)
+from .lefschetz import (DegreeOperator, DualFamily, complete_sl2, cup_operator,
+                        sigma_bar_sl2, sigma_sl2, weight_operator)
 from .linalg import (Matrix, SparseEchelon, integer_eigenspaces,
                      symmetric_signature)
 from .models import spanning_hl_classes, verbitsky_dims
@@ -488,7 +488,7 @@ def dual_lefschetz_commute(ring: GradedAlgebra, a, b) -> bool:
     return family.lam(a).commutes_with(family.lam(b))
 
 
-def weil_operator(ring: BigradedAlgebra) -> Matrix:
+def weil_operator(ring: BigradedAlgebra) -> DegreeOperator:
     """[L_gamma, Lam_gamma'] for gamma = sigma + sigma-bar and gamma' its
     imaginary partner; asserted equal to i(H_sigma - H_sigma-bar)."""
     if ring.field != "gaussian":
@@ -496,14 +496,10 @@ def weil_operator(ring: BigradedAlgebra) -> Matrix:
     sig, sigb = ring.sigma(), ring.sigma_bar()
     gamma = ring.add(sig, sigb)
     gamma_p = ring.scale(tuple(a - b for a, b in zip(sig, sigb)), Gauss(0, -1))
-    l_gamma = cup_operator(ring, gamma).matrix()
-    tri = complete_sl2(ring, gamma_p)
-    c_op = l_gamma.commutator(tri.Lam.matrix())
-    n = ring.symplectic_n()
-    hs = weight_operator_matrix(ring, [p - n for p, _ in ring.bidegrees])
-    hsb = weight_operator_matrix(ring, [q - n for _, q in ring.bidegrees])
-    expected = (hs - hsb).scale(Gauss(0, 1))
-    if c_op != expected:
+    c_op = cup_operator(ring, gamma).commutator(complete_sl2(ring, gamma_p).Lam)
+    expected = weight_operator(ring, [p - q for p, q in ring.bidegrees])
+    if any(c_op.blocks[k] != blk.scale(Gauss(0, 1))
+           for k, blk in expected.blocks.items()):
         raise RuntimeError("Weil operator mismatch: [L_gamma, Lam_gamma'] "
                            "!= i(H_sigma - H_sigma-bar)")
     return c_op
@@ -741,8 +737,7 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
                     continue
                 if k[(i, j)].commutator(k[(j, jj)]) != k[(i, jj)].scale(2):
                     res.fail(f"[K{i}{j}, K{j}{jj}] != 2 K{i}{jj}")
-    algebra = lie_closure([op for t in triples for op in
-                           (t.L.matrix(), t.Lam.matrix())])
+    algebra = lie_closure([op for pair in zip(ls, lams) for op in pair])
     res.data["dim"] = algebra.dim
     if algebra.dim != 10:
         res.fail(f"closure dimension {algebra.dim} != 10")
@@ -754,8 +749,8 @@ def so4_symplectic(ring: BigradedAlgebra):
     splitting as two commuting sl2-triples."""
     tri_s = sigma_sl2(ring)
     tri_b = sigma_bar_sl2(ring)
-    six = [tri_s.L.matrix(), tri_b.L.matrix(), tri_s.Lam.matrix(),
-           tri_b.Lam.matrix(), tri_s.H.matrix(), tri_b.H.matrix()]
+    six = [op.matrix() for op in (tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam,
+                                  tri_s.H, tri_b.H)]
     res = CheckResult("so(4) symplectic action")
     n = ring.total_dim
     span = SparseEchelon(exact_division=True)
@@ -767,12 +762,12 @@ def so4_symplectic(ring: BigradedAlgebra):
     res.data["dim"] = algebra.dim
     if algebra.dim != 6:
         res.fail(f"closure dimension {algebra.dim} != 6")
-    for a in (tri_s.L.matrix(), tri_s.Lam.matrix(), tri_s.H.matrix()):
-        for b in (tri_b.L.matrix(), tri_b.Lam.matrix(), tri_b.H.matrix()):
-            if not a.commutator(b).is_zero():
+    for a in (tri_s.L, tri_s.Lam, tri_s.H):
+        for b in (tri_b.L, tri_b.Lam, tri_b.H):
+            if not a.commutes_with(b):
                 res.fail("the sigma and sigma-bar triples do not commute")
     if ring.field == "gaussian":
-        weil = (tri_s.H.matrix() - tri_b.H.matrix()).scale(Gauss(0, 1))
+        weil = (six[4] - six[5]).scale(Gauss(0, 1))
         if not algebra.contains(weil):
             res.fail("Weil operator i(H_sigma - H_sigma-bar) not in the span")
         else:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lefschetz import BlockChain, complete_sl2, cup_operator, hl_test
+from .lefschetz import (BlockChain, DegreeOperator, complete_sl2,
+                        cup_operator, hl_test)
 from .linalg import (Matrix, SparseEchelon, Subspace, kernel,
                      symmetric_signature)
 from .models import (ModelConstructionError, isotropic_stream,
@@ -370,25 +371,19 @@ class LagrangianTriple:
         return beta, eta, rho
 
 
-def lagrangian_monodromy(ring: GradedAlgebra, triple: LagrangianTriple) -> Matrix:
-    """The degree-preserving nilpotent commutator [L_beta, Lam_rho]."""
+def lagrangian_monodromy(ring: GradedAlgebra,
+                         triple: LagrangianTriple) -> DegreeOperator:
+    """N = [L_beta, Lam_rho] on degree blocks: degree-preserving, nilpotent."""
     form = ring.quadratic_form
     if form is None:
         raise ValueError("ring carries no degree-2 quadratic form")
     beta, _eta, rho = triple.validate(form)
     if not hl_test(ring, rho):
         raise ValueError("rho does not satisfy Hard Lefschetz")
-    l_beta = cup_operator(ring, beta).matrix()
-    tri_rho = complete_sl2(ring, rho)
-    nmat = l_beta.commutator(tri_rho.Lam.matrix())
-    nilpotent_index(nmat)         # raises when not nilpotent
-    return nmat
-
-
-def degree_block(ring: GradedAlgebra, mat: Matrix, k: int) -> Matrix:
-    lo, hi = ring.slice_of(k)
-    return Matrix([[mat[r, c] for c in range(lo, hi)] for r in range(lo, hi)],
-                  ncols=ring.dims[k])
+    nop = cup_operator(ring, beta).commutator(complete_sl2(ring, rho).Lam)
+    for blk in nop.blocks.values():
+        nilpotent_index(blk)      # raises when not nilpotent
+    return nop
 
 
 def pw_compare(p_filt: Filtration, w_filt: Filtration, shift: int):
@@ -420,9 +415,8 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple,
     form = ring.quadratic_form
     beta, _eta, _rho = triple.validate(form)
     two_n = ring.top // 2
-    nmat = lagrangian_monodromy(ring, triple)
-    deg2 = degree_block(ring, nmat, 2)
-    idx = nilpotent_index(deg2)
+    nop = lagrangian_monodromy(ring, triple)
+    idx = nilpotent_index(nop.blocks[2])
     res.data["degree2_nilpotent_index"] = idx
     res.data["type_iii"] = (idx == 3)
     chain = perverse_chain(ring, beta)
@@ -432,8 +426,7 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple,
         if not ring.dims[k]:
             continue
         p_filts[k] = perverse_filtration(ring, beta, k, chain)
-        w_filts[k] = weight_filtration(degree_block(ring, nmat, k),
-                                       center=k - two_n)
+        w_filts[k] = weight_filtration(nop.blocks[k], center=k - two_n)
     if window is None:
         window = range(-two_n - 2, two_n + 3)
     found = None

@@ -548,13 +548,13 @@ def ring_from_dict(data: dict, validate=True):
     for key in ("top_degree", "dims", "basis", "products", "integration"):
         _expect(key in data, f"missing required field {key!r}", "$")
     top = data["top_degree"]
-    _expect(isinstance(top, int) and top >= 0, "top_degree must be a nonnegative integer",
+    _expect(type(top) is int and top >= 0, "top_degree must be a nonnegative integer",
             "$.top_degree")
     field_name = data.get("field", FIELD_RATIONAL)
     _expect(field_name in (FIELD_RATIONAL, FIELD_GAUSSIAN),
             f"unknown field {field_name!r}", "$.field")
     dims = data["dims"]
-    _expect(isinstance(dims, list) and all(isinstance(d, int) and d >= 0 for d in dims),
+    _expect(isinstance(dims, list) and all(type(d) is int and d >= 0 for d in dims),
             "dims must be a list of nonnegative integers", "$.dims")
     _expect(len(dims) == top + 1,
             f"dims lists {len(dims)} degrees, expected top_degree+1 = {top + 1}",
@@ -576,8 +576,8 @@ def ring_from_dict(data: dict, validate=True):
             _expect(key in rec, f"product record missing {key!r}", loc)
         gi, gj, gk = rec["i"], rec["j"], rec["k"]
         for nm, g in (("i", gi), ("j", gj), ("k", gk)):
-            _expect(isinstance(g, int) and 0 <= g < total,
-                    f"index {nm}={g} out of range 0..{total - 1}", loc)
+            _expect(type(g) is int and 0 <= g < total,  # true is an int to isinstance
+                    f"index {nm} must be an integer in 0..{total - 1}, got {g!r}", loc)
         _expect(isinstance(rec["coeff"], str),
                 "coeff must be an exact coefficient string (no floats)", loc)
         try:
@@ -635,7 +635,7 @@ def ring_from_dict(data: dict, validate=True):
             degree_of.extend([k] * d)
         for gi, pq in enumerate(bg):
             _expect(isinstance(pq, list) and len(pq) == 2
-                    and all(isinstance(t, int) for t in pq),
+                    and all(type(t) is int for t in pq),
                     "bigrading entries must be [p, q] integer pairs",
                     f"$.bigrading[{gi}]")
             _expect(pq[0] + pq[1] == degree_of[gi],

@@ -13,7 +13,7 @@ from llvkit.bbf import bbf_form, fujiki_check
 from llvkit.clifford import (CliffordElement, cl_multiply, cl_trace, clifford,
                              complex_structure, polarization_form)
 from llvkit.lefschetz import (classical_weights, complete_sl2, hl_test,
-                              sigma_bar_sl2, sigma_sl2, weight_operator_matrix)
+                              sigma_bar_sl2, sigma_sl2, weight_operator)
 from llvkit.llv import (ad_grading, llv_closure, so4_symplectic,
                         so41_subalgebra, so_identify, verbitsky_component,
                         weil_operator)
@@ -44,7 +44,7 @@ def test_criterion_01_structure_theorem_small_model(rat52):
 def test_criterion_02_structure_theorem_k3(k3):
     t0 = time.time()
     algebra = llv_closure(k3)
-    h = weight_operator_matrix(k3, classical_weights(k3))
+    h = weight_operator(k3, classical_weights(k3)).matrix()
     g2, g0, gm2 = ad_grading(algebra, h)
     elapsed = time.time() - t0
     dims = (len(g2), len(g0), len(gm2))
@@ -86,11 +86,11 @@ def test_criterion_05_weil_operator(model52):
     try:
         c = weil_operator(model52)
         n = model52.symplectic_n()
-        hs = weight_operator_matrix(model52,
-                                    [p - n for p, _ in model52.bidegrees])
-        hsb = weight_operator_matrix(model52,
-                                     [q - n for _, q in model52.bidegrees])
-        ok = c == (hs - hsb).scale(Gauss(0, 1))
+        hs = weight_operator(model52,
+                             [p - n for p, _ in model52.bidegrees]).matrix()
+        hsb = weight_operator(model52,
+                              [q - n for _, q in model52.bidegrees]).matrix()
+        ok = c.matrix() == (hs - hsb).scale(Gauss(0, 1))
     except RuntimeError:
         ok = False
     report(5, ok, "[L_gamma, Lam_gamma'] = i(H_sigma - H_sigma-bar) exactly")

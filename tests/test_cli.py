@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import llvkit
 from llvkit import models
 from llvkit.cli import FIXTURE_BOUNDS, main
 from llvkit.rings import BigradedAlgebra, GradedAlgebra, ring_to_dict
+from test_rings import BOOLEAN_EDITS
 
 
 def run(args, capsys):
@@ -214,6 +216,19 @@ def test_zero_denominator_in_ring_file_exits_two(tmp_path, capsys, model52,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("parse error: ")
     assert "zero denominator" in lines[0] and f"$.{field}" in lines[0]
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_EDITS))
+def test_json_boolean_in_ring_file_exits_two(tmp_path, capsys, model52,
+                                             field):
+    path = _edited_ring_file(tmp_path, model52, BOOLEAN_EDITS[field])
+    rc = main(["validate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error: ")
+    assert re.search(f"{field}( entries)? must be", lines[0])
 
 
 def _set_form(diag):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,13 +16,13 @@ from llvkit.lefschetz import (BlockChain, DegreeOperator, DualFamily,
                               holomorphic_weights, primitive_decomposition,
                               sigma_bar_sl2, sigma_sl2,
                               simultaneous_primitivity_check,
-                              symplectic_hl_check, weight_operator_matrix,
-                              _solve_dual, _weight_spaces)
+                              symplectic_hl_check, _solve_dual,
+                              _weight_spaces)
 from llvkit.linalg import Matrix, inverse
 from llvkit.llv import llv_generators
 from llvkit.models import spanning_hl_classes, vector_stream
 from llvkit.pw import nilpotent_index
-from llvkit.rings import QuadraticForm
+from llvkit.rings import QuadraticForm, ring_from_dict
 from llvkit.scalars import Gauss
 
 
@@ -60,9 +61,61 @@ def test_cup_operators_commute(rat52):
         assert la.commutator(lb).is_zero()
 
 
-def test_commutes_with_matches_dense_commutator(rat52, torus2):
-    # L and Lam of two classes on an even and an odd-degree ring: every
-    # pairing of raising and lowering operators, commuting or not
+def _cup_blocks_by_multiply(ring, a):
+    """The cup operator's blocks from full-length products and degree
+    components: the oracle of the product-table construction."""
+    a_full = tuple(a) if len(a) == ring.total_dim else ring.embed(2, a)
+    blocks = {}
+    for k in range(ring.top + 1):
+        if not ring.dims[k]:
+            continue
+        tgt = k + 2
+        rows = ring.dims[tgt] if tgt <= ring.top else 0
+        lo, hi = ring.slice_of(k)
+        cols = [ring.component(ring.multiply(a_full, ring.basis_vector(gi)),
+                               tgt) for gi in range(lo, hi)] if rows else []
+        blocks[k] = (Matrix.from_cols(cols, nrows=rows) if rows
+                     else Matrix([], ncols=ring.dims[k]))
+    return blocks
+
+
+def _overlapping_products_ring():
+    """P^1 x P^1 on the basis a = h1, b = h1 + h2 of degree 2: a*b = p and
+    b*b = 2p land on the same element, unlike the fixtures' monomial
+    bases."""
+    prods = [(0, g, g, "1") for g in range(4)] + [
+        (g, 0, g, "1") for g in range(1, 4)] + [
+        (1, 2, 3, "1"), (2, 1, 3, "1"), (2, 2, 3, "2")]
+    return ring_from_dict({
+        "top_degree": 4, "dims": [1, 0, 2, 0, 1],
+        "basis": [["1"], [], ["a", "b"], [], ["p"]],
+        "products": [{"i": i, "j": j, "k": k, "coeff": c}
+                     for i, j, k, c in prods],
+        "integration": ["1"]})
+
+
+def test_cup_operator_matches_full_length_products(k3, rat52, torus2,
+                                                    model52):
+    # sigma and sigma-bar of model52 have Q(i) coordinates
+    rng = random.Random(3)
+    cases = [(model52, model52.sigma()), (model52, model52.sigma_bar())]
+    for ring in (k3, rat52, torus2, _overlapping_products_ring()):
+        cases += [(ring, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(ring.dims[2])]) for _ in range(3)]
+    for ring, a in cases:
+        blocks = cup_operator(ring, a).blocks
+        want = _cup_blocks_by_multiply(ring, a)
+        assert blocks == want
+        # the same normal form: an int when integral
+        for k, blk in blocks.items():
+            assert [list(map(type, r)) for r in blk.rows] == \
+                [list(map(type, r)) for r in want[k].rows]
+
+
+def _block_operator_cases(rat52, torus2, model52):
+    """L and Lam of two classes on an even and an odd-degree ring, and the
+    sigma and sigma-bar triples of model52 over Q(i)."""
+    cases = []
     for ring in (rat52, torus2):
         ops = []
         for cls in itertools.islice(vector_stream(ring.dims[2]), 200):
@@ -73,12 +126,36 @@ def test_commutes_with_matches_dense_commutator(rat52, torus2):
             if len(ops) == 4:
                 break
         assert len(ops) == 4
+        cases.append((ring, ops))
+    tri_s, tri_b = sigma_sl2(model52), sigma_bar_sl2(model52)
+    cases.append((model52, [tri_s.L, tri_s.Lam, tri_s.H,
+                            tri_b.L, tri_b.Lam, tri_b.H]))
+    return cases
+
+
+def test_commutes_with_matches_dense_commutator(rat52, torus2, model52):
+    # every pairing of the operators, commuting or not: the block bracket
+    # and the block action agree with the dense ones
+    rng = random.Random(11)
+    for ring, ops in _block_operator_cases(rat52, torus2, model52):
         verdicts = set()
         for x, y in itertools.product(ops, repeat=2):
-            dense = x.commutator(y).is_zero()
-            assert x.commutes_with(y) is dense
-            verdicts.add(dense)
+            dense = x.matrix().commutator(y.matrix())
+            assert x.commutator(y).matrix() == dense
+            assert x.commutes_with(y) is dense.is_zero()
+            verdicts.add(dense.is_zero())
         assert verdicts == {True, False}
+        vecs = [ring.basis_vector(gi) for gi in range(ring.total_dim)]
+        for _ in range(5):
+            vecs.append(tuple(
+                Gauss(rng.randint(-2, 2), rng.randint(-2, 2))
+                if ring.field == "gaussian"
+                else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(ring.total_dim)))
+        for x in ops:
+            dense = x.matrix()
+            for v in vecs:
+                assert x.apply(v) == dense.matvec(v)
 
 
 def test_cup_rejects_wrong_degree(k3):
@@ -153,9 +230,7 @@ def test_complete_sl2_matches_unique_solve(k3, rat52, model52, torus2):
     assert cases[3][1].weights == antiholomorphic_weights(model52)
     for ring, tri in cases:
         weights = tri.weights
-        solved = _solve_dual(ring, tri.L.matrix(), weights,
-                             _weight_spaces(weights),
-                             weight_operator_matrix(ring, weights))
+        solved = _solve_dual(ring, tri.L, weights, _weight_spaces(weights))
         assert solved is not None
         assert solved == tri.Lam.matrix()
         assert tri.check()
@@ -165,8 +240,8 @@ def test_complete_sl2_raises_when_the_crosscheck_disagrees(rat52,
                                                            monkeypatch):
     solve = lefschetz._solve_dual
 
-    def perturbed(ring, l_mat, weights, spaces, h_mat):
-        lam = solve(ring, l_mat, weights, spaces, h_mat)
+    def perturbed(ring, l_op, weights, spaces):
+        lam = solve(ring, l_op, weights, spaces)
         rows = [list(r) for r in lam.rows]
         rows[0][1] += 1          # still lowers the weight: V_-2 -> V_-4
         return Matrix(rows)
@@ -175,9 +250,8 @@ def test_complete_sl2_raises_when_the_crosscheck_disagrees(rat52,
     a = [Fraction(1), 0, 0, 0, 0]
     with pytest.raises(RuntimeError, match="unique solution"):
         complete_sl2(rat52, a)
-    l_mat = cup_operator(rat52, a).matrix()
-    tri = complete_sl2_weights(rat52, l_mat, classical_weights(rat52),
-                               crosscheck=False)
+    tri = complete_sl2_weights(rat52, cup_operator(rat52, a),
+                               classical_weights(rat52), crosscheck=False)
     assert tri.check()
 
 
@@ -185,13 +259,24 @@ def test_complete_sl2_certificate_rejects_a_wrong_dual(rat52, model52,
                                                        monkeypatch):
     # a doubled T^-1 doubles Lam, and [L, 2 Lam] = 2H != H
     monkeypatch.setattr(lefschetz, "inverse", lambda m: inverse(m).scale(2))
-    for ring, l_mat, weights in (
-            (rat52, cup_operator(rat52, [Fraction(1), 0, 0, 0, 0]).matrix(),
+    for ring, l_op, weights in (
+            (rat52, cup_operator(rat52, [Fraction(1), 0, 0, 0, 0]),
              classical_weights(rat52)),
-            (model52, cup_operator(model52, model52.sigma()).matrix(),
+            (model52, cup_operator(model52, model52.sigma()),
              holomorphic_weights(model52))):
         with pytest.raises(RuntimeError, match=r"\[L, Lam\] != H"):
-            complete_sl2_weights(ring, l_mat, weights, crosscheck=False)
+            complete_sl2_weights(ring, l_op, weights, crosscheck=False)
+
+
+def test_complete_sl2_weights_rejects_an_operator_off_the_weight_shift(
+        model52):
+    # a (1,1) class raises the holomorphic weight p - n by 1, not by 2
+    lo2, hi2 = model52.slice_of(2)
+    t = next(gi for gi in range(lo2, hi2) if model52.bidegrees[gi] == (1, 1))
+    l_op = cup_operator(model52, model52.basis_vector(t))
+    with pytest.raises(ValueError,
+                       match="operator does not raise the weight by 2"):
+        complete_sl2_weights(model52, l_op, holomorphic_weights(model52))
 
 
 def _dense_block(mat, ring, src, tgt):
@@ -472,7 +557,7 @@ def certificate_cases(k3, rat52, model52, torus2):
             ("torus2", complete_sl2(torus2, [0, Fraction(1), 0, 0,
                                              Fraction(1), 0]))):
         spaces = _weight_spaces(tri.weights)
-        chain = lefschetz._weight_chain(tri.L.matrix(), spaces)
+        chain = lefschetz._weight_chain(tri.L, tri.weights)
         lam = tri.Lam.matrix()
         blocks = {w: lefschetz._block(lam, spaces[w - 2], idx)
                   for w, idx in spaces.items() if w - 2 in spaces}

@@ -234,8 +234,8 @@ def test_integer_eigenspaces_diagonal():
 
 
 def test_integer_eigenspaces_k3_weights(k3):
-    from llvkit.lefschetz import classical_weights, weight_operator_matrix
-    h = weight_operator_matrix(k3, classical_weights(k3))
+    from llvkit.lefschetz import classical_weights, weight_operator
+    h = weight_operator(k3, classical_weights(k3)).matrix()
     spaces = integer_eigenspaces(h, [-2, 0, 2])
     assert {lam: s.dim for lam, s in spaces.items()} == {-2: 1, 0: 22, 2: 1}
 
@@ -704,9 +704,9 @@ def test_integer_eigenspaces_dict_rows_out_of_range():
 
 
 def test_k3_ad_weight_kernels_match_dense_reference(k3, k3_closure):
-    from llvkit.lefschetz import classical_weights, weight_operator_matrix
+    from llvkit.lefschetz import classical_weights, weight_operator
     from llvkit.llv import _ad_matrix
-    h = weight_operator_matrix(k3, classical_weights(k3))
+    h = weight_operator(k3, classical_weights(k3)).matrix()
     admat = dense_ad(k3_closure, h)
     assert kernel(admat) == _reference_kernel(admat)
     spaces = integer_eigenspaces(admat, [2, 0, -2])

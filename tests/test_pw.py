@@ -9,7 +9,7 @@ from llvkit.linalg import Matrix, Subspace, inverse, kernel
 from llvkit import pw
 from llvkit.models import ModelConstructionError, isotropic_stream
 from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
-                       degree_block, isotropic_independence_check,
+                       isotropic_independence_check,
                        lagrangian_monodromy, nilpotent_index,
                        nilpotent_orbit_check, perverse_chain,
                        perverse_filtration, perverse_hodge_check, pw_compare,
@@ -133,7 +133,7 @@ def test_weight_filtrations_of_model_rings_match_the_formula(rat52, k3big):
         two_n = ring.top // 2
         for k, dim in enumerate(ring.dims):
             if dim:
-                block = degree_block(ring, nmat, k)
+                block = nmat.blocks[k]
                 filt = weight_filtration(block, center=k - two_n)
                 assert_kernel_image_formula(filt, block, k - two_n)
 
@@ -288,7 +288,7 @@ def test_perverse_degree_zero_single_step(model52):
 def test_nilpotent_orbit_check(rat52, model52):
     tri = default_lagrangian_triple(rat52)
     nmat = lagrangian_monodromy(rat52, tri)
-    n2 = degree_block(rat52, nmat, 2)
+    n2 = nmat.blocks[2]
     form = rat52.quadratic_form
     assert nilpotent_orbit_check(Matrix.zeros(5, 5),
                                  [Gauss(1), Gauss(0, 1), 0, 0, 0],
@@ -333,13 +333,15 @@ def test_default_triple_refuses_unusable_forms(rat52, diag, message):
 
 def test_lagrangian_monodromy_properties(rat52):
     tri = default_lagrangian_triple(rat52)
-    nmat = lagrangian_monodromy(rat52, tri)
+    nop = lagrangian_monodromy(rat52, tri)
+    nmat = nop.matrix()
     # degree-preserving: blocks outside the diagonal pattern vanish
+    assert nop.shift == 0
     for r in range(rat52.total_dim):
         for c in range(rat52.total_dim):
             if nmat[r, c]:
                 assert rat52.degree_of(r) == rat52.degree_of(c)
-    assert nilpotent_index(degree_block(rat52, nmat, 2)) == 3
+    assert nilpotent_index(nop.blocks[2]) == 3
     # N lies in the degree-0 part of the LLV closure
     from llvkit.llv import llv_closure
     alg = llv_closure(rat52)

@@ -112,6 +112,29 @@ def test_load_rejects_bad_bigrading(tmp_path, model52):
         load_ring(path)
 
 
+# JSON true and false are ints to isinstance; each edit below equals the
+# original integer (dims[8] = 1, products[1] = (0, 1, 1), bigrading[0] =
+# (0, 0)), so only the type is wrong
+BOOLEAN_EDITS = {
+    "top_degree": lambda d: d.update(top_degree=True),
+    "dims": lambda d: d["dims"].__setitem__(8, True),
+    "index i": lambda d: d["products"][1].update(i=False),
+    "index j": lambda d: d["products"][1].update(j=True),
+    "index k": lambda d: d["products"][1].update(k=True),
+    "bigrading": lambda d: d["bigrading"].__setitem__(0, [False, False]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_EDITS))
+def test_load_rejects_json_booleans_as_integers(tmp_path, model52, field):
+    data = ring_to_dict(model52)
+    BOOLEAN_EDITS[field](data)
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(RingFormatError, match=f"{field}( entries)? must be"):
+        load_ring(path)
+
+
 def test_load_rejects_malformed_rational(tmp_path, k3):
     data = ring_to_dict(k3)
     data["products"][5]["coeff"] = "1.25"
