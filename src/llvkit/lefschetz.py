@@ -438,12 +438,15 @@ def _dual_certified(chain: BlockChain, lam_blocks) -> bool:
     return True
 
 
-def _add_product(acc, a: Matrix, b: Matrix, sign):
+def _add_product(acc, a, b: Matrix, sign):
     """acc[r] += sign * (a b)[r] for sparse row dicts acc, skipping the
-    zero entries of both factors."""
+    zero entries of both factors; the left factor a is a Matrix or a list
+    of sparse row dicts."""
     b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b.rows]
-    for dest, row in zip(acc, a.rows):
-        for k, x in enumerate(row):
+    a_rows = ([enumerate(row) for row in a.rows] if isinstance(a, Matrix)
+              else [row.items() for row in a])
+    for dest, row in zip(acc, a_rows):
+        for k, x in row:
             if x:
                 x = sign * x
                 for c, y in b_rows[k]:
@@ -558,17 +561,22 @@ class DualFamily:
         return complete_sl2(self.ring, a).Lam
 
     def _candidate(self, l_a, scale, ab4):
-        """Blocks of scale * ([[L_a, psi_b], psi_b] + ab4 psi_b)."""
+        """Blocks of scale * ([[L_a, psi_b], psi_b] + ab4 psi_b), each term
+        summed into sparse rows and the block normalized once."""
         sq, blocks = self._sq, {}
         for k, p in self._psi.items():
-            lp = l_a[k - 2]
-            acc = p.scale(ab4) - ((p * lp) * p if p.nrows <= p.ncols
-                                  else p * (lp * p)).scale(2)
+            acc = [{c: ab4 * x for c, x in enumerate(row) if x}
+                   for row in p.rows]
+            pl = [{} for _ in range(p.nrows)]
+            _add_product(pl, p, l_a[k - 2], 1)
+            _add_product(acc, pl, p, -2)
             if k in sq:
-                acc = acc + l_a[k - 4] * sq[k]
+                _add_product(acc, l_a[k - 4], sq[k], 1)
             if k + 2 in sq:
-                acc = acc + sq[k + 2] * l_a[k]
-            blocks[k] = acc.scale(scale)
+                _add_product(acc, sq[k + 2], l_a[k], 1)
+            blocks[k] = Matrix([[row[c] * scale if row.get(c) else 0
+                                 for c in range(p.ncols)] for row in acc],
+                               ncols=p.ncols)
         return blocks
 
 

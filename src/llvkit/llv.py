@@ -2,12 +2,14 @@
 the degree (2,0,-2) decomposition, Killing-form identification of the
 closure with so of the degree-2 form plus a hyperbolic plane, the special
 orthogonal actions of rank 10 and 6, Weil operators, derivations, and the
-subalgebra generated by degree 2.
+subalgebra generated by degree 2.  The LLV closure is generated by the L_a
+and one certified dual (``llv_generators``), and ``so_identify`` reads the
+structure constants of a closure certified by ``lie_closure`` at its pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from types import MappingProxyType
@@ -145,8 +147,8 @@ class MatrixLieAlgebra:
     (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
     the span iff D X == sum_k X[p_k] M_k, an exact equality with no
     fraction formed.  Membership, the closure certificate, ``_ad_matrix``
-    and the bracket walk all test it this way, on the nonzero brackets
-    that ``_brackets`` forms; a zero bracket lies in every span.
+    and the bracket walk (unless certified) test it this way, on the
+    nonzero brackets that ``_brackets`` forms; zero lies in every span.
 
     ``bracket_rows`` walks the brackets once and stores nothing: row i
     holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
@@ -162,6 +164,7 @@ class MatrixLieAlgebra:
     _pivot_pos: dict = None   # pivot column -> basis index
     _int_form: tuple = None   # (D, [M_k as row dicts])
     _basis: list = None       # dense Matrix per canonical row
+    certified: bool = field(default=False, init=False)   # by lie_closure
 
     def __post_init__(self):
         self._pivot_pos = {p: i for i, p in enumerate(self.pivots)}
@@ -196,22 +199,27 @@ class MatrixLieAlgebra:
             self._int_form = (den, mats)
         return self._int_form
 
-    def _int_coords(self, sp):
-        """{k: X[p_k]} for a sparse integral matrix X inside the span, so
-        that X = sum_k X[p_k] b_k; None outside.  Decided by the exact
-        test D X == sum_k X[p_k] M_k."""
-        den, mats = self._integer_form()
-        n = self.ambient
+    def _pivot_coords(self, sp):
+        """{k: X[p_k]}, the entries of a sparse matrix X at the pivots: its
+        coordinates, X = sum_k X[p_k] b_k, when X lies in the span."""
+        n, pos = self.ambient, self._pivot_pos
         coeffs = {}
-        rest = {}
         for r, row in sp.items():
             base = r * n
             for c, v in row.items():
-                idx = base + c
-                rest[idx] = den * v
-                k = self._pivot_pos.get(idx)
+                k = pos.get(base + c)
                 if k is not None:
                     coeffs[k] = v
+        return coeffs
+
+    def _int_coords(self, sp):
+        """``_pivot_coords`` of a sparse integral matrix X inside the span;
+        None outside.  Decided by the exact test D X == sum_k X[p_k] M_k."""
+        den, mats = self._integer_form()
+        n = self.ambient
+        coeffs = self._pivot_coords(sp)
+        rest = {r * n + c: den * v for r, row in sp.items()
+                for c, v in row.items()}
         for k, e in coeffs.items():
             for r, row in mats[k].items():
                 base = r * n
@@ -224,20 +232,23 @@ class MatrixLieAlgebra:
                         del rest[idx]
         return None if rest else coeffs
 
-    def bracket_rows(self):
+    def bracket_rows(self, retest=True):
         """Yield, for i = 0, 1, ..., the row {j: {k: e_ijk}} of the
-        nonzero brackets [M_i, M_j] = sum_k e_ijk M_k with j < i; every
+        nonzero brackets D [M_i, M_j] = sum_k e_ijk M_k with j < i; every
         e_ijk is integral.  Row i brackets M_i with an index of the M_j,
         j < i, that grows as i walks up, so only the nonzero brackets are
         formed, each gets one exact membership test, and nothing is kept
         once the walk has passed.  Raises ValueError when some bracket
-        leaves the span."""
+        leaves the span.  ``retest=False`` on a certified algebra reads
+        the coordinates at the pivots instead (see ``so_identify``)."""
         mats = self._integer_form()[1]
+        coords = (self._int_coords if retest or not self.certified
+                  else self._pivot_coords)
         index = ({}, {})              # holds M_j for every j < i
         for i, m in enumerate(mats):
             row = {}
             for j, b in _brackets(m, index).items():
-                coeffs = self._int_coords(b)
+                coeffs = coords(b)
                 if coeffs is None:
                     raise ValueError("algebra is not bracket-closed")
                 row[j] = coeffs
@@ -288,7 +299,8 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     modular filter (``_ModSpan``) picks the spanning brackets, the exact
     canonical basis is built from them, and an exact certificate
     (``_generates``) accepts the result, else the filter is rerun modulo
-    the next prime of ``_FILTER_PRIMES``.
+    the next prime of ``_FILTER_PRIMES``.  The accepted algebra is marked
+    ``certified``: its brackets lie in the span (see ``_generates``).
     """
     gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
     if not gens:
@@ -304,6 +316,7 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     for prime in _FILTER_PRIMES:
         algebra = _filtered_closure(sparse_gens, n, prime, gaussian)
         if _generates(algebra, sparse_gens):
+            algebra.certified = True
             return algebra
     raise RuntimeError("closure certificate failed: the modular filter "
                        f"dropped an element modulo each of {_FILTER_PRIMES}")
@@ -425,12 +438,13 @@ def _filtered_closure(sparse_gens, n, prime, gaussian):
 
 
 def _generates(algebra, sparse_gens) -> bool:
-    """Exact certificate that the span is the algebra the generators
-    generate: it holds every generator and is ad(g)-invariant for every
-    generator g, so it contains the generated algebra, and it is spanned
-    by brackets of generators, so it lies inside it.  The brackets [g, M_k]
-    come from one index of the M_k; only the nonzero ones are formed, and
-    each of them is tested for exact membership."""
+    """Exact certificate that the span S is the algebra A the generators
+    generate: S is spanned by brackets of generators, so S lies in A; S
+    holds every generator and is ad(g)-invariant for every generator g,
+    and by the Jacobi identity the x with [x, S] in S form a subalgebra,
+    which so contains A and hence S: [S, S] lies in S, and S = A.  The
+    brackets [g, M_k] come from one index of the M_k; only the nonzero
+    ones are formed, and each of them is tested for exact membership."""
     index = _index(algebra._integer_form()[1])
     for g in sparse_gens:
         if algebra._int_coords(g) is None:
@@ -506,46 +520,40 @@ def weil_operator(ring: BigradedAlgebra) -> DegreeOperator:
 
 
 def derivation_check(d: Matrix, ring: GradedAlgebra) -> bool:
-    """True iff d(x*y) = d(x)*y + x*d(y) on all basis pairs."""
+    """True iff d(x*y) = d(x)*y + x*d(y) on all basis pairs.  With s the
+    least degree shift of d, a pair with deg e_i + deg e_j + s > top is
+    skipped: all its terms vanish.  When every shift is even, d keeps
+    parity, and graded commutativity turns the identity on (e_j, e_i)
+    into (-1)^(deg e_i deg e_j) times the one on (e_i, e_j): only i <= j
+    is checked."""
     n = ring.total_dim
     if d.shape() != (n, n):
         raise ValueError("operator must act on the total ring")
     dcols = [{k: v for k, v in enumerate(d.col(gi)) if v} for gi in range(n)]
+    deg = [ring.degree_of(gi) for gi in range(n)]
+    shifts = {deg[l] - deg[gi] for gi, col in enumerate(dcols) for l in col}
+    reach = ring.top - min(shifts, default=0)   # largest deg e_i + deg e_j
+    even = all(s % 2 == 0 for s in shifts)
 
-    def apply_d(sparse_entries):
-        acc = {}
-        for gk, c in sparse_entries:
-            for l, v in dcols[gk].items():
-                nv = acc.get(l, 0) + c * v
-                if nv:
-                    acc[l] = nv
-                elif l in acc:
-                    del acc[l]
-        return acc
-
-    def mul_sparse(sparse, gj):
-        acc = {}
-        for gk, c in sparse.items():
-            for gl, v in ring.mul_basis(gk, gj):
-                nv = acc.get(gl, 0) + c * v
-                if nv:
-                    acc[gl] = nv
-                elif gl in acc:
-                    del acc[gl]
-        return acc
+    def add(acc, c, pairs):
+        for k, v in pairs:
+            nv = acc.get(k, 0) + c * v
+            if nv:
+                acc[k] = nv
+            elif k in acc:
+                del acc[k]
 
     for gi in range(n):
-        for gj in range(n):
-            prod = ring.mul_basis(gi, gj)
-            left = apply_d(prod)
-            right = mul_sparse(dcols[gi], gj)       # d(e_i) * e_j
+        for gj in range(gi if even else 0, n):
+            if deg[gi] + deg[gj] > reach:
+                break                       # the basis is sorted by degree
+            left, right = {}, {}
+            for gk, c in ring.mul_basis(gi, gj):
+                add(left, c, dcols[gk].items())
+            for gk, c in dcols[gi].items():         # d(e_i) * e_j
+                add(right, c, ring.mul_basis(gk, gj))
             for gk, c in dcols[gj].items():         # e_i * d(e_j)
-                for gl, v in ring.mul_basis(gi, gk):
-                    nv = right.get(gl, 0) + c * v
-                    if nv:
-                        right[gl] = nv
-                    elif gl in right:
-                        del right[gl]
+                add(right, c, ring.mul_basis(gi, gk))
             if left != right:
                 return False
     return True
@@ -616,13 +624,16 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
 
     Both tests read the integer structure constants e_ijk of the algebra
     in one ``bracket_rows`` walk (see MatrixLieAlgebra), and no table of
-    them is stored.  The derived algebra is the span of the rows
-    {k: e_ijk}; its rank is taken by sparse elimination that stops once
-    full.  The same walk feeds ``_killing_gram``, and the Killing
-    signature is read from the sparse integer Gram matrix
-    G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i.  That basis change is
-    a positive-diagonal congruence and D^2 > 0, so by Sylvester's law G
-    has the signature of the Killing form.
+    them is stored.  A certified algebra's walk reads each bracket X at
+    the pivots: ``_generates`` proved X in the span, and b_k is 1 at its
+    own pivot and 0 at the others, so X = sum_k X[p_k] b_k.  Any other
+    algebra's brackets get the exact membership test.  The derived
+    algebra is the span of the rows {k: e_ijk}; its rank is taken by
+    sparse elimination that stops once full.  The same walk feeds
+    ``_killing_gram``, and the Killing signature is read from the sparse
+    integer Gram matrix G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i.
+    That basis change is a positive-diagonal congruence and D^2 > 0, so
+    by Sylvester's law G has the signature of the Killing form.
     """
     expected_dim = (b2 + 2) * (b2 + 1) // 2
     dim = algebra.dim
@@ -639,7 +650,8 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
                 derived.add(coeffs)
             yield row
 
-    gram = _killing_gram(feed_derived(algebra.bracket_rows()), dim)
+    gram = _killing_gram(feed_derived(algebra.bracket_rows(retest=False)),
+                         dim)
     sig = symmetric_signature(gram)
     if derived.dim == dim and sig[2]:
         raise NotSemisimpleError("not semisimple: Killing form degenerate on "
@@ -655,18 +667,26 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
 
 
 def llv_generators(ring: GradedAlgebra, family=None):
-    """L_a, Lam_a for a fixed spanning set of non-isotropic classes; the
-    duals come from ``family``, by default the ``DualFamily`` based at
-    the first class."""
+    """(generators, classes) for a fixed spanning set of non-isotropic
+    classes a: Lam_b, every L_a, and Lam_a where ``family`` (by default the
+    ``DualFamily`` based at the first class b) fell back to ``complete_sl2``.
+    Every dual is still formed and certified.  A certified Lam_a from the
+    family is the candidate ([[L_a, psi_b], psi_b] + 4 (a, b) psi_b) /
+    (2 q(a) q(b)), psi_b = q(b) Lam_b, so it lies in the algebra of L_a and
+    Lam_b: the list generates the closure of all L_a, Lam_a."""
     form = ring.quadratic_form
     if form is None:
         raise ValueError("ring carries no degree-2 quadratic form")
     classes = spanning_hl_classes(form)
     family = family or DualFamily(ring, classes[0])
-    gens = []
+    gens = [family.base_lam.matrix()]
     for a in classes:
         l_op = cup_operator(ring, a)
-        gens += [l_op.matrix(), family.lam(a, l_op).matrix()]
+        fallbacks = family.fallbacks
+        lam = family.lam(a, l_op)
+        gens.append(l_op.matrix())
+        if family.fallbacks > fallbacks:
+            gens.append(lam.matrix())
     return gens, classes
 
 

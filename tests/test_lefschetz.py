@@ -19,11 +19,11 @@ from llvkit.lefschetz import (BlockChain, DegreeOperator, DualFamily,
                               symplectic_hl_check, _solve_dual,
                               _weight_spaces)
 from llvkit.linalg import Matrix, inverse
-from llvkit.llv import llv_generators
+from llvkit.llv import lie_closure, llv_generators
 from llvkit.models import spanning_hl_classes, vector_stream
 from llvkit.pw import nilpotent_index
 from llvkit.rings import QuadraticForm, ring_from_dict
-from llvkit.scalars import Gauss
+from llvkit.scalars import Gauss, div
 
 
 def test_cup_zero_class_is_zero(k3):
@@ -452,13 +452,79 @@ def _full_completion_generators(ring):
 
 @pytest.mark.parametrize("name", FAMILY_RINGS)
 def test_llv_generators_match_full_completions(family_rings, name):
+    # the list is Lam_b and every L_a; the family still forms the dual of
+    # every class, and each is the full completion's
     ring = family_rings[name]
     classes = spanning_hl_classes(ring.quadratic_form)
     family = DualFamily(ring, classes[0])
     gens, used = llv_generators(ring, family)
     assert used == classes
-    assert gens == _full_completion_generators(ring)
+    full = _full_completion_generators(ring)
+    assert gens == [full[1]] + full[0::2]
     assert family.fallbacks == 0
+    for a, lam in zip(classes, full[1::2]):
+        assert family.lam(a).matrix() == lam
+    assert family.fallbacks == 0
+
+
+def test_llv_generators_keep_a_fallback_dual(rat52, monkeypatch):
+    # the certificate refuses the candidate of the second class once: its
+    # full completion joins the list, and the closure does not change
+    classes = spanning_hl_classes(rat52.quadratic_form)
+    family = DualFamily(rat52, classes[0])
+    real = lefschetz._dual_certified
+    refused = []
+
+    def refuse_once(chain, lam_blocks):
+        if not refused:
+            refused.append(chain)
+            return False
+        return real(chain, lam_blocks)
+
+    monkeypatch.setattr(lefschetz, "_dual_certified", refuse_once)
+    gens, _ = llv_generators(rat52, family)
+    monkeypatch.undo()
+    assert refused and family.fallbacks == 1
+    full = _full_completion_generators(rat52)
+    assert gens == [full[1], full[0], full[2], full[3]] + full[4::2]
+    want = lie_closure(llv_generators(rat52)[0])
+    got = lie_closure(gens)
+    assert (got.pivots, got._rows) == (want.pivots, want._rows)
+
+
+def _dense_candidate(family, l_a, scale, ab4):
+    """The candidate on dense blocks: the oracle of the sparse sums."""
+    sq, blocks = family._sq, {}
+    for k, p in family._psi.items():
+        lp = l_a[k - 2]
+        acc = p.scale(ab4) - ((p * lp) * p if p.nrows <= p.ncols
+                              else p * (lp * p)).scale(2)
+        if k in sq:
+            acc = acc + l_a[k - 4] * sq[k]
+        if k + 2 in sq:
+            acc = acc + sq[k + 2] * l_a[k]
+        blocks[k] = acc.scale(scale)
+    return blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FAMILY_RINGS), st.data())
+def test_dual_candidate_matches_dense_formula(family_rings, name, data):
+    # equal blocks, and equal entry types on the nonzero entries; a zero
+    # entry is the int 0, where the dense sums can leave a Gauss(0, 0)
+    ring = family_rings[name]
+    form = ring.quadratic_form
+    family = DualFamily(ring, _nonisotropic(ring, data))
+    a = _nonisotropic(ring, data)
+    l_a = cup_operator(ring, a).blocks
+    args = (l_a, div(1, 2 * form.evaluate(a) * family._qb),
+            4 * form.pair(a, family.base))
+    got, want = family._candidate(*args), _dense_candidate(family, *args)
+    assert got == want
+    for k, blk in got.items():
+        for row, wrow in zip(blk.rows, want[k].rows):
+            for x, y in zip(row, wrow):
+                assert type(x) is (type(y) if y else int)
 
 
 def test_dual_family_certificate_rejects_a_corrupted_psi(rat52, monkeypatch):

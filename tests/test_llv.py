@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llvkit import llv
-from llvkit.lefschetz import (classical_weights, complete_sl2, cup_operator,
-                              sigma_bar_sl2, sigma_sl2, weight_operator)
+from llvkit.lefschetz import (DualFamily, classical_weights, complete_sl2,
+                              cup_operator, sigma_bar_sl2, sigma_sl2,
+                              weight_operator)
 from llvkit.linalg import (Matrix, SparseEchelon, Subspace,
                            symmetric_signature)
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
@@ -15,7 +16,7 @@ from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         dual_lefschetz_commute, lie_closure, llv_closure,
                         llv_generators, so4_symplectic, so41_subalgebra,
                         so_identify, verbitsky_component, weil_operator)
-from llvkit.models import nonisotropic_stream
+from llvkit.models import nonisotropic_stream, spanning_hl_classes
 from llvkit.rings import load_ring, save_ring
 from llvkit.scalars import Gauss, GaussInt, I
 from dense_ad import dense_ad
@@ -32,12 +33,17 @@ def _unit(n, r, c):
 
 
 @pytest.fixture(scope="module")
-def file52_gens(model52, tmp_path_factory):
-    """LLV generators of the (5,2) ring saved to a file and loaded back:
-    a ring over Q(i) with no rational model, so its closure is over Q(i)."""
+def file52(model52, tmp_path_factory):
+    """The (5,2) ring saved to a file and loaded back: a ring over Q(i)
+    with no rational model, so its closure is over Q(i)."""
     path = tmp_path_factory.mktemp("ring") / "ring52.json"
     save_ring(model52, path)
-    return llv_generators(load_ring(path))[0]
+    return load_ring(path)
+
+
+@pytest.fixture(scope="module")
+def file52_gens(file52):
+    return llv_generators(file52)[0]
 
 
 def _sparse_bracket(a, b):
@@ -93,6 +99,37 @@ def _reference_closure(gens):
                 queue.append(b)
     return (list(sub.pivots),
             [{k: v for k, v in enumerate(vec) if v} for vec in sub.basis])
+
+
+def _all_llv_generators(ring):
+    """L_a and Lam_a for every spanning class: the 2m generators that the
+    reduced list of ``llv_generators`` must close to the same algebra."""
+    classes = spanning_hl_classes(ring.quadratic_form)
+    family = DualFamily(ring, classes[0])
+    gens = []
+    for a in classes:
+        l_op = cup_operator(ring, a)
+        gens += [l_op.matrix(), family.lam(a, l_op).matrix()]
+    return gens
+
+
+@pytest.fixture(scope="module")
+def closure_rings(k3, rat52, model62, model53, torus2, file52):
+    return {"k3": k3, "rat52": rat52, "rat62": model62.rational_model,
+            "model53": model53.rational_model, "torus2": torus2,
+            "file52": file52}
+
+
+@pytest.mark.parametrize("name", ["k3", "rat52", "rat62", "model53",
+                                  "torus2", "file52"])
+def test_reduced_generators_close_to_the_full_algebra(closure_rings, name):
+    ring = closure_rings[name]
+    gens, classes = llv_generators(ring)
+    full = _all_llv_generators(ring)
+    assert len(gens) == len(classes) + 1 and len(full) == 2 * len(classes)
+    want, got = lie_closure(full), lie_closure(gens)
+    assert got.gaussian == (name == "file52")
+    assert (got.pivots, got._rows) == (want.pivots, want._rows)
 
 
 def test_single_sl2_closure(k3):
@@ -459,9 +496,28 @@ def test_so_identify_rejects_unclosed_span():
     e12, e21 = _unit(2, 0, 1), _unit(2, 1, 0)
     alg = MatrixLieAlgebra(2, [1, 2], [{1: Fraction(1)}, {2: Fraction(1)}])
     assert alg.basis == [e12, e21]
-    assert not alg.verify_closure()
+    assert not alg.certified and not alg.verify_closure()
     with pytest.raises(ValueError, match="not bracket-closed"):
         so_identify(alg, 3)
+    # an algebra not built by lie_closure is tested even when asked not to
+    with pytest.raises(ValueError, match="not bracket-closed"):
+        list(alg.bracket_rows(retest=False))
+    with pytest.raises(TypeError):
+        MatrixLieAlgebra(2, [1, 2], [{1: 1}, {2: 1}], certified=True)
+
+
+def test_certified_walk_matches_tested_walk(k3_closure, rat52):
+    # the pivot reading of a certified closure against the exact test of
+    # the same basis: equal rows, Gram, derived rank and report
+    for alg, b2 in ((k3_closure, 22), (llv_closure(rat52), 5),
+                    (lie_closure(_SL3_GENERATORS), 3)):
+        tested = MatrixLieAlgebra(alg.ambient, alg.pivots, alg._rows)
+        assert alg.certified and not tested.certified
+        assert (list(alg.bracket_rows(retest=False))
+                == list(tested.bracket_rows()))
+        assert (llv._killing_gram(alg.bracket_rows(retest=False), alg.dim)
+                == llv._killing_gram(tested.bracket_rows(), alg.dim))
+        assert so_identify(alg, b2) == so_identify(tested, b2)
 
 
 def test_so_identify_perfect_not_semisimple():
@@ -650,6 +706,102 @@ def test_derivation_check_rejects_l_and_h(rat52):
     assert derivation_check(rows[0], rat52) is False
     h = weight_operator(rat52, classical_weights(rat52)).matrix()
     assert derivation_check(h, rat52) is False
+
+
+def _full_pair_derivation_check(d, ring):
+    """d(e_i e_j) = d(e_i) e_j + e_i d(e_j) on every ordered basis pair:
+    the oracle of ``derivation_check``, which skips the pairs that cannot
+    fail."""
+    n = ring.total_dim
+    cols = [{k: v for k, v in enumerate(d.col(gi)) if v} for gi in range(n)]
+
+    def times(vec, gj, left):
+        acc = {}
+        for gk, c in vec.items():
+            pairs = ring.mul_basis(gj, gk) if left else ring.mul_basis(gk, gj)
+            for gl, v in pairs:
+                acc[gl] = acc.get(gl, 0) + c * v
+        return acc
+
+    def nonzero(vec):
+        return {k: v for k, v in vec.items() if v}
+
+    for gi in range(n):
+        for gj in range(n):
+            left = {}
+            for gk, c in ring.mul_basis(gi, gj):
+                for gl, v in cols[gk].items():
+                    left[gl] = left.get(gl, 0) + c * v
+            right = times(cols[gi], gj, False)
+            for gl, v in times(cols[gj], gi, True).items():
+                right[gl] = right.get(gl, 0) + v
+            if nonzero(left) != nonzero(right):
+                return False
+    return True
+
+
+def _odd_half_derivation(torus2):
+    """An operator of degree shift +1 on the torus that satisfies the
+    identity on every pair e_i, e_j with i <= j but not on all pairs: the
+    graded-commutativity shortcut holds for even shifts only."""
+    n = torus2.total_dim
+    pos = {torus2.label_of(gi): gi for gi in range(n)}
+    cells = {(pos["x1x4"], pos["x1"]): 1, (pos["x2x4"], pos["x2"]): 1,
+             (pos["x1x3x4"], pos["x1x3"]): -1,
+             (pos["x2x3x4"], pos["x2x3"]): -1}
+    return _cells(n, cells)
+
+
+@pytest.fixture(scope="module")
+def derivation_pool(rat52, k3, torus2):
+    """Per ring: the derivations [L_a, Lam_b] of four non-isotropic
+    classes, and L_a, Lam_b and H, which are not derivations; on the torus
+    also the odd operator of ``_odd_half_derivation``."""
+    pool = {}
+    for name, ring in (("rat52", rat52), ("k3", k3), ("torus2", torus2)):
+        classes = list(itertools.islice(
+            nonisotropic_stream(ring.quadratic_form), 4))
+        family = DualFamily(ring, classes[0])
+        ops = [cup_operator(ring, a).commutator(family.lam(b)).matrix()
+               for a, b in itertools.combinations(classes, 2)]
+        ops += [cup_operator(ring, classes[1]).matrix(),
+                family.lam(classes[2]).matrix(),
+                weight_operator(ring, classical_weights(ring)).matrix()]
+        if name == "torus2":
+            ops.append(_odd_half_derivation(ring))
+        pool[name] = (ring, ops)
+    return pool
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["rat52", "k3", "torus2"]), st.data())
+def test_derivation_check_matches_full_pair_loop(derivation_pool, name, data):
+    ring, ops = derivation_pool[name]
+    n = ring.total_dim
+    coef = st.sampled_from([1, -1, 2, Fraction(1, 3)])
+    d = Matrix.zeros(n, n)
+    for op in data.draw(st.lists(st.sampled_from(ops), min_size=1,
+                                 max_size=3)):
+        d = d + op.scale(data.draw(coef))
+    # up to two entries moved, at any degree shift, odd ones included
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        cell = (data.draw(index), data.draw(index))
+        d = d + _cells(n, {cell: data.draw(coef)})
+    assert derivation_check(d, ring) == _full_pair_derivation_check(d, ring)
+
+
+def test_derivation_check_rejects_odd_and_lowering_operators(rat52, torus2):
+    odd = _odd_half_derivation(torus2)
+    lam = complete_sl2(rat52, [Fraction(1), 0, 0, 0, 0]).Lam.matrix()
+    # d(e1) = 1 + the top class has shifts -2 and +6; the pairs of degree
+    # sum at most top - 6 = 2 all pass, and (e1, e1) of degree sum 4 fails
+    e1, top = rat52.slice_of(2)[0], rat52.total_dim - 1
+    mixed = _cells(rat52.total_dim, {(0, e1): 1, (top, e1): 1})
+    for d, ring in ((odd, torus2), (lam, rat52), (mixed, rat52)):
+        assert derivation_check(d, ring) is False
+        assert _full_pair_derivation_check(d, ring) is False
+    assert derivation_check(Matrix.zeros(27, 27), rat52)
 
 
 def test_g0_derived_part_preserves_form(rat52):
