@@ -291,15 +291,8 @@ def cmd_llv(args) -> Report:
                             list(so.expected_signature)})
     pairs = _enumerate_noniso_pairs(form, 50)
     bad = []
-    lam_cache = {}
-
-    def lam_of(cls):
-        if cls not in lam_cache:
-            lam_cache[cls] = duals.lam(cls)
-        return lam_cache[cls]
-
     for a, b in pairs:
-        if not lam_of(a).commutes_with(lam_of(b)):
+        if not duals.lam(a).commutes_with(duals.lam(b)):
             bad.append((a, b))
     report.add("dual operators commute",
                "[Lam_a, Lam_b] = 0 for non-isotropic pairs", not bad,
@@ -307,7 +300,7 @@ def cmd_llv(args) -> Report:
     deriv_bad = []
     classes = list(itertools.islice(models.nonisotropic_stream(form), 4))
     for a, b in itertools.combinations(classes, 2):
-        d = lefschetz.cup_operator(plain, a).commutator(lam_of(b)).matrix()
+        d = lefschetz.cup_operator(plain, a).commutator(duals.lam(b)).matrix()
         if not llv.derivation_check(d, plain):
             deriv_bad.append((a, b))
     report.add("commutators act as derivations",

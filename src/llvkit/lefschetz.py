@@ -18,7 +18,8 @@ matrices.
 Duals of further classes come from one completion (``DualFamily``): the
 completion at a base class b and two block brackets with psi(b) =
 q(b) Lam_b give a candidate Lam_a for each non-isotropic a, certified
-like a full completion; fallbacks to ``complete_sl2`` are counted.
+like a full completion, once per class; fallbacks to ``complete_sl2`` are
+counted.
 """
 
 from __future__ import annotations
@@ -521,8 +522,9 @@ class DualFamily:
     the squares psi_b psi_b kept.  It is accepted only by the certificate
     of ``complete_sl2_weights`` against L_a, which makes it the unique
     dual; an isotropic class or a refused candidate falls back to
-    ``complete_sl2`` (which raises without Hard Lefschetz), and
-    ``fallbacks`` counts those calls.
+    ``complete_sl2`` (which raises without Hard Lefschetz).  Each dual is
+    formed once per class and kept; ``fallen_back`` holds the classes that
+    fell back and ``fallbacks`` counts them.
     """
 
     def __init__(self, ring: GradedAlgebra, base):
@@ -534,19 +536,29 @@ class DualFamily:
         self._qb = form.evaluate(self.base)
         if not self._qb:
             raise ValueError("the base class is isotropic for the ring's form")
-        self.ring, self.form, self.fallbacks = ring, form, 0
+        self.ring, self.form = ring, form
+        self._lams = {self.base: self.base_lam}     # class -> formed dual
+        self.fallen_back = set()
         self._psi = {k: blk.scale(self._qb)
                      for k, blk in self.base_lam.blocks.items()}
         self._sq = {k: self._psi[k - 2] * blk
                     for k, blk in self._psi.items() if k - 2 in self._psi}
         self._dims = {k - ring.top // 2: d for k, d in enumerate(ring.dims) if d}
 
+    @property
+    def fallbacks(self):
+        return len(self.fallen_back)
+
     def lam(self, a, l_op=None) -> DegreeOperator:
-        """The dual of the degree-2 class ``a``; ``l_op``, when given, is
-        ``cup_operator(ring, a)``."""
+        """The dual of the degree-2 class ``a``, formed on its first call;
+        ``l_op``, when given, is ``cup_operator(ring, a)``."""
         a = tuple(a)
-        if a == self.base:
-            return self.base_lam
+        lam = self._lams.get(a)
+        if lam is None:
+            lam = self._lams[a] = self._form_dual(a, l_op)
+        return lam
+
+    def _form_dual(self, a, l_op):
         qa = self.form.evaluate(a)
         if qa:
             l_a = (l_op or cup_operator(self.ring, a)).blocks
@@ -557,7 +569,7 @@ class DualFamily:
                                self._dims)
             if _dual_certified(chain, {k - mid: x for k, x in blocks.items()}):
                 return DegreeOperator(self.ring, -2, blocks)
-        self.fallbacks += 1
+        self.fallen_back.add(a)
         return complete_sl2(self.ring, a).Lam
 
     def _candidate(self, l_a, scale, ab4):

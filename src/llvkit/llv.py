@@ -3,14 +3,15 @@ the degree (2,0,-2) decomposition, Killing-form identification of the
 closure with so of the degree-2 form plus a hyperbolic plane, the special
 orthogonal actions of rank 10 and 6, Weil operators, derivations, and the
 subalgebra generated by degree 2.  The LLV closure is generated by the L_a
-and one certified dual (``llv_generators``), and ``so_identify`` reads the
-structure constants of a closure certified by ``lie_closure`` at its pivots.
+and one certified dual (``llv_generators``).  ``lie_closure`` builds it by
+one exact elimination, which also proves it bracket-closed, and
+``so_identify`` reads the structure constants of such a certified closure
+at its pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
@@ -146,9 +147,10 @@ class MatrixLieAlgebra:
     matrices M_k = D b_k, over Z for a rational algebra and over Z[i]
     (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
     the span iff D X == sum_k X[p_k] M_k, an exact equality with no
-    fraction formed.  Membership, the closure certificate, ``_ad_matrix``
-    and the bracket walk (unless certified) test it this way, on the
-    nonzero brackets that ``_brackets`` forms; zero lies in every span.
+    fraction formed.  Membership, ``_ad_matrix`` and the bracket walk
+    (unless certified) test it this way, on the nonzero brackets that
+    ``_brackets`` forms; zero lies in every span.  ``certified`` marks an
+    algebra built by ``lie_closure``, whose loop proves it bracket-closed.
 
     ``bracket_rows`` walks the brackets once and stores nothing: row i
     holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
@@ -240,7 +242,8 @@ class MatrixLieAlgebra:
         formed, each gets one exact membership test, and nothing is kept
         once the walk has passed.  Raises ValueError when some bracket
         leaves the span.  ``retest=False`` on a certified algebra reads
-        the coordinates at the pivots instead (see ``so_identify``)."""
+        the coordinates at the pivots instead: ``lie_closure`` proved
+        every bracket in the span (see ``so_identify``)."""
         mats = self._integer_form()[1]
         coords = (self._int_coords if retest or not self.certified
                   else self._pivot_coords)
@@ -289,18 +292,23 @@ class MatrixLieAlgebra:
 def lie_closure(generators) -> MatrixLieAlgebra:
     """Smallest bracket-closed subspace containing the generators.
 
-    Iterates span <- span + [span, span] to stabilization; realized by
-    bracketing every newly accepted element against the generators, which
-    spans the same algebra (right-nested brackets span the closure).
-
     One path serves Q and Q(i).  The field is decided once, from the
     generators: Q(i) when any entry is a Gauss value.  The generators are
-    cleared of denominators into sparse matrices over Z, or over Z[i].  A
-    modular filter (``_ModSpan``) picks the spanning brackets, the exact
-    canonical basis is built from them, and an exact certificate
-    (``_generates``) accepts the result, else the filter is rerun modulo
-    the next prime of ``_FILTER_PRIMES``.  The accepted algebra is marked
-    ``certified``: its brackets lie in the span (see ``_generates``).
+    cleared of denominators into sparse matrices over Z, or over Z[i].
+    One ``SparseEchelon`` span S reduces every generator and every
+    bracket exactly as it arises: fraction-free over Z, in field mode
+    with Gauss values over Q(i).  Each element x accepted into S joins
+    the queue and is bracketed with every generator in one ``_brackets``
+    pass; [x, g] = -[g, x] spans the same line, and the canonical basis
+    does not depend on the sign.
+
+    The loop proves the result ``certified``, so no certificate pass
+    follows.  S is spanned by the queue.  Every queue element x was
+    bracketed with every generator g, and each [x, g] was reduced
+    exactly, so it lies in S: ad(g) S lies in S.  Every generator lies in
+    S.  By the Jacobi identity the y with [y, S] in S form a subalgebra;
+    it holds every g, so it holds the generated algebra A.  S, spanned by
+    brackets of generators, lies in A, so [S, S] lies in S and S = A.
     """
     gens = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
     if not gens:
@@ -313,146 +321,26 @@ def lie_closure(generators) -> MatrixLieAlgebra:
                    for row in g.rows for v in row)
     sparse_gens = [_gcd_normalize_rows(_to_sparse(g, gaussian)[0])
                    for g in gens]
-    for prime in _FILTER_PRIMES:
-        algebra = _filtered_closure(sparse_gens, n, prime, gaussian)
-        if _generates(algebra, sparse_gens):
-            algebra.certified = True
-            return algebra
-    raise RuntimeError("closure certificate failed: the modular filter "
-                       f"dropped an element modulo each of {_FILTER_PRIMES}")
+    span = SparseEchelon(exact_division=gaussian)
 
-
-# Primes p = 5 (mod 8): 2 is not a square modulo p, so r = 2^((p-1)/4)
-# squares to -1 and gives i an image in F_p.
-_FILTER_PRIMES = (2147483629, 2147483549, 2147483477)
-
-
-class _ModSpan:
-    """Row span modulo a prime p of ``_FILTER_PRIMES``, on sparse rows.
-
-    Used only as a fast membership filter inside the closure.  Vectors are
-    sparse dicts over Z or Z[i]; Z[i] is mapped to F_p by the ring map
-    a + bi -> a + b r, with r a square root of -1 modulo p.  ``rows`` maps
-    each pivot to its row ``{col: residue}``, equal to 1 at the pivot and
-    supported at or right of it.  ``reduce`` visits only the pivots that
-    the candidate touches, in ascending order: a heap holds the pivot
-    columns where the candidate is nonzero, and each elimination pushes
-    the pivot columns it fills in.
-
-    A candidate that stays nonzero after modular elimination is certainly
-    independent over the field of fractions: the modular basis has full
-    rank by construction, and a relation sum c_j v_j = 0 over Q(i) can be
-    scaled to have coefficients in Z[i], not all in the kernel of the map.
-    That kernel is a prime ideal, principal because Z[i] is a PID, so
-    dividing the c_j by the highest power of its generator that divides
-    them all leaves a relation that survives modulo p and contradicts the
-    rank.  Over Z the same argument runs with the ideal (p).  A candidate
-    that dies modulo p is treated as dependent, and that treatment is
-    certified exactly afterwards.
-    """
-
-    def __init__(self, prime, gaussian):
-        self.prime = prime
-        self.root = pow(2, (prime - 1) // 4, prime) if gaussian else None
-        self.rows = {}
-
-    def reduce(self, vec):
-        """vec modulo p, reduced by the rows in ascending pivot order."""
-        p = self.prime
-        r = self.root
-        v = {}
-        for k, x in vec.items():
-            x = (x if r is None else x.real + r * x.imag) % p
-            if x:
-                v[k] = x
-        rows = self.rows
-        heap = [k for k in v if k in rows]
-        heapify(heap)
-        while heap:
-            piv = heappop(heap)
-            c = v.get(piv)
-            if not c:
-                continue          # stale: cleared since it was pushed
-            for k, x in rows[piv].items():
-                y = (v.get(k, 0) - c * x) % p
-                if y:
-                    if k not in v and k in rows:
-                        heappush(heap, k)
-                    v[k] = y
-                else:
-                    del v[k]
-        return v
-
-    def add(self, vec) -> bool:
-        p = self.prime
-        v = self.reduce(vec)
-        if not v:
-            return False
-        piv = min(v)
-        inv = pow(v[piv], p - 2, p)
-        self.rows[piv] = {k: x * inv % p for k, x in v.items()}
-        return True
-
-
-def _filtered_closure(sparse_gens, n, prime, gaussian):
-    """Span of the generators and their right-nested brackets, with the
-    brackets that vanish modulo prime treated as dependent.  Each queue
-    element x is bracketed with every generator in one ``_brackets``
-    pass; [x, g] = -[g, x] spans the same line, and the canonical basis
-    does not depend on the sign."""
-    mod_span = _ModSpan(prime, gaussian)
-    accepted = []
-    queue = []
-    for sp in sparse_gens:
+    def accept(sp):
         vec = _vectorize(sp, n)
-        if vec and mod_span.add(vec):
-            accepted.append(vec)
-            queue.append(sp)
+        if gaussian:
+            vec = {k: Gauss(x.real, x.imag) for k, x in vec.items()}
+        return span.add(vec)
+
+    queue = [sp for sp in sparse_gens if accept(sp)]
     index = _index(sparse_gens)
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
+    for x in queue:                        # grows while it is walked
         brackets = _brackets(x, index)
         for j in sorted(brackets):         # in generator order
             b = _gcd_normalize_rows(brackets[j])
-            vec = _vectorize(b, n)
-            if mod_span.add(vec):
-                accepted.append(vec)
+            if accept(b):
                 queue.append(b)
-
-    # exact canonical basis from the accepted vectors, each independent
-    # over the field by the modular full-rank argument: fraction-free over
-    # Z, by division over Q(i)
-    if gaussian:
-        span = SparseEchelon(exact_division=True)
-        accepted = [{k: Gauss(x.real, x.imag) for k, x in vec.items()}
-                    for vec in accepted]
-    else:
-        span = SparseEchelon()
-    for vec in accepted:
-        if not span.add(vec):
-            raise RuntimeError("modular filter accepted a dependent vector")
     rows, pivots = span.canonical()
-    return MatrixLieAlgebra(n, pivots, rows, gaussian)
-
-
-def _generates(algebra, sparse_gens) -> bool:
-    """Exact certificate that the span S is the algebra A the generators
-    generate: S is spanned by brackets of generators, so S lies in A; S
-    holds every generator and is ad(g)-invariant for every generator g,
-    and by the Jacobi identity the x with [x, S] in S form a subalgebra,
-    which so contains A and hence S: [S, S] lies in S, and S = A.  The
-    brackets [g, M_k] come from one index of the M_k; only the nonzero
-    ones are formed, and each of them is tested for exact membership."""
-    index = _index(algebra._integer_form()[1])
-    for g in sparse_gens:
-        if algebra._int_coords(g) is None:
-            return False
-        for b in _brackets(g, index).values():
-            if algebra._int_coords(b) is None:
-                return False
-    return True
+    algebra = MatrixLieAlgebra(n, pivots, rows, gaussian)
+    algebra.certified = True
+    return algebra
 
 
 # -- structure checks -------------------------------------------------------
@@ -625,11 +513,11 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     Both tests read the integer structure constants e_ijk of the algebra
     in one ``bracket_rows`` walk (see MatrixLieAlgebra), and no table of
     them is stored.  A certified algebra's walk reads each bracket X at
-    the pivots: ``_generates`` proved X in the span, and b_k is 1 at its
-    own pivot and 0 at the others, so X = sum_k X[p_k] b_k.  Any other
-    algebra's brackets get the exact membership test.  The derived
-    algebra is the span of the rows {k: e_ijk}; its rank is taken by
-    sparse elimination that stops once full.  The same walk feeds
+    the pivots: the loop of ``lie_closure`` proved X in the span, and b_k
+    is 1 at its own pivot and 0 at the others, so X = sum_k X[p_k] b_k.
+    Any other algebra's brackets get the exact membership test.  The
+    derived algebra is the span of the rows {k: e_ijk}; its rank is taken
+    by sparse elimination that stops once full.  The same walk feeds
     ``_killing_gram``, and the Killing signature is read from the sparse
     integer Gram matrix G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i.
     That basis change is a positive-diagonal congruence and D^2 > 0, so
@@ -682,10 +570,9 @@ def llv_generators(ring: GradedAlgebra, family=None):
     gens = [family.base_lam.matrix()]
     for a in classes:
         l_op = cup_operator(ring, a)
-        fallbacks = family.fallbacks
         lam = family.lam(a, l_op)
         gens.append(l_op.matrix())
-        if family.fallbacks > fallbacks:
+        if tuple(a) in family.fallen_back:
             gens.append(lam.matrix())
     return gens, classes
 
@@ -786,12 +673,6 @@ def so4_symplectic(ring: BigradedAlgebra):
         for b in (tri_b.L, tri_b.Lam, tri_b.H):
             if not a.commutes_with(b):
                 res.fail("the sigma and sigma-bar triples do not commute")
-    if ring.field == "gaussian":
-        weil = (six[4] - six[5]).scale(Gauss(0, 1))
-        if not algebra.contains(weil):
-            res.fail("Weil operator i(H_sigma - H_sigma-bar) not in the span")
-        else:
-            res.data["weil_in_span"] = True
     return algebra, res
 
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import llvkit
-from llvkit import models
+from llvkit import lefschetz, models
 from llvkit.cli import FIXTURE_BOUNDS, main
-from llvkit.rings import BigradedAlgebra, GradedAlgebra, ring_to_dict
+from llvkit.rings import (BigradedAlgebra, GradedAlgebra, ring_to_dict,
+                          save_ring)
 from test_rings import BOOLEAN_EDITS
 
 
@@ -494,6 +495,8 @@ def test_reports_deterministic(tmp_path):
 B52 = ["--fixture", "bogomolov", "--b2", "5", "--n", "2"]
 B53 = ["--fixture", "bogomolov", "--b2", "5", "--n", "3"]
 
+RING52 = "ring52.json"
+
 # sha256 of the --format structured reports.  A change that alters a
 # report on purpose updates its digest here and says why.
 GOLDEN_REPORTS = {
@@ -529,18 +532,51 @@ GOLDEN_REPORTS = {
         "8eb2351c9afd790ebcc828b9c3a84fa28a08073ca1ee56f6879acc12fb744a37",
     ("pw", "--fixture", "torus", "--g", "2"):
         "ae7a878097c14da8c16392ebbcd304c372b7407890fe6a53797951a92ecf951f",
+    # the (5,2) ring saved to RING52: a ring over Q(i), closed over Q(i)
+    ("llv", "--input", RING52):
+        "3c0dadb68de12f4bd793e4b35c81b43d292a646821cabc0079ddad5711f67ca7",
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
-def test_report_matches_golden_digest(argv, capsys):
+def test_report_matches_golden_digest(argv, capsys, tmp_path, monkeypatch,
+                                      model52):
+    # the report names the ring file as given: a relative path keeps the
+    # digest independent of the directory
+    monkeypatch.chdir(tmp_path)
+    if RING52 in argv:
+        save_ring(model52, RING52)
     rc, out = run([*argv, "--format", "structured"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
 
 
+def test_llv_forms_each_dual_once(capsys, monkeypatch):
+    # llv asks the dual family for a class's dual for the generators, the
+    # commuting pairs and the derivations; each class's candidate is
+    # formed once, and the base class needs none
+    asked, formed = [], []
+    lam, candidate = lefschetz.DualFamily.lam, lefschetz.DualFamily._candidate
+
+    def lam_spy(self, a, l_op=None):
+        asked.append(tuple(a))
+        return lam(self, a, l_op)
+
+    def candidate_spy(self, *args):
+        formed.append(asked[-1])
+        return candidate(self, *args)
+
+    monkeypatch.setattr(lefschetz.DualFamily, "lam", lam_spy)
+    monkeypatch.setattr(lefschetz.DualFamily, "_candidate", candidate_spy)
+    rc, _ = run(["llv", "--fixture", "k3"], capsys)
+    assert rc == 0
+    assert len(formed) == len(set(formed))
+    assert len(set(asked) - set(formed)) == 1
+    assert len(asked) > len(set(asked))
+
+
 def test_llv_runs_with_numpy_blocked():
-    # the closure's modular filter needs the standard library alone
+    # the closure and its exact elimination need the standard library alone
     argv = ["llv", *B52, "--format", "structured"]
     code = ("import sys; sys.modules['numpy'] = None; "
             "from llvkit.cli import main; "

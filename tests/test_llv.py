@@ -32,6 +32,10 @@ def _unit(n, r, c):
                    for i in range(n)])
 
 
+def _cells(n, cells):
+    return Matrix([[cells.get((r, c), 0) for c in range(n)] for r in range(n)])
+
+
 @pytest.fixture(scope="module")
 def file52(model52, tmp_path_factory):
     """The (5,2) ring saved to a file and loaded back: a ring over Q(i)
@@ -145,143 +149,6 @@ def test_closure_small_model(rat52):
     assert alg.verify_closure()
 
 
-def test_closure_retries_filter_primes(rat52, monkeypatch):
-    gens, _ = llv_generators(rat52)
-    add = llv._ModSpan.add
-    first = llv._FILTER_PRIMES[0]
-    primes = []
-
-    def drop_last_on_first_prime(self, dense):
-        if not primes or primes[-1] != self.prime:
-            primes.append(self.prime)
-        if self.prime == first and len(self.rows) == 20:
-            return False          # the candidate that completes dim 21
-        return add(self, dense)
-
-    monkeypatch.setattr(llv._ModSpan, "add", drop_last_on_first_prime)
-    alg = lie_closure(gens)
-    assert alg.dim == 21
-    assert primes == list(llv._FILTER_PRIMES[:2])
-    # a dropped generator leaves an ad-invariant span without it
-    monkeypatch.setattr(llv._ModSpan, "add", lambda self, dense: (
-        self.prime != first and add(self, dense)))
-    assert lie_closure([_unit(2, 0, 1)]).dim == 1
-    monkeypatch.setattr(llv._ModSpan, "add", lambda self, dense: (
-        len(self.rows) < 20 and add(self, dense)))
-    with pytest.raises(RuntimeError, match="modulo each of"):
-        lie_closure(gens)
-
-
-def test_gaussian_closure_retries_filter_primes(file52_gens, monkeypatch):
-    add = llv._ModSpan.add
-    first = llv._FILTER_PRIMES[0]
-    primes = []
-
-    def drop_last_on_first_prime(self, vec):
-        if not primes or primes[-1] != self.prime:
-            primes.append(self.prime)
-        if self.prime == first and len(self.rows) == 20:
-            return False          # the candidate that completes dim 21
-        return add(self, vec)
-
-    monkeypatch.setattr(llv._ModSpan, "add", drop_last_on_first_prime)
-    alg = lie_closure(file52_gens)
-    assert alg.gaussian and alg.dim == 21
-    assert primes == list(llv._FILTER_PRIMES[:2])
-    # a dropped generator leaves an ad-invariant span without it
-    monkeypatch.setattr(llv._ModSpan, "add", lambda self, vec: (
-        self.prime != first and add(self, vec)))
-    assert lie_closure([_unit(2, 0, 1).scale(I)]).dim == 1
-    monkeypatch.setattr(llv._ModSpan, "add", lambda self, vec: (
-        len(self.rows) < 20 and add(self, vec)))
-    with pytest.raises(RuntimeError, match="modulo each of"):
-        lie_closure(file52_gens)
-
-
-def test_filter_primes_carry_a_square_root_of_minus_one():
-    for p in llv._FILTER_PRIMES:
-        assert p % 4 == 1 and p < 2 ** 31
-        assert all(p % d for d in range(2, 50000))
-        r = llv._ModSpan(p, gaussian=True).root
-        assert r * r % p == p - 1
-
-
-def _dense_rank_mod(rows, p):
-    """Rank modulo p of dense rows of residues, by elimination column by
-    column from scratch: the oracle of the modular filter."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            c = rows[i][col]
-            if i != rank and c:
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-@st.composite
-def _mod_span_case(draw):
-    """A prime of the filter, a field, and random sparse vectors over Z or
-    Z[i] on a few columns.  Entries include multiples of p and, over Z[i],
-    multiples of r - i, the kernel of a + bi -> a + br; some vectors are
-    sums of earlier ones, so rejections occur at every rank."""
-    p = draw(st.sampled_from(llv._FILTER_PRIMES))
-    gaussian = draw(st.booleans())
-    root = pow(2, (p - 1) // 4, p)
-    small = st.integers(-3, 3)
-    ints = st.one_of(small, small.map(lambda k: k * p),
-                     st.tuples(small, small).map(lambda t: t[0] * p + t[1]))
-    if gaussian:
-        entry = st.one_of(
-            st.tuples(ints, ints).map(lambda t: GaussInt(*t)),
-            small.map(lambda k: GaussInt(k * root, -k)))
-    else:
-        entry = ints
-    length = draw(st.integers(1, 6))
-    vecs = []
-    for _ in range(draw(st.integers(1, 10))):
-        if vecs and draw(st.booleans()):
-            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
-            vec = dict(a)
-            for k, x in b.items():
-                vec[k] = vec[k] + x if k in vec else x
-        else:
-            vec = draw(st.dictionaries(st.integers(0, length - 1), entry,
-                                       min_size=1))
-        vecs.append(vec)
-    return p, gaussian, length, vecs
-
-
-@settings(max_examples=300, deadline=None)
-@given(_mod_span_case())
-def test_mod_span_matches_dense_oracle(case):
-    p, gaussian, length, vecs = case
-    span = llv._ModSpan(p, gaussian)
-    r = span.root
-
-    def dense(vec):
-        row = [0] * length
-        for k, x in vec.items():
-            row[k] = (x.real + r * x.imag if gaussian else x) % p
-        return row
-
-    accepted = []
-    for vec in vecs:
-        independent = (_dense_rank_mod(accepted + [dense(vec)], p)
-                       > len(accepted))
-        assert span.add(vec) == independent
-        if independent:
-            accepted.append(dense(vec))
-        assert len(span.rows) == _dense_rank_mod(accepted, p)
-
-
 @st.composite
 def _bracket_case(draw):
     """A sparse matrix x over Z or Z[i] and a list of sparse matrices y_j
@@ -349,10 +216,7 @@ def test_brackets_match_sparse_oracle(case):
         assert b and all(row and all(row.values()) for row in b.values())
 
 
-def test_gaussian_closure_matches_dense_reference(file52_gens, model52):
-    alg = lie_closure(file52_gens)
-    assert alg.gaussian and alg.dim == 21
-    assert (alg.pivots, alg._rows) == _reference_closure(file52_gens)
+def test_gaussian_closure_matches_dense_reference(model52):
     tri_s, tri_b = sigma_sl2(model52), sigma_bar_sl2(model52)
     six = [t.L.matrix() for t in (tri_s, tri_b)] + [
         t.Lam.matrix() for t in (tri_s, tri_b)] + [
@@ -360,6 +224,60 @@ def test_gaussian_closure_matches_dense_reference(file52_gens, model52):
     alg = lie_closure(six)
     assert alg.gaussian and alg.dim == 6
     assert (alg.pivots, alg._rows) == _reference_closure(six)
+
+
+@pytest.mark.parametrize("name", ["rat52", "torus2", "file52"])
+def test_closure_matches_dense_reference(closure_rings, name):
+    gens = llv_generators(closure_rings[name])[0]
+    alg = lie_closure(gens)
+    assert alg.gaussian == (name == "file52")
+    assert (alg.pivots, alg._rows) == _reference_closure(gens)
+
+
+@st.composite
+def _closure_case(draw):
+    """One to three small square matrices over Z or Z[i]; some are
+    combinations of earlier ones, so dependent generators occur."""
+    n = draw(st.sampled_from([2, 3]))
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.tuples(small, small).map(lambda t: Gauss(*t))
+    else:
+        entry = small
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if gens and draw(st.booleans()):
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            gens.append(a.scale(draw(entry)) + b)
+        else:
+            gens.append(_cells(n, draw(st.dictionaries(cell, entry,
+                                                       max_size=4))))
+    return gens
+
+
+# [h, E12] = -i E12 for h = diag(1, 1 + i), itself a canonical basis
+# element: a non-real structure constant; the third generator is dependent
+_NON_REAL_GENERATORS = [_cells(2, {(0, 0): 1, (1, 1): Gauss(1, 1)}),
+                        _cells(2, {(0, 1): 1}), _cells(2, {(0, 1): Gauss(2, 1)})]
+
+
+def test_non_real_example_has_a_non_real_structure_constant():
+    alg = lie_closure(_NON_REAL_GENERATORS)
+    den, table = alg.structure_constants()
+    assert alg.gaussian and alg.pivots == [0, 1] and den == 1
+    assert {k: (e.real, e.imag) for k, e in table[0][1].items()} == {
+        1: (0, -1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closure_case())
+@example(_NON_REAL_GENERATORS)
+def test_closure_matches_dense_reference_on_random_generators(gens):
+    alg = lie_closure(gens)
+    assert (alg.pivots, alg._rows) == _reference_closure(gens)
+    assert alg.certified and alg.verify_closure()
+    assert all(alg.contains(g) for g in gens)
 
 
 def test_gaussian_closure_of_non_real_generators():
@@ -429,10 +347,6 @@ def test_killing_gram_matches_dense_traces(rat52):
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert gram[i].get(j, 0) == den ** 4 * (ads[i] * ads[j]).trace()
-
-
-def _cells(n, cells):
-    return Matrix([[cells.get((r, c), 0) for c in range(n)] for r in range(n)])
 
 
 @st.composite
@@ -872,7 +786,9 @@ def test_so4_symplectic_model(model52):
     alg, res = so4_symplectic(model52)
     assert res.ok, res.failures
     assert alg.dim == 6
-    assert res.data.get("weil_in_span")
+    # the Weil operator i(H_sigma - H_sigma-bar) lies in the span
+    h_s, h_b = sigma_sl2(model52).H.matrix(), sigma_bar_sl2(model52).H.matrix()
+    assert alg.contains((h_s - h_b).scale(I))
 
 
 def test_so4_symplectic_torus(torus_big):
