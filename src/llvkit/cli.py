@@ -256,8 +256,7 @@ def cmd_llv(args) -> Report:
     is_torus = desc.startswith("torus")
     report.add("bracket closure", "Lie algebra generated by all Hard "
                "Lefschetz sl2-pairs", True, {"dim": algebra.dim})
-    h = lefschetz.weight_operator(
-        plain, lefschetz.classical_weights(plain)).matrix()
+    h = lefschetz.weight_operator(plain, lefschetz.classical_weights(plain))
     try:
         dims = [len(space) for space in llv.ad_grading(algebra, h)]
         report.add("adjoint weight decomposition",
@@ -300,7 +299,7 @@ def cmd_llv(args) -> Report:
     deriv_bad = []
     classes = list(itertools.islice(models.nonisotropic_stream(form), 4))
     for a, b in itertools.combinations(classes, 2):
-        d = lefschetz.cup_operator(plain, a).commutator(duals.lam(b)).matrix()
+        d = lefschetz.cup_operator(plain, a).commutator(duals.lam(b))
         if not llv.derivation_check(d, plain):
             deriv_bad.append((a, b))
     report.add("commutators act as derivations",

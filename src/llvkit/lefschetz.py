@@ -1,9 +1,10 @@
 """Lefschetz operators, Hard Lefschetz tests, and exact sl2-completion.
 
-Every operator is a ``DegreeOperator``, one block per source degree; its
-``matrix()`` is the one densifier, called only where a dense matrix is
-the interface (Lie-closure generators, ``ad_grading`` and
-``derivation_check``, the small-ring cross-check, ``Sl2Triple.check``).
+Every operator is a ``DegreeOperator``, one block per source degree,
+read like a ``Matrix`` through ``entries()`` and ``shape()``.  Its
+``matrix()`` is the one densifier, uncached and called only for the
+Lie-closure generators, the small-ring cross-check and
+``Sl2Triple.check``.
 One engine serves three gradings: the classical weight k - (top/2) on
 total degree, and on bigraded rings the holomorphic weight p - n and the
 antiholomorphic weight q - n.  The dual operator is produced from the
@@ -43,6 +44,8 @@ class DegreeOperator:
 
     Stored as one block per source degree in column convention: the block
     at k maps degree-k coordinates to degree-(k+shift) coordinates.
+    ``shape()`` and ``entries()`` read it in full-ring indices, as they
+    read a ``Matrix``.
     """
 
     def __init__(self, ring, shift, blocks):
@@ -56,7 +59,10 @@ class DegreeOperator:
                 raise ValueError(
                     f"block at degree {k} has shape {blk.shape()}, expected "
                     f"({want_rows}, {ring.dims[k]})")
-        self._matrix = None
+
+    def shape(self):
+        n = self.ring.total_dim
+        return (n, n)
 
     def entries(self):
         """The nonzero entries (row, column, value), in full-ring indices."""
@@ -68,13 +74,11 @@ class DegreeOperator:
                         yield off[k + self.shift] + r, off[k] + c, x
 
     def matrix(self) -> Matrix:
-        if self._matrix is None:
-            n = self.ring.total_dim
-            grid = [[0] * n for _ in range(n)]
-            for r, c, x in self.entries():
-                grid[r][c] = x
-            self._matrix = Matrix._of(grid, n)
-        return self._matrix
+        n = self.ring.total_dim
+        grid = [[0] * n for _ in range(n)]
+        for r, c, x in self.entries():
+            grid[r][c] = x
+        return Matrix._of(grid, n)
 
     def apply(self, vec) -> tuple:
         """``matrix().matvec(vec)``, formed block by block."""

@@ -106,6 +106,13 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
+    def entries(self):
+        """The nonzero entries (row, column, value), row by row."""
+        for r, row in enumerate(self.rows):
+            for c, x in enumerate(row):
+                if x:
+                    yield r, c, x
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.rows == other.rows)

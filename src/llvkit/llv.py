@@ -7,6 +7,13 @@ and one certified dual (``llv_generators``).  ``lie_closure`` builds it by
 one exact elimination, which also proves it bracket-closed, and
 ``so_identify`` reads the structure constants of such a certified closure
 at its pivots.
+
+The generators of ``lie_closure`` are the only dense matrices formed
+here.  Every other check reads ``DegreeOperator`` blocks, or any operator
+through ``entries()`` and ``shape()``.  The rank-10 and rank-6 actions
+need no second closure: their relation checks prove the span of their
+operators bracket-closed, so it is the algebra they generate, and its
+dimension is a rank (``so41_subalgebra``, ``so4_symplectic``).
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from types import MappingProxyType
 
 from .lefschetz import (DegreeOperator, DualFamily, complete_sl2, cup_operator,
                         sigma_bar_sl2, sigma_sl2, weight_operator)
-from .linalg import (Matrix, SparseEchelon, integer_eigenspaces,
-                     symmetric_signature)
+from .linalg import (DimensionError, Matrix, SparseEchelon,
+                     integer_eigenspaces, symmetric_signature)
 from .models import spanning_hl_classes, verbitsky_dims
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
@@ -48,15 +55,14 @@ def _clear_denominators(values, gaussian):
     return den, [GaussInt(*xs) if gaussian else xs[0] for xs in ints]
 
 
-def _to_sparse(mat: Matrix, gaussian):
-    """(sp, den) with mat = sp / den, sp a sparse matrix over Z (Z[i] when
-    gaussian) given as row dicts."""
-    cells = [(r, c) for r, row in enumerate(mat.rows)
-             for c, v in enumerate(row) if v]
-    den, ints = _clear_denominators([mat.rows[r][c] for r, c in cells],
-                                    gaussian)
+def _to_sparse(op, gaussian):
+    """(sp, den) with op = sp / den, sp a sparse matrix over Z (Z[i] when
+    gaussian) given as row dicts; op is a ``Matrix`` or a
+    ``DegreeOperator``, read through ``entries()``."""
+    cells = list(op.entries())
+    den, ints = _clear_denominators([v for _, _, v in cells], gaussian)
     sp = {}
-    for (r, c), v in zip(cells, ints):
+    for (r, c, _), v in zip(cells, ints):
         sp.setdefault(r, {})[c] = v
     return sp, den
 
@@ -275,8 +281,18 @@ class MatrixLieAlgebra:
                 table[i][j] = {k: 0 - e for k, e in coeffs.items()}
         return den, table
 
-    def contains(self, mat: Matrix) -> bool:
-        return self._int_coords(_to_sparse(mat, self.gaussian)[0]) is not None
+    def _sparse(self, op):
+        """``_to_sparse`` of an operator on the ambient space; any other
+        shape raises DimensionError, as its r n + c would alias."""
+        n = self.ambient
+        if op.shape() != (n, n):
+            raise DimensionError(f"operator of shape {op.shape()} on a "
+                                 f"closure of {n} x {n} matrices")
+        return _to_sparse(op, self.gaussian)
+
+    def contains(self, op) -> bool:
+        """op, a ``Matrix`` or a ``DegreeOperator``, lies in the span."""
+        return self._int_coords(self._sparse(op)[0]) is not None
 
     def verify_closure(self) -> bool:
         """Exhaustive [b_i, b_j] membership check (quadratic in dim): one
@@ -350,25 +366,28 @@ class DecompositionError(ValueError):
     """The adjoint weight decomposition left the expected eigenvalues."""
 
 
-def ad_grading(algebra: MatrixLieAlgebra, h: Matrix):
+def ad_grading(algebra: MatrixLieAlgebra, h):
     """Split the algebra into ad(h)-eigenspaces with eigenvalues 2, 0, -2.
 
     Returns the three eigenspaces as lists of coordinate vectors on the
     algebra's canonical basis; a vector c stands for sum_k c_k b_k.
-    ``integer_eigenspaces`` decides the split on the sparse rows of ad(h).
+    ``integer_eigenspaces`` decides the split on the sparse rows of ad(h);
+    h is a ``Matrix`` or a ``DegreeOperator`` of the ambient shape.
     """
     try:
         spaces = integer_eigenspaces(_ad_matrix(algebra, h), [2, 0, -2])
+    except DimensionError:
+        raise
     except ValueError as exc:
         raise DecompositionError(f"decomposition violated: {exc}") from exc
     return tuple(list(spaces[lam].basis) if lam in spaces else []
                  for lam in (2, 0, -2))
 
 
-def _ad_matrix(algebra: MatrixLieAlgebra, x: Matrix):
+def _ad_matrix(algebra: MatrixLieAlgebra, x):
     """ad(x) as sparse rows {j: A_kj}, [x, b_j] = sum_k A_kj b_k; raises
     ValueError when an exact membership test puts [x, b_j] outside."""
-    sp, scale = _to_sparse(x, algebra.gaussian)
+    sp, scale = algebra._sparse(x)
     den, mats = algebra._integer_form()
     # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
     scale *= den
@@ -407,17 +426,20 @@ def weil_operator(ring: BigradedAlgebra) -> DegreeOperator:
     return c_op
 
 
-def derivation_check(d: Matrix, ring: GradedAlgebra) -> bool:
+def derivation_check(d, ring: GradedAlgebra) -> bool:
     """True iff d(x*y) = d(x)*y + x*d(y) on all basis pairs.  With s the
     least degree shift of d, a pair with deg e_i + deg e_j + s > top is
     skipped: all its terms vanish.  When every shift is even, d keeps
     parity, and graded commutativity turns the identity on (e_j, e_i)
     into (-1)^(deg e_i deg e_j) times the one on (e_i, e_j): only i <= j
-    is checked."""
+    is checked.  d is a ``Matrix`` or a ``DegreeOperator``, read through
+    its nonzero ``entries()``."""
     n = ring.total_dim
     if d.shape() != (n, n):
         raise ValueError("operator must act on the total ring")
-    dcols = [{k: v for k, v in enumerate(d.col(gi)) if v} for gi in range(n)]
+    dcols = [{} for _ in range(n)]
+    for r, c, v in d.entries():
+        dcols[c][r] = v
     deg = [ring.degree_of(gi) for gi in range(n)]
     shifts = {deg[l] - deg[gi] for gi, col in enumerate(dcols) for l in col}
     reach = ring.top - min(shifts, default=0)   # largest deg e_i + deg e_j
@@ -581,13 +603,49 @@ def llv_closure(ring: GradedAlgebra) -> MatrixLieAlgebra:
     return lie_closure(llv_generators(ring)[0])
 
 
+def _span_algebra(ops):
+    """The span of operators on one space (``Matrix`` or
+    ``DegreeOperator``) as a ``MatrixLieAlgebra`` on the canonical rows of
+    one ``SparseEchelon``; over Q(i) when an entry is a Gauss value, as in
+    ``lie_closure``.  Not ``certified``: the caller's relation checks are
+    what make the span bracket-closed, and so the algebra it generates."""
+    n = ops[0].shape()[0]
+    span = SparseEchelon(exact_division=True)
+    gaussian = False
+    for op in ops:
+        vec = {r * n + c: x for r, c, x in op.entries()}
+        gaussian = gaussian or any(isinstance(x, Gauss) for x in vec.values())
+        span.add(vec)
+    rows, pivots = span.canonical()
+    return MatrixLieAlgebra(n, pivots, rows, gaussian)
+
+
+def _cells(op, c=1):
+    """{(row, column): c * value} over the nonzero entries of op."""
+    return {(r, col): c * x for r, col, x in op.entries()}
+
+
 def so41_subalgebra(ring: GradedAlgebra, triple_classes):
-    """Closure of the sl2-triples of three orthogonal positive classes.
+    """Algebra generated by the sl2-triples of three orthogonal positive
+    classes, certified as so(4,1) by its relations.
 
     The three classes are rescaled to a common norm (their norm ratios
-    must be rational squares), the rank-10 dimension is asserted, and all
-    commutation relations K_ij = [L_i, Lam_j] of the rank-10 orthogonal
-    action are checked exactly.
+    must be rational squares) and completed to triples (L_i, Lam_i, H);
+    all three share H, the classical weight operator.  With K_ij =
+    [L_i, Lam_j], these relation families are checked on degree blocks:
+    K_ij = -K_ji, [L_i, L_j] = [Lam_i, Lam_j] = 0, [K_ij, H] = 0,
+    [K_ij, L_j] = 2 L_i, [K_ij, Lam_j] = 2 Lam_i, [K_ij, L_k] =
+    [K_ij, Lam_k] = 0 and [K_ij, K_jk] = 2 K_ik, for i, j, k distinct.
+
+    They close the span S of L_i, Lam_i, H and K_01, K_02, K_12.  Each
+    triple's certificate gives [L_i, Lam_i] = H, [H, L_i] = 2 L_i and
+    [H, Lam_i] = -2 Lam_i; [L_i, Lam_j] = K_ij lies in S as K_ji =
+    -K_ij; [K_ij, L_i] = -[K_ji, L_i] = -2 L_j, and likewise for Lam;
+    [K_ij, K_jk] = 2 K_ik with K_ji = -K_ij covers every pair of K's.
+    So S is bracket-closed, and as H and the K_ij are brackets of the
+    L_i, Lam_i, it is the algebra they generate: its dimension is the
+    rank of the ten operators, asserted to be 10.  When a relation fails,
+    the reported dimension is that rank, not a closure's.
     """
     form = ring.quadratic_form
     if form is None:
@@ -611,40 +669,32 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
         scaled.append(tuple(ratio * c for c in ws[i]))
     triples = [complete_sl2(ring, w) for w in scaled]
     res = CheckResult("so(4,1) relations")
-    h = triples[0].H.matrix()
-    ls = [t.L.matrix() for t in triples]
-    lams = [t.Lam.matrix() for t in triples]
-    for t in triples[1:]:
-        if t.H.matrix() != h:
-            res.fail("weight operators of the three triples differ")
-    k = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                k[(i, j)] = ls[i].commutator(lams[j])
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            if k[(i, j)] != k[(j, i)].scale(-1):
-                res.fail(f"K{i}{j} != -K{j}{i}")
-            if not k[(i, j)].commutator(h).is_zero():
-                res.fail(f"[K{i}{j}, H] != 0")
-            if k[(i, j)].commutator(ls[j]) != ls[i].scale(2):
-                res.fail(f"[K{i}{j}, L{j}] != 2 L{i}")
-            if k[(i, j)].commutator(lams[j]) != lams[i].scale(2):
-                res.fail(f"[K{i}{j}, Lam{j}] != 2 Lam{i}")
-            kk = 3 - i - j
-            if not k[(i, j)].commutator(ls[kk]).is_zero():
-                res.fail(f"[K{i}{j}, L{kk}] != 0")
-            if not k[(i, j)].commutator(lams[kk]).is_zero():
-                res.fail(f"[K{i}{j}, Lam{kk}] != 0")
-            for jj in range(3):
-                if jj in (i, j):
-                    continue
-                if k[(i, j)].commutator(k[(j, jj)]) != k[(i, jj)].scale(2):
-                    res.fail(f"[K{i}{j}, K{j}{jj}] != 2 K{i}{jj}")
-    algebra = lie_closure([op for pair in zip(ls, lams) for op in pair])
+    h = triples[0].H
+    ls, lams = [t.L for t in triples], [t.Lam for t in triples]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if not ls[i].commutes_with(ls[j]):
+            res.fail(f"[L{i}, L{j}] != 0")
+        if not lams[i].commutes_with(lams[j]):
+            res.fail(f"[Lam{i}, Lam{j}] != 0")
+    k = {(i, j): ls[i].commutator(lams[j])
+         for i in range(3) for j in range(3) if i != j}
+    for (i, j), kij in k.items():
+        kk = 3 - i - j
+        if _cells(kij) != _cells(k[(j, i)], -1):
+            res.fail(f"K{i}{j} != -K{j}{i}")
+        if not kij.commutes_with(h):
+            res.fail(f"[K{i}{j}, H] != 0")
+        if _cells(kij.commutator(ls[j])) != _cells(ls[i], 2):
+            res.fail(f"[K{i}{j}, L{j}] != 2 L{i}")
+        if _cells(kij.commutator(lams[j])) != _cells(lams[i], 2):
+            res.fail(f"[K{i}{j}, Lam{j}] != 2 Lam{i}")
+        if not kij.commutes_with(ls[kk]):
+            res.fail(f"[K{i}{j}, L{kk}] != 0")
+        if not kij.commutes_with(lams[kk]):
+            res.fail(f"[K{i}{j}, Lam{kk}] != 0")
+        if _cells(kij.commutator(k[(j, kk)])) != _cells(k[(i, kk)], 2):
+            res.fail(f"[K{i}{j}, K{j}{kk}] != 2 K{i}{kk}")
+    algebra = _span_algebra(ls + lams + [h, k[(0, 1)], k[(0, 2)], k[(1, 2)]])
     res.data["dim"] = algebra.dim
     if algebra.dim != 10:
         res.fail(f"closure dimension {algebra.dim} != 10")
@@ -653,22 +703,24 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
 
 def so4_symplectic(ring: BigradedAlgebra):
     """The six symplectic operators span a bracket-closed rank-6 algebra
-    splitting as two commuting sl2-triples."""
+    splitting as two commuting sl2-triples.
+
+    ``complete_sl2_weights`` certifies each of the sigma and sigma-bar
+    triples: [L, Lam] = H block by block, and [H, L] = 2L, [H, Lam] =
+    -2 Lam by the weight shifts.  The nine cross brackets are checked to
+    vanish.  So the span of the six is bracket-closed, and it is the
+    algebra they generate; its dimension is their rank, and rank 6 is
+    their independence.  When a cross bracket fails, the reported
+    dimension is that rank, not a closure's.
+    """
     tri_s = sigma_sl2(ring)
     tri_b = sigma_bar_sl2(ring)
-    six = [op.matrix() for op in (tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam,
-                                  tri_s.H, tri_b.H)]
     res = CheckResult("so(4) symplectic action")
-    n = ring.total_dim
-    span = SparseEchelon(exact_division=True)
-    for op in six:
-        if not span.add({r * n + c: x for r, row in enumerate(op.rows)
-                         for c, x in enumerate(row) if x}):
-            res.fail("the six symplectic operators are linearly dependent")
-    algebra = lie_closure(six)
+    algebra = _span_algebra([tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam,
+                             tri_s.H, tri_b.H])
     res.data["dim"] = algebra.dim
     if algebra.dim != 6:
-        res.fail(f"closure dimension {algebra.dim} != 6")
+        res.fail("the six symplectic operators are linearly dependent")
     for a in (tri_s.L, tri_s.Lam, tri_s.H):
         for b in (tri_b.L, tri_b.Lam, tri_b.H):
             if not a.commutes_with(b):
@@ -679,25 +731,24 @@ def so4_symplectic(ring: BigradedAlgebra):
 def verbitsky_component(ring: GradedAlgebra):
     """Graded dimensions of the subalgebra generated by degree 2, checked
     against the symmetric-power prediction, plus stability under every
-    dual Lefschetz operator of the spanning non-isotropic classes."""
+    dual Lefschetz operator of the spanning non-isotropic classes.  One
+    ``SparseEchelon`` per even degree k spans the component there; the
+    same spans decide the stability test."""
     res = CheckResult("degree-2 generated subalgebra")
-    spans = {0: [ring.unit()]}
     lo2, hi2 = ring.slice_of(2)
     deg2 = [ring.basis_vector(gi) for gi in range(lo2, hi2)]
-    dims = [0] * (ring.top + 1)
-    dims[0] = 1
     bases = {0: [ring.unit()]}
+    spans = {0: SparseEchelon(exact_division=True)}
+    spans[0].add(ring.component(bases[0][0], 0))
     for k in range(2, ring.top + 1, 2):
-        span = SparseEchelon(exact_division=True)
-        vecs = []
-        for x in bases.get(k - 2, []):
+        span = spans[k] = SparseEchelon(exact_division=True)
+        vecs = bases[k] = []
+        for x in bases[k - 2]:
             for a in deg2:
                 prod = ring.component(ring.multiply(a, x), k)
                 if span.add(prod):
                     vecs.append(ring.embed(k, prod))
-        dims[k] = span.dim
-        bases[k] = vecs
-    res.data["dims"] = [dims[k] for k in range(0, ring.top + 1, 2)]
+    res.data["dims"] = [spans[k].dim for k in range(0, ring.top + 1, 2)]
     b2 = ring.dims[2]
     prediction = None
     if ring.top % 4 == 0:
@@ -707,19 +758,13 @@ def verbitsky_component(ring: GradedAlgebra):
         if res.data["dims"] != prediction:
             res.fail(f"graded dims {res.data['dims']} != predicted {prediction}")
     if ring.quadratic_form is not None:
-        target_spans = {}
-        for k in range(0, ring.top + 1, 2):
-            span = SparseEchelon(exact_division=True)
-            for x in bases.get(k, []):
-                span.add(ring.component(x, k))
-            target_spans[k] = span
         classes = spanning_hl_classes(ring.quadratic_form)
         family = DualFamily(ring, classes[0])
         for a in classes:
             for k, blk in family.lam(a).blocks.items():
                 for x in bases.get(k, []):
                     img = blk.matvec(ring.component(x, k))
-                    if not target_spans[k - 2].contains(img):
+                    if not spans[k - 2].contains(img):
                         res.fail(f"Lam of class {a} leaves the component "
                                  f"in degree {k}")
                         break

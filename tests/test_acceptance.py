@@ -102,9 +102,9 @@ def test_criterion_06_so41_and_so4(rat52, model52):
     sub, res = so41_subalgebra(rat52, w)
     sub4, res4 = so4_symplectic(model52)
     ok = sub.dim == 10 and res.ok and sub4.dim == 6 and res4.ok
-    report(6, ok, f"positive-3-space algebra dim {sub.dim} with all relation "
-                  f"families; symplectic span dim {sub4.dim}, two commuting "
-                  "sl2s")
+    report(6, ok, f"positive-3-space algebra dim {sub.dim}, a span closed by "
+                  f"its relation families; symplectic span dim {sub4.dim}, "
+                  "closed by two commuting certified sl2s")
 
 
 def test_criterion_07_verbitsky_component(rat52, model62, model53):

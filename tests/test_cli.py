@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import llvkit
-from llvkit import lefschetz, models
+from llvkit import lefschetz, llv, models
 from llvkit.cli import FIXTURE_BOUNDS, main
 from llvkit.rings import (BigradedAlgebra, GradedAlgebra, ring_to_dict,
                           save_ring)
@@ -573,6 +573,41 @@ def test_llv_forms_each_dual_once(capsys, monkeypatch):
     assert len(formed) == len(set(formed))
     assert len(set(asked) - set(formed)) == 1
     assert len(asked) > len(set(asked))
+
+
+@pytest.mark.parametrize("argv", [B52, ["--fixture", "k3"]],
+                         ids=["bogomolov", "k3"])
+def test_llv_densifies_only_the_closure_input(argv, capsys, monkeypatch):
+    # one lie_closure, and a dense matrix only for each of its generators:
+    # so(4), derivations and the ad-grading read degree blocks.  The sl2
+    # cross-check of small rings, an oracle inside the completion, is
+    # left out of the count
+    closures, gens, dense = [], [], []
+    closure, generators = llv.lie_closure, llv.llv_generators
+    matrix = lefschetz.DegreeOperator.matrix
+
+    def closure_spy(*args, **kwargs):
+        closures.append(args)
+        return closure(*args, **kwargs)
+
+    def generators_spy(*args, **kwargs):
+        out = generators(*args, **kwargs)
+        gens.append(out[0])
+        return out
+
+    def matrix_spy(self):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "complete_sl2_weights":
+            dense.append(caller)
+        return matrix(self)
+
+    monkeypatch.setattr(llv, "lie_closure", closure_spy)
+    monkeypatch.setattr(llv, "llv_generators", generators_spy)
+    monkeypatch.setattr(lefschetz.DegreeOperator, "matrix", matrix_spy)
+    rc, _ = run(["llv", *argv], capsys)
+    assert rc == 0
+    assert len(closures) == 1 and len(gens) == 1
+    assert dense == ["llv_generators"] * len(gens[0])
 
 
 def test_llv_runs_with_numpy_blocked():

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llvkit import llv
-from llvkit.lefschetz import (DualFamily, classical_weights, complete_sl2,
-                              cup_operator, sigma_bar_sl2, sigma_sl2,
-                              weight_operator)
-from llvkit.linalg import (Matrix, SparseEchelon, Subspace,
+from llvkit.lefschetz import (DegreeOperator, DualFamily, classical_weights,
+                              complete_sl2, cup_operator, sigma_bar_sl2,
+                              sigma_sl2, weight_operator)
+from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
                            symmetric_signature)
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
@@ -474,23 +474,29 @@ def _assert_eigenvectors(alg, h, spaces):
 def test_ad_grading_single_sl2(k3):
     a = [Fraction(1)] + [Fraction(0)] * 21
     alg = lie_closure(sl2_triple_generators(k3, a))
-    h = weight_operator(k3, classical_weights(k3)).matrix()
+    h_op = weight_operator(k3, classical_weights(k3))
+    h = h_op.matrix()
     g2, g0, gm2 = ad_grading(alg, h)
+    assert ad_grading(alg, h_op) == (g2, g0, gm2)
     assert (len(g2), len(g0), len(gm2)) == (1, 1, 1)
     _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
 
 def test_ad_grading_model(rat52):
     alg = llv_closure(rat52)
-    h = weight_operator(rat52, classical_weights(rat52)).matrix()
+    h_op = weight_operator(rat52, classical_weights(rat52))
+    h = h_op.matrix()
     g2, g0, gm2 = ad_grading(alg, h)
+    assert ad_grading(alg, h_op) == (g2, g0, gm2)
     assert (len(g2), len(g0), len(gm2)) == (5, 11, 5)
     _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
 
 def test_ad_grading_k3(k3, k3_closure):
-    h = weight_operator(k3, classical_weights(k3)).matrix()
+    h_op = weight_operator(k3, classical_weights(k3))
+    h = h_op.matrix()
     g2, g0, gm2 = ad_grading(k3_closure, h)
+    assert ad_grading(k3_closure, h_op) == (g2, g0, gm2)
     assert (len(g2), len(g0), len(gm2)) == (22, 232, 22)
     _assert_eigenvectors(k3_closure, h, (g2, g0, gm2))
 
@@ -498,8 +504,10 @@ def test_ad_grading_k3(k3, k3_closure):
 def test_ad_grading_torus(torus2):
     gens, _ = llv_generators(torus2)
     alg = lie_closure(gens)
-    h = weight_operator(torus2, classical_weights(torus2)).matrix()
+    h_op = weight_operator(torus2, classical_weights(torus2))
+    h = h_op.matrix()
     g2, g0, gm2 = ad_grading(alg, h)
+    assert ad_grading(alg, h_op) == (g2, g0, gm2)
     assert (len(g2), len(g0), len(gm2)) == (6, 16, 6)
     _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
@@ -535,8 +543,34 @@ def test_ad_grading_rejects_bad_weights(k3):
         k3, [Fraction(1)] + [Fraction(0)] * 21))
     bad = Matrix([[Fraction(1 if i == j and i == 0 else 0) for j in range(24)]
                   for i in range(24)])
-    with pytest.raises((DecompositionError, ValueError)):
-        ad_grading(alg, bad)
+    bad_op = weight_operator(k3, [1] + [0] * 23)
+    assert bad_op.matrix() == bad
+    for h in (bad, bad_op):
+        with pytest.raises((DecompositionError, ValueError)):
+            ad_grading(alg, h)
+
+
+def _sl2_closure():
+    return lie_closure([Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])])
+
+
+def test_contains_rejects_a_wrong_shape():
+    # [[1, 0, 0, -1]] vectorizes to the entries of diag(1, -1), an element
+    # of the closure; read as r n + c it would alias to it
+    alg = _sl2_closure()
+    assert alg.contains(Matrix([[1, 0], [0, -1]]))
+    with pytest.raises(DimensionError):
+        alg.contains(Matrix([[1, 0, 0, -1]]))
+
+
+def test_ad_grading_rejects_a_wrong_shape():
+    # read as r n + c, diag(1, -1, 0) aliases to diag(1, -1) and would
+    # grade the closure as (1, 1, 1)
+    alg = _sl2_closure()
+    h = Matrix([[1, 0], [0, -1]])
+    assert [len(space) for space in ad_grading(alg, h)] == [1, 1, 1]
+    with pytest.raises(DimensionError):
+        ad_grading(alg, Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
 
 
 def test_dual_lefschetz_commute_same_class(rat52):
@@ -610,16 +644,17 @@ def test_derived_g0_acts_by_derivations(rat52):
 def test_derivation_check_commutator(rat52):
     a = [Fraction(1), 0, 0, 0, 0]
     b = [0, 0, Fraction(1), 0, 0]
-    la = cup_operator(rat52, a).matrix()
-    lam_b = complete_sl2(rat52, b).Lam.matrix()
+    la = cup_operator(rat52, a)
+    lam_b = complete_sl2(rat52, b).Lam
+    assert derivation_check(la.matrix().commutator(lam_b.matrix()), rat52)
     assert derivation_check(la.commutator(lam_b), rat52)
 
 
 def test_derivation_check_rejects_l_and_h(rat52):
-    rows = sl2_triple_generators(rat52, [Fraction(1), 0, 0, 0, 0])
-    assert derivation_check(rows[0], rat52) is False
-    h = weight_operator(rat52, classical_weights(rat52)).matrix()
-    assert derivation_check(h, rat52) is False
+    tri = complete_sl2(rat52, [Fraction(1), 0, 0, 0, 0])
+    for op in (tri.L, weight_operator(rat52, classical_weights(rat52))):
+        assert derivation_check(op.matrix(), rat52) is False
+        assert derivation_check(op, rat52) is False
 
 
 def _full_pair_derivation_check(d, ring):
@@ -670,19 +705,20 @@ def _odd_half_derivation(torus2):
 def derivation_pool(rat52, k3, torus2):
     """Per ring: the derivations [L_a, Lam_b] of four non-isotropic
     classes, and L_a, Lam_b and H, which are not derivations; on the torus
-    also the odd operator of ``_odd_half_derivation``."""
+    also the odd operator of ``_odd_half_derivation``.  Each is a pair
+    (dense matrix, DegreeOperator or None)."""
     pool = {}
     for name, ring in (("rat52", rat52), ("k3", k3), ("torus2", torus2)):
         classes = list(itertools.islice(
             nonisotropic_stream(ring.quadratic_form), 4))
         family = DualFamily(ring, classes[0])
-        ops = [cup_operator(ring, a).commutator(family.lam(b)).matrix()
+        ops = [cup_operator(ring, a).commutator(family.lam(b))
                for a, b in itertools.combinations(classes, 2)]
-        ops += [cup_operator(ring, classes[1]).matrix(),
-                family.lam(classes[2]).matrix(),
-                weight_operator(ring, classical_weights(ring)).matrix()]
+        ops += [cup_operator(ring, classes[1]), family.lam(classes[2]),
+                weight_operator(ring, classical_weights(ring))]
+        ops = [(op.matrix(), op) for op in ops]
         if name == "torus2":
-            ops.append(_odd_half_derivation(ring))
+            ops.append((_odd_half_derivation(ring), None))
         pool[name] = (ring, ops)
     return pool
 
@@ -694,9 +730,12 @@ def test_derivation_check_matches_full_pair_loop(derivation_pool, name, data):
     n = ring.total_dim
     coef = st.sampled_from([1, -1, 2, Fraction(1, 3)])
     d = Matrix.zeros(n, n)
-    for op in data.draw(st.lists(st.sampled_from(ops), min_size=1,
-                                 max_size=3)):
-        d = d + op.scale(data.draw(coef))
+    drawn = data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3))
+    for dense, _ in drawn:
+        d = d + dense.scale(data.draw(coef))
+    dense, op = drawn[0]
+    if op is not None:              # both carriers of one pool operator
+        assert derivation_check(op, ring) == derivation_check(dense, ring)
     # up to two entries moved, at any degree shift, odd ones included
     index = st.integers(0, n - 1)
     for _ in range(data.draw(st.integers(0, 2))):
@@ -707,7 +746,8 @@ def test_derivation_check_matches_full_pair_loop(derivation_pool, name, data):
 
 def test_derivation_check_rejects_odd_and_lowering_operators(rat52, torus2):
     odd = _odd_half_derivation(torus2)
-    lam = complete_sl2(rat52, [Fraction(1), 0, 0, 0, 0]).Lam.matrix()
+    lam_op = complete_sl2(rat52, [Fraction(1), 0, 0, 0, 0]).Lam
+    lam = lam_op.matrix()
     # d(e1) = 1 + the top class has shifts -2 and +6; the pairs of degree
     # sum at most top - 6 = 2 all pass, and (e1, e1) of degree sum 4 fails
     e1, top = rat52.slice_of(2)[0], rat52.total_dim - 1
@@ -715,7 +755,9 @@ def test_derivation_check_rejects_odd_and_lowering_operators(rat52, torus2):
     for d, ring in ((odd, torus2), (lam, rat52), (mixed, rat52)):
         assert derivation_check(d, ring) is False
         assert _full_pair_derivation_check(d, ring) is False
+    assert derivation_check(lam_op, rat52) is False
     assert derivation_check(Matrix.zeros(27, 27), rat52)
+    assert derivation_check(DegreeOperator(rat52, 2, {}), rat52)
 
 
 def test_g0_derived_part_preserves_form(rat52):
@@ -786,9 +828,42 @@ def test_so4_symplectic_model(model52):
     alg, res = so4_symplectic(model52)
     assert res.ok, res.failures
     assert alg.dim == 6
-    # the Weil operator i(H_sigma - H_sigma-bar) lies in the span
+    # the Weil operator i(H_sigma - H_sigma-bar) lies in the span, dense
+    # and as the DegreeOperator [L_gamma, Lam_gamma'] of ``weil_operator``
     h_s, h_b = sigma_sl2(model52).H.matrix(), sigma_bar_sl2(model52).H.matrix()
     assert alg.contains((h_s - h_b).scale(I))
+    assert alg.contains(weil_operator(model52))
+
+
+def test_so4_symplectic_fails_on_one_triple_twice(model52, monkeypatch):
+    # the sigma triple in place of the sigma-bar one: the six operators
+    # span 3 dimensions, and [L_sigma, Lam_sigma] = H_sigma != 0
+    monkeypatch.setattr(llv, "sigma_bar_sl2", sigma_sl2)
+    alg, res = so4_symplectic(model52)
+    assert not res.ok and alg.dim == res.data["dim"] == 3
+    assert res.failures[0] == ("the six symplectic operators are linearly "
+                               "dependent")
+    assert "the sigma and sigma-bar triples do not commute" in res.failures
+
+
+def test_so41_fails_with_a_rescaled_dual(rat52, monkeypatch):
+    # 2 Lam_1 in place of Lam_1 doubles K_01 = [L_0, Lam_1] but not K_10
+    w = [[0, 0, Fraction(1), 0, 0], [Fraction(2), 0, 0, 0, 0],
+         [0, Fraction(2), 0, 0, 0]]
+    triples = []
+
+    def rescaled(ring, a):
+        tri = complete_sl2(ring, a)
+        if len(triples) == 1:
+            tri.Lam = DegreeOperator(ring, -2, {
+                k: blk.scale(2) for k, blk in tri.Lam.blocks.items()})
+        triples.append(tri)
+        return tri
+
+    monkeypatch.setattr(llv, "complete_sl2", rescaled)
+    _, res = so41_subalgebra(rat52, w)
+    assert len(triples) == 3 and not res.ok
+    assert "K01 != -K10" in res.failures
 
 
 def test_so4_symplectic_torus(torus_big):
