@@ -251,7 +251,8 @@ def cmd_llv(args) -> Report:
         return report
     duals = lefschetz.DualFamily(plain, models.spanning_hl_classes(form)[0])
     # the dense generators live only inside lie_closure
-    algebra = llv.lie_closure(llv.llv_generators(plain, duals)[0])
+    algebra = llv.lie_closure(llv.llv_generators(plain, duals)[0],
+                              plain.field)
     b2 = plain.dims[2]
     is_torus = desc.startswith("torus")
     report.add("bracket closure", "Lie algebra generated by all Hard "

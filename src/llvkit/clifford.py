@@ -1,6 +1,11 @@
 """Clifford algebra of a rational quadratic space, with the parity and
 reversal involutions, the normalized trace, induced complex structures
-from positive orthogonal pairs, and the trace polarization form."""
+from positive orthogonal pairs, and the trace polarization form.
+
+Coefficients are rationals in the normal form of ``scalars``: an int when
+integral, a Fraction only with a denominator.  Products are summed in
+integers on the structure table and divided once, through ``div``.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +16,9 @@ from math import lcm
 from .linalg import Matrix, congruence_diagonalize, inverse, symmetric_signature
 from .reporting import CheckResult
 from .rings import QuadraticForm
-from .scalars import div, rat_sqrt
+from .scalars import div, rat, rat_sqrt
 
 MAX_CLIFFORD_DIM = 10
-_ZERO = Fraction(0)
 
 
 class CliffordAlgebra:
@@ -43,25 +47,24 @@ class CliffordAlgebra:
     # -- elements -----------------------------------------------------
 
     def zero(self):
-        return CliffordElement(self, (Fraction(0),) * self.dim)
+        return CliffordElement(self, (0,) * self.dim)
 
     def one(self):
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[0] = Fraction(1)
+        coeffs = [0] * self.dim
+        coeffs[0] = 1
         return CliffordElement(self, coeffs)
 
     def generator(self, i):
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[1 << i] = Fraction(1)
+        coeffs = [0] * self.dim
+        coeffs[1 << i] = 1
         return CliffordElement(self, coeffs)
 
     def vector(self, v):
         """Degree-1 element of a vector given in the original coordinates."""
         if len(v) != self.m:
             raise ValueError(f"vector needs {self.m} coordinates")
-        coords = self.change_inv.transpose().matvec(
-            [Fraction(c) for c in v])
-        coeffs = [Fraction(0)] * self.dim
+        coords = self.change_inv.transpose().matvec([rat(c) for c in v])
+        coeffs = [0] * self.dim
         for i, c in enumerate(coords):
             coeffs[1 << i] = c
         return CliffordElement(self, coeffs)
@@ -112,9 +115,7 @@ class CliffordElement:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(c if type(c) is Fraction else Fraction(c)
-                                 for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(rat, self.coeffs)))
         if len(self.coeffs) != self.algebra.dim:
             raise ValueError("coefficient vector length mismatch")
 
@@ -134,7 +135,7 @@ class CliffordElement:
         return CliffordElement(self.algebra, tuple(-a for a in self.coeffs))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rat(c)
         return CliffordElement(self.algebra, tuple(c * a for a in self.coeffs))
 
     def _check(self, other):
@@ -166,7 +167,7 @@ def _cleared(coeffs):
 
 def cl_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     """The product x*y, summed in integers on the algebra's structure
-    table: one Fraction per nonzero output coefficient."""
+    table and divided once per nonzero output coefficient."""
     x._check(y)
     alg = x.algebra
     table, denom = alg.structure_table()
@@ -178,8 +179,9 @@ def cl_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
         for t, b in ys:
             acc[s ^ t] += a * b * row[t]
     d = dx * dy * denom
-    return CliffordElement(alg, tuple(Fraction(v, d) if v else _ZERO
-                                      for v in acc))
+    if d != 1:
+        acc = [div(v, d) if v else 0 for v in acc]
+    return CliffordElement(alg, acc)
 
 
 def conjugate(y: CliffordElement) -> CliffordElement:
@@ -193,7 +195,7 @@ def conjugate(y: CliffordElement) -> CliffordElement:
     return CliffordElement(alg, out)
 
 
-def cl_trace(x: CliffordElement) -> Fraction:
+def cl_trace(x: CliffordElement):
     """Trace of left multiplication in the regular representation,
     normalized by 2^m so that Tr(1) = 1; equals the e_0 coefficient."""
     return x.coeffs[0]
@@ -207,9 +209,9 @@ def cl_trace_gram(xs, ys) -> Matrix:
     rows = [_cleared(x.coeffs) for x in xs]
     cols = [(d, {s: b * table[s][s] for s, b in terms})
             for d, terms in (_cleared(y.coeffs) for y in ys)]
-    return Matrix([[Fraction(sum(a * col[s] for s, a in row if s in col),
-                             dx * dy * denom) for dy, col in cols]
-                   for dx, row in rows], ncols=len(ys))
+    return Matrix._of([[div(sum(a * col[s] for s, a in row if s in col),
+                            dx * dy * denom) for dy, col in cols]
+                       for dx, row in rows], len(ys))
 
 
 def complex_structure(alg: CliffordAlgebra, gamma, gamma_prime) -> CliffordElement:
@@ -219,8 +221,8 @@ def complex_structure(alg: CliffordAlgebra, gamma, gamma_prime) -> CliffordEleme
     perfect squares of rationals so the rescaling stays in the field.
     """
     form = alg.form
-    g = tuple(Fraction(c) for c in gamma)
-    gp = tuple(Fraction(c) for c in gamma_prime)
+    g = tuple(map(rat, gamma))
+    gp = tuple(map(rat, gamma_prime))
     if form.pair(g, gp) != 0:
         raise ValueError("the pair is not orthogonal")
     qg, qgp = form.evaluate(g), form.evaluate(gp)
@@ -247,8 +249,7 @@ def polarization_form(alg: CliffordAlgebra, a: CliffordElement):
     """
     a._check(alg.one())
     res = CheckResult("trace polarization form")
-    basis = [CliffordElement(alg, tuple(Fraction(1 if t == s else 0)
-                                        for t in range(alg.dim)))
+    basis = [CliffordElement(alg, tuple(int(t == s) for t in range(alg.dim)))
              for s in range(alg.dim)]
     # conj(e_S) = +-e_S: the products a e_S serve both Gram matrices
     a_basis = [cl_multiply(a, b) for b in basis]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .linalg import Matrix, Subspace, inverse, kernel, solve_sparse
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import div, rat, to_field
+from .scalars import div, rat
 
 SOLVE_CROSSCHECK_LIMIT = 30
 
@@ -498,7 +498,7 @@ def _solve_dual(ring, l_op, weights, spaces):
     sol = solve_sparse(rows, rhs, len(unknowns), exact_division=gaussian)
     if sol is None:
         return None
-    grid = [[to_field(0, ring.field)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for (gi_out, gi_in), v in zip(unknowns, sol):
         grid[gi_out][gi_in] = v
     return Matrix(grid, ncols=n)
@@ -615,7 +615,7 @@ class PrimitiveDecomposition:
     components: tuple        # pairs (j, full vector x_j)
 
     def reconstruct(self, triple: Sl2Triple, ring) -> tuple:
-        total = [to_field(0, ring.field)] * ring.total_dim
+        total = [0] * ring.total_dim
         for j, comp in self.components:
             vec = comp
             for _ in range(j):
@@ -651,7 +651,7 @@ def primitive_decomposition(ring, triple: Sl2Triple, x) -> PrimitiveDecompositio
             continue
         vec = triple.primitive[pw_weight].basis[b_i]
         src_idx = spaces[pw_weight]
-        acc = by_j.setdefault(j, [to_field(0, ring.field)] * n)
+        acc = by_j.setdefault(j, [0] * n)
         for pos, gi in enumerate(src_idx):
             acc[gi] = acc[gi] + c * vec[pos]
     comps = tuple((j, tuple(v)) for j, v in sorted(by_j.items()))

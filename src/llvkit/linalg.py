@@ -7,9 +7,10 @@ incremental and sparse, fraction-free over Z or dividing over Q and Q(i).
 vector at a time use it directly.  Subspaces are always stored with a
 reduced-row-echelon basis, so equality of subspaces is literal equality
 of their representations.  All routines are pure and work over
-Q or Q(i) (Gauss).  Every Matrix entry is in normal form: a rational is
-an int when it is integral and a Fraction only when it has a denominator,
-and a Gauss has parts of the same kind.  ``Matrix(...)`` brings outside
+Q or Q(i).  Every Matrix entry is in the normal form of ``scalars``: a
+rational is an int when it is integral and a Fraction only when it has a
+denominator, and a Gauss, whose parts are of the same kind, only for a
+non-real value.  ``Matrix(...)`` brings outside
 data to it; the products, sums, eliminations and field-mode echelon rows
 built here send each integral Fraction they make back to an int, testing
 only values whose type is Fraction, so integer data pays no extra
@@ -50,12 +51,18 @@ class Matrix:
     a Fraction only with a denominator, or a Gauss.  The matrices that
     linalg's own operations build from entries already in normal form go
     through ``_of`` instead, which stores the rows as given.
+
+    ``_cols`` caches, on the first ``matvec``, each column's nonzero
+    entries as one flat tuple (row, value, row, value, ...); the matrix
+    is immutable, so the cache never goes stale, and it takes no part in
+    equality, hashing or pickling.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_cols")
 
     def __init__(self, rows, ncols=None):
         data = tuple(tuple(_norm_entry(x) for x in row) for row in rows)
+        object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "rows", data)
         object.__setattr__(self, "nrows", len(data))
         if data:
@@ -80,6 +87,7 @@ class Matrix:
         normal form; nothing is converted or checked."""
         mat = object.__new__(Matrix)
         data = tuple(map(tuple, rows))
+        object.__setattr__(mat, "_cols", None)
         object.__setattr__(mat, "rows", data)
         object.__setattr__(mat, "nrows", len(data))
         object.__setattr__(mat, "ncols", ncols)
@@ -173,15 +181,24 @@ class Matrix:
         return self.scale(c)
 
     def matvec(self, v):
+        """self * v, walking only the nonzero entries of v."""
         if len(v) != self.ncols:
             raise DimensionError("matvec length mismatch")
-        out = []
-        for r in self.rows:
-            s = 0
-            for a, x in zip(r, v):
-                if a and x:
-                    s = s + a * x
-            out.append(s)
+        cols = self._cols
+        if cols is None:
+            flat = [[] for _ in range(self.ncols)]
+            for r, row in enumerate(self.rows):
+                for c, a in enumerate(row):
+                    if a:
+                        flat[c] += (r, a)
+            cols = tuple(map(tuple, flat))
+            object.__setattr__(self, "_cols", cols)
+        out = [0] * self.nrows
+        for col, x in zip(cols, v):
+            if x:
+                pairs = iter(col)
+                for r, a in zip(pairs, pairs):
+                    out[r] = out[r] + a * x
         return tuple(_ints(out))
 
     def transpose(self):

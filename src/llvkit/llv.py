@@ -29,8 +29,8 @@ from .linalg import (DimensionError, Matrix, SparseEchelon,
 from .models import spanning_hl_classes, verbitsky_dims
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import (FIELD_RATIONAL, Gauss, GaussInt, div, rat, rat_sqrt,
-                      to_field)
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, div,
+                      rat, rat_sqrt, to_field)
 
 # -- sparse integer matrices ------------------------------------------------
 #
@@ -305,15 +305,18 @@ class MatrixLieAlgebra:
         return True
 
 
-def lie_closure(generators) -> MatrixLieAlgebra:
-    """Smallest bracket-closed subspace containing the generators.
+def lie_closure(generators, field) -> MatrixLieAlgebra:
+    """Smallest bracket-closed subspace containing the generators, over
+    ``field`` (``FIELD_RATIONAL`` or ``FIELD_GAUSSIAN``).
 
-    One path serves Q and Q(i).  The field is decided once, from the
-    generators: Q(i) when any entry is a Gauss value.  The generators are
-    cleared of denominators into sparse matrices over Z, or over Z[i].
+    One path serves Q and Q(i).  The field is the one given, the field of
+    the ring the generators act on; it is never read off the entries,
+    which over Q(i) are rational whenever they are real.  The generators
+    are cleared of denominators into sparse matrices over Z, or over Z[i].
     One ``SparseEchelon`` span S reduces every generator and every
     bracket exactly as it arises: fraction-free over Z, in field mode
-    with Gauss values over Q(i).  Each element x accepted into S joins
+    over Q(i), where a real value is an int or a Fraction and only a
+    non-real one a Gauss.  Each element x accepted into S joins
     the queue and is bracketed with every generator in one ``_brackets``
     pass; [x, g] = -[g, x] spans the same line, and the canonical basis
     does not depend on the sign.
@@ -333,8 +336,7 @@ def lie_closure(generators) -> MatrixLieAlgebra:
     for g in gens:
         if g.shape() != (n, n):
             raise ValueError("generators must be square matrices of equal size")
-    gaussian = any(isinstance(v, Gauss) for g in gens
-                   for row in g.rows for v in row)
+    gaussian = field == FIELD_GAUSSIAN
     sparse_gens = [_gcd_normalize_rows(_to_sparse(g, gaussian)[0])
                    for g in gens]
     span = SparseEchelon(exact_division=gaussian)
@@ -600,24 +602,22 @@ def llv_generators(ring: GradedAlgebra, family=None):
 
 
 def llv_closure(ring: GradedAlgebra) -> MatrixLieAlgebra:
-    return lie_closure(llv_generators(ring)[0])
+    return lie_closure(llv_generators(ring)[0], ring.field)
 
 
 def _span_algebra(ops):
-    """The span of operators on one space (``Matrix`` or
-    ``DegreeOperator``) as a ``MatrixLieAlgebra`` on the canonical rows of
-    one ``SparseEchelon``; over Q(i) when an entry is a Gauss value, as in
-    ``lie_closure``.  Not ``certified``: the caller's relation checks are
-    what make the span bracket-closed, and so the algebra it generates."""
+    """The span of ``DegreeOperator``s on one ring as a
+    ``MatrixLieAlgebra`` on the canonical rows of one ``SparseEchelon``,
+    over the field of their ring, as in ``lie_closure``.  Not
+    ``certified``: the caller's relation checks are what make the span
+    bracket-closed, and so the algebra it generates."""
     n = ops[0].shape()[0]
     span = SparseEchelon(exact_division=True)
-    gaussian = False
     for op in ops:
-        vec = {r * n + c: x for r, c, x in op.entries()}
-        gaussian = gaussian or any(isinstance(x, Gauss) for x in vec.values())
-        span.add(vec)
+        span.add({r * n + c: x for r, c, x in op.entries()})
     rows, pivots = span.canonical()
-    return MatrixLieAlgebra(n, pivots, rows, gaussian)
+    return MatrixLieAlgebra(n, pivots, rows,
+                            ops[0].ring.field == FIELD_GAUSSIAN)
 
 
 def _cells(op, c=1):

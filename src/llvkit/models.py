@@ -612,7 +612,7 @@ def _bigraded_companion(form, n, red, u1, u2):
     # sigma, sigma-bar and the t_i as linear dict-polys in the e_i
     uvars = [[Gauss(a, b) for a, b in zip(u1, u2)],
              [Gauss(a, -b) for a, b in zip(u1, u2)]]
-    uvars += [[Gauss(x) for x in row] for row in t_space.basis]
+    uvars += t_space.basis
     uvars = [{tuple(int(k == i) for k in range(m)): c
               for i, c in enumerate(vec) if c} for vec in uvars]
     to_rat = [None] * (4 * n + 1)
@@ -623,7 +623,7 @@ def _bigraded_companion(form, n, red, u1, u2):
             # expand the u-monomial into e-coordinates of the quotient
             poly = _poly_product([uvars[var] for var, e in enumerate(exps)
                                   for _ in range(e)], m)
-            coords = [Gauss(0)] * len(reps)
+            coords = [0] * len(reps)
             for mono, c in poly.items():
                 for t, cc in red[d][mono]:
                     coords[t] = coords[t] + c * cc

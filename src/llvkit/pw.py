@@ -203,8 +203,8 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
         for t in range(ring.dims[k]):
             p, _q = ring.bidegrees[lo + t]
             if p <= cutoff:
-                row = [Gauss(0)] * ring.dims[k]
-                row[t] = Gauss(1)
+                row = [0] * ring.dims[k]
+                row[t] = 1
                 rows.append(row)
         return Subspace.from_rows(ring.dims[k], rows)
 
@@ -336,7 +336,7 @@ def nilpotent_orbit_check(nmat: Matrix, x, form) -> bool:
     v = nmat.matvec(tuple(x))
     vbar = tuple(conj(c) for c in v)
     val = form.pair(v, vbar)
-    if isinstance(val, Gauss) and val.im != 0:
+    if isinstance(val, Gauss):
         raise RuntimeError("q(Nx, conj Nx) is not real: conjugation misuse")
     return as_fraction(val) > 0
 

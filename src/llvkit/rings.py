@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass
 
 from .linalg import Matrix
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss,
-                      format_scalar, parse_scalar, to_field)
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, format_scalar,
+                      parse_scalar, to_field)
 
 
 class RingFormatError(ValueError):
@@ -243,11 +243,10 @@ class GradedAlgebra:
                     for check, where, d in (("unit", "degree 0", self.dims[0]),
                                             ("top", "top degree",
                                              self.dims[self.top])) if d != 1]
-        one = to_field(1, self.field)
         return [ValidationIssue("unit", f"1*{self.label_of(gi)} != "
                                 f"{self.label_of(gi)}")
                 for gi in range(self.total_dim)
-                if dict(self.mul_basis(0, gi)) != {gi: one}]
+                if dict(self.mul_basis(0, gi)) != {gi: 1}]
 
     def _commutativity_issues(self):
         odd, get = [k % 2 for k in self._degree_of], self.products.get
@@ -429,8 +428,8 @@ class BigradedAlgebra(GradedAlgebra):
             lo = self.offsets[k]
             for r, row in enumerate(t.rows):
                 for j, x in enumerate(row):
-                    if x:      # a real entry as a rational: cheaper products
-                        image[lo + j][lo + r] = x.real if not x.imag else x
+                    if x:
+                        image[lo + j][lo + r] = x
             for j in range(d):          # column j of T * S
                 col = {}
                 for i, row in enumerate(s.rows):
@@ -447,7 +446,6 @@ class BigradedAlgebra(GradedAlgebra):
                     break
                 left, right = {}, {}
                 for gk, c in get((gi, gj), ()):
-                    c = c.real if not c.imag else c
                     for r, x in image[gk].items():
                         left[r] = left.get(r, 0) + c * x
                 for a, x in image[gi].items():
@@ -469,7 +467,7 @@ class BigradedAlgebra(GradedAlgebra):
 
     def from_rational(self, x):
         self._need_companion()
-        out = [to_field(0, self.field)] * self.total_dim
+        out = [0] * self.total_dim
         for k in range(self.top + 1):
             lo, _ = self.rational_model.slice_of(k)
             comp = tuple(x[lo:lo + self.rational_model.dims[k]])
@@ -491,15 +489,15 @@ def _nonzero(vec):
 
 
 def gaussian_extension(ring: GradedAlgebra):
-    """The same ring with scalars extended from Q to Q(i)."""
+    """The same ring with scalars extended from Q to Q(i).  Its rational
+    structure constants are already in the normal form of Q(i), so only
+    the field changes."""
     if ring.field == FIELD_GAUSSIAN:
         return ring
-    products = {p: [(gk, Gauss(c)) for gk, c in e] for p, e in ring.products.items()}
-    integ = [Gauss(c) for c in ring.integration]
     extra = (ring.bidegrees,) if isinstance(ring, BigradedAlgebra) else ()
-    out = type(ring)(FIELD_GAUSSIAN, ring.dims, ring.labels, products, integ,
-                     *extra, quadratic_form=ring.quadratic_form,
-                     name=ring.name)
+    out = type(ring)(FIELD_GAUSSIAN, ring.dims, ring.labels, ring.products,
+                     ring.integration, *extra,
+                     quadratic_form=ring.quadratic_form, name=ring.name)
     # the axioms are identities among the same rational constants, and the
     # pairing's rank is the same over Q(i)
     out.validation = ring.validation
@@ -543,9 +541,21 @@ def save_ring(ring: GradedAlgebra, path):
         fh.write("\n")
 
 
+_REQUIRED_KEYS = ("top_degree", "dims", "basis", "products", "integration")
+_RING_KEYS = _REQUIRED_KEYS + ("field", "quadratic_form", "bigrading")
+_PRODUCT_KEYS = ("i", "j", "k", "coeff")
+
+
 def ring_from_dict(data: dict, validate=True):
+    """The ring of a description.  An unknown key, at the top or in a
+    product record, and a repeated (i, j, k) product record are format
+    errors: a misspelt optional key would drop what it names, and a
+    repeated record would be summed by ``multiply`` but read once by the
+    validation's ``dict``."""
     _expect(isinstance(data, dict), "ring description must be an object", "$")
-    for key in ("top_degree", "dims", "basis", "products", "integration"):
+    for key in data:
+        _expect(key in _RING_KEYS, f"unknown key {key!r}", f"$.{key}")
+    for key in _REQUIRED_KEYS:
         _expect(key in data, f"missing required field {key!r}", "$")
     top = data["top_degree"]
     _expect(type(top) is int and top >= 0, "top_degree must be a nonnegative integer",
@@ -568,16 +578,23 @@ def ring_from_dict(data: dict, validate=True):
                 f"for dimension {d}", f"$.basis[{k}]")
     total = sum(dims)
     products = {}
+    first_record = {}               # (i, j, k) -> index of its record
     _expect(isinstance(data["products"], list), "products must be a list", "$.products")
     for idx, rec in enumerate(data["products"]):
         loc = f"$.products[{idx}]"
         _expect(isinstance(rec, dict), "product record must be an object", loc)
-        for key in ("i", "j", "k", "coeff"):
+        for key in rec:
+            _expect(key in _PRODUCT_KEYS,
+                    f"unknown key {key!r} in product record", loc)
+        for key in _PRODUCT_KEYS:
             _expect(key in rec, f"product record missing {key!r}", loc)
         gi, gj, gk = rec["i"], rec["j"], rec["k"]
         for nm, g in (("i", gi), ("j", gj), ("k", gk)):
             _expect(type(g) is int and 0 <= g < total,  # true is an int to isinstance
                     f"index {nm} must be an integer in 0..{total - 1}, got {g!r}", loc)
+        first = first_record.setdefault((gi, gj, gk), idx)
+        _expect(first == idx, f"repeated product record ({gi}, {gj}, {gk}), "
+                f"first at $.products[{first}]", loc)
         _expect(isinstance(rec["coeff"], str),
                 "coeff must be an exact coefficient string (no floats)", loc)
         try:

@@ -1,15 +1,21 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
 Every computation in this package runs over Q or Q(i) -- no floats.
-A rational is an ``int`` when it is integral and a ``fractions.Fraction``
-only when it has a denominator: integral values are created as ints, and
-``rat`` and ``div`` return ints whenever they can.  Python's own Fraction
-arithmetic can leave an integral Fraction (``Fraction(1, 2) * 2``), which
-equals and hashes like the int; ``rat`` sends it back, and every
+Every scalar is kept in one normal form.  A rational is an ``int`` when
+it is integral and a ``fractions.Fraction`` only when it has a
+denominator: integral values are created as ints, and ``rat`` and
+``div`` return ints whenever they can.  Python's own Fraction arithmetic
+can leave an integral Fraction (``Fraction(1, 2) * 2``), which equals
+and hashes like the int; ``rat`` sends it back, and every
 ``linalg.Matrix`` entry and every Gauss part is kept in this normal form.
-Gaussian rationals are a small immutable pair type whose two parts follow
-the same rule.  Every true division goes through ``div`` (or ``Gauss``'s
-own methods), so ``int / int`` never makes a float.
+A Gaussian rational is a small immutable pair type with a nonzero
+imaginary part: a value of Q(i) with imaginary part 0 is its rational
+real part, so ``Gauss(re, 0)``, Gauss arithmetic and
+``to_field(x, FIELD_GAUSSIAN)`` return an int or a Fraction whenever the
+value is real.  So the rational constants of a ring over Q(i) run on
+native ints, and Gauss remains only for genuinely complex values.  Every
+true division goes through ``div`` (or ``Gauss``'s own methods), so
+``int / int`` never makes a float.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ def div(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     if ta is Gauss or tb is Gauss:
-        return (a if ta is Gauss else Gauss(a)) / b
+        return a / b
     if ta is not Fraction:
         a = Fraction(a)
     q = a / (b if tb is int or tb is Fraction else Fraction(b))
@@ -46,13 +52,13 @@ def div(a, b):
 
 
 class Gauss:
-    """A Gaussian rational a + b*i; each part an int or a Fraction."""
+    """A Gaussian rational a + b*i, b nonzero; each part an int or a
+    Fraction.  ``Gauss(a)`` and ``Gauss(a, 0)`` return the rational a."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", rat(re))
-        object.__setattr__(self, "im", rat(im))
+    def __new__(cls, re=0, im=0):
+        return _gauss(rat(re), rat(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Gauss values are immutable")
@@ -63,7 +69,8 @@ class Gauss:
     # -- arithmetic -------------------------------------------------
     #
     # Results are built by _gauss from parts that are already exact,
-    # skipping the coercion of the public constructor.
+    # skipping the coercion of the public constructor; a real result comes
+    # back as its rational real part.
 
     def __add__(self, other):
         if isinstance(other, Gauss):
@@ -113,14 +120,16 @@ class Gauss:
                       div(self.im * other.re - self.re * other.im, n))
 
     def __rtruediv__(self, other):
+        # other / self = other * conj(self) / |self|^2
         if isinstance(other, (int, Fraction)):
-            return Gauss(other) / self
+            n = self.re * self.re + self.im * self.im
+            return _gauss(div(other * self.re, n), div(-other * self.im, n))
         return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Gauss(1)
+        out = 1
         base = self
         while k:
             if k & 1:
@@ -142,19 +151,15 @@ class Gauss:
     def imag(self):
         return self.im
 
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
+    # a Gauss is never zero and never equals a rational: its imaginary
+    # part is nonzero
 
     def __eq__(self, other):
         if isinstance(other, Gauss):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -168,11 +173,14 @@ _set_re = Gauss.re.__set__
 _set_im = Gauss.im.__set__
 
 
-def _gauss(re, im) -> Gauss:
-    """Gauss from two exact parts (int or Fraction); an integral Fraction
-    part becomes an int, nothing else is coerced."""
+def _gauss(re, im):
+    """re + im*i from two exact parts (int or Fraction): the rational re
+    when im is 0, else a Gauss.  An integral Fraction part becomes an int,
+    nothing else is coerced."""
     if type(re) is Fraction and re.denominator == 1:
         re = re.numerator
+    if not im:
+        return re
     if type(im) is Fraction and im.denominator == 1:
         im = im.numerator
     g = object.__new__(Gauss)
@@ -238,17 +246,18 @@ def conj(x):
 def as_fraction(x) -> Fraction:
     """Demand a real value and return it as a Fraction."""
     if isinstance(x, Gauss):
-        if x.im != 0:
-            raise ValueError(f"expected a real scalar, got {x}")
-        x = x.re
+        raise ValueError(f"expected a real scalar, got {x}")
     return Fraction(x)
 
 
 def to_field(x, field: str):
-    """Coerce a scalar into the given field (a rational as int or Fraction)."""
-    if field == FIELD_GAUSSIAN:
-        return x if isinstance(x, Gauss) else Gauss(x)
-    return rat(as_fraction(x) if isinstance(x, Gauss) else x)
+    """Coerce a scalar into the given field, in normal form: a Gauss only
+    for a non-real value of Q(i), a rational as int or Fraction."""
+    if isinstance(x, Gauss):
+        if field != FIELD_GAUSSIAN:
+            raise ValueError(f"expected a real scalar, got {x}")
+        return x
+    return rat(x)
 
 
 def rat_sqrt(x: Fraction):
@@ -315,8 +324,6 @@ def parse_scalar(text: str, field: str = FIELD_RATIONAL):
 def format_scalar(x) -> str:
     """Canonical exact string form, inverse to parse_scalar."""
     if isinstance(x, Gauss):
-        if x.im == 0:
-            return str(x.re)
         im = x.im
         sign = "+" if im > 0 else "-"
         mag = -im if im < 0 else im

@@ -102,8 +102,8 @@ def companion_oracle(rational, form, n, u1, u2):
             acc = Gauss(0)
             for x, y in zip(uvars[a], images[b]):
                 acc = acc + x * y
-            assert acc.im == 0, "the adapted Gram matrix has a non-real entry"
-            row.append(Fraction(acc.re))
+            assert acc.imag == 0, "the adapted Gram matrix has a non-real entry"
+            row.append(Fraction(acc.real))
         gram.append(row)
     return {"products": products, "integration": integration,
             "labels": tuple(labels), "bidegrees": tuple(bidegrees),

@@ -12,12 +12,19 @@ from llvkit.linalg import Subspace
 from llvkit.scalars import Gauss
 
 
+def _lift(x):
+    """x as a Fraction, or as itself when it is a non-real Gauss value:
+    the operands of a plain ``/`` are never two ints."""
+    return x if isinstance(x, Gauss) else Fraction(x)
+
+
 def full_row_rref(rows):
     """Dense Gauss-Jordan elimination over Fractions and Gauss values:
     every entry of the pivot row is divided, and every other row is
-    updated across its whole length.  Returns (rows, pivot columns)."""
-    work = [[x if isinstance(x, (Gauss, Fraction)) else Fraction(x)
-             for x in r] for r in rows if any(r)]
+    updated across its whole length.  Every result is lifted again, as
+    Gauss arithmetic returns a real value as an int or a Fraction.
+    Returns (rows, pivot columns)."""
+    work = [[_lift(x) for x in r] for r in rows if any(r)]
     if not work:
         return [], []
     pivots = []
@@ -29,11 +36,11 @@ def full_row_rref(rows):
         work[r], work[piv] = work[piv], work[r]
         inv = work[r][c]
         if inv != 1:
-            work[r] = [a / inv for a in work[r]]
+            work[r] = [_lift(a / inv) for a in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = [_lift(a - f * b) for a, b in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == len(work):

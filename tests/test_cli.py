@@ -15,7 +15,7 @@ from llvkit import lefschetz, llv, models
 from llvkit.cli import FIXTURE_BOUNDS, main
 from llvkit.rings import (BigradedAlgebra, GradedAlgebra, ring_to_dict,
                           save_ring)
-from test_rings import BOOLEAN_EDITS
+from test_rings import BOOLEAN_EDITS, UNKNOWN_KEY_EDITS
 
 
 def run(args, capsys):
@@ -52,6 +52,21 @@ def test_parse_error_exits_two(tmp_path, capsys):
     path.write_text("{oops")
     rc, _ = run(["validate", "--input", str(path)], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("edit", ["repeated record", *sorted(UNKNOWN_KEY_EDITS)])
+def test_ring_file_format_errors_exit_two(tmp_path, capsys, model52, edit):
+    data = ring_to_dict(model52)
+    if edit == "repeated record":
+        data["products"].append(dict(data["products"][0]))
+    else:
+        UNKNOWN_KEY_EDITS[edit](data)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    rc = main(["llv", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("parse error: $.")
 
 
 def _unreadable_input(tmp_path, kind):
@@ -535,6 +550,14 @@ GOLDEN_REPORTS = {
     # the (5,2) ring saved to RING52: a ring over Q(i), closed over Q(i)
     ("llv", "--input", RING52):
         "3c0dadb68de12f4bd793e4b35c81b43d292a646821cabc0079ddad5711f67ca7",
+    ("hl", "--input", RING52):
+        "95be6c94585f4341b825b2c35cfa06be1d0f57c0b004dfab65121dd340e621a1",
+    ("pw", "--input", RING52):
+        "11af4bad6c440d18290aa5f12b5b2f406b045028a7c2d75cd716b68fe699bf3a",
+    ("verbitsky", "--input", RING52):
+        "c3fe14186ca15ea9bb5ee37107f7ca92e311aa0434091d881f9bbfad79955bcd",
+    ("hl", "--fixture", "torus", "--g", "2", "--field", "gaussian"):
+        "015c8a60d4cd460fe4e5bdb3bf1fd7ac285c8fca5b998f16687aa18fde453651",
 }
 
 

@@ -251,7 +251,10 @@ def test_multiply_matches_bitcount_reference(pair):
     x, y = pair
     product = cl_multiply(x, y)
     assert product.coeffs == reference_product(x, y)
-    assert all(type(c) is Fraction for c in product.coeffs)
+    # the normal form: an int when integral, a Fraction only with a
+    # denominator
+    assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in product.coeffs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -487,8 +487,8 @@ def test_llv_generators_keep_a_fallback_dual(rat52, monkeypatch):
     assert refused and family.fallbacks == 1
     full = _full_completion_generators(rat52)
     assert gens == [full[1], full[0], full[2], full[3]] + full[4::2]
-    want = lie_closure(llv_generators(rat52)[0])
-    got = lie_closure(gens)
+    want = lie_closure(llv_generators(rat52)[0], rat52.field)
+    got = lie_closure(gens, rat52.field)
     assert (got.pivots, got._rows) == (want.pivots, want._rows)
 
 

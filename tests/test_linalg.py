@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
                            congruence_diagonalize, integer_eigenspaces,
                            inverse, kernel, rref, symmetric_signature)
-from llvkit.scalars import Gauss, I, as_fraction
+from llvkit.scalars import Gauss, I, as_fraction, div
 from dense_ad import dense_ad
 from subspace_ops import (full_row_rref, image, reference_subspace,
                           subspace_intersect, subspace_sum)
@@ -426,6 +426,17 @@ def test_sparse_product_matches_triple_loop(factors):
             assert _exact(x)
 
 
+def test_matvec_column_cache_stays_out_of_equality_and_pickling():
+    m = Matrix([[0, 2, 0], [Fraction(1, 3), 0, I]])
+    twin = Matrix(m.rows)
+    assert m.matvec((1, 0, 0)) == (0, Fraction(1, 3))
+    assert m.matvec((0, 1, 1)) == (2, I)
+    assert m._cols is not None and twin._cols is None
+    assert m == twin and hash(m) == hash(twin)
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert copied == m and copied._cols is None
+
+
 @pytest.mark.parametrize("value", [
     Gauss(Fraction(1, 2), -3),
     Matrix([[Gauss(1, 2), 0], [Fraction(1, 3), I]]),
@@ -474,9 +485,10 @@ def test_matrix_operations_return_normalized_entries():
 
 def _normal(x):
     """The normal form of a Matrix entry: an int when integral, a Fraction
-    only with a denominator, a Gauss whose parts are both of that kind."""
+    only with a denominator, a Gauss only with a nonzero imaginary part
+    and with parts both of that kind."""
     if type(x) is Gauss:
-        return _normal(x.re) and _normal(x.im)
+        return _normal(x.re) and _normal(x.im) and x.im != 0
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
@@ -527,10 +539,12 @@ def test_matrix_entries_stay_in_normal_form(operands):
               for col in zip(*c_rows)) for row in a_rows)
     assert a.scale(scalar).rows == tuple(
         tuple(scalar * x for x in row) for row in a_rows)
-    prod = a.matvec(vec)
-    assert all(_normal(x) for x in prod)
-    assert prod == tuple(sum((x * y for x, y in zip(row, vec)), 0)
-                         for row in a_rows)
+    # the second product reads the column cache the first one built
+    for v in (vec, vec[::-1]):
+        prod = a.matvec(v)
+        assert all(_normal(x) for x in prod)
+        assert prod == tuple(sum((x * y for x, y in zip(row, v)), 0)
+                             for row in a_rows)
     for sub in (Subspace.from_rows(len(vec), a_rows + b_rows),
                 Subspace.from_rows(len(vec), sq_rows)):
         assert all(_normal(x) for v in sub.basis for x in v)
@@ -545,14 +559,19 @@ def test_matrix_entries_stay_in_normal_form(operands):
 @settings(max_examples=200, deadline=None)
 @given(*[_RATIONAL_ENTRIES] * 5)
 def test_gauss_arithmetic_stays_in_normal_form(a, b, c, d, y):
+    # Gauss(a, 0) is the rational a; an operation on rationals alone is
+    # Python's own arithmetic, which the package brings back with rat
     gx, gy = Gauss(a, b), Gauss(c, d)
-    values = [gx, gx + gy, gx - gy, gx * gy, gx + y, y + gx, gx - y, y - gx,
-              gx * y, y * gx, -gx, gx.conjugate(), gx * gx.conjugate(),
-              gx ** 2]
-    if gy:
-        values.append(gx / gy)
-    if y:
-        values.append(gx / y)
+    values = [gx, gy]
+    if isinstance(gx, Gauss):
+        values += [gx + y, y + gx, gx - y, y - gx, gx * y, y * gx, -gx,
+                   gx.conjugate(), gx * gx.conjugate(), gx ** 2]
+        if y:
+            values += [gx / y, div(gx, y)]
+    if isinstance(gx, Gauss) or isinstance(gy, Gauss):
+        values += [gx + gy, gx - gy, gx * gy]
+        if gy:
+            values += [gx / gy, div(gx, gy)]
     assert all(_normal(g) for g in values)
     assert gx * gy == Gauss(a * c - b * d, a * d + b * c)
 

@@ -18,7 +18,7 @@ from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         so_identify, verbitsky_component, weil_operator)
 from llvkit.models import nonisotropic_stream, spanning_hl_classes
 from llvkit.rings import load_ring, save_ring
-from llvkit.scalars import Gauss, GaussInt, I
+from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, I
 from dense_ad import dense_ad
 
 
@@ -131,14 +131,15 @@ def test_reduced_generators_close_to_the_full_algebra(closure_rings, name):
     gens, classes = llv_generators(ring)
     full = _all_llv_generators(ring)
     assert len(gens) == len(classes) + 1 and len(full) == 2 * len(classes)
-    want, got = lie_closure(full), lie_closure(gens)
+    want = lie_closure(full, ring.field)
+    got = lie_closure(gens, ring.field)
     assert got.gaussian == (name == "file52")
     assert (got.pivots, got._rows) == (want.pivots, want._rows)
 
 
 def test_single_sl2_closure(k3):
     gens = sl2_triple_generators(k3, [Fraction(1)] + [Fraction(0)] * 21)
-    alg = lie_closure(gens)
+    alg = lie_closure(gens, k3.field)
     assert alg.dim == 3
     assert alg.verify_closure()
 
@@ -221,28 +222,32 @@ def test_gaussian_closure_matches_dense_reference(model52):
     six = [t.L.matrix() for t in (tri_s, tri_b)] + [
         t.Lam.matrix() for t in (tri_s, tri_b)] + [
         t.H.matrix() for t in (tri_s, tri_b)]
-    alg = lie_closure(six)
+    alg = lie_closure(six, model52.field)
     assert alg.gaussian and alg.dim == 6
     assert (alg.pivots, alg._rows) == _reference_closure(six)
 
 
 @pytest.mark.parametrize("name", ["rat52", "torus2", "file52"])
 def test_closure_matches_dense_reference(closure_rings, name):
-    gens = llv_generators(closure_rings[name])[0]
-    alg = lie_closure(gens)
+    ring = closure_rings[name]
+    gens = llv_generators(ring)[0]
+    alg = lie_closure(gens, ring.field)
     assert alg.gaussian == (name == "file52")
     assert (alg.pivots, alg._rows) == _reference_closure(gens)
 
 
 @st.composite
 def _closure_case(draw):
-    """One to three small square matrices over Z or Z[i]; some are
-    combinations of earlier ones, so dependent generators occur."""
+    """(generators, field): one to three small square matrices over Z or
+    Z[i]; some are combinations of earlier ones, so dependent generators
+    occur."""
     n = draw(st.sampled_from([2, 3]))
     small = st.integers(-2, 2)
     if draw(st.booleans()):
+        field = FIELD_GAUSSIAN
         entry = st.tuples(small, small).map(lambda t: Gauss(*t))
     else:
+        field = FIELD_RATIONAL
         entry = small
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     gens = []
@@ -253,7 +258,7 @@ def _closure_case(draw):
         else:
             gens.append(_cells(n, draw(st.dictionaries(cell, entry,
                                                        max_size=4))))
-    return gens
+    return gens, field
 
 
 # [h, E12] = -i E12 for h = diag(1, 1 + i), itself a canonical basis
@@ -263,7 +268,7 @@ _NON_REAL_GENERATORS = [_cells(2, {(0, 0): 1, (1, 1): Gauss(1, 1)}),
 
 
 def test_non_real_example_has_a_non_real_structure_constant():
-    alg = lie_closure(_NON_REAL_GENERATORS)
+    alg = lie_closure(_NON_REAL_GENERATORS, FIELD_GAUSSIAN)
     den, table = alg.structure_constants()
     assert alg.gaussian and alg.pivots == [0, 1] and den == 1
     assert {k: (e.real, e.imag) for k, e in table[0][1].items()} == {
@@ -272,9 +277,10 @@ def test_non_real_example_has_a_non_real_structure_constant():
 
 @settings(max_examples=150, deadline=None)
 @given(_closure_case())
-@example(_NON_REAL_GENERATORS)
-def test_closure_matches_dense_reference_on_random_generators(gens):
-    alg = lie_closure(gens)
+@example((_NON_REAL_GENERATORS, FIELD_GAUSSIAN))
+def test_closure_matches_dense_reference_on_random_generators(case):
+    gens, field = case
+    alg = lie_closure(gens, field)
     assert (alg.pivots, alg._rows) == _reference_closure(gens)
     assert alg.certified and alg.verify_closure()
     assert all(alg.contains(g) for g in gens)
@@ -282,13 +288,14 @@ def test_closure_matches_dense_reference_on_random_generators(gens):
 
 def test_gaussian_closure_of_non_real_generators():
     # i E12 and i E21 bracket to -(E11 - E22): sl2 over Q(i)
-    alg = lie_closure([_unit(2, 0, 1).scale(I), _unit(2, 1, 0).scale(I)])
+    alg = lie_closure([_unit(2, 0, 1).scale(I), _unit(2, 1, 0).scale(I)],
+                      FIELD_GAUSSIAN)
     assert alg.gaussian and alg.dim == 3
     assert alg.contains(_unit(2, 0, 0) - _unit(2, 1, 1))
     # E12 + i E13 spans an abelian line whose conjugate E12 - i E13 is
     # not in it: the closure is taken over Q(i), not by Galois descent
     x = _unit(3, 0, 1) + _unit(3, 0, 2).scale(I)
-    alg = lie_closure([x])
+    alg = lie_closure([x], FIELD_GAUSSIAN)
     assert alg.dim == 1
     assert not alg.contains(x.conjugate())
     assert alg.contains(x.scale(Gauss(2, -3)))
@@ -298,7 +305,7 @@ def test_mixed_generators_close_without_floats(model52):
     tri_s = sigma_sl2(model52)
     gens = [tri_s.L.matrix(), tri_s.Lam.matrix(), tri_s.H.matrix()]
     assert all(type(v) in (int, Fraction) for row in gens[2].rows for v in row)
-    alg = lie_closure(gens)
+    alg = lie_closure(gens, model52.field)
     assert alg.gaussian and alg.dim == 3 and alg.verify_closure()
     den, mats = alg._integer_form()
     values = [v for row in alg._rows for v in row.values()]
@@ -334,7 +341,7 @@ def test_structure_constants_match_dense_brackets(rat52):
 
 
 def test_gaussian_structure_constants_match_dense_brackets(file52_gens):
-    alg = lie_closure(file52_gens)
+    alg = lie_closure(file52_gens, FIELD_GAUSSIAN)
     assert alg.gaussian
     _assert_structure_constants_match_dense_brackets(alg)
 
@@ -369,7 +376,7 @@ _SL3_GENERATORS = [_cells(3, {(0, 1): 1, (1, 2): 1}),
 
 
 def test_killing_oracle_example_shares_entry_positions():
-    alg = lie_closure(_SL3_GENERATORS)
+    alg = lie_closure(_SL3_GENERATORS, FIELD_RATIONAL)
     ads = [dense_ad(alg, b) for b in alg.basis]
     shared = [(k, l) for k in range(alg.dim) for l in range(alg.dim)
               if sum(1 for a in ads if a[k, l]) > 1]
@@ -385,7 +392,7 @@ def test_killing_oracle_example_shares_entry_positions():
 def test_streamed_killing_data_match_dense_oracle(gens):
     # the Gram and derived rank that so_identify reads from one bracket
     # walk, against dense traces of ad and the rank of every bracket
-    alg = lie_closure(gens)
+    alg = lie_closure(gens, FIELD_RATIONAL)
     den = alg._integer_form()[0]
     gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
     ads = [dense_ad(alg, b) for b in alg.basis]
@@ -424,7 +431,7 @@ def test_certified_walk_matches_tested_walk(k3_closure, rat52):
     # the pivot reading of a certified closure against the exact test of
     # the same basis: equal rows, Gram, derived rank and report
     for alg, b2 in ((k3_closure, 22), (llv_closure(rat52), 5),
-                    (lie_closure(_SL3_GENERATORS), 3)):
+                    (lie_closure(_SL3_GENERATORS, FIELD_RATIONAL), 3)):
         tested = MatrixLieAlgebra(alg.ambient, alg.pivots, alg._rows)
         assert alg.certified and not tested.certified
         assert (list(alg.bracket_rows(retest=False))
@@ -437,7 +444,8 @@ def test_certified_walk_matches_tested_walk(k3_closure, rat52):
 def test_so_identify_perfect_not_semisimple():
     # sl2 acting on Q^2 as the 3x3 matrices [[A, v], [0, 0]]: the
     # algebra is perfect and Q^2 is a radical of its Killing form
-    alg = lie_closure([_unit(3, 0, 1), _unit(3, 1, 0), _unit(3, 0, 2)])
+    alg = lie_closure([_unit(3, 0, 1), _unit(3, 1, 0), _unit(3, 0, 2)],
+                      FIELD_RATIONAL)
     assert alg.dim == 5
     with pytest.raises(NotSemisimpleError):
         so_identify(alg, 3)
@@ -445,7 +453,7 @@ def test_so_identify_perfect_not_semisimple():
 
 def test_closure_idempotent(rat52):
     alg = llv_closure(rat52)
-    again = lie_closure(alg.basis)
+    again = lie_closure(alg.basis, rat52.field)
     assert again.dim == alg.dim
 
 
@@ -473,7 +481,7 @@ def _assert_eigenvectors(alg, h, spaces):
 
 def test_ad_grading_single_sl2(k3):
     a = [Fraction(1)] + [Fraction(0)] * 21
-    alg = lie_closure(sl2_triple_generators(k3, a))
+    alg = lie_closure(sl2_triple_generators(k3, a), k3.field)
     h_op = weight_operator(k3, classical_weights(k3))
     h = h_op.matrix()
     g2, g0, gm2 = ad_grading(alg, h)
@@ -503,7 +511,7 @@ def test_ad_grading_k3(k3, k3_closure):
 
 def test_ad_grading_torus(torus2):
     gens, _ = llv_generators(torus2)
-    alg = lie_closure(gens)
+    alg = lie_closure(gens, torus2.field)
     h_op = weight_operator(torus2, classical_weights(torus2))
     h = h_op.matrix()
     g2, g0, gm2 = ad_grading(alg, h)
@@ -526,7 +534,8 @@ def _eager_basis(alg):
 
 def test_lazy_basis_equals_eager_basis(k3_closure, rat52, torus2):
     gens, _ = llv_generators(torus2)
-    for alg in (k3_closure, llv_closure(rat52), lie_closure(gens)):
+    for alg in (k3_closure, llv_closure(rat52),
+                lie_closure(gens, torus2.field)):
         assert alg._basis is None or alg is k3_closure
         basis = alg.basis
         assert basis == _eager_basis(alg) and alg.basis is basis
@@ -540,7 +549,7 @@ def test_lazy_basis_equals_eager_basis(k3_closure, rat52, torus2):
 
 def test_ad_grading_rejects_bad_weights(k3):
     alg = lie_closure(sl2_triple_generators(
-        k3, [Fraction(1)] + [Fraction(0)] * 21))
+        k3, [Fraction(1)] + [Fraction(0)] * 21), k3.field)
     bad = Matrix([[Fraction(1 if i == j and i == 0 else 0) for j in range(24)]
                   for i in range(24)])
     bad_op = weight_operator(k3, [1] + [0] * 23)
@@ -551,7 +560,8 @@ def test_ad_grading_rejects_bad_weights(k3):
 
 
 def _sl2_closure():
-    return lie_closure([Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])])
+    return lie_closure([Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])],
+                       FIELD_RATIONAL)
 
 
 def test_contains_rejects_a_wrong_shape():
@@ -795,7 +805,7 @@ def test_so_identify_k3(k3_closure):
 
 def test_so_identify_single_sl2_fails(k3):
     alg = lie_closure(sl2_triple_generators(
-        k3, [Fraction(1)] + [Fraction(0)] * 21))
+        k3, [Fraction(1)] + [Fraction(0)] * 21), k3.field)
     rep = so_identify(alg, 22)
     assert not rep.verdict
     assert rep.dim == 3 and rep.expected_dim == 276
@@ -827,7 +837,8 @@ def test_so41_rejects_inadmissible_norms(rat52):
 def test_so4_symplectic_model(model52):
     alg, res = so4_symplectic(model52)
     assert res.ok, res.failures
-    assert alg.dim == 6
+    # over the field of the ring, although the six operators are real
+    assert alg.dim == 6 and alg.gaussian
     # the Weil operator i(H_sigma - H_sigma-bar) lies in the span, dense
     # and as the DegreeOperator [L_gamma, Lam_gamma'] of ``weil_operator``
     h_s, h_b = sigma_sl2(model52).H.matrix(), sigma_bar_sl2(model52).H.matrix()

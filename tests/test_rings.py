@@ -1,11 +1,12 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from llvkit.rings import (QuadraticForm, RingFormatError,
-                          RingValidationError, load_ring, ring_from_dict,
-                          ring_to_dict, save_ring)
+                          RingValidationError, gaussian_extension, load_ring,
+                          ring_from_dict, ring_to_dict, save_ring)
 from llvkit.scalars import FIELD_RATIONAL, Gauss, format_scalar, parse_scalar
 
 
@@ -92,6 +93,32 @@ def test_save_load_roundtrip(tmp_path, k3, model52):
         assert loaded.structure_equal(ring)
 
 
+# sha256 of the saved files, computed before the normal form of Q(i)
+# turned the rational constants of these rings from Gauss values into ints
+# and Fractions: the files are unchanged
+SAVED_RING_DIGESTS = {
+    "model52": "6c070e744cb668c67bc3c6b2b223ae6f652eecc295d6004113aac15dc5908011",
+    "torus_big": "bc877f254863eb88ed937305cf721c903746a82b47a74208b5d227e655aac77c",
+    "gaussian torus2":
+        "863e70f841851160dc96a2ed85bec3a778d4b0bbe0df6c951c459b497d7c92ec",
+    "k3big": "8b7c04ccf17246293e215e38d4223ff369d133664dc881c7db90c93c953448fb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_RING_DIGESTS))
+def test_gaussian_rings_round_trip(tmp_path, request, name):
+    ring = (gaussian_extension(request.getfixturevalue("torus2"))
+            if name == "gaussian torus2" else request.getfixturevalue(name))
+    path = tmp_path / "ring.json"
+    save_ring(ring, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        SAVED_RING_DIGESTS[name]
+    loaded = load_ring(path)
+    assert loaded.structure_equal(ring)
+    save_ring(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 def test_load_rejects_missing_symmetry_partner(tmp_path, k3):
     data = ring_to_dict(k3)
     # one-sided record: c(1,2,top) present without its (2,1) partner
@@ -133,6 +160,43 @@ def test_load_rejects_json_booleans_as_integers(tmp_path, model52, field):
     path.write_text(json.dumps(data))
     with pytest.raises(RingFormatError, match=f"{field}( entries)? must be"):
         load_ring(path)
+
+
+def test_load_rejects_a_repeated_product_record(tmp_path, model52):
+    # a second e1*e2 = e7 record would make multiply's coefficient 2 while
+    # the validation's dict reads it once
+    data = ring_to_dict(model52)
+    first = data["products"].index({"i": 1, "j": 2, "k": 7, "coeff": "1"})
+    data["products"].append({"i": 1, "j": 2, "k": 7, "coeff": "1"})
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(RingFormatError) as err:
+        load_ring(path)
+    assert err.value.location == f"$.products[{len(data['products']) - 1}]"
+    assert f"repeated product record (1, 2, 7), first at $.products[{first}]" \
+        in str(err.value)
+
+
+# misspelt optional keys: each would load a plain ring, or one without a
+# form, and silently drop what it names
+UNKNOWN_KEY_EDITS = {
+    "$.bigradings": lambda d: d.update(bigradings=d.pop("bigrading")),
+    "$.quadratic-form": lambda d: d.update(
+        {"quadratic-form": d.pop("quadratic_form")}),
+    "$.products[0]": lambda d: d["products"][0].update(
+        coef=d["products"][0].pop("coeff")),
+}
+
+
+@pytest.mark.parametrize("location", sorted(UNKNOWN_KEY_EDITS))
+def test_load_rejects_unknown_keys(tmp_path, model52, location):
+    data = ring_to_dict(model52)
+    UNKNOWN_KEY_EDITS[location](data)
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(RingFormatError, match="unknown key") as err:
+        load_ring(path)
+    assert err.value.location == location
 
 
 def test_load_rejects_malformed_rational(tmp_path, k3):
