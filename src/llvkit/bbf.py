@@ -6,9 +6,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
-from .linalg import Matrix, symmetric_signature
-from .models import monomials, vector_stream
+from .linalg import Matrix
+from .models import monomial_label, quadratic_power, vector_stream
 from .rings import BigradedAlgebra, QuadraticForm
 from .scalars import FIELD_RATIONAL, div, rat, to_field
 
@@ -83,67 +84,103 @@ def fujiki_check(ring, form: QuadraticForm, extra_classes=100) -> FujikiData:
     top power and then verified exactly on a spanning set plus
     ``extra_classes`` further enumerated classes; any violation raises.
     """
-    return _fujiki_fit(ring, form, lambda m, n: itertools.islice(
-        vector_stream(m), m + extra_classes))
+    n, m = _fujiki_degrees(ring, form)
 
+    def classes():
+        for v in itertools.islice(vector_stream(m), m + extra_classes):
+            a = tuple(map(rat, v))
+            yield (a, to_field(form.evaluate(a), FIELD_RATIONAL) ** n,
+                   ring.integrate(ring.power(ring.embed(2, a), 2 * n)))
 
-def fujiki_certificate(ring, form: QuadraticForm) -> FujikiData:
-    """Prove form(a)^n = c * integral(a^(2n)) for every degree-2 class a,
-    with c != 0, or raise FujikiError.
-
-    Both sides are forms of degree 2n in the coordinates of a.  The
-    C(m + 2n - 1, 2n) points with nonnegative integer coordinates summing
-    to 2n are unisolvent for such forms: one that vanishes on all of them
-    vanishes on their hyperplane, so everywhere.  Hence the relation,
-    with c fitted on the first point with a nonzero top power and then
-    checked exactly on every point, holds for all a.  c = 0 would make
-    the n-th power of the form vanish, so it fails as well.
-    """
-    data = _fujiki_fit(ring, form, lambda m, n: monomials(m, 2 * n))
-    if not data.constant:
-        raise FujikiError(f"the Fujiki constant is zero: q^{data.n} vanishes "
-                          "on a class with a nonzero top power")
-    return data
-
-
-def _fujiki_fit(ring, form, classes) -> FujikiData:
-    """Fit c on the first class of ``classes(m, n)`` with a nonzero top
-    power and check form(a)^n = c * integral(a^(2n)) on every class, in
-    order; the first violation raises."""
-    if ring.top % 4:
-        raise FujikiError(f"ring top degree {ring.top} is not 4n")
-    n = ring.top // 4
-    m = ring.dims[2]
-    if form.dim != m:
-        raise FujikiError("form does not live on the degree-2 piece")
-    constant = None
-    checked = 0
-    pending = []
-    for v in classes(m, n):
-        coords = tuple(map(rat, v))
-        qn = to_field(form.evaluate(coords), FIELD_RATIONAL) ** n
-        top = ring.integrate(ring.power(ring.embed(2, coords), 2 * n))
-        if constant is None and top:
-            constant = div(qn, top)
-        pending.append((coords, qn, top))
-        if constant is None:
-            continue
-        for a, qa, ta in pending:
-            if qa != constant * ta:
-                raise FujikiError(
-                    f"Fujiki relation fails on class {tuple(map(str, a))}: "
-                    f"q^{n} = {qa} but c*integral = {constant * ta}")
-        checked += len(pending)
-        pending = []
+    constant, checked = _fit(n, classes(),
+                             lambda a: f"class {tuple(map(str, a))}")
     if constant is None:
         raise FujikiError("Fujiki relation fails: every enumerated class has "
                           "vanishing top power")
     return FujikiData(form=form, constant=constant, n=n, classes_checked=checked)
 
 
-def form_signature(form: QuadraticForm):
-    """Signature (pos, neg) of a nondegenerate rational form."""
-    pos, neg, null = symmetric_signature(form.gram)
-    if null:
-        raise ValueError(f"degenerate form: radical has dimension {null}")
-    return (pos, neg)
+def fujiki_certificate(ring, form: QuadraticForm) -> FujikiData:
+    """Prove form(a)^n = c * integral(a^(2n)) for every degree-2 class a,
+    with c != 0, or raise FujikiError.
+
+    Both sides are forms of degree 2n in the coordinates of a, so they
+    agree for every a exactly when their coefficients agree.  With x_i
+    the degree-2 basis, the multinomial theorem gives integral(a^(2n)) =
+    sum (2n)!/gamma! * integral(x^gamma) * a^gamma over the monomials
+    x^gamma of degree 2n.  Each monomial is formed once, as the sparse
+    product x_i * x^(gamma - e_i) through ``mul_basis``, from the
+    monomials of one degree less.  c is fitted on the first monomial
+    whose integral coefficient is nonzero, and every coefficient of q^n
+    is compared with c times the integral's, C(m + 2n - 1, 2n) in all;
+    the first that differs raises, naming its monomial.  c = 0 would make
+    q^n vanish, so it fails as well.
+    """
+    n, m = _fujiki_degrees(ring, form)
+    qn = quadratic_power(form, n)
+    lo = ring.offsets[2]
+    weight = {ring.offsets[ring.top] + t: w
+              for t, w in enumerate(ring.integration) if w}
+    powers = [(2 * n + 1) ** i for i in range(m)]
+
+    def coefficients():
+        level = {0: {0: 1}}     # the monomials of one degree, as elements
+        for d in range(1, 2 * n + 1):
+            prev, level = level, {}
+            for combo in itertools.combinations_with_replacement(range(m), d):
+                key = sum(map(powers.__getitem__, combo))
+                x = {}
+                for gk, c in prev[key - powers[combo[0]]].items():
+                    for gl, c2 in ring.mul_basis(lo + combo[0], gk):
+                        x[gl] = x.get(gl, 0) + c * c2
+                if d < 2 * n:
+                    level[key] = x
+                    continue
+                top = sum(c * weight[gl] for gl, c in x.items()
+                          if gl in weight)
+                if top:
+                    top *= div(factorial(2 * n), prod(
+                        factorial(combo.count(i)) for i in set(combo)))
+                yield combo, qn.get(key, 0), top
+
+    constant, checked = _fit(n, coefficients(), lambda combo: (
+        "monomial " + monomial_label([combo.count(i) for i in range(m)],
+                                     ring.labels[2])))
+    if constant is None:
+        raise FujikiError(f"Fujiki relation fails: integral(a^{2 * n}) "
+                          "vanishes on every class")
+    if not constant:
+        raise FujikiError(f"the Fujiki constant is zero: q^{n} vanishes "
+                          "on a class with a nonzero top power")
+    return FujikiData(form=form, constant=constant, n=n, classes_checked=checked)
+
+
+def _fujiki_degrees(ring, form):
+    """(n, m) for a ring of top degree 4n and a form on its m-dim degree-2
+    piece, or raise."""
+    if ring.top % 4:
+        raise FujikiError(f"ring top degree {ring.top} is not 4n")
+    if form.dim != ring.dims[2]:
+        raise FujikiError("form does not live on the degree-2 piece")
+    return ring.top // 4, ring.dims[2]
+
+
+def _fit(n, terms, name):
+    """(c, count): c fitted on the first term (key, q, t) with t != 0, and
+    q = c * t checked on every term, in order; c is None when every t is
+    0.  The first term that fails raises, named by name(key)."""
+    constant, checked, pending = None, 0, []
+    for term in terms:
+        if constant is None and term[2]:
+            constant = div(term[1], term[2])
+        pending.append(term)
+        if constant is None:
+            continue
+        for key, q, t in pending:
+            if q != constant * t:
+                raise FujikiError(
+                    f"Fujiki relation fails on {name(key)}: "
+                    f"q^{n} = {q} but c*integral = {constant * t}")
+        checked += len(pending)
+        pending = []
+    return constant, checked

@@ -227,6 +227,21 @@ def _nondegenerate_form(ring):
     return form
 
 
+def _certified_form(args, ring):
+    """``_nondegenerate_form`` of a ring that ``llv`` and ``pw`` build on.
+    The form a ring file declares must also satisfy the Fujiki relation
+    on the ring's own top powers (``bbf.fujiki_certificate``): a form that
+    fails sends both commands after sl2 completions that do not exist.  A
+    fixture is built from its form and is not checked again."""
+    form = _nondegenerate_form(ring)
+    if form is not None and args.input and ring.top % 4 == 0:
+        try:
+            bbf.fujiki_certificate(ring, form)
+        except bbf.FujikiError as exc:
+            raise UsageError(f"quadratic form: {exc}") from exc
+    return form
+
+
 def _enumerate_noniso_pairs(form, count):
     take = 3
     while take * (take - 1) // 2 < count:
@@ -244,7 +259,7 @@ def cmd_llv(args) -> Report:
     report = Report("llv", _config(args))
     plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
-    form = _nondegenerate_form(plain)
+    form = _certified_form(args, plain)
     if form is None:
         report.skip("bracket closure", "total Lie algebra of Lefschetz "
                     "operators", "ring carries no degree-2 form")
@@ -371,7 +386,7 @@ def cmd_pw(args) -> Report:
     report = Report("pw", _config(args))
     plain, big, desc = resolve_ring(args, need_bigraded=True)
     report.config["ring"] = desc
-    form = _nondegenerate_form(plain)
+    form = _certified_form(args, plain)
     if form is None or plain.top % 4:
         report.skip("weak P = W", "perverse filtration equals the monodromy "
                     "weight filtration", "fixture lacks a degree-2 form or "

@@ -19,7 +19,7 @@ dimension is a rank (``so41_subalgebra``, ``so4_symplectic``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, gcd, lcm
+from math import comb, gcd
 from types import MappingProxyType
 
 from .lefschetz import (DegreeOperator, DualFamily, complete_sl2, cup_operator,
@@ -29,8 +29,8 @@ from .linalg import (DimensionError, Matrix, SparseEchelon,
 from .models import spanning_hl_classes, verbitsky_dims
 from .reporting import CheckResult
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, div,
-                      rat, rat_sqrt, to_field)
+from .scalars import (FIELD_GAUSSIAN, Gauss, clear_denominators, div, rat,
+                      rat_sqrt)
 
 # -- sparse integer matrices ------------------------------------------------
 #
@@ -43,24 +43,12 @@ from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, div,
 # nonzero brackets.
 
 
-def _clear_denominators(values, gaussian):
-    """(den, ints): den the least common denominator of the field values,
-    ints the values times den, as ints, or as GaussInt when gaussian."""
-    if gaussian:
-        parts = [(v.real, v.imag) for v in values]
-    else:
-        parts = [(to_field(v, FIELD_RATIONAL),) for v in values]
-    den = lcm(1, *(x.denominator for xs in parts for x in xs))
-    ints = [[x.numerator * (den // x.denominator) for x in xs] for xs in parts]
-    return den, [GaussInt(*xs) if gaussian else xs[0] for xs in ints]
-
-
 def _to_sparse(op, gaussian):
     """(sp, den) with op = sp / den, sp a sparse matrix over Z (Z[i] when
     gaussian) given as row dicts; op is a ``Matrix`` or a
     ``DegreeOperator``, read through ``entries()``."""
     cells = list(op.entries())
-    den, ints = _clear_denominators([v for _, _, v in cells], gaussian)
+    den, ints = clear_denominators([v for _, _, v in cells], gaussian)
     sp = {}
     for (r, c, _), v in zip(cells, ints):
         sp.setdefault(r, {})[c] = v
@@ -199,7 +187,7 @@ class MatrixLieAlgebra:
         if self._int_form is None:
             n = self.ambient
             keys = [(k, idx) for k, row in enumerate(self._rows) for idx in row]
-            den, ints = _clear_denominators(
+            den, ints = clear_denominators(
                 [self._rows[k][idx] for k, idx in keys], self.gaussian)
             mats = [{} for _ in self._rows]
             for (k, idx), v in zip(keys, ints):

@@ -17,8 +17,9 @@ from math import comb, factorial, gcd, lcm, prod
 from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
 from .rings import BigradedAlgebra, GradedAlgebra, QuadraticForm
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction, div,
-                      rat, rat_sqrt)
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction,
+                      clear_denominators, clear_table, div, integer_values,
+                      rat_sqrt)
 
 
 class ModelConstructionError(RuntimeError):
@@ -214,7 +215,9 @@ def monomials(nvars, degree):
     return out
 
 
-def _mono_label(exps, var_labels):
+def monomial_label(exps, var_labels):
+    """The monomial with exponents ``exps`` written in the variable names,
+    as "x1^2*x3"; "1" for the constant."""
     if not any(exps):
         return "1"
     parts = []
@@ -226,17 +229,48 @@ def _mono_label(exps, var_labels):
     return "*".join(parts)
 
 
-def _poly_product(factors, nvars):
-    """The product of dict-polys (exponent tuple -> coefficient) in
-    ``nvars`` variables; 1 for no factors."""
-    out = {(0,) * nvars: 1}
-    for poly in factors:
-        step = {}
-        for ea, a in out.items():
-            for eb, b in poly.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                step[key] = step.get(key, 0) + a * b
-        out = {e: c for e, c in step.items() if c}
+def _unpack(key, base, nvars):
+    """The exponent tuple e of the packed key sum e_i * base^i."""
+    exps = []
+    for _ in range(nvars):
+        key, e = divmod(key, base)
+        exps.append(e)
+    return tuple(exps)
+
+
+def _monomial_keys(nvars, degree, base):
+    """The packed keys sum e_i * base^i of ``monomials(nvars, degree)``, in
+    its order."""
+    powers = [base ** i for i in range(nvars)]
+    return [sum(map(powers.__getitem__, combo)) for combo in
+            itertools.combinations_with_replacement(range(nvars), degree)]
+
+
+def _poly_product(a, b):
+    """The product of two dict-polys (packed key -> coefficient).  The
+    base of the keys must exceed every exponent of the product, so that
+    adding two keys multiplies their monomials."""
+    out = {}
+    for ka, x in a.items():
+        for kb, y in b.items():
+            key = ka + kb
+            out[key] = out.get(key, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def quadratic_power(form: QuadraticForm, n):
+    """q^n for the form q(x) = sum G_ij x_i x_j, as a dict-poly on the
+    packed keys of base 2n + 1 (``_monomial_keys``)."""
+    base = 2 * n + 1
+    q = {}
+    for i, row in enumerate(form.gram.rows):
+        for j, g in enumerate(row):
+            if g:
+                key = base ** i + base ** j
+                q[key] = q.get(key, 0) + g
+    out = {0: 1}
+    for _ in range(n):
+        out = _poly_product(out, q)
     return out
 
 
@@ -433,10 +467,10 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
         raise ModelConstructionError("bogomolov_model needs a nondegenerate form")
     _reject_definite(form)
 
-    _, red, dims, labels, products = _monomial_quotient(
+    basis, red, dims, labels, products = _monomial_quotient(
         form, n, [f"e{i + 1}" for i in range(m)])
     u1, u2 = admissible_positive_pair(form)
-    big = _bigraded_companion(form, n, red, u1, u2)
+    big = _bigraded_companion(form, n, basis, red, u1, u2)
     # the companion's top basis element is (sigma*sigma-bar)^n, so its
     # coordinate in the rational model fixes the normalization
     lam = as_fraction(big.to_rational_mats[4 * n][0, 0])
@@ -452,15 +486,22 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
 
     Returns (basis, red, dims, labels, products).  ``basis[d]`` lists the
     exponent tuples of the basis monomials in Sym degree d, in monomial
-    order; ``red[d]`` maps every degree-d monomial to its coordinates
-    ((t, c), ...) on ``basis[d]``, sorted by t; Sym degree d is ring
-    degree 2d in ``dims``, ``labels`` and ``products``.
+    order; ``red[d]`` maps the packed key of every degree-d monomial to
+    its coordinates ((t, c), ...) on ``basis[d]``, sorted by t; Sym degree
+    d is ring degree 2d in ``dims``, ``labels`` and ``products``.
+
+    A monomial x^e is keyed by the int sum e_i * (2n + 1)^i
+    (``_monomial_keys``).  No exponent of a monomial of degree <= 2n exceeds
+    2n, so these digits never carry, and adding two keys multiplies the
+    monomials: q^n, the catalecticant and the product table are read off
+    sums of keys.
 
     For d > n the ideal is the kernel of the catalecticant
     Cat_d[delta, gamma] = int x^(gamma + delta), delta running over the
     monomials of degree 2n - d.  Expanding int a^(2n) = c*q(a)^n by the
     multinomial theorem gives int x^gamma = c * f_gamma * gamma! / (2n)!
-    for the coefficients f_gamma of q^n; the common factor is dropped.
+    for the coefficients f_gamma of q^n; the common factor is dropped,
+    and so is the common denominator of the f_gamma, which leaves ints.
     So column gamma of Cat_d is the image of x^gamma in the quotient.
 
     - The basis is the greedy set of independent columns, scanned from
@@ -474,52 +515,68 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
       Cat_(2n-d), so Ann(q^n) is zero there too; Cat_n is the ring's
       Poincare pairing in degree n, which ``validate`` checks.)
     - A monomial's coordinates are inv(Cat_d[:, basis]) * Cat_d[:, gamma].
+      The inverse is kept as the integer rows D * inv, so each coordinate
+      is a sum of int products, divided by D once.
     """
     m = form.dim
-    monos = [monomials(m, d) for d in range(2 * n + 1)]
-    q = {}
-    for i, row in enumerate(form.gram.rows):
-        for j, g in enumerate(row):
-            if g:
-                key = tuple((k == i) + (k == j) for k in range(m))
-                q[key] = q.get(key, 0) + g
-    # int x^gamma up to the common factor c/(2n)!
-    weight = {e: c * prod(map(factorial, e))
-              for e, c in _poly_product([q] * n, m).items()}
+    base = 2 * n + 1
+    keys = [_monomial_keys(m, d, base) for d in range(2 * n + 1)]
+    qn = quadratic_power(form, n)
+    # int x^gamma up to the common factor c/(2n)! and the common
+    # denominator of q^n
+    _, ints = clear_denominators(qn.values(), False)
+    weight = {k: c * prod(map(factorial, _unpack(k, base, m)))
+              for k, c in zip(qn, ints)}
 
     basis = []
     red = []
+    packed = []        # the keys of basis[d]
     for d in range(2 * n + 1):
         if d <= n:
-            basis.append(monos[d])
-            red.append({e: ((t, 1),) for t, e in enumerate(monos[d])})
+            basis.append(monomials(m, d))
+            packed.append(keys[d])
+            red.append({k: ((t, 1),) for t, k in enumerate(keys[d])})
             continue
-        duals = monos[2 * n - d]
+        duals = keys[2 * n - d]
+        size = len(duals)
         cat = {}
-        for gamma in monos[d]:
-            sums = (tuple(x + y for x, y in zip(gamma, delta)) for delta in duals)
-            cat[gamma] = {i: weight[e] for i, e in enumerate(sums) if e in weight}
+        for gamma in keys[d]:
+            col = {}
+            for i, delta in enumerate(duals):
+                w = weight.get(gamma + delta)
+                if w:
+                    col[i] = w
+            cat[gamma] = col
         span = SparseEchelon()
         picked = set()
-        for gamma in (monos[d] if reverse else reversed(monos[d])):
-            if span.dim == len(duals):
+        for gamma in (keys[d] if reverse else reversed(keys[d])):
+            if span.dim == size:
                 break
             if span.add(cat[gamma]):
                 picked.add(gamma)
-        if len(picked) != len(duals):
+        if len(picked) != size:
             raise ModelConstructionError(
                 f"degree {d}: catalecticant rank {len(picked)} != "
-                f"dim Sym^{2 * n - d} = {len(duals)}")
-        reps = [e for e in monos[d] if e in picked]
+                f"dim Sym^{2 * n - d} = {size}")
+        reps = [k for k in keys[d] if k in picked]
         inv = inverse(Matrix.from_cols(
-            [[cat[e].get(i, 0) for i in range(len(duals))] for e in reps],
-            nrows=len(duals))).rows
+            [[cat[k].get(i, 0) for i in range(size)] for k in reps],
+            nrows=size)).rows
+        den, flat = clear_denominators(
+            [x for row in inv for x in row], False)
+        # column i of D * inv as its nonzero entries (t, D * inv[t][i])
+        inv_cols = [[(t, x) for t, x in enumerate(flat[i::size]) if x]
+                    for i in range(size)]
         table = {}
         for gamma, col in cat.items():
-            coords = (rat(sum(row[i] * x for i, x in col.items()))
-                      for row in inv)
-            table[gamma] = tuple((t, c) for t, c in enumerate(coords) if c)
-        basis.append(reps)
+            acc = [0] * size
+            for i, x in col.items():
+                for t, y in inv_cols[i]:
+                    acc[t] += x * y
+            table[gamma] = tuple((t, div(c, den)) for t, c in enumerate(acc)
+                                 if c)
+        basis.append([_unpack(k, base, m) for k in reps])
+        packed.append(reps)
         red.append(table)
 
     dims = [0] * (4 * n + 1)
@@ -528,20 +585,27 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
     run = 0
     for d, reps in enumerate(basis):
         dims[2 * d] = len(reps)
-        labels[2 * d] = tuple(_mono_label(e, var_labels) for e in reps)
+        labels[2 * d] = tuple(monomial_label(e, var_labels) for e in reps)
         offsets.append(run)
         run += len(reps)
 
     products = {}
+    shifted = [{} for _ in basis]   # red[d] with ring indices, per key
     for da in range(2 * n + 1):
         for db in range(da, 2 * n + 1 - da):
-            for ta, ea in enumerate(basis[da]):
-                for tb, eb in enumerate(basis[db]):
-                    mono = tuple(x + y for x, y in zip(ea, eb))
-                    entries = tuple((offsets[da + db] + t, c)
-                                    for t, c in red[da + db][mono])
+            d = da + db
+            lo, table, cache = offsets[d], red[d], shifted[d]
+            for ta, ka in enumerate(packed[da]):
+                gi = offsets[da] + ta
+                start = ta if da == db else 0     # each pair once
+                for gj, kb in enumerate(packed[db][start:],
+                                        offsets[db] + start):
+                    key = ka + kb
+                    entries = cache.get(key)
+                    if entries is None:
+                        entries = cache[key] = tuple(
+                            (lo + t, c) for t, c in table[key])
                     if entries:
-                        gi, gj = offsets[da] + ta, offsets[db] + tb
                         products[(gi, gj)] = entries
                         products[(gj, gi)] = entries
     return basis, red, dims, labels, products
@@ -559,22 +623,28 @@ def _adapted_gram(form: QuadraticForm, u1, u2, t_basis):
     """
     vecs = [u1, u2, *t_basis]
     images = [form.gram.matvec(v) for v in vecs]
-    real = [[sum(x * y for x, y in zip(u, img) if x and y) for img in images]
-            for u in vecs]
-    if real[0][0] != real[1][1] or real[0][1] != 0:
+    support = [[i for i, x in enumerate(v) if x] for v in vecs]
+
+    def pair(a, b):
+        u, img = vecs[a], images[b]
+        return sum(u[i] * img[i] for i in support[a])
+
+    if pair(0, 0) != pair(1, 1) or pair(0, 1) != 0:
         raise ModelConstructionError("the positive pair does not give an "
                                      "isotropic sigma")
     m = len(vecs)
     gram = [[0] * m for _ in range(m)]
-    gram[0][1] = gram[1][0] = real[0][0] + real[1][1]
+    gram[0][1] = gram[1][0] = 2 * pair(0, 0)
     for a in range(2, m):
-        gram[a][2:] = real[a][2:]
+        for b in range(a, m):
+            gram[a][b] = gram[b][a] = pair(a, b)
     return Matrix(gram, ncols=m)
 
 
-def _bigraded_companion(form, n, red, u1, u2):
-    """Bigraded basis adapted to sigma = u1 + i*u2, over Q(i); ``red`` is
-    the reduction table of the rational model (``_monomial_quotient``).
+def _bigraded_companion(form, n, basis, red, u1, u2):
+    """Bigraded basis adapted to sigma = u1 + i*u2, over Q(i); ``basis``
+    and ``red`` are the basis and reduction table of the rational model
+    (``_monomial_quotient``).
 
     Built by Galois descent: in the coordinates (sigma, sigma-bar, t_i)
     the Gram matrix is rational (``_adapted_gram``), and the change of
@@ -587,9 +657,11 @@ def _bigraded_companion(form, n, red, u1, u2):
     In the top degree that is (sigma*sigma-bar)^n, which integrates to 1;
     any monomial before it has more sigma than sigma-bar factors, so the
     wrong bidegree.  Only the maps to and from the rational model
-    (``to_rational_mats``, ``from_rational_mats``) need Q(i): each
-    column of the first is the expansion of one basis monomial in the
-    rational model.  ``bogomolov_model`` certifies the returned ring.
+    (``to_rational_mats``, ``from_rational_mats``) need Q(i): a column of
+    the first expands one basis u-monomial in the e_i, a column of the
+    second one basis e-monomial in the u-variables, through the inverse
+    change of variables (``_change_of_basis``).  ``bogomolov_model``
+    certifies the returned ring.
     """
     m = form.dim
     t_space = kernel(Matrix([form.gram.matvec(u1), form.gram.matvec(u2)], ncols=m))
@@ -598,45 +670,75 @@ def _bigraded_companion(form, n, red, u1, u2):
                                      "pair has the wrong dimension")
     u_form = QuadraticForm(_adapted_gram(form, u1, u2, t_space.basis))
     u_labels = ["s", "sb"] + [f"t{i + 1}" for i in range(m - 2)]
-    basis, _, dims, labels, products = _monomial_quotient(
+    u_basis, u_red, dims, labels, products = _monomial_quotient(
         u_form, n, u_labels, reverse=True)
-    if basis[2 * n] != [tuple([n, n] + [0] * (m - 2))]:
+    if u_basis[2 * n] != [tuple([n, n] + [0] * (m - 2))]:
         raise ModelConstructionError("degenerate symplectic top power: "
                                      "(sigma*sigma-bar)^n vanishes in the quotient")
 
     u_bidegree = [(2, 0), (0, 2)] + [(1, 1)] * (m - 2)
     bidegrees = [(sum(b[0] * k for b, k in zip(u_bidegree, e)),
                   sum(b[1] * k for b, k in zip(u_bidegree, e)))
-                 for reps in basis for e in reps]
+                 for reps in u_basis for e in reps]
 
-    # sigma, sigma-bar and the t_i as linear dict-polys in the e_i
-    uvars = [[Gauss(a, b) for a, b in zip(u1, u2)],
-             [Gauss(a, -b) for a, b in zip(u1, u2)]]
-    uvars += t_space.basis
-    uvars = [{tuple(int(k == i) for k in range(m)): c
-              for i, c in enumerate(vec) if c} for vec in uvars]
-    to_rat = [None] * (4 * n + 1)
-    from_rat = [None] * (4 * n + 1)
-    for d, reps in enumerate(basis):
-        cols = []
-        for exps in reps:
-            # expand the u-monomial into e-coordinates of the quotient
-            poly = _poly_product([uvars[var] for var, e in enumerate(exps)
-                                  for _ in range(e)], m)
-            coords = [0] * len(reps)
-            for mono, c in poly.items():
-                for t, cc in red[d][mono]:
-                    coords[t] = coords[t] + c * cc
-            cols.append(coords)
-        to_rat[2 * d] = Matrix.from_cols(cols, nrows=len(reps))
-        from_rat[2 * d] = inverse(to_rat[2 * d])
-
+    # row j: the j-th u-variable (sigma, sigma-bar, the t_i) in the e_i
+    uvars = Matrix([[Gauss(a, b) for a, b in zip(u1, u2)],
+                    [Gauss(a, -b) for a, b in zip(u1, u2)],
+                    *t_space.basis])
     big = BigradedAlgebra(FIELD_GAUSSIAN, dims, labels, products, [1],
                           bidegrees, quadratic_form=u_form,
                           name=f"bogomolov(b2={m},n={n}) bigraded")
-    big.to_rational_mats = to_rat
-    big.from_rational_mats = from_rat
+    big.to_rational_mats = _change_of_basis(uvars.rows, u_basis, red, n)
+    big.from_rational_mats = _change_of_basis(inverse(uvars).rows, basis,
+                                              u_red, n)
     big.positive_pair = (u1, u2)
     big.gamma_rational = tuple(2 * x for x in u1)
     big.gamma_prime_rational = tuple(2 * x for x in u2)
     return big
+
+
+def _change_of_basis(lin, basis, red, n):
+    """Per ring degree 2d, the Matrix whose column j holds the coordinates
+    of the source's basis monomial ``basis[d][j]`` in a target monomial
+    quotient with reduction table ``red``, when source variable v is the
+    linear form ``lin[v]`` in the target variables.
+
+    It runs on ints, or on GaussInt over Q(i): with D the common
+    denominator of ``lin`` and E that of ``red[d]``, the expansion of D^d
+    times a degree-d monomial and its reduction by E * red[d] have
+    integral coefficients, and each coordinate is divided by D^d E once.
+    A monomial's expansion is its prefix's times one linear form, and
+    each prefix is expanded once.
+    """
+    base = 2 * n + 1
+    m = len(lin)
+    den, flat = integer_values(x for row in lin for x in row)
+    polys = [{base ** i: x for i, x in enumerate(flat[v * m:(v + 1) * m]) if x}
+             for v in range(m)]
+    expansions = {(0,) * m: {0: 1}}
+
+    def expand(exps):
+        poly = expansions.get(exps)
+        if poly is None:
+            v = max(i for i, e in enumerate(exps) if e)
+            prefix = list(exps)
+            prefix[v] -= 1
+            poly = expansions[exps] = _poly_product(expand(tuple(prefix)),
+                                                    polys[v])
+        return poly
+
+    mats = [None] * (4 * n + 1)
+    for d, reps in enumerate(basis):
+        red_den, table = clear_table(red[d])
+        scale = den ** d * red_den
+        cols = []
+        for exps in reps:
+            acc = [0] * len(reps)
+            for mono, c in expand(exps).items():
+                for t, y in table[mono]:
+                    acc[t] += c * y
+            cols.append([0 if not z else div(z, scale) if type(z) is int
+                         else Gauss(div(z.real, scale), div(z.imag, scale))
+                         for z in acc])
+        mats[2 * d] = Matrix.from_cols(cols, nrows=len(reps))
+    return mats

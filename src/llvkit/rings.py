@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
-from .linalg import Matrix
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, format_scalar,
+from .linalg import Matrix, SparseEchelon
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt,
+                      clear_table, format_scalar, integer_values,
                       parse_scalar, to_field)
 
 
@@ -119,11 +121,18 @@ class GradedAlgebra:
         self._degree_of = []
         for k, d in enumerate(self.dims):
             self._degree_of.extend([k] * d)
-        # products: dict[(gi, gj)] -> tuple of (gk, coeff)
-        self.products = {
-            pair: tuple((gk, to_field(c, field_name)) for gk, c in entries if c)
-            for pair, entries in products.items()}
-        self.products = {p: e for p, e in self.products.items() if e}
+        # products: dict[(gi, gj)] -> tuple of (gk, coeff); pairs given
+        # one entries object share its normal form
+        self.products = {}
+        normal = {}
+        for pair, entries in products.items():
+            e = normal.get(id(entries))
+            if e is None:
+                e = normal[id(entries)] = tuple(
+                    (gk, c if type(c) is int else to_field(c, field_name))
+                    for gk, c in entries if c)
+            if e:
+                self.products[pair] = e
         self.integration = tuple(to_field(c, field_name) for c in integration)
         if len(self.integration) != self.dims[self.top]:
             raise ValueError("integration must list one coefficient per top basis element")
@@ -231,9 +240,21 @@ class GradedAlgebra:
         return self
 
     def validate(self) -> ValidationReport:
+        """Graded commutativity, associativity, the unit and Poincare
+        duality, each on the basis.
+
+        Associativity runs on ints: with D the common denominator of the
+        structure constants (``scalars.clear_table``), every constant of
+        D * c is an int, or a GaussInt over Q(i).  Both sides of
+        (e_i e_j) e_k = e_i (e_j e_k) are sums of products of two
+        constants, so they scale by D^2 != 0 together, and the identity
+        holds for D * c exactly when it holds for c.  A ring whose
+        constants are all ints is read as it is.
+        """
+        _, table = clear_table(self.products)
         issues = [*self._unit_issues(), *self._commutativity_issues(),
-                  *self._associativity_issues(), *self._duality_issues(),
-                  *self._validate_extra()]
+                  *self._associativity_issues(table),
+                  *self._duality_issues(table), *self._validate_extra()]
         return ValidationReport(not issues, issues)
 
     def _unit_issues(self):
@@ -249,50 +270,64 @@ class GradedAlgebra:
                 if dict(self.mul_basis(0, gi)) != {gi: 1}]
 
     def _commutativity_issues(self):
-        odd, get = [k % 2 for k in self._degree_of], self.products.get
+        """e_j e_i = +-e_i e_j on every pair: a pair whose products are both
+        zero holds, so only the pairs with a product are visited."""
+        odd, products = [k % 2 for k in self._degree_of], self.products
+        bad = set()
+        for gi, gj in products:
+            if gi <= gj or (gj, gi) not in products:
+                gi, gj = min(gi, gj), max(gi, gj)
+                if (dict(products.get((gi, gj), ()))
+                        != {gk: -c if odd[gi] and odd[gj] else c
+                            for gk, c in products.get((gj, gi), ())}):
+                    bad.add((gi, gj))
         return [ValidationIssue("graded-commutativity", f"({self.label_of(gi)}"
                                 f", {self.label_of(gj)})")
-                for gi in range(self.total_dim)
-                for gj in range(gi, self.total_dim)
-                if dict(get((gi, gj), ()))
-                != {gk: -c if odd[gi] and odd[gj] else c
-                    for gk, c in get((gj, gi), ())}]
+                for gi, gj in sorted(bad)]
 
-    def _associativity_issues(self):
+    def _associativity_issues(self, table):
         """Every triple of positive degree that survives the top degree
-        (a unit factor is covered by the unit check)."""
+        (a unit factor is covered by the unit check), on the structure
+        constants ``table``."""
         issues = []
-        deg, top, get = self._degree_of, self.top, self.products.get
+        deg, top = self._degree_of, self.top
         first_pos = self.offsets[1] if top >= 1 else self.total_dim
+        rows = _by_row(table, self.total_dim)
         for gi in range(first_pos, self.total_dim):
+            row_i = rows[gi]
             for gj in range(first_pos, self.total_dim):
                 dij = deg[gi] + deg[gj]
                 if dij > top:       # the basis runs by degree
                     break
-                pij = get((gi, gj), ())
+                pij, row_j = row_i.get(gj, ()), rows[gj]
                 for gk in range(first_pos, self.total_dim):
                     if dij + deg[gk] > top:
                         break
                     left = {}
                     for gl, c in pij:
-                        for gm, c2 in get((gl, gk), ()):
+                        for gm, c2 in rows[gl].get(gk, ()):
                             left[gm] = left.get(gm, 0) + c * c2
                     right = {}
-                    for gl, c in get((gj, gk), ()):
-                        for gm, c2 in get((gi, gl), ()):
+                    for gl, c in row_j.get(gk, ()):
+                        for gm, c2 in row_i.get(gl, ()):
                             right[gm] = right.get(gm, 0) + c * c2
-                    if left != right and _nonzero(left) != _nonzero(right):
+                    if left != right and _differ(left, right):
                         issues.append(ValidationIssue(
                             "associativity",
                             f"({self.label_of(gi)}, {self.label_of(gj)}, "
                             f"{self.label_of(gk)})"))
         return issues
 
-    def _duality_issues(self):
-        """Poincare duality: <a, b> = sum c w over the terms c e_l of a*b."""
+    def _duality_issues(self, table):
+        """Poincare duality: <a, b> = sum c w over the terms c e_l of a*b.
+        Each pairing block is ranked as sparse rows, on the constants
+        ``table`` and the integration scaled to ints: a scalar multiple of
+        the block, of the same rank."""
         issues = []
         lo_top, _ = self.slice_of(self.top)
-        weight = {lo_top + t: w for t, w in enumerate(self.integration) if w}
+        weight = {lo_top + t: w for t, w in
+                  enumerate(integer_values(self.integration)[1]) if w}
+        get = table.get
         for k in range(self.top + 1):
             kd = self.top - k
             if self.dims[k] != self.dims[kd]:
@@ -303,13 +338,26 @@ class GradedAlgebra:
                 continue
             lo_k, _ = self.slice_of(k)
             lo_d, _ = self.slice_of(kd)
-            pairing = Matrix(
-                [[sum(c * weight[gl]
-                      for gl, c in self.mul_basis(lo_k + a, lo_d + b)
-                      if gl in weight)
-                  for b in range(self.dims[kd])] for a in range(self.dims[k])],
-                ncols=self.dims[kd])
-            if pairing.rank() != self.dims[k]:
+            rows = []
+            for gi in range(lo_k, lo_k + self.dims[k]):
+                row = {}
+                for b in range(self.dims[kd]):
+                    s = 0
+                    for gl, c in get((gi, lo_d + b), ()):
+                        w = weight.get(gl)
+                        if w:
+                            s = s + c * w
+                    if s:
+                        row[b] = s
+                rows.append(row)
+            # elimination over Q(i) divides, on Gauss values
+            gaussian = any(type(x) is GaussInt
+                           for row in rows for x in row.values())
+            span = SparseEchelon(exact_division=gaussian)
+            for row in rows:
+                span.add({b: Gauss(x.real, x.imag) for b, x in row.items()}
+                         if gaussian else row)
+            if span.dim != self.dims[k]:
                 issues.append(ValidationIssue(
                     "duality", f"degenerate top pairing A^{k} x A^{kd}"))
         return issues
@@ -320,17 +368,6 @@ class GradedAlgebra:
     def label_of(self, gi):
         k = self._degree_of[gi]
         return self.labels[k][gi - self.offsets[k]]
-
-    def structure_equal(self, other) -> bool:
-        return (type(self) is type(other) and self.field == other.field
-                and self.dims == other.dims and self.labels == other.labels
-                and {p: dict(e) for p, e in self.products.items()}
-                == {p: dict(e) for p, e in other.products.items()}
-                and self.integration == other.integration
-                and self._bigrading_tuple() == other._bigrading_tuple())
-
-    def _bigrading_tuple(self):
-        return None
 
     def __repr__(self):
         return (f"{type(self).__name__}(dims={self.dims}, field={self.field}"
@@ -381,9 +418,6 @@ class BigradedAlgebra(GradedAlgebra):
             out[(p, q)] = out.get((p, q), 0) + 1
         return out
 
-    def _bigrading_tuple(self):
-        return self.bidegrees
-
     def _validate_extra(self):
         bideg = self.bidegrees
         return [ValidationIssue("bigrading", f"{self.label_of(gi)}*"
@@ -407,6 +441,16 @@ class BigradedAlgebra(GradedAlgebra):
         injective ring map: T((xy)z) = Tx Ty Tz = T(x(yz)) gives
         associativity, and int(xy) = int_R(Tx Ty) makes the pairing R's
         nondegenerate one read through the invertible T.
+
+        (1) and (2) run on ints and GaussInts: T, S = ``from_rational_mats``,
+        this ring's constants c and R's constants r are each scaled once
+        by their common denominators D_T, D_S, D_c and D_r
+        (``scalars.integer_values``).  Then T * S = I reads
+        D_T T * D_S S = D_T D_S I, and in (2) the left side
+        sum c T(e_k) scales by D_c D_T and the right side
+        sum T(e_i)_a T(e_j)_b r_ab by D_T^2 D_r, so (2) holds exactly when
+        D_T D_r times the scaled left side equals D_c times the scaled
+        right side.
         """
         issues = [*self._unit_issues(), *self._commutativity_issues(),
                   *self._validate_extra()]
@@ -419,48 +463,76 @@ class BigradedAlgebra(GradedAlgebra):
         if (rat is None or rat.dims != self.dims
                 or not (rat.validation and rat.validation.ok)):
             return fail("no validated rational model of the same dims")
-        for k, d in enumerate(self.dims):     # image[i] = T(e_i), R-indexed
+        blocks = []
+        for k, d in enumerate(self.dims):
             t, s = self.to_rational_mats[k], self.from_rational_mats[k]
             if not d:
                 continue
             if t is None or s is None or not t.shape() == s.shape() == (d, d):
                 return fail(f"degree {k}: T is not square")
+            blocks.append((k, list(t.entries()), list(s.entries())))
+        den_t, ints_t = integer_values(
+            x for _, t, _ in blocks for _, _, x in t)
+        den_s, ints_s = integer_values(
+            x for _, _, s in blocks for _, _, x in s)
+        ints_t, ints_s = iter(ints_t), iter(ints_s)
+        one = den_t * den_s
+        for k, t, s in blocks:      # image[i] = D_T T(e_i), R-indexed
             lo = self.offsets[k]
-            for r, row in enumerate(t.rows):
-                for j, x in enumerate(row):
-                    if x:
-                        image[lo + j][lo + r] = x
-            for j in range(d):          # column j of T * S
+            for r, j, _ in t:
+                image[lo + j][lo + r] = next(ints_t)
+            cols = {}
+            for i, j, _ in s:
+                cols.setdefault(j, []).append((i, next(ints_s)))
+            for j in range(self.dims[k]):       # column j of T * S
                 col = {}
-                for i, row in enumerate(s.rows):
-                    if row[j]:
-                        for r, x in image[lo + i].items():
-                            col[r] = col.get(r, 0) + row[j] * x
-                if _nonzero(col) != {lo + j: 1}:
+                for i, y in cols.get(j, ()):
+                    for r, x in image[lo + i].items():
+                        col[r] = col.get(r, 0) + y * x
+                if _differ(col, {lo + j: one}):
                     return fail(f"degree {k}: T is not invertible")
-        deg, top, get, rat_get = (self._degree_of, self.top,
-                                  self.products.get, rat.products.get)
-        for gi in range(self.total_dim):
-            for gj in range(gi, self.total_dim):
+        den_c, table = clear_table(self.products)
+        den_r, rat_table = clear_table(rat.products)
+        f_left, f_right = den_t * den_r, den_c
+        g = gcd(f_left, f_right)
+        f_left, f_right = f_left // g, f_right // g
+        deg, top = self._degree_of, self.top
+        rows, rat_rows = (_by_row(table, self.total_dim),
+                          _by_row(rat_table, rat.total_dim))
+        bad = []
+        for gj in range(self.total_dim):
+            # e_a T(e_j) in R for the a that T(e_i) meets, scaled by f_right
+            times_j = {}
+            for gi in range(gj + 1):
                 if deg[gi] + deg[gj] > top:
                     break
                 left, right = {}, {}
-                for gk, c in get((gi, gj), ()):
+                for gk, c in rows[gi].get(gj, ()):
+                    c *= f_left
                     for r, x in image[gk].items():
                         left[r] = left.get(r, 0) + c * x
                 for a, x in image[gi].items():
-                    for b, y in image[gj].items():
-                        xy = x * y
-                        for r, c in rat_get((a, b), ()):
-                            right[r] = right.get(r, 0) + xy * c
-                if left != right and _nonzero(left) != _nonzero(right):
-                    li, lj = self.label_of(gi), self.label_of(gj)
-                    issues.append(ValidationIssue(
-                        "companion", f"T({li}*{lj}) != T({li})*T({lj})"))
+                    prod_a = times_j.get(a)
+                    if prod_a is None:
+                        prod_a = times_j[a] = {}
+                        row_a = rat_rows[a]
+                        for b, y in image[gj].items():
+                            y *= f_right
+                            for r, c in row_a.get(b, ()):
+                                prod_a[r] = prod_a.get(r, 0) + y * c
+                    for r, y in prod_a.items():
+                        right[r] = right.get(r, 0) + x * y
+                if left != right and _differ(left, right):
+                    bad.append((gi, gj))
+        for gi, gj in sorted(bad):
+            li, lj = self.label_of(gi), self.label_of(gj)
+            issues.append(ValidationIssue(
+                "companion", f"T({li}*{lj}) != T({li})*T({lj})"))
         lo = self.offsets[self.top]
+        top_t = self.to_rational_mats[self.top]
         for t, w in enumerate(self.integration):
-            if w != sum(x * rat.integration[r - lo]
-                        for r, x in image[lo + t].items()):
+            if w != sum(row[t] * v for row, v in zip(top_t.rows,
+                                                     rat.integration)):
                 issues.append(ValidationIssue(
                     "companion", f"int T({self.label_of(lo + t)}) != {w}"))
         return ValidationReport(not issues, issues)
@@ -484,8 +556,19 @@ class BigradedAlgebra(GradedAlgebra):
             raise ValueError("this bigraded ring carries no rational companion")
 
 
-def _nonzero(vec):
-    return {k: x for k, x in vec.items() if x}
+def _by_row(table, size):
+    """A product table {(i, j): entries} as rows: rows[i][j] = entries."""
+    rows = [{} for _ in range(size)]
+    for (gi, gj), entries in table.items():
+        rows[gi][gj] = entries
+    return rows
+
+
+def _differ(a, b):
+    """Whether two sparse vectors {index: value} differ, entries compared
+    by their difference: explicit zeros are ignored, and int and GaussInt
+    values compare (GaussInt has no equality)."""
+    return any(a.get(k, 0) - b.get(k, 0) for k in a.keys() | b.keys())
 
 
 def gaussian_extension(ring: GradedAlgebra):

@@ -13,7 +13,7 @@ model, so nothing here shares code with ``models._monomial_quotient``.
 from fractions import Fraction
 
 from llvkit.linalg import Matrix, SparseEchelon, inverse, kernel
-from llvkit.models import _mono_label, monomials
+from llvkit.models import monomial_label, monomials
 from llvkit.scalars import Gauss
 
 
@@ -67,7 +67,7 @@ def companion_oracle(rational, form, n, u1, u2):
     labels = [()] * (4 * n + 1)
     bidegrees = []
     for d in range(2 * n + 1):
-        labels[2 * d] = tuple(_mono_label(e, u_labels) for e in chosen[d])
+        labels[2 * d] = tuple(monomial_label(e, u_labels) for e in chosen[d])
         for e in chosen[d]:
             bidegrees.append((sum(b[0] * k for b, k in zip(u_bidegree, e)),
                               sum(b[1] * k for b, k in zip(u_bidegree, e))))

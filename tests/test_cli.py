@@ -277,7 +277,7 @@ def test_degenerate_form_exits_two_at_once(tmp_path, capsys, model52, diag,
 
 
 @pytest.mark.parametrize("diag, issue", [
-    ((1, 0, 0, 0, 0), "quadratic form: Fujiki relation fails on class"),
+    ((1, 0, 0, 0, 0), "quadratic form: Fujiki relation fails on monomial"),
     ((0, 0, 0, 0, 0), "quadratic form: the Fujiki constant is zero")],
     ids=["diag0", "diag1"])
 def test_degenerate_form_fails_validate_keeps_hl_report(tmp_path, capsys,
@@ -299,6 +299,25 @@ def test_degenerate_form_fails_validate_keeps_hl_report(tmp_path, capsys,
     assert verdicts == {"hard lefschetz detects non-isotropy": "fail",
                         "symplectic hard lefschetz": "pass",
                         "simultaneous primitivity": "pass"}
+
+
+@pytest.mark.parametrize("command", ["llv", "pw"])
+@pytest.mark.parametrize("diag", [(1, 1, 1, -1, -2), (1, 1, -1, -1, -1)])
+@pytest.mark.parametrize("saved", ["model52", "rat52"])
+def test_declared_form_contradicting_the_ring_exits_two(
+        tmp_path, capsys, request, command, diag, saved):
+    # a nondegenerate form that is not the ring's own: its sl2 completions
+    # do not exist, so the form is refused before anything is searched
+    ring = request.getfixturevalue(saved)
+    path = _edited_ring_file(tmp_path, ring, _set_form(diag))
+    rc = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "error: quadratic form: Fujiki relation fails on monomial ")
 
 
 def test_validate_accepts_the_declared_form_of_a_saved_ring(tmp_path, capsys,
@@ -558,6 +577,17 @@ GOLDEN_REPORTS = {
         "c3fe14186ca15ea9bb5ee37107f7ca92e311aa0434091d881f9bbfad79955bcd",
     ("hl", "--fixture", "torus", "--g", "2", "--field", "gaussian"):
         "015c8a60d4cd460fe4e5bdb3bf1fd7ac285c8fca5b998f16687aa18fde453651",
+    # validate on the rings its integer checks and Fujiki certificate reach
+    ("validate", *B53):
+        "cf31b6f4eacc23efa3c21209653e9121f8bdc2394d5e0b8d486fd5190f97fc64",
+    ("validate", "--fixture", "bogomolov", "--b2", "6", "--n", "2"):
+        "77f01f59acd6775084b550216dc71350b913d64d16251d2a76f97664f047999a",
+    ("validate", "--fixture", "k3"):
+        "3b78df302f446b7fff4fd36927445dff0572419163f6d6d180a0346bfdd444b0",
+    ("validate", "--input", RING52):
+        "35098aadcc3a43c5c338aab7e5b77c843724b46eaa7291bedd0af242fb43cd86",
+    ("validate", "--fixture", "torus", "--g", "2"):
+        "1a810d56f04146afb505a2f53357648e0d4bc5479ded533e271eb6621fbd30ba",
 }
 
 

@@ -217,8 +217,9 @@ def test_reversed_elimination_basis_is_the_greedy_one(n):
     standard = models._monomial_quotient(form, n, "abcde")[1]
     for d in range(2 * n + 1):
         span = SparseEchelon(exact_division=True)
-        greedy = [e for e in models.monomials(5, d)
-                  if span.add(dict(standard[d][e]))]
+        keys = models._monomial_keys(5, d, 2 * n + 1)
+        greedy = [e for e, k in zip(models.monomials(5, d), keys)
+                  if span.add(dict(standard[d][k]))]
         assert greedy == basis[d]
         for entries in red[d].values():
             assert [t for t, _ in entries] == sorted(t for t, _ in entries)
@@ -300,15 +301,19 @@ def _sampled_power_span(form, n, monos):
     return sub
 
 
-def _ideal_rows(basis_d, red_d, monos):
-    """The ideal in one degree read from a reduction table: each monomial
-    minus its reduction, as sparse rows over ``monos``."""
-    index = {e: i for i, e in enumerate(monos)}
+def _ideal_rows(basis_d, red_d, monos, n):
+    """The ideal in one degree read from a reduction table, keyed by the
+    packed monomials of base 2n + 1: each monomial minus its reduction, as
+    sparse rows over ``monos``."""
+    m, d = len(monos[0]), sum(monos[0])
+    keys = models._monomial_keys(m, d, 2 * n + 1)
+    index = dict(zip(keys, range(len(monos))))
+    position = {e: i for i, e in enumerate(monos)}
     rows = []
     for e, entries in red_d.items():
         row = {index[e]: 1}
         for t, c in entries:
-            k = index[basis_d[t]]
+            k = position[basis_d[t]]
             row[k] = row.get(k, 0) - c
         row = {k: c for k, c in row.items() if c}
         if row:
@@ -323,7 +328,7 @@ def test_quotient_ideal_is_span_of_isotropic_powers(case):
     monos = models.monomials(form.dim, n + 1)
     sub = _sampled_power_span(form, n, monos)
     basis, red, _, _, _ = models._monomial_quotient(form, n, "x" * form.dim)
-    rows = _ideal_rows(basis[n + 1], red[n + 1], monos)
+    rows = _ideal_rows(basis[n + 1], red[n + 1], monos, n)
     dense = [[row.get(k, 0) for k in range(len(monos))] for row in rows]
     assert Subspace.from_rows(len(monos), dense) == sub
 
@@ -347,7 +352,7 @@ def test_quotient_ideal_is_generated_in_degree_n_plus_1(case):
                 saturation.add({index[tuple(a + b for a, b in zip(e, shift))]: c
                                 for e, c in zip(low, row) if c})
         ideal = SparseEchelon(exact_division=True)
-        for row in _ideal_rows(basis[d], red[d], monos):
+        for row in _ideal_rows(basis[d], red[d], monos, n):
             ideal.add(row)
         assert ideal.dim == len(monos) - comb(m + 2 * n - d - 1, m - 1)
         assert saturation.canonical() == ideal.canonical()

@@ -9,6 +9,8 @@ from llvkit.rings import (QuadraticForm, RingFormatError,
                           ring_from_dict, ring_to_dict, save_ring)
 from llvkit.scalars import FIELD_RATIONAL, Gauss, format_scalar, parse_scalar
 
+from ring_oracles import structure_equal
+
 
 def test_scalar_parse_format_roundtrip():
     for text, field in (("3/2", "rational"), ("-7", "rational"),
@@ -90,7 +92,7 @@ def test_save_load_roundtrip(tmp_path, k3, model52):
         path = tmp_path / "ring.json"
         save_ring(ring, path)
         loaded = load_ring(path)
-        assert loaded.structure_equal(ring)
+        assert structure_equal(loaded, ring)
 
 
 # sha256 of the saved files, computed before the normal form of Q(i)
@@ -114,7 +116,7 @@ def test_gaussian_rings_round_trip(tmp_path, request, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         SAVED_RING_DIGESTS[name]
     loaded = load_ring(path)
-    assert loaded.structure_equal(ring)
+    assert structure_equal(loaded, ring)
     save_ring(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
