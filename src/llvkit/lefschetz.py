@@ -436,9 +436,7 @@ def _dual_certified(chain: BlockChain, lam_blocks) -> bool:
         if w + 2 in lam_blocks and w in chain.blocks:
             _add_product(bracket, lam_blocks[w + 2], chain.blocks[w], -1)
         for r, row in enumerate(bracket):
-            if row.get(r, 0) != w:
-                return False
-            if any(v for c, v in row.items() if c != r):
+            if row.pop(r, 0) != w or any(row.values()):
                 return False
     return True
 
@@ -447,8 +445,8 @@ def _add_product(acc, a, b: Matrix, sign):
     """acc[r] += sign * (a b)[r] for sparse row dicts acc, skipping the
     zero entries of both factors; the left factor a is a Matrix or a list
     of sparse row dicts."""
-    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b.rows]
-    a_rows = ([enumerate(row) for row in a.rows] if isinstance(a, Matrix)
+    b_rows = b.nonzero_rows()
+    a_rows = (a.nonzero_rows() if isinstance(a, Matrix)
               else [row.items() for row in a])
     for dest, row in zip(acc, a_rows):
         for k, x in row:
@@ -581,8 +579,7 @@ class DualFamily:
         summed into sparse rows and the block normalized once."""
         sq, blocks = self._sq, {}
         for k, p in self._psi.items():
-            acc = [{c: ab4 * x for c, x in enumerate(row) if x}
-                   for row in p.rows]
+            acc = [{c: ab4 * x for c, x in row} for row in p.nonzero_rows()]
             pl = [{} for _ in range(p.nrows)]
             _add_product(pl, p, l_a[k - 2], 1)
             _add_product(acc, pl, p, -2)

@@ -53,16 +53,18 @@ class Matrix:
     through ``_of`` instead, which stores the rows as given.
 
     ``_cols`` caches, on the first ``matvec``, each column's nonzero
-    entries as one flat tuple (row, value, row, value, ...); the matrix
-    is immutable, so the cache never goes stale, and it takes no part in
-    equality, hashing or pickling.
+    entries as one flat tuple (row, value, row, value, ...), and
+    ``_nonzero``, on the first product, each row's nonzero entries as
+    (column, value) pairs; the matrix is immutable, so neither cache goes
+    stale, and they take no part in equality, hashing or pickling.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_cols")
+    __slots__ = ("rows", "nrows", "ncols", "_cols", "_nonzero")
 
     def __init__(self, rows, ncols=None):
         data = tuple(tuple(_norm_entry(x) for x in row) for row in rows)
         object.__setattr__(self, "_cols", None)
+        object.__setattr__(self, "_nonzero", None)
         object.__setattr__(self, "rows", data)
         object.__setattr__(self, "nrows", len(data))
         if data:
@@ -88,6 +90,7 @@ class Matrix:
         mat = object.__new__(Matrix)
         data = tuple(map(tuple, rows))
         object.__setattr__(mat, "_cols", None)
+        object.__setattr__(mat, "_nonzero", None)
         object.__setattr__(mat, "rows", data)
         object.__setattr__(mat, "nrows", len(data))
         object.__setattr__(mat, "ncols", ncols)
@@ -120,6 +123,15 @@ class Matrix:
             for c, x in enumerate(row):
                 if x:
                     yield r, c, x
+
+    def nonzero_rows(self):
+        """Each row's nonzero entries as a tuple of (column, value) pairs."""
+        nz = self._nonzero
+        if nz is None:
+            nz = tuple([tuple([(c, x) for c, x in enumerate(row) if x])
+                        if any(row) else () for row in self.rows])
+            object.__setattr__(self, "_nonzero", nz)
+        return nz
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -163,16 +175,13 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionError(
                     f"mul shape mismatch {self.shape()} vs {other.shape()}")
-            # each row of the right factor as its nonzero (col, value) pairs
-            nonzero = [[(c, y) for c, y in enumerate(brow) if y]
-                       for brow in other.rows]
+            nonzero = other.nonzero_rows()
             out = []
-            for r in self.rows:
+            for r in self.nonzero_rows():
                 acc = [0] * other.ncols
-                for a, pairs in zip(r, nonzero):
-                    if pairs and a:
-                        for c, y in pairs:
-                            acc[c] = acc[c] + a * y
+                for k, a in r:
+                    for c, y in nonzero[k]:
+                        acc[c] = acc[c] + a * y
                 out.append(_ints(acc))
             return Matrix._of(out, other.ncols)
         return self.scale(other)

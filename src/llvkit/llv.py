@@ -4,9 +4,10 @@ closure with so of the degree-2 form plus a hyperbolic plane, the special
 orthogonal actions of rank 10 and 6, Weil operators, derivations, and the
 subalgebra generated by degree 2.  The LLV closure is generated by the L_a
 and one certified dual (``llv_generators``).  ``lie_closure`` builds it by
-one exact elimination, which also proves it bracket-closed, and
+one exact elimination, which also proves it bracket-closed.
 ``so_identify`` reads the structure constants of such a certified closure
-at its pivots.
+at its pivots, only until they span the whole algebra: a perfect algebra's
+Killing signature is that of its trace form on the ambient space.
 
 The generators of ``lie_closure`` are the only dense matrices formed
 here.  Every other check reads ``DegreeOperator`` blocks, or any operator
@@ -150,7 +151,9 @@ class MatrixLieAlgebra:
     holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
     j < i with a nonzero bracket, so that [b_i, b_j] = sum_k (e_ijk / D^2)
     b_k.  ``structure_constants``, ``verify_closure`` and ``so_identify``
-    all read this one walk; no table of the constants is cached.
+    all read this one walk, the first two to its end; ``so_identify``
+    stops a certified algebra's walk once the derived algebra is full.
+    No table of the constants is cached.
     """
 
     ambient: int
@@ -392,13 +395,6 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x):
     return rows
 
 
-def dual_lefschetz_commute(ring: GradedAlgebra, a, b) -> bool:
-    """[Lam_a, Lam_b] = 0 for two Hard Lefschetz degree-2 classes; both
-    duals come from the ``DualFamily`` based at a."""
-    family = DualFamily(ring, a)
-    return family.lam(a).commutes_with(family.lam(b))
-
-
 def weil_operator(ring: BigradedAlgebra) -> DegreeOperator:
     """[L_gamma, Lam_gamma'] for gamma = sigma + sigma-bar and gamma' its
     imaginary partner; asserted equal to i(H_sigma - H_sigma-bar)."""
@@ -515,6 +511,30 @@ def _killing_gram(rows, dim):
     return [{j: g for j, g in grow.items() if g} for grow in gram]
 
 
+def _trace_gram(algebra: MatrixLieAlgebra):
+    """Integer Gram matrix T_ij = tr(M_i M_j) of the trace form on the
+    ambient space, as sparse rows {j: T_ij} without zero entries: the
+    entry (r, c) of M_i meets only the entry (c, r) of M_j, so the
+    entries are grouped by position and each position paired with its
+    transpose."""
+    n = algebra.ambient
+    mats = algebra._integer_form()[1]
+    at = {}                           # r n + c -> [(i, M_i[r][c]), ...]
+    for i, m in enumerate(mats):
+        for r, row in m.items():
+            for c, v in row.items():
+                at.setdefault(r * n + c, []).append((i, v))
+    gram = [{} for _ in mats]
+    for idx, left in at.items():
+        right = at.get(idx % n * n + idx // n)
+        if right:
+            for i, x in left:
+                grow = gram[i]
+                for j, y in right:
+                    grow[j] = grow.get(j, 0) + x * y
+    return [{j: g for j, g in grow.items() if g} for grow in gram]
+
+
 def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     """Dimension and Killing-signature test against so(b2-2, 4).
 
@@ -522,18 +542,34 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     a hyperbolic plane: real form so(b2-2, 4), with 4(b2-2) noncompact
     and C(b2-2, 2) + 6 compact directions.
 
-    Both tests read the integer structure constants e_ijk of the algebra
-    in one ``bracket_rows`` walk (see MatrixLieAlgebra), and no table of
-    them is stored.  A certified algebra's walk reads each bracket X at
-    the pivots: the loop of ``lie_closure`` proved X in the span, and b_k
-    is 1 at its own pivot and 0 at the others, so X = sum_k X[p_k] b_k.
-    Any other algebra's brackets get the exact membership test.  The
-    derived algebra is the span of the rows {k: e_ijk}; its rank is taken
-    by sparse elimination that stops once full.  The same walk feeds
-    ``_killing_gram``, and the Killing signature is read from the sparse
-    integer Gram matrix G = D^2 K(b'_i, b'_j) in the basis b'_i = D b_i.
-    That basis change is a positive-diagonal congruence and D^2 > 0, so
-    by Sylvester's law G has the signature of the Killing form.
+    One ``bracket_rows`` walk (see MatrixLieAlgebra) feeds its rows
+    {k: e_ijk}, which span the derived algebra [g, g], to a sparse
+    echelon.  A certified algebra's walk reads each bracket X at the
+    pivots, as ``lie_closure`` proved X in the span and b_k is 1 at its
+    own pivot and 0 at the others; it stops once [g, g] = g.  Any other
+    span walks to its end with the exact membership test, so a span that
+    is not bracket-closed raises.
+
+    A perfect g is read through its trace form T(x, y) = tr(xy) on the
+    ambient space.  If T is nondegenerate, g is reductive (Bourbaki, Lie
+    I, 6.4), so semisimple, being perfect.  If g is semisimple, the
+    radical of T is an ideal I with tr(xy) = 0 for x in I, y in g,
+    solvable by Cartan's criterion, so I = 0.  Thus T is degenerate, and
+    NotSemisimpleError raised, exactly when the Killing form is.  On a
+    semisimple g, Mostow ("Self-adjoint groups", 1955) gives an inner
+    product on the real ambient space for which g is closed under
+    transpose: g = k + p, k skew and p symmetric, and theta(x) = -x^T is
+    a Cartan involution.  So the Killing form and T, with tr(x^2) =
+    -tr(x x^T) on k and tr(x x^T) on p, are both negative definite on k,
+    positive definite on p, and vanish on k x p: both have signature
+    (dim p, dim k).  ``_trace_gram`` is tr(M_i M_j) = D^2 T(b_i, b_j) in
+    the basis M_i = D b_i, a positive scaling, so by Sylvester's law it
+    has the signature of T.
+
+    A g that is not perfect walks again into ``_killing_gram``, by the
+    same law of the Killing signature; T's can differ (on gl2, T is
+    (compact, noncompact) = (1, 3), the Killing form (1, 2) and null
+    on the identity).
     """
     expected_dim = (b2 + 2) * (b2 + 1) // 2
     dim = algebra.dim
@@ -541,21 +577,21 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
         raise ValueError("so_identify needs a rational algebra: the Killing "
                          "signature is only defined over the reals")
     derived = SparseEchelon()
-
-    def feed_derived(rows):
-        for row in rows:
-            for coeffs in row.values():
-                if derived.dim == dim:
-                    break
-                derived.add(coeffs)
-            yield row
-
-    gram = _killing_gram(feed_derived(algebra.bracket_rows(retest=False)),
-                         dim)
-    sig = symmetric_signature(gram)
-    if derived.dim == dim and sig[2]:
-        raise NotSemisimpleError("not semisimple: Killing form degenerate on "
-                                 "the derived algebra")
+    for row in algebra.bracket_rows(retest=False):
+        for coeffs in row.values():
+            if derived.dim == dim:
+                break
+            derived.add(coeffs)
+        if derived.dim == dim and algebra.certified:
+            break
+    if derived.dim == dim:
+        sig = symmetric_signature(_trace_gram(algebra))
+        if sig[2]:
+            raise NotSemisimpleError("not semisimple: Killing form degenerate "
+                                     "on the derived algebra")
+    else:
+        sig = symmetric_signature(
+            _killing_gram(algebra.bracket_rows(retest=False), dim))
     compact, noncompact = sig[1], sig[0]
     expected_sig = (comb(b2 - 2, 2) + 6, 4 * (b2 - 2))
     verdict = (dim == expected_dim

@@ -13,9 +13,9 @@ from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
                            symmetric_signature)
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
-                        dual_lefschetz_commute, lie_closure, llv_closure,
-                        llv_generators, so4_symplectic, so41_subalgebra,
-                        so_identify, verbitsky_component, weil_operator)
+                        lie_closure, llv_closure, llv_generators,
+                        so4_symplectic, so41_subalgebra, so_identify,
+                        verbitsky_component, weil_operator)
 from llvkit.models import nonisotropic_stream, spanning_hl_classes
 from llvkit.rings import load_ring, save_ring
 from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, I
@@ -386,31 +386,70 @@ def test_killing_oracle_example_shares_entry_positions():
     assert symmetric_signature(gram) == (5, 3, 0)
 
 
+# so(3) as skew 3x3 matrices, compact; sl2 on Q^2, split; gl2 on Q^2, not
+# perfect: (compact, noncompact) is (1, 3) for its trace form, but (1, 2)
+# and the null direction of the identity for its Killing form
+_SO3_GENERATORS = [_cells(3, {(0, 1): 1, (1, 0): -1}),
+                   _cells(3, {(0, 2): 1, (2, 0): -1})]
+_SL2_GENERATORS = [_cells(2, {(0, 1): 1}), _cells(2, {(1, 0): 1})]
+_GL2_GENERATORS = _SL2_GENERATORS + [_cells(2, {(0, 0): 1})]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_sparse_integer_generators())
 @example(_SL3_GENERATORS)
+@example(_SO3_GENERATORS)
+@example(_SL2_GENERATORS)
+@example(_GL2_GENERATORS)
 def test_streamed_killing_data_match_dense_oracle(gens):
-    # the Gram and derived rank that so_identify reads from one bracket
-    # walk, against dense traces of ad and the rank of every bracket
+    # the Gram, derived rank and signature of so_identify against dense
+    # traces of ad and the rank of every bracket
     alg = lie_closure(gens, FIELD_RATIONAL)
     den = alg._integer_form()[0]
     gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
     ads = [dense_ad(alg, b) for b in alg.basis]
+    killing = [[(a * b).trace() for b in ads] for a in ads]
     for i in range(alg.dim):
         for j in range(alg.dim):
-            assert gram[i].get(j, 0) == den ** 4 * (ads[i] * ads[j]).trace()
+            assert gram[i].get(j, 0) == den ** 4 * killing[i][j]
     n = alg.ambient
     brackets = [[x for row in a.commutator(b).rows for x in row]
                 for a, b in itertools.combinations(alg.basis, 2)]
     derived_rank = Subspace.from_rows(n * n, brackets).dim
+    pos, neg, null = symmetric_signature(killing)
     try:
         rep = so_identify(alg, 3)
     except NotSemisimpleError:
         # perfect, with a degenerate Killing form
         assert derived_rank == alg.dim
-        assert symmetric_signature(gram)[2] > 0
+        assert null > 0
     else:
         assert rep.semisimple_part_dim == derived_rank
+        assert rep.killing_signature == (neg, pos)
+        assert rep.verdict == (alg.dim == 10 and (neg, pos) == (6, 4)
+                               and null == 0)
+
+
+def test_so_identify_stops_once_derived_algebra_is_full(k3_closure,
+                                                        monkeypatch):
+    # the certified closure stops its walk once [g, g] = g; the same span,
+    # not certified, runs its whole tested walk; the reports agree
+    walk = MatrixLieAlgebra.bracket_rows
+    read = []
+
+    def spy(self, retest=True):
+        for row in walk(self, retest):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(MatrixLieAlgebra, "bracket_rows", spy)
+    alg = k3_closure
+    rep = so_identify(alg, 22)
+    assert 0 < len(read) < alg.dim
+    read.clear()
+    tested = MatrixLieAlgebra(alg.ambient, alg.pivots, alg._rows)
+    assert so_identify(tested, 22) == rep
+    assert len(read) == alg.dim
 
 
 def test_so_identify_rejects_unclosed_span():
@@ -585,7 +624,8 @@ def test_ad_grading_rejects_a_wrong_shape():
 
 def test_dual_lefschetz_commute_same_class(rat52):
     a = [Fraction(1), 0, 0, 0, 0]
-    assert dual_lefschetz_commute(rat52, a, a)
+    lam = DualFamily(rat52, a).lam(a)
+    assert lam.commutes_with(lam)
 
 
 def test_dual_lefschetz_commute_enumerated(rat52):
@@ -594,20 +634,22 @@ def test_dual_lefschetz_commute_enumerated(rat52):
     pairs = list(itertools.combinations(classes, 2))[:50]
     assert len(pairs) == 50
     for a, b in pairs:
-        assert dual_lefschetz_commute(rat52, [Fraction(c) for c in a],
-                                      [Fraction(c) for c in b])
+        a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+        family = DualFamily(rat52, a)
+        assert family.lam(a).commutes_with(family.lam(b))
 
 
 def test_dual_lefschetz_commute_gamma_pair(model52):
     rat = model52.rational_model
-    assert dual_lefschetz_commute(rat, model52.gamma_rational,
-                                  model52.gamma_prime_rational)
+    family = DualFamily(rat, model52.gamma_rational)
+    assert family.lam(model52.gamma_rational).commutes_with(
+        family.lam(model52.gamma_prime_rational))
 
 
 def test_dual_lefschetz_rejects_isotropic(rat52):
     iso = [Fraction(1), 0, 0, Fraction(1), 0]
     with pytest.raises(Exception, match="not an HL class"):
-        dual_lefschetz_commute(rat52, iso, [Fraction(1), 0, 0, 0, 0])
+        DualFamily(rat52, iso).lam(iso)
 
 
 def test_weil_operator_model(model52):
