@@ -286,9 +286,17 @@ class GradedAlgebra:
                 for gi, gj in sorted(bad)]
 
     def _associativity_issues(self, table):
-        """Every triple of positive degree that survives the top degree
-        (a unit factor is covered by the unit check), on the structure
-        constants ``table``."""
+        """Every triple (i, j, k) of positive degree with i <= k that
+        survives the top degree (a unit factor is covered by the unit
+        check), on the structure constants ``table``.
+
+        The mirrored triple (k, j, i) is the same identity once graded
+        commutativity holds, and a ring where it fails is rejected by
+        that check: with s = (-1)^(|i||j| + |i||k| + |j||k|),
+        (e_k e_j) e_i = s e_i (e_j e_k) and e_k (e_j e_i) = s (e_i e_j) e_k.
+        A triple whose two sides are both empty, e_i e_j = e_j e_k = 0,
+        holds and is skipped.
+        """
         issues = []
         deg, top = self._degree_of, self.top
         first_pos = self.offsets[1] if top >= 1 else self.total_dim
@@ -300,9 +308,11 @@ class GradedAlgebra:
                 if dij > top:       # the basis runs by degree
                     break
                 pij, row_j = row_i.get(gj, ()), rows[gj]
-                for gk in range(first_pos, self.total_dim):
+                for gk in range(gi, self.total_dim):
                     if dij + deg[gk] > top:
                         break
+                    if not pij and gk not in row_j:
+                        continue
                     left = {}
                     for gl, c in pij:
                         for gm, c2 in rows[gl].get(gk, ()):

@@ -13,8 +13,8 @@ import pytest
 import llvkit
 from llvkit import lefschetz, llv, models
 from llvkit.cli import FIXTURE_BOUNDS, main
-from llvkit.rings import (BigradedAlgebra, GradedAlgebra, ring_to_dict,
-                          save_ring)
+from llvkit.rings import (BigradedAlgebra, GradedAlgebra, QuadraticForm,
+                          ring_to_dict, save_ring)
 from test_rings import BOOLEAN_EDITS, UNKNOWN_KEY_EDITS
 
 
@@ -475,6 +475,57 @@ def test_hl_command(capsys):
                   capsys)
     assert rc == 0
     assert "result: pass" in out
+
+
+def _times_p1p1(ring):
+    """ring (x) H*(P^1 x P^1), bigraded, with h1, h2 of type (1, 1) and
+    h1^2 = h2^2 = 0; every degree is even, so no sign enters."""
+    p_deg, p_labels = (0, 2, 2, 4), ("1", "h1", "h2", "h1h2")
+    p_mul = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 3}
+    p_mul.update({(j, i): k for (i, j), k in list(p_mul.items())})
+    basis = sorted((ring.degree_of(a) + p_deg[b], a, b)
+                   for a in range(ring.total_dim) for b in range(4))
+    index = {(a, b): gi for gi, (_, a, b) in enumerate(basis)}
+    top = ring.top + 4
+    products = {}
+    for g1, (_, a1, b1) in enumerate(basis):
+        for g2, (_, a2, b2) in enumerate(basis):
+            b3 = p_mul.get((b1, b2))
+            terms = () if b3 is None else tuple(
+                (index[a3, b3], c) for a3, c in ring.mul_basis(a1, a2))
+            if terms:
+                products[g1, g2] = terms
+    return BigradedAlgebra(
+        ring.field, [sum(d == k for d, _, _ in basis) for k in range(top + 1)],
+        [[f"{ring.label_of(a)}*{p_labels[b]}" for d, a, b in basis if d == k]
+         for k in range(top + 1)],
+        products, ring.integration,
+        [(ring.bidegrees[a][0] + p_deg[b] // 2,
+          ring.bidegrees[a][1] + p_deg[b] // 2) for _, a, b in basis])
+
+
+def test_hl_reports_a_symplectic_class_without_hard_lefschetz(tmp_path,
+                                                              capsys):
+    # S x P^1 x P^1, S the bigraded (5,1) surface, is a valid ring of top
+    # degree 8 whose sigma squares to zero: neither sigma nor sigma-bar
+    # has an sl2-triple, and hl says so in its report, not in a traceback
+    surface = models.bogomolov_model(
+        QuadraticForm.diagonal([1, 1, 1, -1, -1]), 1)
+    ring = _times_p1p1(surface)
+    assert ring.validate().ok and ring.dims == (1, 0, 7, 0, 12, 0, 7, 0, 1)
+    assert not any(ring.multiply(ring.sigma(), ring.sigma()))
+    path = tmp_path / "surface-p1p1.json"
+    save_ring(ring, path)
+    rc = main(["hl", "--input", str(path), "--format", "structured"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    records = {r["name"]: r for r in json.loads(captured.out)["records"]}
+    assert records["symplectic hard lefschetz"]["verdict"] == "fail"
+    primitivity = records["simultaneous primitivity"]
+    assert primitivity["verdict"] == "fail"
+    assert primitivity["data"]["failures"] == [
+        "L_sigma has no sl2-triple: not an HL class",
+        "L_sigmabar has no sl2-triple: not an HL class"]
 
 
 def test_verbitsky_command(capsys):

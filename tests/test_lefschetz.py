@@ -13,8 +13,7 @@ from llvkit.lefschetz import (BlockChain, DegreeOperator, DualFamily,
                               NotHLError, antiholomorphic_weights,
                               classical_weights, complete_sl2,
                               complete_sl2_weights, cup_operator, hl_test,
-                              holomorphic_weights, primitive_decomposition,
-                              sigma_bar_sl2, sigma_sl2,
+                              holomorphic_weights, sigma_bar_sl2, sigma_sl2,
                               simultaneous_primitivity_check,
                               symplectic_hl_check, _solve_dual,
                               _weight_spaces)
@@ -308,38 +307,6 @@ def test_block_chain_powers_match_dense_powers(k3, rat52, model52, torus2):
                         power, ring, k, k + 2 * j), (a, k, j)
 
 
-def test_primitive_decomposition_primitive_input(k3):
-    a = [Fraction(1)] + [Fraction(0)] * 21
-    tri = complete_sl2(k3, a)
-    x = k3.embed(2, [0, Fraction(3)] + [0] * 20)
-    dec = primitive_decomposition(k3, tri, x)
-    assert dec.components == ((0, x),)
-
-
-def test_primitive_decomposition_image_of_l(k3):
-    a = [Fraction(1)] + [Fraction(0)] * 21
-    tri = complete_sl2(k3, a)
-    x = tri.L.matrix().matvec(k3.unit())
-    dec = primitive_decomposition(k3, tri, x)
-    assert [j for j, _ in dec.components] == [1]
-    assert dec.components[0][1] == k3.unit()
-
-
-def test_primitive_decomposition_mixed(k3):
-    # x = x0 + c*a with x0 orthogonal to a splits as x0 + c*L(1)
-    a2 = [Fraction(1)] + [Fraction(0)] * 21
-    tri = complete_sl2(k3, a2)
-    q = k3.quadratic_form
-    x2 = [Fraction(i + 1) for i in range(22)]
-    c = q.pair(a2, x2) / q.evaluate(a2)
-    x0 = [xi - c * ai for xi, ai in zip(x2, a2)]
-    dec = primitive_decomposition(k3, tri, k3.embed(2, x2))
-    comps = dict(dec.components)
-    assert comps[0] == k3.embed(2, x0)
-    assert comps[1] == k3.scale(k3.unit(), c)
-    assert dec.reconstruct(tri, k3) == k3.embed(2, x2)
-
-
 def test_symplectic_hl_model(model52):
     assert symplectic_hl_check(model52).ok
 
@@ -376,6 +343,37 @@ def test_simultaneous_primitivity_k3big(k3big):
     # the degenerate n = 1 case: both commutators vanish on a 24-dim ring
     res = simultaneous_primitivity_check(k3big)
     assert res.ok
+
+
+def test_simultaneous_primitivity_rejects_a_dual_not_commuting_with_l_sigma(
+        model52, monkeypatch):
+    # Lam_sigmabar + Lam_sigma still commutes with Lam_sigma, but its
+    # bracket with L_sigma is H_sigma != 0
+    tri_s = sigma_sl2(model52)
+
+    def shifted_sigma_bar(ring):
+        tri = sigma_bar_sl2(ring)
+        blocks = {k: blk + tri_s.Lam.blocks[k]
+                  for k, blk in tri.Lam.blocks.items()}
+        return replace(tri, Lam=DegreeOperator(ring, -2, blocks))
+
+    monkeypatch.setattr(lefschetz, "sigma_bar_sl2", shifted_sigma_bar)
+    res = simultaneous_primitivity_check(model52)
+    assert not res.ok
+    assert res.failures == ["[L_sigma, Lam_sigmabar] != 0"]
+
+
+def test_simultaneous_primitivity_fails_without_hard_lefschetz(
+        model52, monkeypatch):
+    # a sigma without Hard Lefschetz fails the record by name, next to a
+    # sigma-bar that has its triple
+    def refused(ring):
+        raise NotHLError("not an HL class")
+
+    monkeypatch.setattr(lefschetz, "sigma_sl2", refused)
+    res = simultaneous_primitivity_check(model52)
+    assert not res.ok
+    assert res.failures == ["L_sigma has no sl2-triple: not an HL class"]
 
 
 def test_sigma_weight_operators(model52):
