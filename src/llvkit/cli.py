@@ -218,22 +218,17 @@ def _config(args):
             if getattr(args, k, None) is not None}
 
 
-def _nondegenerate_form(ring):
-    """The ring's degree-2 form, or None; a degenerate form is refused by
-    its rank, before anything is enumerated from it."""
+def _certified_form(args, ring):
+    """The ring's degree-2 form, or None, for the commands that build on
+    it.  A degenerate form is refused by its rank, before anything is
+    enumerated from it.  The form a ring file declares must also satisfy
+    the Fujiki relation on the ring's own top powers
+    (``bbf.fujiki_certificate``): a form that fails sends ``llv``, ``pw``
+    and ``verbitsky`` after sl2 completions that do not exist.  A fixture
+    is built from its form and is not checked again."""
     form = ring.quadratic_form
     if form is not None:
         models.require_nondegenerate(form)
-    return form
-
-
-def _certified_form(args, ring):
-    """``_nondegenerate_form`` of a ring that ``llv`` and ``pw`` build on.
-    The form a ring file declares must also satisfy the Fujiki relation
-    on the ring's own top powers (``bbf.fujiki_certificate``): a form that
-    fails sends both commands after sl2 completions that do not exist.  A
-    fixture is built from its form and is not checked again."""
-    form = _nondegenerate_form(ring)
     if form is not None and args.input and ring.top % 4 == 0:
         try:
             bbf.fujiki_certificate(ring, form)
@@ -415,7 +410,7 @@ def cmd_pw(args) -> Report:
                "[L_beta, Lam_rho] has nilpotency index 3 on degree 2",
                res.data.get("degree2_nilpotent_index") == 3,
                {"index": res.data.get("degree2_nilpotent_index")})
-    res2 = pw.isotropic_independence_check(plain, count=10)
+    res2 = pw.isotropic_independence_check(plain)
     report.add("isotropic-class independence",
                "perverse dimensions agree for every isotropic class",
                res2.ok, dict(res2.data, failures=res2.failures))
@@ -490,7 +485,7 @@ def cmd_verbitsky(args) -> Report:
     report = Report("verbitsky", _config(args))
     plain, big, desc = resolve_ring(args)
     report.config["ring"] = desc
-    form = _nondegenerate_form(plain)
+    form = _certified_form(args, plain)
     res = llv.verbitsky_component(plain)
     report.add("degree-2 generated subalgebra",
                "graded dims follow the symmetric-power pattern and the "

@@ -10,13 +10,17 @@ The perverse filtration of an isotropic degree-2 class b inside degree k
 is  P_m = sum over i >= 1 of  ker(L^e) n im(L^(i-1)),  e = 2n + m + i - k,
 that is  P_m = sum over i >= 1 of  L^(i-1) ker(L^(e+i-1)),  the kernel
 taken on degree k - 2(i-1), with L = L_b, L^0 = identity and the terms
-with e <= 0 empty.  Powers of L are products of its degree blocks.
+with e <= 0 empty.  Powers of L are products of its degree blocks,
+built once per class for the filtrations of every degree.
 
 The weight filtration of a nilpotent N centered at c is built from an
 exact Jordan-chain sl2 decomposition and certified by its defining
 axioms, which determine it uniquely (Deligne, La conjecture de Weil II,
 1.6.1).  The weak P = W comparison matches the perverse index m against
-the weight index 2m + shift at one uniform shift.
+the weight index 2m + shift at one uniform shift, and the Hodge
+comparison the index m against the holomorphic cutoff m + shift.  In
+both, the one-dimensional H^0 of a valid ring admits a single shift,
+read off the jump of P on the unit, so no shift is searched.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ class Filtration:
     and above it the full space (both by construction at build time).
     """
 
-    def __init__(self, ambient, steps, degree=None):
+    def __init__(self, ambient, steps):
         self.ambient = ambient
-        self.degree = degree
         self.steps = dict(sorted(steps.items()))
         if not self.steps:
             raise ValueError("a filtration needs at least one step")
@@ -104,22 +107,15 @@ class Filtration:
 # -- perverse filtration ----------------------------------------------------
 
 
-def perverse_chain(ring: GradedAlgebra, beta) -> BlockChain:
-    """The degree blocks of L_beta and their powers, shared by the
-    perverse filtrations of one class in every degree."""
-    return BlockChain(cup_operator(ring, beta).blocks,
-                      dict(enumerate(ring.dims)))
-
-
-def perverse_filtration(ring: GradedAlgebra, beta, k: int,
-                        chain: BlockChain = None) -> Filtration:
-    """The isotropic-class filtration inside the degree-k piece.
+def perverse_filtration(ring: GradedAlgebra, beta) -> dict:
+    """The isotropic-class filtration of every nonzero degree, ``{k: P}``.
 
     Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
     the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree k - 2(i-1),
     so each step is one span.  L^j is a product of the degree blocks of
-    the cup operator, read from ``chain`` = ``perverse_chain(ring, beta)``
-    when the caller has built it for another degree.
+    the cup operator, built once for all degrees.  With L^nil = 0, the
+    i = 1 term at m = k - 2n + nil - 1 is ker(L^nil) = all of H^k, so the
+    steps from m = k - 2n - nil - 1 reach the full space by that index.
     """
     form = ring.quadratic_form
     if form is None:
@@ -132,12 +128,11 @@ def perverse_filtration(ring: GradedAlgebra, beta, k: int,
     if ring.top % 4:
         raise ValueError("perverse filtration needs top degree 4n")
     two_n = ring.top // 2
-    if chain is None:
-        chain = perverse_chain(ring, beta)
+    chain = BlockChain(cup_operator(ring, beta).blocks,
+                       dict(enumerate(ring.dims)))
     nil = chain.nilpotency_index()
-    dim_k = ring.dims[k]
 
-    def term(i, e):
+    def term(k, i, e):
         """ker(L^e) n im(L^(i-1)) in degree k, as spanning rows."""
         src = k - 2 * (i - 1)
         if not chain.dim(src):
@@ -148,22 +143,22 @@ def perverse_filtration(ring: GradedAlgebra, beta, k: int,
             return img.transpose().rows        # the kernel is all of it
         return [img.matvec(v) for v in kernel(chain.power(src, j)).basis]
 
-    steps = {}
-    m = k - two_n - nil - 1
-    while True:
-        rows = []
-        for i in range(1, two_n + 2):
-            e = two_n + m + i - k
-            if e > 0:
-                rows.extend(term(i, e))
-        total = Subspace.from_rows(dim_k, rows)
-        steps[m] = total
-        if total.dim == dim_k:
-            break
-        m += 1
-        if m > k + two_n + nil + 2:
-            raise RuntimeError("perverse filtration failed to exhaust")
-    return Filtration(dim_k, steps, degree=k)
+    filts = {}
+    for k, dim_k in enumerate(ring.dims):
+        if not dim_k:
+            continue
+        steps = {}
+        for m in range(k - two_n - nil - 1, k - two_n + nil):
+            rows = []
+            for i in range(1, two_n + 2):
+                e = two_n + m + i - k
+                if e > 0:
+                    rows.extend(term(k, i, e))
+            steps[m] = Subspace.from_rows(dim_k, rows)
+            if steps[m].dim == dim_k:
+                break
+        filts[k] = Filtration(dim_k, steps)
+    return filts
 
 
 def _nilpotent_powers(mat: Matrix):
@@ -189,16 +184,20 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
     p <= m + shift, at one uniform shift (reported).  Equal flags make
     each perverse jump dim A^(m+shift, k-m-shift), since every basis
     element of degree k has a bidegree (p, k-p); the jumps need no count
-    against the Hodge numbers of their own."""
+    against the Hodge numbers of their own.
+
+    The unit fixes the shift.  A valid ring has dim H^0 = 1, so P jumps
+    once there, at m0, and the Hodge flag of the unit, of bidegree
+    (0, 0), jumps once, at cutoff 0; the flags agree on H^0 only at
+    shift = -m0.  P_m(H^0) is ker L^(2n+m+1) on the unit, so
+    m0 = e0 - 2n - 1 with e0 in [1, 2n+1] the least e with
+    sigma-bar^e = 0, and -m0 lies in [0, 2n].  No other shift can match,
+    so a search over any window holding [0, 2n] finds this one or none.
+    """
     res = CheckResult("perverse filtration detects the Hodge filtration")
-    n = ring.symplectic_n()
     lo2, _ = ring.slice_of(2)
     sigma_bar = tuple(ring.sigma_bar()[lo2 + t] for t in range(ring.dims[2]))
-    chain = perverse_chain(ring, sigma_bar)
-    filts = {}
-    for k in range(ring.top + 1):
-        if ring.dims[k]:
-            filts[k] = perverse_filtration(ring, sigma_bar, k, chain)
+    filts = perverse_filtration(ring, sigma_bar)
 
     def hodge_flag(k, cutoff):
         lo, _ = ring.slice_of(k)
@@ -211,17 +210,13 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
                 rows.append(row)
         return Subspace.from_rows(ring.dims[k], rows)
 
-    found = None
-    for shift in range(-2 * n - 2, 2 * n + 3):
-        if all(all(filt.at(m) == hodge_flag(k, m + shift)
+    shift = -filts[0].jumps()[0][0]
+    if not all(all(filt.at(m) == hodge_flag(k, m + shift)
                    for m in range(filt.lo, filt.hi + 1))
                for k, filt in filts.items()):
-            found = shift
-            break
-    if found is None:
         res.fail("no uniform index shift matches the Hodge flags")
     else:
-        res.data["shift"] = found
+        res.data["shift"] = shift
         res.data["dims"] = {k: filt.dims() for k, filt in filts.items()}
     return res
 
@@ -375,6 +370,14 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple) -> CheckResult:
     with P_m = W_(2m+s) across every degree and records it.  The weight
     index runs at twice the perverse index, with jumps only on the
     matching parity.
+
+    The unit fixes s.  A valid ring has dim H^0 = 1, and N is nilpotent
+    there, so N = 0 on H^0 and W jumps once, at c = -2n; P jumps once, at
+    m0 = e0 - 2n - 1 in [-2n, 0], e0 the least e with beta^e = 0.
+    P_(m0-1) = W_(2m0-2+s) = 0 and P_m0 = W_(2m0+s) = H^0 leave
+    s = c - 2m0 or c - 2m0 + 1, and the parity of the jump at c leaves
+    s = c - 2m0, in [-2n, 2n].  No other shift can match, so a search over
+    any window holding [-2n, 2n] finds this one or none.
     """
     res = CheckResult("perverse filtration equals monodromy weight filtration")
     form = ring.quadratic_form
@@ -384,33 +387,17 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple) -> CheckResult:
     idx = nilpotent_index(nop.blocks[2])
     res.data["degree2_nilpotent_index"] = idx
     res.data["type_iii"] = (idx == 3)
-    chain = perverse_chain(ring, beta)
-    p_filts = {}
-    w_filts = {}
-    for k in range(ring.top + 1):
-        if not ring.dims[k]:
-            continue
-        p_filts[k] = perverse_filtration(ring, beta, k, chain)
-        w_filts[k] = weight_filtration(nop.blocks[k], center=k - two_n)
-    found = None
-    for s in range(-two_n - 2, two_n + 3):
-        ok = True
-        for k, pf in p_filts.items():
-            wf = w_filts[k]
-            if any((j - s) % 2 for j, _ in wf.jumps()):
-                ok = False
-                break
-            if not all(pf.at(m) == wf.at(2 * m + s)
-                       for m in range(pf.lo - 1, pf.hi + 2)):
-                ok = False
-                break
-        if ok:
-            found = s
-            break
-    if found is None:
+    p_filts = perverse_filtration(ring, beta)
+    w_filts = {k: weight_filtration(nop.blocks[k], center=k - two_n)
+               for k in p_filts}
+    s = -two_n - 2 * p_filts[0].jumps()[0][0]
+    if any(any((j - s) % 2 for j, _ in w_filts[k].jumps())
+           or not all(pf.at(m) == w_filts[k].at(2 * m + s)
+                      for m in range(pf.lo - 1, pf.hi + 2))
+           for k, pf in p_filts.items()):
         res.fail("no uniform shift aligns the perverse and weight flags")
     else:
-        res.data["shift"] = found
+        res.data["shift"] = s
     res.data["perverse_dims"] = {k: f.dims() for k, f in p_filts.items()}
     res.data["weight_dims"] = {k: f.dims() for k, f in w_filts.items()}
     return res
@@ -452,19 +439,16 @@ def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
     return LagrangianTriple(beta, eta, rho)
 
 
-def isotropic_independence_check(ring: GradedAlgebra, count=10) -> CheckResult:
-    """dim P_m is the same for every isotropic class, all m and k."""
+def isotropic_independence_check(ring: GradedAlgebra) -> CheckResult:
+    """dim P_m is the same for the first ten isotropic classes of the
+    enumeration, all m and k."""
     res = CheckResult("perverse dimensions independent of the isotropic class")
     form = ring.quadratic_form
-    classes = list(itertools.islice(isotropic_stream(form), count))
+    classes = list(itertools.islice(isotropic_stream(form), 10))
     reference = None
     for mu in classes:
-        chain = perverse_chain(ring, mu)
-        dims = {}
-        for k in range(ring.top + 1):
-            if ring.dims[k]:
-                filt = perverse_filtration(ring, mu, k, chain)
-                dims[k] = sorted(filt.jumps())
+        dims = {k: sorted(filt.jumps())
+                for k, filt in perverse_filtration(ring, mu).items()}
         if reference is None:
             reference = dims
         elif dims != reference:

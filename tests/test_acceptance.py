@@ -141,7 +141,7 @@ def test_criterion_08_weak_p_equals_w(rat52):
 
 
 def test_criterion_09_isotropic_independence(rat52):
-    res = isotropic_independence_check(rat52, count=10)
+    res = isotropic_independence_check(rat52)
     ok = res.ok and res.data["classes_checked"] == 10
     report(9, ok, "dim P_m identical across 10 isotropic classes, all m, k")
 

@@ -528,6 +528,23 @@ def test_hl_reports_a_symplectic_class_without_hard_lefschetz(tmp_path,
         "L_sigmabar has no sl2-triple: not an HL class"]
 
 
+def test_verbitsky_refuses_a_declared_form_that_fails_fujiki(tmp_path,
+                                                              capsys):
+    # S x P^1 x P^1 is a valid ring, but the nondegenerate form declared
+    # for it is not its own: verbitsky exits 2 with the Fujiki error, as
+    # llv and pw do, and never reaches the sl2 completion of a dual
+    surface = models.bogomolov_model(
+        QuadraticForm.diagonal([1, 1, 1, -1, -1]), 1)
+    path = _edited_ring_file(tmp_path, _times_p1p1(surface),
+                             _set_form((1, 1, 1, -1, -1, -1, -1)))
+    rc = main(["verbitsky", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: quadratic form: Fujiki relation fails on monomial 1*h1^4: "
+        "q^2 = 1 but c*integral = 0"]
+
+
 def test_verbitsky_command(capsys):
     rc, out = run(["verbitsky", "--fixture", "bogomolov", "--b2", "5",
                    "--n", "2", "--format", "structured"], capsys)

@@ -11,7 +11,7 @@ from llvkit.models import ModelConstructionError, isotropic_stream
 from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        isotropic_independence_check,
                        lagrangian_monodromy, nilpotent_index,
-                       perverse_chain, perverse_filtration,
+                       perverse_filtration,
                        perverse_hodge_check, weak_pw_check, weight_filtration)
 from llvkit.rings import ring_from_dict, ring_to_dict
 from subspace_ops import reference_subspace, subspace_intersect, subspace_sum
@@ -193,15 +193,16 @@ def test_nilpotent_index():
 
 def test_perverse_rejects_nonisotropic(rat52):
     with pytest.raises(ValueError, match="isotropic"):
-        perverse_filtration(rat52, (Fraction(1), 0, 0, 0, 0), 4)
+        perverse_filtration(rat52, (Fraction(1), 0, 0, 0, 0))
     with pytest.raises(ValueError, match="isotropic"):
-        perverse_filtration(rat52, (Fraction(0),) * 5, 4)
+        perverse_filtration(rat52, (Fraction(0),) * 5)
 
 
 def test_perverse_monotone_and_exhaustive(rat52):
     beta = (Fraction(1), 0, 0, Fraction(1), 0)
-    for k in (0, 2, 4, 6, 8):
-        filt = perverse_filtration(rat52, beta, k)
+    filts = perverse_filtration(rat52, beta)
+    assert list(filts) == [0, 2, 4, 6, 8]
+    for k, filt in filts.items():
         dims = [filt.at(m).dim for m in range(filt.lo, filt.hi + 1)]
         assert dims == sorted(dims)
         assert filt.at(filt.lo).dim == 0
@@ -213,7 +214,7 @@ def test_perverse_middle_jumps_match_hodge_rows(model52):
     # Hodge diamond (perverse Hodge numbers)
     rat = model52.rational_model
     beta = (Fraction(1), 0, 0, Fraction(1), 0)
-    filt = perverse_filtration(rat, beta, 4)
+    filt = perverse_filtration(rat, beta)[4]
     jump_dims = [d for _, d in filt.jumps()]
     hodge = model52.hodge_dims()
     rows = {}
@@ -223,14 +224,20 @@ def test_perverse_middle_jumps_match_hodge_rows(model52):
     assert jump_dims == [rows[p] for p in sorted(rows)]
 
 
-def test_perverse_matches_whole_ring_oracle(rat52):
+def test_perverse_matches_whole_ring_oracle(rat52, torus2):
     # oracle: evaluate the kernel/image formula on full-ring subspaces and
-    # slice out degree k afterwards, instead of working blockwise
+    # slice out degree k afterwards, instead of working blockwise; the
+    # torus adds the odd degrees 1 and 3
+    for ring, beta in ((rat52, (1, 0, 0, 1, 0)), (torus2, (0, 1, 0, 0, 0, -1))):
+        assert_perverse_matches_whole_ring_oracle(
+            ring, tuple(map(Fraction, beta)))
+
+
+def assert_perverse_matches_whole_ring_oracle(ring, beta):
     from llvkit.lefschetz import cup_operator
-    beta = (Fraction(1), 0, 0, Fraction(1), 0)
-    lmat = cup_operator(rat52, beta).matrix()
-    n = rat52.total_dim
-    two_n = rat52.top // 2
+    lmat = cup_operator(ring, beta).matrix()
+    n = ring.total_dim
+    two_n = ring.top // 2
     powers = [Matrix.identity(n)]
     for _ in range(two_n + 2):
         powers.append(powers[-1] * lmat)
@@ -239,16 +246,16 @@ def test_perverse_matches_whole_ring_oracle(rat52):
         return powers[j] if j < len(powers) else Matrix.zeros(n, n)
 
     def degree_subspace(k):
-        lo, hi = rat52.slice_of(k)
+        lo, hi = ring.slice_of(k)
         rows = []
         for gi in range(lo, hi):
-            rows.append(rat52.basis_vector(gi))
+            rows.append(ring.basis_vector(gi))
         return Subspace.from_rows(n, rows)
 
-    for k in (2, 4, 6):
-        filt = perverse_filtration(rat52, beta, k)
+    filts = perverse_filtration(ring, beta)
+    assert list(filts) == [k for k, d in enumerate(ring.dims) if d]
+    for k, filt in filts.items():
         amb_k = degree_subspace(k)
-        lo, _hi = rat52.slice_of(k)
         for m in range(filt.lo, filt.hi + 1):
             total = Subspace.zero(n)
             for i in range(1, two_n + 2):
@@ -260,8 +267,8 @@ def test_perverse_matches_whole_ring_oracle(rat52):
                 total = subspace_sum(total, subspace_intersect(ker, img))
             sliced = subspace_intersect(total, amb_k)
             expected = Subspace.from_rows(
-                n, [rat52.embed(k, v) for v in filt.at(m).basis])
-            assert sliced == expected, (k, m)
+                n, [ring.embed(k, v) for v in filt.at(m).basis])
+            assert sliced == expected, (ring.name, k, m)
 
 
 def test_perverse_hodge_check_model(model52):
@@ -281,20 +288,20 @@ def test_perverse_hodge_check_rejects_a_flag_moved_off_the_hodge_flag(
     # the Hodge flag but is not it, so no uniform shift matches
     filtration = pw.perverse_filtration
 
-    def moved(ring, beta, k, chain=None):
-        filt = filtration(ring, beta, k, chain)
-        if k != 2:
-            return filt
-        return Filtration(filt.ambient, {
+    def moved(ring, beta):
+        filts = filtration(ring, beta)
+        filt = filts[2]
+        filts[2] = Filtration(filt.ambient, {
             m: Subspace.from_rows(filt.ambient,
                                   [tuple(reversed(v)) for v in sub.basis])
-            for m, sub in filt.steps.items()}, degree=k)
+            for m, sub in filt.steps.items()})
+        return filts
 
     lo2, _ = model52.slice_of(2)
     sigma_bar = model52.sigma_bar()[lo2:lo2 + model52.dims[2]]
-    assert moved(model52, sigma_bar, 2) != filtration(model52, sigma_bar, 2)
-    assert (moved(model52, sigma_bar, 2).jumps()
-            == filtration(model52, sigma_bar, 2).jumps())
+    assert moved(model52, sigma_bar)[2] != filtration(model52, sigma_bar)[2]
+    assert (moved(model52, sigma_bar)[2].jumps()
+            == filtration(model52, sigma_bar)[2].jumps())
     monkeypatch.setattr(pw, "perverse_filtration", moved)
     res = perverse_hodge_check(model52)
     assert not res.ok
@@ -305,7 +312,7 @@ def test_perverse_degree_zero_single_step(model52):
     lo2, _ = model52.slice_of(2)
     sigma_bar = tuple(model52.sigma_bar()[lo2 + t]
                       for t in range(model52.dims[2]))
-    filt = perverse_filtration(model52, sigma_bar, 0)
+    filt = perverse_filtration(model52, sigma_bar)[0]
     assert [d for _, d in filt.jumps()] == [1]
 
 
@@ -358,7 +365,7 @@ def test_lagrangian_monodromy_properties(rat52):
 def test_pw_compare_different_jump_counts(rat52):
     # flags with different jumps are different filtrations
     beta = (Fraction(1), 0, 0, Fraction(1), 0)
-    f4 = perverse_filtration(rat52, beta, 4)
+    f4 = perverse_filtration(rat52, beta)[4]
     padded = Filtration(f4.ambient, {0: Subspace.zero(f4.ambient),
                                      1: Subspace.full(f4.ambient)})
     assert f4 != padded
@@ -381,7 +388,7 @@ def test_weak_pw_k3big(k3big):
 
 
 def test_isotropic_independence(rat52):
-    res = isotropic_independence_check(rat52, count=10)
+    res = isotropic_independence_check(rat52)
     assert res.ok, res.failures
     assert res.data["classes_checked"] == 10
 
@@ -391,28 +398,17 @@ def test_perverse_dims_match_across_classes_detail(rat52):
     mus = list(itertools.islice(isotropic_stream(form), 4))
     reference = None
     for mu in mus:
-        dims = {k: perverse_filtration(
-            rat52, tuple(Fraction(c) for c in mu), k).jumps()
-            for k in (0, 2, 4, 6, 8)}
+        dims = {k: filt.jumps() for k, filt in perverse_filtration(
+            rat52, tuple(Fraction(c) for c in mu)).items()}
         reference = reference or dims
         assert dims == reference
 
 
-def test_perverse_filtration_on_a_shared_chain(rat52):
-    form = rat52.quadratic_form
-    for mu in itertools.islice(isotropic_stream(form), 3):
-        beta = tuple(Fraction(c) for c in mu)
-        chain = perverse_chain(rat52, beta)
-        for k in range(0, rat52.top + 1, 2):
-            shared = perverse_filtration(rat52, beta, k, chain)
-            own = perverse_filtration(rat52, beta, k)
-            assert shared == own and shared.steps.keys() == own.steps.keys()
-
-
 def test_checks_build_one_perverse_chain_per_class(rat52, model52,
                                                    monkeypatch):
+    # one perverse_filtration call, and so one chain of powers, per class
     calls = {"chain": 0, "filtration": 0}
-    chain, filtration = pw.perverse_chain, pw.perverse_filtration
+    chain, filtration = pw.BlockChain, pw.perverse_filtration
 
     def counted_chain(*args):
         calls["chain"] += 1
@@ -422,13 +418,34 @@ def test_checks_build_one_perverse_chain_per_class(rat52, model52,
         calls["filtration"] += 1
         return filtration(*args)
 
-    monkeypatch.setattr(pw, "perverse_chain", counted_chain)
+    monkeypatch.setattr(pw, "BlockChain", counted_chain)
     monkeypatch.setattr(pw, "perverse_filtration", counted_filtration)
-    degrees = sum(1 for k in range(0, rat52.top + 1, 2) if rat52.dims[k])
     for run, classes in (
-            (lambda: isotropic_independence_check(rat52, count=3), 3),
+            (lambda: isotropic_independence_check(rat52), 10),
             (lambda: weak_pw_check(rat52, default_lagrangian_triple(rat52)), 1),
             (lambda: perverse_hodge_check(model52), 1)):
         calls.update(chain=0, filtration=0)
         assert run().ok
-        assert calls == {"chain": classes, "filtration": classes * degrees}
+        assert calls == {"chain": classes, "filtration": classes}
+
+
+@pytest.mark.parametrize("offset", [2, 1])
+def test_weak_pw_rejects_a_weight_flag_moved_in_one_degree(rat52, monkeypatch,
+                                                           offset):
+    # the degree-2 weight flag re-indexed by 2 needs a shift 2 apart from
+    # that of the other degrees, and by 1 also breaks the parity of its
+    # jumps; either way no uniform shift aligns the flags
+    weight, two_n = pw.weight_filtration, rat52.top // 2
+
+    def moved(nmat, center=0):
+        filt = weight(nmat, center)
+        if center != 2 - two_n:
+            return filt
+        return Filtration(filt.ambient, {m + offset: sub
+                                         for m, sub in filt.steps.items()})
+
+    monkeypatch.setattr(pw, "weight_filtration", moved)
+    res = weak_pw_check(rat52, default_lagrangian_triple(rat52))
+    assert not res.ok and "shift" not in res.data
+    assert res.failures == [
+        "no uniform shift aligns the perverse and weight flags"]
