@@ -1,5 +1,6 @@
-"""Command-line front end: build or load model rings, run the named
-verification suites, and emit deterministic text or JSON reports.
+"""Command-line front end: parse the arguments, build or load the model
+ring, and format the records that the library checks return as
+deterministic text or JSON reports.
 
 Exit status: 0 when every record passes (skips allowed), 1 when any
 check fails, 2 on usage or parse errors.
@@ -8,8 +9,8 @@ check fails, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -24,29 +25,19 @@ USAGE_ERROR = 2
 
 
 @dataclass
-class Record:
-    name: str
-    anchor: str               # the mathematical claim the check verifies
-    verdict: str              # pass | fail | skip
-    data: dict = field(default_factory=dict)
-
-
-@dataclass
 class Report:
     command: str
     config: dict
     records: list = field(default_factory=list)
 
-    def add(self, name, anchor, ok, data=None):
-        self.records.append(Record(name, anchor, "pass" if ok else "fail",
-                                   _jsonable(data or {})))
-
-    def skip(self, name, anchor, reason):
-        self.records.append(Record(name, anchor, "skip", {"reason": reason}))
+    def add(self, *records):
+        for r in records:
+            r.data = _jsonable(r.data)
+            self.records.append(r)
 
     @property
     def ok(self):
-        return all(r.verdict != "fail" for r in self.records)
+        return all(r.ok for r in self.records)
 
     def to_text(self):
         lines = [f"command: {self.command}"]
@@ -140,13 +131,32 @@ def _flag(args, name, default):
     return default if value is None else value
 
 
+# the fixture each fixture flag configures
+FIXTURE_FLAGS = {"b2": "bogomolov", "n": "bogomolov", "q": "bogomolov",
+                 "g": "torus"}
+
+
+def _refuse_unread_flags(args):
+    """A fixture flag the resolved ring would ignore is refused: every one
+    of them beside --input, and one meant for another fixture."""
+    given = [k for k in ("fixture", *FIXTURE_FLAGS)
+             if getattr(args, k, None) is not None]
+    if args.input and given:
+        raise UsageError(f"--{given[0]} does not apply to --input")
+    for key in given:
+        if key != "fixture" and FIXTURE_FLAGS[key] != args.fixture:
+            raise UsageError(f"--{key} applies only to --fixture "
+                             f"{FIXTURE_FLAGS[key]}")
+
+
 def _resolve_ring_inner(args, need_bigraded):
-    if getattr(args, "input", None):
+    _refuse_unread_flags(args)
+    if args.input:
         ring = load_ring(args.input)
         big = ring if isinstance(ring, BigradedAlgebra) else None
         plain = big.rational_model if (big and big.rational_model) else ring
         return plain, big, f"file:{args.input}"
-    fixture = getattr(args, "fixture", None)
+    fixture = args.fixture
     if fixture is None:
         raise UsageError("either --fixture or --input is required")
     if fixture == "k3":
@@ -169,7 +179,7 @@ def _resolve_ring_inner(args, need_bigraded):
                 raise UsageError(f"--b2 {b2} --n {n} gives a ring of total "
                                  f"dimension {total}, over the documented "
                                  f"bound {FIXTURE_BOUNDS['dim']}")
-        if getattr(args, "q", None):
+        if args.q:
             form = parse_q(args.q, expect_dim=b2)
         else:
             neg = b2 - 3
@@ -186,240 +196,127 @@ def _resolve_ring_inner(args, need_bigraded):
     raise UsageError(f"unknown fixture {fixture!r}")
 
 
-# -- commands ---------------------------------------------------------------
-
-
-def cmd_validate(args) -> Report:
-    report = Report("validate", _config(args))
-    plain, big, desc = resolve_ring(args)
-    report.config["ring"] = desc
-    targets = [("ring axioms", plain)]
-    if big is not None and big is not plain:
-        targets.append(("bigraded ring axioms", big))
-    for label, ring in targets:
-        validation = ring.validation or ring.validate()
-        issues = [str(i) for i in validation.issues]
-        form = ring.quadratic_form
-        if ring is plain and form is not None and ring.top % 4 == 0:
-            # the declared form against the ring's own top powers
-            try:
-                bbf.fujiki_certificate(ring, form)
-            except bbf.FujikiError as exc:
-                issues.append(f"quadratic form: {exc}")
-        report.add(label, "graded commutativity, associativity, unit, "
-                   "Poincare duality", not issues,
-                   {"issues": issues, "dims": list(ring.dims)})
-    return report
-
-
 def _config(args):
     keys = ("fixture", "input", "b2", "n", "g", "q", "field")
     return {k: getattr(args, k) for k in keys
             if getattr(args, k, None) is not None}
 
 
+def _form_issue(ring):
+    """Why the form a ring declares fails the Fujiki relation on the
+    ring's own top powers (``bbf.fujiki_certificate``), or None."""
+    form = ring.quadratic_form
+    if form is None or ring.top % 4:
+        return None
+    try:
+        bbf.fujiki_certificate(ring, form)
+    except bbf.FujikiError as exc:
+        return f"quadratic form: {exc}"
+    return None
+
+
 def _certified_form(args, ring):
     """The ring's degree-2 form, or None, for the commands that build on
     it.  A degenerate form is refused by its rank, before anything is
     enumerated from it.  The form a ring file declares must also satisfy
-    the Fujiki relation on the ring's own top powers
-    (``bbf.fujiki_certificate``): a form that fails sends ``llv``, ``pw``
-    and ``verbitsky`` after sl2 completions that do not exist.  A fixture
-    is built from its form and is not checked again."""
+    the Fujiki relation (``_form_issue``): a form that fails sends
+    ``llv``, ``pw`` and ``verbitsky`` after sl2 completions that do not
+    exist.  A fixture is built from its form and is not checked again."""
     form = ring.quadratic_form
     if form is not None:
         models.require_nondegenerate(form)
-    if form is not None and args.input and ring.top % 4 == 0:
-        try:
-            bbf.fujiki_certificate(ring, form)
-        except bbf.FujikiError as exc:
-            raise UsageError(f"quadratic form: {exc}") from exc
+    issue = _form_issue(ring) if args.input else None
+    if issue:
+        raise UsageError(issue)
     return form
 
 
-def _enumerate_noniso_pairs(form, count):
-    take = 3
-    while take * (take - 1) // 2 < count:
-        take += 1
-    classes = list(itertools.islice(models.nonisotropic_stream(form), take))
-    pairs = []
-    for a, b in itertools.combinations(classes, 2):
-        pairs.append((a, b))
-        if len(pairs) >= count:
-            break
-    return pairs
+# -- commands ---------------------------------------------------------------
+#
+# A command resolves its ring and adds the record of each library check.
+
+
+def _report(args, need_bigraded=False):
+    report = Report(args.command, _config(args))
+    plain, big, desc = resolve_ring(args, need_bigraded)
+    report.config["ring"] = desc
+    return report, plain, big
+
+
+def cmd_validate(args) -> Report:
+    report, plain, big = _report(args)
+    issue = _form_issue(plain)
+    report.add((plain.validation or plain.validate()).record(
+        "ring axioms", [issue] if issue else [], dims=list(plain.dims)))
+    if big is not None and big is not plain:
+        report.add((big.validation or big.validate()).record(
+            "bigraded ring axioms", dims=list(big.dims)))
+    return report
 
 
 def cmd_llv(args) -> Report:
-    report = Report("llv", _config(args))
-    plain, big, desc = resolve_ring(args, need_bigraded=True)
-    report.config["ring"] = desc
+    report, plain, big = _report(args, need_bigraded=True)
     form = _certified_form(args, plain)
-    if form is None:
-        report.skip("bracket closure", "total Lie algebra of Lefschetz "
-                    "operators", "ring carries no degree-2 form")
+    duals = None
+    if form is not None:
+        duals = lefschetz.DualFamily(plain,
+                                     models.spanning_hl_classes(form)[0])
+    algebra, closure = llv.bracket_closure(plain, duals)
+    report.add(closure)
+    if algebra is None:
         return report
-    duals = lefschetz.DualFamily(plain, models.spanning_hl_classes(form)[0])
-    # the dense generators live only inside lie_closure
-    algebra = llv.lie_closure(llv.llv_generators(plain, duals)[0],
-                              plain.field)
-    b2 = plain.dims[2]
-    is_torus = desc.startswith("torus")
-    report.add("bracket closure", "Lie algebra generated by all Hard "
-               "Lefschetz sl2-pairs", True, {"dim": algebra.dim})
-    h = lefschetz.weight_operator(plain, lefschetz.classical_weights(plain))
-    try:
-        dims = [len(space) for space in llv.ad_grading(algebra, h)]
-        report.add("adjoint weight decomposition",
-                   "closure splits into ad(H) eigenvalues 2, 0, -2", True,
-                   {"dims": dims})
-        grading_ok = True
-    except llv.DecompositionError as exc:
-        report.add("adjoint weight decomposition",
-                   "closure splits into ad(H) eigenvalues 2, 0, -2", False,
-                   {"error": str(exc)})
-        grading_ok = False
-    if is_torus:
-        report.skip("so identification",
-                    "closure matches so of the Mukai-completed degree-2 form",
-                    "no structure prediction for the torus fixture; computed "
-                    f"dim {algebra.dim}")
-    else:
-        try:
-            so = llv.so_identify(algebra, b2)
-        except ValueError as exc:
-            report.skip("so identification",
-                        "closure matches so of the Mukai-completed degree-2 "
-                        "form", str(exc))
-        else:
-            report.add("so identification",
-                       "closure matches so of the Mukai-completed degree-2 form",
-                       so.verdict,
-                       {"dim": so.dim, "expected_dim": so.expected_dim,
-                        "killing_compact_noncompact": list(so.killing_signature),
-                        "expected_compact_noncompact":
-                            list(so.expected_signature)})
-    pairs = _enumerate_noniso_pairs(form, 50)
-    bad = []
-    for a, b in pairs:
-        if not duals.lam(a).commutes_with(duals.lam(b)):
-            bad.append((a, b))
-    report.add("dual operators commute",
-               "[Lam_a, Lam_b] = 0 for non-isotropic pairs", not bad,
-               {"pairs_checked": len(pairs), "violations": bad})
-    deriv_bad = []
-    classes = list(itertools.islice(models.nonisotropic_stream(form), 4))
-    for a, b in itertools.combinations(classes, 2):
-        d = lefschetz.cup_operator(plain, a).commutator(duals.lam(b))
-        if not llv.derivation_check(d, plain):
-            deriv_bad.append((a, b))
-    report.add("commutators act as derivations",
-               "[L_a, Lam_b] is a derivation of the ring", not deriv_bad,
-               {"pairs_checked": len(list(itertools.combinations(classes, 2))),
-                "violations": deriv_bad})
-    if big is not None and grading_ok:
-        if big.field == "gaussian":
-            try:
-                llv.weil_operator(big)
-                report.add("Weil operator",
-                           "[L_gamma, Lam_gamma'] acts as i(p-q)", True)
-            except RuntimeError as exc:
-                report.add("Weil operator",
-                           "[L_gamma, Lam_gamma'] acts as i(p-q)", False,
-                           {"error": str(exc)})
-        else:
-            report.skip("Weil operator",
-                        "[L_gamma, Lam_gamma'] acts as i(p-q)",
-                        "needs the field extended by i; rerun with "
-                        "--field gaussian")
-        sub, res = llv.so4_symplectic(big)
-        report.add("symplectic so(4) action",
-                   "six symplectic operators close into two commuting sl2s",
-                   res.ok, {"dim": sub.dim, "failures": res.failures})
+    grading = llv.ad_grading_check(algebra, plain)
+    skip = None
+    if args.fixture == "torus":
+        skip = ("no structure prediction for the torus fixture; computed "
+                f"dim {algebra.dim}")
+    report.add(grading,
+               llv.so_identification_check(algebra, plain.dims[2], skip),
+               llv.dual_commutation_check(form, duals),
+               llv.derivations_check(plain, duals))
+    if big is not None and grading.ok:
+        report.add(llv.weil_check(big), llv.so4_symplectic(big)[1])
     return report
 
 
 def cmd_hl(args) -> Report:
-    report = Report("hl", _config(args))
-    plain, big, desc = resolve_ring(args, need_bigraded=True)
-    report.config["ring"] = desc
-    form = plain.quadratic_form
-    if form is not None:
-        mismatches = []
-        checked = 0
-        for v in itertools.islice(models.vector_stream(form.dim), 60):
-            expected = form.evaluate(v) != 0
-            if lefschetz.hl_test(plain, v) != expected:
-                mismatches.append(v)
-            checked += 1
-        report.add("hard lefschetz detects non-isotropy",
-                   "L_a powers are bijections exactly when q(a) != 0",
-                   not mismatches,
-                   {"classes_checked": checked, "violations": mismatches})
-    else:
-        report.skip("hard lefschetz detects non-isotropy",
-                    "L_a powers are bijections exactly when q(a) != 0",
-                    "ring carries no degree-2 form")
+    report, plain, big = _report(args, need_bigraded=True)
+    report.add(lefschetz.hl_nonisotropy_check(plain),
+               lefschetz.symplectic_hl_check(big))
     if big is not None:
-        res = lefschetz.symplectic_hl_check(big)
-        report.add("symplectic hard lefschetz",
-                   "L_sigma^p: (n-p,q) -> (n+p,q) bijective", res.ok,
-                   dict(res.data, failures=res.failures))
-        res2 = lefschetz.simultaneous_primitivity_check(big)
-        report.add("simultaneous primitivity",
-                   "[Lam_sigma, Lam_sigma-bar] = 0 and components stay "
-                   "primitive", res2.ok,
-                   dict(res2.data, failures=res2.failures))
-    else:
-        report.skip("symplectic hard lefschetz",
-                    "L_sigma^p: (n-p,q) -> (n+p,q) bijective",
-                    "fixture has no bigraded model")
+        report.add(lefschetz.simultaneous_primitivity_check(big))
     return report
 
 
-def cmd_pw(args) -> Report:
-    report = Report("pw", _config(args))
-    plain, big, desc = resolve_ring(args, need_bigraded=True)
-    report.config["ring"] = desc
-    form = _certified_form(args, plain)
-    if form is None or plain.top % 4:
-        report.skip("weak P = W", "perverse filtration equals the monodromy "
-                    "weight filtration", "fixture lacks a degree-2 form or "
-                    "a 4n grading")
-        return report
-    if args.beta or args.rho or args.eta:
-        default = pw.default_lagrangian_triple(plain)
-        triple = pw.LagrangianTriple(
-            parse_class(args.beta) if args.beta else default.beta,
-            parse_class(args.eta) if args.eta else default.eta,
-            parse_class(args.rho) if args.rho else default.rho)
-    else:
-        triple = pw.default_lagrangian_triple(plain)
+def _lagrangian_triple(args, ring, form):
+    """The default triple with the classes --beta, --eta and --rho give,
+    refused unless it validates; None when they give none, or on a ring
+    that ``weak_pw_check`` skips, which reads no triple."""
+    given = {k: getattr(args, k) for k in ("beta", "eta", "rho")
+             if getattr(args, k)}
+    if not given or form is None or ring.top % 4:
+        return None
+    triple = dataclasses.replace(
+        pw.default_lagrangian_triple(ring),
+        **{k: parse_class(text) for k, text in given.items()})
     try:
         triple.validate(form)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    res = pw.weak_pw_check(plain, triple)
-    report.add("weak P = W",
-               "perverse filtration equals the monodromy weight filtration "
-               "at one uniform shift", res.ok,
-               dict(res.data, failures=res.failures,
-                    beta=list(map(Fraction, triple.beta)),
-                    rho=list(map(Fraction, triple.rho))))
-    report.add("type III monodromy",
-               "[L_beta, Lam_rho] has nilpotency index 3 on degree 2",
-               res.data.get("degree2_nilpotent_index") == 3,
-               {"index": res.data.get("degree2_nilpotent_index")})
-    res2 = pw.isotropic_independence_check(plain)
-    report.add("isotropic-class independence",
-               "perverse dimensions agree for every isotropic class",
-               res2.ok, dict(res2.data, failures=res2.failures))
+    return triple
+
+
+def cmd_pw(args) -> Report:
+    report, plain, big = _report(args, need_bigraded=True)
+    form = _certified_form(args, plain)
+    weak = pw.weak_pw_check(plain, _lagrangian_triple(args, plain, form))
+    report.add(weak)
+    if weak.verdict == "skip":
+        return report
+    report.add(pw.type_iii_check(weak),
+               pw.isotropic_independence_check(plain))
     if big is not None:
-        res3 = pw.perverse_hodge_check(big)
-        report.add("perverse filtration detects Hodge filtration",
-                   "sigma-bar filtration equals the holomorphic-degree flag",
-                   res3.ok, {"shift": res3.data.get("shift"),
-                             "failures": res3.failures})
+        report.add(pw.perverse_hodge_check(big))
     return report
 
 
@@ -435,74 +332,22 @@ def cmd_kuga(args) -> Report:
         alg = clifford.clifford(form)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report.add("algebra dimension", "dim C(H, Q) = 2^m", alg.dim == 2 ** args.dim,
-               {"dim": alg.dim})
-    bad = []
-    count = 0
-    for v in itertools.islice(models.vector_stream(args.dim), 100):
-        x = alg.vector(v)
-        sq = clifford.cl_multiply(x, x)
-        if sq.coeffs != alg.one().scale(form.evaluate(v)).coeffs:
-            bad.append(v)
-        count += 1
-    report.add("defining relation", "v*v = Q(v,v) on enumerated vectors",
-               not bad, {"vectors_checked": count, "violations": bad})
-    import random
-    rng = random.Random(0)
-    trace_ok = True
-    for _ in range(100):
-        x = clifford.CliffordElement(
-            alg, [rng.randint(-3, 3) for _ in range(alg.dim)])
-        y = clifford.CliffordElement(
-            alg, [rng.randint(-3, 3) for _ in range(alg.dim)])
-        if clifford.cl_trace(clifford.cl_multiply(x, y)) != \
-                clifford.cl_trace(clifford.cl_multiply(y, x)):
-            trace_ok = False
-    report.add("trace symmetry", "Tr(xy) = Tr(yx)", trace_ok,
-               {"pairs_checked": 100})
-    try:
-        u1, u2 = models.admissible_positive_pair(form)
-        mu = clifford.complex_structure(alg, u1, u2)
-        report.add("complex structure", "mu = gamma gamma' squares to -1",
-                   True, {"gamma": list(u1), "gamma_prime": list(u2)})
-    except (ValueError, models.ModelConstructionError) as exc:
-        report.skip("complex structure", "mu = gamma gamma' squares to -1",
-                    str(exc))
-        mu = None
+    report.add(clifford.dimension_check(alg),
+               clifford.defining_relation_check(alg),
+               clifford.trace_symmetry_check(alg))
+    mu, structure = clifford.complex_structure_check(alg)
+    report.add(structure)
     if mu is not None:
-        gram, res = clifford.polarization_form(alg, mu)
-        verdict = res.data.get("positive_sign")
-        report.add("trace polarization",
-                   "exactly one of +-sigma_a passes the positivity probe",
-                   res.data.get("antisymmetric", False),
-                   {"positive_sign": verdict,
-                    "probe_signature": res.data.get("probe_signature"),
-                    "failures": res.failures})
+        report.add(clifford.polarization_check(alg, mu))
     return report
 
 
 def cmd_verbitsky(args) -> Report:
-    report = Report("verbitsky", _config(args))
-    plain, big, desc = resolve_ring(args)
-    report.config["ring"] = desc
+    report, plain, _big = _report(args)
     form = _certified_form(args, plain)
-    res = llv.verbitsky_component(plain)
-    report.add("degree-2 generated subalgebra",
-               "graded dims follow the symmetric-power pattern and the "
-               "component is Lam-stable", res.ok,
-               dict(res.data, failures=res.failures))
+    report.add(llv.verbitsky_component(plain))
     if form is not None and plain.top % 4 == 0:
-        n = plain.top // 4
-        bad = []
-        cnt = 0
-        for w in itertools.islice(models.isotropic_stream(form), 100):
-            x = plain.embed(2, w)
-            if any(plain.power(x, n + 1)):
-                bad.append(w)
-            cnt += 1
-        report.add("isotropic power relations",
-                   "a^(n+1) = 0 for isotropic degree-2 classes", not bad,
-                   {"classes_checked": cnt, "violations": bad})
+        report.add(llv.isotropic_power_check(plain))
     return report
 
 
@@ -521,13 +366,15 @@ def build_parser():
                     "comparisons on model cohomology rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_ok=True):
-        if input_ok:
+    def common(p, fixtures=True):
+        if fixtures:
             p.add_argument("--fixture", choices=["k3", "bogomolov", "torus"])
             p.add_argument("--input", help="ring description file")
-        p.add_argument("--b2", type=int, help="degree-2 dimension for bogomolov")
-        p.add_argument("--n", type=int, help="half-dimension parameter")
-        p.add_argument("--g", type=int, help="torus parameter")
+            p.add_argument("--b2", type=int,
+                           help="degree-2 dimension for bogomolov")
+            p.add_argument("--n", type=int,
+                           help="half-dimension parameter for bogomolov")
+            p.add_argument("--g", type=int, help="torus parameter")
         p.add_argument("--q", help="quadratic form, e.g. diag:1,1,1,-1,-1")
         p.add_argument("--field", choices=["rational", "gaussian"],
                        default="rational")
@@ -547,7 +394,7 @@ def build_parser():
             p.add_argument("--rho", help="positive class, comma-separated")
     p = sub.add_parser("kuga")
     p.add_argument("--dim", type=int, help="number of generators")
-    common(p, input_ok=False)
+    common(p, fixtures=False)
     p.set_defaults(func=cmd_kuga)
     return parser
 
@@ -571,9 +418,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except RingValidationError as exc:
         report = Report(args.command, _config(args))
-        report.add("ring axioms", "graded commutativity, associativity, unit, "
-                   "Poincare duality", False,
-                   {"issues": [str(i) for i in exc.report.issues]})
+        report.add(exc.report.record())
     text = report.to_json() if args.format == "structured" else report.to_text()
     if args.out:
         try:

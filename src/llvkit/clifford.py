@@ -9,12 +9,16 @@ integers on the structure table and divided once, through ``div``.
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .linalg import Matrix, congruence_diagonalize, inverse, symmetric_signature
-from .reporting import CheckResult
+from .models import (ModelConstructionError, admissible_positive_pair,
+                     vector_stream)
+from .reporting import Record
 from .rings import QuadraticForm
 from .scalars import div, rat, rat_sqrt
 
@@ -158,6 +162,25 @@ def clifford(form: QuadraticForm) -> CliffordAlgebra:
     return CliffordAlgebra(form)
 
 
+def dimension_check(alg: CliffordAlgebra) -> Record:
+    return Record("algebra dimension", "dim C(H, Q) = 2^m", {"dim": alg.dim},
+                  "pass" if alg.dim == 2 ** alg.m else "fail")
+
+
+def defining_relation_check(alg: CliffordAlgebra) -> Record:
+    """v*v = Q(v, v) on the first 100 vectors of ``vector_stream``."""
+    vectors = list(itertools.islice(vector_stream(alg.m), 100))
+    bad = []
+    for v in vectors:
+        x = alg.vector(v)
+        if (cl_multiply(x, x).coeffs
+                != alg.one().scale(alg.form.evaluate(v)).coeffs):
+            bad.append(v)
+    return Record("defining relation", "v*v = Q(v,v) on enumerated vectors",
+                  {"vectors_checked": len(vectors), "violations": bad},
+                  "fail" if bad else "pass")
+
+
 def _cleared(coeffs):
     """(d, [(s, n_s)]) with coeffs[s] = n_s / d on the nonzero entries."""
     nonzero = [(s, c) for s, c in enumerate(coeffs) if c]
@@ -201,6 +224,21 @@ def cl_trace(x: CliffordElement):
     return x.coeffs[0]
 
 
+def trace_symmetry_check(alg: CliffordAlgebra) -> Record:
+    """Tr(xy) = Tr(yx) on 100 pairs of elements with coefficients in
+    [-3, 3] from ``random.Random(0)``, x drawn before y."""
+    rng = random.Random(0)
+    ok = True
+    for _ in range(100):
+        x, y = (CliffordElement(alg, [rng.randint(-3, 3)
+                                      for _ in range(alg.dim)])
+                for _ in range(2))
+        if cl_trace(cl_multiply(x, y)) != cl_trace(cl_multiply(y, x)):
+            ok = False
+    return Record("trace symmetry", "Tr(xy) = Tr(yx)", {"pairs_checked": 100},
+                  "pass" if ok else "fail")
+
+
 def cl_trace_gram(xs, ys) -> Matrix:
     """The matrix of Tr(x*y), x in xs, y in ys, without the products:
     e_S e_T has an e_0 term only when S = T, namely C[S][S]/D
@@ -240,40 +278,70 @@ def complex_structure(alg: CliffordAlgebra, gamma, gamma_prime) -> CliffordEleme
     return mu
 
 
-def polarization_form(alg: CliffordAlgebra, a: CliffordElement):
-    """Gram matrix of sigma_a(x, y) = Tr(x a conj(y)) on the subset basis.
+def complex_structure_check(alg: CliffordAlgebra):
+    """(mu, record): ``complex_structure`` of the pair that
+    ``admissible_positive_pair`` finds, or (None, a skip) with the reason
+    there is none."""
+    rec = Record("complex structure", "mu = gamma gamma' squares to -1")
+    try:
+        u1, u2 = admissible_positive_pair(alg.form)
+        mu = complex_structure(alg, u1, u2)
+    except (ValueError, ModelConstructionError) as exc:
+        return None, rec.skip(str(exc))
+    rec.data = {"gamma": list(u1), "gamma_prime": list(u2)}
+    return mu, rec
 
-    Reports the (anti)symmetry type and decides by full exact signature
-    which of +-sigma_a is positive in the polarization sense, i.e. makes
-    (x, y) -> sigma_a(x, a y) positive-definite.
+
+_POLARIZATION = ("trace polarization",
+                 "exactly one of +-sigma_a passes the positivity probe")
+
+
+def polarization_form(alg: CliffordAlgebra, a: CliffordElement):
+    """(gram, record): the Gram matrix of sigma_a(x, y) = Tr(x a conj(y))
+    on the subset basis, and the record of the probe.
+
+    The record fails unless sigma_a is antisymmetric and exact signatures
+    decide which of +-sigma_a is positive in the polarization sense, i.e.
+    makes (x, y) -> sigma_a(x, a y) positive-definite; ``probe_signature``
+    is None when that probe form is not symmetric.
     """
     a._check(alg.one())
-    res = CheckResult("trace polarization form")
+    res = Record(*_POLARIZATION, {"failures": []})
     basis = [CliffordElement(alg, tuple(int(t == s) for t in range(alg.dim)))
              for s in range(alg.dim)]
     # conj(e_S) = +-e_S: the products a e_S serve both Gram matrices
     a_basis = [cl_multiply(a, b) for b in basis]
     gram = cl_trace_gram(basis, [ab.scale(conjugate(b).coeffs[s]) for s, (b, ab)
                                  in enumerate(zip(basis, a_basis))])
-    antisym = all(gram[i, j] == -gram[j, i]
-                  for i in range(alg.dim) for j in range(alg.dim))
-    res.data["antisymmetric"] = antisym
-    if not antisym:
+    if not all(gram[i, j] == -gram[j, i]
+               for i in range(alg.dim) for j in range(alg.dim)):
         res.fail("sigma_a is not antisymmetric")
     conj_a_basis = [conjugate(ab) for ab in a_basis]
     x_a = [cl_multiply(x, a) for x in basis]
     sym = cl_trace_gram(x_a, conj_a_basis)
-    positive_sign = None
+    positive_sign = probe_signature = None
     if sym.is_symmetric():
-        pos, neg, null = symmetric_signature(sym)
-        if (pos, neg, null) == (alg.dim, 0, 0):
+        probe_signature = symmetric_signature(sym)
+        if probe_signature == (alg.dim, 0, 0):
             positive_sign = 1
-        elif (pos, neg, null) == (0, alg.dim, 0):
+        elif probe_signature == (0, alg.dim, 0):
             positive_sign = -1
-        res.data["probe_signature"] = (pos, neg, null)
     else:
         res.fail("the associated probe form is not symmetric")
+    res.data["probe_signature"] = probe_signature
     res.data["positive_sign"] = positive_sign
     if positive_sign is None:
         res.fail("neither sigma_a nor -sigma_a passes the positivity probe")
     return gram, res
+
+
+def polarization_check(alg: CliffordAlgebra, a: CliffordElement) -> Record:
+    """The record of ``polarization_form`` when the form of ``alg`` has
+    the signature (2, m-2) of the polarization statement; any other
+    signature skips, and the probe does not run."""
+    pos, neg, _null = symmetric_signature(alg.form.gram)
+    if pos != 2:
+        return Record(*_POLARIZATION).skip(
+            f"the form has signature ({pos}, {neg}); the polarization "
+            f"statement needs (2, {alg.m - 2})")
+    return polarization_form(alg, a)[1]

@@ -31,10 +31,12 @@ decompositions, and no class is decomposed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .linalg import Matrix, Subspace, inverse, kernel, solve_sparse
-from .reporting import CheckResult
+from .models import vector_stream
+from .reporting import Record
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import div, rat
 
@@ -311,6 +313,21 @@ def hl_test(ring: GradedAlgebra, a) -> bool:
     """Classical Hard Lefschetz for a degree-2 class."""
     return hl_test_weights(_weight_chain(cup_operator(ring, a),
                                          classical_weights(ring)))
+
+
+def hl_nonisotropy_check(ring: GradedAlgebra) -> Record:
+    """``hl_test`` holds exactly on the non-isotropic classes among the
+    first 60 of ``vector_stream``; a ring without a degree-2 form skips."""
+    rec = Record("hard lefschetz detects non-isotropy",
+                 "L_a powers are bijections exactly when q(a) != 0")
+    form = ring.quadratic_form
+    if form is None:
+        return rec.skip("ring carries no degree-2 form")
+    classes = list(itertools.islice(vector_stream(form.dim), 60))
+    bad = [v for v in classes if hl_test(ring, v) != (form.evaluate(v) != 0)]
+    rec.data = {"classes_checked": len(classes), "violations": bad}
+    rec.verdict = "fail" if bad else "pass"
+    return rec
 
 
 @dataclass
@@ -603,9 +620,13 @@ def sigma_bar_sl2(ring: BigradedAlgebra) -> Sl2Triple:
                                 antiholomorphic_weights(ring))
 
 
-def symplectic_hl_check(ring: BigradedAlgebra) -> CheckResult:
-    """Blockwise symplectic Hard Lefschetz for sigma and sigma-bar."""
-    res = CheckResult("symplectic hard lefschetz")
+def symplectic_hl_check(ring: BigradedAlgebra | None) -> Record:
+    """Blockwise symplectic Hard Lefschetz for sigma and sigma-bar; a
+    fixture without a bigraded model (``ring`` None) skips."""
+    res = Record("symplectic hard lefschetz",
+                 "L_sigma^p: (n-p,q) -> (n+p,q) bijective", {"failures": []})
+    if ring is None:
+        return res.skip("fixture has no bigraded model")
     n = ring.symplectic_n()
     dims = dict(enumerate(ring.dims))
     # L^j on (p, q) is a sub-block of the degree power chain.power(p+q, j)
@@ -643,7 +664,7 @@ def symplectic_hl_check(ring: BigradedAlgebra) -> CheckResult:
     return res
 
 
-def simultaneous_primitivity_check(ring: BigradedAlgebra) -> CheckResult:
+def simultaneous_primitivity_check(ring: BigradedAlgebra) -> Record:
     """[Lam_sigma, Lam_sigmabar] = [L_sigma, Lam_sigmabar] =
     [L_sigmabar, Lam_sigma] = 0, which makes every sigma-component of a
     sigma-bar-primitive class sigma-bar-primitive.
@@ -660,7 +681,9 @@ def simultaneous_primitivity_check(ring: BigradedAlgebra) -> CheckResult:
     that Lam_sigmabar kills are counted.  A sigma or sigma-bar without
     Hard Lefschetz has no triple and fails the record.
     """
-    res = CheckResult("simultaneous primitivity")
+    res = Record("simultaneous primitivity",
+                 "[Lam_sigma, Lam_sigma-bar] = 0 and components stay "
+                 "primitive", {"failures": []})
     triples = []
     for name, build in (("sigma", sigma_sl2), ("sigmabar", sigma_bar_sl2)):
         try:

@@ -19,16 +19,19 @@ dimension is a rank (``so41_subalgebra``, ``so4_symplectic``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd
 from types import MappingProxyType
 
-from .lefschetz import (DegreeOperator, DualFamily, complete_sl2, cup_operator,
+from .lefschetz import (DegreeOperator, DualFamily, classical_weights,
+                        complete_sl2, cup_operator,
                         sigma_bar_sl2, sigma_sl2, weight_operator)
 from .linalg import (DimensionError, Matrix, SparseEchelon,
                      integer_eigenspaces, symmetric_signature)
-from .models import spanning_hl_classes, verbitsky_dims
-from .reporting import CheckResult
+from .models import (isotropic_stream, nonisotropic_stream,
+                     spanning_hl_classes, verbitsky_dims)
+from .reporting import Record
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import (FIELD_GAUSSIAN, Gauss, clear_denominators, div, rat,
                       rat_sqrt)
@@ -377,6 +380,19 @@ def ad_grading(algebra: MatrixLieAlgebra, h):
                  for lam in (2, 0, -2))
 
 
+def ad_grading_check(algebra: MatrixLieAlgebra, ring: GradedAlgebra) -> Record:
+    """The closure splits under the classical weight operator of ``ring``
+    (``ad_grading``); the record holds the three eigenspace dimensions."""
+    rec = Record("adjoint weight decomposition",
+                 "closure splits into ad(H) eigenvalues 2, 0, -2")
+    h = weight_operator(ring, classical_weights(ring))
+    try:
+        rec.data["dims"] = [len(space) for space in ad_grading(algebra, h)]
+    except DecompositionError as exc:
+        rec.verdict, rec.data = "fail", {"error": str(exc)}
+    return rec
+
+
 def _ad_matrix(algebra: MatrixLieAlgebra, x):
     """ad(x) as sparse rows {j: A_kj}, [x, b_j] = sum_k A_kj b_k; raises
     ValueError when an exact membership test puts [x, b_j] outside."""
@@ -410,6 +426,19 @@ def weil_operator(ring: BigradedAlgebra) -> DegreeOperator:
         raise RuntimeError("Weil operator mismatch: [L_gamma, Lam_gamma'] "
                            "!= i(H_sigma - H_sigma-bar)")
     return c_op
+
+
+def weil_check(ring: BigradedAlgebra) -> Record:
+    """``weil_operator`` on a ring over Q(i); a rational ring skips."""
+    rec = Record("Weil operator", "[L_gamma, Lam_gamma'] acts as i(p-q)")
+    if ring.field != FIELD_GAUSSIAN:
+        return rec.skip("needs the field extended by i; rerun with "
+                        "--field gaussian")
+    try:
+        weil_operator(ring)
+    except RuntimeError as exc:
+        rec.verdict, rec.data = "fail", {"error": str(exc)}
+    return rec
 
 
 def derivation_check(d, ring: GradedAlgebra) -> bool:
@@ -455,6 +484,19 @@ def derivation_check(d, ring: GradedAlgebra) -> bool:
     return True
 
 
+def derivations_check(ring: GradedAlgebra, duals: DualFamily) -> Record:
+    """[L_a, Lam_b] is a derivation (``derivation_check``) for the six
+    pairs of the first four classes of ``nonisotropic_stream``."""
+    classes = itertools.islice(nonisotropic_stream(ring.quadratic_form), 4)
+    pairs = list(itertools.combinations(classes, 2))
+    bad = [(a, b) for a, b in pairs if not derivation_check(
+        cup_operator(ring, a).commutator(duals.lam(b)), ring)]
+    return Record("commutators act as derivations",
+                  "[L_a, Lam_b] is a derivation of the ring",
+                  {"pairs_checked": len(pairs), "violations": bad},
+                  "fail" if bad else "pass")
+
+
 @dataclass
 class SoReport:
     dim: int
@@ -463,12 +505,6 @@ class SoReport:
     expected_signature: tuple
     semisimple_part_dim: int
     verdict: bool
-
-    def summary(self):
-        status = "pass" if self.verdict else "fail"
-        return (f"so-identification: {status} (dim {self.dim} vs "
-                f"{self.expected_dim}, killing (compact, noncompact) = "
-                f"{self.killing_signature} vs {self.expected_signature})")
 
 
 class NotSemisimpleError(ValueError):
@@ -602,6 +638,27 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
                     semisimple_part_dim=derived.dim, verdict=verdict)
 
 
+def so_identification_check(algebra: MatrixLieAlgebra, b2: int,
+                            skip_reason: str | None = None) -> Record:
+    """``so_identify`` as a record.  It skips with ``skip_reason``, for a
+    ring the prediction does not cover, or with the reason
+    ``so_identify`` refuses the algebra (a Q(i) closure, a degenerate
+    Killing form)."""
+    rec = Record("so identification",
+                 "closure matches so of the Mukai-completed degree-2 form")
+    if skip_reason is not None:
+        return rec.skip(skip_reason)
+    try:
+        so = so_identify(algebra, b2)
+    except ValueError as exc:
+        return rec.skip(str(exc))
+    rec.data = {"dim": so.dim, "expected_dim": so.expected_dim,
+                "killing_compact_noncompact": list(so.killing_signature),
+                "expected_compact_noncompact": list(so.expected_signature)}
+    rec.verdict = "pass" if so.verdict else "fail"
+    return rec
+
+
 def llv_generators(ring: GradedAlgebra, family=None):
     """(generators, classes) for a fixed spanning set of non-isotropic
     classes a: Lam_b, every L_a, and Lam_a where ``family`` (by default the
@@ -627,6 +684,33 @@ def llv_generators(ring: GradedAlgebra, family=None):
 
 def llv_closure(ring: GradedAlgebra) -> MatrixLieAlgebra:
     return lie_closure(llv_generators(ring)[0], ring.field)
+
+
+def bracket_closure(ring: GradedAlgebra, family=None):
+    """(closure, record): ``lie_closure`` of ``llv_generators(ring,
+    family)``.  A ring without a degree-2 form has no Lefschetz classes to
+    close: (None, a skip)."""
+    rec = Record("bracket closure",
+                 "Lie algebra generated by all Hard Lefschetz sl2-pairs")
+    if ring.quadratic_form is None:
+        rec.anchor = "total Lie algebra of Lefschetz operators"
+        return None, rec.skip("ring carries no degree-2 form")
+    algebra = lie_closure(llv_generators(ring, family)[0], ring.field)
+    rec.data["dim"] = algebra.dim
+    return algebra, rec
+
+
+def dual_commutation_check(form, duals: DualFamily) -> Record:
+    """[Lam_a, Lam_b] = 0 on the first 50 pairs of the first 11 classes of
+    ``nonisotropic_stream`` (C(11, 2) = 55)."""
+    classes = itertools.islice(nonisotropic_stream(form), 11)
+    pairs = list(itertools.islice(itertools.combinations(classes, 2), 50))
+    bad = [(a, b) for a, b in pairs
+           if not duals.lam(a).commutes_with(duals.lam(b))]
+    return Record("dual operators commute",
+                  "[Lam_a, Lam_b] = 0 for non-isotropic pairs",
+                  {"pairs_checked": len(pairs), "violations": bad},
+                  "fail" if bad else "pass")
 
 
 def _span_algebra(ops):
@@ -692,7 +776,9 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
                              "be rational squares")
         scaled.append(tuple(ratio * c for c in ws[i]))
     triples = [complete_sl2(ring, w) for w in scaled]
-    res = CheckResult("so(4,1) relations")
+    res = Record("so(4,1) action",
+                 "three orthogonal positive sl2-triples close into so(4,1)",
+                 {"failures": []})
     h = triples[0].H
     ls, lams = [t.L for t in triples], [t.Lam for t in triples]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -739,7 +825,9 @@ def so4_symplectic(ring: BigradedAlgebra):
     """
     tri_s = sigma_sl2(ring)
     tri_b = sigma_bar_sl2(ring)
-    res = CheckResult("so(4) symplectic action")
+    res = Record("symplectic so(4) action",
+                 "six symplectic operators close into two commuting sl2s",
+                 {"failures": []})
     algebra = _span_algebra([tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam,
                              tri_s.H, tri_b.H])
     res.data["dim"] = algebra.dim
@@ -758,7 +846,9 @@ def verbitsky_component(ring: GradedAlgebra):
     dual Lefschetz operator of the spanning non-isotropic classes.  One
     ``SparseEchelon`` per even degree k spans the component there; the
     same spans decide the stability test."""
-    res = CheckResult("degree-2 generated subalgebra")
+    res = Record("degree-2 generated subalgebra",
+                 "graded dims follow the symmetric-power pattern and the "
+                 "component is Lam-stable", {"failures": []})
     lo2, hi2 = ring.slice_of(2)
     deg2 = [ring.basis_vector(gi) for gi in range(lo2, hi2)]
     bases = {0: [ring.unit()]}
@@ -794,3 +884,16 @@ def verbitsky_component(ring: GradedAlgebra):
                         break
         res.data["lambda_stable_classes"] = len(classes)
     return res
+
+
+def isotropic_power_check(ring: GradedAlgebra) -> Record:
+    """a^(n+1) = 0 for the first 100 classes of ``isotropic_stream`` on a
+    ring of top degree 4n."""
+    n = ring.top // 4
+    classes = list(itertools.islice(isotropic_stream(ring.quadratic_form),
+                                    100))
+    bad = [w for w in classes if any(ring.power(ring.embed(2, w), n + 1))]
+    return Record("isotropic power relations",
+                  "a^(n+1) = 0 for isotropic degree-2 classes",
+                  {"classes_checked": len(classes), "violations": bad},
+                  "fail" if bad else "pass")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .lefschetz import (BlockChain, DegreeOperator, complete_sl2,
                         cup_operator, hl_test)
@@ -34,7 +35,7 @@ from .linalg import (Matrix, SparseEchelon, Subspace, kernel,
                      symmetric_signature)
 from .models import (ModelConstructionError, isotropic_stream,
                      require_nondegenerate, vector_stream)
-from .reporting import CheckResult
+from .reporting import Record
 from .rings import BigradedAlgebra, GradedAlgebra
 from .scalars import rat
 
@@ -178,7 +179,7 @@ def nilpotent_index(mat: Matrix) -> int:
     return len(_nilpotent_powers(mat)) - 1
 
 
-def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
+def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
     """The sigma-bar filtration equals the flag of holomorphic-degree
     cutoffs: P_m in degree k is the span of the (p, k-p) pieces with
     p <= m + shift, at one uniform shift (reported).  Equal flags make
@@ -193,8 +194,11 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
     m0 = e0 - 2n - 1 with e0 in [1, 2n+1] the least e with
     sigma-bar^e = 0, and -m0 lies in [0, 2n].  No other shift can match,
     so a search over any window holding [0, 2n] finds this one or none.
+    The reported shift is None when the flags differ.
     """
-    res = CheckResult("perverse filtration detects the Hodge filtration")
+    res = Record("perverse filtration detects Hodge filtration",
+                 "sigma-bar filtration equals the holomorphic-degree flag",
+                 {"shift": None, "failures": []})
     lo2, _ = ring.slice_of(2)
     sigma_bar = tuple(ring.sigma_bar()[lo2 + t] for t in range(ring.dims[2]))
     filts = perverse_filtration(ring, sigma_bar)
@@ -217,7 +221,6 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> CheckResult:
         res.fail("no uniform index shift matches the Hodge flags")
     else:
         res.data["shift"] = shift
-        res.data["dims"] = {k: filt.dims() for k, filt in filts.items()}
     return res
 
 
@@ -362,14 +365,17 @@ def lagrangian_monodromy(ring: GradedAlgebra,
     return nop
 
 
-def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple) -> CheckResult:
+def weak_pw_check(ring: GradedAlgebra,
+                  triple: LagrangianTriple | None = None) -> Record:
     """Per-degree equality of the perverse and weight filtrations.
 
     The weight filtration of N = [L_beta, Lam_rho] on the degree-k piece
     is centered at k - 2n; the comparison demands one uniform shift s
     with P_m = W_(2m+s) across every degree and records it.  The weight
     index runs at twice the perverse index, with jumps only on the
-    matching parity.
+    matching parity.  ``triple`` defaults to ``default_lagrangian_triple``;
+    a ring without a degree-2 form or a 4n grading has no such statement,
+    and the record skips.
 
     The unit fixes s.  A valid ring has dim H^0 = 1, and N is nilpotent
     there, so N = 0 on H^0 and W jumps once, at c = -2n; P jumps once, at
@@ -379,8 +385,16 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple) -> CheckResult:
     s = c - 2m0, in [-2n, 2n].  No other shift can match, so a search over
     any window holding [-2n, 2n] finds this one or none.
     """
-    res = CheckResult("perverse filtration equals monodromy weight filtration")
+    res = Record("weak P = W", "perverse filtration equals the monodromy "
+                 "weight filtration")
     form = ring.quadratic_form
+    if form is None or ring.top % 4:
+        return res.skip("fixture lacks a degree-2 form or a 4n grading")
+    if triple is None:
+        triple = default_lagrangian_triple(ring)
+    res.anchor += " at one uniform shift"
+    res.data = {"failures": [], "beta": list(map(Fraction, triple.beta)),
+                "rho": list(map(Fraction, triple.rho))}
     beta, _eta, _rho = triple.validate(form)
     two_n = ring.top // 2
     nop = lagrangian_monodromy(ring, triple)
@@ -401,6 +415,15 @@ def weak_pw_check(ring: GradedAlgebra, triple: LagrangianTriple) -> CheckResult:
     res.data["perverse_dims"] = {k: f.dims() for k, f in p_filts.items()}
     res.data["weight_dims"] = {k: f.dims() for k, f in w_filts.items()}
     return res
+
+
+def type_iii_check(weak: Record) -> Record:
+    """The monodromy of a ``weak_pw_check`` record is of type III: N has
+    nilpotency index 3 on degree 2."""
+    idx = weak.data["degree2_nilpotent_index"]
+    return Record("type III monodromy",
+                  "[L_beta, Lam_rho] has nilpotency index 3 on degree 2",
+                  {"index": idx}, "pass" if idx == 3 else "fail")
 
 
 def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
@@ -439,10 +462,12 @@ def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
     return LagrangianTriple(beta, eta, rho)
 
 
-def isotropic_independence_check(ring: GradedAlgebra) -> CheckResult:
+def isotropic_independence_check(ring: GradedAlgebra) -> Record:
     """dim P_m is the same for the first ten isotropic classes of the
     enumeration, all m and k."""
-    res = CheckResult("perverse dimensions independent of the isotropic class")
+    res = Record("isotropic-class independence",
+                 "perverse dimensions agree for every isotropic class",
+                 {"failures": []})
     form = ring.quadratic_form
     classes = list(itertools.islice(isotropic_stream(form), 10))
     reference = None

@@ -1,4 +1,4 @@
-"""Small shared result type for report-style checks."""
+"""The one record type: what a check returns and a report prints."""
 
 from __future__ import annotations
 
@@ -6,24 +6,33 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class CheckResult:
-    """Outcome of a report-style verification.
+class Record:
+    """One verified statement: its name, its anchor (the mathematical
+    claim), its data and its verdict, ``pass``, ``fail`` or ``skip``.
 
-    ``failures`` lists human-readable witnesses (offending pairs, blocks,
-    dimensions); ``data`` carries machine-readable evidence.
+    A check whose report lists witnesses starts its data with an empty
+    ``failures`` list and calls ``fail``; a sampled check fills its own
+    ``violations`` and sets the verdict itself.
     """
 
     name: str
-    ok: bool = True
-    failures: list = field(default_factory=list)
+    anchor: str
     data: dict = field(default_factory=dict)
+    verdict: str = "pass"
+
+    @property
+    def ok(self):
+        return self.verdict != "fail"
+
+    @property
+    def failures(self):
+        return self.data["failures"]
 
     def fail(self, detail):
-        self.ok = False
-        self.failures.append(detail)
+        self.verdict = "fail"
+        self.data["failures"].append(detail)
 
-    def summary(self) -> str:
-        status = "pass" if self.ok else "fail"
-        lines = [f"{self.name}: {status}"]
-        lines += [f"  - {f}" for f in self.failures]
-        return "\n".join(lines)
+    def skip(self, reason):
+        self.verdict = "skip"
+        self.data = {"reason": reason}
+        return self

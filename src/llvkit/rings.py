@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .linalg import Matrix, SparseEchelon
+from .reporting import Record
 from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt,
                       clear_table, format_scalar, integer_values,
                       parse_scalar, to_field)
@@ -91,6 +92,14 @@ class ValidationReport:
         if self.ok:
             return "all ring invariants hold"
         return "\n".join(str(i) for i in self.issues)
+
+    def record(self, name="ring axioms", extra=(), **data) -> Record:
+        """The report as a record, with the ``extra`` issue lines found
+        outside ``validate`` (a declared form that fails on the ring)."""
+        issues = [str(i) for i in self.issues] + list(extra)
+        return Record(name, "graded commutativity, associativity, unit, "
+                      "Poincare duality", {"issues": issues, **data},
+                      "fail" if issues else "pass")
 
 
 class GradedAlgebra:

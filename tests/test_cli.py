@@ -470,6 +470,54 @@ def test_kuga_inadmissible_pair_skips(capsys):
     assert mu["verdict"] == "skip"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["validate", "--fixture", "k3", "--b2", "7"], "--b2"),
+    (["validate", "--fixture", "k3", "--q", "diag:1,1"], "--q"),
+    (["hl", "--fixture", "torus", "--n", "3"], "--n"),
+    (["llv", "--fixture", "bogomolov", "--g", "2"], "--g"),
+    (["pw", "--fixture", "k3", "--g", "1"], "--g"),
+    (["verbitsky", "--input", "missing.json", "--fixture", "k3"], "--fixture"),
+    (["validate", "--input", "missing.json", "--b2", "5"], "--b2"),
+    (["pw", "--input", "missing.json", "--g", "2"], "--g"),
+    (["kuga", "--dim", "3", "--q", "diag:1,1,-1", "--b2", "9"], "--b2"),
+    (["kuga", "--dim", "3", "--q", "diag:1,1,-1", "--n", "2"], "--n"),
+    (["kuga", "--dim", "3", "--q", "diag:1,1,-1", "--g", "1"], "--g"),
+])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv, flag):
+    # --b2, --n and --q configure the bogomolov fixture, --g the torus;
+    # beside --input no fixture flag applies, and kuga reads none of them.
+    # The refusal comes before any ring file is read.
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+
+
+def test_formless_ring_skips_under_the_skip_anchors(tmp_path, capsys,
+                                                   rat52):
+    # a ring without a degree-2 form: the closure and P = W records skip
+    # under anchors that differ from those of their runs
+    data = ring_to_dict(rat52)
+    del data["quadratic_form"]
+    path = tmp_path / "noform.json"
+    path.write_text(json.dumps(data))
+    want = {"llv": ("bracket closure",
+                    "total Lie algebra of Lefschetz operators"),
+            "pw": ("weak P = W", "perverse filtration equals the monodromy "
+                   "weight filtration"),
+            "hl": ("hard lefschetz detects non-isotropy",
+                   "L_a powers are bijections exactly when q(a) != 0")}
+    for command, (name, anchor) in want.items():
+        rc, out = run([command, "--input", str(path), "--format",
+                       "structured"], capsys)
+        rec = json.loads(out)["records"][0]
+        assert rc == 0
+        assert (rec["name"], rec["anchor"], rec["verdict"]) == (name, anchor,
+                                                                "skip")
+
+
 def test_hl_command(capsys):
     rc, out = run(["hl", "--fixture", "bogomolov", "--b2", "5", "--n", "2"],
                   capsys)
@@ -622,6 +670,9 @@ GOLDEN_REPORTS = {
         "52f2d4afa9eba887507d30299e94754787f00aa32792099ad1022dcdaee9028e",
     ("kuga", "--dim", "5", "--q", "diag:2,3,-1,-1,-1"):
         "6f7651b2b8bb09cb28a230413712b39a63be26c65ee498854f2f938b494cc6ed",
+    # signature (3, 2): the polarization record skips
+    ("kuga", "--dim", "5", "--q", "diag:1,1,1,-1,-1"):
+        "5dbc66a684e3e190588dca83d3a16e8395b7522a308c09be543d5a74b0d1cf28",
     ("hl", *B53):
         "c1813373613f8b9385c5f48b116cd617cd388f12c7e438f1dc6a390b2c1f5899",
     ("pw", *B53):
@@ -670,6 +721,11 @@ def test_report_matches_golden_digest(argv, capsys, tmp_path, monkeypatch,
     rc, out = run([*argv, "--format", "structured"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
+    # a record that lists its witnesses passes exactly when there are none
+    for rec in json.loads(out)["records"]:
+        for key in ("failures", "violations"):
+            if key in rec["data"]:
+                assert (rec["verdict"] == "pass") == (not rec["data"][key]), rec
 
 
 def test_llv_forms_each_dual_once(capsys, monkeypatch):

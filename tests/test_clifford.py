@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from llvkit.clifford import (CliffordElement, cl_multiply, cl_trace,
                              cl_trace_gram, clifford,
-                             complex_structure, conjugate, polarization_form)
+                             complex_structure, conjugate, polarization_check,
+                             polarization_form)
 from llvkit.models import vector_stream
 from llvkit.rings import QuadraticForm
 
@@ -177,18 +178,24 @@ def test_polarization_sign_verdicts():
         a = complex_structure(alg, [1] + [0] * (len(diag) - 1),
                               [0, 1] + [0] * (len(diag) - 2))
         gram, res = polarization_form(alg, a)
-        assert res.ok, res.failures
-        assert res.data["antisymmetric"] is True
+        assert res.ok and res.failures == []
         assert res.data["positive_sign"] in (1, -1)
+        assert polarization_check(alg, a) == res
 
 
 def test_polarization_indefinite_reported(alg5):
     # signature (3,2) is outside the polarization statement; the probe
-    # reports indefiniteness without inventing a verdict
+    # reports indefiniteness without inventing a verdict, and the
+    # statement's record skips without running it
     a = complex_structure(alg5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
     gram, res = polarization_form(alg5, a)
     assert res.data["positive_sign"] is None
-    assert res.data["antisymmetric"] is True
+    assert res.failures == [
+        "neither sigma_a nor -sigma_a passes the positivity probe"]
+    rec = polarization_check(alg5, a)
+    assert rec.verdict == "skip"
+    assert rec.data == {"reason": "the form has signature (3, 2); the "
+                        "polarization statement needs (2, 3)"}
 
 
 def test_clifford_rejects_degenerate_and_oversized():
