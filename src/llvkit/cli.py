@@ -236,6 +236,14 @@ def _certified_form(args, ring):
 # A command resolves its ring and adds the record of each library check.
 
 
+def _refuse_field(args):
+    """--field gaussian extends the bigraded companion to Q(i); a command
+    that reads no companion (kuga, verbitsky) refuses it."""
+    if args.field != "rational":
+        raise UsageError(f"--field {args.field} does not apply to "
+                         f"{args.command}")
+
+
 def _report(args, need_bigraded=False):
     report = Report(args.command, _config(args))
     plain, big, desc = resolve_ring(args, need_bigraded)
@@ -290,15 +298,17 @@ def cmd_hl(args) -> Report:
 
 def _lagrangian_triple(args, ring, form):
     """The default triple with the classes --beta, --eta and --rho give,
-    refused unless it validates; None when they give none, or on a ring
-    that ``weak_pw_check`` skips, which reads no triple."""
-    given = {k: getattr(args, k) for k in ("beta", "eta", "rho")
+    refused unless it validates; None when they give none.  On a ring
+    that ``weak_pw_check`` skips, which reads no triple, a given class is
+    refused."""
+    given = {k: parse_class(getattr(args, k)) for k in ("beta", "eta", "rho")
              if getattr(args, k)}
-    if not given or form is None or ring.top % 4:
+    if not given:
         return None
-    triple = dataclasses.replace(
-        pw.default_lagrangian_triple(ring),
-        **{k: parse_class(text) for k, text in given.items()})
+    if form is None or ring.top % 4:
+        raise UsageError(f"--{next(iter(given))} does not apply: the ring "
+                         f"has no degree-2 form or no 4n grading")
+    triple = dataclasses.replace(pw.default_lagrangian_triple(ring), **given)
     try:
         triple.validate(form)
     except ValueError as exc:
@@ -324,6 +334,7 @@ def cmd_kuga(args) -> Report:
     report = Report("kuga", _config(args))
     if args.dim is None or args.q is None:
         raise UsageError("kuga needs --dim and --q")
+    _refuse_field(args)
     if args.dim > clifford.MAX_CLIFFORD_DIM:
         raise UsageError(f"--dim {args.dim} refused: the algebra has "
                          f"dimension 2^{args.dim}")
@@ -343,6 +354,7 @@ def cmd_kuga(args) -> Report:
 
 
 def cmd_verbitsky(args) -> Report:
+    _refuse_field(args)
     report, plain, _big = _report(args)
     form = _certified_form(args, plain)
     report.add(llv.verbitsky_component(plain))
@@ -354,12 +366,20 @@ def cmd_verbitsky(args) -> Report:
 # -- driver -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own usage errors raise ``UsageError``, so
+    they print as one ``error:`` line like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: argparse objects hold
     reference cycles, so a parser per call would leave garbage that only
     the cyclic collector frees."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="llvkit",
         description="verification suites for Lefschetz sl2 structure, "
                     "bracket closures, Clifford data, and filtration "
@@ -400,21 +420,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         report = args.func(args)
-    except UsageError as exc:
+    except SystemExit as exc:       # --help prints and exits 0
+        return USAGE_ERROR if exc.code else 0
+    except (UsageError, models.ModelConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RingFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except models.ModelConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RingValidationError as exc:
         report = Report(args.command, _config(args))

@@ -7,7 +7,9 @@ Lie-closure generators, the small-ring cross-check and
 ``Sl2Triple.check``.
 One engine serves three gradings: the classical weight k - (top/2) on
 total degree, and on bigraded rings the holomorphic weight p - n and the
-antiholomorphic weight q - n.  The dual operator is produced from the
+antiholomorphic weight q - n.  Under the classical weight the degree
+blocks already are the weight blocks (``classical_chain``); the other
+two gradings regroup the entries.  The dual operator is produced from the
 primitive decomposition with coefficient j(m - j + 1) on the j-th rung of
 a length-(m+1) string and certified by the relations on each weight
 space.  Those relations fix the dual uniquely; on small rings it is
@@ -34,7 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, inverse, kernel, solve_sparse
+from .linalg import (Matrix, Subspace, _ints, _norm_entry, inverse, kernel,
+                     solve_sparse)
 from .models import vector_stream
 from .reporting import Record
 from .rings import BigradedAlgebra, GradedAlgebra
@@ -173,10 +176,13 @@ def antiholomorphic_weights(ring: BigradedAlgebra):
 
 def cup_operator(ring: GradedAlgebra, a) -> DegreeOperator:
     """Multiplication by a degree-2 class, as a shift +2 operator: column
-    gj of block k is sum a_i e_i e_gj over the nonzero a_i, in degree k+2."""
+    gj of block k is sum a_i e_i e_gj over the nonzero a_i, in degree k+2.
+    The a_i and the ring's structure constants are in normal form, so
+    the sums are too once integral Fractions become ints."""
     a_full = _as_degree2(ring, a)
     lo2, hi2 = ring.slice_of(2)
-    terms = [(gi, a_full[gi]) for gi in range(lo2, hi2) if a_full[gi]]
+    terms = [(gi, _norm_entry(a_full[gi])) for gi in range(lo2, hi2)
+             if a_full[gi]]
     blocks = {}
     for k, d in enumerate(ring.dims):
         if not d:
@@ -189,7 +195,7 @@ def cup_operator(ring: GradedAlgebra, a) -> DegreeOperator:
                 for gk, y in ring.mul_basis(gi, lo + c):
                     if tlo <= gk < thi:
                         grid[gk - tlo][c] += x * y
-        blocks[k] = Matrix(grid, ncols=d)
+        blocks[k] = Matrix._of(map(_ints, grid), d)
     return DegreeOperator(ring, 2, blocks)
 
 
@@ -216,7 +222,8 @@ class BlockChain:
     is dim V_w, and a missing block is zero.  ``power(w, j)`` is the
     block of the j-th power from V_w to V_(w+2j): the product of the j
     blocks along the chain.  Each source keeps its chain of powers, so
-    a longer power costs one more block product.
+    a longer power costs one more block product; the first power is the
+    block itself.
     """
 
     def __init__(self, blocks, dims):
@@ -238,6 +245,8 @@ class BlockChain:
         chain = self._chains.get(w)
         if chain is None:
             chain = self._chains[w] = [Matrix.identity(self.dim(w))]
+        if len(chain) == 1 and j:
+            chain.append(self.block(w))
         while len(chain) <= j:
             chain.append(self.block(w + 2 * (len(chain) - 1)) * chain[-1])
         return chain[j]
@@ -297,6 +306,18 @@ def _weight_chain(l_op: DegreeOperator, weights) -> BlockChain:
     return BlockChain(blocks, {w: len(idx) for w, idx in spaces.items()})
 
 
+def classical_chain(l_op: DegreeOperator) -> BlockChain:
+    """The weight blocks of a degree-raising operator under the classical
+    weights.  The weight of degree k is k - top/2, so its degree blocks
+    already are its weight blocks, and nothing is regrouped."""
+    ring = l_op.ring
+    if ring.top % 2:
+        raise ValueError("classical weights need an even top degree")
+    mid = ring.top // 2
+    return BlockChain({k - mid: blk for k, blk in l_op.blocks.items()},
+                      {k - mid: d for k, d in enumerate(ring.dims) if d})
+
+
 def hl_test_weights(chain: BlockChain) -> bool:
     """L^j : V_{-j} -> V_j bijective for every j >= 1 with a nonzero side."""
     top = max((abs(w) for w in chain.dims), default=0)
@@ -311,8 +332,7 @@ def hl_test_weights(chain: BlockChain) -> bool:
 
 def hl_test(ring: GradedAlgebra, a) -> bool:
     """Classical Hard Lefschetz for a degree-2 class."""
-    return hl_test_weights(_weight_chain(cup_operator(ring, a),
-                                         classical_weights(ring)))
+    return hl_test_weights(classical_chain(cup_operator(ring, a)))
 
 
 def hl_nonisotropy_check(ring: GradedAlgebra) -> Record:
@@ -561,7 +581,6 @@ class DualFamily:
                      for k, blk in self.base_lam.blocks.items()}
         self._sq = {k: self._psi[k - 2] * blk
                     for k, blk in self._psi.items() if k - 2 in self._psi}
-        self._dims = {k - ring.top // 2: d for k, d in enumerate(ring.dims) if d}
 
     @property
     def fallbacks(self):
@@ -579,20 +598,20 @@ class DualFamily:
     def _form_dual(self, a, l_op):
         qa = self.form.evaluate(a)
         if qa:
-            l_a = (l_op or cup_operator(self.ring, a)).blocks
-            blocks = self._candidate(l_a, div(1, 2 * qa * self._qb),
+            l_op = l_op or cup_operator(self.ring, a)
+            blocks = self._candidate(l_op.blocks, div(1, 2 * qa * self._qb),
                                      4 * self.form.pair(a, self.base))
             mid = self.ring.top // 2
-            chain = BlockChain({k - mid: blk for k, blk in l_a.items()},
-                               self._dims)
-            if _dual_certified(chain, {k - mid: x for k, x in blocks.items()}):
+            if _dual_certified(classical_chain(l_op),
+                               {k - mid: x for k, x in blocks.items()}):
                 return DegreeOperator(self.ring, -2, blocks)
         self.fallen_back.add(a)
         return complete_sl2(self.ring, a).Lam
 
     def _candidate(self, l_a, scale, ab4):
         """Blocks of scale * ([[L_a, psi_b], psi_b] + ab4 psi_b), each term
-        summed into sparse rows and the block normalized once."""
+        summed into sparse rows of normal-form entries; only integral
+        Fractions need normalizing in the block."""
         sq, blocks = self._sq, {}
         for k, p in self._psi.items():
             acc = [{c: ab4 * x for c, x in row} for row in p.nonzero_rows()]
@@ -603,9 +622,9 @@ class DualFamily:
                 _add_product(acc, l_a[k - 4], sq[k], 1)
             if k + 2 in sq:
                 _add_product(acc, sq[k + 2], l_a[k], 1)
-            blocks[k] = Matrix([[row[c] * scale if row.get(c) else 0
-                                 for c in range(p.ncols)] for row in acc],
-                               ncols=p.ncols)
+            blocks[k] = Matrix._of([_ints([row[c] * scale if row.get(c)
+                                           else 0 for c in range(p.ncols)])
+                                    for row in acc], p.ncols)
         return blocks
 
 

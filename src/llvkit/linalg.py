@@ -248,7 +248,13 @@ class Matrix:
         return out
 
     def rank(self):
-        return len(rref(self.rows)[0])
+        """The dimension of the row space, from one forward elimination;
+        no canonical form is built."""
+        ech = SparseEchelon(exact_division=any(Gauss in map(type, r)
+                                               for r in self.rows))
+        for r in self.rows:
+            ech.add(r)
+        return ech.dim
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -1,23 +1,28 @@
 """Perverse filtrations from isotropic classes, monodromy weight
 filtrations of nilpotent operators, and their comparison.
 
-Both filtrations are sums of kernel-image intersections, and each
-intersection is computed as the image of a kernel, with no intersection
-of subspaces:  ker A n im B = B ker(AB), since Bu lies in ker A exactly
-when u lies in ker(AB).
+Both filtrations are sums of kernel-image intersections.  In the
+perverse one each intersection is computed as the image of a kernel,
+with no intersection of subspaces:  ker A n im B = B ker(AB), since Bu
+lies in ker A exactly when u lies in ker(AB).
 
 The perverse filtration of an isotropic degree-2 class b inside degree k
 is  P_m = sum over i >= 1 of  ker(L^e) n im(L^(i-1)),  e = 2n + m + i - k,
 that is  P_m = sum over i >= 1 of  L^(i-1) ker(L^(e+i-1)),  the kernel
 taken on degree k - 2(i-1), with L = L_b, L^0 = identity and the terms
 with e <= 0 empty.  Powers of L are products of its degree blocks,
-built once per class for the filtrations of every degree.
+built once per class for the filtrations of every degree.  Where only
+the dimensions of P are reported (isotropic independence), they are read
+off the graded Jordan type of L, which the ranks of the block powers
+L^j : A^d -> A^(d+2j) fix (``perverse_jumps``), and no flag is built.
 
 The weight filtration of a nilpotent N centered at c is built from an
-exact Jordan-chain sl2 decomposition and certified by its defining
-axioms, which determine it uniquely (Deligne, La conjecture de Weil II,
-1.6.1).  The weak P = W comparison matches the perverse index m against
-the weight index 2m + shift at one uniform shift, and the Hodge
+exact Jordan-chain sl2 decomposition, and the chains are certified as a
+Jordan basis of N.  In that basis the flag of chain weights satisfies
+Deligne's axioms, which determine it uniquely (La conjecture de Weil II,
+1.6.1), so no axiom is checked on subspaces; the tests keep the axioms
+as an oracle.  The weak P = W comparison matches the perverse index m
+against the weight index 2m + shift at one uniform shift, and the Hodge
 comparison the index m against the holomorphic cutoff m + shift.  In
 both, the one-dimensional H^0 of a valid ring admits a single shift,
 read off the jump of P on the unit, so no shift is searched.
@@ -108,16 +113,9 @@ class Filtration:
 # -- perverse filtration ----------------------------------------------------
 
 
-def perverse_filtration(ring: GradedAlgebra, beta) -> dict:
-    """The isotropic-class filtration of every nonzero degree, ``{k: P}``.
-
-    Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
-    the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree k - 2(i-1),
-    so each step is one span.  L^j is a product of the degree blocks of
-    the cup operator, built once for all degrees.  With L^nil = 0, the
-    i = 1 term at m = k - 2n + nil - 1 is ker(L^nil) = all of H^k, so the
-    steps from m = k - 2n - nil - 1 reach the full space by that index.
-    """
+def _perverse_chain(ring: GradedAlgebra, beta):
+    """The chain of powers of L_beta on degree blocks, and 2n, after the
+    checks that make beta's perverse filtration defined."""
     form = ring.quadratic_form
     if form is None:
         raise ValueError("ring carries no degree-2 quadratic form")
@@ -128,9 +126,21 @@ def perverse_filtration(ring: GradedAlgebra, beta) -> dict:
         raise ValueError("beta must be isotropic for the degree-2 form")
     if ring.top % 4:
         raise ValueError("perverse filtration needs top degree 4n")
-    two_n = ring.top // 2
-    chain = BlockChain(cup_operator(ring, beta).blocks,
-                       dict(enumerate(ring.dims)))
+    return (BlockChain(cup_operator(ring, beta).blocks,
+                       dict(enumerate(ring.dims))), ring.top // 2)
+
+
+def perverse_filtration(ring: GradedAlgebra, beta) -> dict:
+    """The isotropic-class filtration of every nonzero degree, ``{k: P}``.
+
+    Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
+    the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree k - 2(i-1),
+    so each step is one span.  L^j is a product of the degree blocks of
+    the cup operator, built once for all degrees.  With L^nil = 0, the
+    i = 1 term at m = k - 2n + nil - 1 is ker(L^nil) = all of H^k, so the
+    steps from m = k - 2n - nil - 1 reach the full space by that index.
+    """
+    chain, two_n = _perverse_chain(ring, beta)
     nil = chain.nilpotency_index()
 
     def term(k, i, e):
@@ -160,6 +170,53 @@ def perverse_filtration(ring: GradedAlgebra, beta) -> dict:
                 break
         filts[k] = Filtration(dim_k, steps)
     return filts
+
+
+def perverse_jumps(ring: GradedAlgebra, beta) -> dict:
+    """The jumps of ``perverse_filtration(ring, beta)``, ``{k: [(m, d)]}``
+    in increasing m, read off the ranks r(d, j) of L^j : A^d -> A^(d+2j)
+    (r(d, 0) = dim A^d) with no subspace formed.
+
+    L = L_beta raises the degree by 2 and is nilpotent, so A is a graded
+    module over Q[L], a direct sum of shifted Q[L]/(L^l): A has a
+    degree-homogeneous Jordan basis of chains v, Lv, ..., L^(l-1) v with
+    v in A^d and L^l v = 0.  In it ker L^e and im L^(i-1) are both
+    spanned by chain vectors: L^a v lies in ker L^e exactly when
+    l - a <= e, and in im L^(i-1) exactly when a >= i - 1.  So the i-th
+    term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, of P_m A^k is the
+    span of the chain vectors L^a v in A^k (k = d + 2a) with a >= i - 1
+    and l - a <= e; the widest is i = a + 1, and the sum over i >= 1 is
+    the span of those whose chain has d + l - 1 - 2n <= m.  P_m A^k
+    therefore jumps only at the indices m = d + l - 1 - 2n, each by the
+    number of chains that start in A^d with length l and pass through A^k
+    (d <= k <= d + 2(l - 1), k - d even).
+
+    r(d, j) counts the chains through A^d that go on for at least j more
+    steps, so r(d, t - 1) - r(d, t) of them have exactly t vectors from
+    A^d on.  A chain through A^d either starts there or comes from
+    A^(d-2) with one more vector, so the number that start in A^d with
+    length l is
+        r(d, l-1) - r(d, l) - r(d-2, l) + r(d-2, l+1).
+    ``perverse_filtration``'s jumps are the tests' oracle for this count.
+    """
+    chain, two_n = _perverse_chain(ring, beta)
+    ranks = {}
+    for d, dim_d in enumerate(ring.dims):
+        j, r = 0, dim_d
+        while r:
+            ranks[d, j] = r
+            j += 1
+            r = chain.power(d, j).rank() if d + 2 * j <= ring.top else 0
+    jumps = {k: {} for k, dim_k in enumerate(ring.dims) if dim_k}
+    for (d, j), r in ranks.items():
+        length = j + 1
+        starts = (r - ranks.get((d, length), 0) - ranks.get((d - 2, length), 0)
+                  + ranks.get((d - 2, length + 1), 0))
+        if starts:
+            m = d + length - 1 - two_n
+            for k in range(d, d + 2 * length, 2):
+                jumps[k][m] = jumps[k].get(m, 0) + starts
+    return {k: sorted(at.items()) for k, at in jumps.items()}
 
 
 def _nilpotent_powers(mat: Matrix):
@@ -230,9 +287,26 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
 def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
     """Monodromy weight filtration of a nilpotent operator, centered.
 
-    Built from an exact Jordan-chain decomposition (the sl2 route: a
-    chain of length l contributes weights center + l - 1 - 2a), certified
-    by ``_verify_weight_axioms`` before return.
+    Built from an exact Jordan-chain decomposition: the tops of length j
+    span ker N^j modulo ker N^(j-1) + N ker N^(j+1), and the vector N^a v
+    of the chain of a top v of length l has weight center + l - 1 - 2a;
+    W_m is the span of the chain vectors of weight <= m.
+
+    The chains are certified as a Jordan basis before return: there are
+    exactly dim V chain vectors, they span V (the last step of the flag
+    has full rank), and N^l v = 0 for each top v of length l.  In that
+    basis N is a direct sum of Jordan blocks, so the flag satisfies
+    Deligne's axioms chain by chain: N lowers the weight of each chain
+    vector by 2 or kills it, so N W_m <= W_(m-2); and N^j sends the chain
+    vectors of weight center + j one-to-one onto those of weight
+    center - j, so N^j : gr_(center+j) -> gr_(center-j) is an isomorphism
+    for every j >= 0.  A finite increasing filtration with both axioms is
+    unique (Deligne, La conjecture de Weil II, 1.6.1), so this is the
+    monodromy weight filtration.  Its weights lie in
+    [center - l + 1, center + l - 1] for l <= nil, so W_(center-nil) = 0
+    and W_(center+nil-1) = V.  The tests keep the axioms themselves and
+    the kernel/image formula W_m = sum over j >= 0 of
+    N^j ker(N^(m-center+2j+1)) as oracles.
     """
     n = nmat.nrows
     if nmat.ncols != n:
@@ -241,7 +315,6 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
     nil = len(powers) - 1
     kernels = [Subspace.zero(n)] + [kernel(p) for p in powers[1:]]
 
-    # chains: tops of length j span ker N^j modulo ker N^(j-1) + N ker N^(j+1)
     chain_vectors = {}      # weight (centered at 0) -> list of vectors
     tops = []               # (length, vector)
     for j in range(nil, 0, -1):
@@ -257,6 +330,9 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
             for a in range(j):
                 chain_vectors.setdefault(j - 1 - 2 * a, []).append(tuple(vec))
                 vec = nmat.matvec(vec)
+            if any(vec):
+                raise RuntimeError(f"a Jordan chain of length {j} is not "
+                                   f"killed by N^{j}")
 
     weights = sorted(chain_vectors)
     steps = {}
@@ -265,56 +341,14 @@ def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
     acc = []
     steps[lo - 1] = Subspace.zero(n)
     for w in range(lo, hi + 1):
-        acc.extend(chain_vectors.get(w - center, []))
-        steps[w] = Subspace.from_rows(n, acc)
-    filt = Filtration(n, steps)
-    _verify_weight_axioms(filt, nmat, center, powers)
-    return filt
-
-
-def _verify_weight_axioms(filt: Filtration, nmat, center, powers):
-    """Certify filt as the weight filtration of N centered at c.
-
-    With ``powers`` = [I, N, ..., N^nil] and N^nil = 0, three checks:
-    (a) N W_m <= W_(m-2) for every m;
-    (b) N^j : gr_(c+j) -> gr_(c-j) is an isomorphism for 1 <= j < nil;
-    (c) W_(c-nil) = 0 and W_(c+nil-1) is the whole space.
-    For j >= nil, N^j = 0 and (c) makes gr_(c+j) = gr_(c-j) = 0, so (b)
-    holds for every j >= 0.  A finite increasing filtration with (a) and
-    (b) for every j is unique (Deligne, La conjecture de Weil II, 1.6.1):
-    centered at 0, with l = nil - 1, N^l maps W_(l-1) into
-    W_(-l-1) = W_(-nil) = 0 by (a), and V = W_l onto gr_(-l) = W_(-l), so
-    W_(l-1) = ker N^l and W_(-l) = im N^l; the induced filtration of
-    ker N^l / im N^l has (a) and (b) again for a nilpotent of lower index.
-    So it is the monodromy weight filtration,
-    W_m = sum over j >= 0 of N^j ker(N^(m-c+2j+1)), and that formula
-    needs no check of its own; the tests keep it as an oracle.  Without
-    (c), a jump moved past c + nil - 1 would pass (a) and (b) for
-    j <= nil.
-    """
-    nil = len(powers) - 1
-    if (filt.at(center - nil).dim
-            or filt.at(center + nil - 1).dim != filt.ambient):
-        raise RuntimeError(
-            f"weight filtration jumps outside "
-            f"[{center - nil + 1}, {center + nil - 1}]")
-    for m in range(filt.lo, filt.hi + 1):
-        below = filt.at(m - 2)
-        if not all(below.contains(nmat.matvec(v)) for v in filt.at(m).basis):
-            raise RuntimeError(f"weight filtration axiom N W_{m} <= W_{m-2} fails")
-    for j in range(1, nil):
-        top = filt.at(center + j)
-        below_top = filt.at(center + j - 1)
-        bot = filt.at(center - j)
-        below_bot = filt.at(center - j - 1)
-        image_rows = [powers[j].matvec(v) for v in top.basis]
-        mapped = Subspace.from_rows(top.ambient,
-                                    list(below_bot.basis) + image_rows)
-        rank = mapped.dim - below_bot.dim
-        if rank != top.dim - below_top.dim or rank != bot.dim - below_bot.dim:
-            raise RuntimeError(
-                f"weight filtration axiom N^{j}: gr_{center + j} ~ "
-                f"gr_{center - j} fails")
+        fresh = chain_vectors.get(w - center)
+        if fresh:
+            acc.extend(fresh)
+        steps[w] = Subspace.from_rows(n, acc) if fresh else steps[w - 1]
+    if len(acc) != n or steps[hi].dim != n:
+        raise RuntimeError(f"the Jordan chains give {len(acc)} vectors of "
+                           f"rank {steps[hi].dim}, not a basis of Q^{n}")
+    return Filtration(n, steps)
 
 
 # -- the monodromy operator -------------------------------------------------
@@ -464,7 +498,9 @@ def default_lagrangian_triple(ring: GradedAlgebra) -> LagrangianTriple:
 
 def isotropic_independence_check(ring: GradedAlgebra) -> Record:
     """dim P_m is the same for the first ten isotropic classes of the
-    enumeration, all m and k."""
+    enumeration, all m and k.  Each class's dims are its perverse jumps,
+    counted by ``perverse_jumps`` from the ranks of its one chain of
+    powers, so no flag is built."""
     res = Record("isotropic-class independence",
                  "perverse dimensions agree for every isotropic class",
                  {"failures": []})
@@ -472,8 +508,7 @@ def isotropic_independence_check(ring: GradedAlgebra) -> Record:
     classes = list(itertools.islice(isotropic_stream(form), 10))
     reference = None
     for mu in classes:
-        dims = {k: sorted(filt.jumps())
-                for k, filt in perverse_filtration(ring, mu).items()}
+        dims = perverse_jumps(ring, mu)
         if reference is None:
             reference = dims
         elif dims != reference:

@@ -181,15 +181,19 @@ def test_criterion_10_clifford_suite():
 
 
 def test_criterion_11_weight_filtration_oracle():
-    from test_pw import rand_nilpotent, weight_filtration_oracle
+    from test_pw import (rand_nilpotent, verify_weight_axioms,
+                         weight_filtration_oracle)
+    from llvkit.pw import _nilpotent_powers
     rng = random.Random(1111)
     ok = True
     for _ in range(200):
         n = rng.randint(1, 8)
         nmat = rand_nilpotent(rng, n)
         center = rng.randint(-2, 2)
-        # the library verifies both defining axioms internally and raises
+        # the library certifies its Jordan basis and raises; the axioms
+        # are checked here by the oracle, which also raises
         ours = weight_filtration(nmat, center=center)
+        verify_weight_axioms(ours, nmat, center, _nilpotent_powers(nmat))
         if ours != weight_filtration_oracle(nmat, center):
             ok = False
     report(11, ok, "200 random nilpotents (dim <= 8): axioms hold and the "

@@ -115,6 +115,48 @@ def test_usage_error_exits_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["pw", "--fixture", "torus", "--g", "3", "--beta", "garbage"],
+     "error: class coordinates must be exact rationals: "),
+    (["pw", "--fixture", "torus", "--g", "3", "--rho", "1,0,0"],
+     "error: --rho does not apply: the ring has no degree-2 form or no 4n "
+     "grading"),
+    (["kuga", "--dim", "3", "--q", "diag:1,1,-1", "--field", "gaussian"],
+     "error: --field gaussian does not apply to kuga"),
+    (["verbitsky", "--fixture", "bogomolov", "--field", "gaussian"],
+     "error: --field gaussian does not apply to verbitsky"),
+])
+def test_flags_nothing_reads_exit_two(capsys, argv, line):
+    # the torus of genus 3 has top degree 6, so weak P = W skips and reads
+    # no Lagrangian class; --field extends the bigraded companion, which
+    # kuga and verbitsky never read
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["kuga", "--dim", "3", "--q", "diag:1,1,-1", "--b2", "9"],
+     "error: unrecognized arguments: --b2 9"),
+    (["pw", "--fixture", "k4"], "error: argument --fixture: invalid choice: "),
+    ([], "error: the following arguments are required: command"),
+])
+def test_argparse_usage_errors_print_one_error_line(capsys, argv, line):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    assert main(["kuga", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: llvkit kuga") and not captured.err
+
+
 class _Built(Exception):
     pass
 

@@ -11,7 +11,7 @@ from llvkit.models import ModelConstructionError, isotropic_stream
 from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        isotropic_independence_check,
                        lagrangian_monodromy, nilpotent_index,
-                       perverse_filtration,
+                       perverse_filtration, perverse_jumps,
                        perverse_hodge_check, weak_pw_check, weight_filtration)
 from llvkit.rings import ring_from_dict, ring_to_dict
 from subspace_ops import reference_subspace, subspace_intersect, subspace_sum
@@ -81,6 +81,45 @@ def weight_filtration_oracle(nmat, center):
     return Filtration(n, steps)
 
 
+def verify_weight_axioms(filt, nmat, center, powers):
+    """Certify filt as the weight filtration of N centered at c.
+
+    With ``powers`` = [I, N, ..., N^nil] and N^nil = 0, three checks:
+    (a) N W_m <= W_(m-2) for every m;
+    (b) N^j : gr_(c+j) -> gr_(c-j) is an isomorphism for 1 <= j < nil;
+    (c) W_(c-nil) = 0 and W_(c+nil-1) is the whole space.
+    For j >= nil, N^j = 0 and (c) makes gr_(c+j) = gr_(c-j) = 0, so (b)
+    holds for every j >= 0, and a finite increasing filtration with (a)
+    and (b) for every j is unique (Deligne, La conjecture de Weil II,
+    1.6.1).  Without (c), a jump moved past c + nil - 1 would pass (a)
+    and (b) for j <= nil.  Raises RuntimeError on the first axiom that
+    fails.
+    """
+    nil = len(powers) - 1
+    if (filt.at(center - nil).dim
+            or filt.at(center + nil - 1).dim != filt.ambient):
+        raise RuntimeError(
+            f"weight filtration jumps outside "
+            f"[{center - nil + 1}, {center + nil - 1}]")
+    for m in range(filt.lo, filt.hi + 1):
+        below = filt.at(m - 2)
+        if not all(below.contains(nmat.matvec(v)) for v in filt.at(m).basis):
+            raise RuntimeError(f"weight filtration axiom N W_{m} <= W_{m-2} fails")
+    for j in range(1, nil):
+        top = filt.at(center + j)
+        below_top = filt.at(center + j - 1)
+        bot = filt.at(center - j)
+        below_bot = filt.at(center - j - 1)
+        image_rows = [powers[j].matvec(v) for v in top.basis]
+        mapped = Subspace.from_rows(top.ambient,
+                                    list(below_bot.basis) + image_rows)
+        rank = mapped.dim - below_bot.dim
+        if rank != top.dim - below_top.dim or rank != bot.dim - below_bot.dim:
+            raise RuntimeError(
+                f"weight filtration axiom N^{j}: gr_{center + j} ~ "
+                f"gr_{center - j} fails")
+
+
 def assert_kernel_image_formula(filt, nmat, center):
     """filt agrees with Deligne's formula for the weight filtration,
     W_m = sum over j >= 0 of N^j ker(N^(m - center + 2j + 1)).  The j-th
@@ -122,6 +161,7 @@ def test_weight_filtration_matches_oracle_on_200_random():
         oracle = weight_filtration_oracle(nmat, center)
         assert ours == oracle
         assert_kernel_image_formula(ours, nmat, center)
+        verify_weight_axioms(ours, nmat, center, pw._nilpotent_powers(nmat))
 
 
 def test_weight_filtrations_of_model_rings_match_the_formula(rat52, k3big):
@@ -134,6 +174,8 @@ def test_weight_filtrations_of_model_rings_match_the_formula(rat52, k3big):
                 block = nmat.blocks[k]
                 filt = weight_filtration(block, center=k - two_n)
                 assert_kernel_image_formula(filt, block, k - two_n)
+                verify_weight_axioms(filt, block, k - two_n,
+                                     pw._nilpotent_powers(block))
 
 
 def test_weight_axioms_reject_a_jump_outside_the_window():
@@ -152,11 +194,43 @@ def test_weight_axioms_reject_a_jump_outside_the_window():
     zero, full = Subspace.zero(3), Subspace.full(3)
     good = Filtration(3, {-2: zero, -1: span(e2), 0: span(e2, e3), 1: full})
     assert weight_filtration(nmat) == good
-    pw._verify_weight_axioms(good, nmat, 0, powers)
+    verify_weight_axioms(good, nmat, 0, powers)
     for steps in ({-2: zero, -1: span(e2), 1: span(e1, e2), 3: full},
                   {-4: zero, -3: span(e3), -1: span(e2, e3), 1: full}):
         with pytest.raises(RuntimeError, match=r"jumps outside \[-1, 1\]"):
-            pw._verify_weight_axioms(Filtration(3, steps), nmat, 0, powers)
+            verify_weight_axioms(Filtration(3, steps), nmat, 0, powers)
+
+
+def test_weight_filtration_refuses_a_kernel_that_is_too_large(monkeypatch):
+    # ker N reported as the whole space makes tops of length 1 that N
+    # does not kill; the Jordan-basis certificate refuses them
+    rng = random.Random(5)
+    nmat = rand_nilpotent(rng, 6)
+    assert not nmat.is_zero()
+    true_kernel = pw.kernel
+    monkeypatch.setattr(pw, "kernel", lambda mat: (
+        Subspace.full(mat.ncols) if mat == nmat else true_kernel(mat)))
+    with pytest.raises(RuntimeError, match="not killed by N"):
+        weight_filtration(nmat, center=1)
+
+
+@pytest.mark.parametrize("nmat", [jordan_block(3), Matrix.zeros(2, 2),
+                                  Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])])
+def test_weight_filtration_refuses_a_dropped_chain(monkeypatch, nmat):
+    # ker N^nil = V reported without its first basis vector, the top of
+    # a longest chain, loses that chain, and the chain vectors no longer
+    # fill the space
+    true_kernel = pw.kernel
+
+    def short_kernel(mat):
+        sub = true_kernel(mat)
+        if not mat.is_zero():
+            return sub
+        return Subspace.from_rows(sub.ambient, sub.basis[1:])
+
+    monkeypatch.setattr(pw, "kernel", short_kernel)
+    with pytest.raises(RuntimeError, match="not a basis"):
+        weight_filtration(nmat)
 
 
 def test_weight_filtration_same_on_fraction_typed_rows():
@@ -406,7 +480,8 @@ def test_perverse_dims_match_across_classes_detail(rat52):
 
 def test_checks_build_one_perverse_chain_per_class(rat52, model52,
                                                    monkeypatch):
-    # one perverse_filtration call, and so one chain of powers, per class
+    # one chain of powers per class; the independence check counts its
+    # jumps from the ranks of that chain and builds no perverse flag
     calls = {"chain": 0, "filtration": 0}
     chain, filtration = pw.BlockChain, pw.perverse_filtration
 
@@ -420,13 +495,47 @@ def test_checks_build_one_perverse_chain_per_class(rat52, model52,
 
     monkeypatch.setattr(pw, "BlockChain", counted_chain)
     monkeypatch.setattr(pw, "perverse_filtration", counted_filtration)
-    for run, classes in (
-            (lambda: isotropic_independence_check(rat52), 10),
-            (lambda: weak_pw_check(rat52, default_lagrangian_triple(rat52)), 1),
-            (lambda: perverse_hodge_check(model52), 1)):
+    for run, classes, flags in (
+            (lambda: isotropic_independence_check(rat52), 10, 0),
+            (lambda: weak_pw_check(rat52, default_lagrangian_triple(rat52)),
+             1, 1),
+            (lambda: perverse_hodge_check(model52), 1, 1)):
         calls.update(chain=0, filtration=0)
         assert run().ok
-        assert calls == {"chain": classes, "filtration": classes}
+        assert calls == {"chain": classes, "filtration": flags}
+
+
+@pytest.mark.parametrize("fixture", ["rat52", "model53", "model62", "k3big",
+                                     "torus2"])
+def test_perverse_jumps_match_the_flags_of_ten_classes(request, fixture):
+    # the rank count is the jumps of the flags perverse_filtration builds
+    ring = request.getfixturevalue(fixture)
+    ring = getattr(ring, "rational_model", None) or ring
+    for mu in itertools.islice(isotropic_stream(ring.quadratic_form), 10):
+        assert perverse_jumps(ring, mu) == {
+            k: sorted(filt.jumps())
+            for k, filt in perverse_filtration(ring, mu).items()}, mu
+
+
+def test_isotropic_independence_fails_on_one_class_with_other_jumps(
+        rat52, monkeypatch):
+    # the third class's degree-4 jumps moved by one index: the check
+    # reports that class and keeps the first class's dims
+    jumps, seen = pw.perverse_jumps, []
+
+    def moved(ring, mu):
+        out = jumps(ring, mu)
+        seen.append(mu)
+        if len(seen) == 3:
+            out[4] = [(m + 1, d) for m, d in out[4]]
+        return out
+
+    want = isotropic_independence_check(rat52).data["dims"]
+    monkeypatch.setattr(pw, "perverse_jumps", moved)
+    res = isotropic_independence_check(rat52)
+    assert not res.ok
+    assert len(res.failures) == 1 and str(seen[2]) in res.failures[0]
+    assert res.data["dims"] == want and res.data["classes_checked"] == 10
 
 
 @pytest.mark.parametrize("offset", [2, 1])
