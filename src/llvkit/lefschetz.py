@@ -91,16 +91,6 @@ class DegreeOperator:
             grid[r][c] = x
         return Matrix._of(grid, n)
 
-    def apply(self, vec) -> tuple:
-        """``matrix().matvec(vec)``, formed block by block."""
-        out, off = [0] * self.ring.total_dim, self.ring.offsets
-        for k, blk in self.blocks.items():
-            src = vec[off[k]:off[k] + blk.ncols]
-            if blk.nrows and any(src):
-                tlo = off[k + self.shift]
-                out[tlo:tlo + blk.nrows] = blk.matvec(src)
-        return tuple(out)
-
     def commutator(self, other: "DegreeOperator") -> "DegreeOperator":
         """[self, other] on the blocks; a block on every nonzero degree."""
         shift, ring = self.shift + other.shift, self.ring
@@ -216,19 +206,23 @@ def _as_degree2(ring, a):
 
 
 class BlockChain:
-    """Powers of an operator that raises a grading by 2, kept as blocks.
+    """Powers of an operator that raises a grading by ``shift`` (2 unless
+    given), kept as blocks.
 
-    ``blocks[w]`` maps V_w to V_(w+2) in column convention, ``dims[w]``
-    is dim V_w, and a missing block is zero.  ``power(w, j)`` is the
-    block of the j-th power from V_w to V_(w+2j): the product of the j
-    blocks along the chain.  Each source keeps its chain of powers, so
-    a longer power costs one more block product; the first power is the
-    block itself.
+    ``blocks[w]`` maps V_w to V_(w+shift) in column convention,
+    ``dims[w]`` is dim V_w, and a missing block is zero.  ``power(w, j)``
+    is the block of the j-th power from V_w to V_(w+j shift): the product
+    of the j blocks along the chain.  Each source keeps its chain of
+    powers, so a longer power costs one more block product; the first
+    power is the block itself, and the zeroth, the identity, is built
+    only when asked for.  With shift 0 and one piece, the powers are
+    those of one square matrix.
     """
 
-    def __init__(self, blocks, dims):
+    def __init__(self, blocks, dims, shift=2):
         self.blocks = blocks
         self.dims = dims
+        self.shift = shift
         self._chains = {}
         self._index = None
 
@@ -238,31 +232,35 @@ class BlockChain:
     def block(self, w) -> Matrix:
         blk = self.blocks.get(w)
         if blk is None:
-            return Matrix.zeros(self.dim(w + 2), self.dim(w))
+            return Matrix.zeros(self.dim(w + self.shift), self.dim(w))
         return blk
 
     def power(self, w, j) -> Matrix:
+        if not j:
+            return Matrix.identity(self.dim(w))
         chain = self._chains.get(w)
         if chain is None:
-            chain = self._chains[w] = [Matrix.identity(self.dim(w))]
-        if len(chain) == 1 and j:
-            chain.append(self.block(w))
-        while len(chain) <= j:
-            chain.append(self.block(w + 2 * (len(chain) - 1)) * chain[-1])
-        return chain[j]
+            chain = self._chains[w] = [self.block(w)]
+        while len(chain) < j:
+            chain.append(self.block(w + self.shift * len(chain)) * chain[-1])
+        return chain[j - 1]
 
     def nilpotency_index(self) -> int:
-        """Smallest d >= 1 with every power(w, d) zero.
+        """Smallest d >= 1 with every power(w, d) zero; raises ValueError
+        when the operator is not nilpotent.
 
         The d-th power of the whole operator is zero exactly when each of
         its blocks power(w, d) is, so this is the index of the full matrix.
+        A nilpotent operator's index is at most the total dimension.
         """
         if self._index is None:
-            index = 1
+            index, total = 1, sum(self.dims.values())
             for w, d in sorted(self.dims.items()):
                 if d:
                     while not self.power(w, index).is_zero():
                         index += 1
+                        if index > total:
+                            raise ValueError("operator is not nilpotent")
             self._index = index
         return self._index
 

@@ -250,8 +250,7 @@ class Matrix:
     def rank(self):
         """The dimension of the row space, from one forward elimination;
         no canonical form is built."""
-        ech = SparseEchelon(exact_division=any(Gauss in map(type, r)
-                                               for r in self.rows))
+        ech = SparseEchelon.over(self.rows)
         for r in self.rows:
             ech.add(r)
         return ech.dim
@@ -271,8 +270,7 @@ def rref(rows):
     rows = [r for r in rows if any(r)]
     if not rows:
         return [], []
-    field = any(Gauss in map(type, r) for r in rows)
-    ech = SparseEchelon(exact_division=field)
+    ech = SparseEchelon.over(rows)
     for r in rows:
         ech.add(r)
     reduced, pivots = ech.canonical()
@@ -454,13 +452,23 @@ def _congruence(q, track):
     """Diagonal of a symmetric congruence, and with ``track`` the rows
     {j: x} of the transform P.  Sparse: each row holds only the nonzero
     entries of the not yet eliminated block, which stays symmetric, so
-    column k is read off row k."""
+    column k is read off row k.
+
+    A heap holds every index whose diagonal may be nonzero, so the first
+    j > k with a[j][j] != 0 is found without a scan: only a congruence
+    step changes the diagonal of a later row, and it pushes each row it
+    touches; an entry is checked when it reaches the top, and dropped
+    once it lies at or before k or its diagonal is zero."""
     a = _sparse_symmetric(q)
     n = len(a)
     p = [{i: Fraction(1)} for i in range(n)] if track else None
+    nonzero = [j for j in range(n) if a[j].get(j)]
     for k in range(n):
         if not a[k].get(k):
-            swap = next((j for j in range(k + 1, n) if a[j].get(j)), None)
+            while nonzero and (nonzero[0] <= k
+                               or not a[nonzero[0]].get(nonzero[0])):
+                heappop(nonzero)
+            swap = nonzero[0] if nonzero else None
             if swap is not None:
                 touched = set(a[k]) | set(a[swap]) | {k, swap}
                 a[k], a[swap] = a[swap], a[k]
@@ -503,6 +511,8 @@ def _congruence(q, track):
                 f = div(aik, d)
                 _add_scaled(a[i], -f, rk, skip=k)
                 del a[i][k]
+                if a[i].get(i):
+                    heappush(nonzero, i)
                 if track:
                     _add_scaled(p[i], -f, p[k])
     return p, [a[k].get(k, Fraction(0)) for k in range(n)]
@@ -586,6 +596,13 @@ class SparseEchelon:
     def __init__(self, exact_division=False):
         self.exact_division = exact_division
         self.rows = {}          # pivot -> dict
+
+    @staticmethod
+    def over(rows):
+        """An empty echelon for the span of rows: in field mode exactly
+        when an entry is Gauss."""
+        return SparseEchelon(exact_division=any(Gauss in map(type, r)
+                                                for r in rows))
 
     @property
     def dim(self):

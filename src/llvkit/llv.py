@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd
-from types import MappingProxyType
 
 from .lefschetz import (DegreeOperator, DualFamily, classical_weights,
                         complete_sl2, cup_operator,
@@ -57,10 +56,6 @@ def _to_sparse(op, gaussian):
     for (r, c, _), v in zip(cells, ints):
         sp.setdefault(r, {})[c] = v
     return sp, den
-
-
-# the value of every vanishing bracket in a structure-constant table
-_NO_BRACKET = MappingProxyType({})
 
 
 def _index(mats):
@@ -153,10 +148,9 @@ class MatrixLieAlgebra:
     ``bracket_rows`` walks the brackets once and stores nothing: row i
     holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
     j < i with a nonzero bracket, so that [b_i, b_j] = sum_k (e_ijk / D^2)
-    b_k.  ``structure_constants``, ``verify_closure`` and ``so_identify``
-    all read this one walk, the first two to its end; ``so_identify``
-    stops a certified algebra's walk once the derived algebra is full.
-    No table of the constants is cached.
+    b_k.  ``so_identify`` reads this walk, and stops a certified
+    algebra's walk once the derived algebra is full.  No table of the
+    constants is cached.
     """
 
     ambient: int
@@ -258,23 +252,6 @@ class MatrixLieAlgebra:
             yield row
             _index_add(index, i, m)
 
-    def structure_constants(self):
-        """(D, table) with table[i][j] = {k: e_ijk} for i < j, where
-        [b_i, b_j] = sum_k (e_ijk / D^2) b_k and every e_ijk is integral.
-        A vanishing bracket holds the shared, read-only empty mapping
-        ``_NO_BRACKET``: most brackets of a large algebra vanish.  Built
-        from one ``bracket_rows`` walk per call, not cached.  Raises
-        ValueError when some bracket leaves the span."""
-        den, mats = self._integer_form()
-        dim = len(mats)
-        table = [dict.fromkeys(range(i + 1, dim), _NO_BRACKET)
-                 for i in range(dim)]
-        for j, row in enumerate(self.bracket_rows()):
-            for i, coeffs in row.items():
-                # [M_i, M_j] = -[M_j, M_i]; 0 - e also negates a GaussInt
-                table[i][j] = {k: 0 - e for k, e in coeffs.items()}
-        return den, table
-
     def _sparse(self, op):
         """``_to_sparse`` of an operator on the ambient space; any other
         shape raises DimensionError, as its r n + c would alias."""
@@ -287,16 +264,6 @@ class MatrixLieAlgebra:
     def contains(self, op) -> bool:
         """op, a ``Matrix`` or a ``DegreeOperator``, lies in the span."""
         return self._int_coords(self._sparse(op)[0]) is not None
-
-    def verify_closure(self) -> bool:
-        """Exhaustive [b_i, b_j] membership check (quadratic in dim): one
-        ``bracket_rows`` walk to its end."""
-        try:
-            for _ in self.bracket_rows():
-                pass
-        except ValueError:
-            return False
-        return True
 
 
 def lie_closure(generators, field) -> MatrixLieAlgebra:
@@ -680,10 +647,6 @@ def llv_generators(ring: GradedAlgebra, family=None):
         if tuple(a) in family.fallen_back:
             gens.append(lam.matrix())
     return gens, classes
-
-
-def llv_closure(ring: GradedAlgebra) -> MatrixLieAlgebra:
-    return lie_closure(llv_generators(ring)[0], ring.field)
 
 
 def bracket_closure(ring: GradedAlgebra, family=None):

@@ -1,36 +1,47 @@
 """Perverse filtrations from isotropic classes, monodromy weight
 filtrations of nilpotent operators, and their comparison.
 
-Both filtrations are sums of kernel-image intersections.  In the
-perverse one each intersection is computed as the image of a kernel,
-with no intersection of subspaces:  ker A n im B = B ker(AB), since Bu
-lies in ker A exactly when u lies in ker(AB).
+A filtration is one ordered basis and the size of each step: step m is
+the span of a prefix of the basis, so the steps are nested by
+construction.  Both filtrations here are read off one Jordan basis.
+``_jordan_chains`` builds a degree-homogeneous Jordan basis of a
+nilpotent N given by blocks N : V_w -> V_(w+shift).  The vector N^a v of
+the chain of a top v of length l lies in one piece V_w, with the index
+w + offset + l - 1 - 2a.  The basis is certified: N^l v = 0 for every
+top v of length l, and in each piece the chain vectors are exactly
+dim V_w many and of full rank, by the one elimination of ``Filtration``.
 
-The perverse filtration of an isotropic degree-2 class b inside degree k
-is  P_m = sum over i >= 1 of  ker(L^e) n im(L^(i-1)),  e = 2n + m + i - k,
-that is  P_m = sum over i >= 1 of  L^(i-1) ker(L^(e+i-1)),  the kernel
-taken on degree k - 2(i-1), with L = L_b, L^0 = identity and the terms
-with e <= 0 empty.  Powers of L are products of its degree blocks,
-built once per class for the filtrations of every degree.  Where only
-the dimensions of P are reported (isotropic independence), they are read
-off the graded Jordan type of L, which the ranks of the block powers
-L^j : A^d -> A^(d+2j) fix (``perverse_jumps``), and no flag is built.
+- The weight filtration of a nilpotent N centered at c is the flag of
+  one piece, with shift 0 and offset c.  Its chain vectors, ordered by
+  the weight c + l - 1 - 2a, satisfy Deligne's axioms, which determine
+  it uniquely (La conjecture de Weil II, 1.6.1); the tests keep the
+  axioms as an oracle.
+- The perverse filtration of an isotropic degree-2 class b inside
+  degree k is P_m = sum over i >= 1 of ker(L^e) n im(L^(i-1)),
+  e = 2n + m + i - k, with L = L_b; the tests keep this formula as an
+  oracle.  It is the flag of L, one piece per degree, with shift 2 and
+  offset -2n: by the lemma in ``perverse_jumps``, P_m A^k is spanned by
+  the chain vectors in A^k of the chains that start in A^d with length l
+  and d + l - 1 - 2n <= m, and for the vector L^a v in A^k that index is
+  k - 2n + l - 1 - 2a.  Where only the dimensions of P are reported
+  (isotropic independence), they are read off the ranks of the block
+  powers of L (``perverse_jumps``), and no flag is built.
 
-The weight filtration of a nilpotent N centered at c is built from an
-exact Jordan-chain sl2 decomposition, and the chains are certified as a
-Jordan basis of N.  In that basis the flag of chain weights satisfies
-Deligne's axioms, which determine it uniquely (La conjecture de Weil II,
-1.6.1), so no axiom is checked on subspaces; the tests keep the axioms
-as an oracle.  The weak P = W comparison matches the perverse index m
-against the weight index 2m + shift at one uniform shift, and the Hodge
-comparison the index m against the holomorphic cutoff m + shift.  In
-both, the one-dimensional H^0 of a valid ring admits a single shift,
-read off the jump of P on the unit, so no shift is searched.
+Two flags are compared by their step sizes and one echelon, with no
+canonical subspace per step (``Filtration.agrees``).  The weak P = W
+comparison matches the perverse index m against the weight index
+2m + shift at one uniform shift, and the Hodge comparison the index m
+against the holomorphic cutoff m + shift, on the flag of coordinates
+ordered by holomorphic degree.  In both, the one-dimensional H^0 of a
+valid ring admits a single shift, read off the jump of P on the unit, so
+no shift is searched.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,68 +57,166 @@ from .scalars import rat
 
 
 class Filtration:
-    """Increasing exhaustive flag of canonical subspaces, integer-indexed.
+    """Increasing exhaustive flag, integer-indexed: one ordered basis of
+    Q^ambient and the size of each step, step m being the span of the
+    first ``size(m)`` basis vectors.
 
-    Stores the jump window; below it the filtration is the zero subspace
-    and above it the full space (both by construction at build time).
+    ``sizes`` lists the window, from size 0 up to ambient; below it the
+    filtration is the zero subspace and above it the full space.  The
+    steps are nested by construction.  The constructor checks that the
+    basis is a basis, ambient vectors of full rank by one elimination,
+    and that the sizes increase from 0 to ambient.
     """
 
-    def __init__(self, ambient, steps):
+    def __init__(self, ambient, basis, sizes):
         self.ambient = ambient
-        self.steps = dict(sorted(steps.items()))
-        if not self.steps:
+        self.basis = tuple(tuple(v) for v in basis)
+        self.sizes = dict(sorted(sizes.items()))
+        ech = SparseEchelon.over(self.basis)
+        rank = sum(1 for v in self.basis if ech.add(v))
+        if len(self.basis) != ambient or rank != ambient:
+            raise ValueError(f"{len(self.basis)} vectors of rank {rank} are "
+                             f"not a basis of Q^{ambient}")
+        if not self.sizes:
             raise ValueError("a filtration needs at least one step")
-        prev = None
-        for m, sub in self.steps.items():
-            if sub.ambient != ambient:
-                raise ValueError("filtration steps live in different spaces")
-            if prev is not None and not (prev <= sub):
+        prev = 0
+        for m, size in self.sizes.items():
+            if size < prev:
                 raise ValueError(f"filtration is not increasing at index {m}")
-            prev = sub
-        first = next(iter(self.steps.values()))
-        last = prev
-        if first.dim != 0:
+            prev = size
+        if next(iter(self.sizes.values())):
             raise ValueError("filtration must start at the zero subspace")
-        if last.dim != ambient:
+        if prev != ambient:
             raise ValueError("filtration must end at the full space")
 
     @property
     def lo(self):
-        return next(iter(self.steps))
+        return next(iter(self.sizes))
 
     @property
     def hi(self):
-        return next(reversed(self.steps))
+        return next(reversed(self.sizes))
+
+    def size(self, m) -> int:
+        """dim of step m: the size at the largest listed index <= m."""
+        below = [size for i, size in self.sizes.items() if i <= m]
+        return below[-1] if below else 0
 
     def at(self, m) -> Subspace:
-        if m <= self.lo:
-            return self.steps[self.lo]
-        if m >= self.hi:
-            return self.steps[self.hi]
-        key = max(i for i in self.steps if i <= m)
-        return self.steps[key]
+        """Step m as a canonical subspace, built on demand."""
+        return Subspace.from_rows(self.ambient, self.basis[:self.size(m)])
 
     def dims(self):
-        return {m: sub.dim for m, sub in self.steps.items()}
+        return dict(self.sizes)
 
     def jumps(self):
         out = []
         prev = 0
-        for m, sub in self.steps.items():
-            if sub.dim != prev:
-                out.append((m, sub.dim - prev))
-                prev = sub.dim
+        for m, size in self.sizes.items():
+            if size != prev:
+                out.append((m, size - prev))
+                prev = size
         return out
+
+    def agrees(self, other, index, window) -> bool:
+        """Whether step m equals the step index(m) of ``other`` at every m
+        of ``window``, for an increasing map ``index``.
+
+        Equal sizes and containment make equal steps.  Both flags
+        increase, so a basis vector that lies in other's step when it
+        enters this flag lies in it at every later m: one echelon of
+        other's basis, grown along m to the common size, reduces each
+        basis vector once.  On a flag of coordinate vectors the echelon's
+        rows are unit vectors, and the reduction is a support test.
+        """
+        ech = SparseEchelon.over(self.basis + other.basis)
+        done = 0
+        for m in window:
+            size = self.size(m)
+            if other.size(index(m)) != size:
+                return False
+            for v in other.basis[done:size]:
+                ech.add(v)
+            if not all(ech.contains(v) for v in self.basis[done:size]):
+                return False
+            done = size
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, Filtration) or self.ambient != other.ambient:
             return False
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return all(self.at(m) == other.at(m) for m in range(lo, hi + 1))
+        return self.agrees(other, lambda m: m,
+                           range(min(self.lo, other.lo),
+                                 max(self.hi, other.hi) + 1))
 
     def __repr__(self):
         return f"Filtration(dims={self.dims()})"
+
+
+def _flag(ambient, indexed, start) -> Filtration:
+    """The filtration whose step m is spanned by the vectors of
+    ``indexed``, (index, vector) pairs, of index <= m; its window runs from
+    m = start to the largest index, the first full step of a basis."""
+    indexed = sorted(indexed, key=lambda pair: pair[0])
+    ends = [m for m, _ in indexed]
+    last = ends[-1] if ends else start + 1
+    sizes = {m: bisect_right(ends, m) for m in range(start, last + 1)}
+    return Filtration(ambient, [v for _, v in indexed], sizes)
+
+
+def _jordan_chains(chain: BlockChain, offset):
+    """(nil, {w: [(index, vector)]}): a degree-homogeneous Jordan basis,
+    piece by piece, of the nilpotent N that ``chain`` gives by its blocks
+    N : V_w -> V_(w+shift), and the nilpotency index of N.  The vector
+    N^a v of the chain of a top v of length l lies in V_w, w = d + a shift
+    for v in V_d, with the index w + offset + l - 1 - 2a.
+
+    The pieces are taken in increasing w.  In V_w, for j = nil, ..., 1,
+    the tops of length j are the basis vectors of ker N^j that are
+    independent of ker N^(j-1) and of the chain vectors already in V_w
+    with exactly j vectors left: in a Jordan basis those span, inside
+    ker N^j, the sum of ker N^(j-1) and N V.  With shift 0 the chain
+    vectors already there are those of the longer tops of V_w; with shift
+    2 they come from the chains of the lower pieces.
+
+    Each chain is walked to N^j v, and one that N^j does not kill raises
+    RuntimeError.  The tops come from kernels, but the basis does not
+    rest on them: with N^l v = 0, N maps each chain vector to the next
+    one or to zero, so the chain vectors are a Jordan basis of N as soon
+    as each piece holds dim V_w of them of full rank, which ``Filtration``
+    checks when the flag of the piece is built.
+    """
+    nil = chain.nilpotency_index()
+    shift = chain.shift
+    left = defaultdict(list)        # w -> [(vectors left in its chain, v)]
+    indexed = defaultdict(list)     # w -> [(index, vector)]
+    for d in sorted(chain.dims):
+        dim_d = chain.dim(d)
+        if not dim_d:
+            continue
+        kernels = [Subspace.zero(dim_d)] + [
+            kernel(chain.power(d, j)) if chain.dim(d + j * shift)
+            else Subspace.full(dim_d) for j in range(1, nil + 1)]
+        for j in range(nil, 0, -1):
+            blocked = SparseEchelon(exact_division=True)
+            for v in kernels[j - 1].basis:
+                blocked.add(v)
+            for rest, u in left[d]:
+                if rest == j:
+                    blocked.add(u)
+            for top in kernels[j].basis:
+                if not blocked.add(top):
+                    continue
+                w, vec = d, top
+                for a in range(j):
+                    left[w].append((j - a, vec))
+                    indexed[w].append((w + offset + j - 1 - 2 * a, vec))
+                    vec = chain.block(w).matvec(vec)
+                    w += shift
+                if any(vec):
+                    raise RuntimeError(f"a Jordan chain of length {j} is not "
+                                       f"killed by N^{j}")
+    return nil, indexed
 
 
 # -- perverse filtration ----------------------------------------------------
@@ -133,43 +242,18 @@ def _perverse_chain(ring: GradedAlgebra, beta):
 def perverse_filtration(ring: GradedAlgebra, beta) -> dict:
     """The isotropic-class filtration of every nonzero degree, ``{k: P}``.
 
-    Its i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, is taken as
-    the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree k - 2(i-1),
-    so each step is one span.  L^j is a product of the degree blocks of
-    the cup operator, built once for all degrees.  With L^nil = 0, the
-    i = 1 term at m = k - 2n + nil - 1 is ker(L^nil) = all of H^k, so the
-    steps from m = k - 2n - nil - 1 reach the full space by that index.
+    Read off the certified Jordan basis of L = L_beta that
+    ``_jordan_chains`` builds on the degree blocks, with shift 2 and
+    offset -2n: P_m A^k is spanned by the chain vectors in A^k whose
+    chain starts in A^d with length l and d + l - 1 - 2n <= m (the lemma
+    in ``perverse_jumps``).  With L^nil = 0 every such index is at least
+    k - 2n - nil + 1, and the flag of A^k is listed from
+    m = k - 2n - nil - 1 to its first full step.
     """
     chain, two_n = _perverse_chain(ring, beta)
-    nil = chain.nilpotency_index()
-
-    def term(k, i, e):
-        """ker(L^e) n im(L^(i-1)) in degree k, as spanning rows."""
-        src = k - 2 * (i - 1)
-        if not chain.dim(src):
-            return []
-        img = chain.power(src, i - 1)
-        j = e + i - 1
-        if j >= nil or src + 2 * j > ring.top:
-            return img.transpose().rows        # the kernel is all of it
-        return [img.matvec(v) for v in kernel(chain.power(src, j)).basis]
-
-    filts = {}
-    for k, dim_k in enumerate(ring.dims):
-        if not dim_k:
-            continue
-        steps = {}
-        for m in range(k - two_n - nil - 1, k - two_n + nil):
-            rows = []
-            for i in range(1, two_n + 2):
-                e = two_n + m + i - k
-                if e > 0:
-                    rows.extend(term(k, i, e))
-            steps[m] = Subspace.from_rows(dim_k, rows)
-            if steps[m].dim == dim_k:
-                break
-        filts[k] = Filtration(dim_k, steps)
-    return filts
+    nil, indexed = _jordan_chains(chain, -two_n)
+    return {k: _flag(dim_k, indexed[k], k - two_n - nil - 1)
+            for k, dim_k in enumerate(ring.dims) if dim_k}
 
 
 def perverse_jumps(ring: GradedAlgebra, beta) -> dict:
@@ -197,7 +281,9 @@ def perverse_jumps(ring: GradedAlgebra, beta) -> dict:
     A^(d-2) with one more vector, so the number that start in A^d with
     length l is
         r(d, l-1) - r(d, l) - r(d-2, l) + r(d-2, l+1).
-    ``perverse_filtration``'s jumps are the tests' oracle for this count.
+    The tests check this count against the jumps of the flags that
+    ``perverse_filtration`` reads off the chains themselves, and of the
+    kernel/image formula.
     """
     chain, two_n = _perverse_chain(ring, beta)
     ranks = {}
@@ -219,21 +305,9 @@ def perverse_jumps(ring: GradedAlgebra, beta) -> dict:
     return {k: sorted(at.items()) for k, at in jumps.items()}
 
 
-def _nilpotent_powers(mat: Matrix):
-    """[I, N, ..., N^d] with N^d = 0 and d minimal; raises when N is not
-    nilpotent."""
-    powers = [Matrix.identity(mat.nrows), mat]
-    while True:
-        if len(powers) - 1 > mat.nrows:
-            raise ValueError("operator is not nilpotent")
-        if powers[-1].is_zero():
-            return powers
-        powers.append(powers[-1] * mat)
-
-
 def nilpotent_index(mat: Matrix) -> int:
     """Smallest d with mat^d = 0; raises on non-nilpotent input."""
-    return len(_nilpotent_powers(mat)) - 1
+    return BlockChain({0: mat}, {0: mat.nrows}, shift=0).nilpotency_index()
 
 
 def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
@@ -242,7 +316,11 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
     p <= m + shift, at one uniform shift (reported).  Equal flags make
     each perverse jump dim A^(m+shift, k-m-shift), since every basis
     element of degree k has a bidegree (p, k-p); the jumps need no count
-    against the Hodge numbers of their own.
+    against the Hodge numbers of their own.  The holomorphic-degree flag
+    of A^k is the flag of the coordinate vectors ordered by p, so P_m is
+    it at cutoff m + shift exactly when the sizes match and every vector
+    of P_m's basis prefix is supported on coordinates with p <= m + shift
+    (``Filtration.agrees``).
 
     The unit fixes the shift.  A valid ring has dim H^0 = 1, so P jumps
     once there, at m0, and the Hodge flag of the unit, of bidegree
@@ -259,22 +337,20 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
     lo2, _ = ring.slice_of(2)
     sigma_bar = tuple(ring.sigma_bar()[lo2 + t] for t in range(ring.dims[2]))
     filts = perverse_filtration(ring, sigma_bar)
-
-    def hodge_flag(k, cutoff):
-        lo, _ = ring.slice_of(k)
-        rows = []
-        for t in range(ring.dims[k]):
-            p, _q = ring.bidegrees[lo + t]
-            if p <= cutoff:
-                row = [0] * ring.dims[k]
-                row[t] = 1
-                rows.append(row)
-        return Subspace.from_rows(ring.dims[k], rows)
-
     shift = -filts[0].jumps()[0][0]
-    if not all(all(filt.at(m) == hodge_flag(k, m + shift)
-                   for m in range(filt.lo, filt.hi + 1))
-               for k, filt in filts.items()):
+
+    def is_hodge(k, filt):
+        """filt equals the flag of the coordinates of A^k ordered by
+        holomorphic degree p >= 0, step m at cutoff m + shift."""
+        lo, _ = ring.slice_of(k)
+        dim = filt.ambient
+        hodge = _flag(dim, [(ring.bidegrees[lo + t][0],
+                             tuple(int(i == t) for i in range(dim)))
+                            for t in range(dim)], -1)
+        return filt.agrees(hodge, lambda m: m + shift,
+                           range(filt.lo, filt.hi + 1))
+
+    if not all(is_hodge(k, filt) for k, filt in filts.items()):
         res.fail("no uniform index shift matches the Hodge flags")
     else:
         res.data["shift"] = shift
@@ -287,68 +363,30 @@ def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
 def weight_filtration(nmat: Matrix, center: int = 0) -> Filtration:
     """Monodromy weight filtration of a nilpotent operator, centered.
 
-    Built from an exact Jordan-chain decomposition: the tops of length j
-    span ker N^j modulo ker N^(j-1) + N ker N^(j+1), and the vector N^a v
-    of the chain of a top v of length l has weight center + l - 1 - 2a;
-    W_m is the span of the chain vectors of weight <= m.
-
-    The chains are certified as a Jordan basis before return: there are
-    exactly dim V chain vectors, they span V (the last step of the flag
-    has full rank), and N^l v = 0 for each top v of length l.  In that
-    basis N is a direct sum of Jordan blocks, so the flag satisfies
-    Deligne's axioms chain by chain: N lowers the weight of each chain
-    vector by 2 or kills it, so N W_m <= W_(m-2); and N^j sends the chain
-    vectors of weight center + j one-to-one onto those of weight
-    center - j, so N^j : gr_(center+j) -> gr_(center-j) is an isomorphism
-    for every j >= 0.  A finite increasing filtration with both axioms is
-    unique (Deligne, La conjecture de Weil II, 1.6.1), so this is the
-    monodromy weight filtration.  Its weights lie in
-    [center - l + 1, center + l - 1] for l <= nil, so W_(center-nil) = 0
-    and W_(center+nil-1) = V.  The tests keep the axioms themselves and
-    the kernel/image formula W_m = sum over j >= 0 of
+    Read off the certified Jordan basis of N that ``_jordan_chains``
+    builds on one piece, with shift 0 and offset ``center``: the vector
+    N^a v of the chain of a top v of length l has weight
+    center + l - 1 - 2a, and W_m is the span of the chain vectors of
+    weight <= m.  In a Jordan basis N is a direct sum of Jordan blocks,
+    so the flag satisfies Deligne's axioms chain by chain: N lowers the
+    weight of each chain vector by 2 or kills it, so N W_m <= W_(m-2);
+    and N^j sends the chain vectors of weight center + j one-to-one onto
+    those of weight center - j, so N^j : gr_(center+j) -> gr_(center-j)
+    is an isomorphism for every j >= 0.  A finite increasing filtration
+    with both axioms is unique (Deligne, La conjecture de Weil II,
+    1.6.1), so this is the monodromy weight filtration.  Its weights lie
+    in [center - nil + 1, center + nil - 1], and a chain of length nil
+    reaches both ends, so the flag is listed from W_(center-nil) = 0 to
+    W_(center+nil-1) = V.  The tests keep the axioms themselves and the
+    kernel/image formula W_m = sum over j >= 0 of
     N^j ker(N^(m-center+2j+1)) as oracles.
     """
     n = nmat.nrows
     if nmat.ncols != n:
         raise ValueError("weight filtration needs a square matrix")
-    powers = _nilpotent_powers(nmat)
-    nil = len(powers) - 1
-    kernels = [Subspace.zero(n)] + [kernel(p) for p in powers[1:]]
-
-    chain_vectors = {}      # weight (centered at 0) -> list of vectors
-    tops = []               # (length, vector)
-    for j in range(nil, 0, -1):
-        blocked = SparseEchelon(exact_division=True)
-        for v in kernels[j - 1].basis:
-            blocked.add(v)
-        for length, top in tops:
-            blocked.add(powers[length - j].matvec(top))
-        fresh = [v for v in kernels[j].basis if blocked.add(v)]
-        for v in fresh:
-            tops.append((j, v))
-            vec = v
-            for a in range(j):
-                chain_vectors.setdefault(j - 1 - 2 * a, []).append(tuple(vec))
-                vec = nmat.matvec(vec)
-            if any(vec):
-                raise RuntimeError(f"a Jordan chain of length {j} is not "
-                                   f"killed by N^{j}")
-
-    weights = sorted(chain_vectors)
-    steps = {}
-    lo = (weights[0] if weights else 0) + center
-    hi = (weights[-1] if weights else 0) + center
-    acc = []
-    steps[lo - 1] = Subspace.zero(n)
-    for w in range(lo, hi + 1):
-        fresh = chain_vectors.get(w - center)
-        if fresh:
-            acc.extend(fresh)
-        steps[w] = Subspace.from_rows(n, acc) if fresh else steps[w - 1]
-    if len(acc) != n or steps[hi].dim != n:
-        raise RuntimeError(f"the Jordan chains give {len(acc)} vectors of "
-                           f"rank {steps[hi].dim}, not a basis of Q^{n}")
-    return Filtration(n, steps)
+    nil, indexed = _jordan_chains(BlockChain({0: nmat}, {0: n}, shift=0),
+                                  center)
+    return _flag(n, indexed[0], center - nil)
 
 
 # -- the monodromy operator -------------------------------------------------
@@ -440,8 +478,8 @@ def weak_pw_check(ring: GradedAlgebra,
                for k in p_filts}
     s = -two_n - 2 * p_filts[0].jumps()[0][0]
     if any(any((j - s) % 2 for j, _ in w_filts[k].jumps())
-           or not all(pf.at(m) == w_filts[k].at(2 * m + s)
-                      for m in range(pf.lo - 1, pf.hi + 2))
+           or not pf.agrees(w_filts[k], lambda m: 2 * m + s,
+                            range(pf.lo - 1, pf.hi + 2))
            for k, pf in p_filts.items()):
         res.fail("no uniform shift aligns the perverse and weight flags")
     else:

@@ -47,5 +47,5 @@ def torus_big():
 
 @pytest.fixture(scope="session")
 def k3_closure(k3):
-    from llvkit.llv import llv_closure
+    from lie_oracles import llv_closure
     return llv_closure(k3)

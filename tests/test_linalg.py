@@ -201,6 +201,26 @@ def test_congruence_diagonalize_matches_dense_oracle(grid):
                                           sum(1 for d in diag if d == 0))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_congruence_pivot_search_over_long_zero_diagonal_stretches(seed):
+    # the pivot at step k is the first j > k with a nonzero diagonal: here
+    # the diagonal is zero but for a few entries, most of them late, so
+    # the search runs over long stretches, and elimination steps make
+    # diagonals nonzero that were zero
+    rng = random.Random(seed)
+    n = rng.choice([24, 40])
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.08:
+                grid[i][j] = grid[j][i] = rng.randint(-3, 3)
+    for i in rng.sample(range(n // 2, n), 3) + [rng.randrange(n)]:
+        grid[i][i] = rng.choice([-2, -1, 1, 2])
+    p, diag = congruence_diagonalize(grid)
+    want_p, want_diag = dense_congruence_diagonalize(Matrix(grid))
+    assert p == want_p and diag == want_diag
+
+
 def test_congruence_diagonalize_int_rows_and_errors():
     p, diag = congruence_diagonalize([[0, 2], [2, 0]])
     assert diag == [Fraction(4), Fraction(-1)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from llvkit.lefschetz import BlockChain, cup_operator
 from llvkit.linalg import Matrix, Subspace, inverse, kernel
 from llvkit import pw
 from llvkit.models import ModelConstructionError, isotropic_stream
@@ -15,6 +16,14 @@ from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        perverse_hodge_check, weak_pw_check, weight_filtration)
 from llvkit.rings import ring_from_dict, ring_to_dict
 from subspace_ops import reference_subspace, subspace_intersect, subspace_sum
+
+
+def nilpotent_powers(mat):
+    """[I, N, ..., N^d] with N^d = 0 and d minimal."""
+    powers = [Matrix.identity(mat.nrows), mat]
+    while not powers[-1].is_zero():
+        powers.append(powers[-1] * mat)
+    return powers
 
 
 def jordan_block(n):
@@ -73,12 +82,56 @@ def weight_filtration_oracle(nmat, center):
             vec = list(nmat.matvec(vec))
     lo = min(by_weight) if by_weight else 0
     hi = max(by_weight) if by_weight else 0
-    steps = {lo + center - 1: Subspace.zero(n)}
+    sizes = {lo + center - 1: 0}
     acc = []
     for w in range(lo, hi + 1):
         acc.extend(by_weight.get(w, []))
-        steps[w + center] = Subspace.from_rows(n, acc)
-    return Filtration(n, steps)
+        sizes[w + center] = len(acc)
+    return Filtration(n, acc, sizes)
+
+
+def perverse_filtration_oracle(ring, beta):
+    """{k: {m: P_m A^k}} from the kernel/image formula, one canonical
+    subspace per step, over the window of ``perverse_filtration``.
+
+    The i-th term ker(L^e) n im(L^(i-1)), e = 2n + m + i - k, of P_m A^k
+    is taken as the image L^(i-1) ker(L^(e+i-1)) of a kernel on degree
+    k - 2(i-1), since L^(i-1) u lies in ker L^e exactly when u lies in
+    ker L^(e+i-1).  With L^nil = 0, the i = 1 term at m = k - 2n + nil - 1
+    is all of A^k, so the steps from m = k - 2n - nil - 1 reach the full
+    space by that index.
+    """
+    chain = BlockChain(cup_operator(ring, beta).blocks,
+                       dict(enumerate(ring.dims)))
+    two_n = ring.top // 2
+    nil = chain.nilpotency_index()
+
+    def term(k, i, e):
+        """ker(L^e) n im(L^(i-1)) in degree k, as spanning rows."""
+        src = k - 2 * (i - 1)
+        if not chain.dim(src):
+            return []
+        img = chain.power(src, i - 1)
+        j = e + i - 1
+        if j >= nil or src + 2 * j > ring.top:
+            return img.transpose().rows        # the kernel is all of it
+        return [img.matvec(v) for v in kernel(chain.power(src, j)).basis]
+
+    flags = {}
+    for k, dim_k in enumerate(ring.dims):
+        if not dim_k:
+            continue
+        steps = flags[k] = {}
+        for m in range(k - two_n - nil - 1, k - two_n + nil):
+            rows = []
+            for i in range(1, two_n + 2):
+                e = two_n + m + i - k
+                if e > 0:
+                    rows.extend(term(k, i, e))
+            steps[m] = Subspace.from_rows(dim_k, rows)
+            if steps[m].dim == dim_k:
+                break
+    return flags
 
 
 def verify_weight_axioms(filt, nmat, center, powers):
@@ -161,7 +214,7 @@ def test_weight_filtration_matches_oracle_on_200_random():
         oracle = weight_filtration_oracle(nmat, center)
         assert ours == oracle
         assert_kernel_image_formula(ours, nmat, center)
-        verify_weight_axioms(ours, nmat, center, pw._nilpotent_powers(nmat))
+        verify_weight_axioms(ours, nmat, center, nilpotent_powers(nmat))
 
 
 def test_weight_filtrations_of_model_rings_match_the_formula(rat52, k3big):
@@ -175,7 +228,7 @@ def test_weight_filtrations_of_model_rings_match_the_formula(rat52, k3big):
                 filt = weight_filtration(block, center=k - two_n)
                 assert_kernel_image_formula(filt, block, k - two_n)
                 verify_weight_axioms(filt, block, k - two_n,
-                                     pw._nilpotent_powers(block))
+                                     nilpotent_powers(block))
 
 
 def test_weight_axioms_reject_a_jump_outside_the_window():
@@ -185,20 +238,15 @@ def test_weight_axioms_reject_a_jump_outside_the_window():
     # N W_m <= W_(m-2) and N^j : gr_j ~ gr_(-j) for j <= nil; only
     # W_(c-nil) = 0 and W_(c+nil-1) = V reject it.
     nmat = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    powers = pw._nilpotent_powers(nmat)
-
-    def span(*vecs):
-        return Subspace.from_rows(3, vecs)
-
+    powers = nilpotent_powers(nmat)
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    zero, full = Subspace.zero(3), Subspace.full(3)
-    good = Filtration(3, {-2: zero, -1: span(e2), 0: span(e2, e3), 1: full})
+    good = Filtration(3, [e2, e3, e1], {-2: 0, -1: 1, 0: 2, 1: 3})
     assert weight_filtration(nmat) == good
     verify_weight_axioms(good, nmat, 0, powers)
-    for steps in ({-2: zero, -1: span(e2), 1: span(e1, e2), 3: full},
-                  {-4: zero, -3: span(e3), -1: span(e2, e3), 1: full}):
+    for basis, sizes in (([e2, e1, e3], {-2: 0, -1: 1, 1: 2, 3: 3}),
+                         ([e3, e2, e1], {-4: 0, -3: 1, -1: 2, 1: 3})):
         with pytest.raises(RuntimeError, match=r"jumps outside \[-1, 1\]"):
-            verify_weight_axioms(Filtration(3, steps), nmat, 0, powers)
+            verify_weight_axioms(Filtration(3, basis, sizes), nmat, 0, powers)
 
 
 def test_weight_filtration_refuses_a_kernel_that_is_too_large(monkeypatch):
@@ -229,8 +277,50 @@ def test_weight_filtration_refuses_a_dropped_chain(monkeypatch, nmat):
         return Subspace.from_rows(sub.ambient, sub.basis[1:])
 
     monkeypatch.setattr(pw, "kernel", short_kernel)
-    with pytest.raises(RuntimeError, match="not a basis"):
+    with pytest.raises(ValueError, match="not a basis"):
         weight_filtration(nmat)
+
+
+def test_jordan_chains_refuse_dropped_and_dependent_vectors(rat52,
+                                                            monkeypatch):
+    # the perverse flags of L_beta: a kernel of a power of L that loses
+    # its first vector loses that top's chain, and an independence test
+    # that lets every top through places dependent chains; either way a
+    # degree's chain vectors are no basis, and its flag is refused
+    beta = (1, 0, 0, 1, 0)
+    true_kernel, echelon = pw.kernel, pw.SparseEchelon
+    monkeypatch.setattr(pw, "kernel", lambda mat: Subspace.from_rows(
+        mat.ncols, true_kernel(mat).basis[1:]))
+    with pytest.raises(ValueError, match="not a basis"):
+        perverse_filtration(rat52, beta)
+    monkeypatch.setattr(pw, "kernel", true_kernel)
+
+    class Lenient(echelon):
+        def add(self, vec):
+            super().add(vec)
+            return True
+
+    monkeypatch.setattr(pw, "SparseEchelon", Lenient)
+    for build in (lambda: perverse_filtration(rat52, beta),
+                  lambda: weight_filtration(jordan_block(3))):
+        with pytest.raises(ValueError, match="not a basis"):
+            build()
+
+
+def test_filtration_refuses_what_is_not_a_flag_of_a_basis():
+    e1, e2 = (1, 0), (0, 1)
+    assert Filtration(2, [e2, e1], {0: 0, 3: 1, 4: 2}).jumps() == [(3, 1),
+                                                                  (4, 1)]
+    for basis, sizes, message in (
+            ([e1, e2], {0: 0, 1: 2, 2: 1, 3: 2}, "not increasing at index 2"),
+            ([e1, e2], {0: 1, 1: 2}, "start at the zero subspace"),
+            ([e1, e2], {0: 0, 1: 1}, "end at the full space"),
+            ([e1, e2], {}, "at least one step"),
+            ([e1], {0: 0, 1: 1}, "1 vectors of rank 1 are not a basis"),
+            ([e1, (2, 0)], {0: 0, 1: 2}, "2 vectors of rank 1 are not a"),
+            ([e1, e2, e1], {0: 0, 1: 3}, "3 vectors of rank 2 are not a")):
+        with pytest.raises(ValueError, match=message):
+            Filtration(2, basis, sizes)
 
 
 def test_weight_filtration_same_on_fraction_typed_rows():
@@ -246,11 +336,9 @@ def test_weight_filtration_same_on_fraction_typed_rows():
         center = rng.randint(-3, 3)
         want = weight_filtration(nmat, center=center)
         got = weight_filtration(frac, center=center)
-        assert got.steps == want.steps
-        assert ([[type(x) for v in sub.basis for x in v]
-                 for sub in got.steps.values()]
-                == [[type(x) for v in sub.basis for x in v]
-                    for sub in want.steps.values()])
+        assert got.basis == want.basis and got.sizes == want.sizes
+        assert ([type(x) for v in got.basis for x in v]
+                == [type(x) for v in want.basis for x in v])
 
 
 def test_weight_filtration_rejects_non_nilpotent():
@@ -308,7 +396,6 @@ def test_perverse_matches_whole_ring_oracle(rat52, torus2):
 
 
 def assert_perverse_matches_whole_ring_oracle(ring, beta):
-    from llvkit.lefschetz import cup_operator
     lmat = cup_operator(ring, beta).matrix()
     n = ring.total_dim
     two_n = ring.top // 2
@@ -365,10 +452,9 @@ def test_perverse_hodge_check_rejects_a_flag_moved_off_the_hodge_flag(
     def moved(ring, beta):
         filts = filtration(ring, beta)
         filt = filts[2]
-        filts[2] = Filtration(filt.ambient, {
-            m: Subspace.from_rows(filt.ambient,
-                                  [tuple(reversed(v)) for v in sub.basis])
-            for m, sub in filt.steps.items()})
+        filts[2] = Filtration(filt.ambient,
+                              [tuple(reversed(v)) for v in filt.basis],
+                              filt.sizes)
         return filts
 
     lo2, _ = model52.slice_of(2)
@@ -379,6 +465,34 @@ def test_perverse_hodge_check_rejects_a_flag_moved_off_the_hodge_flag(
     monkeypatch.setattr(pw, "perverse_filtration", moved)
     res = perverse_hodge_check(model52)
     assert not res.ok
+    assert res.failures == ["no uniform index shift matches the Hodge flags"]
+
+
+def test_perverse_hodge_check_rejects_one_vector_off_the_hodge_support(
+        model52, monkeypatch):
+    # the first vector of the degree-2 flag, of holomorphic degree 0, given
+    # a coordinate of holomorphic degree 2: the sizes stay, and only the
+    # support of the steps below the top tells the flags apart
+    filtration = pw.perverse_filtration
+    lo2, _ = model52.slice_of(2)
+    top = max(range(model52.dims[2]), key=lambda t: model52.bidegrees[lo2 + t])
+
+    def moved(ring, beta):
+        filts = filtration(ring, beta)
+        filt = filts[2]
+        first = list(filt.basis[0])
+        first[top] += 1
+        filts[2] = Filtration(filt.ambient, [first, *filt.basis[1:]],
+                              filt.sizes)
+        return filts
+
+    sigma_bar = model52.sigma_bar()[lo2:lo2 + model52.dims[2]]
+    want, got = filtration(model52, sigma_bar)[2], moved(model52, sigma_bar)[2]
+    assert model52.bidegrees[lo2 + top][0] == 2
+    assert got.dims() == want.dims() and got != want
+    monkeypatch.setattr(pw, "perverse_filtration", moved)
+    res = perverse_hodge_check(model52)
+    assert not res.ok and res.data["shift"] is None
     assert res.failures == ["no uniform index shift matches the Hodge flags"]
 
 
@@ -431,7 +545,7 @@ def test_lagrangian_monodromy_properties(rat52):
                 assert rat52.degree_of(r) == rat52.degree_of(c)
     assert nilpotent_index(nop.blocks[2]) == 3
     # N lies in the degree-0 part of the LLV closure
-    from llvkit.llv import llv_closure
+    from lie_oracles import llv_closure
     alg = llv_closure(rat52)
     assert alg.contains(nmat)
 
@@ -440,8 +554,8 @@ def test_pw_compare_different_jump_counts(rat52):
     # flags with different jumps are different filtrations
     beta = (Fraction(1), 0, 0, Fraction(1), 0)
     f4 = perverse_filtration(rat52, beta)[4]
-    padded = Filtration(f4.ambient, {0: Subspace.zero(f4.ambient),
-                                     1: Subspace.full(f4.ambient)})
+    padded = Filtration(f4.ambient, Subspace.full(f4.ambient).basis,
+                        {0: 0, 1: f4.ambient})
     assert f4 != padded
     assert f4.jumps() != padded.jumps()
 
@@ -485,9 +599,9 @@ def test_checks_build_one_perverse_chain_per_class(rat52, model52,
     calls = {"chain": 0, "filtration": 0}
     chain, filtration = pw.BlockChain, pw.perverse_filtration
 
-    def counted_chain(*args):
-        calls["chain"] += 1
-        return chain(*args)
+    def counted_chain(blocks, dims, shift=2):
+        calls["chain"] += shift == 2       # a weight flag's chain has shift 0
+        return chain(blocks, dims, shift)
 
     def counted_filtration(*args):
         calls["filtration"] += 1
@@ -508,13 +622,20 @@ def test_checks_build_one_perverse_chain_per_class(rat52, model52,
 @pytest.mark.parametrize("fixture", ["rat52", "model53", "model62", "k3big",
                                      "torus2"])
 def test_perverse_jumps_match_the_flags_of_ten_classes(request, fixture):
-    # the rank count is the jumps of the flags perverse_filtration builds
+    # the flags read off the Jordan chains equal the kernel/image formula
+    # step by step, and the rank count is the jumps of both
     ring = request.getfixturevalue(fixture)
     ring = getattr(ring, "rational_model", None) or ring
     for mu in itertools.islice(isotropic_stream(ring.quadratic_form), 10):
+        flags = perverse_filtration(ring, mu)
+        oracle = perverse_filtration_oracle(ring, mu)
+        assert list(flags) == list(oracle), mu
+        for k, filt in flags.items():
+            assert filt.dims() == {m: sub.dim for m, sub in oracle[k].items()}
+            assert all(filt.at(m) == sub
+                       for m, sub in oracle[k].items()), (mu, k)
         assert perverse_jumps(ring, mu) == {
-            k: sorted(filt.jumps())
-            for k, filt in perverse_filtration(ring, mu).items()}, mu
+            k: sorted(filt.jumps()) for k, filt in flags.items()}, mu
 
 
 def test_isotropic_independence_fails_on_one_class_with_other_jumps(
@@ -550,8 +671,8 @@ def test_weak_pw_rejects_a_weight_flag_moved_in_one_degree(rat52, monkeypatch,
         filt = weight(nmat, center)
         if center != 2 - two_n:
             return filt
-        return Filtration(filt.ambient, {m + offset: sub
-                                         for m, sub in filt.steps.items()})
+        return Filtration(filt.ambient, filt.basis,
+                          {m + offset: size for m, size in filt.sizes.items()})
 
     monkeypatch.setattr(pw, "weight_filtration", moved)
     res = weak_pw_check(rat52, default_lagrangian_triple(rat52))
