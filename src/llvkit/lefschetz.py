@@ -3,8 +3,7 @@
 Every operator is a ``DegreeOperator``, one block per source degree,
 read like a ``Matrix`` through ``entries()`` and ``shape()``.  Its
 ``matrix()`` is the one densifier, uncached and called only for the
-Lie-closure generators, the small-ring cross-check and
-``Sl2Triple.check``.
+Lie-closure generators and the small-ring cross-check.
 One engine serves three gradings: the classical weight k - (top/2) on
 total degree, and on bigraded rings the holomorphic weight p - n and the
 antiholomorphic weight q - n.  Under the classical weight the degree
@@ -357,15 +356,8 @@ class Sl2Triple:
     H: DegreeOperator
     weights: tuple
 
-    def check(self) -> bool:
-        lm, mm, hm = self.L.matrix(), self.Lam.matrix(), self.H.matrix()
-        return (lm.commutator(mm) == hm
-                and hm.commutator(lm) == lm.scale(2)
-                and hm.commutator(mm) == mm.scale(-2))
 
-
-def complete_sl2_weights(ring, l_op: DegreeOperator, weights,
-                         crosscheck=True) -> Sl2Triple:
+def complete_sl2_weights(ring, l_op: DegreeOperator, weights) -> Sl2Triple:
     """Complete a weight-raising cup operator to an exact sl2-triple.
 
     Raises NotHLError when the bijectivity conditions fail.  The work
@@ -378,9 +370,10 @@ def complete_sl2_weights(ring, l_op: DegreeOperator, weights,
     [H, L] = 2L because L raises the weight by exactly 2 (checked entry
     by entry in ``_weight_chain``), and [H, Lam] = -2 Lam because Lam
     is built from blocks that lower it by exactly 2.  On rings of total
-    dimension <= SOLVE_CROSSCHECK_LIMIT the dual is also solved for as
-    the unique weight-lowering solution of [L, X] = H; any other answer
-    raises RuntimeError.
+    dimension <= SOLVE_CROSSCHECK_LIMIT the certified dual is also solved
+    for as the unique weight-lowering solution of [L, X] = H; any other
+    answer raises RuntimeError.  The certificate already fixes the dual
+    (``_dual_certified``), so this cross-check can only agree with it.
     """
     chain = _weight_chain(l_op, weights)
     if not hl_test_weights(chain):
@@ -443,7 +436,7 @@ def complete_sl2_weights(ring, l_op: DegreeOperator, weights,
          for r, row in zip(spaces[w - 2], blk.rows)
          for c, x in zip(spaces[w], row) if x),
         _degrees(ring), -2, "the dual does not lower the degree by 2")[0])
-    if (crosscheck and ring.total_dim <= SOLVE_CROSSCHECK_LIMIT
+    if (ring.total_dim <= SOLVE_CROSSCHECK_LIMIT
             and _solve_dual(ring, l_op, weights, spaces) != lam_op.matrix()):
         raise RuntimeError("sl2 completion failed: the dual differs from "
                            "the unique solution of [L, X] = H")

@@ -7,7 +7,8 @@ and one certified dual (``llv_generators``).  ``lie_closure`` builds it by
 one exact elimination, which also proves it bracket-closed.
 ``so_identify`` reads the structure constants of such a certified closure
 at its pivots, only until they span the whole algebra: a perfect algebra's
-Killing signature is that of its trace form on the ambient space.
+Killing signature is that of its trace form on the ambient space, and an
+algebra that is not perfect is not semisimple, so it is refused.
 
 The generators of ``lie_closure`` are the only dense matrices formed
 here.  Every other check reads ``DegreeOperator`` blocks, or any operator
@@ -228,19 +229,19 @@ class MatrixLieAlgebra:
                         del rest[idx]
         return None if rest else coeffs
 
-    def bracket_rows(self, retest=True):
+    def bracket_rows(self):
         """Yield, for i = 0, 1, ..., the row {j: {k: e_ijk}} of the
         nonzero brackets D [M_i, M_j] = sum_k e_ijk M_k with j < i; every
         e_ijk is integral.  Row i brackets M_i with an index of the M_j,
         j < i, that grows as i walks up, so only the nonzero brackets are
-        formed, each gets one exact membership test, and nothing is kept
-        once the walk has passed.  Raises ValueError when some bracket
-        leaves the span.  ``retest=False`` on a certified algebra reads
-        the coordinates at the pivots instead: ``lie_closure`` proved
-        every bracket in the span (see ``so_identify``)."""
+        formed, and nothing is kept once the walk has passed.  A certified
+        algebra reads each bracket's coordinates at the pivots, as
+        ``lie_closure`` proved every bracket in the span (see
+        ``so_identify``).  Any other span gives each bracket one exact
+        membership test, and raises ValueError when some bracket leaves
+        it."""
         mats = self._integer_form()[1]
-        coords = (self._int_coords if retest or not self.certified
-                  else self._pivot_coords)
+        coords = self._pivot_coords if self.certified else self._int_coords
         index = ({}, {})              # holds M_j for every j < i
         for i, m in enumerate(mats):
             row = {}
@@ -470,48 +471,11 @@ class SoReport:
     expected_dim: int
     killing_signature: tuple      # (compact, noncompact)
     expected_signature: tuple
-    semisimple_part_dim: int
     verdict: bool
 
 
 class NotSemisimpleError(ValueError):
     pass
-
-
-def _killing_gram(rows, dim):
-    """Integer Gram matrix G_ij = tr(E_i E_j), with E_i[k][l] = e_ilk, as
-    sparse rows {j: G_ij} without zero entries, read from one walk of
-    ``MatrixLieAlgebra.bracket_rows``: ad(M_i) = E_i / D in the basis
-    M_k = D b_k, so G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing
-    form K.  Each entry E_a[k][l] = x is a, l, x in the flat list byrow[k]
-    and a, k, x in bycol[l]; index l is contracted by grouping byrow[l] by
-    k against bycol[l], and both are then freed."""
-    byrow = [[] for _ in range(dim)]
-    bycol = [[] for _ in range(dim)]
-    # the bracket e_ijk of row i gives E_i[k][j] = e_ijk, E_j[k][i] = -e_ijk
-    for i, row in enumerate(rows):
-        for j, coeffs in row.items():
-            for k, e in coeffs.items():
-                m = -e
-                byrow[k] += (i, j, e, j, i, m)
-                bycol[j] += (i, k, e)
-                bycol[i] += (j, k, m)
-    gram = [{} for _ in range(dim)]
-    for l in range(dim):
-        right = {}                    # k -> [j, E_j[l][k], ...]
-        it = iter(byrow[l])
-        for j, k, y in zip(it, it, it):
-            right.setdefault(k, []).extend((j, y))
-        it = iter(bycol[l])
-        for i, k, x in zip(it, it, it):
-            other = right.get(k)
-            if other:
-                grow = gram[i]
-                jt = iter(other)
-                for j, y in zip(jt, jt):
-                    grow[j] = grow.get(j, 0) + x * y
-        byrow[l] = bycol[l] = None
-    return [{j: g for j, g in grow.items() if g} for grow in gram]
 
 
 def _trace_gram(algebra: MatrixLieAlgebra):
@@ -553,11 +517,14 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     span walks to its end with the exact membership test, so a span that
     is not bracket-closed raises.
 
-    A perfect g is read through its trace form T(x, y) = tr(xy) on the
-    ambient space.  If T is nondegenerate, g is reductive (Bourbaki, Lie
-    I, 6.4), so semisimple, being perfect.  If g is semisimple, the
-    radical of T is an ideal I with tr(xy) = 0 for x in I, y in g,
-    solvable by Cartan's criterion, so I = 0.  Thus T is degenerate, and
+    A g that is not perfect is not semisimple, so its Killing form is
+    degenerate (Cartan's criterion), and NotSemisimpleError is raised
+    with the dimension of [g, g]; its signature is not formed.  A perfect
+    g is read through its trace form T(x, y) = tr(xy) on the ambient
+    space.  If T is nondegenerate, g is reductive (Bourbaki, Lie I, 6.4),
+    so semisimple, being perfect.  If g is semisimple, the radical of T
+    is an ideal I with tr(xy) = 0 for x in I, y in g, solvable by
+    Cartan's criterion, so I = 0.  Thus T is degenerate, and
     NotSemisimpleError raised, exactly when the Killing form is.  On a
     semisimple g, Mostow ("Self-adjoint groups", 1955) gives an inner
     product on the real ambient space for which g is closed under
@@ -568,11 +535,6 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
     (dim p, dim k).  ``_trace_gram`` is tr(M_i M_j) = D^2 T(b_i, b_j) in
     the basis M_i = D b_i, a positive scaling, so by Sylvester's law it
     has the signature of T.
-
-    A g that is not perfect walks again into ``_killing_gram``, by the
-    same law of the Killing signature; T's can differ (on gl2, T is
-    (compact, noncompact) = (1, 3), the Killing form (1, 2) and null
-    on the identity).
     """
     expected_dim = (b2 + 2) * (b2 + 1) // 2
     dim = algebra.dim
@@ -580,43 +542,44 @@ def so_identify(algebra: MatrixLieAlgebra, b2: int) -> SoReport:
         raise ValueError("so_identify needs a rational algebra: the Killing "
                          "signature is only defined over the reals")
     derived = SparseEchelon()
-    for row in algebra.bracket_rows(retest=False):
+    for row in algebra.bracket_rows():
         for coeffs in row.values():
             if derived.dim == dim:
                 break
             derived.add(coeffs)
         if derived.dim == dim and algebra.certified:
             break
-    if derived.dim == dim:
-        sig = symmetric_signature(_trace_gram(algebra))
-        if sig[2]:
-            raise NotSemisimpleError("not semisimple: Killing form degenerate "
-                                     "on the derived algebra")
-    else:
-        sig = symmetric_signature(
-            _killing_gram(algebra.bracket_rows(retest=False), dim))
-    compact, noncompact = sig[1], sig[0]
+    if derived.dim < dim:
+        raise NotSemisimpleError(f"not semisimple: the derived algebra has "
+                                 f"dim {derived.dim} < {dim}")
+    noncompact, compact, null = symmetric_signature(_trace_gram(algebra))
+    if null:
+        raise NotSemisimpleError("not semisimple: Killing form degenerate "
+                                 "on the derived algebra")
     expected_sig = (comb(b2 - 2, 2) + 6, 4 * (b2 - 2))
-    verdict = (dim == expected_dim
-               and (compact, noncompact) == expected_sig and sig[2] == 0)
     return SoReport(dim=dim, expected_dim=expected_dim,
                     killing_signature=(compact, noncompact),
                     expected_signature=expected_sig,
-                    semisimple_part_dim=derived.dim, verdict=verdict)
+                    verdict=(dim == expected_dim
+                             and (compact, noncompact) == expected_sig))
 
 
 def so_identification_check(algebra: MatrixLieAlgebra, b2: int,
                             skip_reason: str | None = None) -> Record:
     """``so_identify`` as a record.  It skips with ``skip_reason``, for a
     ring the prediction does not cover, or with the reason
-    ``so_identify`` refuses the algebra (a Q(i) closure, a degenerate
-    Killing form)."""
+    ``so_identify`` refuses the algebra (a Q(i) closure).  An algebra that
+    is not semisimple cannot be so(b2-2, 4): the record fails with the
+    reason."""
     rec = Record("so identification",
                  "closure matches so of the Mukai-completed degree-2 form")
     if skip_reason is not None:
         return rec.skip(skip_reason)
     try:
         so = so_identify(algebra, b2)
+    except NotSemisimpleError as exc:
+        rec.verdict, rec.data = "fail", {"error": str(exc)}
+        return rec
     except ValueError as exc:
         return rec.skip(str(exc))
     rec.data = {"dim": so.dim, "expected_dim": so.expected_dim,

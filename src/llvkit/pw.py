@@ -45,8 +45,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lefschetz import (BlockChain, DegreeOperator, complete_sl2,
-                        cup_operator, hl_test)
+from .lefschetz import (BlockChain, DegreeOperator, NotHLError,
+                        complete_sl2, cup_operator)
 from .linalg import (Matrix, SparseEchelon, Subspace, kernel,
                      symmetric_signature)
 from .models import (ModelConstructionError, isotropic_stream,
@@ -305,11 +305,6 @@ def perverse_jumps(ring: GradedAlgebra, beta) -> dict:
     return {k: sorted(at.items()) for k, at in jumps.items()}
 
 
-def nilpotent_index(mat: Matrix) -> int:
-    """Smallest d with mat^d = 0; raises on non-nilpotent input."""
-    return BlockChain({0: mat}, {0: mat.nrows}, shift=0).nilpotency_index()
-
-
 def perverse_hodge_check(ring: BigradedAlgebra) -> Record:
     """The sigma-bar filtration equals the flag of holomorphic-degree
     cutoffs: P_m in degree k is the span of the (p, k-p) pieces with
@@ -424,17 +419,20 @@ class LagrangianTriple:
 
 def lagrangian_monodromy(ring: GradedAlgebra,
                          triple: LagrangianTriple) -> DegreeOperator:
-    """N = [L_beta, Lam_rho] on degree blocks: degree-preserving, nilpotent."""
+    """N = [L_beta, Lam_rho] on degree blocks, degree-preserving.  The
+    completion of rho decides Hard Lefschetz for rho, and its NotHLError
+    is raised as ValueError.  N is not walked for nilpotency here: the
+    weight filtration of each block (``weak_pw_check``) refuses a block
+    that is not nilpotent."""
     form = ring.quadratic_form
     if form is None:
         raise ValueError("ring carries no degree-2 quadratic form")
     beta, _eta, rho = triple.validate(form)
-    if not hl_test(ring, rho):
-        raise ValueError("rho does not satisfy Hard Lefschetz")
-    nop = cup_operator(ring, beta).commutator(complete_sl2(ring, rho).Lam)
-    for blk in nop.blocks.values():
-        nilpotent_index(blk)      # raises when not nilpotent
-    return nop
+    try:
+        lam = complete_sl2(ring, rho).Lam
+    except NotHLError as exc:
+        raise ValueError("rho does not satisfy Hard Lefschetz") from exc
+    return cup_operator(ring, beta).commutator(lam)
 
 
 def weak_pw_check(ring: GradedAlgebra,
@@ -448,6 +446,11 @@ def weak_pw_check(ring: GradedAlgebra,
     matching parity.  ``triple`` defaults to ``default_lagrangian_triple``;
     a ring without a degree-2 form or a 4n grading has no such statement,
     and the record skips.
+
+    N's degree-2 nilpotency index is read off the flag of its weight
+    filtration, which starts at W_(center-nil) = 0 (``weight_filtration``);
+    the filtrations of the blocks of N also refuse an N that is not
+    nilpotent, before any perverse flag is built.
 
     The unit fixes s.  A valid ring has dim H^0 = 1, and N is nilpotent
     there, so N = 0 on H^0 and W jumps once, at c = -2n; P jumps once, at
@@ -469,13 +472,12 @@ def weak_pw_check(ring: GradedAlgebra,
                 "rho": list(map(Fraction, triple.rho))}
     beta, _eta, _rho = triple.validate(form)
     two_n = ring.top // 2
-    nop = lagrangian_monodromy(ring, triple)
-    idx = nilpotent_index(nop.blocks[2])
+    w_filts = {k: weight_filtration(blk, center=k - two_n)
+               for k, blk in lagrangian_monodromy(ring, triple).blocks.items()}
+    idx = 2 - two_n - w_filts[2].lo
     res.data["degree2_nilpotent_index"] = idx
     res.data["type_iii"] = (idx == 3)
     p_filts = perverse_filtration(ring, beta)
-    w_filts = {k: weight_filtration(nop.blocks[k], center=k - two_n)
-               for k in p_filts}
     s = -two_n - 2 * p_filts[0].jumps()[0][0]
     if any(any((j - s) % 2 for j, _ in w_filts[k].jumps())
            or not pf.agrees(w_filts[k], lambda m: 2 * m + s,

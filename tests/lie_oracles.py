@@ -2,15 +2,20 @@
 
 ``llv_closure`` closes the generators ``llv_generators`` lists, as
 ``bracket_closure`` does without its record.  ``structure_constants``
-and ``verify_closure`` read one ``MatrixLieAlgebra.bracket_rows`` walk to
-its end, each bracket re-tested for membership: the verifier itself only
-walks a certified algebra's brackets as far as ``so_identify`` needs.
-``apply_blocks`` applies a ``DegreeOperator`` to a full-ring vector
-block by block, beside the dense ``matrix().matvec``."""
+and ``verify_closure`` read one ``retested_bracket_rows`` walk to its
+end, each bracket re-tested for membership: the verifier itself only
+walks a certified algebra's brackets, read at the pivots, as far as
+``so_identify`` needs.  ``killing_gram`` contracts such a walk into the
+Killing form, which ``so_identify`` never forms.  ``apply_blocks``
+applies a ``DegreeOperator`` to a full-ring vector block by block, beside
+the dense ``matrix().matvec``; ``is_sl2_triple`` checks the three sl2
+relations on dense matrices, and ``nilpotent_index`` takes dense
+powers."""
 
 from types import MappingProxyType
 
-from llvkit.llv import lie_closure, llv_generators
+from llvkit.linalg import Matrix
+from llvkit.llv import MatrixLieAlgebra, lie_closure, llv_generators
 
 # the value of every vanishing bracket in a structure-constant table
 _NO_BRACKET = MappingProxyType({})
@@ -18,6 +23,13 @@ _NO_BRACKET = MappingProxyType({})
 
 def llv_closure(ring):
     return lie_closure(llv_generators(ring)[0], ring.field)
+
+
+def retested_bracket_rows(alg):
+    """``alg.bracket_rows()`` with every bracket given the exact membership
+    test: the walk of the same canonical basis, not certified."""
+    return MatrixLieAlgebra(alg.ambient, alg.pivots, alg._rows,
+                            alg.gaussian).bracket_rows()
 
 
 def structure_constants(alg):
@@ -30,7 +42,7 @@ def structure_constants(alg):
     dim = len(mats)
     table = [dict.fromkeys(range(i + 1, dim), _NO_BRACKET)
              for i in range(dim)]
-    for j, row in enumerate(alg.bracket_rows()):
+    for j, row in enumerate(retested_bracket_rows(alg)):
         for i, coeffs in row.items():
             # [M_i, M_j] = -[M_j, M_i]; 0 - e also negates a GaussInt
             table[i][j] = {k: 0 - e for k, e in coeffs.items()}
@@ -40,11 +52,67 @@ def structure_constants(alg):
 def verify_closure(alg) -> bool:
     """Exhaustive [b_i, b_j] membership check (quadratic in dim)."""
     try:
-        for _ in alg.bracket_rows():
+        for _ in retested_bracket_rows(alg):
             pass
     except ValueError:
         return False
     return True
+
+
+def killing_gram(rows, dim):
+    """Integer Gram matrix G_ij = tr(E_i E_j), with E_i[k][l] = e_ilk, as
+    sparse rows {j: G_ij} without zero entries, read from one walk of
+    ``MatrixLieAlgebra.bracket_rows``: ad(M_i) = E_i / D in the basis
+    M_k = D b_k, so G = D^2 K(M_i, M_j) = D^4 K(b_i, b_j) for the Killing
+    form K.  Each entry E_a[k][l] = x is a, l, x in the flat list byrow[k]
+    and a, k, x in bycol[l]; index l is contracted by grouping byrow[l] by
+    k against bycol[l], and both are then freed."""
+    byrow = [[] for _ in range(dim)]
+    bycol = [[] for _ in range(dim)]
+    # the bracket e_ijk of row i gives E_i[k][j] = e_ijk, E_j[k][i] = -e_ijk
+    for i, row in enumerate(rows):
+        for j, coeffs in row.items():
+            for k, e in coeffs.items():
+                m = -e
+                byrow[k] += (i, j, e, j, i, m)
+                bycol[j] += (i, k, e)
+                bycol[i] += (j, k, m)
+    gram = [{} for _ in range(dim)]
+    for l in range(dim):
+        right = {}                    # k -> [j, E_j[l][k], ...]
+        it = iter(byrow[l])
+        for j, k, y in zip(it, it, it):
+            right.setdefault(k, []).extend((j, y))
+        it = iter(bycol[l])
+        for i, k, x in zip(it, it, it):
+            other = right.get(k)
+            if other:
+                grow = gram[i]
+                jt = iter(other)
+                for j, y in zip(jt, jt):
+                    grow[j] = grow.get(j, 0) + x * y
+        byrow[l] = bycol[l] = None
+    return [{j: g for j, g in grow.items() if g} for grow in gram]
+
+
+def is_sl2_triple(tri) -> bool:
+    """[L, Lam] = H, [H, L] = 2L and [H, Lam] = -2 Lam for an
+    ``Sl2Triple``, on dense matrices."""
+    lm, mm, hm = tri.L.matrix(), tri.Lam.matrix(), tri.H.matrix()
+    return (lm.commutator(mm) == hm
+            and hm.commutator(lm) == lm.scale(2)
+            and hm.commutator(mm) == mm.scale(-2))
+
+
+def nilpotent_index(mat) -> int:
+    """Smallest d with mat^d = 0, by dense powers; raises ValueError
+    ("operator is not nilpotent") when mat^n is not zero, n = nrows."""
+    power, index = Matrix.identity(mat.nrows), 0
+    while not power.is_zero():
+        if index == mat.nrows:
+            raise ValueError("operator is not nilpotent")
+        power, index = power * mat, index + 1
+    return index
 
 
 def apply_blocks(op, vec) -> tuple:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from llvkit.clifford import (CliffordElement, cl_multiply, cl_trace,
                              cl_trace_gram, clifford,
                              complex_structure, conjugate, polarization_check,
-                             polarization_form)
+                             polarization_form, trace_symmetry_check)
+from llvkit.linalg import Matrix
 from llvkit.models import vector_stream
 from llvkit.rings import QuadraticForm
 
@@ -199,7 +200,6 @@ def test_polarization_indefinite_reported(alg5):
 
 
 def test_clifford_rejects_degenerate_and_oversized():
-    from llvkit.linalg import Matrix
     with pytest.raises(ValueError, match="nondegenerate"):
         clifford(QuadraticForm(Matrix.zeros(2, 2)))
     with pytest.raises(ValueError, match="bound"):
@@ -273,3 +273,25 @@ def test_trace_gram_is_the_trace_of_the_products(pair):
                           cl_trace(cl_multiply(x, x))),
                          (cl_trace(cl_multiply(y, y)),
                           cl_trace(cl_multiply(y, x))))
+
+
+def _tridiagonal(m):
+    """A nondegenerate form on m generators with off-diagonal entries, so
+    its diagonalizing basis has rational norms."""
+    return QuadraticForm(Matrix([[(1 if i % 2 else -2) if i == j else
+                                  int(abs(i - j) == 1) for j in range(m)]
+                                 for i in range(m)]))
+
+
+@pytest.mark.parametrize("form", [
+    *(QuadraticForm.diagonal([1, 1] + [-1] * (m - 2)) for m in range(2, 7)),
+    *(_tridiagonal(m) for m in range(2, 7))])
+def test_trace_gram_reads_the_trace_of_seeded_products(form):
+    # the product's e_0 coefficient against the table's diagonal alone,
+    # on the 100 seeded pairs of the trace symmetry record's kind
+    alg = clifford(form)
+    rng = random.Random(0)
+    for _ in range(100):
+        x, y = rand_element(alg, rng), rand_element(alg, rng)
+        assert cl_trace_gram([x], [y])[0, 0] == cl_trace(cl_multiply(x, y))
+    assert trace_symmetry_check(alg).verdict == "pass"

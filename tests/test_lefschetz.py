@@ -20,10 +20,9 @@ from llvkit.lefschetz import (BlockChain, DegreeOperator, DualFamily,
 from llvkit.linalg import Matrix, inverse
 from llvkit.llv import lie_closure, llv_generators
 from llvkit.models import spanning_hl_classes, vector_stream
-from llvkit.pw import nilpotent_index
 from llvkit.rings import QuadraticForm, ring_from_dict
 from llvkit.scalars import Gauss, div
-from lie_oracles import apply_blocks
+from lie_oracles import apply_blocks, is_sl2_triple, nilpotent_index
 
 
 def test_cup_zero_class_is_zero(k3):
@@ -196,7 +195,7 @@ def test_complete_sl2_rejects_isotropic(k3):
 def test_complete_sl2_identities_and_lambda_value(k3):
     a = [Fraction(1)] + [Fraction(0)] * 21
     tri = complete_sl2(k3, a)
-    assert tri.check()
+    assert is_sl2_triple(tri)
     # Lam kills primitives: degree-2 classes orthogonal to a
     prim = k3.embed(2, [0, Fraction(1)] + [0] * 20)
     assert not any(tri.Lam.matrix().matvec(prim))
@@ -233,7 +232,7 @@ def test_complete_sl2_matches_unique_solve(k3, rat52, model52, torus2):
         solved = _solve_dual(ring, tri.L, weights, _weight_spaces(weights))
         assert solved is not None
         assert solved == tri.Lam.matrix()
-        assert tri.check()
+        assert is_sl2_triple(tri)
 
 
 def test_complete_sl2_raises_when_the_crosscheck_disagrees(rat52,
@@ -250,9 +249,9 @@ def test_complete_sl2_raises_when_the_crosscheck_disagrees(rat52,
     a = [Fraction(1), 0, 0, 0, 0]
     with pytest.raises(RuntimeError, match="unique solution"):
         complete_sl2(rat52, a)
-    tri = complete_sl2_weights(rat52, cup_operator(rat52, a),
-                               classical_weights(rat52), crosscheck=False)
-    assert tri.check()
+    # the block certificate passed before the cross-check raised
+    monkeypatch.undo()
+    assert is_sl2_triple(complete_sl2(rat52, a))
 
 
 def test_complete_sl2_certificate_rejects_a_wrong_dual(rat52, model52,
@@ -265,7 +264,7 @@ def test_complete_sl2_certificate_rejects_a_wrong_dual(rat52, model52,
             (model52, cup_operator(model52, model52.sigma()),
              holomorphic_weights(model52))):
         with pytest.raises(RuntimeError, match=r"\[L, Lam\] != H"):
-            complete_sl2_weights(ring, l_op, weights, crosscheck=False)
+            complete_sl2_weights(ring, l_op, weights)
 
 
 def test_complete_sl2_weights_rejects_an_operator_off_the_weight_shift(
@@ -402,7 +401,7 @@ def test_sl2_representation_dimension_bookkeeping(rat52):
 def test_odd_degree_torus_triple(torus2):
     om = [0, Fraction(1), 0, 0, Fraction(1), 0]
     tri = complete_sl2(torus2, om)
-    assert tri.check()
+    assert is_sl2_triple(tri)
     ws = sorted(set(classical_weights(torus2)))
     assert ws == [-2, -1, 0, 1, 2]
 

@@ -14,13 +14,15 @@ from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
                         lie_closure, llv_generators,
-                        so4_symplectic, so41_subalgebra, so_identify,
+                        so4_symplectic, so41_subalgebra,
+                        so_identification_check, so_identify,
                         verbitsky_component, weil_operator)
 from llvkit.models import nonisotropic_stream, spanning_hl_classes
 from llvkit.rings import load_ring, save_ring
 from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, I
 from dense_ad import dense_ad
-from lie_oracles import (apply_blocks, llv_closure, structure_constants,
+from lie_oracles import (apply_blocks, killing_gram, llv_closure,
+                         retested_bracket_rows, structure_constants,
                          verify_closure)
 
 
@@ -351,7 +353,7 @@ def test_gaussian_structure_constants_match_dense_brackets(file52_gens):
 def test_killing_gram_matches_dense_traces(rat52):
     alg = llv_closure(rat52)
     den = alg._integer_form()[0]
-    gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
+    gram = killing_gram(alg.bracket_rows(), alg.dim)
     ads = [dense_ad(alg, b) for b in alg.basis]
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -384,7 +386,7 @@ def test_killing_oracle_example_shares_entry_positions():
               if sum(1 for a in ads if a[k, l]) > 1]
     assert alg.dim == 8 and shared
     # sl(3, R): the Killing form is positive on the 5 symmetric directions
-    gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
+    gram = killing_gram(alg.bracket_rows(), alg.dim)
     assert symmetric_signature(gram) == (5, 3, 0)
 
 
@@ -408,7 +410,7 @@ def test_streamed_killing_data_match_dense_oracle(gens):
     # traces of ad and the rank of every bracket
     alg = lie_closure(gens, FIELD_RATIONAL)
     den = alg._integer_form()[0]
-    gram = llv._killing_gram(alg.bracket_rows(), alg.dim)
+    gram = killing_gram(alg.bracket_rows(), alg.dim)
     ads = [dense_ad(alg, b) for b in alg.basis]
     killing = [[(a * b).trace() for b in ads] for a in ads]
     for i in range(alg.dim):
@@ -421,12 +423,14 @@ def test_streamed_killing_data_match_dense_oracle(gens):
     pos, neg, null = symmetric_signature(killing)
     try:
         rep = so_identify(alg, 3)
-    except NotSemisimpleError:
-        # perfect, with a degenerate Killing form
-        assert derived_rank == alg.dim
+    except NotSemisimpleError as exc:
+        # not perfect, or perfect with a degenerate Killing form; either
+        # way the Killing form is degenerate (Cartan's criterion)
         assert null > 0
+        assert ("derived algebra has dim" in str(exc)) == (
+            derived_rank < alg.dim)
     else:
-        assert rep.semisimple_part_dim == derived_rank
+        assert derived_rank == alg.dim and null == 0
         assert rep.killing_signature == (neg, pos)
         assert rep.verdict == (alg.dim == 10 and (neg, pos) == (6, 4)
                                and null == 0)
@@ -439,8 +443,8 @@ def test_so_identify_stops_once_derived_algebra_is_full(k3_closure,
     walk = MatrixLieAlgebra.bracket_rows
     read = []
 
-    def spy(self, retest=True):
-        for row in walk(self, retest):
+    def spy(self):
+        for row in walk(self):
             read.append(row)
             yield row
 
@@ -461,9 +465,9 @@ def test_so_identify_rejects_unclosed_span():
     assert not alg.certified and not verify_closure(alg)
     with pytest.raises(ValueError, match="not bracket-closed"):
         so_identify(alg, 3)
-    # an algebra not built by lie_closure is tested even when asked not to
+    # an algebra not built by lie_closure tests each bracket it walks
     with pytest.raises(ValueError, match="not bracket-closed"):
-        list(alg.bracket_rows(retest=False))
+        list(alg.bracket_rows())
     with pytest.raises(TypeError):
         MatrixLieAlgebra(2, [1, 2], [{1: 1}, {2: 1}], certified=True)
 
@@ -475,10 +479,10 @@ def test_certified_walk_matches_tested_walk(k3_closure, rat52):
                     (lie_closure(_SL3_GENERATORS, FIELD_RATIONAL), 3)):
         tested = MatrixLieAlgebra(alg.ambient, alg.pivots, alg._rows)
         assert alg.certified and not tested.certified
-        assert (list(alg.bracket_rows(retest=False))
-                == list(tested.bracket_rows()))
-        assert (llv._killing_gram(alg.bracket_rows(retest=False), alg.dim)
-                == llv._killing_gram(tested.bracket_rows(), alg.dim))
+        assert list(alg.bracket_rows()) == list(retested_bracket_rows(alg))
+        assert list(tested.bracket_rows()) == list(retested_bracket_rows(alg))
+        assert (killing_gram(alg.bracket_rows(), alg.dim)
+                == killing_gram(tested.bracket_rows(), alg.dim))
         assert so_identify(alg, b2) == so_identify(tested, b2)
 
 
@@ -488,8 +492,31 @@ def test_so_identify_perfect_not_semisimple():
     alg = lie_closure([_unit(3, 0, 1), _unit(3, 1, 0), _unit(3, 0, 2)],
                       FIELD_RATIONAL)
     assert alg.dim == 5
-    with pytest.raises(NotSemisimpleError):
+    reason = "not semisimple: Killing form degenerate on the derived algebra"
+    with pytest.raises(NotSemisimpleError, match=reason):
         so_identify(alg, 3)
+    rec = so_identification_check(alg, 3)
+    assert rec.verdict == "fail" and rec.data == {"error": reason}
+
+
+def test_so_identify_refuses_an_algebra_that_is_not_perfect(monkeypatch):
+    # gl2 = sl2 + the identity: [g, g] = sl2, so g is not semisimple and
+    # no signature is formed, though its Killing form (1, 2) and null on
+    # the identity could be walked (the oracle below)
+    alg = lie_closure(_GL2_GENERATORS, FIELD_RATIONAL)
+    assert alg.dim == 4
+    assert symmetric_signature(killing_gram(alg.bracket_rows(), 4)) == (
+        2, 1, 1)
+    monkeypatch.setattr(llv, "symmetric_signature", None)
+    reason = "not semisimple: the derived algebra has dim 3 < 4"
+    with pytest.raises(NotSemisimpleError, match=reason):
+        so_identify(alg, 3)
+    rec = so_identification_check(alg, 3)
+    assert rec.verdict == "fail" and rec.data == {"error": reason}
+    # the same span, not certified, walks to its end to the same verdict
+    tested = MatrixLieAlgebra(alg.ambient, alg.pivots, alg._rows)
+    with pytest.raises(NotSemisimpleError, match=reason):
+        so_identify(tested, 3)
 
 
 def test_closure_idempotent(rat52):
@@ -837,7 +864,6 @@ def test_so_identify_model(rat52):
     assert rep.verdict
     assert rep.dim == 21 and rep.expected_dim == 21
     assert rep.killing_signature == (9, 12)
-    assert rep.semisimple_part_dim == 21
 
 
 def test_so_identify_k3(k3_closure):

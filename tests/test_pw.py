@@ -11,10 +11,11 @@ from llvkit import pw
 from llvkit.models import ModelConstructionError, isotropic_stream
 from llvkit.pw import (Filtration, LagrangianTriple, default_lagrangian_triple,
                        isotropic_independence_check,
-                       lagrangian_monodromy, nilpotent_index,
+                       lagrangian_monodromy,
                        perverse_filtration, perverse_jumps,
                        perverse_hodge_check, weak_pw_check, weight_filtration)
 from llvkit.rings import ring_from_dict, ring_to_dict
+from lie_oracles import nilpotent_index
 from subspace_ops import reference_subspace, subspace_intersect, subspace_sum
 
 
@@ -516,6 +517,17 @@ def test_lagrangian_triple_validation(rat52):
                          (Fraction(1), 0, 0, 0, 0)).validate(form)
 
 
+def _with_declared_form(ring, diag):
+    """``ring`` reloaded with the diagonal degree-2 form ``diag`` in place
+    of its own: a triple valid for the declared form need not be for the
+    ring's products."""
+    data = ring_to_dict(ring)
+    data["quadratic_form"] = [[str(d) if i == j else "0"
+                               for j in range(len(diag))]
+                              for i, d in enumerate(diag)]
+    return ring_from_dict(data)
+
+
 @pytest.mark.parametrize("diag, message", [
     ([1, 0, 0, 0, 0], "degenerate: rank 1"),
     ([0, 0, 0, 0, 0], "degenerate: rank 0"),
@@ -523,10 +535,7 @@ def test_lagrangian_triple_validation(rat52):
 ])
 def test_default_triple_refuses_unusable_forms(rat52, diag, message):
     # decided from the form's rank and signature, before any search
-    data = ring_to_dict(rat52)
-    data["quadratic_form"] = [[str(d) if i == j else "0"
-                               for j in range(5)] for i, d in enumerate(diag)]
-    ring = ring_from_dict(data)
+    ring = _with_declared_form(rat52, diag)
     start = time.perf_counter()
     with pytest.raises(ModelConstructionError, match=message):
         default_lagrangian_triple(ring)
@@ -566,6 +575,39 @@ def test_weak_pw_model(rat52):
     assert res.ok, res.failures
     assert res.data["type_iii"] is True
     assert res.data["shift"] == 0
+
+
+@pytest.mark.parametrize("fixture", ["model52", "model53", "model62"])
+def test_degree2_index_read_off_the_weight_flag_is_the_dense_one(request,
+                                                                 fixture):
+    ring = request.getfixturevalue(fixture).rational_model
+    tri = default_lagrangian_triple(ring)
+    res = weak_pw_check(ring, tri)
+    assert res.ok, res.failures
+    nop = lagrangian_monodromy(ring, tri)
+    assert res.data["degree2_nilpotent_index"] == nilpotent_index(
+        nop.blocks[2])
+
+
+def test_monodromy_refuses_a_rho_without_hard_lefschetz(rat52):
+    # rho is positive for the declared form but isotropic for the ring's
+    # own form diag(1, 1, 1, -1, -1), so L_rho fails Hard Lefschetz
+    ring = _with_declared_form(rat52, [1, 1, 1, 1, -1])
+    tri = LagrangianTriple((0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (1, 0, 0, 1, 0))
+    for run in (lagrangian_monodromy, weak_pw_check):
+        with pytest.raises(ValueError,
+                           match="^rho does not satisfy Hard Lefschetz$"):
+            run(ring, tri)
+
+
+def test_weak_pw_refuses_a_monodromy_that_is_not_nilpotent(rat52):
+    # (beta, rho) = 1 for the ring's own form, so N = [L_beta, Lam_rho]
+    # has a nonzero H part and acts on H^0 by a nonzero scalar
+    ring = _with_declared_form(rat52, [0, 1, 1, 0, -1])
+    tri = LagrangianTriple((1, 0, 0, 1, 0), (0, 0, 1, 0, 1), (1, 1, 0, 0, 0))
+    assert lagrangian_monodromy(ring, tri).blocks[0][0, 0] != 0
+    with pytest.raises(ValueError, match="^operator is not nilpotent$"):
+        weak_pw_check(ring, tri)
 
 
 def test_weak_pw_k3big(k3big):
