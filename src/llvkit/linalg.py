@@ -384,8 +384,7 @@ def _null_space(rows, n, shift=0) -> Subspace:
     are already the reduced echelon basis, in the original order.
     """
     last = n - 1
-    field = any(isinstance(x, Gauss) for r in rows for x in r.values())
-    ech = SparseEchelon(exact_division=field)
+    ech = SparseEchelon.over(rows)
     for i, r in enumerate(rows):
         vec = {last - j: x for j, x in r.items()}
         if shift:
@@ -599,10 +598,11 @@ class SparseEchelon:
 
     @staticmethod
     def over(rows):
-        """An empty echelon for the span of rows: in field mode exactly
-        when an entry is Gauss."""
-        return SparseEchelon(exact_division=any(Gauss in map(type, r)
-                                                for r in rows))
+        """An empty echelon for the span of rows (dicts or sequences): in
+        field mode exactly when an entry is Gauss."""
+        return SparseEchelon(exact_division=any(
+            Gauss in map(type, r.values() if isinstance(r, dict) else r)
+            for r in rows))
 
     @property
     def dim(self):

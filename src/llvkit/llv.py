@@ -38,21 +38,21 @@ from .scalars import (FIELD_GAUSSIAN, Gauss, clear_denominators, div, rat,
 
 # -- sparse integer matrices ------------------------------------------------
 #
-# A closure over Q works on sparse matrices with int entries, one over Q(i)
-# on sparse matrices with GaussInt entries; the kernels below use only the
-# ring operations, so they serve both.  Every bracket is formed by one
-# kernel: ``_index`` lists the entries of a family of matrices by row and
-# by column, and ``_brackets`` brackets one matrix with the whole family,
-# forming only the products whose entries meet and returning only the
-# nonzero brackets.
+# A closure works on sparse matrices over Z[i]: each entry an int, or a
+# Gauss with int parts where it is not real, as in the normal form of Q(i).
+# The kernels below use only the ring operations, so they serve Q and Q(i)
+# alike.  Every bracket is formed by one kernel: ``_index`` lists the
+# entries of a family of matrices by row and by column, and ``_brackets``
+# brackets one matrix with the whole family, forming only the products
+# whose entries meet and returning only the nonzero brackets.
 
 
-def _to_sparse(op, gaussian):
-    """(sp, den) with op = sp / den, sp a sparse matrix over Z (Z[i] when
-    gaussian) given as row dicts; op is a ``Matrix`` or a
-    ``DegreeOperator``, read through ``entries()``."""
+def _to_sparse(op):
+    """(sp, den) with op = sp / den, sp a sparse matrix over Z[i] given as
+    row dicts; op is a ``Matrix`` or a ``DegreeOperator``, read through
+    ``entries()``."""
     cells = list(op.entries())
-    den, ints = clear_denominators([v for _, _, v in cells], gaussian)
+    den, ints = clear_denominators(v for _, _, v in cells)
     sp = {}
     for (r, c, _), v in zip(cells, ints):
         sp.setdefault(r, {})[c] = v
@@ -118,7 +118,8 @@ def _gcd_normalize_rows(sp):
             if g == 1:
                 return sp
     if g > 1:
-        return {r: {c: v // g for c, v in row.items()} for r, row in sp.items()}
+        return {r: {c: div(v, g) for c, v in row.items()}
+                for r, row in sp.items()}
     return sp
 
 
@@ -138,9 +139,9 @@ class MatrixLieAlgebra:
 
     The integer form is cached on first use: D, the common denominator of
     the real and imaginary parts of the canonical rows, and the sparse
-    matrices M_k = D b_k, over Z for a rational algebra and over Z[i]
-    (GaussInt entries) for a Gaussian one.  An integral matrix X lies in
-    the span iff D X == sum_k X[p_k] M_k, an exact equality with no
+    matrices M_k = D b_k over Z[i], each entry an int, or a Gauss with
+    int parts where it is not real.  An integral matrix X lies in the
+    span iff D X == sum_k X[p_k] M_k, an exact equality with no
     fraction formed.  Membership, ``_ad_matrix`` and the bracket walk
     (unless certified) test it this way, on the nonzero brackets that
     ``_brackets`` forms; zero lies in every span.  ``certified`` marks an
@@ -189,7 +190,7 @@ class MatrixLieAlgebra:
             n = self.ambient
             keys = [(k, idx) for k, row in enumerate(self._rows) for idx in row]
             den, ints = clear_denominators(
-                [self._rows[k][idx] for k, idx in keys], self.gaussian)
+                self._rows[k][idx] for k, idx in keys)
             mats = [{} for _ in self._rows]
             for (k, idx), v in zip(keys, ints):
                 mats[k].setdefault(idx // n, {})[idx % n] = v
@@ -260,7 +261,7 @@ class MatrixLieAlgebra:
         if op.shape() != (n, n):
             raise DimensionError(f"operator of shape {op.shape()} on a "
                                  f"closure of {n} x {n} matrices")
-        return _to_sparse(op, self.gaussian)
+        return _to_sparse(op)
 
     def contains(self, op) -> bool:
         """op, a ``Matrix`` or a ``DegreeOperator``, lies in the span."""
@@ -274,14 +275,16 @@ def lie_closure(generators, field) -> MatrixLieAlgebra:
     One path serves Q and Q(i).  The field is the one given, the field of
     the ring the generators act on; it is never read off the entries,
     which over Q(i) are rational whenever they are real.  The generators
-    are cleared of denominators into sparse matrices over Z, or over Z[i].
-    One ``SparseEchelon`` span S reduces every generator and every
-    bracket exactly as it arises: fraction-free over Z, in field mode
-    over Q(i), where a real value is an int or a Fraction and only a
-    non-real one a Gauss.  Each element x accepted into S joins
-    the queue and is bracketed with every generator in one ``_brackets``
-    pass; [x, g] = -[g, x] spans the same line, and the canonical basis
-    does not depend on the sign.
+    are cleared of denominators into sparse matrices over Z[i], each
+    entry an int or a Gauss with int parts.  One ``SparseEchelon`` span S
+    reduces every generator and every bracket exactly as it arises, in
+    the mode its generators' values call for (``SparseEchelon.over``):
+    fraction-free when they are all real, as brackets of real matrices
+    are real, in field mode when one is a Gauss.  Its canonical rows are
+    those of the span, whichever the mode.  Each element x accepted into
+    S joins the queue and is bracketed with every generator in one
+    ``_brackets`` pass; [x, g] = -[g, x] spans the same line, and the
+    canonical basis does not depend on the sign.
 
     The loop proves the result ``certified``, so no certificate pass
     follows.  S is spanned by the queue.  Every queue element x was
@@ -298,27 +301,18 @@ def lie_closure(generators, field) -> MatrixLieAlgebra:
     for g in gens:
         if g.shape() != (n, n):
             raise ValueError("generators must be square matrices of equal size")
-    gaussian = field == FIELD_GAUSSIAN
-    sparse_gens = [_gcd_normalize_rows(_to_sparse(g, gaussian)[0])
-                   for g in gens]
-    span = SparseEchelon(exact_division=gaussian)
-
-    def accept(sp):
-        vec = _vectorize(sp, n)
-        if gaussian:
-            vec = {k: Gauss(x.real, x.imag) for k, x in vec.items()}
-        return span.add(vec)
-
-    queue = [sp for sp in sparse_gens if accept(sp)]
+    sparse_gens = [_gcd_normalize_rows(_to_sparse(g)[0]) for g in gens]
+    span = SparseEchelon.over(row for g in sparse_gens for row in g.values())
+    queue = [sp for sp in sparse_gens if span.add(_vectorize(sp, n))]
     index = _index(sparse_gens)
     for x in queue:                        # grows while it is walked
         brackets = _brackets(x, index)
         for j in sorted(brackets):         # in generator order
             b = _gcd_normalize_rows(brackets[j])
-            if accept(b):
+            if span.add(_vectorize(b, n)):
                 queue.append(b)
     rows, pivots = span.canonical()
-    algebra = MatrixLieAlgebra(n, pivots, rows, gaussian)
+    algebra = MatrixLieAlgebra(n, pivots, rows, field == FIELD_GAUSSIAN)
     algebra.certified = True
     return algebra
 
@@ -374,8 +368,7 @@ def _ad_matrix(algebra: MatrixLieAlgebra, x):
         if coeffs is None:
             raise ValueError("element does not normalize the algebra")
         for k, e in coeffs.items():
-            rows[k][j] = (Gauss(div(e.real, scale), div(e.imag, scale))
-                          if algebra.gaussian else div(e, scale))
+            rows[k][j] = div(e, scale)
     return rows
 
 

@@ -18,8 +18,7 @@ from .linalg import (Matrix, SparseEchelon, congruence_diagonalize, inverse,
                      kernel, symmetric_signature)
 from .rings import BigradedAlgebra, GradedAlgebra, QuadraticForm
 from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, as_fraction,
-                      clear_denominators, clear_table, div, integer_values,
-                      rat_sqrt)
+                      clear_denominators, clear_table, div, rat_sqrt)
 
 
 class ModelConstructionError(RuntimeError):
@@ -524,7 +523,7 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
     qn = quadratic_power(form, n)
     # int x^gamma up to the common factor c/(2n)! and the common
     # denominator of q^n
-    _, ints = clear_denominators(qn.values(), False)
+    _, ints = clear_denominators(qn.values())
     weight = {k: c * prod(map(factorial, _unpack(k, base, m)))
               for k, c in zip(qn, ints)}
 
@@ -562,8 +561,7 @@ def _monomial_quotient(form: QuadraticForm, n, var_labels, reverse=False):
         inv = inverse(Matrix.from_cols(
             [[cat[k].get(i, 0) for i in range(size)] for k in reps],
             nrows=size)).rows
-        den, flat = clear_denominators(
-            [x for row in inv for x in row], False)
+        den, flat = clear_denominators(x for row in inv for x in row)
         # column i of D * inv as its nonzero entries (t, D * inv[t][i])
         inv_cols = [[(t, x) for t, x in enumerate(flat[i::size]) if x]
                     for i in range(size)]
@@ -703,16 +701,16 @@ def _change_of_basis(lin, basis, red, n):
     quotient with reduction table ``red``, when source variable v is the
     linear form ``lin[v]`` in the target variables.
 
-    It runs on ints, or on GaussInt over Q(i): with D the common
+    It runs over Z[i] (``clear_denominators``): with D the common
     denominator of ``lin`` and E that of ``red[d]``, the expansion of D^d
     times a degree-d monomial and its reduction by E * red[d] have
-    integral coefficients, and each coordinate is divided by D^d E once.
+    coefficients in Z[i], and each coordinate is divided by D^d E once.
     A monomial's expansion is its prefix's times one linear form, and
     each prefix is expanded once.
     """
     base = 2 * n + 1
     m = len(lin)
-    den, flat = integer_values(x for row in lin for x in row)
+    den, flat = clear_denominators(x for row in lin for x in row)
     polys = [{base ** i: x for i, x in enumerate(flat[v * m:(v + 1) * m]) if x}
              for v in range(m)]
     expansions = {(0,) * m: {0: 1}}
@@ -737,8 +735,6 @@ def _change_of_basis(lin, basis, red, n):
             for mono, c in expand(exps).items():
                 for t, y in table[mono]:
                     acc[t] += c * y
-            cols.append([0 if not z else div(z, scale) if type(z) is int
-                         else Gauss(div(z.real, scale), div(z.imag, scale))
-                         for z in acc])
+            cols.append([div(z, scale) if z else 0 for z in acc])
         mats[2 * d] = Matrix.from_cols(cols, nrows=len(reps))
     return mats

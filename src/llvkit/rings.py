@@ -16,9 +16,8 @@ from math import gcd
 
 from .linalg import Matrix, SparseEchelon
 from .reporting import Record
-from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt,
-                      clear_table, format_scalar, integer_values,
-                      parse_scalar, to_field)
+from .scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, clear_denominators,
+                      clear_table, format_scalar, parse_scalar, to_field)
 
 
 class RingFormatError(ValueError):
@@ -252,11 +251,11 @@ class GradedAlgebra:
         """Graded commutativity, associativity, the unit and Poincare
         duality, each on the basis.
 
-        Associativity runs on ints: with D the common denominator of the
+        Associativity runs over Z[i]: with D the common denominator of the
         structure constants (``scalars.clear_table``), every constant of
-        D * c is an int, or a GaussInt over Q(i).  Both sides of
-        (e_i e_j) e_k = e_i (e_j e_k) are sums of products of two
-        constants, so they scale by D^2 != 0 together, and the identity
+        D * c is an int, or a Gauss with int parts where it is not real.
+        Both sides of (e_i e_j) e_k = e_i (e_j e_k) are sums of products of
+        two constants, so they scale by D^2 != 0 together, and the identity
         holds for D * c exactly when it holds for c.  A ring whose
         constants are all ints is read as it is.
         """
@@ -345,7 +344,7 @@ class GradedAlgebra:
         issues = []
         lo_top, _ = self.slice_of(self.top)
         weight = {lo_top + t: w for t, w in
-                  enumerate(integer_values(self.integration)[1]) if w}
+                  enumerate(clear_denominators(self.integration)[1]) if w}
         get = table.get
         for k in range(self.top + 1):
             kd = self.top - k
@@ -369,13 +368,9 @@ class GradedAlgebra:
                     if s:
                         row[b] = s
                 rows.append(row)
-            # elimination over Q(i) divides, on Gauss values
-            gaussian = any(type(x) is GaussInt
-                           for row in rows for x in row.values())
-            span = SparseEchelon(exact_division=gaussian)
+            span = SparseEchelon.over(rows)
             for row in rows:
-                span.add({b: Gauss(x.real, x.imag) for b, x in row.items()}
-                         if gaussian else row)
+                span.add(row)
             if span.dim != self.dims[k]:
                 issues.append(ValidationIssue(
                     "duality", f"degenerate top pairing A^{k} x A^{kd}"))
@@ -461,10 +456,10 @@ class BigradedAlgebra(GradedAlgebra):
         associativity, and int(xy) = int_R(Tx Ty) makes the pairing R's
         nondegenerate one read through the invertible T.
 
-        (1) and (2) run on ints and GaussInts: T, S = ``from_rational_mats``,
-        this ring's constants c and R's constants r are each scaled once
-        by their common denominators D_T, D_S, D_c and D_r
-        (``scalars.integer_values``).  Then T * S = I reads
+        (1) and (2) run over Z[i]: T, S = ``from_rational_mats``, this
+        ring's constants c and R's constants r are each scaled once by
+        their common denominators D_T, D_S, D_c and D_r
+        (``scalars.clear_denominators``).  Then T * S = I reads
         D_T T * D_S S = D_T D_S I, and in (2) the left side
         sum c T(e_k) scales by D_c D_T and the right side
         sum T(e_i)_a T(e_j)_b r_ab by D_T^2 D_r, so (2) holds exactly when
@@ -490,9 +485,9 @@ class BigradedAlgebra(GradedAlgebra):
             if t is None or s is None or not t.shape() == s.shape() == (d, d):
                 return fail(f"degree {k}: T is not square")
             blocks.append((k, list(t.entries()), list(s.entries())))
-        den_t, ints_t = integer_values(
+        den_t, ints_t = clear_denominators(
             x for _, t, _ in blocks for _, _, x in t)
-        den_s, ints_s = integer_values(
+        den_s, ints_s = clear_denominators(
             x for _, _, s in blocks for _, _, x in s)
         ints_t, ints_s = iter(ints_t), iter(ints_s)
         one = den_t * den_s
@@ -585,8 +580,8 @@ def _by_row(table, size):
 
 def _differ(a, b):
     """Whether two sparse vectors {index: value} differ, entries compared
-    by their difference: explicit zeros are ignored, and int and GaussInt
-    values compare (GaussInt has no equality)."""
+    by their difference: the explicit zeros that sums can leave are
+    ignored."""
     return any(a.get(k, 0) - b.get(k, 0) for k in a.keys() | b.keys())
 
 

@@ -189,92 +189,39 @@ def _gauss(re, im):
     return g
 
 
-class GaussInt:
-    """A Gaussian integer a + b*i with int parts.
-
-    The entry type of the sparse integer matrices of a closure over Q(i),
-    where ints are the entries over Q.  Both expose ``real`` and ``imag``,
-    so the two mix: it supports +, - and * with a GaussInt or an int on
-    either side, and exact division of both parts by an int (``//``).
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        self.real = real
-        self.imag = imag
-
-    def __add__(self, other):
-        return GaussInt(self.real + other.real, self.imag + other.imag)
-
-    def __radd__(self, other):
-        return GaussInt(other + self.real, self.imag)
-
-    def __sub__(self, other):
-        return GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __rsub__(self, other):
-        return GaussInt(other - self.real, -self.imag)
-
-    def __mul__(self, other):
-        return GaussInt(self.real * other.real - self.imag * other.imag,
-                        self.real * other.imag + self.imag * other.real)
-
-    def __rmul__(self, other):
-        return GaussInt(other * self.real, other * self.imag)
-
-    def __floordiv__(self, other):
-        return GaussInt(self.real // other, self.imag // other)
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
-
-    def __repr__(self):
-        return f"GaussInt({self.real}, {self.imag})"
-
-
 I = Gauss(0, 1)
 
 
-def clear_denominators(values, gaussian):
-    """(den, ints): den the least common denominator of the exact values
-    (a sequence), ints the values times den, as ints, or as GaussInt when
-    gaussian.
+def clear_denominators(values):
+    """(den, ints): den the least common denominator of the real and
+    imaginary parts of the exact values (an iterable), ints the values
+    times den in normal form: an int, or a Gauss with int parts where
+    the value is not real.
 
     The one path from Q and Q(i) to integer arithmetic: an identity whose
     terms all scale by the same power of den holds on the ints exactly
     when it holds on the values.
     """
-    if not gaussian:
-        den = math.lcm(1, *(v.denominator for v in values))
-        return den, [v.numerator * (den // v.denominator) for v in values]
-    parts = [(v.real, v.imag) for v in values]
-    den = math.lcm(1, *(x.denominator for xs in parts for x in xs))
-    return den, [GaussInt(a.numerator * (den // a.denominator),
-                          b.numerator * (den // b.denominator))
-                 for a, b in parts]
-
-
-def integer_values(values):
-    """``clear_denominators`` of values over Q or Q(i) with the real
-    scaled values as native ints, as in the normal form of Q(i): a
-    GaussInt only where the imaginary part is nonzero.  The two mix
-    freely in sums and products."""
     values = list(values)
-    gaussian = any(type(v) is Gauss for v in values)
-    den, ints = clear_denominators(values, gaussian)
-    return den, [z if z.imag else z.real for z in ints] if gaussian else ints
+    den = math.lcm(1, *(x.denominator for v in values
+                        for x in (v.real, v.imag)))
+
+    def scaled(x):                  # a rational part
+        return x.numerator * (den // x.denominator)
+
+    return den, [_gauss(scaled(v.re), scaled(v.im)) if type(v) is Gauss
+                 else scaled(v) for v in values]
 
 
 def clear_table(table):
     """(den, den * table) for a dict of sparse rows ((index, value), ...),
-    such as a ring's products, on ``integer_values``.  A table of ints is
-    returned as it is, with den 1: nothing is copied.  Keys that share
+    such as a ring's products, on ``clear_denominators``.  A table of ints
+    is returned as it is, with den 1: nothing is copied.  Keys that share
     one row object share its scaled row."""
     if all(type(c) is int for row in table.values() for _, c in row):
         return 1, table
     rows = {id(row): row for row in table.values()}
-    den, ints = integer_values(c for row in rows.values() for _, c in row)
+    den, ints = clear_denominators(c for row in rows.values() for _, c in row)
     it = iter(ints)
     scaled = {key: tuple((i, next(it)) for i, _ in row)
               for key, row in rows.items()}

@@ -44,8 +44,8 @@ def structure_constants(alg):
              for i in range(dim)]
     for j, row in enumerate(retested_bracket_rows(alg)):
         for i, coeffs in row.items():
-            # [M_i, M_j] = -[M_j, M_i]; 0 - e also negates a GaussInt
-            table[i][j] = {k: 0 - e for k, e in coeffs.items()}
+            # [M_i, M_j] = -[M_j, M_i]
+            table[i][j] = {k: -e for k, e in coeffs.items()}
     return den, table
 
 

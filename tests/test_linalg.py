@@ -331,6 +331,18 @@ def test_spans_agree_with_subspace(case):
     assert tuple(pivots) == before.pivots
 
 
+
+def test_echelon_mode_is_read_off_the_values_of_dict_rows():
+    # a dict row's keys are ints: its values decide the mode
+    ech = SparseEchelon.over([{0: I}])
+    assert ech.exact_division
+    assert ech.add({0: I, 2: 1}) and ech.add({1: Fraction(1, 2)})
+    assert ech.canonical() == ([{0: 1, 2: -I}, {1: 1}], [0, 1])
+    for rows in ([{0: 1, 1: Fraction(1, 2)}], [[0, Fraction(1, 2)]], []):
+        assert not SparseEchelon.over(rows).exact_division
+    assert SparseEchelon.over([{0: 1}, [0, Gauss(1, 1)]]).exact_division
+
+
 class _SortedWalkEchelon(SparseEchelon):
     """The engine with its earlier residue walk: sort the whole residue
     after every pivot step, clear the smallest pivot, copy the residue."""

@@ -19,7 +19,7 @@ from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         verbitsky_component, weil_operator)
 from llvkit.models import nonisotropic_stream, spanning_hl_classes
 from llvkit.rings import load_ring, save_ring
-from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, GaussInt, I
+from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, I
 from dense_ad import dense_ad
 from lie_oracles import (apply_blocks, killing_gram, llv_closure,
                          retested_bracket_rows, structure_constants,
@@ -141,6 +141,18 @@ def test_reduced_generators_close_to_the_full_algebra(closure_rings, name):
     assert (got.pivots, got._rows) == (want.pivots, want._rows)
 
 
+
+@pytest.mark.parametrize("name", ["torus2", "file52"])
+def test_real_generators_close_alike_over_both_fields(closure_rings, name):
+    # the span eliminates fraction-free on real generators over Q(i) too
+    gens = llv_generators(closure_rings[name])[0]
+    assert not any(type(x) is Gauss for g in gens for _, _, x in g.entries())
+    over_q = lie_closure(gens, FIELD_RATIONAL)
+    over_qi = lie_closure(gens, FIELD_GAUSSIAN)
+    assert over_qi.gaussian and not over_q.gaussian
+    assert (over_qi.pivots, over_qi._rows) == (over_q.pivots, over_q._rows)
+
+
 def test_single_sl2_closure(k3):
     gens = sl2_triple_generators(k3, [Fraction(1)] + [Fraction(0)] * 21)
     alg = lie_closure(gens, k3.field)
@@ -164,7 +176,7 @@ def _bracket_case(draw):
     small = st.integers(-3, 3)
     if draw(st.booleans()):
         entry = st.tuples(small, small).filter(any).map(
-            lambda t: GaussInt(*t))
+            lambda t: Gauss(*t))
     else:
         entry = small.filter(bool)
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -202,21 +214,13 @@ def _bracket_case(draw):
     return x, ys
 
 
-def _plain(sp):
-    """A sparse matrix with its entries as (real, imaginary) int pairs:
-    GaussInt compares by identity, not by value."""
-    return {r: {c: (v.real, v.imag) for c, v in row.items()}
-            for r, row in sp.items()}
-
-
 @settings(max_examples=300, deadline=None)
 @given(_bracket_case())
 def test_brackets_match_sparse_oracle(case):
     x, ys = case
     got = llv._brackets(x, llv._index(ys))
     want = {j: _sparse_bracket(x, y) for j, y in enumerate(ys)}
-    assert {j: _plain(b) for j, b in got.items()} == {
-        j: _plain(b) for j, b in want.items() if b}
+    assert got == {j: b for j, b in want.items() if b}
     for b in got.values():
         assert b and all(row and all(row.values()) for row in b.values())
 
@@ -319,8 +323,8 @@ def test_mixed_generators_close_without_floats(model52):
                for v in values if isinstance(v, Gauss))
     ints = [v for m in mats for row in m.values() for v in row.values()]
     assert type(den) is int
-    assert all(type(v) is GaussInt and type(v.real) is int
-               and type(v.imag) is int for v in ints)
+    assert all(type(v) is int or type(v) is Gauss and type(v.re) is int
+               and type(v.im) is int for v in ints)
 
 
 def _assert_structure_constants_match_dense_brackets(alg):

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from llvkit.rings import (QuadraticForm, RingFormatError,
+from llvkit.rings import (GradedAlgebra, QuadraticForm, RingFormatError,
                           RingValidationError, gaussian_extension, load_ring,
                           ring_from_dict, ring_to_dict, save_ring)
-from llvkit.scalars import FIELD_RATIONAL, Gauss, format_scalar, parse_scalar
+from llvkit.scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, I, div,
+                            format_scalar, parse_scalar)
 
 from ring_oracles import structure_equal
 
@@ -62,6 +63,53 @@ def test_validate_nonassociative_perturbation(k3):
         ring_from_dict(data)
     checks = {i.check for i in err.value.report.issues}
     assert "graded-commutativity" in checks or "associativity" in checks
+
+
+
+def _over_gaussian(ring, products, integration=None):
+    return GradedAlgebra(FIELD_GAUSSIAN, ring.dims, ring.labels, products,
+                         ring.integration if integration is None
+                         else integration)
+
+
+def _rescaled(ring, scales):
+    """ring over Q(i) on the basis e'_g = s_g e_g, s_g = scales.get(g, 1):
+    c'_ijk = s_i s_j c_ijk / s_k and int e'_t = s_t int e_t."""
+    s = [scales.get(g, 1) for g in range(ring.total_dim)]
+    products = {(i, j): tuple((k, div(s[i] * s[j] * c, s[k])) for k, c in row)
+                for (i, j), row in ring.products.items()}
+    lo = ring.offsets[ring.top]
+    return _over_gaussian(ring, products, [s[lo + t] * w for t, w in
+                                           enumerate(ring.integration)])
+
+
+def test_validate_reads_non_real_structure_constants(tmp_path, rat52):
+    # no fixture has non-real constants: a companion's are rational
+    ring = _rescaled(rat52, {1: I, 2: Gauss(1, 1)})
+    nonreal = [(key, k) for key, row in ring.products.items()
+               for k, c in row if type(c) is Gauss]
+    assert nonreal
+    assert ring.validate().ok
+    save_ring(ring, tmp_path / "ring.json")
+    assert structure_equal(load_ring(tmp_path / "ring.json"), ring)
+    # e_i e_j + e_k for one non-real product of degree-2 classes, in both
+    # orders, so that graded commutativity still holds
+    (i, j), k = next(((i, j), k) for (i, j), k in nonreal
+                     if ring.degree_of(i) == ring.degree_of(j) == 2)
+    products = dict(ring.products)
+    for key in ((i, j), (j, i)):
+        products[key] = tuple((gl, c + 1 if gl == k else c)
+                              for gl, c in products[key])
+    issues = _over_gaussian(ring, products).validate().issues
+    assert {issue.check for issue in issues} == {"associativity"}
+    # e_3 times any class of positive degree made 0: still a commutative
+    # associative ring, with a degenerate top pairing
+    products = {(i, j): row for (i, j), row in ring.products.items()
+                if 3 not in (i, j) or 0 in (i, j)}
+    issues = _over_gaussian(ring, products).validate().issues
+    assert [(issue.check, issue.detail) for issue in issues] == [
+        ("duality", f"degenerate top pairing A^{k} x A^{8 - k}")
+        for k in (2, 6)]
 
 
 def test_multiply_unit_and_pairing(k3):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import llvkit
-from llvkit.scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, div, rat,
-                             to_field)
+from llvkit.scalars import (FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss,
+                             clear_denominators, div, rat, to_field)
 
 _RATIONALS = st.one_of(st.integers(-10**6, 10**6),
                        st.fractions(max_denominator=60))
@@ -195,3 +195,22 @@ def test_rat_and_to_field_match_pair_oracle(x):
     for got in (rat(x), to_field(x, FIELD_RATIONAL)):
         _assert_normal(got)
         assert _pair(got) == px
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCALARS, max_size=8))
+def test_clear_denominators_matches_pair_oracle(values):
+    den, ints = clear_denominators(iter(values))
+    pairs = [_pair(v) for v in values]
+    parts = [x for p in pairs for x in p]
+    # den is the least positive integer that makes every part integral
+    assert all((den * x).denominator == 1 for x in parts)
+    assert not any(all((d * x).denominator == 1 for x in parts)
+                   for d in range(1, den))
+    assert len(ints) == len(values)
+    for z, (re, im) in zip(ints, pairs):
+        _assert_normal(z)
+        assert type(z) is int or type(z.re) is int and type(z.im) is int
+        assert _pair(z) == (den * re, den * im)
+    if all(type(v) is not Gauss for v in values):
+        assert all(type(z) is int for z in ints)
