@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .linalg import Matrix
+from .linalg import Matrix, inverse
 from .models import monomial_label, quadratic_power, vector_stream
 from .rings import BigradedAlgebra, QuadraticForm
 from .scalars import FIELD_RATIONAL, div, rat, to_field
@@ -36,7 +36,10 @@ def bbf_form(ring: BigradedAlgebra) -> QuadraticForm:
     I((s s')^n) = 1.
 
     On rings carrying a rational companion the Gram matrix is returned on
-    the rational degree-2 basis, where all values are rational.
+    the rational degree-2 basis, where all values are rational.  That
+    basis, in this ring's coordinates, is the columns of the inverse of
+    the degree-2 change of basis ``to_rational_mats[2]``, an m x m
+    inverse.
     """
     n = ring.symplectic_n()
     sig, sigb = ring.sigma(), ring.sigma_bar()
@@ -51,10 +54,9 @@ def bbf_form(ring: BigradedAlgebra) -> QuadraticForm:
         return div(ring.integrate(x), norm)
 
     if ring.rational_model is not None:
-        m = ring.rational_model.dims[2]
-        basis = [ring.from_rational(ring.rational_model.embed(
-            2, [int(t == a) for t in range(m)]))
-            for a in range(m)]
+        from_rat = inverse(ring.to_rational_mats[2])
+        m = from_rat.ncols
+        basis = [ring.embed(2, from_rat.col(a)) for a in range(m)]
     else:
         m = ring.dims[2]
         lo, _ = ring.slice_of(2)

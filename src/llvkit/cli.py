@@ -283,7 +283,7 @@ def cmd_llv(args) -> Report:
                llv.dual_commutation_check(form, duals),
                llv.derivations_check(plain, duals))
     if big is not None and grading.ok:
-        report.add(llv.weil_check(big), llv.so4_symplectic(big)[1])
+        report.add(llv.weil_check(big), llv.so4_symplectic(big))
     return report
 
 
@@ -425,7 +425,10 @@ def main(argv=None) -> int:
         report = args.func(args)
     except SystemExit as exc:       # --help prints and exits 0
         return USAGE_ERROR if exc.code else 0
-    except (UsageError, models.ModelConstructionError) as exc:
+    # a NotHLError reaching here names a class that the declared form
+    # calls non-isotropic but that has no Hard Lefschetz: a bad input
+    except (UsageError, models.ModelConstructionError,
+            lefschetz.NotHLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RingFormatError as exc:

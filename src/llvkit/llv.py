@@ -1,10 +1,11 @@
 """Bracket closure of Lefschetz operators and the structure-theorem checks:
 the degree (2,0,-2) decomposition, Killing-form identification of the
-closure with so of the degree-2 form plus a hyperbolic plane, the special
-orthogonal actions of rank 10 and 6, Weil operators, derivations, and the
-subalgebra generated by degree 2.  The LLV closure is generated by the L_a
-and one certified dual (``llv_generators``).  ``lie_closure`` builds it by
-one exact elimination, which also proves it bracket-closed.
+closure with so of the degree-2 form plus a hyperbolic plane, the so(4,1)
+action of a positive 3-space and the symplectic so(4), Weil operators,
+derivations, and the subalgebra generated by degree 2.  The LLV closure
+is generated by the L_a and one certified dual (``llv_generators``).
+``lie_closure`` builds it by one exact elimination, which also proves it
+bracket-closed.
 ``so_identify`` reads the structure constants of such a certified closure
 at its pivots, only until they span the whole algebra: a perfect algebra's
 Killing signature is that of its trace form on the ambient space, and an
@@ -12,10 +13,12 @@ algebra that is not perfect is not semisimple, so it is refused.
 
 The generators of ``lie_closure`` are the only dense matrices formed
 here.  Every other check reads ``DegreeOperator`` blocks, or any operator
-through ``entries()`` and ``shape()``.  The rank-10 and rank-6 actions
-need no second closure: their relation checks prove the span of their
-operators bracket-closed, so it is the algebra they generate, and its
-dimension is a rank (``so41_subalgebra``, ``so4_symplectic``).
+through ``entries()`` and ``shape()``.  The so(4,1) and so(4) actions
+need no closure and no rank: their relation checks make the operators a
+Lie homomorphic image of so(4,1), or of sl2 + sl2, whose only ideals
+are those of a simple or semisimple algebra, and no operator is zero,
+so the dimension is 10, or 6, exactly when the relations hold
+(``so41_subalgebra``, ``so4_symplectic``).
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .lefschetz import (DegreeOperator, DualFamily, classical_weights,
-                        complete_sl2, cup_operator,
+from .lefschetz import (_NOT_4N, DegreeOperator, DualFamily,
+                        classical_weights, complete_sl2, cup_operator,
                         sigma_bar_sl2, sigma_sl2, weight_operator)
 from .linalg import (DimensionError, Matrix, SparseEchelon,
                      integer_eigenspaces, symmetric_signature)
@@ -632,29 +635,14 @@ def dual_commutation_check(form, duals: DualFamily) -> Record:
                   "fail" if bad else "pass")
 
 
-def _span_algebra(ops):
-    """The span of ``DegreeOperator``s on one ring as a
-    ``MatrixLieAlgebra`` on the canonical rows of one ``SparseEchelon``,
-    over the field of their ring, as in ``lie_closure``.  Not
-    ``certified``: the caller's relation checks are what make the span
-    bracket-closed, and so the algebra it generates."""
-    n = ops[0].shape()[0]
-    span = SparseEchelon(exact_division=True)
-    for op in ops:
-        span.add({r * n + c: x for r, c, x in op.entries()})
-    rows, pivots = span.canonical()
-    return MatrixLieAlgebra(n, pivots, rows,
-                            ops[0].ring.field == FIELD_GAUSSIAN)
-
-
 def _cells(op, c=1):
     """{(row, column): c * value} over the nonzero entries of op."""
     return {(r, col): c * x for r, col, x in op.entries()}
 
 
-def so41_subalgebra(ring: GradedAlgebra, triple_classes):
-    """Algebra generated by the sl2-triples of three orthogonal positive
-    classes, certified as so(4,1) by its relations.
+def so41_subalgebra(ring: GradedAlgebra, triple_classes) -> Record:
+    """The algebra generated by the sl2-triples of three orthogonal
+    positive classes, certified as so(4,1) by its relations.
 
     The three classes are rescaled to a common norm (their norm ratios
     must be rational squares) and completed to triples (L_i, Lam_i, H);
@@ -670,9 +658,13 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
     -K_ij; [K_ij, L_i] = -[K_ji, L_i] = -2 L_j, and likewise for Lam;
     [K_ij, K_jk] = 2 K_ik with K_ji = -K_ij covers every pair of K's.
     So S is bracket-closed, and as H and the K_ij are brackets of the
-    L_i, Lam_i, it is the algebra they generate: its dimension is the
-    rank of the ten operators, asserted to be 10.  When a relation fails,
-    the reported dimension is that rank, not a closure's.
+    L_i, Lam_i, it is the algebra they generate.  The relations are the
+    brackets of so(4,1) on this basis, so they make the map from
+    so(4,1) onto S a Lie homomorphism.  so(4,1) is simple, and L_0 != 0
+    (its triple was completed, which needs Hard Lefschetz), so the map
+    is injective: S has dimension 10 exactly when every relation holds,
+    and ``dim`` is reported then.  A failing record lists its relations
+    and has no ``dim``.
     """
     form = ring.quadratic_form
     if form is None:
@@ -723,40 +715,42 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes):
             res.fail(f"[K{i}{j}, Lam{kk}] != 0")
         if _cells(kij.commutator(k[(j, kk)])) != _cells(k[(i, kk)], 2):
             res.fail(f"[K{i}{j}, K{j}{kk}] != 2 K{i}{kk}")
-    algebra = _span_algebra(ls + lams + [h, k[(0, 1)], k[(0, 2)], k[(1, 2)]])
-    res.data["dim"] = algebra.dim
-    if algebra.dim != 10:
-        res.fail(f"closure dimension {algebra.dim} != 10")
-    return algebra, res
+    if res.ok:
+        res.data["dim"] = 10
+    return res
 
 
-def so4_symplectic(ring: BigradedAlgebra):
-    """The six symplectic operators span a bracket-closed rank-6 algebra
-    splitting as two commuting sl2-triples.
+def so4_symplectic(ring: BigradedAlgebra) -> Record:
+    """The six symplectic operators span a bracket-closed algebra of
+    dimension 6, splitting as two commuting sl2-triples.
 
     ``complete_sl2_weights`` certifies each of the sigma and sigma-bar
     triples: [L, Lam] = H block by block, and [H, L] = 2L, [H, Lam] =
     -2 Lam by the weight shifts.  The nine cross brackets are checked to
-    vanish.  So the span of the six is bracket-closed, and it is the
-    algebra they generate; its dimension is their rank, and rank 6 is
-    their independence.  When a cross bracket fails, the reported
-    dimension is that rank, not a closure's.
+    vanish.  Then the span of the six is bracket-closed, it is the
+    algebra they generate, and the operator map from sl2 + sl2 is a Lie
+    homomorphism.  Its kernel is an ideal: 0, one factor or both.
+    Neither L is zero (each triple was completed, which needs Hard
+    Lefschetz, and the unit has weight -n != 0), so the kernel is 0 and
+    the span has dimension 6 exactly when the cross brackets vanish;
+    ``dim`` is reported then.  A failing record lists its brackets and
+    has no ``dim``.  A ring of top degree other than 4n has no weights
+    p - n, q - n and skips.
     """
-    tri_s = sigma_sl2(ring)
-    tri_b = sigma_bar_sl2(ring)
     res = Record("symplectic so(4) action",
                  "six symplectic operators close into two commuting sl2s",
                  {"failures": []})
-    algebra = _span_algebra([tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam,
-                             tri_s.H, tri_b.H])
-    res.data["dim"] = algebra.dim
-    if algebra.dim != 6:
-        res.fail("the six symplectic operators are linearly dependent")
+    if ring.top % 4:
+        return res.skip(_NOT_4N.format(ring.top))
+    tri_s = sigma_sl2(ring)
+    tri_b = sigma_bar_sl2(ring)
     for a in (tri_s.L, tri_s.Lam, tri_s.H):
         for b in (tri_b.L, tri_b.Lam, tri_b.H):
             if not a.commutes_with(b):
                 res.fail("the sigma and sigma-bar triples do not commute")
-    return algebra, res
+    if res.ok:
+        res.data["dim"] = 6
+    return res
 
 
 def verbitsky_component(ring: GradedAlgebra):

@@ -453,9 +453,11 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
     (sigma, sigma-bar, t_i), which is rational, and with the basis chosen
     in the opposite order, builds the bigraded companion by Galois
     descent (see ``_bigraded_companion``).
-    The rational model runs the full ``validate``; the companion, the same
-    ring after a change of basis, is certified through it instead
-    (``companion_certificate``).
+    The rational model runs the full ``validate``; the companion is
+    certified through the one change of basis T to it instead
+    (``companion_certificate``): T is multiplicative and keeps the
+    integral, and the companion's own Poincare pairing is nondegenerate,
+    which makes T bijective with no inverse formed.
     """
     m = form.dim
     if m < 5:
@@ -466,10 +468,10 @@ def bogomolov_model(form: QuadraticForm, n: int) -> BigradedAlgebra:
         raise ModelConstructionError("bogomolov_model needs a nondegenerate form")
     _reject_definite(form)
 
-    basis, red, dims, labels, products = _monomial_quotient(
+    _, red, dims, labels, products = _monomial_quotient(
         form, n, [f"e{i + 1}" for i in range(m)])
     u1, u2 = admissible_positive_pair(form)
-    big = _bigraded_companion(form, n, basis, red, u1, u2)
+    big = _bigraded_companion(form, n, red, u1, u2)
     # the companion's top basis element is (sigma*sigma-bar)^n, so its
     # coordinate in the rational model fixes the normalization
     lam = as_fraction(big.to_rational_mats[4 * n][0, 0])
@@ -639,10 +641,9 @@ def _adapted_gram(form: QuadraticForm, u1, u2, t_basis):
     return Matrix(gram, ncols=m)
 
 
-def _bigraded_companion(form, n, basis, red, u1, u2):
-    """Bigraded basis adapted to sigma = u1 + i*u2, over Q(i); ``basis``
-    and ``red`` are the basis and reduction table of the rational model
-    (``_monomial_quotient``).
+def _bigraded_companion(form, n, red, u1, u2):
+    """Bigraded basis adapted to sigma = u1 + i*u2, over Q(i); ``red`` is
+    the reduction table of the rational model (``_monomial_quotient``).
 
     Built by Galois descent: in the coordinates (sigma, sigma-bar, t_i)
     the Gram matrix is rational (``_adapted_gram``), and the change of
@@ -654,12 +655,11 @@ def _bigraded_companion(form, n, basis, red, u1, u2):
     the ideal of the monomials before it.
     In the top degree that is (sigma*sigma-bar)^n, which integrates to 1;
     any monomial before it has more sigma than sigma-bar factors, so the
-    wrong bidegree.  Only the maps to and from the rational model
-    (``to_rational_mats``, ``from_rational_mats``) need Q(i): a column of
-    the first expands one basis u-monomial in the e_i, a column of the
-    second one basis e-monomial in the u-variables, through the inverse
-    change of variables (``_change_of_basis``).  ``bogomolov_model``
-    certifies the returned ring.
+    wrong bidegree.  Only the map to the rational model
+    (``to_rational_mats``) needs Q(i): each column expands one basis
+    u-monomial in the e_i (``_change_of_basis``).  No inverse map is
+    built: ``bogomolov_model`` certifies the returned ring, and its
+    certificate proves this map bijective.
     """
     m = form.dim
     t_space = kernel(Matrix([form.gram.matvec(u1), form.gram.matvec(u2)], ncols=m))
@@ -668,7 +668,7 @@ def _bigraded_companion(form, n, basis, red, u1, u2):
                                      "pair has the wrong dimension")
     u_form = QuadraticForm(_adapted_gram(form, u1, u2, t_space.basis))
     u_labels = ["s", "sb"] + [f"t{i + 1}" for i in range(m - 2)]
-    u_basis, u_red, dims, labels, products = _monomial_quotient(
+    u_basis, _, dims, labels, products = _monomial_quotient(
         u_form, n, u_labels, reverse=True)
     if u_basis[2 * n] != [tuple([n, n] + [0] * (m - 2))]:
         raise ModelConstructionError("degenerate symplectic top power: "
@@ -687,8 +687,6 @@ def _bigraded_companion(form, n, basis, red, u1, u2):
                           bidegrees, quadratic_form=u_form,
                           name=f"bogomolov(b2={m},n={n}) bigraded")
     big.to_rational_mats = _change_of_basis(uvars.rows, u_basis, red, n)
-    big.from_rational_mats = _change_of_basis(inverse(uvars).rows, basis,
-                                              u_red, n)
     big.positive_pair = (u1, u2)
     big.gamma_rational = tuple(2 * x for x in u1)
     big.gamma_prime_rational = tuple(2 * x for x in u2)

@@ -410,10 +410,11 @@ class BigradedAlgebra(GradedAlgebra):
                              "(0,2) basis element (sigma and sigma-bar)")
         self.sigma_index = sig[0]
         self.sigma_bar_index = sigb[0]
-        # optional rational companion, populated by model constructors
+        # optional rational companion, populated by model constructors:
+        # per degree, the Matrix whose columns are the rational-model
+        # coordinates of this ring's basis (None in odd degrees)
         self.rational_model = None
-        self.to_rational_mats = None     # per even degree: Matrix, columns = rational coords
-        self.from_rational_mats = None
+        self.to_rational_mats = None
 
     def sigma(self):
         return self.basis_vector(self.sigma_index)
@@ -448,23 +449,24 @@ class BigradedAlgebra(GradedAlgebra):
         R-coordinates of basis element j).
 
         Besides the unit, graded-commutativity and bigrading checks it
-        certifies (1) T * ``from_rational_mats`` = I in every degree,
-        (2) T(e_i e_j) = T(e_i) T(e_j) for all i <= j with deg i + deg j
-        <= top (commutativity gives i > j, the bigrading the pairs above
-        the top) and (3) int_R T(e) = int e on the top basis.  So T is an
-        injective ring map: T((xy)z) = Tx Ty Tz = T(x(yz)) gives
-        associativity, and int(xy) = int_R(Tx Ty) makes the pairing R's
-        nondegenerate one read through the invertible T.
+        certifies (1) T is square in every degree, (2) T(e_i e_j) =
+        T(e_i) T(e_j) for all i <= j with deg i + deg j <= top
+        (commutativity gives i > j, the bigrading the pairs above the top),
+        (3) int_R T(e) = int e on the top basis and (4) this ring's own
+        Poincare pairing is nondegenerate (``_duality_issues``).  Then T
+        is injective: if T(x) = 0, then for every y
+        int xy = int_R T(xy) = int_R T(x) T(y) = 0 by (2) and (3), so
+        x = 0 by (4).  As the dimensions agree in each degree, T is a
+        bijective ring map, and T((xy)z) = Tx Ty Tz = T(x(yz)) gives
+        associativity.
 
-        (1) and (2) run over Z[i]: T, S = ``from_rational_mats``, this
-        ring's constants c and R's constants r are each scaled once by
-        their common denominators D_T, D_S, D_c and D_r
-        (``scalars.clear_denominators``).  Then T * S = I reads
-        D_T T * D_S S = D_T D_S I, and in (2) the left side
-        sum c T(e_k) scales by D_c D_T and the right side
-        sum T(e_i)_a T(e_j)_b r_ab by D_T^2 D_r, so (2) holds exactly when
-        D_T D_r times the scaled left side equals D_c times the scaled
-        right side.
+        (2) runs over Z[i]: T, this ring's constants c and R's constants r
+        are each scaled once by their common denominators D_T, D_c and D_r
+        (``scalars.clear_denominators``).  The left side sum c T(e_k)
+        scales by D_c D_T and the right side sum T(e_i)_a T(e_j)_b r_ab by
+        D_T^2 D_r, so (2) holds exactly when D_T D_r times the scaled left
+        side equals D_c times the scaled right side.  (4) ranks the
+        pairing on the scaled constants, as ``validate`` does.
         """
         issues = [*self._unit_issues(), *self._commutativity_issues(),
                   *self._validate_extra()]
@@ -479,33 +481,21 @@ class BigradedAlgebra(GradedAlgebra):
             return fail("no validated rational model of the same dims")
         blocks = []
         for k, d in enumerate(self.dims):
-            t, s = self.to_rational_mats[k], self.from_rational_mats[k]
+            t = self.to_rational_mats[k]
             if not d:
                 continue
-            if t is None or s is None or not t.shape() == s.shape() == (d, d):
+            if t is None or t.shape() != (d, d):
                 return fail(f"degree {k}: T is not square")
-            blocks.append((k, list(t.entries()), list(s.entries())))
+            blocks.append((k, list(t.entries())))
         den_t, ints_t = clear_denominators(
-            x for _, t, _ in blocks for _, _, x in t)
-        den_s, ints_s = clear_denominators(
-            x for _, _, s in blocks for _, _, x in s)
-        ints_t, ints_s = iter(ints_t), iter(ints_s)
-        one = den_t * den_s
-        for k, t, s in blocks:      # image[i] = D_T T(e_i), R-indexed
+            x for _, t in blocks for _, _, x in t)
+        ints_t = iter(ints_t)
+        for k, t in blocks:         # image[i] = D_T T(e_i), R-indexed
             lo = self.offsets[k]
             for r, j, _ in t:
                 image[lo + j][lo + r] = next(ints_t)
-            cols = {}
-            for i, j, _ in s:
-                cols.setdefault(j, []).append((i, next(ints_s)))
-            for j in range(self.dims[k]):       # column j of T * S
-                col = {}
-                for i, y in cols.get(j, ()):
-                    for r, x in image[lo + i].items():
-                        col[r] = col.get(r, 0) + y * x
-                if _differ(col, {lo + j: one}):
-                    return fail(f"degree {k}: T is not invertible")
         den_c, table = clear_table(self.products)
+        issues += self._duality_issues(table)
         den_r, rat_table = clear_table(rat.products)
         f_left, f_right = den_t * den_r, den_c
         g = gcd(f_left, f_right)
@@ -550,24 +540,6 @@ class BigradedAlgebra(GradedAlgebra):
                 issues.append(ValidationIssue(
                     "companion", f"int T({self.label_of(lo + t)}) != {w}"))
         return ValidationReport(not issues, issues)
-
-    def from_rational(self, x):
-        self._need_companion()
-        out = [0] * self.total_dim
-        for k in range(self.top + 1):
-            lo, _ = self.rational_model.slice_of(k)
-            comp = tuple(x[lo:lo + self.rational_model.dims[k]])
-            if not any(comp):
-                continue
-            big = self.from_rational_mats[k].matvec(comp)
-            mylo, _ = self.slice_of(k)
-            for t, c in enumerate(big):
-                out[mylo + t] = c
-        return tuple(out)
-
-    def _need_companion(self):
-        if self.rational_model is None:
-            raise ValueError("this bigraded ring carries no rational companion")
 
 
 def _by_row(table, size):

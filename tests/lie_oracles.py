@@ -10,11 +10,16 @@ Killing form, which ``so_identify`` never forms.  ``apply_blocks``
 applies a ``DegreeOperator`` to a full-ring vector block by block, beside
 the dense ``matrix().matvec``; ``is_sl2_triple`` checks the three sl2
 relations on dense matrices, and ``nilpotent_index`` takes dense
-powers."""
+powers.  ``operator_rank`` is the dimension of the span of operators, one
+``SparseEchelon`` over their entries, the rank the so(4) and so(4,1)
+records no longer compute; ``dense_block`` cuts a block out of a dense
+matrix, and ``symplectic_piece_ranks`` is the per-piece rank loop that
+``symplectic_hl_check`` replaced by two weight chains."""
 
 from types import MappingProxyType
 
-from llvkit.linalg import Matrix
+from llvkit.lefschetz import BlockChain, cup_operator
+from llvkit.linalg import Matrix, SparseEchelon
 from llvkit.llv import MatrixLieAlgebra, lie_closure, llv_generators
 
 # the value of every vanishing bracket in a structure-constant table
@@ -125,3 +130,48 @@ def apply_blocks(op, vec) -> tuple:
             tlo = off[k + op.shift]
             out[tlo:tlo + blk.nrows] = blk.matvec(src)
     return tuple(out)
+
+
+def operator_rank(ops) -> int:
+    """dim span(ops) for operators on one ring, read through
+    ``entries()`` and ``shape()``."""
+    n = ops[0].shape()[0]
+    span = SparseEchelon(exact_division=True)
+    for op in ops:
+        span.add({r * n + c: x for r, c, x in op.entries()})
+    return span.dim
+
+
+def dense_block(mat, rows_idx, cols_idx) -> Matrix:
+    """The rows ``rows_idx`` and columns ``cols_idx`` of a dense matrix."""
+    return Matrix([[mat[r, c] for c in cols_idx] for r in rows_idx],
+                  ncols=len(cols_idx))
+
+
+def symplectic_piece_ranks(ring):
+    """(failures, blocks_checked): L_sigma^(n-p): (p, q) -> (2n-p, q) for
+    p < n and L_sigmabar^(n-q): (p, q) -> (p, 2n-q) for q < n, each piece
+    map ranked on its own, on the degree powers of the two operators."""
+    n = ring.symplectic_n()
+    dims = dict(enumerate(ring.dims))
+    chains = {name: BlockChain(cup_operator(ring, point).blocks, dims)
+              for name, point in (("sigma", ring.sigma()),
+                                  ("sigmabar", ring.sigma_bar()))}
+    piece = {}
+    for gi, pq in enumerate(ring.bidegrees):
+        piece.setdefault(pq, []).append(gi)
+    failures, checked = [], 0
+    for (p, q), idx in sorted(piece.items()):
+        for name, j, pq in (("sigma", n - p, (2 * n - p, q)),
+                            ("sigmabar", n - q, (p, 2 * n - q))):
+            if j <= 0:
+                continue
+            checked += 1
+            tgt = piece.get(pq, [])
+            k = ring.degree_of(idx[0])
+            lo, tlo = ring.offsets[k], ring.offsets[k + 2 * j]
+            if len(tgt) != len(idx) or dense_block(
+                    chains[name].power(k, j), [gi - tlo for gi in tgt],
+                    [gi - lo for gi in idx]).rank() != len(idx):
+                failures.append((name, (p, q)))
+    return failures, checked

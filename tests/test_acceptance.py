@@ -99,12 +99,13 @@ def test_criterion_05_weil_operator(model52):
 def test_criterion_06_so41_and_so4(rat52, model52):
     w = [[0, 0, Fraction(1), 0, 0], [Fraction(2), 0, 0, 0, 0],
          [0, Fraction(2), 0, 0, 0]]
-    sub, res = so41_subalgebra(rat52, w)
-    sub4, res4 = so4_symplectic(model52)
-    ok = sub.dim == 10 and res.ok and sub4.dim == 6 and res4.ok
-    report(6, ok, f"positive-3-space algebra dim {sub.dim}, a span closed by "
-                  f"its relation families; symplectic span dim {sub4.dim}, "
-                  "closed by two commuting certified sl2s")
+    res = so41_subalgebra(rat52, w)
+    res4 = so4_symplectic(model52)
+    dim, dim4 = res.data.get("dim"), res4.data.get("dim")
+    ok = dim == 10 and res.ok and dim4 == 6 and res4.ok
+    report(6, ok, f"positive-3-space algebra dim {dim}, read off its "
+                  f"relation families (so(4,1) is simple); symplectic span "
+                  f"dim {dim4}, two commuting certified sl2s")
 
 
 def test_criterion_07_verbitsky_component(rat52, model62, model53):

@@ -69,16 +69,17 @@ def test_bbf_independent_of_unit_rescale(model52):
 
 
 def _bbf_with_sigma(ring, sig, sigb):
-    from llvkit.linalg import Matrix
+    from llvkit.linalg import Matrix, inverse
     from llvkit.scalars import as_fraction
     n = ring.symplectic_n()
     ssb = ring.multiply(sig, sigb)
     norm = ring.integrate(ring.power(ssb, n))
     assert norm == 1
-    m = ring.rational_model.dims[2]
-    basis = [ring.from_rational(ring.rational_model.embed(
-        2, [Fraction(1 if t == a else 0) for t in range(m)]))
-        for a in range(m)]
+    # the rational degree-2 basis in companion coordinates: the columns
+    # of the inverse of the degree-2 change of basis
+    from_rat = inverse(ring.to_rational_mats[2])
+    m = from_rat.ncols
+    basis = [ring.embed(2, from_rat.col(a)) for a in range(m)]
     ssb_nm1 = ring.power(ssb, n - 1)
     lin_a = [ring.integrate(ring.multiply(ring.multiply(
         ring.power(sig, n - 1), ring.power(sigb, n)), v)) for v in basis]

@@ -13,6 +13,7 @@ import pytest
 import llvkit
 from llvkit import lefschetz, llv, models
 from llvkit.cli import FIXTURE_BOUNDS, main
+from llvkit.linalg import Matrix
 from llvkit.rings import (BigradedAlgebra, GradedAlgebra, QuadraticForm,
                           ring_to_dict, save_ring)
 from test_rings import BOOLEAN_EDITS, UNKNOWN_KEY_EDITS
@@ -616,6 +617,69 @@ def test_hl_reports_a_symplectic_class_without_hard_lefschetz(tmp_path,
     assert primitivity["data"]["failures"] == [
         "L_sigma has no sl2-triple: not an HL class",
         "L_sigmabar has no sl2-triple: not an HL class"]
+
+
+def _top_six_ring(t_first=False, form=None):
+    """A valid bigraded ring of top degree 6, not 4n: 1; sigma (2,0),
+    sigma-bar (0,2), t (1,1); sigma t, sigma-bar t, t^2; t^3, with
+    sigma sigma-bar = t^2 and sigma (sigma-bar t) = sigma-bar (sigma t) =
+    t t^2 = t^3.  ``t_first`` lists t first in degree 2."""
+    deg2 = ("t", "s", "sb") if t_first else ("s", "sb", "t")
+    labels = [("1",), (), deg2, (), ("s*t", "sb*t", "t^2"), (), ("t^3",)]
+    index = {label: gi for gi, label in
+             enumerate(label for ls in labels for label in ls)}
+    products = {}
+    for a, b, c in [("1", x, x) for x in index] + [
+            ("s", "t", "s*t"), ("sb", "t", "sb*t"), ("t", "t", "t^2"),
+            ("s", "sb", "t^2"), ("s", "sb*t", "t^3"), ("sb", "s*t", "t^3"),
+            ("t", "t^2", "t^3")]:
+        products[index[a], index[b]] = products[index[b], index[a]] = (
+            (index[c], 1),)
+    pq = {"s": (2, 0), "sb": (0, 2), "t": (1, 1)}
+    return BigradedAlgebra(
+        "rational", [len(ls) for ls in labels], labels, products, [1],
+        [(0, 0), *(pq[x] for x in deg2), (3, 1), (1, 3), (2, 2), (3, 3)],
+        quadratic_form=form and QuadraticForm(Matrix(form)))
+
+
+def test_sigma_records_skip_on_a_ring_of_top_degree_not_4n(tmp_path, capsys):
+    # the weights p - n and q - n need top degree 4n: the sigma and
+    # sigma-bar records skip by that precondition, as weak P = W does
+    ring = _top_six_ring()
+    assert ring.validate().ok and ring.top == 6
+    path = tmp_path / "top-six.json"
+    save_ring(ring, path)
+    rc = main(["hl", "--input", str(path), "--format", "structured"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    records = {r["name"]: r for r in json.loads(captured.out)["records"]}
+    reason = {"reason": "ring top degree 6 is not 4n"}
+    for name in ("symplectic hard lefschetz", "simultaneous primitivity"):
+        assert records[name]["verdict"] == "skip"
+        assert records[name]["data"] == reason
+    so4 = llv.so4_symplectic(ring)
+    assert so4.verdict == "skip" and so4.data == reason
+
+
+@pytest.mark.parametrize("t_first, form, command, named", [
+    (False, [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "llv", "(1, 1, 0)"),
+    (False, [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "verbitsky", "(1, 1, 0)"),
+    (True, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], "llv", "(0, 1, -1)"),
+])
+def test_a_declared_non_isotropic_class_without_hard_lefschetz_exits_two(
+        tmp_path, capsys, t_first, form, command, named):
+    # (sigma + sigma-bar)^3 = 2 t^2 (sigma + sigma-bar) = 0, yet the form
+    # calls sigma + sigma-bar non-isotropic; on a top degree other than
+    # 4n no Fujiki gate stops the form, so the sl2 completion of a dual
+    # refuses the class by name: the base class of the dual family, or,
+    # with t first, a class of the commutation check
+    path = tmp_path / "top-six.json"
+    save_ring(_top_six_ring(t_first, form), path)
+    rc = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: degree-2 class {named} has no sl2-triple: not an HL class"]
 
 
 def test_verbitsky_refuses_a_declared_form_that_fails_fujiki(tmp_path,

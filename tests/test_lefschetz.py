@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,10 +20,13 @@ from llvkit.lefschetz import (BlockChain, DegreeOperator, DualFamily,
                               _weight_spaces)
 from llvkit.linalg import Matrix, inverse
 from llvkit.llv import lie_closure, llv_generators
-from llvkit.models import spanning_hl_classes, vector_stream
+from llvkit.models import (bogomolov_model, spanning_hl_classes,
+                           vector_stream)
 from llvkit.rings import QuadraticForm, ring_from_dict
 from llvkit.scalars import Gauss, div
-from lie_oracles import apply_blocks, is_sl2_triple, nilpotent_index
+from test_cli import _times_p1p1
+from lie_oracles import (apply_blocks, dense_block, is_sl2_triple,
+                         nilpotent_index, symplectic_piece_ranks)
 
 
 def test_cup_zero_class_is_zero(k3):
@@ -315,8 +319,8 @@ def test_symplectic_hl_torus(torus_big):
     assert symplectic_hl_check(torus_big).ok
 
 
-def test_symplectic_hl_fails_for_one_one_class(model52):
-    # replacing sigma by a (1,1) element must break the block bijections
+def _twisted(model52):
+    """model52 with the bidegrees of sigma and one (1,1) element swapped."""
     from llvkit.rings import BigradedAlgebra
     bg = list(model52.bidegrees)
     lo2, _ = model52.slice_of(2)
@@ -324,11 +328,48 @@ def test_symplectic_hl_fails_for_one_one_class(model52):
     t_pos = next(gi for gi in range(lo2, lo2 + model52.dims[2])
                  if model52.bidegrees[gi] == (1, 1))
     bg[sig_pos], bg[t_pos] = bg[t_pos], bg[sig_pos]
-    twisted = BigradedAlgebra(model52.field, model52.dims, model52.labels,
-                              model52.products, model52.integration, bg,
-                              quadratic_form=model52.quadratic_form)
-    res = symplectic_hl_check(twisted)
+    return BigradedAlgebra(model52.field, model52.dims, model52.labels,
+                           model52.products, model52.integration, bg,
+                           quadratic_form=model52.quadratic_form)
+
+
+def test_symplectic_hl_fails_for_one_one_class(model52):
+    # replacing sigma by a (1,1) element must break the block bijections
+    res = symplectic_hl_check(_twisted(model52))
     assert not res.ok
+
+
+@pytest.mark.parametrize("case", ["model52", "model53", "k3big", "torus_big",
+                                  "twisted", "surface_p1p1"])
+def test_symplectic_hl_matches_the_per_piece_rank_oracle(case, request):
+    # the two weight chains decide what ranking every piece map decides,
+    # and count the same blocks; S x P^1 x P^1 keeps the weight shifts,
+    # but its sigma and sigma-bar square to zero
+    if case == "twisted":
+        ring = _twisted(request.getfixturevalue("model52"))
+    elif case == "surface_p1p1":
+        ring = _times_p1p1(bogomolov_model(
+            QuadraticForm.diagonal([1, 1, 1, -1, -1]), 1))
+    else:
+        ring = request.getfixturevalue(case)
+    failures, checked = symplectic_piece_ranks(ring)
+    res = symplectic_hl_check(ring)
+    assert res.ok == (not failures) == (case not in ("twisted",
+                                                     "surface_p1p1"))
+    assert res.data["blocks_checked"] == checked
+    # the operators that fail a piece are the ones whose chain fails
+    assert ({re.match(r"L_\w+", f).group() for f in res.failures}
+            == {f"L_{name}" for name, _ in failures})
+    if case == "twisted":
+        # the relabelled sigma and sigma-bar each meet a (1,1)-labelled
+        # class, so their entries leave the weight shift
+        assert res.failures == [
+            "L_sigma: operator does not raise the weight by 2",
+            "L_sigmabar: operator does not raise the weight by 2"]
+    if case == "surface_p1p1":
+        assert res.failures == [
+            f"L_{name}^j: V_(-j) -> V_j not bijective for some j"
+            for name in ("sigma", "sigmabar")]
 
 
 def test_simultaneous_primitivity_model(model52):
@@ -623,7 +664,7 @@ def certificate_cases(k3, rat52, model52, torus2):
         spaces = _weight_spaces(tri.weights)
         chain = lefschetz._weight_chain(tri.L, tri.weights)
         lam = tri.Lam.matrix()
-        blocks = {w: lefschetz._block(lam, spaces[w - 2], idx)
+        blocks = {w: dense_block(lam, spaces[w - 2], idx)
                   for w, idx in spaces.items() if w - 2 in spaces}
         out[name] = (chain, blocks)
     return out

@@ -22,8 +22,8 @@ from llvkit.rings import load_ring, save_ring
 from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, I
 from dense_ad import dense_ad
 from lie_oracles import (apply_blocks, killing_gram, llv_closure,
-                         retested_bracket_rows, structure_constants,
-                         verify_closure)
+                         operator_rank, retested_bracket_rows,
+                         structure_constants, verify_closure)
 
 
 def sl2_triple_generators(ring, a):
@@ -885,12 +885,32 @@ def test_so_identify_single_sl2_fails(k3):
     assert rep.dim == 3 and rep.expected_dim == 276
 
 
-def test_so41_subalgebra(rat52):
+def _so41_operators(monkeypatch):
+    """A list that fills with the ten operators L_i, Lam_i, H and K_ij of
+    the next ``so41_subalgebra`` call, from the triples it completes."""
+    triples, ops = [], []
+
+    def recorded(ring, a):
+        tri = complete_sl2(ring, a)
+        triples.append(tri)
+        if len(triples) == 3:
+            ops.extend([t.L for t in triples] + [t.Lam for t in triples]
+                       + [tri.H] + [triples[i].L.commutator(triples[j].Lam)
+                                    for i, j in ((0, 1), (0, 2), (1, 2))])
+        return tri
+
+    monkeypatch.setattr(llv, "complete_sl2", recorded)
+    return ops
+
+
+def test_so41_subalgebra(rat52, monkeypatch):
+    # the dimension read off the relations is the rank of the ten operators
     w = [[0, 0, Fraction(1), 0, 0], [Fraction(2), 0, 0, 0, 0],
          [0, Fraction(2), 0, 0, 0]]
-    alg, res = so41_subalgebra(rat52, w)
+    ops = _so41_operators(monkeypatch)
+    res = so41_subalgebra(rat52, w)
     assert res.ok, res.failures
-    assert alg.dim == 10
+    assert res.data["dim"] == operator_rank(ops) == 10
 
 
 def test_so41_rejects_nonorthogonal(rat52):
@@ -908,27 +928,36 @@ def test_so41_rejects_inadmissible_norms(rat52):
         so41_subalgebra(rat52, w)
 
 
+def _so4_operators(ring):
+    tri_s, tri_b = sigma_sl2(ring), sigma_bar_sl2(ring)
+    return [tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam, tri_s.H, tri_b.H]
+
+
 def test_so4_symplectic_model(model52):
-    alg, res = so4_symplectic(model52)
+    res = so4_symplectic(model52)
     assert res.ok, res.failures
-    # over the field of the ring, although the six operators are real
-    assert alg.dim == 6 and alg.gaussian
-    # the Weil operator i(H_sigma - H_sigma-bar) lies in the span, dense
-    # and as the DegreeOperator [L_gamma, Lam_gamma'] of ``weil_operator``
-    h_s, h_b = sigma_sl2(model52).H.matrix(), sigma_bar_sl2(model52).H.matrix()
-    assert alg.contains((h_s - h_b).scale(I))
-    assert alg.contains(weil_operator(model52))
+    # the dimension read off the relations is the rank of the six, over
+    # the field of the ring
+    assert res.data["dim"] == operator_rank(_so4_operators(model52)) == 6
+    # the Weil operator [L_gamma, Lam_gamma'] of ``weil_operator`` is
+    # i(H_sigma - H_sigma-bar), block by block
+    h_s, h_b = sigma_sl2(model52).H, sigma_bar_sl2(model52).H
+    weil = weil_operator(model52)
+    assert weil.shift == 0
+    for k, blk in weil.blocks.items():
+        assert blk == (h_s.blocks[k] - h_b.blocks[k]).scale(I)
 
 
 def test_so4_symplectic_fails_on_one_triple_twice(model52, monkeypatch):
     # the sigma triple in place of the sigma-bar one: the six operators
-    # span 3 dimensions, and [L_sigma, Lam_sigma] = H_sigma != 0
+    # span 3 dimensions, [L_sigma, Lam_sigma] = H_sigma != 0, and the
+    # record lists the failing brackets and reports no dimension
+    assert operator_rank(_so4_operators(model52)[::2]) == 3
     monkeypatch.setattr(llv, "sigma_bar_sl2", sigma_sl2)
-    alg, res = so4_symplectic(model52)
-    assert not res.ok and alg.dim == res.data["dim"] == 3
-    assert res.failures[0] == ("the six symplectic operators are linearly "
-                               "dependent")
-    assert "the sigma and sigma-bar triples do not commute" in res.failures
+    res = so4_symplectic(model52)
+    assert not res.ok and "dim" not in res.data
+    assert set(res.failures) == {
+        "the sigma and sigma-bar triples do not commute"}
 
 
 def test_so41_fails_with_a_rescaled_dual(rat52, monkeypatch):
@@ -946,15 +975,15 @@ def test_so41_fails_with_a_rescaled_dual(rat52, monkeypatch):
         return tri
 
     monkeypatch.setattr(llv, "complete_sl2", rescaled)
-    _, res = so41_subalgebra(rat52, w)
-    assert len(triples) == 3 and not res.ok
+    res = so41_subalgebra(rat52, w)
+    assert len(triples) == 3 and not res.ok and "dim" not in res.data
     assert "K01 != -K10" in res.failures
 
 
 def test_so4_symplectic_torus(torus_big):
-    alg, res = so4_symplectic(torus_big)
+    res = so4_symplectic(torus_big)
     assert res.ok, res.failures
-    assert alg.dim == 6
+    assert res.data["dim"] == operator_rank(_so4_operators(torus_big)) == 6
 
 
 def test_verbitsky_component_models(rat52, model62, model53):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llvkit import cli, models
-from llvkit.linalg import Matrix, SparseEchelon, Subspace
+from llvkit.linalg import Matrix, SparseEchelon, Subspace, inverse
 from llvkit.models import (ModelConstructionError, bogomolov_model,
                            isotropic_stream, k3_gram, k3_ring,
                            nonisotropic_stream, spanning_hl_classes,
@@ -106,7 +106,9 @@ def test_companion_by_descent_matches_change_of_basis(case, request):
     assert big.bidegrees == want["bidegrees"]
     assert big.quadratic_form.gram == want["gram"]
     assert big.to_rational_mats == want["to_rat"]
-    assert big.from_rational_mats == want["from_rat"]
+    # the one inverse left, bbf_form's degree-2 basis in companion
+    # coordinates
+    assert inverse(big.to_rational_mats[2]) == want["from_rat"][2]
     # every structure constant is real, so a native rational: the
     # companion descends to Q
     assert all(type(c) in (int, Fraction)
@@ -161,6 +163,8 @@ def test_certificate_fails_on_one_perturbed_structure_constant(
 @given(st.data(), st.fractions(-3, 3).filter(bool))
 def test_certificate_fails_on_one_perturbed_change_of_basis_entry(
         model52, data, delta):
+    # T no longer a ring map: a product or the integral mismatches, and
+    # nothing but the change of basis is blamed
     k = data.draw(st.sampled_from([k for k, d in enumerate(model52.dims) if d]))
     d = model52.dims[k]
     r, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
@@ -169,9 +173,23 @@ def test_certificate_fails_on_one_perturbed_change_of_basis_entry(
     to_rat = list(model52.to_rational_mats)
     to_rat[k] = Matrix(rows, ncols=d)
     report = _perturbed(model52, to_rational_mats=to_rat).companion_certificate()
-    assert not report.ok
-    assert [str(i) for i in report.issues] == [
-        f"companion: degree {k}: T is not invertible"]
+    assert not report.ok and report.issues
+    assert {i.check for i in report.issues} == {"companion"}
+    assert all(" != T(" in str(i) or str(i).startswith("companion: int T(")
+               for i in report.issues)
+
+
+def test_certificate_fails_on_a_degenerate_pairing(model52):
+    # integration set to 0: every pairing block is zero, and the
+    # certificate, which reads injectivity of T off the pairing, reports
+    # the degenerate duality beside the integral it no longer keeps
+    bad = _perturbed(model52, integration=(0,))
+    report = bad.companion_certificate()
+    checks = [i.check for i in report.issues]
+    assert not report.ok and "duality" in checks
+    assert set(checks) == {"duality", "companion"}
+    assert [str(i) for i in report.issues if i.check == "companion"] == [
+        f"companion: int T({bad.label_of(bad.offsets[bad.top])}) != 0"]
 
 
 def test_certificate_needs_a_validated_rational_model(model52):
