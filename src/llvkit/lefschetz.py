@@ -8,14 +8,15 @@ One engine serves three gradings: the classical weight k - (top/2) on
 total degree, and on bigraded rings the holomorphic weight p - n and the
 antiholomorphic weight q - n.  Under the classical weight the degree
 blocks already are the weight blocks (``classical_chain``); the other
-two gradings regroup the entries.  The dual operator is produced from the
-primitive decomposition with coefficient j(m - j + 1) on the j-th rung of
-a length-(m+1) string and certified by the relations on each weight
-space.  Those relations fix the dual uniquely; on small rings it is
-also re-derived as the degree-(-2) solution of [L, X] = H, and a
-disagreement raises.  Powers of a weight-raising operator are products
-of its weight blocks V_w -> V_(w+2) (``BlockChain``), never of full
-matrices.
+two gradings regroup the entries.  A grading's operator H is diagonal and
+is carried as its weights, never as an operator (``Sl2Triple``).  The
+dual operator is produced from the primitive decomposition with
+coefficient j(m - j + 1) on the j-th rung of a length-(m+1) string and
+certified by the relations on each weight space.  Those relations fix
+the dual uniquely; on small rings it is also re-derived as the
+degree-(-2) solution of [L, X] = H, and a disagreement raises.  Powers
+of a weight-raising operator are products of its weight blocks V_w ->
+V_(w+2) (``BlockChain``), never of full matrices.
 
 Duals of further classes come from one completion (``DualFamily``): the
 completion at a base class b and two block brackets with psi(b) =
@@ -40,7 +41,7 @@ from .linalg import (Matrix, Subspace, _ints, _norm_entry, inverse, kernel,
 from .models import vector_stream
 from .reporting import Record
 from .rings import BigradedAlgebra, GradedAlgebra
-from .scalars import div, format_scalar, rat
+from .scalars import div, format_scalar
 
 SOLVE_CROSSCHECK_LIMIT = 30
 
@@ -137,13 +138,6 @@ def _bracket_at(a, b, k):
     if ba is None:
         return ab
     return -ba if ab is None else ab - ba
-
-
-def weight_operator(ring, weights) -> DegreeOperator:
-    """H: acts by ``weights[gi]`` on basis element gi, in diagonal blocks."""
-    return DegreeOperator(ring, 0, _regroup(
-        ((gi, gi, rat(w)) for gi, w in enumerate(weights) if w),
-        _degrees(ring), 0, "weight operator off the diagonal")[0])
 
 
 def _degrees(ring):
@@ -348,11 +342,15 @@ def hl_nonisotropy_check(ring: GradedAlgebra) -> Record:
 
 @dataclass
 class Sl2Triple:
-    """An exact sl2-triple (L, Lam, H) adapted to a basis-aligned grading."""
+    """An exact sl2-triple (L, Lam, H) adapted to a basis-aligned grading.
+
+    H is diagonal, acting by ``weights[gi]`` on basis element gi, and is
+    carried as those weights: [H, X] has entry (w_r - w_c) X_rc, so every
+    bracket with H is read off the weights and never formed.
+    """
 
     L: DegreeOperator
     Lam: DegreeOperator
-    H: DegreeOperator
     weights: tuple
 
 
@@ -439,8 +437,7 @@ def complete_sl2_weights(ring, l_op: DegreeOperator, weights) -> Sl2Triple:
             and _solve_dual(ring, l_op, weights, spaces) != lam_op.matrix()):
         raise RuntimeError("sl2 completion failed: the dual differs from "
                            "the unique solution of [L, X] = H")
-    return Sl2Triple(l_op, lam_op, weight_operator(ring, weights),
-                     tuple(weights))
+    return Sl2Triple(l_op, lam_op, tuple(weights))
 
 
 def _dual_certified(chain: BlockChain, lam_blocks) -> bool:

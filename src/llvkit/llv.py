@@ -18,7 +18,10 @@ need no closure and no rank: their relation checks make the operators a
 Lie homomorphic image of so(4,1), or of sl2 + sl2, whose only ideals
 are those of a simple or semisimple algebra, and no operator is zero,
 so the dimension is 10, or 6, exactly when the relations hold
-(``so41_subalgebra``, ``so4_symplectic``).
+(``so41_subalgebra``, ``so4_symplectic``).  No operator H is formed: a
+grading is diagonal and is read off its weights, ad(H) off the closure's
+canonical rows (``ad_grading``), and the relations with an H, or between
+two cup operators, follow from the certified shifts and the ring axioms.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import comb, gcd
 
 from .lefschetz import (_NOT_4N, DegreeOperator, DualFamily,
                         classical_weights, complete_sl2, cup_operator,
-                        sigma_bar_sl2, sigma_sl2, weight_operator)
+                        sigma_bar_sl2, sigma_sl2)
 from .linalg import (DimensionError, Matrix, SparseEchelon,
                      integer_eigenspaces, symmetric_signature)
 from .models import (isotropic_stream, nonisotropic_stream,
@@ -145,10 +148,10 @@ class MatrixLieAlgebra:
     matrices M_k = D b_k over Z[i], each entry an int, or a Gauss with
     int parts where it is not real.  An integral matrix X lies in the
     span iff D X == sum_k X[p_k] M_k, an exact equality with no
-    fraction formed.  Membership, ``_ad_matrix`` and the bracket walk
-    (unless certified) test it this way, on the nonzero brackets that
-    ``_brackets`` forms; zero lies in every span.  ``certified`` marks an
-    algebra built by ``lie_closure``, whose loop proves it bracket-closed.
+    fraction formed.  Membership and the bracket walk (unless certified)
+    test it this way, on the nonzero brackets that ``_brackets`` forms;
+    zero lies in every span.  ``certified`` marks an algebra built by
+    ``lie_closure``, whose loop proves it bracket-closed.
 
     ``bracket_rows`` walks the brackets once and stores nothing: row i
     holds the coordinates {k: e_ijk} of [M_i, M_j] on the M_k for every
@@ -327,18 +330,39 @@ class DecompositionError(ValueError):
     """The adjoint weight decomposition left the expected eigenvalues."""
 
 
-def ad_grading(algebra: MatrixLieAlgebra, h):
-    """Split the algebra into ad(h)-eigenspaces with eigenvalues 2, 0, -2.
+def ad_grading(algebra: MatrixLieAlgebra, weights):
+    """Split the algebra into ad(H)-eigenspaces with eigenvalues 2, 0, -2,
+    for the diagonal H acting by ``weights[r]`` on the r-th ambient basis
+    vector.
 
     Returns the three eigenspaces as lists of coordinate vectors on the
     algebra's canonical basis; a vector c stands for sum_k c_k b_k.
-    ``integer_eigenspaces`` decides the split on the sparse rows of ad(h);
-    h is a ``Matrix`` or a ``DegreeOperator`` of the ambient shape.
+
+    No bracket is formed.  ad(H) multiplies the matrix unit E_rc by
+    w_r - w_c, so the ad(H)-stable spans are the direct sums of spans of
+    matrices each supported on one weight difference.  The reduced
+    echelon basis of such a sum is the union of those of its summands
+    (their supports are disjoint, so the union is already reduced, and
+    the reduced basis is unique).  So the span is ad(H)-stable exactly
+    when each canonical row b_k is supported on one difference d_k, and
+    ad(H) is then the diagonal matrix of the d_k.  A row with two
+    differences raises DecompositionError; ``integer_eigenspaces`` splits
+    the diagonal and refuses a d_k outside {2, 0, -2}.
     """
+    n = algebra.ambient
+    if len(weights) != n:
+        raise DimensionError(f"{len(weights)} weights on a closure of "
+                             f"{n} x {n} matrices")
+    diagonal = []
+    for k, row in enumerate(algebra._rows):
+        diffs = {weights[idx // n] - weights[idx % n] for idx in row}
+        if len(diffs) != 1:
+            raise DecompositionError("decomposition violated: element does "
+                                     "not normalize the algebra")
+        d = diffs.pop()
+        diagonal.append({k: d} if d else {})
     try:
-        spaces = integer_eigenspaces(_ad_matrix(algebra, h), [2, 0, -2])
-    except DimensionError:
-        raise
+        spaces = integer_eigenspaces(diagonal, [2, 0, -2])
     except ValueError as exc:
         raise DecompositionError(f"decomposition violated: {exc}") from exc
     return tuple(list(spaces[lam].basis) if lam in spaces else []
@@ -346,47 +370,31 @@ def ad_grading(algebra: MatrixLieAlgebra, h):
 
 
 def ad_grading_check(algebra: MatrixLieAlgebra, ring: GradedAlgebra) -> Record:
-    """The closure splits under the classical weight operator of ``ring``
+    """The closure splits under the classical weights of ``ring``
     (``ad_grading``); the record holds the three eigenspace dimensions."""
     rec = Record("adjoint weight decomposition",
                  "closure splits into ad(H) eigenvalues 2, 0, -2")
-    h = weight_operator(ring, classical_weights(ring))
     try:
-        rec.data["dims"] = [len(space) for space in ad_grading(algebra, h)]
+        rec.data["dims"] = [len(space) for space in ad_grading(
+            algebra, classical_weights(ring))]
     except DecompositionError as exc:
         rec.verdict, rec.data = "fail", {"error": str(exc)}
     return rec
 
 
-def _ad_matrix(algebra: MatrixLieAlgebra, x):
-    """ad(x) as sparse rows {j: A_kj}, [x, b_j] = sum_k A_kj b_k; raises
-    ValueError when an exact membership test puts [x, b_j] outside."""
-    sp, scale = algebra._sparse(x)
-    den, mats = algebra._integer_form()
-    # x = sp / scale and b_j = M_j / D, so [x, b_j] = [sp, M_j] / (scale D)
-    scale *= den
-    rows = [{} for _ in mats]
-    for j, b in _brackets(sp, _index(mats)).items():
-        coeffs = algebra._int_coords(b)
-        if coeffs is None:
-            raise ValueError("element does not normalize the algebra")
-        for k, e in coeffs.items():
-            rows[k][j] = div(e, scale)
-    return rows
-
-
 def weil_operator(ring: BigradedAlgebra) -> DegreeOperator:
     """[L_gamma, Lam_gamma'] for gamma = sigma + sigma-bar and gamma' its
-    imaginary partner; asserted equal to i(H_sigma - H_sigma-bar)."""
+    imaginary partner; asserted equal to i(H_sigma - H_sigma-bar), the
+    diagonal operator acting by i(p - q) on each basis element of
+    bidegree (p, q), entry by entry."""
     if ring.field != "gaussian":
         raise ValueError("the Weil operator needs the field extended by i")
     sig, sigb = ring.sigma(), ring.sigma_bar()
     gamma = ring.add(sig, sigb)
     gamma_p = ring.scale(tuple(a - b for a, b in zip(sig, sigb)), Gauss(0, -1))
     c_op = cup_operator(ring, gamma).commutator(complete_sl2(ring, gamma_p).Lam)
-    expected = weight_operator(ring, [p - q for p, q in ring.bidegrees])
-    if any(c_op.blocks[k] != blk.scale(Gauss(0, 1))
-           for k, blk in expected.blocks.items()):
+    if _cells(c_op) != {(gi, gi): Gauss(0, p - q) for gi, (p, q)
+                        in enumerate(ring.bidegrees) if p != q}:
         raise RuntimeError("Weil operator mismatch: [L_gamma, Lam_gamma'] "
                            "!= i(H_sigma - H_sigma-bar)")
     return c_op
@@ -648,15 +656,20 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes) -> Record:
     must be rational squares) and completed to triples (L_i, Lam_i, H);
     all three share H, the classical weight operator.  With K_ij =
     [L_i, Lam_j], these relation families are checked on degree blocks:
-    K_ij = -K_ji, [L_i, L_j] = [Lam_i, Lam_j] = 0, [K_ij, H] = 0,
-    [K_ij, L_j] = 2 L_i, [K_ij, Lam_j] = 2 Lam_i, [K_ij, L_k] =
-    [K_ij, Lam_k] = 0 and [K_ij, K_jk] = 2 K_ik, for i, j, k distinct.
+    K_ij = -K_ji, [Lam_i, Lam_j] = 0, [K_ij, L_j] = 2 L_i, [K_ij, Lam_j]
+    = 2 Lam_i, [K_ij, L_k] = [K_ij, Lam_k] = 0 and [K_ij, K_jk] = 2 K_ik,
+    for i, j, k distinct.  Two more families hold without a check:
+    [L_i, L_j] = 0, as L_i L_j x = a_i a_j x = a_j a_i x in the validated
+    ring (associative, and commutative on the even degrees); and
+    [K_ij, H] = 0, as K_ij keeps the degree (L_i raises it by 2, Lam_j
+    lowers it by 2) and H is a scalar on each degree.
 
-    They close the span S of L_i, Lam_i, H and K_01, K_02, K_12.  Each
-    triple's certificate gives [L_i, Lam_i] = H, [H, L_i] = 2 L_i and
-    [H, Lam_i] = -2 Lam_i; [L_i, Lam_j] = K_ij lies in S as K_ji =
-    -K_ij; [K_ij, L_i] = -[K_ji, L_i] = -2 L_j, and likewise for Lam;
-    [K_ij, K_jk] = 2 K_ik with K_ji = -K_ij covers every pair of K's.
+    All these relations close the span S of L_i, Lam_i, H and K_01,
+    K_02, K_12.  Each triple's certificate gives [L_i, Lam_i] = H,
+    [H, L_i] = 2 L_i and [H, Lam_i] = -2 Lam_i; [L_i, Lam_j] = K_ij lies
+    in S as K_ji = -K_ij; [K_ij, L_i] = -[K_ji, L_i] = -2 L_j, and
+    likewise for Lam; [K_ij, K_jk] = 2 K_ik with K_ji = -K_ij covers every
+    pair of K's.
     So S is bracket-closed, and as H and the K_ij are brackets of the
     L_i, Lam_i, it is the algebra they generate.  The relations are the
     brackets of so(4,1) on this basis, so they make the map from
@@ -690,11 +703,8 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes) -> Record:
     res = Record("so(4,1) action",
                  "three orthogonal positive sl2-triples close into so(4,1)",
                  {"failures": []})
-    h = triples[0].H
     ls, lams = [t.L for t in triples], [t.Lam for t in triples]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        if not ls[i].commutes_with(ls[j]):
-            res.fail(f"[L{i}, L{j}] != 0")
         if not lams[i].commutes_with(lams[j]):
             res.fail(f"[Lam{i}, Lam{j}] != 0")
     k = {(i, j): ls[i].commutator(lams[j])
@@ -703,8 +713,6 @@ def so41_subalgebra(ring: GradedAlgebra, triple_classes) -> Record:
         kk = 3 - i - j
         if _cells(kij) != _cells(k[(j, i)], -1):
             res.fail(f"K{i}{j} != -K{j}{i}")
-        if not kij.commutes_with(h):
-            res.fail(f"[K{i}{j}, H] != 0")
         if _cells(kij.commutator(ls[j])) != _cells(ls[i], 2):
             res.fail(f"[K{i}{j}, L{j}] != 2 L{i}")
         if _cells(kij.commutator(lams[j])) != _cells(lams[i], 2):
@@ -726,16 +734,28 @@ def so4_symplectic(ring: BigradedAlgebra) -> Record:
 
     ``complete_sl2_weights`` certifies each of the sigma and sigma-bar
     triples: [L, Lam] = H block by block, and [H, L] = 2L, [H, Lam] =
-    -2 Lam by the weight shifts.  The nine cross brackets are checked to
-    vanish.  Then the span of the six is bracket-closed, it is the
-    algebra they generate, and the operator map from sl2 + sl2 is a Lie
-    homomorphism.  Its kernel is an ideal: 0, one factor or both.
-    Neither L is zero (each triple was completed, which needs Hard
-    Lefschetz, and the unit has weight -n != 0), so the kernel is 0 and
-    the span has dimension 6 exactly when the cross brackets vanish;
-    ``dim`` is reported then.  A failing record lists its brackets and
-    has no ``dim``.  A ring of top degree other than 4n has no weights
-    p - n, q - n and skips.
+    -2 Lam by the weight shifts.  Of the nine cross brackets, three are
+    checked to vanish: [L_sigma, Lam_sigmabar], [Lam_sigma, L_sigmabar]
+    and [Lam_sigma, Lam_sigmabar], the relations of simultaneous
+    primitivity.  The other six vanish by what is already certified.
+    H_sigma and H_sigmabar act by p - n and q - n, both diagonal, so they
+    commute.  L_sigma raises p by 2 (``_weight_chain`` checks it entry by
+    entry) and the degree p + q by 2, so it keeps q; Lam_sigma lowers p
+    by 2 (its weight blocks are built so) and the degree by 2 (checked
+    when it is put back into degree blocks), so it keeps q too.  An
+    operator that keeps q commutes with H_sigmabar; likewise L_sigmabar
+    and Lam_sigmabar keep p and commute with H_sigma.  And [L_sigma,
+    L_sigmabar] = 0, as sigma sigma-bar x = sigma-bar sigma x in the ring,
+    associative and graded-commutative (validated, or for a companion
+    certified isomorphic to its validated rational model).  Then the span
+    of the six is bracket-closed, it is the algebra they generate, and
+    the operator map from sl2 + sl2 is a Lie homomorphism.  Its kernel is
+    an ideal: 0, one factor or both.  Neither L is zero (each triple was
+    completed, which needs Hard Lefschetz, and the unit has weight
+    -n != 0), so the kernel is 0 and the span has dimension 6 exactly
+    when the three checked brackets vanish; ``dim`` is reported then.  A
+    failing record lists its brackets and has no ``dim``.  A ring of top
+    degree other than 4n has no weights p - n, q - n and skips.
     """
     res = Record("symplectic so(4) action",
                  "six symplectic operators close into two commuting sl2s",
@@ -744,10 +764,10 @@ def so4_symplectic(ring: BigradedAlgebra) -> Record:
         return res.skip(_NOT_4N.format(ring.top))
     tri_s = sigma_sl2(ring)
     tri_b = sigma_bar_sl2(ring)
-    for a in (tri_s.L, tri_s.Lam, tri_s.H):
-        for b in (tri_b.L, tri_b.Lam, tri_b.H):
-            if not a.commutes_with(b):
-                res.fail("the sigma and sigma-bar triples do not commute")
+    for a, b in ((tri_s.L, tri_b.Lam), (tri_s.Lam, tri_b.L),
+                 (tri_s.Lam, tri_b.Lam)):
+        if not a.commutes_with(b):
+            res.fail("the sigma and sigma-bar triples do not commute")
     if res.ok:
         res.data["dim"] = 6
     return res

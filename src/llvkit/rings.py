@@ -615,12 +615,13 @@ _RING_KEYS = _REQUIRED_KEYS + ("field", "quadratic_form", "bigrading")
 _PRODUCT_KEYS = ("i", "j", "k", "coeff")
 
 
-def ring_from_dict(data: dict, validate=True):
-    """The ring of a description.  An unknown key, at the top or in a
-    product record, and a repeated (i, j, k) product record are format
-    errors: a misspelt optional key would drop what it names, and a
-    repeated record would be summed by ``multiply`` but read once by the
-    validation's ``dict``."""
+def ring_from_dict(data: dict):
+    """The ring of a description, always validated: ``require_valid``
+    raises RingValidationError when an axiom fails.  An unknown key, at
+    the top or in a product record, and a repeated (i, j, k) product
+    record are format errors: a misspelt optional key would drop what it
+    names, and a repeated record would be summed by ``multiply`` but read
+    once by the validation's ``dict``."""
     _expect(isinstance(data, dict), "ring description must be an object", "$")
     for key in data:
         _expect(key in _RING_KEYS, f"unknown key {key!r}", f"$.{key}")
@@ -733,10 +734,10 @@ def ring_from_dict(data: dict, validate=True):
                    quadratic_form=qform)
     except ValueError as exc:
         raise RingFormatError(str(exc), "$") from exc
-    return ring.require_valid() if validate else ring
+    return ring.require_valid()
 
 
-def load_ring(path, validate=True):
+def load_ring(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -750,7 +751,7 @@ def load_ring(path, validate=True):
                           parse_constant=_reject_float)
     except json.JSONDecodeError as exc:
         raise RingFormatError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from exc
-    return ring_from_dict(data, validate=validate)
+    return ring_from_dict(data)
 
 
 def _reject_float(token):

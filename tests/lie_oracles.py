@@ -8,8 +8,9 @@ walks a certified algebra's brackets, read at the pivots, as far as
 ``so_identify`` needs.  ``killing_gram`` contracts such a walk into the
 Killing form, which ``so_identify`` never forms.  ``apply_blocks``
 applies a ``DegreeOperator`` to a full-ring vector block by block, beside
-the dense ``matrix().matvec``; ``is_sl2_triple`` checks the three sl2
-relations on dense matrices, and ``nilpotent_index`` takes dense
+the dense ``matrix().matvec``; ``weight_operator`` builds the diagonal
+H that the package carries as its weights, ``is_sl2_triple`` checks the
+three sl2 relations on dense matrices, and ``nilpotent_index`` takes dense
 powers.  ``operator_rank`` is the dimension of the span of operators, one
 ``SparseEchelon`` over their entries, the rank the so(4) and so(4,1)
 records no longer compute; ``dense_block`` cuts a block out of a dense
@@ -18,7 +19,7 @@ matrix, and ``symplectic_piece_ranks`` is the per-piece rank loop that
 
 from types import MappingProxyType
 
-from llvkit.lefschetz import BlockChain, cup_operator
+from llvkit.lefschetz import BlockChain, DegreeOperator, cup_operator
 from llvkit.linalg import Matrix, SparseEchelon
 from llvkit.llv import MatrixLieAlgebra, lie_closure, llv_generators
 
@@ -100,10 +101,27 @@ def killing_gram(rows, dim):
     return [{j: g for j, g in grow.items() if g} for grow in gram]
 
 
+def weight_operator(ring, weights) -> DegreeOperator:
+    """H acting by ``weights[gi]`` on basis element gi, as diagonal degree
+    blocks."""
+    blocks = {}
+    for k, d in enumerate(ring.dims):
+        if d:
+            w = weights[ring.offsets[k]:ring.offsets[k] + d]
+            blocks[k] = Matrix([[w[r] if r == c else 0 for c in range(d)]
+                                for r in range(d)], ncols=d)
+    return DegreeOperator(ring, 0, blocks)
+
+
+def triple_h(tri) -> DegreeOperator:
+    """The H of an ``Sl2Triple``, built from its weights."""
+    return weight_operator(tri.L.ring, tri.weights)
+
+
 def is_sl2_triple(tri) -> bool:
     """[L, Lam] = H, [H, L] = 2L and [H, Lam] = -2 Lam for an
     ``Sl2Triple``, on dense matrices."""
-    lm, mm, hm = tri.L.matrix(), tri.Lam.matrix(), tri.H.matrix()
+    lm, mm, hm = tri.L.matrix(), tri.Lam.matrix(), triple_h(tri).matrix()
     return (lm.commutator(mm) == hm
             and hm.commutator(lm) == lm.scale(2)
             and hm.commutator(mm) == mm.scale(-2))

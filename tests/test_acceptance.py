@@ -13,7 +13,7 @@ from llvkit.bbf import bbf_form, fujiki_check
 from llvkit.clifford import (CliffordElement, cl_multiply, cl_trace, clifford,
                              complex_structure, polarization_form)
 from llvkit.lefschetz import (classical_weights, complete_sl2, hl_test,
-                              sigma_bar_sl2, sigma_sl2, weight_operator)
+                              sigma_bar_sl2, sigma_sl2)
 from llvkit.llv import (ad_grading, so4_symplectic, so41_subalgebra,
                         so_identify, verbitsky_component, weil_operator)
 from llvkit.models import isotropic_stream, nonisotropic_stream, vector_stream
@@ -21,7 +21,7 @@ from llvkit.pw import (default_lagrangian_triple, isotropic_independence_check,
                        weak_pw_check, weight_filtration)
 from llvkit.rings import QuadraticForm
 from llvkit.scalars import Gauss
-from lie_oracles import llv_closure
+from lie_oracles import llv_closure, weight_operator
 
 
 def report(num, ok, detail):
@@ -44,8 +44,7 @@ def test_criterion_01_structure_theorem_small_model(rat52):
 def test_criterion_02_structure_theorem_k3(k3):
     t0 = time.time()
     algebra = llv_closure(k3)
-    h = weight_operator(k3, classical_weights(k3)).matrix()
-    g2, g0, gm2 = ad_grading(algebra, h)
+    g2, g0, gm2 = ad_grading(algebra, classical_weights(k3))
     elapsed = time.time() - t0
     dims = (len(g2), len(g0), len(gm2))
     ok = algebra.dim == 276 and dims == (22, 232, 22) and elapsed < 60

@@ -661,25 +661,49 @@ def test_sigma_records_skip_on_a_ring_of_top_degree_not_4n(tmp_path, capsys):
     assert so4.verdict == "skip" and so4.data == reason
 
 
+_TOP_SIX_FORMS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                  [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
+
+
 @pytest.mark.parametrize("t_first, form, command, named", [
-    (False, [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "llv", "(1, 1, 0)"),
-    (False, [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "verbitsky", "(1, 1, 0)"),
-    (True, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], "llv", "(0, 1, -1)"),
+    (False, _TOP_SIX_FORMS[0], "llv", (1, 1, 0)),
+    (False, _TOP_SIX_FORMS[0], "verbitsky", (1, 1, 0)),
+    (True, _TOP_SIX_FORMS[1], "llv", (0, 1, -1)),
+    (True, _TOP_SIX_FORMS[1], "verbitsky", (0, 1, -1)),
+    (True, _TOP_SIX_FORMS[1], "pw", (0, 1, -1)),
 ])
 def test_a_declared_non_isotropic_class_without_hard_lefschetz_exits_two(
         tmp_path, capsys, t_first, form, command, named):
     # (sigma + sigma-bar)^3 = 2 t^2 (sigma + sigma-bar) = 0, yet the form
-    # calls sigma + sigma-bar non-isotropic; on a top degree other than
-    # 4n no Fujiki gate stops the form, so the sl2 completion of a dual
-    # refuses the class by name: the base class of the dual family, or,
-    # with t first, a class of the commutation check
+    # calls sigma + sigma-bar, the class ``named``, non-isotropic.  A ring
+    # of top degree other than 4n has no Fujiki relation, so the gate
+    # refuses every form declared on it before any sl2 completion; with
+    # t first, verbitsky's dual family never meets the class, so only
+    # the gate refuses that case
+    ring = _top_six_ring(t_first, form)
+    assert ring.quadratic_form.evaluate(named) != 0
+    assert not lefschetz.hl_test(ring, named)
     path = tmp_path / "top-six.json"
-    save_ring(_top_six_ring(t_first, form), path)
+    save_ring(ring, path)
     rc = main([command, "--input", str(path)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: degree-2 class {named} has no sl2-triple: not an HL class"]
+        "error: quadratic form: ring top degree 6 is not 4n"]
+
+
+@pytest.mark.parametrize("t_first", [False, True])
+def test_validate_lists_a_form_declared_on_a_top_degree_not_4n(
+        tmp_path, capsys, t_first):
+    path = tmp_path / "top-six.json"
+    save_ring(_top_six_ring(t_first, _TOP_SIX_FORMS[t_first]), path)
+    rc = main(["validate", "--input", str(path), "--format", "structured"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    (axioms,) = json.loads(captured.out)["records"]
+    assert axioms["verdict"] == "fail"
+    assert axioms["data"]["issues"] == [
+        "quadratic form: ring top degree 6 is not 4n"]
 
 
 def test_verbitsky_refuses_a_declared_form_that_fails_fujiki(tmp_path,

@@ -26,7 +26,7 @@ from llvkit.rings import QuadraticForm, ring_from_dict
 from llvkit.scalars import Gauss, div
 from test_cli import _times_p1p1
 from lie_oracles import (apply_blocks, dense_block, is_sl2_triple,
-                         nilpotent_index, symplectic_piece_ranks)
+                         nilpotent_index, symplectic_piece_ranks, triple_h)
 
 
 def test_cup_zero_class_is_zero(k3):
@@ -131,8 +131,8 @@ def _block_operator_cases(rat52, torus2, model52):
         assert len(ops) == 4
         cases.append((ring, ops))
     tri_s, tri_b = sigma_sl2(model52), sigma_bar_sl2(model52)
-    cases.append((model52, [tri_s.L, tri_s.Lam, tri_s.H,
-                            tri_b.L, tri_b.Lam, tri_b.H]))
+    cases.append((model52, [tri_s.L, tri_s.Lam, triple_h(tri_s),
+                            tri_b.L, tri_b.Lam, triple_h(tri_b)]))
     return cases
 
 
@@ -211,12 +211,13 @@ def test_complete_sl2_h_acts_by_weight(k3, rat52, torus2):
     for ring, a in ((k3, [Fraction(1)] + [Fraction(0)] * 21),
                     (rat52, [Fraction(1), 0, 0, 0, 0]),
                     (torus2, [0, Fraction(1), 0, 0, Fraction(1), 0])):
+        # H is carried as its weights; built from them, it satisfies the
+        # sl2 relations on dense matrices
         tri = complete_sl2(ring, a)
         mid = ring.top // 2
-        for gi in range(ring.total_dim):
-            out = tri.H.matrix().matvec(ring.basis_vector(gi))
-            assert out == ring.scale(ring.basis_vector(gi),
-                                     ring.degree_of(gi) - mid)
+        assert tri.weights == tuple(ring.degree_of(gi) - mid
+                                    for gi in range(ring.total_dim))
+        assert is_sl2_triple(tri)
 
 
 def test_complete_sl2_matches_unique_solve(k3, rat52, model52, torus2):
@@ -420,11 +421,9 @@ def test_simultaneous_primitivity_fails_without_hard_lefschetz(
 def test_sigma_weight_operators(model52):
     n = model52.symplectic_n()
     tri_s, tri_b = sigma_sl2(model52), sigma_bar_sl2(model52)
-    for gi in range(model52.total_dim):
-        p, q = model52.bidegrees[gi]
-        e = model52.basis_vector(gi)
-        assert tri_s.H.matrix().matvec(e) == model52.scale(e, p - n)
-        assert tri_b.H.matrix().matvec(e) == model52.scale(e, q - n)
+    assert tri_s.weights == tuple(p - n for p, _ in model52.bidegrees)
+    assert tri_b.weights == tuple(q - n for _, q in model52.bidegrees)
+    assert is_sl2_triple(tri_s) and is_sl2_triple(tri_b)
 
 
 def test_sl2_representation_dimension_bookkeeping(rat52):

@@ -254,7 +254,8 @@ def test_integer_eigenspaces_diagonal():
 
 
 def test_integer_eigenspaces_k3_weights(k3):
-    from llvkit.lefschetz import classical_weights, weight_operator
+    from llvkit.lefschetz import classical_weights
+    from lie_oracles import weight_operator
     h = weight_operator(k3, classical_weights(k3)).matrix()
     spaces = integer_eigenspaces(h, [-2, 0, 2])
     assert {lam: s.dim for lam, s in spaces.items()} == {-2: 1, 0: 22, 2: 1}
@@ -755,14 +756,15 @@ def test_integer_eigenspaces_dict_rows_out_of_range():
 
 
 def test_k3_ad_weight_kernels_match_dense_reference(k3, k3_closure):
-    from llvkit.lefschetz import classical_weights, weight_operator
-    from llvkit.llv import _ad_matrix
+    from llvkit.lefschetz import classical_weights
+    from dense_ad import ad_rows
+    from lie_oracles import weight_operator
     h = weight_operator(k3, classical_weights(k3)).matrix()
     admat = dense_ad(k3_closure, h)
     assert kernel(admat) == _reference_kernel(admat)
     spaces = integer_eigenspaces(admat, [2, 0, -2])
     assert spaces == _reference_eigenspaces(admat, [2, 0, -2])
-    assert integer_eigenspaces(_ad_matrix(k3_closure, h), [2, 0, -2]) == spaces
+    assert integer_eigenspaces(ad_rows(k3_closure, h), [2, 0, -2]) == spaces
     assert {lam: s.dim for lam, s in spaces.items()} == {2: 22, 0: 232, -2: 22}
 
 

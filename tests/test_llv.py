@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from llvkit import llv
 from llvkit.lefschetz import (DegreeOperator, DualFamily, classical_weights,
                               complete_sl2, cup_operator, sigma_bar_sl2,
-                              sigma_sl2, weight_operator)
+                              sigma_sl2)
 from llvkit.linalg import (DimensionError, Matrix, SparseEchelon, Subspace,
-                           symmetric_signature)
+                           integer_eigenspaces, symmetric_signature)
 from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
                         NotSemisimpleError, ad_grading, derivation_check,
                         lie_closure, llv_generators,
@@ -20,10 +20,11 @@ from llvkit.llv import (DecompositionError, MatrixLieAlgebra,
 from llvkit.models import nonisotropic_stream, spanning_hl_classes
 from llvkit.rings import load_ring, save_ring
 from llvkit.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, Gauss, I
-from dense_ad import dense_ad
+from dense_ad import ad_rows, dense_ad
 from lie_oracles import (apply_blocks, killing_gram, llv_closure,
                          operator_rank, retested_bracket_rows,
-                         structure_constants, verify_closure)
+                         structure_constants, triple_h, verify_closure,
+                         weight_operator)
 
 
 def sl2_triple_generators(ring, a):
@@ -229,7 +230,7 @@ def test_gaussian_closure_matches_dense_reference(model52):
     tri_s, tri_b = sigma_sl2(model52), sigma_bar_sl2(model52)
     six = [t.L.matrix() for t in (tri_s, tri_b)] + [
         t.Lam.matrix() for t in (tri_s, tri_b)] + [
-        t.H.matrix() for t in (tri_s, tri_b)]
+        triple_h(t).matrix() for t in (tri_s, tri_b)]
     alg = lie_closure(six, model52.field)
     assert alg.gaussian and alg.dim == 6
     assert (alg.pivots, alg._rows) == _reference_closure(six)
@@ -311,7 +312,7 @@ def test_gaussian_closure_of_non_real_generators():
 
 def test_mixed_generators_close_without_floats(model52):
     tri_s = sigma_sl2(model52)
-    gens = [tri_s.L.matrix(), tri_s.Lam.matrix(), tri_s.H.matrix()]
+    gens = [tri_s.L.matrix(), tri_s.Lam.matrix(), triple_h(tri_s).matrix()]
     assert all(type(v) in (int, Fraction) for row in gens[2].rows for v in row)
     alg = lie_closure(gens, model52.field)
     assert alg.gaussian and alg.dim == 3 and verify_closure(alg)
@@ -551,45 +552,90 @@ def _assert_eigenvectors(alg, h, spaces):
             assert h.commutator(x) == x.scale(lam)
 
 
+def _bracket_grading(alg, h):
+    """The eigen-split of ad(h) with eigenvalues 2, 0, -2 on the bracket
+    oracle ``ad_rows``, in the shape ``ad_grading`` returns; a failure
+    gives its ``DecompositionError`` message instead."""
+    try:
+        spaces = integer_eigenspaces(ad_rows(alg, h), [2, 0, -2])
+    except ValueError as exc:
+        return f"decomposition violated: {exc}"
+    return tuple(list(spaces[lam].basis) if lam in spaces else []
+                 for lam in (2, 0, -2))
+
+
+def _checked_grading(alg, ring):
+    """``ad_grading`` under the classical weights of ring, checked against
+    the bracket oracle and on dense eigenvectors."""
+    weights = classical_weights(ring)
+    h = weight_operator(ring, weights)
+    spaces = ad_grading(alg, weights)
+    assert spaces == _bracket_grading(alg, h)
+    _assert_eigenvectors(alg, h.matrix(), spaces)
+    return spaces
+
+
 def test_ad_grading_single_sl2(k3):
     a = [Fraction(1)] + [Fraction(0)] * 21
     alg = lie_closure(sl2_triple_generators(k3, a), k3.field)
-    h_op = weight_operator(k3, classical_weights(k3))
-    h = h_op.matrix()
-    g2, g0, gm2 = ad_grading(alg, h)
-    assert ad_grading(alg, h_op) == (g2, g0, gm2)
+    g2, g0, gm2 = _checked_grading(alg, k3)
     assert (len(g2), len(g0), len(gm2)) == (1, 1, 1)
-    _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
 
 def test_ad_grading_model(rat52):
-    alg = llv_closure(rat52)
-    h_op = weight_operator(rat52, classical_weights(rat52))
-    h = h_op.matrix()
-    g2, g0, gm2 = ad_grading(alg, h)
-    assert ad_grading(alg, h_op) == (g2, g0, gm2)
+    g2, g0, gm2 = _checked_grading(llv_closure(rat52), rat52)
     assert (len(g2), len(g0), len(gm2)) == (5, 11, 5)
-    _assert_eigenvectors(alg, h, (g2, g0, gm2))
 
 
 def test_ad_grading_k3(k3, k3_closure):
-    h_op = weight_operator(k3, classical_weights(k3))
-    h = h_op.matrix()
-    g2, g0, gm2 = ad_grading(k3_closure, h)
-    assert ad_grading(k3_closure, h_op) == (g2, g0, gm2)
+    g2, g0, gm2 = _checked_grading(k3_closure, k3)
     assert (len(g2), len(g0), len(gm2)) == (22, 232, 22)
-    _assert_eigenvectors(k3_closure, h, (g2, g0, gm2))
 
 
 def test_ad_grading_torus(torus2):
     gens, _ = llv_generators(torus2)
     alg = lie_closure(gens, torus2.field)
-    h_op = weight_operator(torus2, classical_weights(torus2))
-    h = h_op.matrix()
-    g2, g0, gm2 = ad_grading(alg, h)
-    assert ad_grading(alg, h_op) == (g2, g0, gm2)
+    g2, g0, gm2 = _checked_grading(alg, torus2)
     assert (len(g2), len(g0), len(gm2)) == (6, 16, 6)
-    _assert_eigenvectors(alg, h, (g2, g0, gm2))
+
+
+@pytest.mark.parametrize("name, field, dims", [
+    ("model53", FIELD_RATIONAL, (5, 11, 5)),
+    ("torus2", FIELD_GAUSSIAN, (6, 16, 6)),
+    ("file52", FIELD_GAUSSIAN, (5, 11, 5))])
+def test_ad_grading_matches_the_bracket_oracle(request, name, field, dims):
+    # read off the canonical rows, the split equals the eigen-split of
+    # ad(H) formed by brackets and membership tests, also over Q(i); K3,
+    # (5,2) and the rational torus are checked by the tests above
+    ring = request.getfixturevalue(name)
+    ring = getattr(ring, "rational_model", None) or ring
+    alg = lie_closure(llv_generators(ring)[0], field)
+    assert tuple(map(len, _checked_grading(alg, ring))) == dims
+
+
+def test_ad_grading_refuses_a_mixed_weight_row():
+    # span{h, e + f} in sl2: the canonical row e + f has the weight
+    # differences 2 and -2, so the span is not ad(H)-stable for H =
+    # diag(1, -1); the message is the one of the bracket oracle
+    alg = MatrixLieAlgebra(2, [0, 1], [{0: 1, 3: -1}, {1: 1, 2: 1}])
+    message = ("decomposition violated: element does not normalize the "
+               "algebra")
+    assert _bracket_grading(alg, Matrix([[1, 0], [0, -1]])) == message
+    with pytest.raises(DecompositionError) as info:
+        ad_grading(alg, [1, -1])
+    assert str(info.value) == message
+
+
+def test_ad_grading_refuses_a_difference_outside_the_spectrum():
+    # under H = diag(2, -2) every canonical row of sl2 is homogeneous, but
+    # e and f have the differences 4 and -4: integer_eigenspaces refuses
+    # the diagonal with the bracket oracle's message
+    alg = _sl2_closure()
+    message = _bracket_grading(alg, Matrix([[2, 0], [0, -2]]))
+    assert message.startswith("decomposition violated: not diagonalizable")
+    with pytest.raises(DecompositionError) as info:
+        ad_grading(alg, [2, -2])
+    assert str(info.value) == message
 
 
 def _eager_basis(alg):
@@ -622,13 +668,11 @@ def test_lazy_basis_equals_eager_basis(k3_closure, rat52, torus2):
 def test_ad_grading_rejects_bad_weights(k3):
     alg = lie_closure(sl2_triple_generators(
         k3, [Fraction(1)] + [Fraction(0)] * 21), k3.field)
-    bad = Matrix([[Fraction(1 if i == j and i == 0 else 0) for j in range(24)]
-                  for i in range(24)])
-    bad_op = weight_operator(k3, [1] + [0] * 23)
-    assert bad_op.matrix() == bad
-    for h in (bad, bad_op):
-        with pytest.raises((DecompositionError, ValueError)):
-            ad_grading(alg, h)
+    bad = [1] + [0] * 23
+    with pytest.raises(DecompositionError) as info:
+        ad_grading(alg, bad)
+    assert str(info.value) == _bracket_grading(
+        alg, weight_operator(k3, bad).matrix())
 
 
 def _sl2_closure():
@@ -646,13 +690,12 @@ def test_contains_rejects_a_wrong_shape():
 
 
 def test_ad_grading_rejects_a_wrong_shape():
-    # read as r n + c, diag(1, -1, 0) aliases to diag(1, -1) and would
-    # grade the closure as (1, 1, 1)
+    # read against 2 x 2 matrices, the weights (1, -1, 0) would grade the
+    # closure by their first two entries, as (1, 1, 1)
     alg = _sl2_closure()
-    h = Matrix([[1, 0], [0, -1]])
-    assert [len(space) for space in ad_grading(alg, h)] == [1, 1, 1]
+    assert [len(space) for space in ad_grading(alg, [1, -1])] == [1, 1, 1]
     with pytest.raises(DimensionError):
-        ad_grading(alg, Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
+        ad_grading(alg, [1, -1, 0])
 
 
 def test_dual_lefschetz_commute_same_class(rat52):
@@ -711,8 +754,7 @@ def test_weil_operator_other_bigraded_fixtures(model62, torus_big):
 
 def test_derived_g0_acts_by_derivations(rat52):
     alg = llv_closure(rat52)
-    h = weight_operator(rat52, classical_weights(rat52)).matrix()
-    _, g0, _ = ad_grading(alg, h)
+    _, g0, _ = ad_grading(alg, classical_weights(rat52))
     g0 = [_element(alg, coeffs) for coeffs in g0]
     n = rat52.total_dim
     span = SparseEchelon()
@@ -895,7 +937,8 @@ def _so41_operators(monkeypatch):
         triples.append(tri)
         if len(triples) == 3:
             ops.extend([t.L for t in triples] + [t.Lam for t in triples]
-                       + [tri.H] + [triples[i].L.commutator(triples[j].Lam)
+                       + [triple_h(tri)]
+                       + [triples[i].L.commutator(triples[j].Lam)
                                     for i, j in ((0, 1), (0, 2), (1, 2))])
         return tri
 
@@ -930,7 +973,8 @@ def test_so41_rejects_inadmissible_norms(rat52):
 
 def _so4_operators(ring):
     tri_s, tri_b = sigma_sl2(ring), sigma_bar_sl2(ring)
-    return [tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam, tri_s.H, tri_b.H]
+    return [tri_s.L, tri_b.L, tri_s.Lam, tri_b.Lam, triple_h(tri_s),
+            triple_h(tri_b)]
 
 
 def test_so4_symplectic_model(model52):
@@ -941,7 +985,8 @@ def test_so4_symplectic_model(model52):
     assert res.data["dim"] == operator_rank(_so4_operators(model52)) == 6
     # the Weil operator [L_gamma, Lam_gamma'] of ``weil_operator`` is
     # i(H_sigma - H_sigma-bar), block by block
-    h_s, h_b = sigma_sl2(model52).H, sigma_bar_sl2(model52).H
+    h_s, h_b = (triple_h(sigma_sl2(model52)),
+                triple_h(sigma_bar_sl2(model52)))
     weil = weil_operator(model52)
     assert weil.shift == 0
     for k, blk in weil.blocks.items():
@@ -984,6 +1029,49 @@ def test_so4_symplectic_torus(torus_big):
     res = so4_symplectic(torus_big)
     assert res.ok, res.failures
     assert res.data["dim"] == operator_rank(_so4_operators(torus_big)) == 6
+
+
+# three orthogonal classes of norm 1 (norm 2 on the torus) per ring
+_POSITIVE_TRIPLES = {
+    "diag": [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)],
+    "k3": [tuple(int(i == j) for i in range(22)) for j in range(3)],
+    "torus2": [(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, -1, 0), (0, 0, 1, 1, 0, 0)]}
+
+
+def _vanishes(a, b):
+    """[a, b] = 0, from the full commutator's entries."""
+    return not any(True for _ in a.commutator(b).entries())
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("rat52", "diag"), ("model53", "diag"), ("k3", "k3"),
+    ("torus2", "torus2")])
+def test_so41_relations_left_unchecked_still_hold(request, name, classes):
+    # [L_i, L_j] = 0 by the ring axioms and [K_ij, H] = 0 as K_ij keeps the
+    # degree: neither is checked by so41_subalgebra, and both hold
+    ring = request.getfixturevalue(name)
+    ring = getattr(ring, "rational_model", None) or ring
+    w = _POSITIVE_TRIPLES[classes]
+    assert so41_subalgebra(ring, w).ok
+    triples = [complete_sl2(ring, a) for a in w]
+    h = weight_operator(ring, classical_weights(ring))
+    for i, j in itertools.permutations(range(3), 2):
+        assert _vanishes(triples[i].L, triples[j].L)
+        assert _vanishes(triples[i].L.commutator(triples[j].Lam), h)
+
+
+@pytest.mark.parametrize("name", ["model52", "model53", "torus_big", "k3big"])
+def test_so4_relations_left_unchecked_still_hold(request, name):
+    # so4_symplectic checks three cross brackets; the other six, each with
+    # an H or between L_sigma and L_sigma-bar, hold by the weight shifts
+    # and the ring axioms
+    ring = request.getfixturevalue(name)
+    assert so4_symplectic(ring).ok
+    tri_s, tri_b = sigma_sl2(ring), sigma_bar_sl2(ring)
+    h_s, h_b = triple_h(tri_s), triple_h(tri_b)
+    for a, b in ((h_s, tri_b.L), (h_s, tri_b.Lam), (h_s, h_b),
+                 (tri_s.L, h_b), (tri_s.Lam, h_b), (tri_s.L, tri_b.L)):
+        assert _vanishes(a, b)
 
 
 def test_verbitsky_component_models(rat52, model62, model53):
